@@ -13,7 +13,7 @@ from .base_rec import BPRParams, IRParams, recommend, train_base
 from .bounds import (cp_lower, cp_upper, estimate_bounds, incomplete_beta,
                      make_context)
 from .certify import (CertQuery, CertResult, bagging_sweep, binary_search_r,
-                      certify_sweep, compute_all_r, verify_constraint)
+                      certify_sweep, verify_constraint)
 from .ensemble import (VoteCounts, build_vote_counts, derive_seed,
                        ensemble_recommend, load_votes, save_votes)
 from .metrics import certified_metrics, standard_metrics
@@ -26,7 +26,7 @@ __all__ = [
     "BPRParams", "IRParams", "recommend", "train_base",
     "cp_lower", "cp_upper", "estimate_bounds", "incomplete_beta", "make_context",
     "CertQuery", "CertResult", "bagging_sweep", "binary_search_r",
-    "certify_sweep", "compute_all_r", "verify_constraint",
+    "certify_sweep", "verify_constraint",
     "VoteCounts", "build_vote_counts", "derive_seed", "ensemble_recommend",
     "load_votes", "save_votes",
     "certified_metrics", "standard_metrics",

@@ -55,10 +55,11 @@ class BaseModel:
         return self._row_of.get(int(user))
 
 
-def _ranked(candidates: np.ndarray, scores: np.ndarray, n_prime: int) -> list[int]:
+def _ranked(candidates: np.ndarray, scores: np.ndarray, n: int) -> list[int]:
+    # the one top-n rule, shared by base models, the ensemble and the oracle:
     # descending score, ascending item id on ties
     order = np.lexsort((candidates, -scores))
-    return [int(i) for i in candidates[order[:n_prime]]]
+    return [int(i) for i in candidates[order[:n]]]
 
 
 def train_ir(matrix: RatingMatrix, users: np.ndarray, params: IRParams = IRParams()) -> BaseModel:

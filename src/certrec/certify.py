@@ -141,24 +141,34 @@ class SweepResult:
     skipped: tuple        # users with empty I_u
 
 
-def certify_sweep(train, counts, target_sets, alpha: float, e_list, N: int,
-                  n_prime: int, s: int, mode: str = "approx",
-                  convention: str = "lower_shapes") -> SweepResult:
-    """Certify every user at every e in e_list, estimating bounds only once.
+RULES = ("joint", "bagging")
 
-    target_sets maps user -> I_u (anything iterable of item ids). Bounds are
-    estimated at the per-user budget alpha / n and shared across the e sweep;
-    only sigma changes with e.
+
+def sweep(train, counts, target_sets, alpha: float, e_list, N: int,
+          n_prime: int, s: int, mode: str = "approx",
+          convention: str = "lower_shapes", rules=("joint",)) -> tuple:
+    """Certify every user under each rule at every e in e_list.
+
+    target_sets maps user -> I_u (anything iterable of item ids). "joint" is
+    the joint certificate (binary_search_r); "bagging" is the per-item
+    single-competitor baseline, defined for N' = 1 votes. Each user's bounds
+    are estimated once, at the per-user budget alpha / n, and shared by every
+    rule and every e; only sigma changes with e. Returns one SweepResult per
+    rule, in the order of `rules`.
     """
     _check_counts(counts, train, s, n_prime)
     if mode not in ("exact", "approx"):
         raise ValueError(f"mode must be 'exact' or 'approx', got {mode!r}")
+    if not set(rules) <= set(RULES):
+        raise ValueError(f"rules must be drawn from {RULES}, got {rules!r}")
+    if "bagging" in rules and n_prime != 1:
+        raise ValueError("the baseline is defined for N' = 1 vote counts")
     exact = mode == "exact"
     n = train.n_users
     alpha_u = alpha / n
     e_list = sorted(set(int(e) for e in e_list))
     contexts = {e: make_context(n, e, s, exact) for e in e_list}
-    per_e = {e: [] for e in e_list}
+    per_rule = [{e: [] for e in e_list} for _ in rules]
     skipped = []
     for u in range(n):
         items = tuple(int(i) for i in target_sets[u])
@@ -168,23 +178,30 @@ def certify_sweep(train, counts, target_sets, alpha: float, e_list, N: int,
         b = estimate_bounds(counts, u, items, alpha_u, convention)
         if exact:
             b = _exactify(b)
-        for e in e_list:
-            q = CertQuery(user=u, items=items, e=e, N=N, n_prime=n_prime,
-                          s=s, bounds=b, ctx=contexts[e])
-            per_e[e].append(binary_search_r(q))
+        for rule, per_e in zip(rules, per_rule):
+            if rule == "joint":
+                for e in e_list:
+                    q = CertQuery(user=u, items=items, e=e, N=N,
+                                  n_prime=n_prime, s=s, bounds=b,
+                                  ctx=contexts[e])
+                    per_e[e].append(binary_search_r(q))
+            else:
+                zs = _bagging_z_values(b, n, s, exact)
+                for e in e_list:
+                    per_e[e].append(_bagging_result(u, zs, e, N, alpha_u, exact))
     if skipped:
         log.info("skipped %d users with empty target sets: %s",
                  len(skipped), skipped[:20])
-    return SweepResult(per_e=per_e, skipped=tuple(skipped))
+    return tuple(SweepResult(per_e=per_e, skipped=tuple(skipped))
+                 for per_e in per_rule)
 
 
-def compute_all_r(train, counts, target_sets, alpha: float, e: int, N: int,
+def certify_sweep(train, counts, target_sets, alpha: float, e_list, N: int,
                   n_prime: int, s: int, mode: str = "approx",
-                  convention: str = "lower_shapes") -> list[CertResult]:
-    """Certified r for every user with a nonempty target set, at one e."""
-    sweep = certify_sweep(train, counts, target_sets, alpha, [e], N, n_prime,
-                          s, mode, convention)
-    return sweep.per_e[e]
+                  convention: str = "lower_shapes") -> SweepResult:
+    """Joint certification of every user at every e in e_list (see sweep)."""
+    return sweep(train, counts, target_sets, alpha, e_list, N, n_prime, s,
+                 mode, convention)[0]
 
 
 def _check_counts(counts, train, s: int, n_prime: int) -> None:
@@ -244,6 +261,13 @@ def _bagging_z_values(b: ProbBounds, n: int, s: int, exact: bool) -> list[int]:
     return zs
 
 
+def _bagging_result(user: int, zs, e: int, N: int, alpha_u: float,
+                    exact: bool) -> CertResult:
+    r = min(sum(1 for z in zs if z >= e), N)
+    return CertResult(user=user, e=e, r=r, alpha=alpha_u,
+                      mode="exact" if exact else "approx")
+
+
 def bagging_baseline_r(q: CertQuery) -> CertResult:
     """Baseline certified size: per-item single-competitor survival counts.
 
@@ -253,34 +277,13 @@ def bagging_baseline_r(q: CertQuery) -> CertResult:
     if q.n_prime != 1:
         raise ValueError("the baseline is defined for N' = 1 vote counts")
     zs = _bagging_z_values(q.bounds, q.ctx.n, q.s, q.ctx.exact_mode)
-    r = min(sum(1 for z in zs if z >= q.e), q.N)
-    mode = "exact" if q.ctx.exact_mode else "approx"
-    return CertResult(user=q.user, e=q.e, r=r, alpha=q.bounds.alpha_u, mode=mode)
+    return _bagging_result(q.user, zs, q.e, q.N, q.bounds.alpha_u,
+                           q.ctx.exact_mode)
 
 
 def bagging_sweep(train, counts, target_sets, alpha: float, e_list, N: int,
                   s: int, mode: str = "approx",
                   convention: str = "lower_shapes") -> SweepResult:
     """Baseline certification over an e sweep; Z values computed once per user."""
-    _check_counts(counts, train, s, 1)
-    exact = mode == "exact"
-    n = train.n_users
-    alpha_u = alpha / n
-    e_list = sorted(set(int(e) for e in e_list))
-    per_e = {e: [] for e in e_list}
-    skipped = []
-    mode_name = "exact" if exact else "approx"
-    for u in range(n):
-        items = tuple(int(i) for i in target_sets[u])
-        if not items:
-            skipped.append(u)
-            continue
-        b = estimate_bounds(counts, u, items, alpha_u, convention)
-        if exact:
-            b = _exactify(b)
-        zs = _bagging_z_values(b, n, s, exact)
-        for e in e_list:
-            r = min(sum(1 for z in zs if z >= e), N)
-            per_e[e].append(CertResult(user=u, e=e, r=r, alpha=alpha_u,
-                                       mode=mode_name))
-    return SweepResult(per_e=per_e, skipped=tuple(skipped))
+    return sweep(train, counts, target_sets, alpha, e_list, N, 1, s, mode,
+                 convention, ("bagging",))[0]

@@ -15,11 +15,13 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from . import base_rec, certify, ensemble, metrics, oracle, ratings
+from .bounds import UPPER_CONVENTIONS
 
 # defaults mirror the reference evaluation setup; T is shipped smaller than
 # the reference 100000 because certified values only grow with T (the shipped
@@ -182,20 +184,25 @@ def cmd_ingest(args) -> int:
 
 def _train_chunked(train, cfg, algo, T, s, nprime, seed, out, threads,
                    chunk_size, resume, max_chunks):
-    """Accumulate votes chunk by chunk with a resumable partial on disk."""
-    progress_path = out + ".progress.json"
+    """Accumulate votes chunk by chunk with a resumable partial on disk.
+
+    The partial is an ordinary votes file whose header T counts the members
+    already in it. It is replaced atomically after each chunk, so it is the
+    only checkpoint: member seeds depend on (seed, t) alone, which makes a
+    partial with T <= --T a valid prefix of this run.
+    """
     partial_path = out + ".partial"
     done = 0
     counts = np.zeros((train.n_users, train.n_items), dtype=np.int32)
-    if resume and os.path.exists(progress_path):
-        with open(progress_path, "r", encoding="utf-8") as fh:
-            progress = json.load(fh)
-        expect = {"algo": algo, "T": T, "s": s, "nprime": nprime, "seed": seed}
-        if progress["params"] != expect:
+    if resume and os.path.exists(partial_path):
+        part = ensemble.load_votes(partial_path)
+        if ((part.algo, part.s, part.n_prime, part.master_seed, part.n, part.m)
+                != (algo, s, nprime, seed, train.n_users, train.n_items)
+                or part.T > T):
             raise ValueError("existing partial run used different parameters; "
                              "remove it or change --out")
-        done = int(progress["completed_t"])
-        counts = ensemble.load_votes(partial_path).counts.astype(np.int32)
+        done = part.T
+        counts = part.counts.astype(np.int32)
     params = cfg.algo_params(algo)
     chunks_run = 0
     while done < T:
@@ -206,13 +213,9 @@ def _train_chunked(train, cfg, algo, T, s, nprime, seed, out, threads,
             train, algo, params, s, nprime, seed, done, stop, threads)
         done = stop
         chunks_run += 1
-        vc = ensemble.VoteCounts(T=done, n_prime=nprime, s=s, counts=counts,
-                                 master_seed=seed, algo=algo)
-        ensemble.save_votes(partial_path, vc)
-        with open(progress_path, "w", encoding="utf-8") as fh:
-            json.dump({"completed_t": done,
-                       "params": {"algo": algo, "T": T, "s": s,
-                                  "nprime": nprime, "seed": seed}}, fh)
+        ensemble.save_votes(partial_path, ensemble.VoteCounts(
+            T=done, n_prime=nprime, s=s, counts=counts, master_seed=seed,
+            algo=algo))
     return done, counts, True
 
 
@@ -236,9 +239,8 @@ def cmd_train(args) -> int:
     vc = ensemble.VoteCounts(T=T, n_prime=nprime, s=s, counts=counts,
                              master_seed=seed, algo=algo)
     ensemble.save_votes(args.out, vc)
-    for leftover in (args.out + ".partial", args.out + ".progress.json"):
-        if os.path.exists(leftover):
-            os.remove(leftover)
+    if os.path.exists(args.out + ".partial"):
+        os.remove(args.out + ".partial")
     _write_manifest(args.out + ".manifest.json", "train",
                     {"split": args.split, "algo": algo, "T": T, "s": s,
                      "nprime": nprime, "seed": seed, "threads": cfg.threads(),
@@ -266,80 +268,70 @@ def _target_sets(target: str, vc, train, tests, N: int):
             for u in range(train.n_users)]
 
 
-def _sweep_to_rows(sweep, tests, N, e_list, std_triples=None):
-    rows = []
-    for e in e_list:
-        triples = [metrics.certified_metrics(res.r, N, tests.size(res.user))
-                   for res in sweep.per_e[e]]
-        rows.append(metrics.average_over_users(
-            e, triples, std_triples if e == 0 else None))
-    return rows
+def _metric_rows(sweep, tests, N, e_list, eligible):
+    return [metrics.average_over_users(
+        e, [metrics.certified_metrics(res.r, N, tests.size(res.user))
+            for res in sweep.per_e[e] if res.user in eligible])
+        for e in e_list]
 
 
-def cmd_certify(args) -> int:
+def _sweep_rows(args, rules):
+    """Shared certify/baseline path: load, target sets, one sweep, metric rows.
+
+    Returns the resolved config, the e list, one SweepResult per rule and its
+    aggregate rows. Aggregates cover only users with held-out items and a
+    nonempty target set.
+    """
     cfg = _resolve(args, ("alpha", "N", "mode", "e", "bounds.upper_convention"))
-    started = time.time()
     if args.exact:
         cfg.values["mode"] = "exact"
     train, tests, _ = ratings.load_split(args.split)
     vc = ensemble.load_votes(args.votes)
     e_list = parse_e_list(cfg["e"])
     if not e_list:
-        raise ValueError("certify needs a nonempty e list")
+        raise ValueError(f"{args.command} needs a nonempty e list")
     N = int(cfg["N"])
-    alpha = float(cfg["alpha"])
-    convention = cfg["bounds.upper_convention"]
     targets = _target_sets(args.target, vc, train, tests, N)
-    sweep = certify.certify_sweep(train, vc, targets, alpha, e_list, N,
-                                  vc.n_prime, vc.s, cfg["mode"], convention)
+    sweeps = certify.sweep(train, vc, targets, float(cfg["alpha"]), e_list, N,
+                           vc.n_prime, vc.s, cfg["mode"],
+                           cfg["bounds.upper_convention"], rules)
+    eligible = {u for u in range(train.n_users)
+                if tests.size(u) > 0 and len(targets[u]) > 0}
+    rows = [_metric_rows(sw, tests, N, e_list, eligible) for sw in sweeps]
+    return cfg, e_list, sweeps, rows
+
+
+def cmd_certify(args) -> int:
+    started = time.time()
+    rules = ("joint",) if args.baseline is None else ("joint", args.baseline)
+    cfg, e_list, sweeps, rows = _sweep_rows(args, rules)
+    sweep = sweeps[0]
     os.makedirs(args.out, exist_ok=True)
-    per_user_path = os.path.join(args.out, "per_user.csv")
-    with open(per_user_path, "w", encoding="utf-8", newline="") as fh:
+    with open(os.path.join(args.out, "per_user.csv"), "w", encoding="utf-8",
+              newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["user", "e", "r", "mode", "alpha"])
         for e in e_list:
             for res in sweep.per_e[e]:
                 w.writerow([res.user, res.e, res.r, res.mode, repr(res.alpha)])
-    # aggregate certified metrics only cover users with held-out items
-    eligible = [u for u in range(train.n_users)
-                if tests.size(u) > 0 and len(targets[u]) > 0]
-    agg_sweep = _filter_sweep(sweep, set(eligible))
-    rows = _sweep_to_rows(agg_sweep, tests, N, e_list)
-    extra = ()
-    if args.baseline == "bagging":
-        bag = certify.bagging_sweep(train, vc, targets, alpha, e_list, N,
-                                    vc.s, cfg["mode"], convention)
-        bag = _filter_sweep(bag, set(eligible))
+    agg, extra = rows[0], ()
+    if args.baseline is not None:
         extra = ("bag_precision", "bag_recall", "bag_f1")
-        merged = []
-        for row, e in zip(rows, e_list):
-            triples = [metrics.certified_metrics(res.r, N, tests.size(res.user))
-                       for res in bag.per_e[e]]
-            k = len(triples)
-            d = {**row.__dict__}
-            d["bag_precision"] = sum(t[0] for t in triples) / k
-            d["bag_recall"] = sum(t[1] for t in triples) / k
-            d["bag_f1"] = sum(t[2] for t in triples) / k
-            merged.append(d)
-        rows = merged
-    metrics.write_metric_csv(os.path.join(args.out, "aggregate.csv"), rows, extra)
-    metrics.write_metric_json(os.path.join(args.out, "aggregate.json"), rows)
+        agg = [{**asdict(row), "bag_precision": bag.cert_precision,
+                "bag_recall": bag.cert_recall, "bag_f1": bag.cert_f1}
+               for row, bag in zip(rows[0], rows[1])]
+    metrics.write_metric_csv(os.path.join(args.out, "aggregate.csv"), agg, extra)
+    metrics.write_metric_json(os.path.join(args.out, "aggregate.json"), agg)
     _write_manifest(os.path.join(args.out, "manifest.json"), "certify",
                     {"votes": args.votes, "split": args.split,
-                     "target": args.target, "alpha": alpha, "N": N,
-                     "e_list": e_list, "mode": cfg["mode"],
-                     "convention": convention, "baseline": args.baseline,
+                     "target": args.target, "alpha": float(cfg["alpha"]),
+                     "N": int(cfg["N"]), "e_list": e_list, "mode": cfg["mode"],
+                     "convention": cfg["bounds.upper_convention"],
+                     "baseline": args.baseline,
                      "skipped_users": list(sweep.skipped)}, started)
-    print(f"certified {train.n_users - len(sweep.skipped)} users at "
-          f"{len(e_list)} attack budgets -> {args.out}")
+    print(f"certified {len(sweep.per_e[e_list[0]])} users at {len(e_list)} "
+          f"attack budgets -> {args.out}")
     return 0
-
-
-def _filter_sweep(sweep, keep: set):
-    return certify.SweepResult(
-        per_e={e: [res for res in lst if res.user in keep]
-               for e, lst in sweep.per_e.items()},
-        skipped=sweep.skipped)
 
 
 def cmd_evaluate(args) -> int:
@@ -351,8 +343,8 @@ def cmd_evaluate(args) -> int:
     ens_triples, single_triples = [], []
     single = None
     if args.with_single_model:
-        params = base_rec.IRParams() if vc.algo == "ir" else base_rec.BPRParams()
-        single = base_rec.train_base(vc.algo, train, np.arange(train.n_users), params)
+        single = base_rec.train_base(vc.algo, train, np.arange(train.n_users),
+                                     cfg.algo_params(vc.algo))
     for u in range(train.n_users):
         if tests.size(u) == 0:
             continue
@@ -370,10 +362,10 @@ def cmd_evaluate(args) -> int:
         "T": vc.T,
         "s": vc.s,
         "n_users_evaluated": len(ens_triples),
-        "ensemble": _triple_dict(ens_triples),
+        "ensemble": metrics.mean_metrics(ens_triples),
     }
     if single_triples:
-        summary["single_model"] = _triple_dict(single_triples)
+        summary["single_model"] = metrics.mean_metrics(single_triples)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "evaluate.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -394,36 +386,17 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _triple_dict(triples):
-    k = len(triples)
-    return {"precision": sum(t[0] for t in triples) / k,
-            "recall": sum(t[1] for t in triples) / k,
-            "f1": sum(t[2] for t in triples) / k}
-
-
 def cmd_baseline(args) -> int:
-    cfg = _resolve(args, ("alpha", "N", "mode", "e", "bounds.upper_convention"))
     started = time.time()
-    if args.exact:
-        cfg.values["mode"] = "exact"
-    train, tests, _ = ratings.load_split(args.split)
-    vc = ensemble.load_votes(args.votes)
-    e_list = parse_e_list(cfg["e"])
-    N = int(cfg["N"])
-    targets = _target_sets(args.target, vc, train, tests, N)
-    sweep = certify.bagging_sweep(train, vc, targets, float(cfg["alpha"]),
-                                  e_list, N, vc.s, cfg["mode"],
-                                  cfg["bounds.upper_convention"])
-    eligible = {u for u in range(train.n_users)
-                if tests.size(u) > 0 and len(targets[u]) > 0}
-    rows = _sweep_to_rows(_filter_sweep(sweep, eligible), tests, N, e_list)
+    cfg, e_list, _, (rows,) = _sweep_rows(args, ("bagging",))
     os.makedirs(args.out, exist_ok=True)
     metrics.write_metric_csv(os.path.join(args.out, "baseline.csv"), rows)
     metrics.write_metric_json(os.path.join(args.out, "baseline.json"), rows)
     _write_manifest(os.path.join(args.out, "manifest.json"), "baseline",
                     {"votes": args.votes, "split": args.split,
-                     "target": args.target, "alpha": cfg["alpha"], "N": N,
-                     "e_list": e_list, "mode": cfg["mode"]}, started)
+                     "target": args.target, "alpha": cfg["alpha"],
+                     "N": int(cfg["N"]), "e_list": e_list,
+                     "mode": cfg["mode"]}, started)
     print(f"baseline certified curves for {len(e_list)} budgets -> {args.out}")
     return 0
 
@@ -454,16 +427,17 @@ def cmd_oracle(args) -> int:
     params = cfg.algo_params(algo)
     s, nprime, N = int(cfg["s"]), int(cfg["nprime"]), int(cfg["N"])
     probs = oracle.exact_item_probs(matrix, algo, params, s, nprime)
-    print(f"enumerated {probs.n_subsets} subsets "
+    print(f"enumerated {probs.T} subsets "
           f"(n={matrix.n_users}, m={matrix.n_items}, s={s})")
-    targets = {u: tuple(oracle.top_n_from_hits(probs, matrix, u, N))
+    targets = {u: tuple(ensemble.ensemble_recommend(probs, matrix, u, N))
                for u in range(matrix.n_users)}
     n = matrix.n_users
     ctx = certify.make_context(n, args.e, s, True)
     results = []
     for u in range(n):
-        b = certify.exact_bounds_from_probs(u, targets[u], probs.prob_row(u),
-                                            matrix.n_items)
+        b = certify.exact_bounds_from_probs(
+            u, targets[u], [Fraction(int(h), probs.T) for h in probs.counts[u]],
+            matrix.n_items)
         q = certify.CertQuery(user=u, items=targets[u], e=args.e, N=N,
                               n_prime=nprime, s=s, bounds=b, ctx=ctx)
         results.append(certify.binary_search_r(q))
@@ -542,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--baseline", choices=("bagging",),
                     help="also compute the single-competitor baseline columns")
     sp.add_argument("--upper-convention", dest="bounds_upper_convention",
-                    choices=bounds_conventions())
+                    choices=UPPER_CONVENTIONS)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_certify)
 
@@ -590,11 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=20)
     sp.set_defaults(func=cmd_oracle)
     return p
-
-
-def bounds_conventions():
-    from .bounds import UPPER_CONVENTIONS
-    return UPPER_CONVENTIONS
 
 
 def main(argv=None) -> int:

@@ -11,12 +11,13 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .base_rec import BPRParams, IRParams, recommend, train_base
+from .base_rec import BPRParams, IRParams, _ranked, recommend, train_base
 from .ratings import RatingMatrix, ParseError
 from .ratings import _parse_header  # shared "#... v1 k=v" header grammar
 
@@ -171,35 +172,61 @@ def ensemble_recommend(counts: VoteCounts, train: RatingMatrix, user: int,
     mask = np.ones(counts.m, dtype=bool)
     mask[train.rated_items(user)] = False
     candidates = np.flatnonzero(mask)
-    order = np.lexsort((candidates, -row[candidates]))
-    return [int(i) for i in candidates[order[:N]]]
+    return _ranked(candidates, row[candidates], N)
 
 
 def save_votes(path: str, vc: VoteCounts) -> None:
-    """Persist counts: header then u,i,count rows, zero counts omitted."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Persist counts: header then u,i,count rows, zero counts omitted.
+
+    The file is written under a temporary name, synced, then renamed over
+    path, so a crash leaves either the previous file or the complete new one.
+    """
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(f"#votes v1 n={vc.n} m={vc.m} T={vc.T} s={vc.s} "
                  f"nprime={vc.n_prime} algo={vc.algo} seed={vc.master_seed}\n")
         rows, cols = np.nonzero(vc.counts)
         for u, i in zip(rows, cols):
             fh.write(f"{u},{i},{int(vc.counts[u, i])}\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
 
 
 def load_votes(path: str) -> VoteCounts:
+    """Read a votes file, refusing cells outside the matrix, counts outside
+    [0, T] and repeated cells."""
     with open(path, "r", encoding="utf-8") as fh:
         header = _parse_header(fh.readline().rstrip("\n"), "#votes v1 ")
-        n = int(header["n"])
-        m = int(header["m"])
-        counts = np.zeros((n, m), dtype=np.int32)
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                u_s, i_s, c_s = line.split(",")
-                counts[int(u_s), int(i_s)] = int(c_s)
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from None
-    return VoteCounts(T=int(header["T"]), n_prime=int(header["nprime"]),
-                      s=int(header["s"]), counts=counts,
-                      master_seed=int(header["seed"]), algo=header["algo"])
+        try:
+            n, m, T, n_prime, s, seed = (int(header[k]) for k in
+                                         ("n", "m", "T", "nprime", "s", "seed"))
+            algo = header["algo"]
+            cells = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2)
+        except (KeyError, ValueError) as exc:
+            raise ParseError(f"{path}: {exc}") from None
+    if cells.size == 0:
+        cells = cells.reshape(0, 3)
+    if cells.shape[1] != 3:
+        raise ParseError(f"{path}: expected 3 columns (u,i,count), got "
+                         f"{cells.shape[1]}")
+    u, i, c = cells.T
+    bad = np.flatnonzero((u < 0) | (u >= n) | (i < 0) | (i >= m))
+    if bad.size:
+        k = bad[0]
+        raise ParseError(f"{path}: vote cell ({u[k]}, {i[k]}) outside the "
+                         f"{n} x {m} matrix")
+    bad = np.flatnonzero((c < 0) | (c > T))
+    if bad.size:
+        k = bad[0]
+        raise ParseError(f"{path}: count {c[k]} at ({u[k]}, {i[k]}) outside "
+                         f"[0, T={T}]")
+    flat = np.sort(u * m + i)
+    dup = np.flatnonzero(flat[1:] == flat[:-1])
+    if dup.size:
+        cell = flat[dup[0]]
+        raise ParseError(f"{path}: duplicate vote cell ({cell // m}, {cell % m})")
+    counts = np.zeros((n, m), dtype=np.int32)
+    counts[u, i] = c
+    return VoteCounts(T=T, n_prime=n_prime, s=s, counts=counts,
+                      master_seed=seed, algo=algo)

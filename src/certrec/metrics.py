@@ -47,29 +47,30 @@ def standard_metrics(recommended, test_set, N: int):
     return hit / N, hit / len(test), 2.0 * hit / (len(test) + N)
 
 
-def average_over_users(e: int, cert_triples, std_triples=None) -> MetricRow:
-    """Unweighted arithmetic mean over the eligible users.
+def mean_metrics(triples) -> dict:
+    """Unweighted arithmetic mean of per-user (precision, recall, f1) triples."""
+    triples = list(triples)
+    if not triples:
+        raise ValueError("no eligible users to average over")
+    k = len(triples)
+    return {name: sum(t[j] for t in triples) / k
+            for j, name in enumerate(("precision", "recall", "f1"))}
 
-    cert_triples (and std_triples, when given) hold one (p, r, f1) per user
-    with a nonempty test set; users with empty sets never reach this point.
+
+def average_over_users(e: int, cert_triples, std_triples=None) -> MetricRow:
+    """Mean certified (and, when given, standard) metrics at one budget e.
+
+    cert_triples (and std_triples) hold one (p, r, f1) per user with a
+    nonempty test set; users with empty sets never reach this point.
     """
     cert = list(cert_triples)
-    if not cert:
-        raise ValueError("no eligible users to average over")
-    k = len(cert)
-    cp = sum(t[0] for t in cert) / k
-    cr = sum(t[1] for t in cert) / k
-    cf = sum(t[2] for t in cert) / k
-    row = {"e": int(e), "cert_precision": cp, "cert_recall": cr, "cert_f1": cf,
-           "n_users": k}
+    row = {f"cert_{k}": v for k, v in mean_metrics(cert).items()}
     if std_triples is not None:
         std = list(std_triples)
-        if len(std) != k:
+        if len(std) != len(cert):
             raise ValueError("standard metrics cover a different user set")
-        row["std_precision"] = sum(t[0] for t in std) / k
-        row["std_recall"] = sum(t[1] for t in std) / k
-        row["std_f1"] = sum(t[2] for t in std) / k
-    return MetricRow(**row)
+        row.update({f"std_{k}": v for k, v in mean_metrics(std).items()})
+    return MetricRow(e=int(e), n_users=len(cert), **row)
 
 
 _CSV_COLUMNS = ("e", "cert_precision", "cert_recall", "cert_f1", "n_users")

@@ -13,12 +13,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.sparse import csr_matrix, vstack
 
 from .base_rec import recommend, train_base
+from .ensemble import VoteCounts, ensemble_recommend
 from .ratings import RatingMatrix
 
 MAX_ENUM = 10 ** 6  # refuse instances with more than this many subsets
@@ -26,45 +26,27 @@ MAX_ENUM = 10 ** 6  # refuse instances with more than this many subsets
 ATTACKS = ("random-ratings", "copy-popular", "all-max-on-random-items")
 
 
-@dataclass(frozen=True)
-class ExactProbs:
-    """Exact per-user, per-item recommendation probabilities."""
-
-    n_subsets: int        # C(n, s)
-    hits: np.ndarray      # n x m; hits[u][i] = subsets whose model recommends i to u
-
-    def prob(self, u: int, i: int) -> Fraction:
-        return Fraction(int(self.hits[u, i]), self.n_subsets)
-
-    def prob_row(self, u: int) -> list:
-        return [Fraction(int(h), self.n_subsets) for h in self.hits[u]]
-
-
 def exact_item_probs(matrix: RatingMatrix, algo: str, params, s: int,
-                     n_prime: int) -> ExactProbs:
-    """Enumerate every s-subset of users (lexicographic) and count votes."""
+                     n_prime: int) -> VoteCounts:
+    """Enumerate every s-subset of users (lexicographic) and count votes.
+
+    The result is the vote counts of the exhaustive ensemble, T = C(n, s), so
+    counts[u, i] / T is the exact probability that i is recommended to u.
+    This loop is kept apart from ensemble.accumulate_votes on purpose: the
+    tests compare the two as independent enumerations.
+    """
     n, m = matrix.n_users, matrix.n_items
     total = math.comb(n, s)
     if total > MAX_ENUM:
         raise ValueError(f"C({n},{s}) = {total} exceeds the enumeration guard {MAX_ENUM}")
-    hits = np.zeros((n, m), dtype=np.int64)
+    hits = np.zeros((n, m), dtype=np.int32)
     for subset in itertools.combinations(range(n), s):
         model = train_base(algo, matrix, np.asarray(subset), params)
         for u in subset:
             for i in recommend(model, u, n_prime):
                 hits[u, i] += 1
-    return ExactProbs(n_subsets=total, hits=hits)
-
-
-def top_n_from_hits(probs: ExactProbs, matrix: RatingMatrix, user: int,
-                    N: int) -> list[int]:
-    """Ensemble top-N from exact probabilities; same tie-break rules as sampling."""
-    row = probs.hits[user]
-    mask = np.ones(len(row), dtype=bool)
-    mask[matrix.rated_items(user)] = False
-    candidates = np.flatnonzero(mask)
-    order = np.lexsort((candidates, -row[candidates]))
-    return [int(i) for i in candidates[order[:N]]]
+    return VoteCounts(T=total, n_prime=n_prime, s=s, counts=hits,
+                      master_seed=0, algo=algo)  # nothing is sampled
 
 
 def append_fake_users(matrix: RatingMatrix, fake_rows: np.ndarray) -> RatingMatrix:
@@ -132,7 +114,7 @@ def _check_one_poisoning(matrix, poisoned, algo, params, s, n_prime, N,
                          targets, cert_r, trial, violations, min_inter):
     probs = exact_item_probs(poisoned, algo, params, s, n_prime)
     for u, r_u in cert_r.items():
-        topn = top_n_from_hits(probs, matrix, u, N)
+        topn = ensemble_recommend(probs, matrix, u, N)
         inter = len(set(targets[u]) & set(topn))
         if u not in min_inter or inter < min_inter[u]:
             min_inter[u] = inter

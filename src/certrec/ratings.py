@@ -249,7 +249,11 @@ def load_split(path: str):
                 if parts[0] == "train" and len(parts) == 4:
                     users.append(int(parts[1])); items.append(int(parts[2])); scores.append(float(parts[3]))
                 elif parts[0] == "test" and len(parts) == 3:
-                    test_lists[int(parts[1])].append(int(parts[2]))
+                    u, i = int(parts[1]), int(parts[2])
+                    if not (0 <= u < n and 0 <= i < m):
+                        raise ValueError(f"test cell ({u}, {i}) outside the "
+                                         f"{n} x {m} matrix")
+                    test_lists[u].append(i)
                 else:
                     raise ValueError(f"unrecognized row kind {parts[0]!r}")
             except (ValueError, IndexError) as exc:

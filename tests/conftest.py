@@ -1,6 +1,7 @@
 """Shared fixtures: acceptance reporting, dataset discovery, synthetic instances."""
 
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -64,6 +65,11 @@ def random_tiny_matrix(n: int, m: int, seed: int,
     dom = ratings.RatingDomain(lo=1.0, hi=5.0, integral=True)
     return ratings._build_matrix(users, items, scores, dom,
                                  user_ids=np.arange(n), item_ids=np.arange(m))
+
+
+def prob_row(vc, u: int) -> list:
+    """Exact per-item probabilities for user u from exhaustive vote counts."""
+    return [Fraction(int(c), vc.T) for c in vc.counts[u]]
 
 
 def structured_instance(groups: int = 3, per_group: int = 20, block: int = 8,

@@ -16,7 +16,8 @@ import scipy.special
 
 from certrec import base_rec, bounds, certify, ensemble, metrics, oracle, ratings
 
-from conftest import ML100K_HINT, random_tiny_matrix, structured_instance
+from conftest import (ML100K_HINT, prob_row, random_tiny_matrix,
+                      structured_instance)
 from test_certify import _random_query, linear_scan_r
 
 N_AT = 10
@@ -153,9 +154,9 @@ def test_criterion_3_oracle_equivalence(acceptance):
         vc = ensemble.build_vote_counts(mat, "ir", base_rec.IRParams(), T=0,
                                         s=s, n_prime=n_prime, master_seed=0,
                                         exhaustive=True)
-        assert vc.T == probs.n_subsets == math.comb(n, s)
+        assert vc.T == probs.T == math.comb(n, s)
         for u in range(n):
-            row = probs.prob_row(u)
+            row = prob_row(probs, u)
             for i in range(m):
                 if Fraction(int(vc.counts[u, i]), vc.T) != row[i]:
                     mismatches.append((trial, u, i))
@@ -176,7 +177,7 @@ def test_criterion_4_soundness(acceptance):
     """No enumerated or randomized attack pushes an intersection below its r."""
     def certified(matrix, s, N, e):
         probs = oracle.exact_item_probs(matrix, "ir", base_rec.IRParams(), s, 1)
-        targets = {u: tuple(oracle.top_n_from_hits(probs, matrix, u, N))
+        targets = {u: tuple(ensemble.ensemble_recommend(probs, matrix, u, N))
                    for u in range(matrix.n_users)}
         ctx = bounds.make_context(matrix.n_users, e, s, exact_mode=True)
         results = []
@@ -184,7 +185,7 @@ def test_criterion_4_soundness(acceptance):
             if not targets[u]:
                 continue
             b = certify.exact_bounds_from_probs(u, targets[u],
-                                                probs.prob_row(u),
+                                                prob_row(probs, u),
                                                 matrix.n_items)
             q = certify.CertQuery(user=u, items=targets[u], e=e, N=N,
                                   n_prime=1, s=s, bounds=b, ctx=ctx)
@@ -304,14 +305,14 @@ def test_criterion_7_calibration(acceptance):
                 hits[u, i] = 1
         patterns.append(hits)
     patterns = np.array(patterns)
-    targets = {u: tuple(oracle.top_n_from_hits(probs, matrix, u, n_rec))
+    targets = {u: tuple(ensemble.ensemble_recommend(probs, matrix, u, n_rec))
                for u in range(n)}
-    exact_rows = {u: probs.prob_row(u) for u in range(n)}
+    exact_rows = {u: prob_row(probs, u) for u in range(n)}
     rng = np.random.default_rng(77)
     alpha_u = alpha / n
     bad_runs = 0
     for _ in range(runs):
-        idx = rng.integers(0, probs.n_subsets, size=t_draws)
+        idx = rng.integers(0, probs.T, size=t_draws)
         counts = patterns[idx].sum(axis=0).astype(np.int32)
         vc = ensemble.VoteCounts(T=t_draws, n_prime=1, s=3, counts=counts,
                                  master_seed=0, algo="ir")

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from certrec import cli, ensemble
+from certrec import base_rec, certify, cli, ensemble
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +85,38 @@ class TestTrain:
         assert code == 0
         assert open(out).read() == open(votes).read()
         assert not os.path.exists(out + ".partial")
-        assert not os.path.exists(out + ".progress.json")
+
+    def test_crash_after_partial_write_resumes_exactly(self, dataset, split,
+                                                       votes, monkeypatch):
+        # the process dies right after the second chunk's partial is on disk;
+        # the partial alone must say how many members it already holds
+        root, _ = dataset
+        out = str(root / "votes_crash.txt")
+        real_save, calls = ensemble.save_votes, []
+
+        def save_then_die(path, vc):
+            real_save(path, vc)
+            calls.append(vc.T)
+            if len(calls) == 2:
+                raise RuntimeError("simulated kill")
+
+        argv = ["train", "--split", split, "--algo", "ir", "--T", "200",
+                "--s", "8", "--seed", "5", "--out", out, "--chunk-size", "70"]
+        monkeypatch.setattr(ensemble, "save_votes", save_then_die)
+        with pytest.raises(RuntimeError, match="simulated kill"):
+            cli.main(argv)
+        monkeypatch.setattr(ensemble, "save_votes", real_save)
+        assert cli.main(argv + ["--resume"]) == 0
+        assert open(out).read() == open(votes).read()
+
+    def test_partial_is_a_prefix_of_a_larger_run(self, dataset, split, votes):
+        root, _ = dataset
+        out = str(root / "votes_grow.txt")
+        argv = ["train", "--split", split, "--algo", "ir", "--s", "8",
+                "--seed", "5", "--out", out, "--chunk-size", "70"]
+        assert cli.main(argv + ["--T", "100", "--max-chunks", "1"]) == 3
+        assert cli.main(argv + ["--T", "200", "--resume"]) == 0
+        assert open(out).read() == open(votes).read()
 
     def test_resume_with_changed_params_rejected(self, dataset, split):
         root, _ = dataset
@@ -97,6 +128,14 @@ class TestTrain:
                          "100", "--s", "7", "--seed", "5", "--out", out,
                          "--chunk-size", "40", "--resume"])
         assert code == 2
+
+    def test_resume_refuses_partial_beyond_T(self, dataset, split):
+        root, _ = dataset
+        out = str(root / "votes_beyond.txt")
+        argv = ["train", "--split", split, "--algo", "ir", "--s", "8",
+                "--seed", "5", "--out", out, "--chunk-size", "40"]
+        assert cli.main(argv + ["--T", "100", "--max-chunks", "1"]) == 3
+        assert cli.main(argv + ["--T", "30", "--resume"]) == 2
 
     def test_threads_env_fallback(self, dataset, split, votes, monkeypatch):
         root, _ = dataset
@@ -155,6 +194,43 @@ class TestCertify:
         for row in agg[1:]:
             assert float(row[1]) >= float(row[-3]) - 1e-12
 
+    def test_bagging_estimates_bounds_once_per_user(self, dataset, split,
+                                                    votes, monkeypatch):
+        root, _ = dataset
+        out = str(root / "cert_bag_once")
+        real, calls = certify.estimate_bounds, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(certify, "estimate_bounds", counted)
+        assert cli.main(["certify", "--votes", votes, "--split", split,
+                         "--alpha", "0.2", "--e", "0:2", "--baseline",
+                         "bagging", "--out", out]) == 0
+        with open(os.path.join(out, "per_user.csv")) as fh:
+            certified = [int(r["user"]) for r in csv.DictReader(fh)
+                         if r["e"] == "0"]
+        assert calls == certified
+
+    def test_bagging_columns_match_baseline_command(self, dataset, split,
+                                                     votes):
+        root, _ = dataset
+        cert, bag = str(root / "cert_vs_bag"), str(root / "bag_vs_cert")
+        common = ["--votes", votes, "--split", split, "--alpha", "0.2",
+                  "--e", "0:3"]
+        assert cli.main(["certify", *common, "--baseline", "bagging",
+                         "--out", cert]) == 0
+        assert cli.main(["baseline", *common, "--out", bag]) == 0
+        with open(os.path.join(cert, "aggregate.csv")) as fh:
+            joint = list(csv.DictReader(fh))
+        with open(os.path.join(bag, "baseline.csv")) as fh:
+            alone = list(csv.DictReader(fh))
+        assert [(r["e"], r["bag_precision"], r["bag_recall"], r["bag_f1"])
+                for r in joint] == \
+            [(r["e"], r["cert_precision"], r["cert_recall"], r["cert_f1"])
+             for r in alone]
+
     def test_exact_flag(self, dataset, split, votes):
         root, _ = dataset
         out = str(root / "cert_exact")
@@ -191,6 +267,23 @@ class TestEvaluateAndBaseline:
         assert "single_model" in data
         assert data["n_users_evaluated"] > 0
 
+    def test_single_model_uses_configured_params(self, dataset, split, votes,
+                                                 monkeypatch):
+        root, _ = dataset
+        conf = root / "conf_k3.txt"
+        conf.write_text("ir.k=3\n")
+        real, seen = base_rec.train_base, []
+
+        def capture(algo, matrix, users, params):
+            seen.append(params)
+            return real(algo, matrix, users, params)
+
+        monkeypatch.setattr(base_rec, "train_base", capture)
+        assert cli.main(["evaluate", "--votes", votes, "--split", split,
+                         "--config", str(conf), "--with-single-model",
+                         "--out", str(root / "eval_k3")]) == 0
+        assert seen == [base_rec.IRParams(k=3)]
+
     def test_baseline(self, dataset, split, votes):
         root, _ = dataset
         out = str(root / "bag")
@@ -199,6 +292,13 @@ class TestEvaluateAndBaseline:
         with open(os.path.join(out, "baseline.csv")) as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 4
+
+    def test_baseline_empty_e_rejected(self, dataset, split, votes):
+        root, _ = dataset
+        out = str(root / "bag_empty")
+        assert cli.main(["baseline", "--votes", votes, "--split", split,
+                         "--e", ",", "--out", out]) == 2
+        assert not os.path.exists(out)
 
 
 class TestOracleCommand:

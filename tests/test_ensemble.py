@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from certrec import base_rec, ensemble
+from certrec.ratings import ParseError
 
 from conftest import random_tiny_matrix
 
@@ -175,3 +176,20 @@ class TestPersistence:
         ensemble.save_votes(p1, vc)
         ensemble.save_votes(p2, vc)
         assert open(p1).read() == open(p2).read()
+
+    @pytest.mark.parametrize("row, problem", [
+        ("-1,0,3", "outside the 3 x 4 matrix"),   # numpy would wrap to row 2
+        ("0,-1,3", "outside the 3 x 4 matrix"),
+        ("3,0,3", "outside the 3 x 4 matrix"),
+        ("0,4,3", "outside the 3 x 4 matrix"),
+        ("0,1,11", r"outside \[0, T=10\]"),
+        ("0,1,-2", r"outside \[0, T=10\]"),
+        ("1,2,4\n1,2,5", r"duplicate vote cell \(1, 2\)"),
+        ("1,2", "columns"),
+    ])
+    def test_corrupt_cells_rejected(self, tmp_path, row, problem):
+        path = tmp_path / "v.txt"
+        path.write_text("#votes v1 n=3 m=4 T=10 s=1 nprime=1 algo=ir seed=0\n"
+                        f"0,0,1\n{row}\n")
+        with pytest.raises(ParseError, match=problem):
+            ensemble.load_votes(str(path))

@@ -8,7 +8,7 @@ import pytest
 
 from certrec import base_rec, bounds, certify, ensemble, oracle, ratings
 
-from conftest import random_tiny_matrix
+from conftest import prob_row, random_tiny_matrix
 
 
 class TestExactProbs:
@@ -16,9 +16,9 @@ class TestExactProbs:
         m = random_tiny_matrix(6, 5, seed=3)
         probs = oracle.exact_item_probs(m, "ir", base_rec.IRParams(), s=3,
                                         n_prime=1)
-        assert probs.n_subsets == math.comb(6, 3)
+        assert probs.T == math.comb(6, 3)
         for u in range(6):
-            row = probs.prob_row(u)
+            row = prob_row(probs, u)
             total = sum(row)
             # with n_prime=1 every submatrix recommends at most one item
             assert total <= 1
@@ -39,18 +39,18 @@ class TestExactProbs:
         vc = ensemble.build_vote_counts(m, "ir", base_rec.IRParams(), T=0,
                                         s=3, n_prime=2, master_seed=0,
                                         exhaustive=True)
-        assert vc.T == probs.n_subsets
+        assert vc.T == probs.T
         for u in range(7):
             for i in range(6):
                 assert Fraction(int(vc.counts[u, i]), vc.T) == \
-                    probs.prob(u, i)
+                    Fraction(int(probs.counts[u, i]), probs.T)
 
     def test_top_n_uses_clean_ratings_for_exclusion(self):
         m = random_tiny_matrix(6, 6, seed=8)
         probs = oracle.exact_item_probs(m, "ir", base_rec.IRParams(), s=3,
                                         n_prime=1)
         for u in range(6):
-            top = oracle.top_n_from_hits(probs, m, u, 3)
+            top = ensemble.ensemble_recommend(probs, m, u, 3)
             assert len(top) <= 3
             assert not set(top) & set(m.rated_items(u).tolist())
 
@@ -91,7 +91,7 @@ def _certify_exact(matrix, probs, targets, s, n_prime, N, e):
     for u in range(matrix.n_users):
         if not targets[u]:
             continue
-        b = certify.exact_bounds_from_probs(u, targets[u], probs.prob_row(u),
+        b = certify.exact_bounds_from_probs(u, targets[u], prob_row(probs, u),
                                             matrix.n_items)
         q = certify.CertQuery(user=u, items=tuple(targets[u]), e=e, N=N,
                               n_prime=n_prime, s=s, bounds=b, ctx=ctx)
@@ -103,7 +103,7 @@ class TestSoundness:
     def _instance(self, n=6, m=5, seed=3, s=3, N=3, e=1):
         matrix = random_tiny_matrix(n, m, seed=seed)
         probs = oracle.exact_item_probs(matrix, "ir", base_rec.IRParams(), s, 1)
-        targets = {u: tuple(oracle.top_n_from_hits(probs, matrix, u, N))
+        targets = {u: tuple(ensemble.ensemble_recommend(probs, matrix, u, N))
                    for u in range(n)}
         results = _certify_exact(matrix, probs, targets, s, 1, N, e)
         return matrix, targets, results
@@ -156,7 +156,7 @@ class TestSoundness:
     def test_exhaustive_two_level(self):
         matrix = random_tiny_matrix(5, 4, seed=6)
         probs = oracle.exact_item_probs(matrix, "ir", base_rec.IRParams(), 2, 1)
-        targets = {u: tuple(oracle.top_n_from_hits(probs, matrix, u, 2))
+        targets = {u: tuple(ensemble.ensemble_recommend(probs, matrix, u, 2))
                    for u in range(5)}
         results = _certify_exact(matrix, probs, targets, 2, 1, 2, e=1)
         report = oracle.exhaustive_two_level_check(

@@ -138,6 +138,14 @@ class TestSplitRoundTrip:
         ratings.save_split(p2, train, tests, 0, 0.75)
         assert open(p1).read() == open(p2).read()
 
+    @pytest.mark.parametrize("row", ["test,-1,0", "test,2,0", "test,0,2"])
+    def test_test_cell_outside_matrix_rejected(self, tmp_path, row):
+        p = tmp_path / "split.txt"
+        p.write_text("#split v1 n=2 m=2 seed=0 fraction=0.75\n"
+                     f"train,0,0,5.0\ntrain,1,1,3.0\n{row}\n")
+        with pytest.raises(ParseError, match="line 4: test cell"):
+            ratings.load_split(str(p))
+
     def test_header_mismatch_rejected(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("#votes v1 n=2 m=2 T=1 s=1 nprime=1 algo=ir seed=0\n")
