@@ -23,6 +23,10 @@ from .ratings import RatingMatrix
 class IRParams:
     k: int = 50  # neighbors kept per item
 
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"ir.k must be >= 1, got {self.k}")
+
 
 @dataclass(frozen=True)
 class BPRParams:
@@ -55,11 +59,69 @@ class BaseModel:
         return self._row_of.get(int(user))
 
 
-def _ranked(candidates: np.ndarray, scores: np.ndarray, n: int) -> list[int]:
-    # the one top-n rule, shared by base models, the ensemble and the oracle:
-    # descending score, ascending item id on ties
-    order = np.lexsort((candidates, -scores))
-    return [int(i) for i in candidates[order[:n]]]
+# items per row block of the similarity table: bounds the dense slab a
+# worker holds while pruning to O(_BLOCK * m) instead of O(m * m)
+_BLOCK = 256
+
+
+def _ranked(scores: np.ndarray, candidates: np.ndarray, n: int):
+    """The one top-n rule, shared by base models, the ensemble and the oracle.
+
+    For each row of the 2-D scores, the n best candidate columns (all of them
+    when there are fewer): descending score, ascending column id on ties.
+    Returns (rows, cols) of the picks, row by row and best first.
+    """
+    masked = np.where(candidates, scores, -np.inf)
+    if n == 1:
+        top = masked.argmax(axis=1)[:, None]  # first maximum = lowest id
+    else:
+        top = np.argsort(-masked, axis=1, kind="stable")[:, :n]
+    width = np.minimum(candidates.sum(axis=1), n)
+    picked = np.arange(top.shape[1]) < width[:, None]
+    return np.nonzero(picked)[0], top[picked]
+
+
+def _top_k_similarities(sub: csr_matrix, inv: np.ndarray, k: int) -> csr_matrix:
+    """Cosine table keeping each item's k most similar other items.
+
+    Built _BLOCK item rows at a time. The Gram block is a sparse product,
+    which sums each entry over the submatrix users in ascending order, so
+    entries are exact for integer ratings and reproducible for float ones;
+    it also drops zero sums, so gram != 0 marks the stored neighbours. A row
+    with more than k neighbours keeps those above its k-th largest value and
+    fills the ties at that value by ascending column id.
+    """
+    m = sub.shape[1]
+    subT = sub.T.tocsr()
+    lengths, idx_parts, val_parts = [], [], []
+    for lo in range(0, m, _BLOCK):
+        hi = min(lo + _BLOCK, m)
+        gram = (subT[lo:hi] @ sub).toarray()
+        neighbour = gram != 0
+        neighbour[np.arange(hi - lo), np.arange(lo, hi)] = False  # self excluded
+        sim = gram * inv[lo:hi, None]
+        sim *= inv[None, :]
+        keep = neighbour
+        over = np.count_nonzero(neighbour, axis=1) > k
+        if over.any():
+            sim = np.where(neighbour, sim, -np.inf)
+            kth = np.partition(sim, m - k, axis=1)[:, m - k]
+            kth[~over] = -np.inf  # such a row keeps all its neighbours
+            kth = kth[:, None]
+            # flat indices run row by row, columns ascending within a row
+            ties = np.flatnonzero((sim == kth) & neighbour)
+            keep = sim > kth
+            tie_rows = ties // m
+            rank = np.arange(ties.size) - np.searchsorted(tie_rows, tie_rows)
+            room = k - np.count_nonzero(keep, axis=1)
+            keep.ravel()[ties[rank < room[tie_rows]]] = True
+        kept = np.flatnonzero(keep)
+        lengths.append(np.count_nonzero(keep, axis=1))
+        idx_parts.append(kept % m)
+        val_parts.append(sim.ravel()[kept])
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(lengths))))
+    return csr_matrix((np.concatenate(val_parts), np.concatenate(idx_parts),
+                       indptr), shape=(m, m))
 
 
 def train_ir(matrix: RatingMatrix, users: np.ndarray, params: IRParams = IRParams()) -> BaseModel:
@@ -72,37 +134,11 @@ def train_ir(matrix: RatingMatrix, users: np.ndarray, params: IRParams = IRParam
     if users.size == 0:
         raise ValueError("submatrix must contain at least one user")
     sub = matrix.csr[users].tocsr()
-    m = matrix.n_items
     norms = np.sqrt(np.asarray(sub.power(2).sum(axis=0)).ravel())
-    inv = np.divide(1.0, norms, out=np.zeros(m), where=norms > 0)
-    gram = (sub.T @ sub).tocsr()
-    sim = gram.multiply(inv[:, None]).multiply(inv[None, :]).tocsr()
-    # prune each item's neighbor list to the top-k similarities (self excluded)
-    k = params.k
-    indptr = [0]
-    idx_parts, val_parts = [], []
-    for i in range(m):
-        lo, hi = sim.indptr[i], sim.indptr[i + 1]
-        cols = sim.indices[lo:hi]
-        vals = sim.data[lo:hi]
-        not_self = cols != i
-        cols = cols[not_self]
-        vals = vals[not_self]
-        if len(cols) > k:
-            keep = np.lexsort((cols, -vals))[:k]
-            keep.sort()  # column order within the row
-            cols = cols[keep]
-            vals = vals[keep]
-        idx_parts.append(cols)
-        val_parts.append(vals)
-        indptr.append(indptr[-1] + len(cols))
-    topk = csr_matrix(
-        (np.concatenate(val_parts) if val_parts else np.empty(0),
-         np.concatenate(idx_parts) if idx_parts else np.empty(0, dtype=np.int32),
-         np.asarray(indptr)),
-        shape=(m, m))
+    inv = np.divide(1.0, norms, out=np.zeros(matrix.n_items), where=norms > 0)
     seen = np.flatnonzero(sub.getnnz(axis=0))
-    return BaseModel(algo="ir", users=users, seen_items=seen, sub=sub, sim=topk)
+    return BaseModel(algo="ir", users=users, seen_items=seen, sub=sub,
+                     sim=_top_k_similarities(sub, inv, params.k))
 
 
 def _sigmoid(x: float) -> float:
@@ -193,13 +229,36 @@ def recommend(model: BaseModel, user: int, n_prime: int) -> list[int]:
     r = model.row_of(user)
     if r is None:
         return []
-    scores = predicted_scores(model, user)
-    lo, hi = model.sub.indptr[r], model.sub.indptr[r + 1]
-    rated = model.sub.indices[lo:hi]
-    candidates = np.setdiff1d(model.seen_items, rated, assume_unique=True)
-    if candidates.size == 0:
-        return []
-    return _ranked(candidates, scores[candidates], n_prime)
+    candidates = np.zeros(model.sub.shape[1], dtype=bool)
+    candidates[model.seen_items] = True
+    candidates[model.sub.indices[model.sub.indptr[r]:model.sub.indptr[r + 1]]] = False
+    _, items = _ranked(predicted_scores(model, user)[None], candidates[None],
+                       n_prime)
+    return items.tolist()
+
+
+def recommend_all(model: BaseModel, n_prime: int):
+    """recommend() for every submatrix user at once, as (users, items) arrays
+    with one entry per recommendation.
+
+    ir scores all users with one sparse product, which sums each score over
+    the user's rated neighbours in the same ascending order as the per-user
+    product; bpr scores user by user with the same product as
+    predicted_scores, so both give recommend()'s items exactly.
+    """
+    if n_prime < 1:
+        raise ValueError(f"n_prime must be >= 1, got {n_prime}")
+    sub = model.sub
+    if model.algo == "ir":
+        scores = (model.sim @ sub.T.tocsr()).T.toarray()
+    else:
+        scores = np.stack([model.item_factors @ p for p in model.user_factors])
+    candidates = np.zeros(sub.shape, dtype=bool)
+    candidates[:, model.seen_items] = True
+    candidates[np.repeat(np.arange(sub.shape[0]), np.diff(sub.indptr)),
+               sub.indices] = False
+    rows, items = _ranked(scores, candidates, n_prime)
+    return model.users[rows], items
 
 
 def train_base(algo: str, matrix: RatingMatrix, users: np.ndarray, params) -> BaseModel:

@@ -15,7 +15,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -189,34 +189,39 @@ def _train_chunked(train, cfg, algo, T, s, nprime, seed, out, threads,
     The partial is an ordinary votes file whose header T counts the members
     already in it. It is replaced atomically after each chunk, so it is the
     only checkpoint: member seeds depend on (seed, t) alone, which makes a
-    partial with T <= --T a valid prefix of this run.
+    partial with T <= --T and the same parameter digest a valid prefix of
+    this run. Returns the votes so far (header T = members done) and the
+    models per second built by this invocation (None if it built none).
     """
     partial_path = out + ".partial"
-    done = 0
-    counts = np.zeros((train.n_users, train.n_items), dtype=np.int32)
+    params = cfg.algo_params(algo)
+    vc = ensemble.VoteCounts(
+        T=0, n_prime=nprime, s=s, master_seed=seed, algo=algo,
+        counts=np.zeros((train.n_users, train.n_items), dtype=np.int32),
+        params=ensemble.params_digest(algo, params))
     if resume and os.path.exists(partial_path):
         part = ensemble.load_votes(partial_path)
-        if ((part.algo, part.s, part.n_prime, part.master_seed, part.n, part.m)
-                != (algo, s, nprime, seed, train.n_users, train.n_items)
+        if ((part.algo, part.s, part.n_prime, part.master_seed, part.params,
+             part.counts.shape)
+                != (algo, s, nprime, seed, vc.params, vc.counts.shape)
                 or part.T > T):
-            raise ValueError("existing partial run used different parameters; "
-                             "remove it or change --out")
-        done = part.T
-        counts = part.counts.astype(np.int32)
-    params = cfg.algo_params(algo)
+            raise ValueError("existing partial run used different parameters "
+                             "(or predates the params= digest); remove it or "
+                             "change --out")
+        vc = replace(vc, T=part.T, counts=part.counts.astype(np.int32))
+    first, started, rate = vc.T, time.perf_counter(), None
     chunks_run = 0
-    while done < T:
-        if max_chunks is not None and chunks_run >= max_chunks:
-            return done, counts, False
-        stop = min(done + chunk_size, T)
-        counts += ensemble.accumulate_votes_parallel(
-            train, algo, params, s, nprime, seed, done, stop, threads)
-        done = stop
+    while vc.T < T and (max_chunks is None or chunks_run < max_chunks):
+        stop = min(vc.T + chunk_size, T)
+        vc.counts[:] += ensemble.accumulate_votes_parallel(
+            train, algo, params, s, nprime, seed, vc.T, stop, threads)
+        vc = replace(vc, T=stop)
         chunks_run += 1
-        ensemble.save_votes(partial_path, ensemble.VoteCounts(
-            T=done, n_prime=nprime, s=s, counts=counts, master_seed=seed,
-            algo=algo))
-    return done, counts, True
+        ensemble.save_votes(partial_path, vc)
+        rate = (vc.T - first) / max(time.perf_counter() - started, 1e-9)
+        print(f"train progress: t={vc.T}/{T} models_per_s={rate:.2f} "
+              f"eta_s={(T - vc.T) / rate:.1f}", file=sys.stderr)
+    return vc, rate
 
 
 def cmd_train(args) -> int:
@@ -229,22 +234,23 @@ def cmd_train(args) -> int:
     T, s, nprime, seed = int(cfg["T"]), int(cfg["s"]), int(cfg["nprime"]), int(cfg["seed"])
     if s > train.n_users:
         raise ValueError(f"s={s} exceeds the {train.n_users} users in the split")
-    done, counts, finished = _train_chunked(
+    vc, rate = _train_chunked(
         train, cfg, algo, T, s, nprime, seed, args.out, cfg.threads(),
         int(cfg["chunk_size"]), args.resume, args.max_chunks)
-    if not finished:
-        print(f"stopped after --max-chunks at t={done}/{T}; "
+    if vc.T < T:
+        print(f"stopped after --max-chunks at t={vc.T}/{T}; "
               f"rerun with --resume to continue")
         return 3
-    vc = ensemble.VoteCounts(T=T, n_prime=nprime, s=s, counts=counts,
-                             master_seed=seed, algo=algo)
     ensemble.save_votes(args.out, vc)
     if os.path.exists(args.out + ".partial"):
         os.remove(args.out + ".partial")
     _write_manifest(args.out + ".manifest.json", "train",
                     {"split": args.split, "algo": algo, "T": T, "s": s,
                      "nprime": nprime, "seed": seed, "threads": cfg.threads(),
-                     "params": str(cfg.algo_params(algo))}, started)
+                     "params": str(cfg.algo_params(algo)),
+                     "params_digest": vc.params,
+                     "models_per_s": None if rate is None else round(rate, 3)},
+                    started)
     print(f"built {T} base models (s={s}, N'={nprime}, algo={algo}) -> {args.out}")
     return 0
 
@@ -434,7 +440,10 @@ def cmd_oracle(args) -> int:
     n = matrix.n_users
     ctx = certify.make_context(n, args.e, s, True)
     results = []
+    skipped = [u for u in range(n) if not targets[u]]  # rated every item
     for u in range(n):
+        if not targets[u]:
+            continue
         b = certify.exact_bounds_from_probs(
             u, targets[u], [Fraction(int(h), probs.T) for h in probs.counts[u]],
             matrix.n_items)
@@ -442,6 +451,8 @@ def cmd_oracle(args) -> int:
                               n_prime=nprime, s=s, bounds=b, ctx=ctx)
         results.append(certify.binary_search_r(q))
     print("certified r per user:", {res.user: res.r for res in results})
+    if skipped:
+        print("skipped users (empty target set):", skipped)
     if args.check == "probs":
         return 0
     if args.attack == "two-level-exhaustive":

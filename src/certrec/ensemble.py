@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .base_rec import BPRParams, IRParams, _ranked, recommend, train_base
+from .base_rec import BPRParams, IRParams, _ranked, recommend_all, train_base
 from .ratings import RatingMatrix, ParseError
 from .ratings import _parse_header  # shared "#... v1 k=v" header grammar
 
@@ -44,6 +44,7 @@ class VoteCounts:
     counts: np.ndarray  # n x m, int32
     master_seed: int
     algo: str
+    params: str = ""    # params_digest of the base models; "" when unknown
 
     @property
     def n(self) -> int:
@@ -70,6 +71,15 @@ def _member_users(train_n: int, s: int, master_seed: int, t: int,
     return sample_submatrix(train_n, s, derive_seed(master_seed, t)).users
 
 
+def params_digest(algo: str, params) -> str:
+    """Whitespace-free digest of the base-model parameters (None means the
+    defaults), so votes from differently configured models are never mixed."""
+    if params is None:
+        params = IRParams() if algo == "ir" else BPRParams()
+    return hashlib.blake2b(f"{algo}:{params!r}".encode(),
+                           digest_size=8).hexdigest()
+
+
 def _member_params(algo: str, params, master_seed: int, t: int):
     if algo == "bpr":
         base = params if params is not None else BPRParams()
@@ -91,9 +101,8 @@ def accumulate_votes(train: RatingMatrix, algo: str, params, s: int, n_prime: in
         users = _member_users(n, s, master_seed, t, subset_iter)
         model = train_base(algo, train, np.asarray(users),
                            _member_params(algo, params, master_seed, t))
-        for u in users:
-            for i in recommend(model, u, n_prime):
-                counts[u, i] += 1
+        # a model recommends each item at most once per user: no repeated cell
+        counts[recommend_all(model, n_prime)] += 1
     return counts
 
 
@@ -154,7 +163,8 @@ def build_vote_counts(train: RatingMatrix, algo: str, params, T: int, s: int,
     counts = accumulate_votes_parallel(train, algo, params, s, n_prime,
                                        master_seed, 0, T, threads, exhaustive)
     return VoteCounts(T=T, n_prime=n_prime, s=s, counts=counts,
-                      master_seed=master_seed, algo=algo)
+                      master_seed=master_seed, algo=algo,
+                      params=params_digest(algo, params))
 
 
 def ensemble_recommend(counts: VoteCounts, train: RatingMatrix, user: int,
@@ -168,11 +178,10 @@ def ensemble_recommend(counts: VoteCounts, train: RatingMatrix, user: int,
     """
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
-    row = counts.counts[user]
-    mask = np.ones(counts.m, dtype=bool)
-    mask[train.rated_items(user)] = False
-    candidates = np.flatnonzero(mask)
-    return _ranked(candidates, row[candidates], N)
+    candidates = np.ones(counts.m, dtype=bool)
+    candidates[train.rated_items(user)] = False
+    _, items = _ranked(counts.counts[user][None], candidates[None], N)
+    return items.tolist()
 
 
 def save_votes(path: str, vc: VoteCounts) -> None:
@@ -182,9 +191,11 @@ def save_votes(path: str, vc: VoteCounts) -> None:
     path, so a crash leaves either the previous file or the complete new one.
     """
     tmp = path + ".tmp"
+    digest = f" params={vc.params}" if vc.params else ""
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(f"#votes v1 n={vc.n} m={vc.m} T={vc.T} s={vc.s} "
-                 f"nprime={vc.n_prime} algo={vc.algo} seed={vc.master_seed}\n")
+                 f"nprime={vc.n_prime} algo={vc.algo} seed={vc.master_seed}"
+                 f"{digest}\n")
         rows, cols = np.nonzero(vc.counts)
         for u, i in zip(rows, cols):
             fh.write(f"{u},{i},{int(vc.counts[u, i])}\n")
@@ -195,7 +206,8 @@ def save_votes(path: str, vc: VoteCounts) -> None:
 
 def load_votes(path: str) -> VoteCounts:
     """Read a votes file, refusing cells outside the matrix, counts outside
-    [0, T] and repeated cells."""
+    [0, T] and repeated cells. A header without params= (older files) gives
+    params=""."""
     with open(path, "r", encoding="utf-8") as fh:
         header = _parse_header(fh.readline().rstrip("\n"), "#votes v1 ")
         try:
@@ -229,4 +241,5 @@ def load_votes(path: str) -> VoteCounts:
     counts = np.zeros((n, m), dtype=np.int32)
     counts[u, i] = c
     return VoteCounts(T=T, n_prime=n_prime, s=s, counts=counts,
-                      master_seed=seed, algo=algo)
+                      master_seed=seed, algo=algo,
+                      params=header.get("params", ""))

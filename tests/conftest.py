@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
-from certrec import ratings
+from certrec import base_rec, ensemble, ratings
 
 # one line per acceptance criterion, printed after the run so a reviewer can
 # check the gate without scrolling through the full test log
@@ -65,6 +66,113 @@ def random_tiny_matrix(n: int, m: int, seed: int,
     dom = ratings.RatingDomain(lo=1.0, hi=5.0, integral=True)
     return ratings._build_matrix(users, items, scores, dom,
                                  user_ids=np.arange(n), item_ids=np.arange(m))
+
+
+def ml100k_shaped_matrix(seed: int = 0, n: int = 943,
+                         m: int = 1682) -> ratings.RatingMatrix:
+    """Sparse 1-5 star matrix with MovieLens-100k's shape: at least 20
+    ratings per user, lognormal activity, power-law item popularity."""
+    rng = np.random.default_rng(seed)
+    per_user = np.minimum(20 + (45 * rng.lognormal(0.0, 1.0, n)).astype(int),
+                          m // 2)
+    weights = np.arange(1, m + 1) ** -0.75
+    weights = weights[rng.permutation(m)] / weights.sum()
+    users, items, scores = [], [], []
+    for u in range(n):
+        rated = np.sort(rng.choice(m, size=per_user[u], replace=False, p=weights))
+        users.extend([u] * len(rated))
+        items.extend(int(i) for i in rated)
+        scores.extend(float(x) for x in rng.integers(1, 6, size=len(rated)))
+    dom = ratings.RatingDomain(lo=1.0, hi=5.0, integral=True)
+    return ratings._build_matrix(users, items, scores, dom,
+                                 user_ids=np.arange(n), item_ids=np.arange(m))
+
+
+def signed_float_matrix(tmp_path, n: int = 12, m: int = 9,
+                        seed: int = 0) -> ratings.RatingMatrix:
+    """generic-csv instance with signed float ratings. Items 0 and 1 are
+    co-rated only by users 0 and 1, whose products cancel: their Gram sum
+    is exactly 0, so they are not neighbours."""
+    rng = np.random.default_rng(seed)
+    values = (-2.5, -1.3, -0.7, 0.7, 1.3, 2.5)
+    rows = ["0,0,1.3", "0,1,0.7", "1,0,1.3", "1,1,-0.7"]
+    for u in range(n):
+        for i in range(2 if u < 2 else 0, m):
+            if i < 2 and i != u % 2:
+                continue  # users >= 2 rate at most one of items 0 and 1
+            if rng.random() < 0.6 or i == u % m:
+                rows.append(f"{u},{i},{values[rng.integers(len(values))]}")
+    path = tmp_path / f"float{seed}.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return ratings.load_ratings(str(path), "generic-csv")
+
+
+# --- reference IR kernel: the per-item top-k loop and per-user ranking that
+# base_rec.train_ir / recommend_all replaced, kept as the golden reference
+
+
+def reference_ir(matrix: ratings.RatingMatrix, users, k: int):
+    """(sorted users, submatrix, seen items, top-k cosine table), one item
+    row at a time: self excluded, k largest kept, ties by ascending id."""
+    users = np.asarray(sorted(int(u) for u in users), dtype=np.int64)
+    sub = matrix.csr[users].tocsr()
+    m = matrix.n_items
+    norms = np.sqrt(np.asarray(sub.power(2).sum(axis=0)).ravel())
+    inv = np.divide(1.0, norms, out=np.zeros(m), where=norms > 0)
+    gram = (sub.T @ sub).tocsr()
+    sim = gram.multiply(inv[:, None]).multiply(inv[None, :]).tocsr()
+    indptr = [0]
+    idx_parts, val_parts = [], []
+    for i in range(m):
+        lo, hi = sim.indptr[i], sim.indptr[i + 1]
+        cols = sim.indices[lo:hi]
+        vals = sim.data[lo:hi]
+        not_self = cols != i
+        cols = cols[not_self]
+        vals = vals[not_self]
+        if len(cols) > k:
+            keep = np.lexsort((cols, -vals))[:k]
+            keep.sort()
+            cols = cols[keep]
+            vals = vals[keep]
+        idx_parts.append(cols)
+        val_parts.append(vals)
+        indptr.append(indptr[-1] + len(cols))
+    table = csr_matrix((np.concatenate(val_parts), np.concatenate(idx_parts),
+                        np.asarray(indptr)), shape=(m, m))
+    return users, sub, np.flatnonzero(sub.getnnz(axis=0)), table
+
+
+def reference_model_votes(counts, users, sub, seen, scores, n_prime: int):
+    """Add one model's votes user by user: scores[r] scores submatrix row r
+    over all items; the top n_prime unrated seen items by descending score,
+    ascending id on ties, each get one vote."""
+    for r, u in enumerate(users):
+        rated = sub.indices[sub.indptr[r]:sub.indptr[r + 1]]
+        candidates = np.setdiff1d(seen, rated, assume_unique=True)
+        order = np.lexsort((candidates, -scores[r][candidates]))
+        counts[u, candidates[order[:n_prime]]] += 1
+
+
+def reference_votes(train, algo: str, params, s: int, n_prime: int,
+                    master_seed: int, t_start: int, t_stop: int) -> np.ndarray:
+    """Vote counts of members t_start..t_stop-1 by the reference path: the
+    per-item ir loop (bpr models come from train_bpr), scored user by user."""
+    counts = np.zeros((train.n_users, train.n_items), dtype=np.int32)
+    for t in range(t_start, t_stop):
+        members = ensemble.sample_submatrix(
+            train.n_users, s, ensemble.derive_seed(master_seed, t)).users
+        if algo == "ir":
+            users, sub, seen, table = reference_ir(train, members, params.k)
+            scores = [table @ row for row in sub.toarray()]
+        else:
+            model = base_rec.train_bpr(
+                train, np.asarray(members),
+                ensemble._member_params(algo, params, master_seed, t))
+            users, sub, seen = model.users, model.sub, model.seen_items
+            scores = [base_rec.predicted_scores(model, u) for u in users]
+        reference_model_votes(counts, users, sub, seen, scores, n_prime)
+    return counts
 
 
 def prob_row(vc, u: int) -> list:

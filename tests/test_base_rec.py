@@ -7,7 +7,7 @@ import pytest
 
 from certrec import base_rec, ratings
 
-from conftest import random_tiny_matrix
+from conftest import random_tiny_matrix, reference_ir, signed_float_matrix
 
 
 def _matrix_from_dense(dense):
@@ -163,3 +163,59 @@ class TestBPR:
         assert ir.algo == "ir" and bpr.algo == "bpr"
         with pytest.raises(ValueError):
             base_rec.train_base("mf", m, np.arange(6), base_rec.IRParams())
+
+
+def _assert_same_table(matrix, users, k):
+    model = base_rec.train_ir(matrix, users, base_rec.IRParams(k=k))
+    *_, want = reference_ir(matrix, users, k)
+    for part in ("indices", "indptr", "data"):
+        assert np.array_equal(getattr(model.sim, part), getattr(want, part)), part
+    return want
+
+
+class TestKernelGolden:
+    """train_ir's row-blocked table equals the per-item loop entry for entry."""
+
+    def test_structured_instance(self, structured):
+        matrix, _ = structured
+        for k in (3, 50):
+            _assert_same_table(matrix, np.arange(0, matrix.n_users, 2), k)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_tiny(self, seed):
+        rng = np.random.default_rng(seed)
+        matrix = random_tiny_matrix(15, 40, seed=seed,
+                                    density=(0.2, 0.5, 0.9)[seed % 3])
+        users = rng.choice(15, size=8, replace=False)
+        for k in (1, 2, 5, 50):
+            _assert_same_table(matrix, users, k)
+
+    def test_rows_spanning_blocks(self, monkeypatch):
+        # several row blocks, the last one partial
+        monkeypatch.setattr(base_rec, "_BLOCK", 7)
+        matrix = random_tiny_matrix(20, 45, seed=9, density=0.5)
+        _assert_same_table(matrix, np.arange(0, 20, 2), 4)
+
+    def test_float_ratings_with_cancelling_sums(self, tmp_path):
+        matrix = signed_float_matrix(tmp_path)
+        assert not matrix.domain.integral and matrix.domain.lo < 0
+        users = np.arange(matrix.n_users)
+        table = _assert_same_table(matrix, users, 3)
+        sub = matrix.csr[users]
+        assert ((sub != 0).T @ (sub != 0))[0, 1] and (sub.T @ sub)[0, 1] == 0
+        assert 1 not in table.indices[table.indptr[0]:table.indptr[1]]
+        assert (table.data < 0).any()
+        _assert_same_table(matrix, users, 50)
+
+    def test_items_with_at_most_k_neighbours(self):
+        matrix = random_tiny_matrix(10, 30, seed=4, density=0.15)
+        users = np.arange(10)
+        *_, full = reference_ir(matrix, users, 10 ** 6)
+        per_row = np.diff(full.indptr)
+        k = 4
+        assert (per_row <= k).any() and (per_row > k).any()
+        _assert_same_table(matrix, users, k)
+
+    def test_k_below_one_refused(self):
+        with pytest.raises(ValueError, match="ir.k"):
+            base_rec.IRParams(k=0)

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, run in-process through main()."""
 
 import csv
+import dataclasses
 import json
 import os
 
@@ -128,6 +129,52 @@ class TestTrain:
                          "100", "--s", "7", "--seed", "5", "--out", out,
                          "--chunk-size", "40", "--resume"])
         assert code == 2
+
+    def test_resume_with_changed_base_model_params_rejected(self, dataset,
+                                                            split, tmp_path):
+        # a partial built at the default ir.k=50 must not be continued at k=3
+        root, _ = dataset
+        out = str(root / "votes_k.txt")
+        argv = ["train", "--split", split, "--algo", "ir", "--T", "100",
+                "--s", "8", "--seed", "5", "--out", out, "--chunk-size", "40"]
+        assert cli.main(argv + ["--max-chunks", "1"]) == 3
+        conf = tmp_path / "k3.conf"
+        conf.write_text("ir.k=3\n")
+        assert cli.main(argv + ["--config", str(conf), "--resume"]) == 2
+        # the matching configuration still resumes
+        assert cli.main(argv + ["--resume"]) == 0
+
+    def test_resume_refuses_partial_without_digest(self, dataset, split):
+        root, _ = dataset
+        out = str(root / "votes_nodigest.txt")
+        argv = ["train", "--split", split, "--algo", "ir", "--T", "100",
+                "--s", "8", "--seed", "5", "--out", out, "--chunk-size", "40"]
+        assert cli.main(argv + ["--max-chunks", "1"]) == 3
+        part = ensemble.load_votes(out + ".partial")
+        assert part.params == ensemble.params_digest("ir", base_rec.IRParams())
+        ensemble.save_votes(out + ".partial", dataclasses.replace(part, params=""))
+        assert cli.main(argv + ["--resume"]) == 2
+
+    def test_progress_on_stderr(self, dataset, split, votes, capsys):
+        root, _ = dataset
+        out = str(root / "votes_progress.txt")
+        assert cli.main(["train", "--split", split, "--algo", "ir", "--T", "200",
+                         "--s", "8", "--seed", "5", "--out", out,
+                         "--chunk-size", "70"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (f"built 200 base models (s=8, N'=1, algo=ir) "
+                                f"-> {out}\n")
+        lines = captured.err.splitlines()
+        assert [line.split()[2] for line in lines] == [
+            "t=70/200", "t=140/200", "t=200/200"]
+        for line in lines:
+            fields = dict(tok.split("=") for tok in line.split()[2:])
+            assert float(fields["models_per_s"]) > 0
+            assert float(fields["eta_s"]) >= 0
+        assert lines[-1].endswith("eta_s=0.0")
+        manifest = json.load(open(out + ".manifest.json"))
+        assert manifest["params"]["models_per_s"] > 0
+        assert open(out).read() == open(votes).read()
 
     def test_resume_refuses_partial_beyond_T(self, dataset, split):
         root, _ = dataset
@@ -316,12 +363,22 @@ class TestOracleCommand:
         assert code == 0
         assert "enumerated 10 subsets" in capsys.readouterr().out
 
+    def test_users_without_targets_skipped(self, capsys):
+        # density 1.0: every user rated every item, so no target set exists
+        code = cli.main(["oracle", "--n", "5", "--m", "4", "--density", "1.0",
+                         "--s", "2", "--check", "probs"])
+        assert code == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-2] == "certified r per user: {}"
+        assert out[-1] == "skipped users (empty target set): [0, 1, 2, 3, 4]"
+
     def test_two_level_exhaustive(self, capsys):
         code = cli.main(["oracle", "--n", "5", "--m", "4", "--density", "0.8",
                          "--seed", "1", "--s", "2", "--e", "1", "--N", "2",
                          "--attack", "two-level-exhaustive"])
         assert code == 0
-        assert "trials: 16" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "trials: 16" in out and "skipped users" not in out
 
 
 class TestConfig:

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from certrec import base_rec, ensemble
+from certrec import base_rec, ensemble, ratings
 from certrec.ratings import ParseError
 
-from conftest import random_tiny_matrix
+from conftest import (ml100k_shaped_matrix, random_tiny_matrix, reference_ir,
+                      reference_model_votes, reference_votes,
+                      signed_float_matrix)
 
 
 class TestSeeding:
@@ -110,6 +112,89 @@ class TestAccumulation:
         assert vc.T == math.comb(6, 3) == 20
 
 
+class TestKernelGoldenVotes:
+    """Batch voting equals the per-item loop scored user by user."""
+
+    @staticmethod
+    def _same(train, algo, params, s, n_prime, T, seed=3):
+        got = ensemble.accumulate_votes(train, algo, params, s, n_prime, seed,
+                                        0, T)
+        want = reference_votes(train, algo, params, s, n_prime, seed, 0, T)
+        assert np.array_equal(got, want)
+        return got
+
+    @pytest.mark.parametrize("n_prime", [1, 3])
+    def test_structured_instance(self, structured, n_prime):
+        matrix, _ = structured
+        for k in (3, 50):
+            self._same(matrix, "ir", base_rec.IRParams(k=k), 20, n_prime, 12)
+
+    @pytest.mark.parametrize("n_prime", [1, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_tiny(self, seed, n_prime):
+        train = random_tiny_matrix(16, 24, seed=seed,
+                                   density=(0.15, 0.4, 0.7, 0.9)[seed])
+        self._same(train, "ir", base_rec.IRParams(k=(2, 4, 8, 50)[seed]), 6,
+                   n_prime, 25, seed)
+
+    @pytest.mark.parametrize("n_prime", [1, 3])
+    def test_float_ratings(self, tmp_path, n_prime):
+        train = signed_float_matrix(tmp_path)
+        for k in (3, 50):
+            self._same(train, "ir", base_rec.IRParams(k=k), 6, n_prime, 20)
+
+    @pytest.mark.parametrize("n_prime", [1, 3])
+    def test_user_without_candidates(self, n_prime):
+        base = random_tiny_matrix(8, 10, seed=2, density=0.3)
+        full = base.csr.toarray()
+        full[0] = 4.0  # user 0 rated every item: never a candidate left
+        train = ratings._build_matrix(*np.nonzero(full), full[np.nonzero(full)],
+                                      base.domain, user_ids=np.arange(8),
+                                      item_ids=np.arange(10))
+        got = self._same(train, "ir", base_rec.IRParams(k=3), 4, n_prime, 20)
+        assert got[0].sum() == 0 and got.sum() > 0
+
+    @pytest.mark.parametrize("n_prime", [1, 3])
+    def test_bpr(self, n_prime):
+        train = random_tiny_matrix(10, 12, seed=5, density=0.4)
+        self._same(train, "bpr", base_rec.BPRParams(d=4, epochs=3), 5,
+                   n_prime, 8)
+
+    def test_ml100k_shaped_instance(self):
+        # the benchmark's shape: 943 x 1682, s=200, T=20, default k
+        train = ml100k_shaped_matrix()
+        got = {1: np.zeros((943, 1682), np.int32), 3: np.zeros((943, 1682), np.int32)}
+        want = {1: np.zeros_like(got[1]), 3: np.zeros_like(got[3])}
+        for t in range(20):
+            members = ensemble.sample_submatrix(943, 200,
+                                                ensemble.derive_seed(0, t)).users
+            model = base_rec.train_ir(train, np.asarray(members))
+            users, sub, seen, table = reference_ir(train, members, 50)
+            for part in ("indices", "indptr", "data"):
+                assert np.array_equal(getattr(model.sim, part),
+                                      getattr(table, part)), (t, part)
+            scores = [table @ row for row in sub.toarray()]
+            for n_prime in got:
+                got[n_prime][base_rec.recommend_all(model, n_prime)] += 1
+                reference_model_votes(want[n_prime], users, sub, seen, scores,
+                                      n_prime)
+        for n_prime in got:
+            assert np.array_equal(got[n_prime], want[n_prime]), n_prime
+
+    def test_serial_chunked_and_two_workers_agree(self):
+        train = random_tiny_matrix(30, 20, seed=7, density=0.5)
+        params = base_rec.IRParams(k=5)
+        want = reference_votes(train, "ir", params, 8, 2, 4, 0, 40)
+        serial = ensemble.accumulate_votes(train, "ir", params, 8, 2, 4, 0, 40)
+        chunked = sum(ensemble.accumulate_votes(train, "ir", params, 8, 2, 4,
+                                                lo, min(lo + 15, 40))
+                      for lo in range(0, 40, 15))
+        pool = ensemble.accumulate_votes_parallel(train, "ir", params, 8, 2, 4,
+                                                  0, 40, threads=2)
+        for got in (serial, chunked, pool):
+            assert np.array_equal(got, want)
+
+
 class TestEnsembleRecommend:
     def test_exactly_n_items_filled(self):
         train = random_tiny_matrix(8, 12, seed=6, density=0.3)
@@ -155,7 +240,25 @@ class TestPersistence:
         back = ensemble.load_votes(path)
         assert back.T == 25 and back.s == 4 and back.n_prime == 2
         assert back.master_seed == 8 and back.algo == "ir"
+        assert back.params == vc.params == ensemble.params_digest(
+            "ir", base_rec.IRParams())
         assert np.array_equal(back.counts, vc.counts)
+
+    def test_params_digest(self):
+        ir = ensemble.params_digest("ir", base_rec.IRParams())
+        assert ir == ensemble.params_digest("ir", None)
+        assert ir != ensemble.params_digest("ir", base_rec.IRParams(k=3))
+        assert ir != ensemble.params_digest("bpr", None)
+        assert ir.isalnum()  # one header token
+
+    def test_file_without_params_key_loads(self, tmp_path):
+        path = tmp_path / "old.txt"
+        path.write_text("#votes v1 n=2 m=2 T=3 s=1 nprime=1 algo=ir seed=0\n"
+                        "0,1,2\n")
+        vc = ensemble.load_votes(str(path))
+        assert vc.params == "" and vc.counts[0, 1] == 2
+        ensemble.save_votes(str(path), vc)
+        assert "params" not in path.read_text()
 
     def test_zero_rows_omitted(self, tmp_path):
         counts = np.zeros((3, 3), dtype=np.int32)
