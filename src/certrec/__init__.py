@@ -12,8 +12,8 @@ Precision/Recall/F1 floors.
 from .base_rec import BPRParams, IRParams, recommend, train_base
 from .bounds import (cp_lower, cp_upper, estimate_bounds, incomplete_beta,
                      make_context)
-from .certify import (CertQuery, CertResult, bagging_sweep, binary_search_r,
-                      certify_sweep, verify_constraint)
+from .certify import (CertQuery, CertResult, binary_search_r, sweep,
+                      verify_constraint)
 from .ensemble import (VoteCounts, build_vote_counts, derive_seed,
                        ensemble_recommend, load_votes, save_votes)
 from .metrics import certified_metrics, standard_metrics
@@ -25,8 +25,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BPRParams", "IRParams", "recommend", "train_base",
     "cp_lower", "cp_upper", "estimate_bounds", "incomplete_beta", "make_context",
-    "CertQuery", "CertResult", "bagging_sweep", "binary_search_r",
-    "certify_sweep", "verify_constraint",
+    "CertQuery", "CertResult", "binary_search_r", "sweep", "verify_constraint",
     "VoteCounts", "build_vote_counts", "derive_seed", "ensemble_recommend",
     "load_votes", "save_votes",
     "certified_metrics", "standard_metrics",

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 __all__ = [
     "beta_quantile", "cp_lower", "cp_upper", "estimate_bounds",
     "make_context", "round_lower_star", "round_upper_star",
@@ -157,39 +159,59 @@ def cp_upper(t_j: int, t: int, beta_level: float, convention: str = "lower_shape
 class ProbBounds:
     """Per-user probability bounds: lower on I_u members, upper elsewhere.
 
-    Derived orderings used by certification are computed once at construction:
-    mu_desc (lower bounds, descending), sum_lower, and the outside upper
-    bounds sorted descending with prefix sums (ties at equal bounds ordered by
+    Estimated bounds are float64 arrays, exact bounds object arrays of
+    Fraction. Derived orderings used by certification are computed once at
+    construction, as Python numbers: mu_desc (lower bounds, descending),
+    sum_lower (summed in ascending item order), and the outside upper bounds
+    sorted descending with prefix sums (ties at equal bounds ordered by
     ascending item id so competitor selection is deterministic).
     """
 
     user: int
     items_in: tuple          # I_u, ascending item ids
-    lower: dict              # item id -> lower bound, keys == items_in
-    upper: dict              # item id -> upper bound, keys == complement of I_u
+    lower: np.ndarray        # lower bounds, aligned with items_in
+    upper: np.ndarray        # upper bounds, aligned with the ascending complement of I_u
     alpha_u: float           # simultaneous per-user error budget
     m: int
-    mu_desc: tuple = field(init=False)
+    mu_desc: list = field(init=False)
     sum_lower: object = field(init=False)
-    out_ids_desc: tuple = field(init=False)
-    out_upper_desc: tuple = field(init=False)
-    out_prefix: tuple = field(init=False)  # out_prefix[k] = sum of k largest uppers
+    out_upper_desc: list = field(init=False)
+    out_prefix: list = field(init=False)  # out_prefix[k] = sum of k largest uppers
 
     def __post_init__(self):
-        mu = tuple(sorted(self.lower.values(), reverse=True))
-        ordered = sorted(self.upper.items(), key=lambda kv: (-kv[1], kv[0]))
-        prefix = [0]
-        for _, val in ordered:
-            prefix.append(prefix[-1] + val)
-        object.__setattr__(self, "mu_desc", mu)
-        object.__setattr__(self, "sum_lower", sum(self.lower.values()))
-        object.__setattr__(self, "out_ids_desc", tuple(k for k, _ in ordered))
-        object.__setattr__(self, "out_upper_desc", tuple(v for _, v in ordered))
-        object.__setattr__(self, "out_prefix", tuple(prefix))
+        desc = self.upper[np.argsort(-self.upper, kind="stable")]
+        # Python's sum, not np.sum: the latter adds pairwise and rounds differently
+        object.__setattr__(self, "mu_desc", sorted(self.lower.tolist(), reverse=True))
+        object.__setattr__(self, "sum_lower", sum(self.lower.tolist()))
+        object.__setattr__(self, "out_upper_desc", desc.tolist())
+        object.__setattr__(self, "out_prefix", [0] + np.cumsum(desc).tolist())
 
     @property
     def n_outside(self) -> int:
-        return len(self.out_upper_desc)
+        return len(self.upper)
+
+
+def _target_mask(items_in, m: int) -> tuple:
+    """(I_u as ascending ids, boolean membership mask over the m items).
+
+    Refuses an empty set, repeated ids and ids outside [0, m).
+    """
+    items_in = tuple(sorted(int(i) for i in items_in))
+    if not items_in:
+        raise ValueError("items_in must be nonempty")
+    if len(set(items_in)) != len(items_in):
+        raise ValueError("items_in contains duplicate item ids")
+    if items_in[0] < 0 or items_in[-1] >= m:
+        raise ValueError(f"items_in ids must lie in [0, {m})")
+    inside = np.zeros(m, dtype=bool)
+    inside[list(items_in)] = True
+    return items_in, inside
+
+
+def _per_count(bound, counts) -> np.ndarray:
+    """bound(c) for every entry of counts, evaluated once per distinct value."""
+    values, inverse = np.unique(counts, return_inverse=True)
+    return np.array([bound(int(c)) for c in values], dtype=np.float64)[inverse]
 
 
 def estimate_bounds(counts, user: int, items_in, alpha_u: float,
@@ -201,21 +223,13 @@ def estimate_bounds(counts, user: int, items_in, alpha_u: float,
     """
     if not 0.0 < alpha_u < 1.0:
         raise ValueError(f"alpha_u must be in (0, 1), got {alpha_u}")
-    items_in = tuple(sorted(int(i) for i in items_in))
-    if not items_in:
-        raise ValueError("items_in must be nonempty")
-    if len(set(items_in)) != len(items_in):
-        raise ValueError("items_in contains duplicate item ids")
     t = counts.T
     m = counts.m
-    if items_in[0] < 0 or items_in[-1] >= m:
-        raise ValueError(f"items_in ids must lie in [0, {m})")
+    items_in, inside = _target_mask(items_in, m)
     row = counts.counts[user]
     budget = alpha_u / m
-    in_set = set(items_in)
-    lower = {i: cp_lower(int(row[i]), t, budget) for i in items_in}
-    upper = {j: cp_upper(int(row[j]), t, budget, convention)
-             for j in range(m) if j not in in_set}
+    lower = _per_count(lambda c: cp_lower(c, t, budget), row[inside])
+    upper = _per_count(lambda c: cp_upper(c, t, budget, convention), row[~inside])
     return ProbBounds(user=user, items_in=items_in, lower=lower, upper=upper,
                       alpha_u=alpha_u, m=m)
 
@@ -234,14 +248,8 @@ class CombinatoricContext:
     e: int
     s: int
     exact_mode: bool
-    log_ratio: float         # ln(C(n',s) / C(n,s))
     sigma: object            # float (approx) or Fraction (exact); may be +inf
     c_ns: int | None         # C(n, s), exact mode only
-    c_nps: int | None        # C(n', s), exact mode only
-
-    @property
-    def n_prime_users(self) -> int:
-        return self.n + self.e
 
 
 @lru_cache(maxsize=4096)
@@ -252,15 +260,14 @@ def make_context(n: int, e: int, s: int, exact_mode: bool = False) -> Combinator
     if e < 0:
         raise ValueError(f"e must be >= 0, got {e}")
     np_users = n + e
-    # C(n',s)/C(n,s) = prod_{j<s} (1 + e/(n-j)); summed in log space
-    log_ratio = math.fsum(math.log1p(e / (n - j)) for j in range(s))
     if exact_mode:
         c_ns = math.comb(n, s)
-        c_nps = math.comb(np_users, s)
-        sigma = Fraction(s, np_users) * Fraction(c_nps, c_ns) - Fraction(s, n)
+        sigma = (Fraction(s, np_users) * Fraction(math.comb(np_users, s), c_ns)
+                 - Fraction(s, n))
         return CombinatoricContext(n=n, e=e, s=s, exact_mode=True,
-                                   log_ratio=log_ratio, sigma=sigma,
-                                   c_ns=c_ns, c_nps=c_nps)
+                                   sigma=sigma, c_ns=c_ns)
+    # C(n',s)/C(n,s) = prod_{j<s} (1 + e/(n-j)); summed in log space
+    log_ratio = math.fsum(math.log1p(e / (n - j)) for j in range(s))
     # sigma = (s/n') * ratio - s/n = (s/n) * (exp(log_ratio + ln(n/n')) - 1);
     # expm1 keeps full relative precision through the near-cancellation at
     # small e, where the two terms agree to several digits
@@ -270,9 +277,8 @@ def make_context(n: int, e: int, s: int, exact_mode: bool = False) -> Combinator
         sigma = math.inf
     if math.isfinite(sigma) and sigma > 0:
         sigma *= 1.0 + 1e-13  # upward guard: never understate the attack slack
-    return CombinatoricContext(n=n, e=e, s=s, exact_mode=False,
-                               log_ratio=log_ratio, sigma=sigma,
-                               c_ns=None, c_nps=None)
+    return CombinatoricContext(n=n, e=e, s=s, exact_mode=False, sigma=sigma,
+                               c_ns=None)
 
 
 def round_lower_star(p, ctx: CombinatoricContext):

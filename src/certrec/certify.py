@@ -19,11 +19,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .bounds import (CombinatoricContext, ProbBounds, estimate_bounds,
-                     make_context, round_lower_star, round_upper_star)
+import numpy as np
+
+from .bounds import (CombinatoricContext, ProbBounds, _target_mask,
+                     estimate_bounds, make_context, round_lower_star,
+                     round_upper_star)
 
 log = logging.getLogger(__name__)
 
@@ -33,22 +36,19 @@ _Z_CAP_FACTOR = 10  # bagging Z search stops at 10*n fake users; sigma has
 
 @dataclass(frozen=True)
 class CertQuery:
-    """One certification question: user, target set, attack budget, context."""
+    """One certification question: a user's bounds under one attack context.
 
-    user: int
-    items: tuple                 # I_u, nonempty
-    e: int
-    N: int
-    n_prime: int
-    s: int
+    The user and I_u come from bounds; e and s come from ctx.
+    """
+
     bounds: ProbBounds
     ctx: CombinatoricContext
+    N: int
+    n_prime: int
 
     def __post_init__(self):
-        if not self.items:
-            raise ValueError("I_u must be nonempty")
-        if self.N < 1 or self.n_prime < 1 or self.e < 0:
-            raise ValueError("need N >= 1, N' >= 1, e >= 0")
+        if self.N < 1 or self.n_prime < 1:
+            raise ValueError("need N >= 1, N' >= 1")
 
 
 @dataclass(frozen=True)
@@ -62,13 +62,13 @@ class CertResult:
 
 def verify_constraint(r_prime: int, q: CertQuery) -> bool:
     """Evaluate the certification constraint at candidate intersection size r_prime."""
-    k = min(len(q.items), q.N)
+    b = q.bounds
+    k = min(len(b.items_in), q.N)
     if not 1 <= r_prime <= k:
         raise ValueError(f"r_prime must be in [1, {k}], got {r_prime}")
     sigma = q.ctx.sigma
     if isinstance(sigma, float) and math.isinf(sigma):
         return False  # coefficient ratio overflowed: no guarantee at this e
-    b = q.bounds
     lhs = round_lower_star(b.mu_desc[r_prime - 1], q.ctx)
     window = q.N - r_prime + 1
     avail = min(window, b.n_outside)
@@ -82,7 +82,7 @@ def verify_constraint(r_prime: int, q: CertQuery) -> bool:
     cap = q.n_prime - b.sum_lower
     if cap < 0:
         log.warning("user %d: vote-share cap below zero (%s); bounds are "
-                    "inconsistent, clamping", q.user, cap)
+                    "inconsistent, clamping", b.user, cap)
         cap = 0
     for c in range(1, avail + 1):
         hc = b.out_prefix[avail] - b.out_prefix[avail - c]
@@ -97,7 +97,7 @@ def verify_constraint(r_prime: int, q: CertQuery) -> bool:
 
 def binary_search_r(q: CertQuery) -> CertResult:
     """Largest r' with the constraint satisfied, or 0 if none is."""
-    lo, hi = 1, min(len(q.items), q.N)
+    lo, hi = 1, min(len(q.bounds.items_in), q.N)
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if verify_constraint(mid, q):
@@ -106,9 +106,12 @@ def binary_search_r(q: CertQuery) -> CertResult:
             hi = mid - 1
     # the loop converges to the only remaining candidate; it still needs one
     # check because nothing so far proves the constraint holds anywhere
-    r = lo if verify_constraint(lo, q) else 0
-    mode = "exact" if q.ctx.exact_mode else "approx"
-    return CertResult(user=q.user, e=q.e, r=r, alpha=q.bounds.alpha_u, mode=mode)
+    return _result(q.bounds, q.ctx, lo if verify_constraint(lo, q) else 0)
+
+
+def _result(b: ProbBounds, ctx: CombinatoricContext, r: int) -> CertResult:
+    return CertResult(user=b.user, e=ctx.e, r=r, alpha=b.alpha_u,
+                      mode="exact" if ctx.exact_mode else "approx")
 
 
 def exact_bounds_from_probs(user: int, items_in, probs, m: int) -> ProbBounds:
@@ -117,20 +120,19 @@ def exact_bounds_from_probs(user: int, items_in, probs, m: int) -> ProbBounds:
     probs maps item id -> exact probability (Fraction). alpha_u is recorded
     as 0: there is no estimation error to budget for.
     """
-    items_in = tuple(sorted(int(i) for i in items_in))
-    in_set = set(items_in)
-    lower = {i: Fraction(probs[i]) for i in items_in}
-    upper = {j: Fraction(probs[j]) for j in range(m) if j not in in_set}
-    return ProbBounds(user=user, items_in=items_in, lower=lower, upper=upper,
-                      alpha_u=0.0, m=m)
+    items_in, inside = _target_mask(items_in, m)
+    probs = _fractions(probs[j] for j in range(m))
+    return ProbBounds(user=user, items_in=items_in, lower=probs[inside],
+                      upper=probs[~inside], alpha_u=0.0, m=m)
 
 
 def _exactify(b: ProbBounds) -> ProbBounds:
     """Rebuild float bounds as exact rationals for exact-mode arithmetic."""
-    return ProbBounds(user=b.user, items_in=b.items_in,
-                      lower={i: Fraction(v) for i, v in b.lower.items()},
-                      upper={j: Fraction(v) for j, v in b.upper.items()},
-                      alpha_u=b.alpha_u, m=b.m)
+    return replace(b, lower=_fractions(b.lower), upper=_fractions(b.upper))
+
+
+def _fractions(values) -> np.ndarray:
+    return np.array([Fraction(v) for v in values], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -157,6 +159,8 @@ def sweep(train, counts, target_sets, alpha: float, e_list, N: int,
     rule, in the order of `rules`.
     """
     _check_counts(counts, train, s, n_prime)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if mode not in ("exact", "approx"):
         raise ValueError(f"mode must be 'exact' or 'approx', got {mode!r}")
     if not set(rules) <= set(RULES):
@@ -181,27 +185,18 @@ def sweep(train, counts, target_sets, alpha: float, e_list, N: int,
         for rule, per_e in zip(rules, per_rule):
             if rule == "joint":
                 for e in e_list:
-                    q = CertQuery(user=u, items=items, e=e, N=N,
-                                  n_prime=n_prime, s=s, bounds=b,
-                                  ctx=contexts[e])
+                    q = CertQuery(bounds=b, ctx=contexts[e], N=N,
+                                  n_prime=n_prime)
                     per_e[e].append(binary_search_r(q))
             else:
                 zs = _bagging_z_values(b, n, s, exact)
                 for e in e_list:
-                    per_e[e].append(_bagging_result(u, zs, e, N, alpha_u, exact))
+                    per_e[e].append(_bagging_result(b, zs, contexts[e], N))
     if skipped:
         log.info("skipped %d users with empty target sets: %s",
                  len(skipped), skipped[:20])
     return tuple(SweepResult(per_e=per_e, skipped=tuple(skipped))
                  for per_e in per_rule)
-
-
-def certify_sweep(train, counts, target_sets, alpha: float, e_list, N: int,
-                  n_prime: int, s: int, mode: str = "approx",
-                  convention: str = "lower_shapes") -> SweepResult:
-    """Joint certification of every user at every e in e_list (see sweep)."""
-    return sweep(train, counts, target_sets, alpha, e_list, N, n_prime, s,
-                 mode, convention)[0]
 
 
 def _check_counts(counts, train, s: int, n_prime: int) -> None:
@@ -248,8 +243,8 @@ def _bagging_z_values(b: ProbBounds, n: int, s: int, exact: bool) -> list[int]:
         return [cap for _ in b.items_in]  # no competitor to lose to
     pbar_star = round_upper_star(b.out_upper_desc[0], ctx0)
     zs = []
-    for i in b.items_in:
-        lhs = round_lower_star(b.lower[i], ctx0)
+    for lower in b.lower.tolist():
+        lhs = round_lower_star(lower, ctx0)
 
         def survives(e_prime: int) -> bool:
             sigma = make_context(n, e_prime, s, exact).sigma
@@ -261,11 +256,9 @@ def _bagging_z_values(b: ProbBounds, n: int, s: int, exact: bool) -> list[int]:
     return zs
 
 
-def _bagging_result(user: int, zs, e: int, N: int, alpha_u: float,
-                    exact: bool) -> CertResult:
-    r = min(sum(1 for z in zs if z >= e), N)
-    return CertResult(user=user, e=e, r=r, alpha=alpha_u,
-                      mode="exact" if exact else "approx")
+def _bagging_result(b: ProbBounds, zs, ctx: CombinatoricContext,
+                    N: int) -> CertResult:
+    return _result(b, ctx, min(sum(1 for z in zs if z >= ctx.e), N))
 
 
 def bagging_baseline_r(q: CertQuery) -> CertResult:
@@ -276,14 +269,6 @@ def bagging_baseline_r(q: CertQuery) -> CertResult:
     """
     if q.n_prime != 1:
         raise ValueError("the baseline is defined for N' = 1 vote counts")
-    zs = _bagging_z_values(q.bounds, q.ctx.n, q.s, q.ctx.exact_mode)
-    return _bagging_result(q.user, zs, q.e, q.N, q.bounds.alpha_u,
-                           q.ctx.exact_mode)
+    zs = _bagging_z_values(q.bounds, q.ctx.n, q.ctx.s, q.ctx.exact_mode)
+    return _bagging_result(q.bounds, zs, q.ctx, q.N)
 
-
-def bagging_sweep(train, counts, target_sets, alpha: float, e_list, N: int,
-                  s: int, mode: str = "approx",
-                  convention: str = "lower_shapes") -> SweepResult:
-    """Baseline certification over an e sweep; Z values computed once per user."""
-    return sweep(train, counts, target_sets, alpha, e_list, N, 1, s, mode,
-                 convention, ("bagging",))[0]

@@ -229,14 +229,18 @@ def cmd_train(args) -> int:
                           "chunk_size", "ir.k", "bpr.d", "bpr.epochs",
                           "bpr.learn_rate", "bpr.reg", "bpr.neg_samples"))
     started = time.time()
+    T, chunk_size = int(cfg["T"]), int(cfg["chunk_size"])
+    if T < 1 or chunk_size < 1:
+        raise ValueError(f"need T >= 1 and chunk size >= 1, got T={T}, "
+                         f"chunk size={chunk_size}")
     train, _, _ = ratings.load_split(args.split)
     algo = cfg["algo"]
-    T, s, nprime, seed = int(cfg["T"]), int(cfg["s"]), int(cfg["nprime"]), int(cfg["seed"])
+    s, nprime, seed = int(cfg["s"]), int(cfg["nprime"]), int(cfg["seed"])
     if s > train.n_users:
         raise ValueError(f"s={s} exceeds the {train.n_users} users in the split")
     vc, rate = _train_chunked(
         train, cfg, algo, T, s, nprime, seed, args.out, cfg.threads(),
-        int(cfg["chunk_size"]), args.resume, args.max_chunks)
+        chunk_size, args.resume, args.max_chunks)
     if vc.T < T:
         print(f"stopped after --max-chunks at t={vc.T}/{T}; "
               f"rerun with --resume to continue")
@@ -258,6 +262,8 @@ def cmd_train(args) -> int:
 def cmd_recommend(args) -> int:
     vc = ensemble.load_votes(args.votes)
     train, _, _ = ratings.load_split(args.split)
+    if args.user is not None and not 0 <= args.user < train.n_users:
+        raise ValueError(f"--user must lie in [0, {train.n_users}), got {args.user}")
     users = [int(args.user)] if args.user is not None else range(train.n_users)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["user", "rank", "item", "votes"])
@@ -447,8 +453,7 @@ def cmd_oracle(args) -> int:
         b = certify.exact_bounds_from_probs(
             u, targets[u], [Fraction(int(h), probs.T) for h in probs.counts[u]],
             matrix.n_items)
-        q = certify.CertQuery(user=u, items=targets[u], e=args.e, N=N,
-                              n_prime=nprime, s=s, bounds=b, ctx=ctx)
+        q = certify.CertQuery(bounds=b, ctx=ctx, N=N, n_prime=nprime)
         results.append(certify.binary_search_r(q))
     print("certified r per user:", {res.user: res.r for res in results})
     if skipped:

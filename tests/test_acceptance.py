@@ -60,13 +60,13 @@ def synthetic_sweeps():
                                             counts=counts.copy(),
                                             master_seed=0, algo="ir")
     targets = [tests[u].tolist() for u in range(train.n_users)]
-    pore = {T: certify.certify_sweep(train, snaps[T], targets, alpha=0.2,
-                                     e_list=SWEEP_E, N=N_AT, n_prime=1, s=12,
-                                     mode="approx", convention="lower_shapes")
+    pore = {T: certify.sweep(train, snaps[T], targets, alpha=0.2,
+                             e_list=SWEEP_E, N=N_AT, n_prime=1, s=12,
+                             mode="approx", convention="lower_shapes")[0]
             for T in T_GRID}
-    bag = certify.bagging_sweep(train, snaps[T_GRID[-1]], targets, alpha=0.2,
-                                e_list=SWEEP_E, N=N_AT, s=12, mode="approx",
-                                convention="lower_shapes")
+    bag = certify.sweep(train, snaps[T_GRID[-1]], targets, alpha=0.2,
+                        e_list=SWEEP_E, N=N_AT, n_prime=1, s=12, mode="approx",
+                        convention="lower_shapes", rules=("bagging",))[0]
     return train, tests, snaps, pore, bag
 
 
@@ -187,8 +187,7 @@ def test_criterion_4_soundness(acceptance):
             b = certify.exact_bounds_from_probs(u, targets[u],
                                                 prob_row(probs, u),
                                                 matrix.n_items)
-            q = certify.CertQuery(user=u, items=targets[u], e=e, N=N,
-                                  n_prime=1, s=s, bounds=b, ctx=ctx)
+            q = certify.CertQuery(bounds=b, ctx=ctx, N=N, n_prime=1)
             results.append(certify.binary_search_r(q))
         return targets, results
 
@@ -245,10 +244,10 @@ def test_criterion_5_monotonicity(acceptance, synthetic_sweeps, ml100k_run):
                     + ML100K_HINT)
     m_train, m_tests, m_snaps = ml100k_run
     targets = [m_tests[u].tolist() for u in range(m_train.n_users)]
-    m_pore = {T: certify.certify_sweep(m_train, m_snaps[T], targets,
-                                       alpha=0.001, e_list=SWEEP_E, N=N_AT,
-                                       n_prime=1, s=300, mode="approx",
-                                       convention="lower_shapes")
+    m_pore = {T: certify.sweep(m_train, m_snaps[T], targets,
+                               alpha=0.001, e_list=SWEEP_E, N=N_AT,
+                               n_prime=1, s=300, mode="approx",
+                               convention="lower_shapes")[0]
               for T in T_GRID}
     e_bad, t_bad, top = check(m_tests, m_pore)
     ok = not e_bad and not t_bad
@@ -323,8 +322,10 @@ def test_criterion_7_calibration(acceptance):
             b = bounds.estimate_bounds(vc, u, targets[u], alpha_u,
                                        "lower_shapes")
             row = exact_rows[u]
-            if any(Fraction(lo) > row[i] for i, lo in b.lower.items()) or \
-               any(Fraction(up) < row[j] for j, up in b.upper.items()):
+            outside = [j for j in range(m) if j not in b.items_in]
+            if any(Fraction(lo) > row[i]
+                   for i, lo in zip(b.items_in, b.lower)) or \
+               any(Fraction(up) < row[j] for j, up in zip(outside, b.upper)):
                 violated = True
                 break
         bad_runs += violated

@@ -1,5 +1,6 @@
 """Beta quantiles, Clopper-Pearson bounds, combinatoric contexts, roundings."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -219,8 +220,42 @@ class TestProbBounds:
             bounds.estimate_bounds(vc, 0, (0, 0), alpha_u=0.05)
         with pytest.raises(ValueError):
             bounds.estimate_bounds(vc, 0, (99,), alpha_u=0.05)
+        with pytest.raises(ValueError):
+            bounds.estimate_bounds(vc, 0, (), alpha_u=0.05)
 
     def test_sum_lower(self):
         vc = self._counts()
         b = bounds.estimate_bounds(vc, 0, (0, 1, 2), alpha_u=0.05)
-        assert b.sum_lower == pytest.approx(sum(b.lower.values()))
+        assert b.sum_lower == pytest.approx(sum(b.lower))
+
+    def test_derived_sums_exact(self):
+        # np.sum adds pairwise past 8 terms and rounds differently; sum_lower
+        # and out_prefix must equal left-to-right sums in the stated order
+        rng = np.random.default_rng(1)  # a row where the two sums differ
+        m, t = 120, 1000
+        c = rng.integers(0, t + 1, size=(1, m)).astype(np.int32)
+        vc = VoteCounts(T=t, n_prime=1, s=3, counts=c, master_seed=0,
+                        algo="ir")
+        items = sorted(int(i) for i in rng.choice(m, 25, replace=False))
+        outside = [j for j in range(m) if j not in items]
+        budget = 0.05 / m
+        est = bounds.estimate_bounds(vc, 0, items, alpha_u=0.05)
+        lower = [bounds.cp_lower(int(c[0, i]), t, budget) for i in items]
+        upper = [bounds.cp_upper(int(c[0, j]), t, budget) for j in outside]
+        assert np.sum(lower) != sum(lower)  # the case this test guards
+        fracs = [Fraction(int(x), 997) for x in rng.integers(0, 998, size=m)]
+        exact = bounds.ProbBounds(
+            user=0, items_in=tuple(items),
+            lower=np.array([fracs[i] for i in items], dtype=object),
+            upper=np.array([fracs[j] for j in outside], dtype=object),
+            alpha_u=0.0, m=m)
+        for b, low, up in ((est, lower, upper),
+                           (exact, [fracs[i] for i in items],
+                            [fracs[j] for j in outside])):
+            desc = [v for v, _ in sorted(zip(up, outside),
+                                         key=lambda p: (-p[0], p[1]))]
+            assert b.lower.tolist() == low and b.upper.tolist() == up
+            assert b.sum_lower == sum(low)
+            assert b.out_upper_desc == desc
+            assert b.out_prefix == list(itertools.accumulate(desc, initial=0))
+            assert b.mu_desc == sorted(low, reverse=True)

@@ -21,12 +21,10 @@ def _hand_query(e: int, exact: bool = True) -> certify.CertQuery:
     b = certify.exact_bounds_from_probs(0, (0, 1), probs, m=6)
     if not exact:
         b = bounds.ProbBounds(user=0, items_in=b.items_in,
-                              lower={k: float(v) for k, v in b.lower.items()},
-                              upper={k: float(v) for k, v in b.upper.items()},
-                              alpha_u=0.0, m=6)
+                              lower=b.lower.astype(float),
+                              upper=b.upper.astype(float), alpha_u=0.0, m=6)
     ctx = bounds.make_context(5, e, 2, exact_mode=exact)
-    return certify.CertQuery(user=0, items=(0, 1), e=e, N=3, n_prime=1, s=2,
-                             bounds=b, ctx=ctx)
+    return certify.CertQuery(bounds=b, ctx=ctx, N=3, n_prime=1)
 
 
 class TestHandWorkedInstance:
@@ -68,8 +66,7 @@ class TestConstraintEdges:
         probs = {i: Fraction(1, 10) for i in range(4)}
         b = certify.exact_bounds_from_probs(0, (0,), probs, m=4)
         ctx = bounds.make_context(3000, 2500, 1500)  # sigma overflows to inf
-        q = certify.CertQuery(user=0, items=(0,), e=2500, N=2, n_prime=1,
-                              s=1500, bounds=b, ctx=ctx)
+        q = certify.CertQuery(bounds=b, ctx=ctx, N=2, n_prime=1)
         assert not certify.verify_constraint(1, q)
         assert certify.binary_search_r(q).r == 0
 
@@ -77,29 +74,24 @@ class TestConstraintEdges:
         probs = {0: Fraction(1, 2), 1: Fraction(1, 2)}
         b = certify.exact_bounds_from_probs(0, (0, 1), probs, m=2)
         ctx = bounds.make_context(5, 3, 2, exact_mode=True)
-        q = certify.CertQuery(user=0, items=(0, 1), e=3, N=4, n_prime=1, s=2,
-                              bounds=b, ctx=ctx)
+        q = certify.CertQuery(bounds=b, ctx=ctx, N=4, n_prime=1)
         assert certify.binary_search_r(q).r == 2
 
     def test_negative_cap_clamps_with_warning(self, caplog):
         # deliberately inconsistent bounds: lowers sum past N'
         b = bounds.ProbBounds(user=0, items_in=(0, 1),
-                              lower={0: 0.9, 1: 0.8}, upper={2: 0.05, 3: 0.0},
-                              alpha_u=0.1, m=4)
+                              lower=np.array([0.9, 0.8]),
+                              upper=np.array([0.05, 0.0]), alpha_u=0.1, m=4)
         ctx = bounds.make_context(20, 0, 5)
-        q = certify.CertQuery(user=0, items=(0, 1), e=0, N=3, n_prime=1, s=5,
-                              bounds=b, ctx=ctx)
+        q = certify.CertQuery(bounds=b, ctx=ctx, N=3, n_prime=1)
         with caplog.at_level("WARNING"):
             certify.verify_constraint(1, q)
         assert any("cap" in rec.message for rec in caplog.records)
 
     def test_empty_target_rejected(self):
         probs = {0: Fraction(1, 2)}
-        b = certify.exact_bounds_from_probs(0, (0,), probs, m=1)
-        ctx = bounds.make_context(5, 0, 2)
         with pytest.raises(ValueError):
-            certify.CertQuery(user=0, items=(), e=0, N=3, n_prime=1, s=2,
-                              bounds=b, ctx=ctx)
+            certify.exact_bounds_from_probs(0, (), probs, m=1)
 
 
 def _random_query(rng) -> certify.CertQuery:
@@ -114,24 +106,25 @@ def _random_query(rng) -> certify.CertQuery:
     in_set = set(items_in)
     denom = math.comb(n, s)
     if exact:
-        lower = {i: Fraction(int(rng.integers(0, denom + 1)), denom)
-                 for i in items_in}
-        upper = {j: Fraction(int(rng.integers(0, denom + 1)), denom)
-                 for j in range(m) if j not in in_set}
+        lower = [Fraction(int(rng.integers(0, denom + 1)), denom)
+                 for i in items_in]
+        upper = [Fraction(int(rng.integers(0, denom + 1)), denom)
+                 for j in range(m) if j not in in_set]
     else:
-        lower = {i: float(rng.uniform(0, 1)) for i in items_in}
-        upper = {j: float(rng.uniform(0, 1)) for j in range(m) if j not in in_set}
-    b = bounds.ProbBounds(user=0, items_in=items_in, lower=lower, upper=upper,
+        lower = [float(rng.uniform(0, 1)) for i in items_in]
+        upper = [float(rng.uniform(0, 1)) for j in range(m) if j not in in_set]
+    b = bounds.ProbBounds(user=0, items_in=items_in,
+                          lower=np.array(lower, dtype=object if exact else float),
+                          upper=np.array(upper, dtype=object if exact else float),
                           alpha_u=0.01, m=m)
     ctx = bounds.make_context(n, e, s, exact_mode=exact)
-    return certify.CertQuery(user=0, items=items_in, e=e, N=N,
-                             n_prime=int(rng.integers(1, 4)), s=s, bounds=b,
-                             ctx=ctx)
+    return certify.CertQuery(bounds=b, ctx=ctx, N=N,
+                             n_prime=int(rng.integers(1, 4)))
 
 
 def linear_scan_r(q: certify.CertQuery) -> int:
     best = 0
-    for rp in range(1, min(len(q.items), q.N) + 1):
+    for rp in range(1, min(len(q.bounds.items_in), q.N) + 1):
         if certify.verify_constraint(rp, q):
             best = rp
     return best
@@ -150,7 +143,7 @@ class TestSearchEquivalence:
         for _ in range(100):
             q = _random_query(rng)
             flags = [certify.verify_constraint(rp, q)
-                     for rp in range(1, min(len(q.items), q.N) + 1)]
+                     for rp in range(1, min(len(q.bounds.items_in), q.N) + 1)]
             first_false = flags.index(False) if False in flags else len(flags)
             assert all(flags[:first_false])
             assert not any(flags[first_false:])
@@ -168,9 +161,9 @@ class TestSweep:
     def test_monotone_in_e_and_complete(self):
         train, vc, targets = self._setup()
         e_list = [0, 1, 2, 4, 8]
-        sweep = certify.certify_sweep(train, vc, targets, alpha=0.2,
-                                      e_list=e_list, N=3, n_prime=1, s=5,
-                                      mode="approx", convention="lower_shapes")
+        sweep = certify.sweep(train, vc, targets, alpha=0.2,
+                              e_list=e_list, N=3, n_prime=1, s=5,
+                              mode="approx", convention="lower_shapes")[0]
         assert not sweep.skipped
         per_user = {u: [r.r for e in e_list for r in sweep.per_e[e]
                         if r.user == u] for u in range(14)}
@@ -181,9 +174,9 @@ class TestSweep:
 
     def test_alpha_budget_division(self):
         train, vc, targets = self._setup()
-        sweep = certify.certify_sweep(train, vc, targets, alpha=0.28,
-                                      e_list=[0], N=3, n_prime=1, s=5,
-                                      mode="approx", convention="lower_shapes")
+        sweep = certify.sweep(train, vc, targets, alpha=0.28,
+                              e_list=[0], N=3, n_prime=1, s=5,
+                              mode="approx", convention="lower_shapes")[0]
         res = sweep.per_e[0][0]
         assert res.alpha == pytest.approx(0.28 / 14)
 
@@ -191,8 +184,8 @@ class TestSweep:
         train, vc, targets = self._setup()
         kw = dict(alpha=0.2, e_list=[0, 1, 2], N=3, n_prime=1, s=5,
                   convention="lower_shapes")
-        approx = certify.certify_sweep(train, vc, targets, mode="approx", **kw)
-        exact = certify.certify_sweep(train, vc, targets, mode="exact", **kw)
+        approx = certify.sweep(train, vc, targets, mode="approx", **kw)[0]
+        exact = certify.sweep(train, vc, targets, mode="exact", **kw)[0]
         for e in (0, 1, 2):
             ra = {r.user: r.r for r in approx.per_e[e]}
             rx = {r.user: r.r for r in exact.per_e[e]}
@@ -204,22 +197,22 @@ class TestSweep:
         train, vc, _ = self._setup()
         targets = [[] for _ in range(14)]
         targets[3] = ensemble.ensemble_recommend(vc, train, 3, 3)
-        sweep = certify.certify_sweep(train, vc, targets, alpha=0.2,
-                                      e_list=[0], N=3, n_prime=1, s=5,
-                                      mode="approx", convention="lower_shapes")
+        sweep = certify.sweep(train, vc, targets, alpha=0.2,
+                              e_list=[0], N=3, n_prime=1, s=5,
+                              mode="approx", convention="lower_shapes")[0]
         assert len(sweep.per_e[0]) == 1
         assert set(sweep.skipped) == set(range(14)) - {3}
 
     def test_mismatched_counts_rejected(self):
         train, vc, targets = self._setup()
         with pytest.raises(ValueError):
-            certify.certify_sweep(train, vc, targets, alpha=0.2, e_list=[0],
-                                  N=3, n_prime=2, s=5, mode="approx",
-                                  convention="lower_shapes")
+            certify.sweep(train, vc, targets, alpha=0.2, e_list=[0],
+                          N=3, n_prime=2, s=5, mode="approx",
+                          convention="lower_shapes")
         with pytest.raises(ValueError):
-            certify.certify_sweep(train, vc, targets, alpha=0.2, e_list=[0],
-                                  N=3, n_prime=1, s=6, mode="approx",
-                                  convention="lower_shapes")
+            certify.sweep(train, vc, targets, alpha=0.2, e_list=[0],
+                          N=3, n_prime=1, s=6, mode="approx",
+                          convention="lower_shapes")
 
 
 class TestBagging:
@@ -256,8 +249,7 @@ class TestBagging:
 
     def test_requires_single_recommendation(self):
         q = _hand_query(0)
-        q2 = certify.CertQuery(user=0, items=q.items, e=0, N=3, n_prime=2,
-                               s=2, bounds=q.bounds, ctx=q.ctx)
+        q2 = certify.CertQuery(bounds=q.bounds, ctx=q.ctx, N=3, n_prime=2)
         with pytest.raises(ValueError):
             certify.bagging_baseline_r(q2)
 
@@ -265,8 +257,7 @@ class TestBagging:
         probs = {0: Fraction(1, 2), 1: Fraction(1, 4)}
         b = certify.exact_bounds_from_probs(0, (0, 1), probs, m=2)
         ctx = bounds.make_context(6, 2, 3, exact_mode=True)
-        q = certify.CertQuery(user=0, items=(0, 1), e=2, N=3, n_prime=1, s=3,
-                              bounds=b, ctx=ctx)
+        q = certify.CertQuery(bounds=b, ctx=ctx, N=3, n_prime=1)
         assert certify.bagging_baseline_r(q).r == 2
 
     def test_bagging_sweep_monotone(self):
@@ -275,9 +266,10 @@ class TestBagging:
                                         T=300, s=5, n_prime=1, master_seed=11)
         targets = [ensemble.ensemble_recommend(vc, train, u, 3)
                    for u in range(14)]
-        sweep = certify.bagging_sweep(train, vc, targets, alpha=0.2,
-                                      e_list=[0, 1, 3], N=3, s=5,
-                                      mode="approx", convention="lower_shapes")
+        sweep = certify.sweep(train, vc, targets, alpha=0.2,
+                              e_list=[0, 1, 3], N=3, n_prime=1, s=5,
+                              mode="approx", convention="lower_shapes",
+                              rules=("bagging",))[0]
         per_user = {}
         for e in (0, 1, 3):
             for r in sweep.per_e[e]:

@@ -198,6 +198,20 @@ class TestTrain:
                          "10", "--s", "500", "--out", str(root / "v")])
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [("--T", "0"), ("--chunk-size", "0"),
+                                       ("--chunk-size", "-1")],
+                             ids=["T0", "chunk0", "chunk_negative"])
+    def test_nonpositive_T_or_chunk_size_refused(self, dataset, split, flags,
+                                                 capsys):
+        root, _ = dataset
+        out = str(root / "votes_nonpositive.txt")
+        code = cli.main(["train", "--split", split, "--algo", "ir", "--T",
+                         "20", "--s", "8", "--out", out, *flags])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not os.path.exists(out)
+        assert not os.path.exists(out + ".partial")
+
 
 class TestRecommend:
     def test_csv_output(self, split, votes, capsys):
@@ -208,6 +222,14 @@ class TestRecommend:
         assert len(out) == 5
         ranks = [int(line.split(",")[1]) for line in out[1:]]
         assert ranks == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("user", ["-1", "30"])  # the split has 30 users
+    def test_user_out_of_range_refused(self, split, votes, user, capsys):
+        assert cli.main(["recommend", "--votes", votes, "--split", split,
+                         "--user", user]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert captured.out == ""
 
 
 class TestCertify:
@@ -301,6 +323,17 @@ class TestCertify:
         root, _ = dataset
         assert cli.main(["certify", "--votes", votes, "--split", split,
                          "--e", ",", "--out", str(root / "x")]) == 2
+
+    @pytest.mark.parametrize("command", ["certify", "baseline"])
+    @pytest.mark.parametrize("alpha", ["0", "1", "1.5"])
+    def test_alpha_outside_unit_interval_refused(self, dataset, split, votes,
+                                                 command, alpha, capsys):
+        root, _ = dataset
+        out = str(root / f"alpha_{command}_{alpha}")
+        assert cli.main([command, "--votes", votes, "--split", split,
+                         "--alpha", alpha, "--e", "0", "--out", out]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 class TestEvaluateAndBaseline:

@@ -93,8 +93,7 @@ def _certify_exact(matrix, probs, targets, s, n_prime, N, e):
             continue
         b = certify.exact_bounds_from_probs(u, targets[u], prob_row(probs, u),
                                             matrix.n_items)
-        q = certify.CertQuery(user=u, items=tuple(targets[u]), e=e, N=N,
-                              n_prime=n_prime, s=s, bounds=b, ctx=ctx)
+        q = certify.CertQuery(bounds=b, ctx=ctx, N=N, n_prime=n_prime)
         out.append(certify.binary_search_r(q))
     return out
 
