@@ -124,19 +124,36 @@ def _top_k_similarities(sub: csr_matrix, inv: np.ndarray, k: int) -> csr_matrix:
                        indptr), shape=(m, m))
 
 
+def _submatrix(matrix: RatingMatrix, users):
+    """Sorted user ids and their rows of the rating matrix, as a CSR gather.
+
+    Equal to matrix.csr[users] (same rows, same index order) without scipy's
+    fancy-indexing set-up, which dominates the cost of a tiny model.
+    """
+    users = np.asarray(sorted(int(u) for u in users), dtype=np.int64)
+    if users.size == 0:
+        raise ValueError("submatrix must contain at least one user")
+    csr = matrix.csr
+    starts = csr.indptr[users]
+    lengths = csr.indptr[users + 1] - starts
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    pos = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+    return users, csr_matrix((csr.data[pos], csr.indices[pos], indptr),
+                             shape=(users.size, csr.shape[1]))
+
+
 def train_ir(matrix: RatingMatrix, users: np.ndarray, params: IRParams = IRParams()) -> BaseModel:
     """Item-neighborhood model: cosine similarity between item rating columns.
 
     Only the k most similar items are kept per item; the predicted score for
     (u, i) sums sim(i, j) * score(u, j) over the rated neighbors j of i.
     """
-    users = np.asarray(sorted(int(u) for u in users), dtype=np.int64)
-    if users.size == 0:
-        raise ValueError("submatrix must contain at least one user")
-    sub = matrix.csr[users].tocsr()
-    norms = np.sqrt(np.asarray(sub.power(2).sum(axis=0)).ravel())
-    inv = np.divide(1.0, norms, out=np.zeros(matrix.n_items), where=norms > 0)
-    seen = np.flatnonzero(sub.getnnz(axis=0))
+    users, sub = _submatrix(matrix, users)
+    m = matrix.n_items
+    # column sums of squares, added from the lowest user up like sub.power(2)
+    norms = np.sqrt(np.bincount(sub.indices, sub.data * sub.data, minlength=m))
+    inv = np.divide(1.0, norms, out=np.zeros(m), where=norms > 0)
+    seen = np.flatnonzero(np.bincount(sub.indices, minlength=m))
     return BaseModel(algo="ir", users=users, seen_items=seen, sub=sub,
                      sim=_top_k_similarities(sub, inv, params.k))
 
@@ -173,10 +190,7 @@ def train_bpr(matrix: RatingMatrix, users: np.ndarray, params: BPRParams = BPRPa
     negatives uniformly from the items the user has not rated (anywhere in the
     catalog). Fully deterministic for a fixed seed.
     """
-    users = np.asarray(sorted(int(u) for u in users), dtype=np.int64)
-    if users.size == 0:
-        raise ValueError("submatrix must contain at least one user")
-    sub = matrix.csr[users].tocsr()
+    users, sub = _submatrix(matrix, users)
     s, m = sub.shape
     rng = np.random.default_rng(params.seed)
     p = rng.normal(0.0, 0.1, size=(s, params.d))
@@ -204,7 +218,7 @@ def train_bpr(matrix: RatingMatrix, users: np.ndarray, params: BPRParams = BPRPa
                 p[r] += lr * (g * (q[i] - q[j]) - 2.0 * reg * pu)
                 q[i] += lr * (g * pu_old - 2.0 * reg * q[i])
                 q[j] += lr * (-g * pu_old - 2.0 * reg * q[j])
-    seen = np.flatnonzero(sub.getnnz(axis=0))
+    seen = np.flatnonzero(np.bincount(sub.indices, minlength=m))
     return BaseModel(algo="bpr", users=users, seen_items=seen, sub=sub,
                      user_factors=p, item_factors=q)
 

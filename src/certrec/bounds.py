@@ -96,11 +96,14 @@ def incomplete_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
 
 
-def beta_quantile(beta: float, a: float, b: float) -> float:
+def beta_quantile(beta: float, a: float, b: float, upper: bool = False) -> float:
     """x with I_x(a, b) = beta, by bisection on the monotone CDF.
 
     Bisects below the 1e-12 width target all the way to the floating-point
     grid so the CDF residual stays small even where the density is steep.
+    The bracket keeps I_lo(a, b) < beta <= I_hi(a, b), and the end returned
+    is the safe one for a confidence bound: lo for a lower bound, hi when
+    upper is set.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must be in (0, 1), got {beta}")
@@ -115,13 +118,13 @@ def beta_quantile(beta: float, a: float, b: float) -> float:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return hi if upper else lo
 
 
 @lru_cache(maxsize=65536)
-def _quantile_cached(beta: float, a: float, b: float) -> float:
+def _quantile_cached(beta: float, a: float, b: float, upper: bool) -> float:
     # vote-count spectra repeat heavily across users; cache pays for itself
-    return beta_quantile(beta, a, b)
+    return beta_quantile(beta, a, b, upper)
 
 
 def cp_lower(t_i: int, t: int, beta: float) -> float:
@@ -130,7 +133,7 @@ def cp_lower(t_i: int, t: int, beta: float) -> float:
         raise ValueError(f"need 0 <= t_i <= t, got t_i={t_i}, t={t}")
     if t_i == 0:
         return 0.0
-    return _quantile_cached(beta, float(t_i), float(t - t_i + 1))
+    return _quantile_cached(beta, float(t_i), float(t - t_i + 1), False)
 
 
 def cp_upper(t_j: int, t: int, beta_level: float, convention: str = "lower_shapes") -> float:
@@ -151,8 +154,9 @@ def cp_upper(t_j: int, t: int, beta_level: float, convention: str = "lower_shape
         # degenerate under lower_shapes, so both conventions use this value
         return 1.0 - beta_level ** (1.0 / t)
     if convention == "lower_shapes":
-        return _quantile_cached(1.0 - beta_level, float(t_j), float(t - t_j + 1))
-    return _quantile_cached(1.0 - beta_level, float(t_j + 1), float(t - t_j))
+        return _quantile_cached(1.0 - beta_level, float(t_j), float(t - t_j + 1),
+                                True)
+    return _quantile_cached(1.0 - beta_level, float(t_j + 1), float(t - t_j), True)
 
 
 @dataclass(frozen=True)

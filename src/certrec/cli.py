@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
 import math
 import os
 import sys
@@ -280,9 +281,11 @@ def _target_sets(target: str, vc, train, tests, N: int):
             for u in range(train.n_users)]
 
 
-def _metric_rows(sweep, tests, N, e_list, eligible):
+def _metric_rows(sweep, targets, N, e_list, eligible):
+    # floors against the certified set I_u: the held-out items for
+    # test-items, the clean top-N itself for clean-topn
     return [metrics.average_over_users(
-        e, [metrics.certified_metrics(res.r, N, tests.size(res.user))
+        e, [metrics.certified_metrics(res.r, N, len(targets[res.user]))
             for res in sweep.per_e[e] if res.user in eligible])
         for e in e_list]
 
@@ -309,7 +312,7 @@ def _sweep_rows(args, rules):
                            cfg["bounds.upper_convention"], rules)
     eligible = {u for u in range(train.n_users)
                 if tests.size(u) > 0 and len(targets[u]) > 0}
-    rows = [_metric_rows(sw, tests, N, e_list, eligible) for sw in sweeps]
+    rows = [_metric_rows(sw, targets, N, e_list, eligible) for sw in sweeps]
     return cfg, e_list, sweeps, rows
 
 
@@ -483,6 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--config", help="key=value config file; flags override it")
+        sp.add_argument("--log-level", dest="log_level", default="WARNING",
+                        choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+                        help="threshold for log messages on stderr")
 
     sp = sub.add_parser("ingest", help="parse ratings and write a train/test split")
     common(sp)
@@ -584,6 +590,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # a no-op when the host process has configured logging already
+    logging.basicConfig(level=args.log_level, stream=sys.stderr,
+                        format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except (ValueError, OSError, ratings.ParseError) as exc:

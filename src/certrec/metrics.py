@@ -1,9 +1,11 @@
 """Standard and certified Precision/Recall/F1 at N.
 
 Certified metrics are worst-case floors implied by a certified intersection
-size r against the held-out set E_u: precision >= r/N, recall >= r/|E_u|,
-F1 >= 2r/(|E_u|+N). The F1 floor is computed directly from that formula (it
-equals the harmonic mean of the unrounded precision and recall floors).
+size r against a target set, the held-out set E_u or the clean top-N:
+precision >= r/N, recall >= r/|E_u|, F1 >= 2r/(|E_u|+N), with |E_u| read as
+the size of whichever set r was certified against. The F1 floor is computed
+directly from that formula (it equals the harmonic mean of the unrounded
+precision and recall floors).
 """
 
 from __future__ import annotations

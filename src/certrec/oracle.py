@@ -5,14 +5,16 @@ Enumerating all C(n,s) submatrices gives exact item probabilities, the
 reference against which sampled vote counts are validated. Appending real
 fake-user rows and recomputing the exact poisoned ensemble can then only
 falsify a certificate, never prove one: any observed intersection below the
-certified r is a build-failing bug.
+certified r is a build-failing bug. The attack checks enumerate the clean
+submatrices once and, per poisoning, train only the subsets that hold a fake
+user.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.sparse import csr_matrix, vstack
@@ -40,13 +42,40 @@ def exact_item_probs(matrix: RatingMatrix, algo: str, params, s: int,
     if total > MAX_ENUM:
         raise ValueError(f"C({n},{s}) = {total} exceeds the enumeration guard {MAX_ENUM}")
     hits = np.zeros((n, m), dtype=np.int32)
-    for subset in itertools.combinations(range(n), s):
+    _add_votes(hits, matrix, algo, params, itertools.combinations(range(n), s),
+               n_prime)
+    return VoteCounts(T=total, n_prime=n_prime, s=s, counts=hits,
+                      master_seed=0, algo=algo)  # nothing is sampled
+
+
+def _add_votes(hits, matrix, algo, params, subsets, n_prime) -> None:
+    """Train one model per subset and add each member's votes to hits."""
+    for subset in subsets:
         model = train_base(algo, matrix, np.asarray(subset), params)
         for u in subset:
             for i in recommend(model, u, n_prime):
                 hits[u, i] += 1
-    return VoteCounts(T=total, n_prime=n_prime, s=s, counts=hits,
-                      master_seed=0, algo=algo)  # nothing is sampled
+
+
+def _poisoned_counts(clean: VoteCounts, poisoned: RatingMatrix,
+                     params) -> VoteCounts:
+    """exact_item_probs(poisoned, ...) from the clean matrix's exact counts.
+
+    The poisoned matrix is the clean one with fake rows appended. A subset
+    of genuine users trains on the same rows and the same params as in the
+    clean enumeration, so it casts the same votes: the clean counts stand in
+    for all of them, and only the subsets holding a fake user (an index >= n)
+    are trained. T is still C(n + e, s) over every subset.
+    """
+    n, s = clean.n, clean.s
+    hits = np.zeros((poisoned.n_users, poisoned.n_items), dtype=np.int32)
+    hits[:n] = clean.counts
+    # combinations come sorted, so the last index is the largest
+    _add_votes(hits, poisoned, clean.algo, params,
+               (sub for sub in itertools.combinations(range(poisoned.n_users), s)
+                if sub[-1] >= n),
+               clean.n_prime)
+    return replace(clean, T=math.comb(poisoned.n_users, s), counts=hits)
 
 
 def append_fake_users(matrix: RatingMatrix, fake_rows: np.ndarray) -> RatingMatrix:
@@ -110,9 +139,9 @@ class ViolationReport:
         return not self.violations
 
 
-def _check_one_poisoning(matrix, poisoned, algo, params, s, n_prime, N,
-                         targets, cert_r, trial, violations, min_inter):
-    probs = exact_item_probs(poisoned, algo, params, s, n_prime)
+def _check_one_poisoning(matrix, clean, poisoned, params, N, targets, cert_r,
+                         trial, violations, min_inter):
+    probs = _poisoned_counts(clean, poisoned, params)
     for u, r_u in cert_r.items():
         topn = ensemble_recommend(probs, matrix, u, N)
         inter = len(set(targets[u]) & set(topn))
@@ -130,25 +159,26 @@ def attack_soundness_check(matrix: RatingMatrix, algo: str, params, s: int,
 
     cert_results: per-user CertResult (or any object with .user and .r);
     targets: user -> I_u the certificates were computed for. Each trial
-    appends e fake rows, recomputes the exact poisoned ensemble by full
-    enumeration over C(n+e, s) subsets, and records any user whose observed
-    intersection drops below the certified r.
+    appends e fake rows, recomputes the exact poisoned ensemble over all
+    C(n+e, s) subsets (the clean ones enumerated once, up front), and records
+    any user whose observed intersection drops below the certified r.
     """
     if math.comb(matrix.n_users + e, s) > MAX_ENUM:
         raise ValueError("poisoned instance exceeds the enumeration guard")
     cert_r = {res.user: res.r for res in cert_results}
+    clean = exact_item_probs(matrix, algo, params, s, n_prime)
     rng = np.random.default_rng(seed)
     violations, min_inter = [], {}
     if e == 0:
-        _check_one_poisoning(matrix, matrix, algo, params, s, n_prime, N,
-                             targets, cert_r, 0, violations, min_inter)
+        _check_one_poisoning(matrix, clean, matrix, params, N, targets,
+                             cert_r, 0, violations, min_inter)
         return ViolationReport(trials=1, violations=tuple(violations),
                                min_intersection=min_inter)
     for trial in range(trials):
         rows = make_fake_rows(matrix, e, attack, rng)
         poisoned = append_fake_users(matrix, rows)
-        _check_one_poisoning(matrix, poisoned, algo, params, s, n_prime, N,
-                             targets, cert_r, trial, violations, min_inter)
+        _check_one_poisoning(matrix, clean, poisoned, params, N, targets,
+                             cert_r, trial, violations, min_inter)
     return ViolationReport(trials=trials, violations=tuple(violations),
                            min_intersection=min_inter)
 
@@ -167,6 +197,7 @@ def exhaustive_two_level_check(matrix: RatingMatrix, algo: str, params, s: int,
     if math.comb(matrix.n_users + 1, s) > MAX_ENUM or m > 20:
         raise ValueError("exhaustive adversary is desk-scale only")
     cert_r = {res.user: res.r for res in cert_results}
+    clean = exact_item_probs(matrix, algo, params, s, n_prime)
     violations, min_inter = [], {}
     hi = matrix.domain.hi
     for pattern in range(2 ** m):
@@ -175,7 +206,7 @@ def exhaustive_two_level_check(matrix: RatingMatrix, algo: str, params, s: int,
             if pattern >> i & 1:
                 row[0, i] = hi
         poisoned = append_fake_users(matrix, row)
-        _check_one_poisoning(matrix, poisoned, algo, params, s, n_prime, N,
-                             targets, cert_r, pattern, violations, min_inter)
+        _check_one_poisoning(matrix, clean, poisoned, params, N, targets,
+                             cert_r, pattern, violations, min_inter)
     return ViolationReport(trials=2 ** m, violations=tuple(violations),
                            min_intersection=min_inter)

@@ -62,6 +62,29 @@ class TestBetaQuantile:
         with pytest.raises(ValueError):
             bounds.beta_quantile(0.5, -1.0, 2.0)
 
+    def test_directed_rounding(self):
+        # the end of the final bracket returned lies on the safe side of the
+        # level: never above it for a lower bound, never below for an upper
+        shapes = (0.5, 1.0, 2.0, 7.0, 50.0, 300.0, 2000.0)
+        for a in shapes:
+            for b in shapes:
+                for beta in (1e-9, 1e-6, 1e-3, 0.025, 0.5):
+                    lo = bounds.beta_quantile(beta, a, b)
+                    assert bounds.incomplete_beta(a, b, lo) <= beta
+                    hi = bounds.beta_quantile(1.0 - beta, a, b, upper=True)
+                    assert bounds.incomplete_beta(a, b, hi) >= 1.0 - beta
+                    assert lo <= bounds.beta_quantile(beta, a, b, upper=True)
+
+    def test_cp_bounds_round_outward(self):
+        t, beta = 500, 1e-4
+        for k in range(1, t):
+            low = bounds.cp_lower(k, t, beta)
+            assert bounds.incomplete_beta(k, t - k + 1, low) <= beta
+            for convention, (a, b) in (("lower_shapes", (k, t - k + 1)),
+                                       ("textbook", (k + 1, t - k))):
+                up = bounds.cp_upper(k, t, beta, convention)
+                assert bounds.incomplete_beta(a, b, up) >= 1.0 - beta
+
     @given(st.floats(0.5, 50.0), st.floats(0.5, 50.0),
            st.floats(0.001, 0.999), st.floats(0.001, 0.999))
     @settings(max_examples=60, deadline=None)

@@ -4,11 +4,14 @@ import csv
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from certrec import base_rec, certify, cli, ensemble
+import certrec
+from certrec import base_rec, certify, cli, ensemble, ratings
 
 
 @pytest.fixture(scope="module")
@@ -334,6 +337,93 @@ class TestCertify:
                          "--alpha", alpha, "--e", "0", "--out", out]) == 2
         assert "error:" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+
+def _write_tab(path, rated):
+    """MovieLens tab file from {user: [(item, stars), ...]} (1-based ids)."""
+    path.write_text("".join(f"{u}\t{i}\t{r}\t881250949\n"
+                            for u, pairs in rated.items() for i, r in pairs))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def topn_instance(tmp_path_factory):
+    """30 users x 40 items with 12 ratings each: the default split holds out
+    3 per user, and T=2000 votes over s=10 certify some users' clean top-5
+    beyond those 3 items."""
+    root = tmp_path_factory.mktemp("topn")
+    rng = np.random.default_rng(11)
+    data = _write_tab(root / "ratings.tsv", {
+        u: [(int(i), int(rng.integers(1, 6)))
+            for i in sorted(rng.choice(40, size=12, replace=False) + 1)]
+        for u in range(1, 31)})
+    split, votes = str(root / "split.txt"), str(root / "votes.txt")
+    assert cli.main(["ingest", "--data", data, "--out", split]) == 0
+    assert cli.main(["train", "--split", split, "--s", "10", "--T", "2000",
+                     "--out", votes]) == 0
+    return root, split, votes
+
+
+class TestCleanTopnFloors:
+    @pytest.mark.parametrize("mode", ["approx", "exact"])
+    def test_floors_against_clean_topn(self, topn_instance, mode):
+        # r is counted over the clean top-N, so its floors divide by |I_u|;
+        # dividing by |E_u| refused r > |E_u| and the command exited 2
+        root, split, votes = topn_instance
+        out = str(root / f"cert_{mode}")
+        assert cli.main(["certify", "--votes", votes, "--split", split,
+                         "--target", "clean-topn", "--N", "5", "--alpha",
+                         "0.2", "--e", "0:2", "--mode", mode,
+                         "--out", out]) == 0
+        train, tests, _ = ratings.load_split(split)
+        vc = ensemble.load_votes(votes)
+        size = {u: len(ensemble.ensemble_recommend(vc, train, u, 5))
+                for u in range(train.n_users)}
+        with open(os.path.join(out, "per_user.csv")) as fh:
+            r = {(int(row["user"]), int(row["e"])): int(row["r"])
+                 for row in csv.DictReader(fh)}
+        assert any(r_u > tests.size(u) for (u, _), r_u in r.items())
+        with open(os.path.join(out, "aggregate.json")) as fh:
+            agg = json.load(fh)
+        assert [row["e"] for row in agg] == [0, 1, 2]
+        for row in agg:
+            users = [u for u in range(train.n_users) if (u, row["e"]) in r]
+            assert row["n_users"] == len(users) == train.n_users
+            assert row["cert_precision"] == pytest.approx(
+                sum(r[u, row["e"]] / 5 for u in users) / len(users))
+            assert row["cert_recall"] == pytest.approx(
+                sum(r[u, row["e"]] / size[u] for u in users) / len(users))
+
+
+class TestLogLevel:
+    def test_info_goes_to_stderr_only(self, tmp_path):
+        # user 12 has a single rating, so nothing is held out and certify
+        # skips it with an INFO message
+        rng = np.random.default_rng(4)
+        rated = {u: [(int(i), int(rng.integers(1, 6)))
+                     for i in sorted(rng.choice(10, size=6, replace=False) + 1)]
+                 for u in range(1, 12)}
+        rated[12] = [(3, 4)]
+        data = _write_tab(tmp_path / "ratings.tsv", rated)
+        split, votes = str(tmp_path / "split.txt"), str(tmp_path / "votes.txt")
+        assert cli.main(["ingest", "--data", data, "--out", split]) == 0
+        assert cli.main(["train", "--split", split, "--s", "4", "--T", "30",
+                         "--out", votes]) == 0
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(
+            os.path.dirname(certrec.__file__))}
+
+        def run(*extra):
+            return subprocess.run(
+                [sys.executable, "-m", "certrec.cli", "certify", "--votes",
+                 votes, "--split", split, "--e", "0:1", "--alpha", "0.2",
+                 "--out", str(tmp_path / "cert"), *extra],
+                capture_output=True, text=True, env=env, check=True)
+
+        quiet, loud = run(), run("--log-level", "INFO")
+        message = "skipped 1 users with empty target sets: [11]"
+        assert message in loud.stderr and "INFO certrec.certify" in loud.stderr
+        assert message not in quiet.stderr
+        assert loud.stdout == quiet.stdout != ""
 
 
 class TestEvaluateAndBaseline:

@@ -170,3 +170,105 @@ class TestSoundness:
             oracle.exhaustive_two_level_check(
                 matrix, "ir", base_rec.IRParams(), s=2, n_prime=1, N=2,
                 cert_results=[], targets={u: () for u in range(5)})
+
+
+def _full_counts(clean, poisoned, params):
+    """Reference for oracle._poisoned_counts: re-enumerate every subset."""
+    return oracle.exact_item_probs(poisoned, clean.algo, params, clean.s,
+                                   clean.n_prime)
+
+
+def _assert_same_counts(got, want):
+    assert (got.T, got.n_prime, got.s, got.algo) == \
+        (want.T, want.n_prime, want.s, want.algo)
+    assert np.array_equal(got.counts, want.counts)
+
+
+class TestIncrementalPoisoning:
+    """The attack checks reuse the clean counts and train only the subsets
+    that hold a fake user; full re-enumeration must agree exactly."""
+
+    @pytest.mark.parametrize("algo,params", [
+        ("ir", base_rec.IRParams(k=2)),
+        ("bpr", base_rec.BPRParams(d=4, epochs=3))])
+    @pytest.mark.parametrize("n_prime", [1, 2])
+    @pytest.mark.parametrize("e", [1, 2, 3])
+    def test_random_poisonings(self, algo, params, n_prime, e):
+        # s=2: at e >= 2 some subsets hold fake users only
+        matrix = random_tiny_matrix(5, 6, seed=10 + e)
+        clean = oracle.exact_item_probs(matrix, algo, params, 2, n_prime)
+        rng = np.random.default_rng(e)
+        for attack in oracle.ATTACKS:
+            poisoned = oracle.append_fake_users(
+                matrix, oracle.make_fake_rows(matrix, e, attack, rng))
+            got = oracle._poisoned_counts(clean, poisoned, params)
+            assert got.T == math.comb(5 + e, 2)
+            _assert_same_counts(got, _full_counts(clean, poisoned, params))
+
+    def test_every_two_level_pattern(self):
+        matrix = random_tiny_matrix(5, 4, seed=6)
+        params = base_rec.IRParams()
+        clean = oracle.exact_item_probs(matrix, "ir", params, 2, 1)
+        for pattern in range(2 ** 4):
+            row = [[matrix.domain.hi * (pattern >> i & 1) for i in range(4)]]
+            poisoned = oracle.append_fake_users(matrix, np.array(row))
+            _assert_same_counts(oracle._poisoned_counts(clean, poisoned, params),
+                                _full_counts(clean, poisoned, params))
+
+    def test_models_trained(self, monkeypatch):
+        # C(5,2) clean models once, then C(6,2) - C(5,2) per fake row; no
+        # poisoned model at all when e=0
+        matrix = random_tiny_matrix(5, 4, seed=6)
+        trained = []
+        real = oracle.train_base
+
+        def counted(*args):
+            trained.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "train_base", counted)
+        oracle.exhaustive_two_level_check(
+            matrix, "ir", base_rec.IRParams(), s=2, n_prime=1, N=2,
+            cert_results=[], targets={})
+        assert len(trained) == 10 + 2 ** 4 * 5
+        trained.clear()
+        oracle.attack_soundness_check(
+            matrix, "ir", base_rec.IRParams(), s=2, n_prime=1, N=2, e=0,
+            attack="random-ratings", trials=3, seed=0, cert_results=[],
+            targets={})
+        assert len(trained) == 10
+
+    @pytest.mark.parametrize("check", ["two-level", "random-ratings-e0",
+                                       "random-ratings-e2",
+                                       "copy-popular-e3"])
+    def test_reports_match_full_enumeration(self, monkeypatch, check):
+        matrix = random_tiny_matrix(5, 4, seed=5)
+        params = base_rec.IRParams()
+        probs = oracle.exact_item_probs(matrix, "ir", params, 2, 1)
+        targets = {u: tuple(ensemble.ensemble_recommend(probs, matrix, u, 2))
+                   for u in range(5)}
+        # claiming each whole target set makes some trials violate, so the
+        # comparison covers nonempty violation lists
+        claimed = [certify.CertResult(user=u, e=1, r=len(targets[u]),
+                                      alpha=0.0, mode="exact")
+                   for u in range(5) if targets[u]]
+
+        def run():
+            if check == "two-level":
+                return oracle.exhaustive_two_level_check(
+                    matrix, "ir", params, s=2, n_prime=1, N=2,
+                    cert_results=claimed, targets=targets)
+            attack, _, e = check.rpartition("-e")
+            return oracle.attack_soundness_check(
+                matrix, "ir", params, s=2, n_prime=1, N=2, e=int(e),
+                attack=attack, trials=6, seed=3, cert_results=claimed,
+                targets=targets)
+
+        fast = run()
+        with monkeypatch.context() as mp:
+            mp.setattr(oracle, "_poisoned_counts", _full_counts)
+            full = run()
+        assert (fast.trials, fast.violations, fast.min_intersection) == \
+            (full.trials, full.violations, full.min_intersection)
+        if check != "random-ratings-e0":
+            assert fast.violations
