@@ -10,8 +10,7 @@ Precision/Recall/F1 floors.
 """
 
 from .base_rec import BPRParams, IRParams, recommend, train_base
-from .bounds import (cp_lower, cp_upper, estimate_bounds, incomplete_beta,
-                     make_context)
+from .bounds import cp_lower, cp_upper, estimate_bounds, make_context
 from .certify import (CertQuery, CertResult, binary_search_r, sweep,
                       verify_constraint)
 from .ensemble import (VoteCounts, build_vote_counts, derive_seed,
@@ -24,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BPRParams", "IRParams", "recommend", "train_base",
-    "cp_lower", "cp_upper", "estimate_bounds", "incomplete_beta", "make_context",
+    "cp_lower", "cp_upper", "estimate_bounds", "make_context",
     "CertQuery", "CertResult", "binary_search_r", "sweep", "verify_constraint",
     "VoteCounts", "build_vote_counts", "derive_seed", "ensemble_recommend",
     "load_votes", "save_votes",

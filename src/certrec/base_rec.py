@@ -211,13 +211,10 @@ def train_bpr(matrix: RatingMatrix, users: np.ndarray, params: BPRParams = BPRPa
                 j = int(rng.integers(m))
                 while j in rated:
                     j = int(rng.integers(m))
-                pu = p[r]
-                diff = float(pu @ q[i] - pu @ q[j])
-                g = _sigmoid(-diff)  # ascent weight on the ranking term
-                pu_old = pu.copy()
-                p[r] += lr * (g * (q[i] - q[j]) - 2.0 * reg * pu)
-                q[i] += lr * (g * pu_old - 2.0 * reg * q[i])
-                q[j] += lr * (-g * pu_old - 2.0 * reg * q[j])
+                gp, gi, gj = bpr_pair_grads(p[r], q[i], q[j], reg)
+                p[r] -= lr * gp
+                q[i] -= lr * gi
+                q[j] -= lr * gj
     seen = np.flatnonzero(np.bincount(sub.indices, minlength=m))
     return BaseModel(algo="bpr", users=users, seen_items=seen, sub=sub,
                      user_factors=p, item_factors=q)

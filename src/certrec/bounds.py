@@ -20,101 +20,38 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+import scipy.special
 
 __all__ = [
     "beta_quantile", "cp_lower", "cp_upper", "estimate_bounds",
     "make_context", "round_lower_star", "round_upper_star",
-    "CombinatoricContext", "ProbBounds", "UPPER_CONVENTIONS",
+    "CombinatoricContext", "ProbBounds",
 ]
 
-UPPER_CONVENTIONS = ("lower_shapes", "textbook")
-
-_QUANTILE_TOL = 1e-12  # bisection width target; iteration continues to ULP level
-_CF_EPS = 3e-16
-_CF_TINY = 1e-300
-_CF_MAX_ITER = 500
-
-
-def _log_beta(a: float, b: float) -> float:
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-
-
-def _beta_cf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz iteration)."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _CF_TINY:
-        d = _CF_TINY
-    d = 1.0 / d
-    h = d
-    for mm in range(1, _CF_MAX_ITER + 1):
-        m = float(mm)
-        m2 = 2.0 * m
-        # even step
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        h *= d * c
-        # odd step
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h
-    return h  # converged to working precision in practice long before this
-
-
-def incomplete_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b) for a, b > 0, x in [0, 1]."""
-    if a <= 0 or b <= 0:
-        raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = a * math.log(x) + b * math.log1p(-x) - _log_beta(a, b)
-    front = math.exp(ln_front)
-    # the continued fraction converges fast only on one side of the mean;
-    # use the symmetry I_x(a,b) = 1 - I_{1-x}(b,a) on the other
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cf(a, b, x) / a
-    return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
+# every bound is computed at level beta * (1 - _LEVEL_MARGIN): scipy's
+# incomplete beta errs by far less than that, so the bound still meets beta
+_LEVEL_MARGIN = 1e-12
 
 
 def beta_quantile(beta: float, a: float, b: float, upper: bool = False) -> float:
-    """x with I_x(a, b) = beta, by bisection on the monotone CDF.
+    """x with I_x(a, b) = beta, or with 1 - I_x(a, b) = beta when upper is set.
 
-    Bisects below the 1e-12 width target all the way to the floating-point
-    grid so the CDF residual stays small even where the density is steep.
-    The bracket keeps I_lo(a, b) < beta <= I_hi(a, b), and the end returned
-    is the safe one for a confidence bound: lo for a lower bound, hi when
-    upper is set.
+    Bisects scipy's betainc (betaincc when upper, so a small upper-tail mass
+    keeps its relative precision) down to a one-ULP bracket, and returns its
+    safe end for a confidence bound: lo for a lower bound, hi for an upper.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must be in (0, 1), got {beta}")
     if a <= 0 or b <= 0:
         raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
+    tail = scipy.special.betaincc if upper else scipy.special.betainc
     lo, hi = 0.0, 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # interval is one ULP wide
-        if incomplete_beta(a, b, mid) < beta:
+        mass = tail(a, b, mid)  # betainc rises with x, betaincc falls
+        if (mass > beta) if upper else (mass < beta):
             lo = mid
         else:
             hi = mid
@@ -128,35 +65,24 @@ def _quantile_cached(beta: float, a: float, b: float, upper: bool) -> float:
 
 
 def cp_lower(t_i: int, t: int, beta: float) -> float:
-    """One-sided lower confidence bound on p from t_i successes in t trials."""
+    """Lower bound L on p from t_i successes in t trials: P_L(X >= t_i) <= beta."""
     if not 0 <= t_i <= t:
         raise ValueError(f"need 0 <= t_i <= t, got t_i={t_i}, t={t}")
     if t_i == 0:
         return 0.0
-    return _quantile_cached(beta, float(t_i), float(t - t_i + 1), False)
+    return _quantile_cached(beta * (1.0 - _LEVEL_MARGIN), float(t_i),
+                            float(t - t_i + 1), False)
 
 
-def cp_upper(t_j: int, t: int, beta_level: float, convention: str = "lower_shapes") -> float:
-    """One-sided upper confidence bound on p from t_j successes in t trials.
-
-    convention "lower_shapes" evaluates Beta(1-beta_level; t_j, t-t_j+1),
-    the same shape pair as the lower bound; "textbook" uses (t_j+1, t-t_j).
-    Both agree at t_j=0, where the bound is 1 - beta_level**(1/t) exactly.
-    """
+def cp_upper(t_j: int, t: int, beta: float) -> float:
+    """Upper bound U on p from t_j successes in t trials: P_U(X <= t_j) <= beta."""
     if not 0 <= t_j <= t:
         raise ValueError(f"need 0 <= t_j <= t, got t_j={t_j}, t={t}")
-    if convention not in UPPER_CONVENTIONS:
-        raise ValueError(f"unknown upper convention {convention!r}")
     if t_j == t:
         return 1.0
-    if t_j == 0:
-        # Beta(1-beta; 1, t) has the closed form 1 - beta**(1/t); shape 0 is
-        # degenerate under lower_shapes, so both conventions use this value
-        return 1.0 - beta_level ** (1.0 / t)
-    if convention == "lower_shapes":
-        return _quantile_cached(1.0 - beta_level, float(t_j), float(t - t_j + 1),
-                                True)
-    return _quantile_cached(1.0 - beta_level, float(t_j + 1), float(t - t_j), True)
+    # P_U(X <= t_j) is the upper tail of Beta(t_j + 1, t - t_j) at U
+    return _quantile_cached(beta * (1.0 - _LEVEL_MARGIN), float(t_j + 1),
+                            float(t - t_j), True)
 
 
 @dataclass(frozen=True)
@@ -218,8 +144,7 @@ def _per_count(bound, counts) -> np.ndarray:
     return np.array([bound(int(c)) for c in values], dtype=np.float64)[inverse]
 
 
-def estimate_bounds(counts, user: int, items_in, alpha_u: float,
-                    convention: str = "lower_shapes") -> ProbBounds:
+def estimate_bounds(counts, user: int, items_in, alpha_u: float) -> ProbBounds:
     """Simultaneous bounds for one user from vote counts.
 
     Bonferroni: each of the m per-item bounds gets budget alpha_u / m, so all
@@ -233,7 +158,7 @@ def estimate_bounds(counts, user: int, items_in, alpha_u: float,
     row = counts.counts[user]
     budget = alpha_u / m
     lower = _per_count(lambda c: cp_lower(c, t, budget), row[inside])
-    upper = _per_count(lambda c: cp_upper(c, t, budget, convention), row[~inside])
+    upper = _per_count(lambda c: cp_upper(c, t, budget), row[~inside])
     return ProbBounds(user=user, items_in=items_in, lower=lower, upper=upper,
                       alpha_u=alpha_u, m=m)
 

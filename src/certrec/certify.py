@@ -148,7 +148,7 @@ RULES = ("joint", "bagging")
 
 def sweep(train, counts, target_sets, alpha: float, e_list, N: int,
           n_prime: int, s: int, mode: str = "approx",
-          convention: str = "lower_shapes", rules=("joint",)) -> tuple:
+          rules=("joint",)) -> tuple:
     """Certify every user under each rule at every e in e_list.
 
     target_sets maps user -> I_u (anything iterable of item ids). "joint" is
@@ -179,7 +179,7 @@ def sweep(train, counts, target_sets, alpha: float, e_list, N: int,
         if not items:
             skipped.append(u)
             continue
-        b = estimate_bounds(counts, u, items, alpha_u, convention)
+        b = estimate_bounds(counts, u, items, alpha_u)
         if exact:
             b = _exactify(b)
         for rule, per_e in zip(rules, per_rule):

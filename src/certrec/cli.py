@@ -22,7 +22,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import base_rec, certify, ensemble, metrics, oracle, ratings
-from .bounds import UPPER_CONVENTIONS
 
 # defaults mirror the reference evaluation setup; T is shipped smaller than
 # the reference 100000 because certified values only grow with T (the shipped
@@ -39,7 +38,7 @@ DEFAULTS = {
     "alpha": 0.001,
     "e": "0:30",
     "mode": "approx",
-    "threads": None,        # resolved via --threads, then PORE_THREADS, then 1
+    "threads": 1,
     "chunk_size": 200,
     "ir.k": 50,
     "bpr.d": 16,
@@ -47,7 +46,6 @@ DEFAULTS = {
     "bpr.learn_rate": 0.05,
     "bpr.reg": 0.01,
     "bpr.neg_samples": 1,
-    "bounds.upper_convention": "lower_shapes",
 }
 
 _INT_KEYS = {"seed", "s", "T", "nprime", "N", "threads", "chunk_size",
@@ -83,11 +81,7 @@ class RunConfig:
         return self.ir_params() if algo == "ir" else self.bpr_params()
 
     def threads(self) -> int:
-        t = self.values.get("threads")
-        if t is None:
-            t = os.environ.get("PORE_THREADS", "1")
-        t = int(t)
-        return max(1, t)
+        return max(1, int(self.values["threads"]))
 
 
 def parse_config_file(path: str) -> dict:
@@ -297,7 +291,7 @@ def _sweep_rows(args, rules):
     aggregate rows. Aggregates cover only users with held-out items and a
     nonempty target set.
     """
-    cfg = _resolve(args, ("alpha", "N", "mode", "e", "bounds.upper_convention"))
+    cfg = _resolve(args, ("alpha", "N", "mode", "e"))
     if args.exact:
         cfg.values["mode"] = "exact"
     train, tests, _ = ratings.load_split(args.split)
@@ -308,8 +302,7 @@ def _sweep_rows(args, rules):
     N = int(cfg["N"])
     targets = _target_sets(args.target, vc, train, tests, N)
     sweeps = certify.sweep(train, vc, targets, float(cfg["alpha"]), e_list, N,
-                           vc.n_prime, vc.s, cfg["mode"],
-                           cfg["bounds.upper_convention"], rules)
+                           vc.n_prime, vc.s, cfg["mode"], rules)
     eligible = {u for u in range(train.n_users)
                 if tests.size(u) > 0 and len(targets[u]) > 0}
     rows = [_metric_rows(sw, targets, N, e_list, eligible) for sw in sweeps]
@@ -341,7 +334,6 @@ def cmd_certify(args) -> int:
                     {"votes": args.votes, "split": args.split,
                      "target": args.target, "alpha": float(cfg["alpha"]),
                      "N": int(cfg["N"]), "e_list": e_list, "mode": cfg["mode"],
-                     "convention": cfg["bounds.upper_convention"],
                      "baseline": args.baseline,
                      "skipped_users": list(sweep.skipped)}, started)
     print(f"certified {len(sweep.per_e[e_list[0]])} users at {len(e_list)} "
@@ -465,11 +457,11 @@ def cmd_oracle(args) -> int:
         return 0
     if args.attack == "two-level-exhaustive":
         report = oracle.exhaustive_two_level_check(
-            matrix, algo, params, s, nprime, N, results, targets)
+            matrix, probs, params, N, results, targets)
     else:
         report = oracle.attack_soundness_check(
-            matrix, algo, params, s, nprime, N, args.e, args.attack,
-            args.trials, args.seed + 1, results, targets)
+            matrix, probs, params, N, args.e, args.attack, args.trials,
+            args.seed + 1, results, targets)
     print(f"attack trials: {report.trials}, violations: {len(report.violations)}")
     if not report.ok:
         for trial, user, got, need in report.violations[:10]:
@@ -537,8 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--exact", action="store_true", help="shorthand for --mode exact")
     sp.add_argument("--baseline", choices=("bagging",),
                     help="also compute the single-competitor baseline columns")
-    sp.add_argument("--upper-convention", dest="bounds_upper_convention",
-                    choices=UPPER_CONVENTIONS)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_certify)
 

@@ -5,9 +5,9 @@ Enumerating all C(n,s) submatrices gives exact item probabilities, the
 reference against which sampled vote counts are validated. Appending real
 fake-user rows and recomputing the exact poisoned ensemble can then only
 falsify a certificate, never prove one: any observed intersection below the
-certified r is a build-failing bug. The attack checks enumerate the clean
-submatrices once and, per poisoning, train only the subsets that hold a fake
-user.
+certified r is a build-failing bug. The attack checks take the clean
+matrix's exact counts from their caller and, per poisoning, train only the
+subsets that hold a fake user.
 """
 
 from __future__ import annotations
@@ -151,22 +151,28 @@ def _check_one_poisoning(matrix, clean, poisoned, params, N, targets, cert_r,
             violations.append((trial, u, inter, r_u))
 
 
-def attack_soundness_check(matrix: RatingMatrix, algo: str, params, s: int,
-                           n_prime: int, N: int, e: int, attack: str,
-                           trials: int, seed: int, cert_results,
-                           targets) -> ViolationReport:
+def _check_clean(matrix: RatingMatrix, clean: VoteCounts) -> None:
+    n, m = matrix.n_users, matrix.n_items
+    if (clean.T, *clean.counts.shape) != (math.comb(n, clean.s), n, m):
+        raise ValueError("clean counts must be exact_item_probs of this matrix")
+
+
+def attack_soundness_check(matrix: RatingMatrix, clean: VoteCounts, params,
+                           N: int, e: int, attack: str, trials: int, seed: int,
+                           cert_results, targets) -> ViolationReport:
     """Run concrete poisoning attacks and compare against certified sizes.
 
+    clean: exact_item_probs of matrix (its algo, s and N' carry over);
     cert_results: per-user CertResult (or any object with .user and .r);
     targets: user -> I_u the certificates were computed for. Each trial
     appends e fake rows, recomputes the exact poisoned ensemble over all
-    C(n+e, s) subsets (the clean ones enumerated once, up front), and records
-    any user whose observed intersection drops below the certified r.
+    C(n+e, s) subsets, and records any user whose observed intersection
+    drops below the certified r.
     """
-    if math.comb(matrix.n_users + e, s) > MAX_ENUM:
+    _check_clean(matrix, clean)
+    if math.comb(matrix.n_users + e, clean.s) > MAX_ENUM:
         raise ValueError("poisoned instance exceeds the enumeration guard")
     cert_r = {res.user: res.r for res in cert_results}
-    clean = exact_item_probs(matrix, algo, params, s, n_prime)
     rng = np.random.default_rng(seed)
     violations, min_inter = [], {}
     if e == 0:
@@ -183,21 +189,20 @@ def attack_soundness_check(matrix: RatingMatrix, algo: str, params, s: int,
                            min_intersection=min_inter)
 
 
-def exhaustive_two_level_check(matrix: RatingMatrix, algo: str, params, s: int,
-                               n_prime: int, N: int, cert_results,
-                               targets) -> ViolationReport:
+def exhaustive_two_level_check(matrix: RatingMatrix, clean: VoteCounts, params,
+                               N: int, cert_results, targets) -> ViolationReport:
     """Every possible single fake user over a two-level rating alphabet.
 
     The adversary's row takes values in {0, top score} per item; all 2^m
     patterns (including the empty row) are tried. Exhaustive over this
     discretized domain, so a surviving certificate was genuinely never beaten
-    by any such attacker.
+    by any such attacker. Arguments are as in attack_soundness_check.
     """
+    _check_clean(matrix, clean)
     m = matrix.n_items
-    if math.comb(matrix.n_users + 1, s) > MAX_ENUM or m > 20:
+    if math.comb(matrix.n_users + 1, clean.s) > MAX_ENUM or m > 20:
         raise ValueError("exhaustive adversary is desk-scale only")
     cert_r = {res.user: res.r for res in cert_results}
-    clean = exact_item_probs(matrix, algo, params, s, n_prime)
     violations, min_inter = [], {}
     hi = matrix.domain.hi
     for pattern in range(2 ** m):

@@ -62,11 +62,11 @@ def synthetic_sweeps():
     targets = [tests[u].tolist() for u in range(train.n_users)]
     pore = {T: certify.sweep(train, snaps[T], targets, alpha=0.2,
                              e_list=SWEEP_E, N=N_AT, n_prime=1, s=12,
-                             mode="approx", convention="lower_shapes")[0]
+                             mode="approx")[0]
             for T in T_GRID}
     bag = certify.sweep(train, snaps[T_GRID[-1]], targets, alpha=0.2,
                         e_list=SWEEP_E, N=N_AT, n_prime=1, s=12, mode="approx",
-                        convention="lower_shapes", rules=("bagging",))[0]
+                        rules=("bagging",))[0]
     return train, tests, snaps, pore, bag
 
 
@@ -189,25 +189,24 @@ def test_criterion_4_soundness(acceptance):
                                                 matrix.n_items)
             q = certify.CertQuery(bounds=b, ctx=ctx, N=N, n_prime=1)
             results.append(certify.binary_search_r(q))
-        return targets, results
+        return probs, targets, results
 
     # exhaustive two-level adversary on n=5, m=4, s=2, e=1
     small = random_tiny_matrix(5, 4, seed=6)
-    targets, results = certified(small, s=2, N=2, e=1)
+    probs, targets, results = certified(small, s=2, N=2, e=1)
     assert any(r.r > 0 for r in results), "vacuous certificates"
     exhaustive = oracle.exhaustive_two_level_check(
-        small, "ir", base_rec.IRParams(), s=2, n_prime=1, N=2,
-        cert_results=results, targets=targets)
+        small, probs, base_rec.IRParams(), N=2, cert_results=results,
+        targets=targets)
     # 100 randomized attacks on n=6, s=3, e=1 across all attack families
     mid = random_tiny_matrix(6, 6, seed=3)
-    targets6, results6 = certified(mid, s=3, N=3, e=1)
+    probs6, targets6, results6 = certified(mid, s=3, N=3, e=1)
     assert any(r.r > 0 for r in results6), "vacuous certificates"
     reports = []
     for attack, trials in zip(oracle.ATTACKS, (34, 33, 33)):
         reports.append(oracle.attack_soundness_check(
-            mid, "ir", base_rec.IRParams(), s=3, n_prime=1, N=3, e=1,
-            attack=attack, trials=trials, seed=11, cert_results=results6,
-            targets=targets6))
+            mid, probs6, base_rec.IRParams(), N=3, e=1, attack=attack,
+            trials=trials, seed=11, cert_results=results6, targets=targets6))
     total = sum(rep.trials for rep in reports)
     violations = len(exhaustive.violations) + sum(len(rep.violations)
                                                   for rep in reports)
@@ -246,8 +245,7 @@ def test_criterion_5_monotonicity(acceptance, synthetic_sweeps, ml100k_run):
     targets = [m_tests[u].tolist() for u in range(m_train.n_users)]
     m_pore = {T: certify.sweep(m_train, m_snaps[T], targets,
                                alpha=0.001, e_list=SWEEP_E, N=N_AT,
-                               n_prime=1, s=300, mode="approx",
-                               convention="lower_shapes")[0]
+                               n_prime=1, s=300, mode="approx")[0]
               for T in T_GRID}
     e_bad, t_bad, top = check(m_tests, m_pore)
     ok = not e_bad and not t_bad
@@ -319,8 +317,7 @@ def test_criterion_7_calibration(acceptance):
         for u in range(n):
             if not targets[u]:
                 continue
-            b = bounds.estimate_bounds(vc, u, targets[u], alpha_u,
-                                       "lower_shapes")
+            b = bounds.estimate_bounds(vc, u, targets[u], alpha_u)
             row = exact_rows[u]
             outside = [j for j in range(m) if j not in b.items_in]
             if any(Fraction(lo) > row[i]

@@ -1,11 +1,12 @@
 """Base recommenders: item-item cosine retrieval and pairwise-ranking SGD."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from certrec import base_rec, ratings
+from certrec import base_rec, ensemble, ratings
 
 from conftest import random_tiny_matrix, reference_ir, signed_float_matrix
 
@@ -148,6 +149,17 @@ class TestBPR:
         b = base_rec.train_bpr(m, np.arange(8), p)
         assert np.array_equal(a.user_factors, b.user_factors)
         assert np.array_equal(a.item_factors, b.item_factors)
+
+    def test_vote_digest_pinned(self):
+        # pinned from the trainer before it stepped with bpr_pair_grads: the
+        # gradient form of the update must cast exactly the same votes
+        train = random_tiny_matrix(20, 16, seed=9, density=0.4)
+        counts = ensemble.accumulate_votes(
+            train, "bpr", base_rec.BPRParams(d=6, epochs=4), 8, 2, 11, 0, 30)
+        digest = hashlib.sha256(
+            np.ascontiguousarray(counts, dtype="<i4").tobytes()).hexdigest()
+        assert counts.sum() == 30 * 8 * 2
+        assert digest[:16] == "90eb88b02032db67"
 
     def test_unknown_user_gets_no_recommendations(self):
         m = random_tiny_matrix(6, 6, seed=2)

@@ -4,6 +4,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -15,34 +16,14 @@ from certrec import bounds
 from certrec.ensemble import VoteCounts
 
 
-class TestIncompleteBeta:
-    def test_edges(self):
-        assert bounds.incomplete_beta(2.0, 3.0, 0.0) == 0.0
-        assert bounds.incomplete_beta(2.0, 3.0, 1.0) == 1.0
-
-    def test_against_scipy_grid(self):
-        rng = np.random.default_rng(0)
-        for _ in range(300):
-            a = float(rng.uniform(0.1, 400.0))
-            b = float(rng.uniform(0.1, 400.0))
-            x = float(rng.uniform(0.0, 1.0))
-            got = bounds.incomplete_beta(a, b, x)
-            want = float(scipy.special.betainc(a, b, x))
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
-
-    def test_symmetry_identity(self):
-        for a, b, x in [(3.0, 7.0, 0.21), (50.0, 2.0, 0.9), (0.5, 0.5, 0.4)]:
-            left = bounds.incomplete_beta(a, b, x)
-            right = 1.0 - bounds.incomplete_beta(b, a, 1.0 - x)
-            assert left == pytest.approx(right, abs=1e-14)
-
-
 class TestBetaQuantile:
     def test_round_trip(self):
         for a, b, q in [(3.0, 9.0, 0.025), (200.0, 1.0, 0.5), (1.0, 1.0, 0.37),
                         (0.5, 5.0, 0.999), (80.0, 120.0, 1e-6)]:
             x = bounds.beta_quantile(q, a, b)
-            assert bounds.incomplete_beta(a, b, x) == pytest.approx(q, abs=1e-10)
+            assert scipy.special.betainc(a, b, x) == pytest.approx(q, abs=1e-10)
+            x = bounds.beta_quantile(q, a, b, upper=True)
+            assert scipy.special.betaincc(a, b, x) == pytest.approx(q, abs=1e-10)
 
     def test_against_scipy(self):
         rng = np.random.default_rng(1)
@@ -63,27 +44,26 @@ class TestBetaQuantile:
             bounds.beta_quantile(0.5, -1.0, 2.0)
 
     def test_directed_rounding(self):
-        # the end of the final bracket returned lies on the safe side of the
-        # level: never above it for a lower bound, never below for an upper
+        # the bracket ends one ULP apart, and the end returned lies on the
+        # safe side of the level: the tail mass there never exceeds beta
         shapes = (0.5, 1.0, 2.0, 7.0, 50.0, 300.0, 2000.0)
         for a in shapes:
             for b in shapes:
                 for beta in (1e-9, 1e-6, 1e-3, 0.025, 0.5):
                     lo = bounds.beta_quantile(beta, a, b)
-                    assert bounds.incomplete_beta(a, b, lo) <= beta
-                    hi = bounds.beta_quantile(1.0 - beta, a, b, upper=True)
-                    assert bounds.incomplete_beta(a, b, hi) >= 1.0 - beta
-                    assert lo <= bounds.beta_quantile(beta, a, b, upper=True)
+                    assert (scipy.special.betainc(a, b, lo) < beta
+                            <= scipy.special.betainc(a, b, math.nextafter(lo, 1)))
+                    hi = bounds.beta_quantile(beta, a, b, upper=True)
+                    assert (scipy.special.betaincc(a, b, hi) <= beta
+                            < scipy.special.betaincc(a, b, math.nextafter(hi, 0)))
 
     def test_cp_bounds_round_outward(self):
         t, beta = 500, 1e-4
-        for k in range(1, t):
-            low = bounds.cp_lower(k, t, beta)
-            assert bounds.incomplete_beta(k, t - k + 1, low) <= beta
-            for convention, (a, b) in (("lower_shapes", (k, t - k + 1)),
-                                       ("textbook", (k + 1, t - k))):
-                up = bounds.cp_upper(k, t, beta, convention)
-                assert bounds.incomplete_beta(a, b, up) >= 1.0 - beta
+        for k in range(t):
+            low = bounds.cp_lower(k + 1, t, beta)
+            assert scipy.special.betainc(k + 1, t - k, low) <= beta
+            up = bounds.cp_upper(k, t, beta)
+            assert scipy.special.betaincc(k + 1, t - k, up) <= beta
 
     @given(st.floats(0.5, 50.0), st.floats(0.5, 50.0),
            st.floats(0.001, 0.999), st.floats(0.001, 0.999))
@@ -110,24 +90,18 @@ class TestClopperPearson:
     def test_lower_zero_successes(self):
         assert bounds.cp_lower(0, 100, 0.025) == 0.0
 
-    def test_upper_frozen_both_conventions(self):
-        assert bounds.cp_upper(5, 100, 0.025, "lower_shapes") == \
-            pytest.approx(0.09925715671265992, rel=1e-12)
-        assert bounds.cp_upper(5, 100, 0.025, "textbook") == \
+    def test_upper_frozen(self):
+        assert bounds.cp_upper(5, 100, 0.025) == \
             pytest.approx(0.11283491110546275, rel=1e-12)
 
     def test_upper_zero_count_closed_form(self):
-        # T_j = 0: upper is 1 - beta^(1/T) under both conventions
+        # T_j = 0: upper is 1 - beta^(1/T)
         want = 1.0 - 0.025 ** (1.0 / 100)
-        assert bounds.cp_upper(0, 100, 0.025, "lower_shapes") == \
-            pytest.approx(want, rel=1e-12)
-        assert bounds.cp_upper(0, 100, 0.025, "textbook") == \
-            pytest.approx(want, rel=1e-12)
+        assert bounds.cp_upper(0, 100, 0.025) == pytest.approx(want, rel=1e-12)
         assert want == pytest.approx(0.03621669264517646, rel=1e-12)
 
     def test_upper_full_count(self):
-        assert bounds.cp_upper(200, 200, 0.01, "lower_shapes") == 1.0
-        assert bounds.cp_upper(200, 200, 0.01, "textbook") == 1.0
+        assert bounds.cp_upper(200, 200, 0.01) == 1.0
 
     def test_textbook_coverage_brackets_truth(self):
         # textbook CP: exact binomial coverage at level 1 - beta per side
@@ -139,27 +113,94 @@ class TestClopperPearson:
             k = int(rng.binomial(t, p))
             if bounds.cp_lower(k, t, beta) > p:
                 misses_lo += 1
-            if bounds.cp_upper(k, t, beta, "textbook") < p:
+            if bounds.cp_upper(k, t, beta) < p:
                 misses_hi += 1
         slack = 3 * math.sqrt(beta * (1 - beta) / runs)
         assert misses_lo / runs <= beta + slack
         assert misses_hi / runs <= beta + slack
 
-    def test_invalid_convention(self):
-        with pytest.raises(ValueError):
-            bounds.cp_upper(5, 10, 0.1, "bogus")
-
-    @given(st.integers(0, 40), st.integers(1, 3))
+    @given(st.integers(0, 40))
     @settings(max_examples=50, deadline=None)
-    def test_lower_below_upper(self, t_i, conv_idx):
+    def test_lower_below_upper(self, t_i):
         t = 40
         beta = 0.02
         lo = bounds.cp_lower(t_i, t, beta)
-        up = bounds.cp_upper(t_i, t, beta,
-                             bounds.UPPER_CONVENTIONS[conv_idx % 2])
+        up = bounds.cp_upper(t_i, t, beta)
         assert lo <= t_i / t + 1e-12
         assert up >= t_i / t - 1e-12 or up == 1.0
         assert lo <= up
+
+
+def _pmf_sum(t, p, lo, hi):
+    """sum of the Binomial(t, p) pmf over lo..hi, in the current mpmath precision."""
+    term = mpmath.binomial(t, lo) * p ** lo * (1 - p) ** (t - lo)
+    total, ratio = term, p / (1 - p)
+    for j in range(lo, hi):
+        term *= ratio * (t - j) / (j + 1)
+        total += term
+    return total
+
+
+def _binom_tail(t, p, k, at_least):
+    """Exact P(X >= k) if at_least, else P(X <= k), for X ~ Binomial(t, p).
+
+    Sums the pmf at 60 digits over the shorter side of k and complements
+    when that side is the other one.
+    """
+    if p in (0.0, 1.0):  # X = t * p surely
+        return int(t * p >= k if at_least else t * p <= k)
+    with mpmath.workdps(60):
+        p = mpmath.mpf(p)  # exact: every double is an mpf
+        lo, hi = (k, t) if at_least else (0, k)
+        if hi - lo <= t // 2:
+            return _pmf_sum(t, p, lo, hi)
+        return 1 - (_pmf_sum(t, p, 0, k - 1) if at_least
+                    else _pmf_sum(t, p, k + 1, t))
+
+
+EXACT_BETAS = (1e-3, 1e-6, 5.9e-9, 5.9e-13)
+
+
+def _exact_grid(t):
+    """Every count at t=200; at larger t both tails, t/2 and seeded interiors."""
+    if t <= 200:
+        return range(t + 1)
+    interior = np.random.default_rng(t).integers(41, t - 40, size=3).tolist()
+    return sorted({*range(41), *range(t - 40, t + 1), t // 2, *interior})
+
+
+class TestExactCoverage:
+    """Each bound holds at its level by exact binomial sums, not sampling.
+
+    A lower bound L(k) fails when the true p lies below it, which for p just
+    under L(k) happens with probability P_L(X >= k); the upper bound U(k)
+    likewise with P_U(X <= k). Both must be at most beta.
+    """
+
+    @pytest.mark.parametrize("t", [200, 2000, 10000])
+    def test_bounds_meet_their_level(self, t):
+        excess = []
+        for beta in EXACT_BETAS:
+            for k in _exact_grid(t):
+                if k > 0:
+                    low = bounds.cp_lower(k, t, beta)
+                    if _binom_tail(t, low, k, True) > beta:
+                        excess.append(("lower", k, beta))
+                if k < t:
+                    up = bounds.cp_upper(k, t, beta)
+                    if _binom_tail(t, up, k, False) > beta:
+                        excess.append(("upper", k, beta))
+        assert not excess, f"{len(excess)} bounds exceed their level: {excess[:5]}"
+
+    def test_upper_at_zero_count_not_below_exact(self):
+        # t_j = 0: the exact bound is 1 - beta^(1/t), which plain rounding of
+        # the closed form lands below for most of this grid
+        for t in (100, 1000, 10000, 100000):
+            for beta in (0.025, 1e-4, 1e-6, 5.9e-7, 5.9e-13):
+                with mpmath.workdps(60):
+                    exact = 1 - mpmath.mpf(beta) ** (mpmath.mpf(1) / t)
+                    assert mpmath.mpf(bounds.cp_upper(0, t, beta)) >= exact, \
+                        (t, beta)
 
 
 class TestContext:
@@ -214,8 +255,7 @@ class TestProbBounds:
 
     def test_estimate_orderings(self):
         vc = self._counts()
-        b = bounds.estimate_bounds(vc, 0, (0, 1), alpha_u=0.05,
-                                   convention="textbook")
+        b = bounds.estimate_bounds(vc, 0, (0, 1), alpha_u=0.05)
         assert b.items_in == (0, 1)
         assert list(b.mu_desc) == sorted(b.mu_desc, reverse=True)
         assert b.mu_desc[0] == b.lower[0]  # item 0 has the most votes
@@ -232,7 +272,7 @@ class TestProbBounds:
 
     def test_bonferroni_budget(self):
         vc = self._counts()
-        b = bounds.estimate_bounds(vc, 0, (0,), alpha_u=0.10, convention="textbook")
+        b = bounds.estimate_bounds(vc, 0, (0,), alpha_u=0.10)
         # per-item budget alpha_u / m
         direct = bounds.cp_lower(70, 100, 0.10 / 5)
         assert b.lower[0] == pytest.approx(direct, rel=1e-12)

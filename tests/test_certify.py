@@ -163,7 +163,7 @@ class TestSweep:
         e_list = [0, 1, 2, 4, 8]
         sweep = certify.sweep(train, vc, targets, alpha=0.2,
                               e_list=e_list, N=3, n_prime=1, s=5,
-                              mode="approx", convention="lower_shapes")[0]
+                              mode="approx")[0]
         assert not sweep.skipped
         per_user = {u: [r.r for e in e_list for r in sweep.per_e[e]
                         if r.user == u] for u in range(14)}
@@ -176,14 +176,13 @@ class TestSweep:
         train, vc, targets = self._setup()
         sweep = certify.sweep(train, vc, targets, alpha=0.28,
                               e_list=[0], N=3, n_prime=1, s=5,
-                              mode="approx", convention="lower_shapes")[0]
+                              mode="approx")[0]
         res = sweep.per_e[0][0]
         assert res.alpha == pytest.approx(0.28 / 14)
 
     def test_exact_agrees_with_approx_away_from_grid(self):
         train, vc, targets = self._setup()
-        kw = dict(alpha=0.2, e_list=[0, 1, 2], N=3, n_prime=1, s=5,
-                  convention="lower_shapes")
+        kw = dict(alpha=0.2, e_list=[0, 1, 2], N=3, n_prime=1, s=5)
         approx = certify.sweep(train, vc, targets, mode="approx", **kw)[0]
         exact = certify.sweep(train, vc, targets, mode="exact", **kw)[0]
         for e in (0, 1, 2):
@@ -199,7 +198,7 @@ class TestSweep:
         targets[3] = ensemble.ensemble_recommend(vc, train, 3, 3)
         sweep = certify.sweep(train, vc, targets, alpha=0.2,
                               e_list=[0], N=3, n_prime=1, s=5,
-                              mode="approx", convention="lower_shapes")[0]
+                              mode="approx")[0]
         assert len(sweep.per_e[0]) == 1
         assert set(sweep.skipped) == set(range(14)) - {3}
 
@@ -207,12 +206,10 @@ class TestSweep:
         train, vc, targets = self._setup()
         with pytest.raises(ValueError):
             certify.sweep(train, vc, targets, alpha=0.2, e_list=[0],
-                          N=3, n_prime=2, s=5, mode="approx",
-                          convention="lower_shapes")
+                          N=3, n_prime=2, s=5, mode="approx")
         with pytest.raises(ValueError):
             certify.sweep(train, vc, targets, alpha=0.2, e_list=[0],
-                          N=3, n_prime=1, s=6, mode="approx",
-                          convention="lower_shapes")
+                          N=3, n_prime=1, s=6, mode="approx")
 
 
 class TestBagging:
@@ -268,8 +265,7 @@ class TestBagging:
                    for u in range(14)]
         sweep = certify.sweep(train, vc, targets, alpha=0.2,
                               e_list=[0, 1, 3], N=3, n_prime=1, s=5,
-                              mode="approx", convention="lower_shapes",
-                              rules=("bagging",))[0]
+                              mode="approx", rules=("bagging",))[0]
         per_user = {}
         for e in (0, 1, 3):
             for r in sweep.per_e[e]:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import certrec
-from certrec import base_rec, certify, cli, ensemble, ratings
+from certrec import base_rec, certify, cli, ensemble, oracle, ratings
 
 
 @pytest.fixture(scope="module")
@@ -186,14 +186,6 @@ class TestTrain:
                 "--seed", "5", "--out", out, "--chunk-size", "40"]
         assert cli.main(argv + ["--T", "100", "--max-chunks", "1"]) == 3
         assert cli.main(argv + ["--T", "30", "--resume"]) == 2
-
-    def test_threads_env_fallback(self, dataset, split, votes, monkeypatch):
-        root, _ = dataset
-        out = str(root / "votes_env.txt")
-        monkeypatch.setenv("PORE_THREADS", "3")
-        assert cli.main(["train", "--split", split, "--algo", "ir", "--T",
-                         "200", "--s", "8", "--seed", "5", "--out", out]) == 0
-        assert open(out).read() == open(votes).read()
 
     def test_s_larger_than_n_rejected(self, dataset, split):
         root, _ = dataset
@@ -495,13 +487,20 @@ class TestOracleCommand:
         assert out[-2] == "certified r per user: {}"
         assert out[-1] == "skipped users (empty target set): [0, 1, 2, 3, 4]"
 
-    def test_two_level_exhaustive(self, capsys):
+    def test_two_level_exhaustive(self, capsys, monkeypatch):
+        trained = []
+        real = oracle.train_base
+        monkeypatch.setattr(oracle, "train_base",
+                            lambda *args: trained.append(1) or real(*args))
         code = cli.main(["oracle", "--n", "5", "--m", "4", "--density", "0.8",
                          "--seed", "1", "--s", "2", "--e", "1", "--N", "2",
                          "--attack", "two-level-exhaustive"])
         assert code == 0
         out = capsys.readouterr().out
         assert "trials: 16" in out and "skipped users" not in out
+        # the clean C(5,2) models once, shared by the certificates and the
+        # attack check, then the C(6,2) - C(5,2) holding the fake row per trial
+        assert len(trained) == 10 + 16 * 5
 
 
 class TestConfig:
@@ -518,10 +517,12 @@ class TestConfig:
         assert manifest["params"]["N"] == 5        # file fills the rest
 
     def test_unknown_key_rejected(self, tmp_path):
+        # a key the program no longer reads is refused like any other
         conf = tmp_path / "bad.txt"
-        conf.write_text("bogus=1\n")
-        with pytest.raises(ValueError, match="unknown key"):
-            cli.parse_config_file(str(conf))
+        for line in ("bogus=1", "bounds.upper_convention=textbook"):
+            conf.write_text(line + "\n")
+            with pytest.raises(ValueError, match="unknown key"):
+                cli.parse_config_file(str(conf))
 
     def test_malformed_line_rejected(self, tmp_path):
         conf = tmp_path / "bad.txt"

@@ -105,12 +105,12 @@ class TestSoundness:
         targets = {u: tuple(ensemble.ensemble_recommend(probs, matrix, u, N))
                    for u in range(n)}
         results = _certify_exact(matrix, probs, targets, s, 1, N, e)
-        return matrix, targets, results
+        return matrix, probs, targets, results
 
     def test_random_attacks_never_violate(self):
-        matrix, targets, results = self._instance()
+        matrix, probs, targets, results = self._instance()
         report = oracle.attack_soundness_check(
-            matrix, "ir", base_rec.IRParams(), s=3, n_prime=1, N=3, e=1,
+            matrix, probs, base_rec.IRParams(), N=3, e=1,
             attack="random-ratings", trials=15, seed=0,
             cert_results=results, targets=targets)
         assert report.trials == 15
@@ -118,18 +118,18 @@ class TestSoundness:
         assert not report.violations
 
     def test_e_zero_checks_clean_matrix_once(self):
-        matrix, targets, results0 = self._instance(e=0)
+        matrix, probs, targets, results0 = self._instance(e=0)
         report = oracle.attack_soundness_check(
-            matrix, "ir", base_rec.IRParams(), s=3, n_prime=1, N=3, e=0,
+            matrix, probs, base_rec.IRParams(), N=3, e=0,
             attack="random-ratings", trials=50, seed=0,
             cert_results=results0, targets=targets)
         assert report.trials == 1
         assert report.ok
 
     def test_intersection_bookkeeping(self):
-        matrix, targets, results = self._instance()
+        matrix, probs, targets, results = self._instance()
         report = oracle.attack_soundness_check(
-            matrix, "ir", base_rec.IRParams(), s=3, n_prime=1, N=3, e=1,
+            matrix, probs, base_rec.IRParams(), N=3, e=1,
             attack="all-max-on-random-items", trials=8, seed=4,
             cert_results=results, targets=targets)
         for res in results:
@@ -140,13 +140,13 @@ class TestSoundness:
         # sanity for the checker itself: claim a certificate on an item that
         # can never be recommended (the user already rated it), so every
         # trial must count a violation
-        matrix, _, _ = self._instance()
+        matrix, probs, _, _ = self._instance()
         targets = {u: (int(matrix.rated_items(u)[0]),)
                    for u in range(matrix.n_users)}
         bogus = [certify.CertResult(user=u, e=1, r=1, alpha=0.0, mode="exact")
                  for u in range(matrix.n_users)]
         report = oracle.attack_soundness_check(
-            matrix, "ir", base_rec.IRParams(), s=3, n_prime=1, N=3, e=1,
+            matrix, probs, base_rec.IRParams(), N=3, e=1,
             attack="random-ratings", trials=5, seed=1,
             cert_results=bogus, targets=targets)
         assert not report.ok
@@ -159,17 +159,31 @@ class TestSoundness:
                    for u in range(5)}
         results = _certify_exact(matrix, probs, targets, 2, 1, 2, e=1)
         report = oracle.exhaustive_two_level_check(
-            matrix, "ir", base_rec.IRParams(), s=2, n_prime=1, N=2,
-            cert_results=results, targets=targets)
+            matrix, probs, base_rec.IRParams(), N=2, cert_results=results,
+            targets=targets)
         assert report.trials == 2 ** 4
         assert report.ok
 
     def test_enumeration_guard(self):
         matrix = random_tiny_matrix(5, 22, seed=0, density=0.4)
+        clean = oracle.exact_item_probs(matrix, "ir", base_rec.IRParams(), 2, 1)
         with pytest.raises(ValueError, match="desk-scale"):
             oracle.exhaustive_two_level_check(
-                matrix, "ir", base_rec.IRParams(), s=2, n_prime=1, N=2,
-                cert_results=[], targets={u: () for u in range(5)})
+                matrix, clean, base_rec.IRParams(), N=2, cert_results=[],
+                targets={u: () for u in range(5)})
+
+    def test_clean_counts_of_another_matrix_refused(self):
+        matrix, probs, targets, results = self._instance()
+        other = random_tiny_matrix(5, 5, seed=3)
+        with pytest.raises(ValueError, match="clean counts"):
+            oracle.exhaustive_two_level_check(
+                other, probs, base_rec.IRParams(), N=3, cert_results=results,
+                targets=targets)
+        with pytest.raises(ValueError, match="clean counts"):
+            oracle.attack_soundness_check(
+                other, probs, base_rec.IRParams(), N=3, e=1,
+                attack="random-ratings", trials=1, seed=0,
+                cert_results=results, targets=targets)
 
 
 def _full_counts(clean, poisoned, params):
@@ -227,16 +241,18 @@ class TestIncrementalPoisoning:
             return real(*args)
 
         monkeypatch.setattr(oracle, "train_base", counted)
+        clean = oracle.exact_item_probs(matrix, "ir", base_rec.IRParams(), 2, 1)
+        assert len(trained) == 10
         oracle.exhaustive_two_level_check(
-            matrix, "ir", base_rec.IRParams(), s=2, n_prime=1, N=2,
-            cert_results=[], targets={})
+            matrix, clean, base_rec.IRParams(), N=2, cert_results=[],
+            targets={})
         assert len(trained) == 10 + 2 ** 4 * 5
         trained.clear()
         oracle.attack_soundness_check(
-            matrix, "ir", base_rec.IRParams(), s=2, n_prime=1, N=2, e=0,
+            matrix, clean, base_rec.IRParams(), N=2, e=0,
             attack="random-ratings", trials=3, seed=0, cert_results=[],
             targets={})
-        assert len(trained) == 10
+        assert not trained
 
     @pytest.mark.parametrize("check", ["two-level", "random-ratings-e0",
                                        "random-ratings-e2",
@@ -256,13 +272,12 @@ class TestIncrementalPoisoning:
         def run():
             if check == "two-level":
                 return oracle.exhaustive_two_level_check(
-                    matrix, "ir", params, s=2, n_prime=1, N=2,
-                    cert_results=claimed, targets=targets)
+                    matrix, probs, params, N=2, cert_results=claimed,
+                    targets=targets)
             attack, _, e = check.rpartition("-e")
             return oracle.attack_soundness_check(
-                matrix, "ir", params, s=2, n_prime=1, N=2, e=int(e),
-                attack=attack, trials=6, seed=3, cert_results=claimed,
-                targets=targets)
+                matrix, probs, params, N=2, e=int(e), attack=attack,
+                trials=6, seed=3, cert_results=claimed, targets=targets)
 
         fast = run()
         with monkeypatch.context() as mp:
