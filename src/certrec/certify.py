@@ -11,8 +11,12 @@ where mu_r' is the r'-th largest item-probability lower bound inside I_u, the
 competitors are the N-r'+1 largest upper bounds outside I_u (v1 the smallest
 of those, HC_c the sum of the c smallest of those, capped by N' minus the sum
 of all lower bounds), sigma is the attack slack from the combinatoric context,
-and floor*/ceil* are the C(n,s)-grid roundings. The left side falls and the
-right side rises in r', so binary search applies; r = 0 when even r' = 1 fails.
+and floor*/ceil* are the C(n,s)-grid roundings; r = 0 when even r' = 1 fails.
+
+The left side falls and the right side rises in r', and sigma grows with e,
+so each user's certificate is fixed by attack radii E*(r'), the largest e at
+which r' holds: r(e) = #{r' : E*(r') >= e}, the same shape as the baseline's
+min(#{i : Z_i >= e}, N). `sweep` computes radii, then counts them.
 """
 
 from __future__ import annotations
@@ -141,6 +145,7 @@ class SweepResult:
 
     per_e: dict           # e -> list[CertResult], user-ascending
     skipped: tuple        # users with empty I_u
+    verify_calls: int     # verify_constraint evaluations (0 for the baseline)
 
 
 RULES = ("joint", "bagging")
@@ -152,13 +157,17 @@ def sweep(train, counts, target_sets, alpha: float, e_list, N: int,
     """Certify every user under each rule at every e in e_list.
 
     target_sets maps user -> I_u (anything iterable of item ids). "joint" is
-    the joint certificate (binary_search_r); "bagging" is the per-item
-    single-competitor baseline, defined for N' = 1 votes. Each user's bounds
-    are estimated once, at the per-user budget alpha / n, and shared by every
-    rule and every e; only sigma changes with e. Returns one SweepResult per
-    rule, in the order of `rules`.
+    the joint certificate, "bagging" the per-item baseline for N' = 1 votes.
+    Bounds are estimated once per user at budget alpha / n; each rule turns
+    them into radii, counted at every e. That equals a per-e search because
+    sigma never decreases in e (tested for approx sigma up to e = 10n).
+    Returns one SweepResult per rule, in the order of `rules`.
     """
-    _check_counts(counts, train, s, n_prime)
+    if counts.s != s or counts.n_prime != n_prime:
+        raise ValueError(f"vote counts have s={counts.s}, N'={counts.n_prime}; "
+                         f"certification asked for s={s}, N'={n_prime}")
+    if counts.n != train.n_users or counts.m != train.n_items:
+        raise ValueError("vote counts shape does not match the training matrix")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if mode not in ("exact", "approx"):
@@ -171,9 +180,11 @@ def sweep(train, counts, target_sets, alpha: float, e_list, N: int,
     n = train.n_users
     alpha_u = alpha / n
     e_list = sorted(set(int(e) for e in e_list))
-    contexts = {e: make_context(n, e, s, exact) for e in e_list}
+    if not e_list:
+        raise ValueError("e_list must be nonempty")
+    contexts = [make_context(n, e, s, exact) for e in e_list]
     per_rule = [{e: [] for e in e_list} for _ in rules]
-    skipped = []
+    calls, skipped = 0, []
     for u in range(n):
         items = tuple(int(i) for i in target_sets[u])
         if not items:
@@ -182,93 +193,82 @@ def sweep(train, counts, target_sets, alpha: float, e_list, N: int,
         b = estimate_bounds(counts, u, items, alpha_u)
         if exact:
             b = _exactify(b)
+
+        def holds(r_prime: int, pos: int) -> bool:
+            nonlocal calls
+            calls += 1
+            return verify_constraint(r_prime, CertQuery(
+                bounds=b, ctx=contexts[pos], N=N, n_prime=n_prime))
+
         for rule, per_e in zip(rules, per_rule):
-            if rule == "joint":
-                for e in e_list:
-                    q = CertQuery(bounds=b, ctx=contexts[e], N=N,
-                                  n_prime=n_prime)
-                    per_e[e].append(binary_search_r(q))
+            if rule == "joint":  # radii over positions in e_list
+                radii = [e_list[p] for p in _radii(
+                    holds, min(len(items), N), len(e_list) - 1)]
             else:
-                zs = _bagging_z_values(b, n, s, exact)
-                for e in e_list:
-                    per_e[e].append(_bagging_result(b, zs, contexts[e], N))
+                radii = _bagging_z_values(b, n, s, exact)
+            for ctx, r in zip(contexts, _certified_sizes(radii, e_list, N)):
+                per_e[ctx.e].append(_result(b, ctx, r))
     if skipped:
         log.info("skipped %d users with empty target sets: %s",
                  len(skipped), skipped[:20])
-    return tuple(SweepResult(per_e=per_e, skipped=tuple(skipped))
-                 for per_e in per_rule)
+    return tuple(SweepResult(per_e, tuple(skipped), calls if rule == "joint" else 0)
+                 for rule, per_e in zip(rules, per_rule))
 
 
-def _check_counts(counts, train, s: int, n_prime: int) -> None:
-    if counts.s != s or counts.n_prime != n_prime:
-        raise ValueError(
-            f"vote counts were built with s={counts.s}, N'={counts.n_prime}; "
-            f"certification asked for s={s}, N'={n_prime}")
-    if counts.n != train.n_users or counts.m != train.n_items:
-        raise ValueError("vote counts shape does not match the training matrix")
+def _certified_sizes(radii, e_list, N: int) -> list[int]:
+    """r(e) = min(#{radii >= e}, N) at every e of e_list."""
+    z = np.sort(np.asarray(radii, dtype=np.int64))
+    return np.minimum(len(z) - np.searchsorted(z, e_list), N).tolist()
 
 
 # ---------------------------------------------------------------------------
-# single-competitor baseline (votes built with N' = 1)
+# radius search, and the single-competitor baseline (votes built with N' = 1)
 
-def _largest_surviving_e(survives, cap: int) -> int:
-    """Largest e' in [0, cap] with survives(e') true, else -1 (monotone in e')."""
-    if not survives(0):
-        return -1
-    lo, hi = 0, 1
-    while hi <= cap and survives(hi):
-        lo, hi = hi, hi * 2
-    if hi > cap:
-        if survives(cap):
-            return cap
-        hi = cap
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if survives(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def _radii(holds, k: int, cap: int) -> list[int]:
+    """[R(1), R(2), ...]: R(j) is the largest x in [0, cap] with holds(j, x).
+
+    holds must be monotone in both arguments (true at (j, x) implies true at
+    every smaller j and x), so each R(j) is bisected below R(j - 1); the list
+    stops at the first j that fails at x = 0.
+    """
+    radii = []
+    for j in range(1, k + 1):
+        if not holds(j, 0):
+            break
+        lo, hi = 0, cap + 1  # holds at lo; fails at hi, or hi is past cap
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if holds(j, mid):
+                lo = mid
+            else:
+                hi = mid
+        radii.append(lo)
+        cap = lo
+    return radii
 
 
 def _bagging_z_values(b: ProbBounds, n: int, s: int, exact: bool) -> list[int]:
-    """Z_i per target item: how many fake users item i's lead provably survives.
+    """Z_i per target item, largest first, leaving out items that lose at e' = 0.
 
     Item i beats the single strongest outside competitor while
     floor*(lower_i) > ceil*(upper_max) + sigma(e'); Z_i is the largest such e'.
     """
     ctx0 = make_context(n, 0, s, exact)
-    cap = _Z_CAP_FACTOR * n
     if b.n_outside == 0:
-        return [cap for _ in b.items_in]  # no competitor to lose to
+        return [_Z_CAP_FACTOR * n] * len(b.items_in)  # no competitor to lose to
     pbar_star = round_upper_star(b.out_upper_desc[0], ctx0)
-    zs = []
-    for lower in b.lower.tolist():
-        lhs = round_lower_star(lower, ctx0)
 
-        def survives(e_prime: int) -> bool:
-            sigma = make_context(n, e_prime, s, exact).sigma
-            if isinstance(sigma, float) and math.isinf(sigma):
-                return False
-            return lhs > pbar_star + sigma
+    def survives(rank: int, e_prime: int) -> bool:
+        # an overflowed sigma (+inf) fails the comparison, as it should
+        return (round_lower_star(b.mu_desc[rank - 1], ctx0)
+                > pbar_star + make_context(n, e_prime, s, exact).sigma)
 
-        zs.append(_largest_surviving_e(survives, cap))
-    return zs
-
-
-def _bagging_result(b: ProbBounds, zs, ctx: CombinatoricContext,
-                    N: int) -> CertResult:
-    return _result(b, ctx, min(sum(1 for z in zs if z >= ctx.e), N))
+    return _radii(survives, len(b.mu_desc), _Z_CAP_FACTOR * n)
 
 
 def bagging_baseline_r(q: CertQuery) -> CertResult:
-    """Baseline certified size: per-item single-competitor survival counts.
-
-    r = min(#{i in I_u : Z_i >= e}, N). Requires vote counts built with
-    N' = 1 (each base model casts one vote, majority-vote semantics).
-    """
+    """Baseline certified size r = min(#{i in I_u : Z_i >= e}, N), for N' = 1 votes."""
     if q.n_prime != 1:
         raise ValueError("the baseline is defined for N' = 1 vote counts")
     zs = _bagging_z_values(q.bounds, q.ctx.n, q.ctx.s, q.ctx.exact_mode)
-    return _bagging_result(q.bounds, zs, q.ctx, q.N)
-
+    return _result(q.bounds, q.ctx, _certified_sizes(zs, [q.ctx.e], q.N)[0])

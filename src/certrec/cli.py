@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import base_rec, certify, ensemble, metrics, oracle, ratings
+from . import base_rec, bounds, certify, ensemble, metrics, oracle, ratings
 
 # defaults mirror the reference evaluation setup; T is shipped smaller than
 # the reference 100000 because certified values only grow with T (the shipped
@@ -309,10 +309,19 @@ def _sweep_rows(args, rules):
     return cfg, e_list, sweeps, rows
 
 
+def _radius_histogram(sweep, e_list) -> dict:
+    """r' -> how many users are certified at size r' or more, at each e of e_list."""
+    rs = np.array([[res.r for res in sweep.per_e[e]] for e in e_list])
+    return {str(r): (rs >= r).sum(axis=1).tolist()
+            for r in range(1, int(rs.max(initial=0)) + 1)}
+
+
 def cmd_certify(args) -> int:
     started = time.time()
     rules = ("joint",) if args.baseline is None else ("joint", args.baseline)
+    cache_before = bounds._quantile_cached.cache_info()
     cfg, e_list, sweeps, rows = _sweep_rows(args, rules)
+    cache = bounds._quantile_cached.cache_info()
     sweep = sweeps[0]
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "per_user.csv"), "w", encoding="utf-8",
@@ -335,7 +344,14 @@ def cmd_certify(args) -> int:
                      "target": args.target, "alpha": float(cfg["alpha"]),
                      "N": int(cfg["N"]), "e_list": e_list, "mode": cfg["mode"],
                      "baseline": args.baseline,
-                     "skipped_users": list(sweep.skipped)}, started)
+                     "skipped_users": list(sweep.skipped),
+                     "radius_histogram": {rule: _radius_histogram(sw, e_list)
+                                          for rule, sw in zip(rules, sweeps)},
+                     "verify_constraint_calls": sweep.verify_calls,
+                     "quantile_cache": {
+                         "hits": cache.hits - cache_before.hits,
+                         "misses": cache.misses - cache_before.misses}},
+                    started)
     print(f"certified {len(sweep.per_e[e_list[0]])} users at {len(e_list)} "
           f"attack budgets -> {args.out}")
     return 0

@@ -212,6 +212,125 @@ class TestSweep:
                           N=3, n_prime=1, s=6, mode="approx")
 
 
+def bagging_scan_r(q: certify.CertQuery) -> int:
+    """Baseline r read off its definition at one e: the I_u items whose lower
+    bound still beats the strongest outside upper bound plus sigma(e)."""
+    b, ctx = q.bounds, q.ctx
+    if b.n_outside == 0:
+        return min(len(b.items_in), q.N)
+    pbar = bounds.round_upper_star(b.out_upper_desc[0], ctx)
+    wins = sum(1 for low in b.lower.tolist()
+               if bounds.round_lower_star(low, ctx) > pbar + ctx.sigma)
+    return min(wins, q.N)
+
+
+def _random_sweep_instance(rng):
+    """Random vote counts, targets and e list; some users skipped, some with
+    |I_u| < N, some with no outside items."""
+    n = int(rng.integers(5, 13))
+    m = int(rng.integers(3, 9))
+    s = int(rng.integers(1, 4))
+    n_prime = int(rng.choice([1, 1, 2]))
+    T = int(rng.integers(50, 2000))
+    counts = np.zeros((n, m), dtype=np.int32)
+    for u in range(n):
+        p = rng.dirichlet(np.full(m, 0.3))
+        if n_prime == 1:
+            counts[u] = rng.multinomial(T, p)
+        else:
+            counts[u] = rng.binomial(T, np.minimum(n_prime * p, 1.0))
+    vc = ensemble.VoteCounts(T=T, n_prime=n_prime, s=s, counts=counts,
+                             master_seed=0, algo="ir")
+    targets = []
+    for u in range(n):
+        size = int(rng.choice([0, 1, 2, 3, m]))
+        targets.append(sorted(int(i) for i in
+                              rng.choice(m, size=min(size, m), replace=False)))
+    e_list = [int(e) for e in rng.choice(13, size=int(rng.integers(1, 6)))]
+    N = int(rng.integers(1, m + 2))
+    return random_tiny_matrix(n, m, seed=int(rng.integers(1000))), vc, \
+        targets, e_list, N
+
+
+class TestRadiusSweep:
+    """The radius sweep against a per-(user, e) search."""
+
+    @pytest.mark.parametrize("mode", ["approx", "exact"])
+    def test_equals_per_e_search(self, mode):
+        rng = np.random.default_rng(2023 if mode == "approx" else 2024)
+        seen = dict.fromkeys(("r0_at_min_e", "short_target", "no_outside",
+                              "r_drops_in_e", "skipped"), 0)
+        for _ in range(60):
+            train, vc, targets, e_list, N = _random_sweep_instance(rng)
+            rules = ("joint", "bagging") if vc.n_prime == 1 else ("joint",)
+            alpha = 0.3
+            results = certify.sweep(train, vc, targets, alpha, e_list, N,
+                                    vc.n_prime, vc.s, mode, rules)
+            n = train.n_users
+            seen["skipped"] += len(results[0].skipped)
+            for rule, res in zip(rules, results):
+                assert sorted(res.per_e) == sorted(set(e_list))
+                got = {(c.user, c.e): c for e in res.per_e
+                       for c in res.per_e[e]}
+                for u in range(n):
+                    if not targets[u]:
+                        assert u in res.skipped
+                        continue
+                    b = bounds.estimate_bounds(vc, u, targets[u], alpha / n)
+                    if mode == "exact":
+                        b = certify._exactify(b)
+                    rs = []
+                    for e in sorted(set(e_list)):
+                        q = certify.CertQuery(
+                            bounds=b, N=N, n_prime=vc.n_prime,
+                            ctx=bounds.make_context(n, e, vc.s, mode == "exact"))
+                        if rule == "joint":
+                            want = certify.binary_search_r(q)
+                        else:
+                            want = certify.bagging_baseline_r(q)
+                            assert want.r == bagging_scan_r(q)
+                        assert got[(u, e)] == want, (rule, u, e)
+                        rs.append(want.r)
+                    if rule == "joint":
+                        seen["r0_at_min_e"] += rs[0] == 0
+                        seen["short_target"] += len(targets[u]) < N
+                        seen["no_outside"] += len(targets[u]) == train.n_items
+                        seen["r_drops_in_e"] += rs[0] > rs[-1]
+        assert all(seen.values()), seen
+
+    def test_unsorted_duplicated_sparse_e_list(self):
+        train = random_tiny_matrix(14, 10, seed=4)
+        vc = ensemble.build_vote_counts(train, "ir", base_rec.IRParams(),
+                                        T=300, s=5, n_prime=1, master_seed=11)
+        targets = [ensemble.ensemble_recommend(vc, train, u, 3)
+                   for u in range(14)]
+        kw = dict(alpha=0.2, N=3, n_prime=1, s=5, mode="approx",
+                  rules=("joint", "bagging"))
+        messy = certify.sweep(train, vc, targets, e_list=[10, 0, 5, 5], **kw)
+        for res in messy:
+            assert list(res.per_e) == [0, 5, 10]
+        for e in (0, 5, 10):
+            alone = certify.sweep(train, vc, targets, e_list=[e], **kw)
+            for got, want in zip(messy, alone):
+                assert got.per_e[e] == want.per_e[e]
+
+    def test_empty_e_list_rejected(self):
+        train = random_tiny_matrix(8, 6, seed=1)
+        vc = ensemble.VoteCounts(T=10, n_prime=1, s=2, master_seed=0,
+                                 algo="ir",
+                                 counts=np.zeros((8, 6), dtype=np.int32))
+        with pytest.raises(ValueError):
+            certify.sweep(train, vc, [[0]] * 8, alpha=0.2, e_list=[], N=2,
+                          n_prime=1, s=2)
+
+    @pytest.mark.parametrize("n,s", [(943, 200), (943, 50), (14, 5), (8, 4)])
+    def test_approx_sigma_never_decreases_in_e(self, n, s):
+        # the radius form equals a per-e search only under this property
+        sigmas = [bounds.make_context(n, e, s).sigma
+                  for e in range(10 * n + 1)]
+        assert all(a <= b for a, b in zip(sigmas, sigmas[1:]))
+
+
 class TestBagging:
     def test_hand_worked_z_values(self):
         # same instance as the certification hand example: Z counts how many

@@ -387,6 +387,36 @@ class TestCleanTopnFloors:
                 sum(r[u, row["e"]] / size[u] for u in users) / len(users))
 
 
+class TestCertifyManifest:
+    def test_manifest_reports_radii_and_counters(self, topn_instance,
+                                                 monkeypatch):
+        root, split, votes = topn_instance
+        out = str(root / "cert_manifest")
+        real, calls = certify.verify_constraint, []
+
+        def counted(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(certify, "verify_constraint", counted)
+        assert cli.main(["certify", "--votes", votes, "--split", split,
+                         "--target", "clean-topn", "--N", "5", "--alpha",
+                         "0.2", "--e", "2,0,1", "--baseline", "bagging",
+                         "--out", out]) == 0
+        params = json.load(open(os.path.join(out, "manifest.json")))["params"]
+        assert params["verify_constraint_calls"] == len(calls) > 0
+        cache = params["quantile_cache"]
+        assert min(cache.values()) >= 0 and sum(cache.values()) > 0
+        with open(os.path.join(out, "per_user.csv")) as fh:
+            rows = [(int(r["e"]), int(r["r"])) for r in csv.DictReader(fh)]
+        want = {str(rp): [sum(1 for e, r in rows if e == at and r >= rp)
+                          for at in (0, 1, 2)]
+                for rp in range(1, max(r for _, r in rows) + 1)}
+        hist = params["radius_histogram"]
+        assert set(hist) == {"joint", "bagging"}
+        assert hist["joint"] == want and want
+
+
 class TestLogLevel:
     def test_info_goes_to_stderr_only(self, tmp_path):
         # user 12 has a single rating, so nothing is held out and certify
