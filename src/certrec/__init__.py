@@ -11,8 +11,7 @@ Precision/Recall/F1 floors.
 
 from .base_rec import BPRParams, IRParams, recommend, train_base
 from .bounds import cp_lower, cp_upper, estimate_bounds, make_context
-from .certify import (CertQuery, CertResult, binary_search_r, sweep,
-                      verify_constraint)
+from .certify import CertQuery, binary_search_r, sweep, verify_constraint
 from .ensemble import (VoteCounts, build_vote_counts, derive_seed,
                        ensemble_recommend, load_votes, save_votes)
 from .metrics import certified_metrics, standard_metrics
@@ -24,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BPRParams", "IRParams", "recommend", "train_base",
     "cp_lower", "cp_upper", "estimate_bounds", "make_context",
-    "CertQuery", "CertResult", "binary_search_r", "sweep", "verify_constraint",
+    "CertQuery", "binary_search_r", "sweep", "verify_constraint",
     "VoteCounts", "build_vote_counts", "derive_seed", "ensemble_recommend",
     "load_votes", "save_votes",
     "certified_metrics", "standard_metrics",

@@ -16,7 +16,8 @@ and floor*/ceil* are the C(n,s)-grid roundings; r = 0 when even r' = 1 fails.
 The left side falls and the right side rises in r', and sigma grows with e,
 so each user's certificate is fixed by attack radii E*(r'), the largest e at
 which r' holds: r(e) = #{r' : E*(r') >= e}, the same shape as the baseline's
-min(#{i : Z_i >= e}, N). `sweep` computes radii, then counts them.
+min(#{i : Z_i >= e}, N). `sweep` counts radii into one r matrix per rule
+(users x e); `binary_search_r` answers one query at one e, the per-e reference.
 """
 
 from __future__ import annotations
@@ -55,15 +56,6 @@ class CertQuery:
             raise ValueError("need N >= 1, N' >= 1")
 
 
-@dataclass(frozen=True)
-class CertResult:
-    user: int
-    e: int
-    r: int
-    alpha: float  # per-user error budget the bounds were estimated at
-    mode: str     # "exact" or "approx"
-
-
 def verify_constraint(r_prime: int, q: CertQuery) -> bool:
     """Evaluate the certification constraint at candidate intersection size r_prime."""
     b = q.bounds
@@ -99,7 +91,7 @@ def verify_constraint(r_prime: int, q: CertQuery) -> bool:
     return lhs > rhs
 
 
-def binary_search_r(q: CertQuery) -> CertResult:
+def binary_search_r(q: CertQuery) -> int:
     """Largest r' with the constraint satisfied, or 0 if none is."""
     lo, hi = 1, min(len(q.bounds.items_in), q.N)
     while lo < hi:
@@ -110,12 +102,7 @@ def binary_search_r(q: CertQuery) -> CertResult:
             hi = mid - 1
     # the loop converges to the only remaining candidate; it still needs one
     # check because nothing so far proves the constraint holds anywhere
-    return _result(q.bounds, q.ctx, lo if verify_constraint(lo, q) else 0)
-
-
-def _result(b: ProbBounds, ctx: CombinatoricContext, r: int) -> CertResult:
-    return CertResult(user=b.user, e=ctx.e, r=r, alpha=b.alpha_u,
-                      mode="exact" if ctx.exact_mode else "approx")
+    return lo if verify_constraint(lo, q) else 0
 
 
 def exact_bounds_from_probs(user: int, items_in, probs, m: int) -> ProbBounds:
@@ -141,9 +128,13 @@ def _fractions(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Certification results per attack budget, plus the users skipped."""
+    """One rule's certificates: r[k, j] is the size certified for users[k]
+    against at most e_list[j] fake users."""
 
-    per_e: dict           # e -> list[CertResult], user-ascending
+    users: np.ndarray     # certified user ids, ascending
+    e_list: tuple         # sorted distinct attack budgets
+    r: np.ndarray         # int64, len(users) x len(e_list)
+    alpha_u: float        # per-user error budget the bounds were estimated at
     skipped: tuple        # users with empty I_u
     verify_calls: int     # verify_constraint evaluations (0 for the baseline)
 
@@ -163,6 +154,8 @@ def sweep(train, counts, target_sets, alpha: float, e_list, N: int,
     sigma never decreases in e (tested for approx sigma up to e = 10n).
     Returns one SweepResult per rule, in the order of `rules`.
     """
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
     if counts.s != s or counts.n_prime != n_prime:
         raise ValueError(f"vote counts have s={counts.s}, N'={counts.n_prime}; "
                          f"certification asked for s={s}, N'={n_prime}")
@@ -183,13 +176,14 @@ def sweep(train, counts, target_sets, alpha: float, e_list, N: int,
     if not e_list:
         raise ValueError("e_list must be nonempty")
     contexts = [make_context(n, e, s, exact) for e in e_list]
-    per_rule = [{e: [] for e in e_list} for _ in rules]
-    calls, skipped = 0, []
+    per_rule = [[] for _ in rules]  # one r row per certified user
+    calls, users, skipped = 0, [], []
     for u in range(n):
         items = tuple(int(i) for i in target_sets[u])
         if not items:
             skipped.append(u)
             continue
+        users.append(u)
         b = estimate_bounds(counts, u, items, alpha_u)
         if exact:
             b = _exactify(b)
@@ -200,25 +194,28 @@ def sweep(train, counts, target_sets, alpha: float, e_list, N: int,
             return verify_constraint(r_prime, CertQuery(
                 bounds=b, ctx=contexts[pos], N=N, n_prime=n_prime))
 
-        for rule, per_e in zip(rules, per_rule):
+        for rule, rows in zip(rules, per_rule):
             if rule == "joint":  # radii over positions in e_list
                 radii = [e_list[p] for p in _radii(
                     holds, min(len(items), N), len(e_list) - 1)]
             else:
                 radii = _bagging_z_values(b, n, s, exact)
-            for ctx, r in zip(contexts, _certified_sizes(radii, e_list, N)):
-                per_e[ctx.e].append(_result(b, ctx, r))
+            rows.append(_certified_sizes(radii, e_list, N))
     if skipped:
         log.info("skipped %d users with empty target sets: %s",
                  len(skipped), skipped[:20])
-    return tuple(SweepResult(per_e, tuple(skipped), calls if rule == "joint" else 0)
-                 for rule, per_e in zip(rules, per_rule))
+    users = np.array(users, dtype=np.int64)
+    return tuple(SweepResult(
+        users=users, e_list=tuple(e_list), alpha_u=alpha_u, skipped=tuple(skipped),
+        r=np.array(rows, dtype=np.int64).reshape(len(users), len(e_list)),
+        verify_calls=calls if rule == "joint" else 0)
+        for rule, rows in zip(rules, per_rule))
 
 
-def _certified_sizes(radii, e_list, N: int) -> list[int]:
+def _certified_sizes(radii, e_list, N: int) -> np.ndarray:
     """r(e) = min(#{radii >= e}, N) at every e of e_list."""
     z = np.sort(np.asarray(radii, dtype=np.int64))
-    return np.minimum(len(z) - np.searchsorted(z, e_list), N).tolist()
+    return np.minimum(len(z) - np.searchsorted(z, e_list), N)
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +263,9 @@ def _bagging_z_values(b: ProbBounds, n: int, s: int, exact: bool) -> list[int]:
     return _radii(survives, len(b.mu_desc), _Z_CAP_FACTOR * n)
 
 
-def bagging_baseline_r(q: CertQuery) -> CertResult:
+def bagging_baseline_r(q: CertQuery) -> int:
     """Baseline certified size r = min(#{i in I_u : Z_i >= e}, N), for N' = 1 votes."""
     if q.n_prime != 1:
         raise ValueError("the baseline is defined for N' = 1 vote counts")
     zs = _bagging_z_values(q.bounds, q.ctx.n, q.ctx.s, q.ctx.exact_mode)
-    return _result(q.bounds, q.ctx, _certified_sizes(zs, [q.ctx.e], q.N)[0])
+    return int(_certified_sizes(zs, [q.ctx.e], q.N)[0])

@@ -12,12 +12,10 @@ import argparse
 import csv
 import json
 import logging
-import math
 import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -79,9 +77,6 @@ class RunConfig:
 
     def algo_params(self, algo: str):
         return self.ir_params() if algo == "ir" else self.bpr_params()
-
-    def threads(self) -> int:
-        return max(1, int(self.values["threads"]))
 
 
 def parse_config_file(path: str) -> dict:
@@ -224,17 +219,17 @@ def cmd_train(args) -> int:
                           "chunk_size", "ir.k", "bpr.d", "bpr.epochs",
                           "bpr.learn_rate", "bpr.reg", "bpr.neg_samples"))
     started = time.time()
-    T, chunk_size = int(cfg["T"]), int(cfg["chunk_size"])
-    if T < 1 or chunk_size < 1:
-        raise ValueError(f"need T >= 1 and chunk size >= 1, got T={T}, "
-                         f"chunk size={chunk_size}")
+    T, chunk_size, threads = (int(cfg[k]) for k in ("T", "chunk_size", "threads"))
+    if T < 1 or chunk_size < 1 or threads < 1:
+        raise ValueError(f"need T, chunk size and threads >= 1, got T={T}, "
+                         f"chunk size={chunk_size}, threads={threads}")
     train, _, _ = ratings.load_split(args.split)
     algo = cfg["algo"]
     s, nprime, seed = int(cfg["s"]), int(cfg["nprime"]), int(cfg["seed"])
     if s > train.n_users:
         raise ValueError(f"s={s} exceeds the {train.n_users} users in the split")
     vc, rate = _train_chunked(
-        train, cfg, algo, T, s, nprime, seed, args.out, cfg.threads(),
+        train, cfg, algo, T, s, nprime, seed, args.out, threads,
         chunk_size, args.resume, args.max_chunks)
     if vc.T < T:
         print(f"stopped after --max-chunks at t={vc.T}/{T}; "
@@ -245,7 +240,7 @@ def cmd_train(args) -> int:
         os.remove(args.out + ".partial")
     _write_manifest(args.out + ".manifest.json", "train",
                     {"split": args.split, "algo": algo, "T": T, "s": s,
-                     "nprime": nprime, "seed": seed, "threads": cfg.threads(),
+                     "nprime": nprime, "seed": seed, "threads": threads,
                      "params": str(cfg.algo_params(algo)),
                      "params_digest": vc.params,
                      "models_per_s": None if rate is None else round(rate, 3)},
@@ -275,62 +270,61 @@ def _target_sets(target: str, vc, train, tests, N: int):
             for u in range(train.n_users)]
 
 
-def _metric_rows(sweep, targets, N, e_list, eligible):
+def _metric_rows(sweep, targets, N, eligible):
     # floors against the certified set I_u: the held-out items for
     # test-items, the clean top-N itself for clean-topn
+    keep = [k for k, u in enumerate(sweep.users.tolist()) if u in eligible]
+    sizes = [len(targets[u]) for u in sweep.users[keep].tolist()]
     return [metrics.average_over_users(
-        e, [metrics.certified_metrics(res.r, N, len(targets[res.user]))
-            for res in sweep.per_e[e] if res.user in eligible])
-        for e in e_list]
+        e, [metrics.certified_metrics(r, N, size) for r, size in zip(rs, sizes)])
+        for e, rs in zip(sweep.e_list, sweep.r[keep].T.tolist())]
 
 
 def _sweep_rows(args, rules):
     """Shared certify/baseline path: load, target sets, one sweep, metric rows.
 
-    Returns the resolved config, the e list, one SweepResult per rule and its
-    aggregate rows. Aggregates cover only users with held-out items and a
-    nonempty target set.
+    Returns the resolved config, one SweepResult per rule and its aggregate
+    rows. Aggregates cover only users with held-out items and a nonempty
+    target set.
     """
     cfg = _resolve(args, ("alpha", "N", "mode", "e"))
     if args.exact:
         cfg.values["mode"] = "exact"
     train, tests, _ = ratings.load_split(args.split)
     vc = ensemble.load_votes(args.votes)
-    e_list = parse_e_list(cfg["e"])
-    if not e_list:
-        raise ValueError(f"{args.command} needs a nonempty e list")
     N = int(cfg["N"])
     targets = _target_sets(args.target, vc, train, tests, N)
-    sweeps = certify.sweep(train, vc, targets, float(cfg["alpha"]), e_list, N,
-                           vc.n_prime, vc.s, cfg["mode"], rules)
+    sweeps = certify.sweep(train, vc, targets, float(cfg["alpha"]),
+                           parse_e_list(cfg["e"]), N, vc.n_prime, vc.s,
+                           cfg["mode"], rules)
     eligible = {u for u in range(train.n_users)
                 if tests.size(u) > 0 and len(targets[u]) > 0}
-    rows = [_metric_rows(sw, targets, N, e_list, eligible) for sw in sweeps]
-    return cfg, e_list, sweeps, rows
+    rows = [_metric_rows(sw, targets, N, eligible) for sw in sweeps]
+    return cfg, sweeps, rows
 
 
-def _radius_histogram(sweep, e_list) -> dict:
+def _radius_histogram(sweep) -> dict:
     """r' -> how many users are certified at size r' or more, at each e of e_list."""
-    rs = np.array([[res.r for res in sweep.per_e[e]] for e in e_list])
-    return {str(r): (rs >= r).sum(axis=1).tolist()
-            for r in range(1, int(rs.max(initial=0)) + 1)}
+    return {str(r): (sweep.r >= r).sum(axis=0).tolist()
+            for r in range(1, int(sweep.r.max(initial=0)) + 1)}
 
 
 def cmd_certify(args) -> int:
     started = time.time()
     rules = ("joint",) if args.baseline is None else ("joint", args.baseline)
     cache_before = bounds._quantile_cached.cache_info()
-    cfg, e_list, sweeps, rows = _sweep_rows(args, rules)
+    cfg, sweeps, rows = _sweep_rows(args, rules)
     cache = bounds._quantile_cached.cache_info()
     sweep = sweeps[0]
+    e_list = sweep.e_list
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "per_user.csv"), "w", encoding="utf-8",
               newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["user", "e", "r", "mode", "alpha"])
-        for e in e_list:
-            for res in sweep.per_e[e]:
-                w.writerow([res.user, res.e, res.r, res.mode, repr(res.alpha)])
+        for e, rs in zip(e_list, sweep.r.T.tolist()):
+            w.writerows([u, e, r, cfg["mode"], repr(sweep.alpha_u)]
+                        for u, r in zip(sweep.users.tolist(), rs))
     agg, extra = rows[0], ()
     if args.baseline is not None:
         extra = ("bag_precision", "bag_recall", "bag_f1")
@@ -345,14 +339,14 @@ def cmd_certify(args) -> int:
                      "N": int(cfg["N"]), "e_list": e_list, "mode": cfg["mode"],
                      "baseline": args.baseline,
                      "skipped_users": list(sweep.skipped),
-                     "radius_histogram": {rule: _radius_histogram(sw, e_list)
+                     "radius_histogram": {rule: _radius_histogram(sw)
                                           for rule, sw in zip(rules, sweeps)},
                      "verify_constraint_calls": sweep.verify_calls,
                      "quantile_cache": {
                          "hits": cache.hits - cache_before.hits,
                          "misses": cache.misses - cache_before.misses}},
                     started)
-    print(f"certified {len(sweep.per_e[e_list[0]])} users at {len(e_list)} "
+    print(f"certified {len(sweep.users)} users at {len(e_list)} "
           f"attack budgets -> {args.out}")
     return 0
 
@@ -411,16 +405,16 @@ def cmd_evaluate(args) -> int:
 
 def cmd_baseline(args) -> int:
     started = time.time()
-    cfg, e_list, _, (rows,) = _sweep_rows(args, ("bagging",))
+    cfg, (sweep,), (rows,) = _sweep_rows(args, ("bagging",))
     os.makedirs(args.out, exist_ok=True)
     metrics.write_metric_csv(os.path.join(args.out, "baseline.csv"), rows)
     metrics.write_metric_json(os.path.join(args.out, "baseline.json"), rows)
     _write_manifest(os.path.join(args.out, "manifest.json"), "baseline",
                     {"votes": args.votes, "split": args.split,
                      "target": args.target, "alpha": cfg["alpha"],
-                     "N": int(cfg["N"]), "e_list": e_list,
+                     "N": int(cfg["N"]), "e_list": sweep.e_list,
                      "mode": cfg["mode"]}, started)
-    print(f"baseline certified curves for {len(e_list)} budgets -> {args.out}")
+    print(f"baseline certified curves for {len(sweep.e_list)} budgets -> {args.out}")
     return 0
 
 
@@ -452,32 +446,20 @@ def cmd_oracle(args) -> int:
     probs = oracle.exact_item_probs(matrix, algo, params, s, nprime)
     print(f"enumerated {probs.T} subsets "
           f"(n={matrix.n_users}, m={matrix.n_items}, s={s})")
-    targets = {u: tuple(ensemble.ensemble_recommend(probs, matrix, u, N))
-               for u in range(matrix.n_users)}
-    n = matrix.n_users
-    ctx = certify.make_context(n, args.e, s, True)
-    results = []
-    skipped = [u for u in range(n) if not targets[u]]  # rated every item
-    for u in range(n):
-        if not targets[u]:
-            continue
-        b = certify.exact_bounds_from_probs(
-            u, targets[u], [Fraction(int(h), probs.T) for h in probs.counts[u]],
-            matrix.n_items)
-        q = certify.CertQuery(bounds=b, ctx=ctx, N=N, n_prime=nprime)
-        results.append(certify.binary_search_r(q))
-    print("certified r per user:", {res.user: res.r for res in results})
+    targets, cert_r = oracle.exact_certificates(matrix, probs, N, args.e)
+    skipped = [u for u, items in targets.items() if not items]  # rated every item
+    print("certified r per user:", cert_r)
     if skipped:
         print("skipped users (empty target set):", skipped)
     if args.check == "probs":
         return 0
     if args.attack == "two-level-exhaustive":
         report = oracle.exhaustive_two_level_check(
-            matrix, probs, params, N, results, targets)
+            matrix, probs, params, N, cert_r, targets)
     else:
         report = oracle.attack_soundness_check(
             matrix, probs, params, N, args.e, args.attack, args.trials,
-            args.seed + 1, results, targets)
+            args.seed + 1, cert_r, targets)
     print(f"attack trials: {report.trials}, violations: {len(report.violations)}")
     if not report.ok:
         for trial, user, got, need in report.violations[:10]:

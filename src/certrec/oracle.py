@@ -15,11 +15,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 from scipy.sparse import csr_matrix, vstack
 
 from .base_rec import recommend, train_base
+from .bounds import make_context
+from .certify import CertQuery, binary_search_r, exact_bounds_from_probs
 from .ensemble import VoteCounts, ensemble_recommend
 from .ratings import RatingMatrix
 
@@ -157,22 +160,41 @@ def _check_clean(matrix: RatingMatrix, clean: VoteCounts) -> None:
         raise ValueError("clean counts must be exact_item_probs of this matrix")
 
 
+def exact_certificates(matrix: RatingMatrix, clean: VoteCounts, N: int,
+                       e: int) -> tuple[dict, dict]:
+    """Every user's clean top-N I_u, and user -> r certified against e fake users.
+
+    clean: exact_item_probs of matrix (its s and N' carry over). Each r is
+    binary_search_r on exact bounds; users with an empty I_u get none.
+    """
+    n, m = matrix.n_users, matrix.n_items
+    targets = {u: tuple(ensemble_recommend(clean, matrix, u, N)) for u in range(n)}
+    ctx = make_context(n, e, clean.s, True)
+    cert_r = {}
+    for u, items in targets.items():
+        if items:
+            probs = [Fraction(int(h), clean.T) for h in clean.counts[u]]
+            b = exact_bounds_from_probs(u, items, probs, m)
+            cert_r[u] = binary_search_r(CertQuery(b, ctx, N, clean.n_prime))
+    return targets, cert_r
+
+
 def attack_soundness_check(matrix: RatingMatrix, clean: VoteCounts, params,
                            N: int, e: int, attack: str, trials: int, seed: int,
-                           cert_results, targets) -> ViolationReport:
+                           cert_r, targets) -> ViolationReport:
     """Run concrete poisoning attacks and compare against certified sizes.
 
     clean: exact_item_probs of matrix (its algo, s and N' carry over);
-    cert_results: per-user CertResult (or any object with .user and .r);
-    targets: user -> I_u the certificates were computed for. Each trial
-    appends e fake rows, recomputes the exact poisoned ensemble over all
-    C(n+e, s) subsets, and records any user whose observed intersection
-    drops below the certified r.
+    cert_r: user -> certified r; targets: user -> I_u the certificates were
+    computed for. Each trial appends e fake rows, recomputes the exact
+    poisoned ensemble over all C(n+e, s) subsets, and records any user whose
+    observed intersection drops below the certified r.
     """
     _check_clean(matrix, clean)
+    if trials < 1:
+        raise ValueError(f"need at least one attack trial, got {trials}")
     if math.comb(matrix.n_users + e, clean.s) > MAX_ENUM:
         raise ValueError("poisoned instance exceeds the enumeration guard")
-    cert_r = {res.user: res.r for res in cert_results}
     rng = np.random.default_rng(seed)
     violations, min_inter = [], {}
     if e == 0:
@@ -190,7 +212,7 @@ def attack_soundness_check(matrix: RatingMatrix, clean: VoteCounts, params,
 
 
 def exhaustive_two_level_check(matrix: RatingMatrix, clean: VoteCounts, params,
-                               N: int, cert_results, targets) -> ViolationReport:
+                               N: int, cert_r, targets) -> ViolationReport:
     """Every possible single fake user over a two-level rating alphabet.
 
     The adversary's row takes values in {0, top score} per item; all 2^m
@@ -202,7 +224,6 @@ def exhaustive_two_level_check(matrix: RatingMatrix, clean: VoteCounts, params,
     m = matrix.n_items
     if math.comb(matrix.n_users + 1, clean.s) > MAX_ENUM or m > 20:
         raise ValueError("exhaustive adversary is desk-scale only")
-    cert_r = {res.user: res.r for res in cert_results}
     violations, min_inter = [], {}
     hi = matrix.domain.hi
     for pattern in range(2 ** m):

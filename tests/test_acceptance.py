@@ -35,11 +35,10 @@ def _avg(triples):
 
 
 def _agg_curve(sweep, tests, e_list):
-    out = {}
-    for e in e_list:
-        out[e] = _avg([metrics.certified_metrics(r.r, N_AT, tests.size(r.user))
-                       for r in sweep.per_e[e]])
-    return out
+    sizes = [tests.size(u) for u in sweep.users.tolist()]
+    return {e: _avg([metrics.certified_metrics(r, N_AT, size) for r, size in
+                     zip(sweep.r[:, sweep.e_list.index(e)].tolist(), sizes)])
+            for e in e_list}
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +163,7 @@ def test_criterion_3_oracle_equivalence(acceptance):
     qrng = np.random.default_rng(304)
     for _ in range(200):
         q = _random_query(qrng)
-        if certify.binary_search_r(q).r != linear_scan_r(q):
+        if certify.binary_search_r(q) != linear_scan_r(q):
             search_bad += 1
     ok = not mismatches and search_bad == 0
     detail = (f"20 instances enumerated exactly, {len(mismatches)} prob "
@@ -177,36 +176,24 @@ def test_criterion_4_soundness(acceptance):
     """No enumerated or randomized attack pushes an intersection below its r."""
     def certified(matrix, s, N, e):
         probs = oracle.exact_item_probs(matrix, "ir", base_rec.IRParams(), s, 1)
-        targets = {u: tuple(ensemble.ensemble_recommend(probs, matrix, u, N))
-                   for u in range(matrix.n_users)}
-        ctx = bounds.make_context(matrix.n_users, e, s, exact_mode=True)
-        results = []
-        for u in range(matrix.n_users):
-            if not targets[u]:
-                continue
-            b = certify.exact_bounds_from_probs(u, targets[u],
-                                                prob_row(probs, u),
-                                                matrix.n_items)
-            q = certify.CertQuery(bounds=b, ctx=ctx, N=N, n_prime=1)
-            results.append(certify.binary_search_r(q))
-        return probs, targets, results
+        return (probs, *oracle.exact_certificates(matrix, probs, N, e))
 
     # exhaustive two-level adversary on n=5, m=4, s=2, e=1
     small = random_tiny_matrix(5, 4, seed=6)
-    probs, targets, results = certified(small, s=2, N=2, e=1)
-    assert any(r.r > 0 for r in results), "vacuous certificates"
+    probs, targets, cert_r = certified(small, s=2, N=2, e=1)
+    assert any(r > 0 for r in cert_r.values()), "vacuous certificates"
     exhaustive = oracle.exhaustive_two_level_check(
-        small, probs, base_rec.IRParams(), N=2, cert_results=results,
+        small, probs, base_rec.IRParams(), N=2, cert_r=cert_r,
         targets=targets)
     # 100 randomized attacks on n=6, s=3, e=1 across all attack families
     mid = random_tiny_matrix(6, 6, seed=3)
-    probs6, targets6, results6 = certified(mid, s=3, N=3, e=1)
-    assert any(r.r > 0 for r in results6), "vacuous certificates"
+    probs6, targets6, cert_r6 = certified(mid, s=3, N=3, e=1)
+    assert any(r > 0 for r in cert_r6.values()), "vacuous certificates"
     reports = []
     for attack, trials in zip(oracle.ATTACKS, (34, 33, 33)):
         reports.append(oracle.attack_soundness_check(
             mid, probs6, base_rec.IRParams(), N=3, e=1, attack=attack,
-            trials=trials, seed=11, cert_results=results6, targets=targets6))
+            trials=trials, seed=11, cert_r=cert_r6, targets=targets6))
     total = sum(rep.trials for rep in reports)
     violations = len(exhaustive.violations) + sum(len(rep.violations)
                                                   for rep in reports)
@@ -270,12 +257,10 @@ def test_criterion_6_bagging_dominance(acceptance, synthetic_sweeps):
                       for k in range(3))]
     # per-user dominance as well: with N'=1 the joint constraint is implied
     # whenever the single-competitor one is
-    per_user_bad = []
-    pore_r = {(r.user, r.e): r.r for e in SWEEP_E for r in pore[2000].per_e[e]}
-    for e in SWEEP_E:
-        for r in bag.per_e[e]:
-            if pore_r[(r.user, e)] < r.r:
-                per_user_bad.append((r.user, e))
+    joint = pore[2000]
+    assert joint.users.tolist() == bag.users.tolist()
+    per_user_bad = [(u, e) for k, u in enumerate(bag.users.tolist())
+                    for j, e in enumerate(bag.e_list) if joint.r[k, j] < bag.r[k, j]]
     ok = not dominated and not per_user_bad and bool(strict)
     detail = (f"dominated nowhere ({len(dominated)} exceptions, "
               f"{len(per_user_bad)} per-user), strict at e={strict[:6]}")

@@ -35,14 +35,12 @@ class TestHandWorkedInstance:
 
     @pytest.mark.parametrize("e,want", sorted(EXPECTED.items()))
     def test_exact_r_sequence(self, e, want):
-        res = certify.binary_search_r(_hand_query(e))
-        assert res.r == want
-        assert res.mode == "exact"
+        assert certify.binary_search_r(_hand_query(e)) == want
 
     def test_approx_matches_exact_here(self):
         # far from the rounding grid, float evaluation agrees
         for e in range(0, 11):
-            assert certify.binary_search_r(_hand_query(e, exact=False)).r == \
+            assert certify.binary_search_r(_hand_query(e, exact=False)) == \
                 self.EXPECTED[e]
 
     def test_constraint_details_at_e1(self):
@@ -68,14 +66,14 @@ class TestConstraintEdges:
         ctx = bounds.make_context(3000, 2500, 1500)  # sigma overflows to inf
         q = certify.CertQuery(bounds=b, ctx=ctx, N=2, n_prime=1)
         assert not certify.verify_constraint(1, q)
-        assert certify.binary_search_r(q).r == 0
+        assert certify.binary_search_r(q) == 0
 
     def test_no_outside_items_always_certifies(self):
         probs = {0: Fraction(1, 2), 1: Fraction(1, 2)}
         b = certify.exact_bounds_from_probs(0, (0, 1), probs, m=2)
         ctx = bounds.make_context(5, 3, 2, exact_mode=True)
         q = certify.CertQuery(bounds=b, ctx=ctx, N=4, n_prime=1)
-        assert certify.binary_search_r(q).r == 2
+        assert certify.binary_search_r(q) == 2
 
     def test_negative_cap_clamps_with_warning(self, caplog):
         # deliberately inconsistent bounds: lowers sum past N'
@@ -135,7 +133,7 @@ class TestSearchEquivalence:
         rng = np.random.default_rng(42)
         for _ in range(250):
             q = _random_query(rng)
-            assert certify.binary_search_r(q).r == linear_scan_r(q)
+            assert certify.binary_search_r(q) == linear_scan_r(q)
 
     def test_feasibility_downward_closed(self):
         # if the constraint holds at r', it holds at every smaller r'
@@ -165,32 +163,28 @@ class TestSweep:
                               e_list=e_list, N=3, n_prime=1, s=5,
                               mode="approx")[0]
         assert not sweep.skipped
-        per_user = {u: [r.r for e in e_list for r in sweep.per_e[e]
-                        if r.user == u] for u in range(14)}
-        for u, rs in per_user.items():
-            assert len(rs) == len(e_list)
+        assert sweep.users.tolist() == list(range(14))
+        assert sweep.r.shape == (14, len(e_list))
+        for u, rs in enumerate(sweep.r.tolist()):
             assert all(a >= b for a, b in zip(rs, rs[1:])), (u, rs)
-        assert any(per_user[u][0] > 0 for u in range(14))
+        assert (sweep.r[:, 0] > 0).any()
 
     def test_alpha_budget_division(self):
         train, vc, targets = self._setup()
         sweep = certify.sweep(train, vc, targets, alpha=0.28,
                               e_list=[0], N=3, n_prime=1, s=5,
                               mode="approx")[0]
-        res = sweep.per_e[0][0]
-        assert res.alpha == pytest.approx(0.28 / 14)
+        assert sweep.alpha_u == pytest.approx(0.28 / 14)
 
     def test_exact_agrees_with_approx_away_from_grid(self):
         train, vc, targets = self._setup()
         kw = dict(alpha=0.2, e_list=[0, 1, 2], N=3, n_prime=1, s=5)
         approx = certify.sweep(train, vc, targets, mode="approx", **kw)[0]
         exact = certify.sweep(train, vc, targets, mode="exact", **kw)[0]
-        for e in (0, 1, 2):
-            ra = {r.user: r.r for r in approx.per_e[e]}
-            rx = {r.user: r.r for r in exact.per_e[e]}
-            # exact-mode floor/ceil can only weaken the approx certificate by
-            # at most the grid step; on this instance they should coincide
-            assert ra == rx
+        # exact-mode floor/ceil can only weaken the approx certificate by at
+        # most the grid step; on this instance they should coincide
+        assert approx.users.tolist() == exact.users.tolist()
+        assert approx.r.tolist() == exact.r.tolist()
 
     def test_empty_target_users_skipped(self):
         train, vc, _ = self._setup()
@@ -199,7 +193,7 @@ class TestSweep:
         sweep = certify.sweep(train, vc, targets, alpha=0.2,
                               e_list=[0], N=3, n_prime=1, s=5,
                               mode="approx")[0]
-        assert len(sweep.per_e[0]) == 1
+        assert len(sweep.users) == 1
         assert set(sweep.skipped) == set(range(14)) - {3}
 
     def test_mismatched_counts_rejected(self):
@@ -210,6 +204,14 @@ class TestSweep:
         with pytest.raises(ValueError):
             certify.sweep(train, vc, targets, alpha=0.2, e_list=[0],
                           N=3, n_prime=1, s=6, mode="approx")
+
+    @pytest.mark.parametrize("N", [0, -1])
+    def test_nonpositive_N_refused(self, N):
+        # N = 0 would divide the metric floors by zero, N = -1 certify r = -1
+        train, vc, targets = self._setup()
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            certify.sweep(train, vc, targets, alpha=0.2, e_list=[0], N=N,
+                          n_prime=1, s=5, rules=("joint", "bagging"))
 
 
 def bagging_scan_r(q: certify.CertQuery) -> int:
@@ -269,9 +271,11 @@ class TestRadiusSweep:
             n = train.n_users
             seen["skipped"] += len(results[0].skipped)
             for rule, res in zip(rules, results):
-                assert sorted(res.per_e) == sorted(set(e_list))
-                got = {(c.user, c.e): c for e in res.per_e
-                       for c in res.per_e[e]}
+                assert list(res.e_list) == sorted(set(e_list))
+                assert res.alpha_u == alpha / n
+                got = {(u, e): r for u, row in zip(res.users.tolist(),
+                                                   res.r.tolist())
+                       for e, r in zip(res.e_list, row)}
                 for u in range(n):
                     if not targets[u]:
                         assert u in res.skipped
@@ -288,9 +292,9 @@ class TestRadiusSweep:
                             want = certify.binary_search_r(q)
                         else:
                             want = certify.bagging_baseline_r(q)
-                            assert want.r == bagging_scan_r(q)
+                            assert want == bagging_scan_r(q)
                         assert got[(u, e)] == want, (rule, u, e)
-                        rs.append(want.r)
+                        rs.append(want)
                     if rule == "joint":
                         seen["r0_at_min_e"] += rs[0] == 0
                         seen["short_target"] += len(targets[u]) < N
@@ -308,11 +312,12 @@ class TestRadiusSweep:
                   rules=("joint", "bagging"))
         messy = certify.sweep(train, vc, targets, e_list=[10, 0, 5, 5], **kw)
         for res in messy:
-            assert list(res.per_e) == [0, 5, 10]
-        for e in (0, 5, 10):
+            assert res.e_list == (0, 5, 10)
+        for j, e in enumerate((0, 5, 10)):
             alone = certify.sweep(train, vc, targets, e_list=[e], **kw)
             for got, want in zip(messy, alone):
-                assert got.per_e[e] == want.per_e[e]
+                assert got.users.tolist() == want.users.tolist()
+                assert got.r[:, j].tolist() == want.r[:, 0].tolist()
 
     def test_empty_e_list_rejected(self):
         train = random_tiny_matrix(8, 6, seed=1)
@@ -342,12 +347,11 @@ class TestBagging:
     def test_hand_worked_r_curve(self):
         for e, want in [(0, 2), (1, 1), (2, 0), (5, 0)]:
             q = _hand_query(e)
-            res = certify.bagging_baseline_r(q)
-            assert res.r == want, e
+            assert certify.bagging_baseline_r(q) == want, e
 
     def test_pore_dominates_bagging_everywhere_here(self):
-        pore = [certify.binary_search_r(_hand_query(e)).r for e in range(8)]
-        bag = [certify.bagging_baseline_r(_hand_query(e)).r for e in range(8)]
+        pore = [certify.binary_search_r(_hand_query(e)) for e in range(8)]
+        bag = [certify.bagging_baseline_r(_hand_query(e)) for e in range(8)]
         assert all(p >= b for p, b in zip(pore, bag))
         assert any(p > b for p, b in zip(pore, bag))
 
@@ -359,8 +363,8 @@ class TestBagging:
             if q.n_prime != 1:
                 continue
             checked += 1
-            assert certify.binary_search_r(q).r >= \
-                certify.bagging_baseline_r(q).r
+            assert certify.binary_search_r(q) >= \
+                certify.bagging_baseline_r(q)
         assert checked > 40
 
     def test_requires_single_recommendation(self):
@@ -374,7 +378,7 @@ class TestBagging:
         b = certify.exact_bounds_from_probs(0, (0, 1), probs, m=2)
         ctx = bounds.make_context(6, 2, 3, exact_mode=True)
         q = certify.CertQuery(bounds=b, ctx=ctx, N=3, n_prime=1)
-        assert certify.bagging_baseline_r(q).r == 2
+        assert certify.bagging_baseline_r(q) == 2
 
     def test_bagging_sweep_monotone(self):
         train = random_tiny_matrix(14, 10, seed=4)
@@ -385,9 +389,5 @@ class TestBagging:
         sweep = certify.sweep(train, vc, targets, alpha=0.2,
                               e_list=[0, 1, 3], N=3, n_prime=1, s=5,
                               mode="approx", rules=("bagging",))[0]
-        per_user = {}
-        for e in (0, 1, 3):
-            for r in sweep.per_e[e]:
-                per_user.setdefault(r.user, []).append(r.r)
-        for rs in per_user.values():
+        for rs in sweep.r.tolist():
             assert all(a >= b for a, b in zip(rs, rs[1:]))

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -194,8 +195,10 @@ class TestTrain:
         assert code == 2
 
     @pytest.mark.parametrize("flags", [("--T", "0"), ("--chunk-size", "0"),
-                                       ("--chunk-size", "-1")],
-                             ids=["T0", "chunk0", "chunk_negative"])
+                                       ("--chunk-size", "-1"),
+                                       ("--threads", "0"), ("--threads", "-3")],
+                             ids=["T0", "chunk0", "chunk_negative", "threads0",
+                                  "threads_negative"])
     def test_nonpositive_T_or_chunk_size_refused(self, dataset, split, flags,
                                                  capsys):
         root, _ = dataset
@@ -314,10 +317,40 @@ class TestCertify:
         manifest = json.load(open(os.path.join(out, "manifest.json")))
         assert manifest["params"]["target"] == "clean-topn"
 
+    # on this dataset every certificate is 0, so these pin the file format;
+    # TestCleanTopnFloors pins certificates well above 0
+    PINNED = {
+        "approx": {"per_user.csv": "a731b5f9e243c94c0ef0ac3477ef055c",
+                   "aggregate.csv": "cadde80ba06262397a6f5db1272fec5d",
+                   "aggregate.json": "d40dc13754754acb1c4e3bb6ed5c4ce2",
+                   "baseline.csv": "08ec6738b89839dd2d633eaedc57b32e"},
+        "exact": {"per_user.csv": "81c6b5b7c152edcf7114c2e3f8a569d2",
+                  "aggregate.csv": "cadde80ba06262397a6f5db1272fec5d",
+                  "aggregate.json": "d40dc13754754acb1c4e3bb6ed5c4ce2",
+                  "baseline.csv": "08ec6738b89839dd2d633eaedc57b32e"},
+    }
+
+    @pytest.mark.parametrize("mode", ["approx", "exact"])
+    def test_output_bytes_pinned(self, split, votes, tmp_path, mode):
+        assert _output_digests(tmp_path, [
+            "--votes", votes, "--split", split, "--alpha", "0.2", "--e",
+            "0:3", "--mode", mode]) == self.PINNED[mode]
+
     def test_empty_e_rejected(self, dataset, split, votes):
         root, _ = dataset
         assert cli.main(["certify", "--votes", votes, "--split", split,
                          "--e", ",", "--out", str(root / "x")]) == 2
+
+    @pytest.mark.parametrize("command", ["certify", "baseline"])
+    @pytest.mark.parametrize("N", ["0", "-1"])
+    def test_nonpositive_N_refused(self, dataset, split, votes, command, N,
+                                   capsys):
+        root, _ = dataset
+        out = str(root / f"N_{command}_{N}")
+        assert cli.main([command, "--votes", votes, "--split", split,
+                         "--N", N, "--e", "0:1", "--out", out]) == 2
+        assert "error: N must be >= 1" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("command", ["certify", "baseline"])
     @pytest.mark.parametrize("alpha", ["0", "1", "1.5"])
@@ -329,6 +362,23 @@ class TestCertify:
                          "--alpha", alpha, "--e", "0", "--out", out]) == 2
         assert "error:" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+
+def _output_digests(root, args):
+    """blake2b-128 digests of per_user.csv, aggregate.csv and aggregate.json
+    from `certify --baseline bagging`, and of baseline.csv from `baseline`,
+    both run with args."""
+    cert, bag = str(root / "cert"), str(root / "bag")
+    assert cli.main(["certify", *args, "--baseline", "bagging",
+                     "--out", cert]) == 0
+    assert cli.main(["baseline", *args, "--out", bag]) == 0
+    digests = {}
+    for name in ("per_user.csv", "aggregate.csv", "aggregate.json",
+                 "baseline.csv"):
+        path = os.path.join(bag if name == "baseline.csv" else cert, name)
+        with open(path, "rb") as fh:
+            digests[name] = hashlib.blake2b(fh.read(), digest_size=16).hexdigest()
+    return digests
 
 
 def _write_tab(path, rated):
@@ -385,6 +435,27 @@ class TestCleanTopnFloors:
                 sum(r[u, row["e"]] / 5 for u in users) / len(users))
             assert row["cert_recall"] == pytest.approx(
                 sum(r[u, row["e"]] / size[u] for u in users) / len(users))
+
+
+    # the same digests where certificates reach r = 4
+    PINNED = {
+        "approx": {"per_user.csv": "18d2f537343666ad7f5d32c29f83dd69",
+                   "aggregate.csv": "fcea7c211eb7df6bb0e4d56d570b5b6a",
+                   "aggregate.json": "9cc92e8c79b76523bdef61b9a2a80e3d",
+                   "baseline.csv": "522ea342b51fc2fef12aea6aa4c2c64b"},
+        "exact": {"per_user.csv": "9e49bc8f8e9b88cb5fc98d32c5993e3b",
+                  "aggregate.csv": "fcea7c211eb7df6bb0e4d56d570b5b6a",
+                  "aggregate.json": "9cc92e8c79b76523bdef61b9a2a80e3d",
+                  "baseline.csv": "522ea342b51fc2fef12aea6aa4c2c64b"},
+    }
+
+    @pytest.mark.parametrize("mode", ["approx", "exact"])
+    def test_output_bytes_pinned(self, topn_instance, tmp_path, mode):
+        _, split, votes = topn_instance
+        assert _output_digests(tmp_path, [
+            "--votes", votes, "--split", split, "--target", "clean-topn",
+            "--N", "5", "--alpha", "0.2", "--e", "0:2", "--mode", mode]) == \
+            self.PINNED[mode]
 
 
 class TestCertifyManifest:
@@ -501,6 +572,15 @@ class TestOracleCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "violations: 0" in out
+
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_no_attack_trials_refused(self, trials, capsys):
+        code = cli.main(["oracle", "--n", "5", "--m", "4", "--s", "2",
+                         "--N", "2", "--trials", trials])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error: need at least one attack trial" in captured.err
+        assert "attack trials:" not in captured.out
 
     def test_probs_only(self, capsys):
         code = cli.main(["oracle", "--n", "5", "--m", "4", "--s", "2",

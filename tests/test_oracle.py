@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from certrec import base_rec, bounds, certify, ensemble, oracle, ratings
+from certrec import base_rec, ensemble, oracle
 
 from conftest import prob_row, random_tiny_matrix
 
@@ -85,56 +85,41 @@ class TestFakeUsers:
         assert np.array_equal(a, b)
 
 
-def _certify_exact(matrix, probs, targets, s, n_prime, N, e):
-    ctx = bounds.make_context(matrix.n_users, e, s, exact_mode=True)
-    out = []
-    for u in range(matrix.n_users):
-        if not targets[u]:
-            continue
-        b = certify.exact_bounds_from_probs(u, targets[u], prob_row(probs, u),
-                                            matrix.n_items)
-        q = certify.CertQuery(bounds=b, ctx=ctx, N=N, n_prime=n_prime)
-        out.append(certify.binary_search_r(q))
-    return out
-
-
 class TestSoundness:
     def _instance(self, n=6, m=5, seed=3, s=3, N=3, e=1):
         matrix = random_tiny_matrix(n, m, seed=seed)
         probs = oracle.exact_item_probs(matrix, "ir", base_rec.IRParams(), s, 1)
-        targets = {u: tuple(ensemble.ensemble_recommend(probs, matrix, u, N))
-                   for u in range(n)}
-        results = _certify_exact(matrix, probs, targets, s, 1, N, e)
-        return matrix, probs, targets, results
+        targets, cert_r = oracle.exact_certificates(matrix, probs, N, e)
+        return matrix, probs, targets, cert_r
 
     def test_random_attacks_never_violate(self):
-        matrix, probs, targets, results = self._instance()
+        matrix, probs, targets, cert_r = self._instance()
         report = oracle.attack_soundness_check(
             matrix, probs, base_rec.IRParams(), N=3, e=1,
             attack="random-ratings", trials=15, seed=0,
-            cert_results=results, targets=targets)
+            cert_r=cert_r, targets=targets)
         assert report.trials == 15
         assert report.ok
         assert not report.violations
 
     def test_e_zero_checks_clean_matrix_once(self):
-        matrix, probs, targets, results0 = self._instance(e=0)
+        matrix, probs, targets, cert_r0 = self._instance(e=0)
         report = oracle.attack_soundness_check(
             matrix, probs, base_rec.IRParams(), N=3, e=0,
             attack="random-ratings", trials=50, seed=0,
-            cert_results=results0, targets=targets)
+            cert_r=cert_r0, targets=targets)
         assert report.trials == 1
         assert report.ok
 
     def test_intersection_bookkeeping(self):
-        matrix, probs, targets, results = self._instance()
+        matrix, probs, targets, cert_r = self._instance()
         report = oracle.attack_soundness_check(
             matrix, probs, base_rec.IRParams(), N=3, e=1,
             attack="all-max-on-random-items", trials=8, seed=4,
-            cert_results=results, targets=targets)
-        for res in results:
-            if res.r > 0:
-                assert report.min_intersection[res.user] >= res.r
+            cert_r=cert_r, targets=targets)
+        for u, r in cert_r.items():
+            if r > 0:
+                assert report.min_intersection[u] >= r
 
     def test_violation_detected_when_r_inflated(self):
         # sanity for the checker itself: claim a certificate on an item that
@@ -143,23 +128,20 @@ class TestSoundness:
         matrix, probs, _, _ = self._instance()
         targets = {u: (int(matrix.rated_items(u)[0]),)
                    for u in range(matrix.n_users)}
-        bogus = [certify.CertResult(user=u, e=1, r=1, alpha=0.0, mode="exact")
-                 for u in range(matrix.n_users)]
+        bogus = {u: 1 for u in range(matrix.n_users)}
         report = oracle.attack_soundness_check(
             matrix, probs, base_rec.IRParams(), N=3, e=1,
             attack="random-ratings", trials=5, seed=1,
-            cert_results=bogus, targets=targets)
+            cert_r=bogus, targets=targets)
         assert not report.ok
         assert len(report.violations) > 0
 
     def test_exhaustive_two_level(self):
         matrix = random_tiny_matrix(5, 4, seed=6)
         probs = oracle.exact_item_probs(matrix, "ir", base_rec.IRParams(), 2, 1)
-        targets = {u: tuple(ensemble.ensemble_recommend(probs, matrix, u, 2))
-                   for u in range(5)}
-        results = _certify_exact(matrix, probs, targets, 2, 1, 2, e=1)
+        targets, cert_r = oracle.exact_certificates(matrix, probs, 2, e=1)
         report = oracle.exhaustive_two_level_check(
-            matrix, probs, base_rec.IRParams(), N=2, cert_results=results,
+            matrix, probs, base_rec.IRParams(), N=2, cert_r=cert_r,
             targets=targets)
         assert report.trials == 2 ** 4
         assert report.ok
@@ -169,21 +151,21 @@ class TestSoundness:
         clean = oracle.exact_item_probs(matrix, "ir", base_rec.IRParams(), 2, 1)
         with pytest.raises(ValueError, match="desk-scale"):
             oracle.exhaustive_two_level_check(
-                matrix, clean, base_rec.IRParams(), N=2, cert_results=[],
+                matrix, clean, base_rec.IRParams(), N=2, cert_r={},
                 targets={u: () for u in range(5)})
 
     def test_clean_counts_of_another_matrix_refused(self):
-        matrix, probs, targets, results = self._instance()
+        matrix, probs, targets, cert_r = self._instance()
         other = random_tiny_matrix(5, 5, seed=3)
         with pytest.raises(ValueError, match="clean counts"):
             oracle.exhaustive_two_level_check(
-                other, probs, base_rec.IRParams(), N=3, cert_results=results,
+                other, probs, base_rec.IRParams(), N=3, cert_r=cert_r,
                 targets=targets)
         with pytest.raises(ValueError, match="clean counts"):
             oracle.attack_soundness_check(
                 other, probs, base_rec.IRParams(), N=3, e=1,
                 attack="random-ratings", trials=1, seed=0,
-                cert_results=results, targets=targets)
+                cert_r=cert_r, targets=targets)
 
 
 def _full_counts(clean, poisoned, params):
@@ -244,13 +226,13 @@ class TestIncrementalPoisoning:
         clean = oracle.exact_item_probs(matrix, "ir", base_rec.IRParams(), 2, 1)
         assert len(trained) == 10
         oracle.exhaustive_two_level_check(
-            matrix, clean, base_rec.IRParams(), N=2, cert_results=[],
+            matrix, clean, base_rec.IRParams(), N=2, cert_r={},
             targets={})
         assert len(trained) == 10 + 2 ** 4 * 5
         trained.clear()
         oracle.attack_soundness_check(
             matrix, clean, base_rec.IRParams(), N=2, e=0,
-            attack="random-ratings", trials=3, seed=0, cert_results=[],
+            attack="random-ratings", trials=3, seed=0, cert_r={},
             targets={})
         assert not trained
 
@@ -265,19 +247,17 @@ class TestIncrementalPoisoning:
                    for u in range(5)}
         # claiming each whole target set makes some trials violate, so the
         # comparison covers nonempty violation lists
-        claimed = [certify.CertResult(user=u, e=1, r=len(targets[u]),
-                                      alpha=0.0, mode="exact")
-                   for u in range(5) if targets[u]]
+        claimed = {u: len(targets[u]) for u in range(5) if targets[u]}
 
         def run():
             if check == "two-level":
                 return oracle.exhaustive_two_level_check(
-                    matrix, probs, params, N=2, cert_results=claimed,
+                    matrix, probs, params, N=2, cert_r=claimed,
                     targets=targets)
             attack, _, e = check.rpartition("-e")
             return oracle.attack_soundness_check(
                 matrix, probs, params, N=2, e=int(e), attack=attack,
-                trials=6, seed=3, cert_results=claimed, targets=targets)
+                trials=6, seed=3, cert_r=claimed, targets=targets)
 
         fast = run()
         with monkeypatch.context() as mp:
