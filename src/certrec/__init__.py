@@ -9,7 +9,7 @@ fake users. Certified intersection sizes translate directly into certified
 Precision/Recall/F1 floors.
 """
 
-from .base_rec import BPRParams, IRParams, recommend, train_base
+from .base_rec import BPRParams, IRParams, recommend_all, train_base
 from .bounds import cp_lower, cp_upper, estimate_bounds, make_context
 from .certify import CertQuery, binary_search_r, sweep, verify_constraint
 from .ensemble import (VoteCounts, build_vote_counts, derive_seed,
@@ -21,7 +21,7 @@ from .ratings import (RatingMatrix, TestSets, load_ratings, load_split,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BPRParams", "IRParams", "recommend", "train_base",
+    "BPRParams", "IRParams", "recommend_all", "train_base",
     "cp_lower", "cp_upper", "estimate_bounds", "make_context",
     "CertQuery", "binary_search_r", "sweep", "verify_constraint",
     "VoteCounts", "build_vote_counts", "derive_seed", "ensemble_recommend",

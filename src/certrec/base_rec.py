@@ -1,17 +1,18 @@
 """Base recommender algorithms trained on user submatrices.
 
 Two interchangeable algorithms: item-neighborhood scoring over cosine
-similarities (ir) and pairwise-ranking matrix factorization (bpr). A model
-trained on a submatrix answers recommend() only for users inside it; items
-unseen in the submatrix are never recommended because neither algorithm has
-any signal for them. All ranking ties break by ascending item id so that
-ensembles built from these models are exactly reproducible.
+similarities (ir) and pairwise-ranking matrix factorization (bpr). A model is
+asked one thing, through recommend_all(): the top-N' items of every user in
+its submatrix at once; users outside the submatrix get none. Items unseen in
+the submatrix are never recommended because neither algorithm has any signal
+for them. All ranking ties break by ascending item id so that ensembles built
+from these models are exactly reproducible.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -49,14 +50,6 @@ class BaseModel:
     sim: csr_matrix | None = None        # ir: item x item top-k cosine table
     user_factors: np.ndarray | None = None  # bpr: s x d
     item_factors: np.ndarray | None = None  # bpr: m x d
-    _row_of: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_row_of",
-                           {int(u): r for r, u in enumerate(self.users)})
-
-    def row_of(self, user: int) -> int | None:
-        return self._row_of.get(int(user))
 
 
 # items per row block of the similarity table: bounds the dense slab a
@@ -220,55 +213,29 @@ def train_bpr(matrix: RatingMatrix, users: np.ndarray, params: BPRParams = BPRPa
                      user_factors=p, item_factors=q)
 
 
-def predicted_scores(model: BaseModel, user: int) -> np.ndarray | None:
-    """Score vector over all m items for a present user, else None."""
-    r = model.row_of(user)
-    if r is None:
-        return None
+def predicted_scores(model: BaseModel) -> np.ndarray:
+    """s x m scores of every submatrix user over all items, in model.users order.
+
+    ir: one CSR x dense product, which sums each score over j ascending as a
+    per-user sim @ x would. bpr: item_factors @ p user by user, not a gemm,
+    whose summation order could differ.
+    """
     if model.algo == "ir":
-        x = np.zeros(model.sub.shape[1])
-        lo, hi = model.sub.indptr[r], model.sub.indptr[r + 1]
-        x[model.sub.indices[lo:hi]] = model.sub.data[lo:hi]
-        return model.sim @ x
-    return model.item_factors @ model.user_factors[r]
-
-
-def recommend(model: BaseModel, user: int, n_prime: int) -> list[int]:
-    """Top-n_prime unrated seen items for the user; [] if the user is absent."""
-    if n_prime < 1:
-        raise ValueError(f"n_prime must be >= 1, got {n_prime}")
-    r = model.row_of(user)
-    if r is None:
-        return []
-    candidates = np.zeros(model.sub.shape[1], dtype=bool)
-    candidates[model.seen_items] = True
-    candidates[model.sub.indices[model.sub.indptr[r]:model.sub.indptr[r + 1]]] = False
-    _, items = _ranked(predicted_scores(model, user)[None], candidates[None],
-                       n_prime)
-    return items.tolist()
+        return (model.sim @ model.sub.T.toarray()).T
+    return np.stack([model.item_factors @ p for p in model.user_factors])
 
 
 def recommend_all(model: BaseModel, n_prime: int):
-    """recommend() for every submatrix user at once, as (users, items) arrays
-    with one entry per recommendation.
-
-    ir scores all users with one sparse product, which sums each score over
-    the user's rated neighbours in the same ascending order as the per-user
-    product; bpr scores user by user with the same product as
-    predicted_scores, so both give recommend()'s items exactly.
-    """
+    """Top-n_prime unrated seen items for every submatrix user, as (users,
+    items) arrays with one entry per recommendation, each user's best first."""
     if n_prime < 1:
         raise ValueError(f"n_prime must be >= 1, got {n_prime}")
     sub = model.sub
-    if model.algo == "ir":
-        scores = (model.sim @ sub.T.tocsr()).T.toarray()
-    else:
-        scores = np.stack([model.item_factors @ p for p in model.user_factors])
     candidates = np.zeros(sub.shape, dtype=bool)
     candidates[:, model.seen_items] = True
     candidates[np.repeat(np.arange(sub.shape[0]), np.diff(sub.indptr)),
                sub.indices] = False
-    rows, items = _ranked(scores, candidates, n_prime)
+    rows, items = _ranked(predicted_scores(model), candidates, n_prime)
     return model.users[rows], items
 
 

@@ -249,9 +249,20 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_recommend(args) -> int:
+def _load_votes_and_split(args):
+    """The votes and the split a command reads together, refused as a pair
+    when their shapes differ; returns (votes, train, tests)."""
+    train, tests, _ = ratings.load_split(args.split)
     vc = ensemble.load_votes(args.votes)
-    train, _, _ = ratings.load_split(args.split)
+    if vc.counts.shape != (train.n_users, train.n_items):
+        raise ValueError(f"{args.votes} holds {vc.n} x {vc.m} vote counts but "
+                         f"{args.split} is a {train.n_users} x {train.n_items} "
+                         f"split")
+    return vc, train, tests
+
+
+def cmd_recommend(args) -> int:
+    vc, train, _ = _load_votes_and_split(args)
     if args.user is not None and not 0 <= args.user < train.n_users:
         raise ValueError(f"--user must lie in [0, {train.n_users}), got {args.user}")
     users = [int(args.user)] if args.user is not None else range(train.n_users)
@@ -290,8 +301,7 @@ def _sweep_rows(args, rules):
     cfg = _resolve(args, ("alpha", "N", "mode", "e"))
     if args.exact:
         cfg.values["mode"] = "exact"
-    train, tests, _ = ratings.load_split(args.split)
-    vc = ensemble.load_votes(args.votes)
+    vc, train, tests = _load_votes_and_split(args)
     N = int(cfg["N"])
     targets = _target_sets(args.target, vc, train, tests, N)
     sweeps = certify.sweep(train, vc, targets, float(cfg["alpha"]),
@@ -354,21 +364,23 @@ def cmd_certify(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _resolve(args, ("N",))
     started = time.time()
-    train, tests, _ = ratings.load_split(args.split)
-    vc = ensemble.load_votes(args.votes)
+    vc, train, tests = _load_votes_and_split(args)
     N = int(cfg["N"])
     ens_triples, single_triples = [], []
-    single = None
+    single_recs = None  # user -> the full-data model's items, best first
     if args.with_single_model:
-        single = base_rec.train_base(vc.algo, train, np.arange(train.n_users),
-                                     cfg.algo_params(vc.algo))
+        model = base_rec.train_base(vc.algo, train, np.arange(train.n_users),
+                                    cfg.algo_params(vc.algo))
+        users, items = base_rec.recommend_all(model, N)
+        # users come ascending: cut before each user's first row
+        single_recs = np.split(items, np.searchsorted(users, range(1, train.n_users)))
     for u in range(train.n_users):
         if tests.size(u) == 0:
             continue
         recs = ensemble.ensemble_recommend(vc, train, u, N)
         ens_triples.append(metrics.standard_metrics(recs, tests[u], N))
-        if single is not None:
-            srecs = base_rec.recommend(single, u, N)
+        if single_recs is not None:
+            srecs = single_recs[u].tolist()
             # a full-data model can come up short only on tiny catalogs
             srecs = srecs + [i for i in range(train.n_items)
                              if i not in srecs][:max(0, N - len(srecs))]
@@ -514,20 +526,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", type=int, default=10)
     sp.set_defaults(func=cmd_recommend)
 
+    def certification(sp):
+        common(sp)
+        sp.add_argument("--votes", required=True)
+        sp.add_argument("--split", required=True)
+        sp.add_argument("--target", choices=("test-items", "clean-topn"),
+                        default="test-items")
+        sp.add_argument("--alpha", type=float)
+        sp.add_argument("--N", type=int)
+        sp.add_argument("--e", help="attack budgets, e.g. 0:30 or 0,5,10")
+        sp.add_argument("--mode", choices=("approx", "exact"))
+        sp.add_argument("--exact", action="store_true", help="shorthand for --mode exact")
+        sp.add_argument("--out", required=True)
+
     sp = sub.add_parser("certify", help="certified intersection sizes and metric floors")
-    common(sp)
-    sp.add_argument("--votes", required=True)
-    sp.add_argument("--split", required=True)
-    sp.add_argument("--target", choices=("test-items", "clean-topn"),
-                    default="test-items")
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--N", type=int)
-    sp.add_argument("--e", help="attack budgets, e.g. 0:30 or 0,5,10")
-    sp.add_argument("--mode", choices=("approx", "exact"))
-    sp.add_argument("--exact", action="store_true", help="shorthand for --mode exact")
+    certification(sp)
     sp.add_argument("--baseline", choices=("bagging",),
                     help="also compute the single-competitor baseline columns")
-    sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_certify)
 
     sp = sub.add_parser("evaluate", help="standard Precision/Recall/F1 at e=0")
@@ -541,17 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_evaluate)
 
     sp = sub.add_parser("baseline", help="single-competitor baseline certification only")
-    common(sp)
-    sp.add_argument("--votes", required=True)
-    sp.add_argument("--split", required=True)
-    sp.add_argument("--target", choices=("test-items", "clean-topn"),
-                    default="test-items")
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--N", type=int)
-    sp.add_argument("--e")
-    sp.add_argument("--mode", choices=("approx", "exact"))
-    sp.add_argument("--exact", action="store_true")
-    sp.add_argument("--out", required=True)
+    certification(sp)
     sp.set_defaults(func=cmd_baseline)
 
     sp = sub.add_parser("oracle", help="exact enumeration and attack falsification "

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.sparse import csr_matrix, vstack
 
-from .base_rec import recommend, train_base
+from .base_rec import recommend_all, train_base
 from .bounds import make_context
 from .certify import CertQuery, binary_search_r, exact_bounds_from_probs
 from .ensemble import VoteCounts, ensemble_recommend
@@ -37,8 +37,9 @@ def exact_item_probs(matrix: RatingMatrix, algo: str, params, s: int,
 
     The result is the vote counts of the exhaustive ensemble, T = C(n, s), so
     counts[u, i] / T is the exact probability that i is recommended to u.
-    This loop is kept apart from ensemble.accumulate_votes on purpose: the
-    tests compare the two as independent enumerations.
+    The subset enumeration is kept apart from ensemble.accumulate_votes on
+    purpose: the tests compare the two. Scoring (recommend_all) is shared;
+    the golden tests check it against conftest's reference_* paths.
     """
     n, m = matrix.n_users, matrix.n_items
     total = math.comb(n, s)
@@ -55,9 +56,8 @@ def _add_votes(hits, matrix, algo, params, subsets, n_prime) -> None:
     """Train one model per subset and add each member's votes to hits."""
     for subset in subsets:
         model = train_base(algo, matrix, np.asarray(subset), params)
-        for u in subset:
-            for i in recommend(model, u, n_prime):
-                hits[u, i] += 1
+        # a model recommends each item at most once per user: no repeated cell
+        hits[recommend_all(model, n_prime)] += 1
 
 
 def _poisoned_counts(clean: VoteCounts, poisoned: RatingMatrix,

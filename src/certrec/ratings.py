@@ -239,7 +239,7 @@ def load_split(path: str):
         except (KeyError, ValueError) as exc:
             raise ParseError(f"{path}: malformed split header: {exc}") from None
         users, items, scores = [], [], []
-        test_lists = [[] for _ in range(n)]
+        test_cells = [set() for _ in range(n)]
         for lineno, raw in enumerate(fh, start=2):
             line = raw.strip()
             if not line:
@@ -247,13 +247,19 @@ def load_split(path: str):
             parts = line.split(",")
             try:
                 if parts[0] == "train" and len(parts) == 4:
-                    users.append(int(parts[1])); items.append(int(parts[2])); scores.append(float(parts[3]))
+                    score = float(parts[3])
+                    if score == 0 or not math.isfinite(score):
+                        raise ValueError(f"train score must be nonzero and "
+                                         f"finite, got {parts[3]}")
+                    users.append(int(parts[1])); items.append(int(parts[2])); scores.append(score)
                 elif parts[0] == "test" and len(parts) == 3:
                     u, i = int(parts[1]), int(parts[2])
                     if not (0 <= u < n and 0 <= i < m):
                         raise ValueError(f"test cell ({u}, {i}) outside the "
                                          f"{n} x {m} matrix")
-                    test_lists[u].append(i)
+                    if i in test_cells[u]:
+                        raise ValueError(f"repeated test cell ({u}, {i})")
+                    test_cells[u].add(i)
                 else:
                     raise ValueError(f"unrecognized row kind {parts[0]!r}")
             except (ValueError, IndexError) as exc:
@@ -264,5 +270,13 @@ def load_split(path: str):
     domain = RatingDomain(lo=float(lo), hi=float(hi), integral=integral)
     train = _build_matrix(users, items, scores, domain,
                           user_ids=np.arange(n), item_ids=np.arange(m))
-    tests = TestSets(sets=tuple(np.array(sorted(t), dtype=np.int64) for t in test_lists))
+    tests = TestSets(sets=tuple(np.array(sorted(t), dtype=np.int64) for t in test_cells))
+    # every cell as the key u * m + i; both key arrays come out ascending
+    held = np.concatenate([np.zeros(0, np.int64)]
+                          + [u * m + t for u, t in enumerate(tests.sets)])
+    rated = np.repeat(np.arange(n), np.diff(train.csr.indptr)) * m + train.csr.indices
+    both = held[np.searchsorted(rated, held, side="right") > np.searchsorted(rated, held)]
+    if both.size:
+        u, i = divmod(int(both[0]), m)
+        raise ParseError(f"{path}: test cell ({u}, {i}) is also a train rating")
     return train, tests, header

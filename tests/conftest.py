@@ -170,7 +170,7 @@ def reference_votes(train, algo: str, params, s: int, n_prime: int,
                 train, np.asarray(members),
                 ensemble._member_params(algo, params, master_seed, t))
             users, sub, seen = model.users, model.sub, model.seen_items
-            scores = [base_rec.predicted_scores(model, u) for u in users]
+            scores = [model.item_factors @ p for p in model.user_factors]
         reference_model_votes(counts, users, sub, seen, scores, n_prime)
     return counts
 

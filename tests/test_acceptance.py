@@ -123,11 +123,12 @@ def test_criterion_2_single_model(acceptance, ml100k_run):
     train, tests, _ = ml100k_run
     model = base_rec.train_base("ir", train, np.arange(train.n_users),
                                 base_rec.IRParams())
+    users, items = base_rec.recommend_all(model, N_AT)
     triples = []
     for u in range(train.n_users):
         if tests.size(u) == 0:
             continue
-        recs = base_rec.recommend(model, u, N_AT)
+        recs = items[users == u].tolist()
         triples.append(metrics.standard_metrics(recs, set(tests[u].tolist()),
                                                 N_AT))
     p = _avg(triples)[0]
@@ -282,9 +283,7 @@ def test_criterion_7_calibration(acceptance):
         model = base_rec.train_base("ir", matrix, np.array(users),
                                     base_rec.IRParams())
         hits = np.zeros((n, m), dtype=np.int64)
-        for u in range(n):
-            for i in base_rec.recommend(model, u, 1):
-                hits[u, i] = 1
+        hits[base_rec.recommend_all(model, 1)] = 1
         patterns.append(hits)
     patterns = np.array(patterns)
     targets = {u: tuple(ensemble.ensemble_recommend(probs, matrix, u, n_rec))

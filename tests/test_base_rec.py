@@ -11,6 +11,17 @@ from certrec import base_rec, ensemble, ratings
 from conftest import random_tiny_matrix, reference_ir, signed_float_matrix
 
 
+def _recs(model, user, n):
+    """recommend_all's items for one user, best first."""
+    users, items = base_rec.recommend_all(model, n)
+    return items[users == user].tolist()
+
+
+def _scores(model, user):
+    """predicted_scores' row for one submatrix user."""
+    return base_rec.predicted_scores(model)[np.searchsorted(model.users, user)]
+
+
 def _matrix_from_dense(dense):
     dense = np.asarray(dense, dtype=np.float64)
     users, items, scores = [], [], []
@@ -49,11 +60,11 @@ class TestItemRetrieval:
         model = base_rec.train_ir(m, np.arange(3))
         # user 1 rated only item 0: score(1) = 4*0.78072 = 3.1229 beats
         # score(2) = 4*0.15430 = 0.6172
-        scores = base_rec.predicted_scores(model, 1)
+        scores = _scores(model, 1)
         assert scores[1] == pytest.approx(3.1228802334353056, abs=1e-10)
         assert scores[2] == pytest.approx(0.6172133998483676, abs=1e-10)
-        assert base_rec.recommend(model, 1, 1) == [1]
-        assert base_rec.recommend(model, 1, 5) == [1, 2]
+        assert _recs(model, 1, 1) == [1]
+        assert _recs(model, 1, 5) == [1, 2]
 
     def test_submatrix_governs_similarity_not_candidacy(self):
         # model trained on users {0,1} never saw item 2 rated, so item 2
@@ -61,7 +72,7 @@ class TestItemRetrieval:
         m = _matrix_from_dense(self.DENSE)
         model = base_rec.train_ir(m, np.array([0, 1]))
         assert 2 not in model.seen_items
-        recs = base_rec.recommend(model, 2, 3)
+        recs = _recs(model, 2, 3)
         assert 2 not in recs
 
     def test_rated_items_never_recommended(self):
@@ -69,7 +80,7 @@ class TestItemRetrieval:
         model = base_rec.train_ir(m, np.arange(10))
         for u in range(10):
             rated = set(m.rated_items(u).tolist())
-            assert not rated & set(base_rec.recommend(model, u, 8))
+            assert not rated & set(_recs(model, u, 8))
 
     def test_tie_break_ascending_id(self):
         # two identical columns tie exactly; lower item id must win
@@ -78,10 +89,10 @@ class TestItemRetrieval:
                  [0, 5, 5, 4]]
         m = _matrix_from_dense(dense)
         model = base_rec.train_ir(m, np.arange(3))
-        recs = base_rec.recommend(model, 0, 1)
+        recs = _recs(model, 0, 1)
         assert recs == [3]  # only unrated seen item for user 0
         # user 2 unrated: item 0; columns 1 and 2 are identical raters
-        scores = base_rec.predicted_scores(model, 2)
+        scores = _scores(model, 2)
         assert scores[0] > 0
 
     def test_top_k_pruning(self):
@@ -132,7 +143,7 @@ class TestBPR:
         # often than chance
         wins = trials = 0
         for u in range(12):
-            scores = base_rec.predicted_scores(model, u)
+            scores = _scores(model, u)
             rated = m.rated_items(u)
             unrated = np.setdiff1d(np.arange(10), rated)
             for i in rated:
@@ -165,7 +176,8 @@ class TestBPR:
         m = random_tiny_matrix(6, 6, seed=2)
         model = base_rec.train_bpr(m, np.array([0, 1, 2]),
                                    base_rec.BPRParams(d=4, epochs=2, seed=0))
-        assert base_rec.recommend(model, 5, 3) == []
+        users, _ = base_rec.recommend_all(model, 3)
+        assert 5 not in users
 
     def test_dispatch(self):
         m = random_tiny_matrix(6, 6, seed=2)

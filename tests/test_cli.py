@@ -229,6 +229,24 @@ class TestRecommend:
         assert "error:" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["recommend", "evaluate"])
+    @pytest.mark.parametrize("votes_are", ["smaller", "larger"])
+    def test_votes_of_another_shape_refused(self, split, votes, topn_instance,
+                                            command, votes_are, tmp_path,
+                                            capsys):
+        # the topn instance has 40 items, the module's split at most 24
+        _, other_split, other_votes = topn_instance
+        pair = (["--votes", votes, "--split", other_split]
+                if votes_are == "smaller" else
+                ["--votes", other_votes, "--split", split])
+        out = str(tmp_path / "eval")
+        extra = ["--out", out] if command == "evaluate" else []
+        assert cli.main([command, *pair, *extra]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "vote counts" in captured.err
+        assert captured.out == ""
+        assert not os.path.exists(out)
+
 
 class TestCertify:
     def test_outputs_and_columns(self, dataset, split, votes):

@@ -138,13 +138,23 @@ class TestSplitRoundTrip:
         ratings.save_split(p2, train, tests, 0, 0.75)
         assert open(p1).read() == open(p2).read()
 
-    @pytest.mark.parametrize("row", ["test,-1,0", "test,2,0", "test,0,2"])
-    def test_test_cell_outside_matrix_rejected(self, tmp_path, row):
+    @pytest.mark.parametrize("row, match", [
+        pytest.param(row, "line 4: test cell", id=row)
+        for row in ("test,-1,0", "test,2,0", "test,0,2")] + [
+        pytest.param("train,0,1,nan", "line 4: train score", id="nan"),
+        pytest.param("train,0,1,inf", "line 4: train score", id="inf"),
+        pytest.param("train,0,1,0.0", "line 4: train score", id="zero"),
+        pytest.param("test,0,1\ntest,0,1", r"line 5: repeated test cell \(0, 1\)",
+                     id="repeated"),
+        pytest.param("test,1,1", r"test cell \(1, 1\) is also a train rating",
+                     id="train-and-test")])
+    def test_test_cell_outside_matrix_rejected(self, tmp_path, row, match):
         p = tmp_path / "split.txt"
         p.write_text("#split v1 n=2 m=2 seed=0 fraction=0.75\n"
                      f"train,0,0,5.0\ntrain,1,1,3.0\n{row}\n")
-        with pytest.raises(ParseError, match="line 4: test cell"):
+        with pytest.raises(ParseError, match=match) as err:
             ratings.load_split(str(p))
+        assert str(p) in str(err.value)
 
     def test_header_mismatch_rejected(self, tmp_path):
         p = tmp_path / "bad.txt"
