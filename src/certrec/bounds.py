@@ -8,8 +8,8 @@ bounds and the attack slack
 
     sigma = (s/n') * C(n',s)/C(n,s) - s/n,   n' = n + e,
 
-available both in exact big-rational arithmetic (tiny instances, oracle tests)
-and in log-space doubles (real datasets, where C(n,s) has hundreds of digits).
+kept exact (big integers, even where C(n,s) has hundreds of digits) together
+with the doubles that bound them from above for certification's float pass.
 """
 
 from __future__ import annotations
@@ -93,8 +93,8 @@ class ProbBounds:
     Fraction. Derived orderings used by certification are computed once at
     construction, as Python numbers: mu_desc (lower bounds, descending),
     sum_lower (summed in ascending item order), and the outside upper bounds
-    sorted descending with prefix sums (ties at equal bounds ordered by
-    ascending item id so competitor selection is deterministic).
+    sorted descending (ties at equal bounds ordered by ascending item id so
+    competitor selection is deterministic).
     """
 
     user: int
@@ -106,7 +106,6 @@ class ProbBounds:
     mu_desc: list = field(init=False)
     sum_lower: object = field(init=False)
     out_upper_desc: list = field(init=False)
-    out_prefix: list = field(init=False)  # out_prefix[k] = sum of k largest uppers
 
     def __post_init__(self):
         desc = self.upper[np.argsort(-self.upper, kind="stable")]
@@ -114,7 +113,6 @@ class ProbBounds:
         object.__setattr__(self, "mu_desc", sorted(self.lower.tolist(), reverse=True))
         object.__setattr__(self, "sum_lower", sum(self.lower.tolist()))
         object.__setattr__(self, "out_upper_desc", desc.tolist())
-        object.__setattr__(self, "out_prefix", [0] + np.cumsum(desc).tolist())
 
     @property
     def n_outside(self) -> int:
@@ -167,63 +165,49 @@ def estimate_bounds(counts, user: int, items_in, alpha_u: float) -> ProbBounds:
 class CombinatoricContext:
     """C(n,s)/C(n',s) arithmetic for one (n, e, s) triple.
 
-    exact_mode keeps big integers and exact rational sigma; approximate mode
-    keeps log-space doubles with a one-sided upward guard on sigma so rounding
-    error can only make certification more conservative. sigma = +inf encodes
-    overflow of the coefficient ratio (any comparison against it then fails).
+    sigma and c_ns are exact. sigma_hi is the smallest double >= sigma (+inf
+    when sigma lies past the double range, and then every comparison against
+    it fails) and grid the smallest double >= 1/C(n,s): certification's float
+    pass reads these two, its exact fallback the exact values.
     """
 
     n: int
     e: int
     s: int
-    exact_mode: bool
-    sigma: object            # float (approx) or Fraction (exact); may be +inf
-    c_ns: int | None         # C(n, s), exact mode only
+    sigma: Fraction
+    c_ns: int
+    sigma_hi: float
+    grid: float
+
+
+def _double_at_least(q: Fraction) -> float:
+    """The smallest double >= q, or +inf past the double range."""
+    try:
+        x = float(q)  # correctly rounded, so at most one step below q
+    except OverflowError:
+        return math.inf
+    return x if Fraction(x) >= q else math.nextafter(x, math.inf)
 
 
 @lru_cache(maxsize=4096)
-def make_context(n: int, e: int, s: int, exact_mode: bool = False) -> CombinatoricContext:
+def make_context(n: int, e: int, s: int) -> CombinatoricContext:
     """Build the coefficient context for n genuine users, e fake users, s rows."""
     if not 1 <= s <= n:
         raise ValueError(f"need 1 <= s <= n, got s={s}, n={n}")
     if e < 0:
         raise ValueError(f"e must be >= 0, got {e}")
-    np_users = n + e
-    if exact_mode:
-        c_ns = math.comb(n, s)
-        sigma = (Fraction(s, np_users) * Fraction(math.comb(np_users, s), c_ns)
-                 - Fraction(s, n))
-        return CombinatoricContext(n=n, e=e, s=s, exact_mode=True,
-                                   sigma=sigma, c_ns=c_ns)
-    # C(n',s)/C(n,s) = prod_{j<s} (1 + e/(n-j)); summed in log space
-    log_ratio = math.fsum(math.log1p(e / (n - j)) for j in range(s))
-    # sigma = (s/n') * ratio - s/n = (s/n) * (exp(log_ratio + ln(n/n')) - 1);
-    # expm1 keeps full relative precision through the near-cancellation at
-    # small e, where the two terms agree to several digits
-    try:
-        sigma = (s / n) * math.expm1(log_ratio + math.log1p(-e / np_users))
-    except OverflowError:
-        sigma = math.inf
-    if math.isfinite(sigma) and sigma > 0:
-        sigma *= 1.0 + 1e-13  # upward guard: never understate the attack slack
-    return CombinatoricContext(n=n, e=e, s=s, exact_mode=False, sigma=sigma,
-                               c_ns=None)
+    c_ns = math.comb(n, s)
+    sigma = Fraction(s * math.comb(n + e, s), (n + e) * c_ns) - Fraction(s, n)
+    return CombinatoricContext(n=n, e=e, s=s, sigma=sigma, c_ns=c_ns,
+                               sigma_hi=_double_at_least(sigma),
+                               grid=_double_at_least(Fraction(1, c_ns)))
 
 
-def round_lower_star(p, ctx: CombinatoricContext):
-    """floor(p * C(n,s)) / C(n,s) in exact mode; identity in approximate mode.
-
-    Approximate mode skips the rounding: its one-sided error is below
-    1/C(n,s), which for every configuration this mode is used with lies far
-    under double-precision resolution (C(943,200) has over 200 digits).
-    """
-    if ctx.exact_mode:
-        return Fraction(math.floor(Fraction(p) * ctx.c_ns), ctx.c_ns)
-    return p
+def round_lower_star(p, ctx: CombinatoricContext) -> Fraction:
+    """floor(p * C(n,s)) / C(n,s), exactly, for a float or Fraction p."""
+    return Fraction(math.floor(Fraction(p) * ctx.c_ns), ctx.c_ns)
 
 
-def round_upper_star(p, ctx: CombinatoricContext):
-    """ceil(p * C(n,s)) / C(n,s) in exact mode; identity in approximate mode."""
-    if ctx.exact_mode:
-        return Fraction(math.ceil(Fraction(p) * ctx.c_ns), ctx.c_ns)
-    return p
+def round_upper_star(p, ctx: CombinatoricContext) -> Fraction:
+    """ceil(p * C(n,s)) / C(n,s), exactly, for a float or Fraction p."""
+    return Fraction(math.ceil(Fraction(p) * ctx.c_ns), ctx.c_ns)

@@ -35,7 +35,6 @@ DEFAULTS = {
     "N": 10,
     "alpha": 0.001,
     "e": "0:30",
-    "mode": "approx",
     "threads": 1,
     "chunk_size": 200,
     "ir.k": 50,
@@ -65,18 +64,14 @@ class RunConfig:
             if val is not None:
                 self.values[key] = val
 
-    def ir_params(self) -> base_rec.IRParams:
-        return base_rec.IRParams(k=int(self.values["ir.k"]))
-
-    def bpr_params(self) -> base_rec.BPRParams:
+    def algo_params(self, algo: str):
         v = self.values
+        if algo == "ir":
+            return base_rec.IRParams(k=int(v["ir.k"]))
         return base_rec.BPRParams(d=int(v["bpr.d"]), epochs=int(v["bpr.epochs"]),
                                   learn_rate=float(v["bpr.learn_rate"]),
                                   reg=float(v["bpr.reg"]),
                                   neg_samples=int(v["bpr.neg_samples"]))
-
-    def algo_params(self, algo: str):
-        return self.ir_params() if algo == "ir" else self.bpr_params()
 
 
 def parse_config_file(path: str) -> dict:
@@ -298,15 +293,12 @@ def _sweep_rows(args, rules):
     rows. Aggregates cover only users with held-out items and a nonempty
     target set.
     """
-    cfg = _resolve(args, ("alpha", "N", "mode", "e"))
-    if args.exact:
-        cfg.values["mode"] = "exact"
+    cfg = _resolve(args, ("alpha", "N", "e"))
     vc, train, tests = _load_votes_and_split(args)
     N = int(cfg["N"])
     targets = _target_sets(args.target, vc, train, tests, N)
     sweeps = certify.sweep(train, vc, targets, float(cfg["alpha"]),
-                           parse_e_list(cfg["e"]), N, vc.n_prime, vc.s,
-                           cfg["mode"], rules)
+                           parse_e_list(cfg["e"]), N, vc.n_prime, vc.s, rules)
     eligible = {u for u in range(train.n_users)
                 if tests.size(u) > 0 and len(targets[u]) > 0}
     rows = [_metric_rows(sw, targets, N, eligible) for sw in sweeps]
@@ -331,9 +323,9 @@ def cmd_certify(args) -> int:
     with open(os.path.join(args.out, "per_user.csv"), "w", encoding="utf-8",
               newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["user", "e", "r", "mode", "alpha"])
+        w.writerow(["user", "e", "r", "alpha"])
         for e, rs in zip(e_list, sweep.r.T.tolist()):
-            w.writerows([u, e, r, cfg["mode"], repr(sweep.alpha_u)]
+            w.writerows([u, e, r, repr(sweep.alpha_u)]
                         for u, r in zip(sweep.users.tolist(), rs))
     agg, extra = rows[0], ()
     if args.baseline is not None:
@@ -346,12 +338,14 @@ def cmd_certify(args) -> int:
     _write_manifest(os.path.join(args.out, "manifest.json"), "certify",
                     {"votes": args.votes, "split": args.split,
                      "target": args.target, "alpha": float(cfg["alpha"]),
-                     "N": int(cfg["N"]), "e_list": e_list, "mode": cfg["mode"],
+                     "N": int(cfg["N"]), "e_list": e_list,
                      "baseline": args.baseline,
                      "skipped_users": list(sweep.skipped),
                      "radius_histogram": {rule: _radius_histogram(sw)
                                           for rule, sw in zip(rules, sweeps)},
                      "verify_constraint_calls": sweep.verify_calls,
+                     "exact_fallbacks": {rule: sw.exact_fallbacks
+                                         for rule, sw in zip(rules, sweeps)},
                      "quantile_cache": {
                          "hits": cache.hits - cache_before.hits,
                          "misses": cache.misses - cache_before.misses}},
@@ -380,11 +374,7 @@ def cmd_evaluate(args) -> int:
         recs = ensemble.ensemble_recommend(vc, train, u, N)
         ens_triples.append(metrics.standard_metrics(recs, tests[u], N))
         if single_recs is not None:
-            srecs = single_recs[u].tolist()
-            # a full-data model can come up short only on tiny catalogs
-            srecs = srecs + [i for i in range(train.n_items)
-                             if i not in srecs][:max(0, N - len(srecs))]
-            single_triples.append(metrics.standard_metrics(srecs[:N], tests[u], N))
+            single_triples.append(metrics.standard_metrics(single_recs[u], tests[u], N))
     summary = {
         "N": N,
         "algo": vc.algo,
@@ -403,11 +393,8 @@ def cmd_evaluate(args) -> int:
               newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["system", "precision", "recall", "f1"])
-        w.writerow(["ensemble"] + [summary["ensemble"][k]
-                                   for k in ("precision", "recall", "f1")])
-        if single_triples:
-            w.writerow(["single_model"] + [summary["single_model"][k]
-                                           for k in ("precision", "recall", "f1")])
+        w.writerows([system] + [summary[system][k] for k in ("precision", "recall", "f1")]
+                    for system in ("ensemble", "single_model") if system in summary)
     _write_manifest(os.path.join(args.out, "manifest.json"), "evaluate",
                     {"votes": args.votes, "split": args.split, "N": N,
                      "with_single_model": bool(args.with_single_model)}, started)
@@ -425,7 +412,7 @@ def cmd_baseline(args) -> int:
                     {"votes": args.votes, "split": args.split,
                      "target": args.target, "alpha": cfg["alpha"],
                      "N": int(cfg["N"]), "e_list": sweep.e_list,
-                     "mode": cfg["mode"]}, started)
+                     "exact_fallbacks": sweep.exact_fallbacks}, started)
     print(f"baseline certified curves for {len(sweep.e_list)} budgets -> {args.out}")
     return 0
 
@@ -535,8 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--alpha", type=float)
         sp.add_argument("--N", type=int)
         sp.add_argument("--e", help="attack budgets, e.g. 0:30 or 0,5,10")
-        sp.add_argument("--mode", choices=("approx", "exact"))
-        sp.add_argument("--exact", action="store_true", help="shorthand for --mode exact")
         sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("certify", help="certified intersection sizes and metric floors")

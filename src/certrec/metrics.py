@@ -39,9 +39,13 @@ def certified_metrics(r: int, N: int, test_size: int):
 
 
 def standard_metrics(recommended, test_set, N: int):
-    """Per-user observed (precision, recall, f1) of a recommendation list."""
-    if len(recommended) != N:
-        raise ValueError(f"expected exactly N={N} recommendations, got {len(recommended)}")
+    """Per-user observed (precision, recall, f1) of a recommendation list.
+
+    The list may come up short of N (a user with fewer than N unrated items);
+    precision still divides by N.
+    """
+    if len(recommended) > N:
+        raise ValueError(f"expected at most N={N} recommendations, got {len(recommended)}")
     test = set(int(i) for i in test_set)
     if not test:
         raise ValueError("empty test set; exclude the user instead")

@@ -169,7 +169,7 @@ def exact_certificates(matrix: RatingMatrix, clean: VoteCounts, N: int,
     """
     n, m = matrix.n_users, matrix.n_items
     targets = {u: tuple(ensemble_recommend(clean, matrix, u, N)) for u in range(n)}
-    ctx = make_context(n, e, clean.s, True)
+    ctx = make_context(n, e, clean.s)
     cert_r = {}
     for u, items in targets.items():
         if items:

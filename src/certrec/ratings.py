@@ -111,8 +111,8 @@ def _build_matrix(users, items, scores, domain, user_ids=None, item_ids=None) ->
     if item_ids is None:
         item_ids, items = np.unique(items, return_inverse=True)
     n, m = len(user_ids), len(item_ids)
-    key = users * m + items
-    if len(np.unique(key)) != len(key):
+    key = np.sort(users * m + items)
+    if (key[1:] == key[:-1]).any():
         raise ParseError("duplicate (user, item) rating")
     mat = csr_matrix((scores, (users, items)), shape=(n, m))
     mat.sort_indices()

@@ -60,11 +60,10 @@ def synthetic_sweeps():
                                             master_seed=0, algo="ir")
     targets = [tests[u].tolist() for u in range(train.n_users)]
     pore = {T: certify.sweep(train, snaps[T], targets, alpha=0.2,
-                             e_list=SWEEP_E, N=N_AT, n_prime=1, s=12,
-                             mode="approx")[0]
+                             e_list=SWEEP_E, N=N_AT, n_prime=1, s=12)[0]
             for T in T_GRID}
     bag = certify.sweep(train, snaps[T_GRID[-1]], targets, alpha=0.2,
-                        e_list=SWEEP_E, N=N_AT, n_prime=1, s=12, mode="approx",
+                        e_list=SWEEP_E, N=N_AT, n_prime=1, s=12,
                         rules=("bagging",))[0]
     return train, tests, snaps, pore, bag
 
@@ -233,7 +232,7 @@ def test_criterion_5_monotonicity(acceptance, synthetic_sweeps, ml100k_run):
     targets = [m_tests[u].tolist() for u in range(m_train.n_users)]
     m_pore = {T: certify.sweep(m_train, m_snaps[T], targets,
                                alpha=0.001, e_list=SWEEP_E, N=N_AT,
-                               n_prime=1, s=300, mode="approx")[0]
+                               n_prime=1, s=300)[0]
               for T in T_GRID}
     e_bad, t_bad, top = check(m_tests, m_pore)
     ok = not e_bad and not t_bad
@@ -344,11 +343,12 @@ def test_criterion_8_numerics(acceptance):
                 worst_q = max(worst_q, abs(mine - 0.5 * (lo + hi)))
     q_ok = cases == 1000 and worst_q <= 1e-10
 
-    # exact rational vs log-space sigma
+    # exact rational sigma vs the double that bounds it from above
     worst_s = 0.0
     for e in range(0, 51):
-        approx = bounds.make_context(943, e, 200).sigma
-        exact = bounds.make_context(943, e, 200, exact_mode=True).sigma
+        ctx = bounds.make_context(943, e, 200)
+        approx, exact = ctx.sigma_hi, ctx.sigma
+        assert Fraction(approx) >= exact
         if e == 0:
             assert approx == 0 and exact == 0
             continue

@@ -1,6 +1,5 @@
 """Beta quantiles, Clopper-Pearson bounds, combinatoric contexts, roundings."""
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -205,23 +204,31 @@ class TestExactCoverage:
 
 class TestContext:
     def test_sigma_small_exact(self):
-        assert bounds.make_context(5, 1, 2, exact_mode=True).sigma == Fraction(1, 10)
-        assert bounds.make_context(6, 1, 3, exact_mode=True).sigma == Fraction(1, 4)
+        assert bounds.make_context(5, 1, 2).sigma == Fraction(1, 10)
+        assert bounds.make_context(6, 1, 3).sigma == Fraction(1, 4)
 
     def test_sigma_zero_at_e0(self):
-        assert bounds.make_context(943, 0, 200).sigma == 0.0
-        assert bounds.make_context(943, 0, 200, exact_mode=True).sigma == 0
+        ctx = bounds.make_context(943, 0, 200)
+        assert ctx.sigma == 0 and ctx.sigma_hi == 0.0
 
     def test_sigma_approx_conservative_and_close(self):
+        # sigma_hi is the smallest double at or above the exact sigma
         for e in (1, 2, 5, 17, 50):
-            a = bounds.make_context(943, e, 200).sigma
-            x = bounds.make_context(943, e, 200, exact_mode=True).sigma
-            assert Fraction(a) >= x
-            assert abs(Fraction(a) - x) / x < 1e-12
+            ctx = bounds.make_context(943, e, 200)
+            assert Fraction(ctx.sigma_hi) >= ctx.sigma
+            assert Fraction(math.nextafter(ctx.sigma_hi, 0.0)) < ctx.sigma
 
     def test_sigma_overflow_encodes_inf(self):
         ctx = bounds.make_context(3000, 2500, 1500)
-        assert ctx.sigma == math.inf
+        assert ctx.sigma_hi == math.inf
+        assert ctx.sigma > Fraction(10) ** 308
+
+    def test_grid_bounds_the_step_from_above(self):
+        for n, s in ((5, 2), (943, 200), (3000, 1500)):  # C(3000,1500) > 1e900
+            ctx = bounds.make_context(n, 0, s)
+            assert Fraction(ctx.grid) >= Fraction(1, math.comb(n, s)) > 0
+            assert Fraction(math.nextafter(ctx.grid, 0.0)) < \
+                Fraction(1, math.comb(n, s))
 
     def test_sigma_monotone_in_e(self):
         vals = [bounds.make_context(60, e, 12).sigma for e in range(0, 31)]
@@ -234,16 +241,23 @@ class TestContext:
             bounds.make_context(5, -1, 2)
 
     def test_rounding_stars_exact(self):
-        ctx = bounds.make_context(5, 1, 2, exact_mode=True)  # C(5,2) = 10
+        ctx = bounds.make_context(5, 1, 2)  # C(5,2) = 10
         assert bounds.round_lower_star(Fraction(37, 100), ctx) == Fraction(3, 10)
         assert bounds.round_upper_star(Fraction(37, 100), ctx) == Fraction(4, 10)
         assert bounds.round_lower_star(Fraction(3, 10), ctx) == Fraction(3, 10)
         assert bounds.round_upper_star(Fraction(3, 10), ctx) == Fraction(3, 10)
+        assert bounds.round_lower_star(0.375, ctx) == Fraction(3, 10)
+        assert bounds.round_upper_star(0.375, ctx) == Fraction(4, 10)
 
     def test_rounding_stars_approx_identity(self):
+        # on C(943,200), a grid step lies far below double resolution: the
+        # exact roundings bracket the float and convert back to it
         ctx = bounds.make_context(943, 1, 200)
-        assert bounds.round_lower_star(0.371, ctx) == 0.371
-        assert bounds.round_upper_star(0.371, ctx) == 0.371
+        lo = bounds.round_lower_star(0.371, ctx)
+        hi = bounds.round_upper_star(0.371, ctx)
+        assert lo < Fraction(0.371) < hi
+        assert hi - lo == Fraction(1, ctx.c_ns)
+        assert float(lo) == float(hi) == 0.371
 
 
 class TestProbBounds:
@@ -260,15 +274,7 @@ class TestProbBounds:
         assert list(b.mu_desc) == sorted(b.mu_desc, reverse=True)
         assert b.mu_desc[0] == b.lower[0]  # item 0 has the most votes
         assert b.n_outside == 3
-        # outside uppers sorted descending; out_prefix[k] sums the k largest,
-        # so prefix differences give the c smallest within any top window
         assert list(b.out_upper_desc) == sorted(b.out_upper_desc, reverse=True)
-        assert b.out_prefix[0] == 0.0
-        assert b.out_prefix[2] == pytest.approx(b.out_upper_desc[0]
-                                                + b.out_upper_desc[1])
-        k = b.n_outside
-        two_smallest = b.out_prefix[k] - b.out_prefix[k - 2]
-        assert two_smallest == pytest.approx(sum(sorted(b.out_upper_desc)[:2]))
 
     def test_bonferroni_budget(self):
         vc = self._counts()
@@ -293,7 +299,7 @@ class TestProbBounds:
 
     def test_derived_sums_exact(self):
         # np.sum adds pairwise past 8 terms and rounds differently; sum_lower
-        # and out_prefix must equal left-to-right sums in the stated order
+        # must equal the left-to-right sum in ascending item order
         rng = np.random.default_rng(1)  # a row where the two sums differ
         m, t = 120, 1000
         c = rng.integers(0, t + 1, size=(1, m)).astype(np.int32)
@@ -320,5 +326,4 @@ class TestProbBounds:
             assert b.lower.tolist() == low and b.upper.tolist() == up
             assert b.sum_lower == sum(low)
             assert b.out_upper_desc == desc
-            assert b.out_prefix == list(itertools.accumulate(desc, initial=0))
             assert b.mu_desc == sorted(low, reverse=True)

@@ -1,5 +1,6 @@
 """Certification: constraint evaluation, search, sweeps, bagging baseline."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -12,7 +13,8 @@ from conftest import random_tiny_matrix
 
 
 def _hand_query(e: int, exact: bool = True) -> certify.CertQuery:
-    """n=5, s=2 instance with exact probabilities worked out by hand.
+    """n=5, s=2 instance with exact probabilities worked out by hand, as
+    rational bounds or (exact=False) as the nearest doubles.
 
     Inside I_u = (0, 1): p = 4/10, 3/10. Outside: 2/10, 1/10, 0, 0.
     """
@@ -23,7 +25,7 @@ def _hand_query(e: int, exact: bool = True) -> certify.CertQuery:
         b = bounds.ProbBounds(user=0, items_in=b.items_in,
                               lower=b.lower.astype(float),
                               upper=b.upper.astype(float), alpha_u=0.0, m=6)
-    ctx = bounds.make_context(5, e, 2, exact_mode=exact)
+    ctx = bounds.make_context(5, e, 2)
     return certify.CertQuery(bounds=b, ctx=ctx, N=3, n_prime=1)
 
 
@@ -38,10 +40,18 @@ class TestHandWorkedInstance:
         assert certify.binary_search_r(_hand_query(e)) == want
 
     def test_approx_matches_exact_here(self):
-        # far from the rounding grid, float evaluation agrees
+        # float bounds certify what their rational copies certify; the double
+        # nearest 3/10 lies just below that grid point, so floor* drops it a
+        # whole step and r falls below the hand value at e = 1 and e = 2
+        got = []
         for e in range(0, 11):
-            assert certify.binary_search_r(_hand_query(e, exact=False)) == \
-                self.EXPECTED[e]
+            q = _hand_query(e, exact=False)
+            b = dataclasses.replace(q.bounds, lower=certify._fractions(q.bounds.lower),
+                                    upper=certify._fractions(q.bounds.upper))
+            got.append(certify.binary_search_r(q))
+            assert got[-1] == certify.binary_search_r(
+                dataclasses.replace(q, bounds=b))
+        assert got == [2, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0]
 
     def test_constraint_details_at_e1(self):
         q = _hand_query(1)
@@ -71,7 +81,7 @@ class TestConstraintEdges:
     def test_no_outside_items_always_certifies(self):
         probs = {0: Fraction(1, 2), 1: Fraction(1, 2)}
         b = certify.exact_bounds_from_probs(0, (0, 1), probs, m=2)
-        ctx = bounds.make_context(5, 3, 2, exact_mode=True)
+        ctx = bounds.make_context(5, 3, 2)
         q = certify.CertQuery(bounds=b, ctx=ctx, N=4, n_prime=1)
         assert certify.binary_search_r(q) == 2
 
@@ -90,6 +100,97 @@ class TestConstraintEdges:
         probs = {0: Fraction(1, 2)}
         with pytest.raises(ValueError):
             certify.exact_bounds_from_probs(0, (), probs, m=1)
+
+
+def exact_constraint(r_prime: int, q: certify.CertQuery) -> bool:
+    """The constraint read off its definition in rational arithmetic."""
+    ctx, n_prime = q.ctx, q.n_prime
+    lower = sorted((Fraction(x) for x in q.bounds.lower.tolist()), reverse=True)
+    comp = sorted((Fraction(x) for x in q.bounds.upper.tolist()),
+                  reverse=True)[:q.N - r_prime + 1][::-1]
+    if not comp:
+        return True
+    cap = max(n_prime - sum(lower), 0)
+    rhs = min([bounds.round_upper_star(comp[0], ctx) + ctx.sigma] + [
+        n_prime * (bounds.round_upper_star(Fraction(min(sum(comp[:c]), cap),
+                                                    n_prime), ctx)
+                   + ctx.sigma) / c
+        for c in range(1, len(comp) + 1)])
+    return bounds.round_lower_star(lower[r_prime - 1], ctx) > rhs
+
+
+def _near_tie(x: float, rng) -> float:
+    """x, or a double one or two ULPs to either side of it."""
+    for _ in range(int(rng.integers(0, 3))):
+        x = math.nextafter(x, math.inf if rng.integers(0, 2) else -math.inf)
+    return x
+
+
+class TestExactPredicate:
+    def test_one_ulp_near_tie_fails(self):
+        # e = 0 on C(943,200): mu is one ULP above the float cap 1 - sum of
+        # the lower bounds, whose float sum rounds up, so float arithmetic
+        # says "holds"; exactly, 2*mu + b + c <= 1, so mu <= cap and it fails
+        mu, b, c = 0.34331416662130426, 0.10508917219869217, 0.2082824945586993
+        cap = 1.0 - ((mu + b) + c)
+        assert mu == math.nextafter(cap, math.inf)
+        assert 2 * Fraction(mu) + Fraction(b) + Fraction(c) <= 1
+        pb = bounds.ProbBounds(user=0, items_in=(0, 1, 2),
+                               lower=np.array([mu, b, c]),
+                               upper=np.array([0.5]), alpha_u=0.01, m=4)
+        q = certify.CertQuery(bounds=pb, ctx=bounds.make_context(943, 0, 200),
+                              N=1, n_prime=1)
+        assert not exact_constraint(1, q)
+        assert not certify.verify_constraint(1, q)
+        assert certify.binary_search_r(q) == 0
+
+    @pytest.mark.parametrize("n,s", [(943, 200), (40, 6), (9, 3)])
+    def test_random_bounds_and_near_ties_match_exact(self, n, s):
+        # random float bounds as drawn, then with the r'-th lower bound (and
+        # a baseline winner) moved within two ULPs of the float right side
+        rng = np.random.default_rng(n)
+        decided = dict.fromkeys(("float", "exact"), 0)
+
+        def check(r_prime, q):
+            before = certify._exact_fallbacks
+            assert certify.verify_constraint(r_prime, q) == \
+                exact_constraint(r_prime, q)
+            decided["exact" if certify._exact_fallbacks > before else "float"] += 1
+
+        for _ in range(300):
+            m = int(rng.integers(2, 10))
+            n_in = int(rng.integers(1, m))
+            N = int(rng.integers(1, m + 1))
+            lower = rng.uniform(0, 1.5 / n_in, n_in)
+            upper = rng.uniform(0, 1, m - n_in)
+            q = certify.CertQuery(
+                bounds=bounds.ProbBounds(user=0, items_in=tuple(range(n_in)),
+                                         lower=lower.copy(), upper=upper,
+                                         alpha_u=0.01, m=m),
+                ctx=bounds.make_context(n, int(rng.integers(0, 4)), s), N=N,
+                n_prime=int(rng.integers(1, 4)))
+            r_prime = int(rng.integers(1, min(n_in, N) + 1))
+            check(r_prime, q)
+            for _ in range(3):  # settle mu against the cap it feeds
+                comp = sorted(upper, reverse=True)[:N - r_prime + 1][::-1]
+                cap = max(q.n_prime - sum(lower.tolist()), 0.0)
+                rhs = min([comp[0] + q.ctx.sigma_hi] + [
+                    q.n_prime * (min(sum(comp[:c]), cap) / q.n_prime
+                                 + q.ctx.sigma_hi) / c
+                    for c in range(1, len(comp) + 1)])
+                lower[np.argsort(-lower, kind="stable")[r_prime - 1]] = \
+                    _near_tie(rhs, rng)
+            if lower.max() <= 1:
+                check(r_prime, dataclasses.replace(q, bounds=dataclasses.replace(
+                    q.bounds, lower=lower.copy())))
+            if q.n_prime == 1:
+                lower[0] = _near_tie(max(upper) + q.ctx.sigma_hi, rng)
+                if lower[0] <= 1:
+                    bq = dataclasses.replace(q, bounds=dataclasses.replace(
+                        q.bounds, lower=lower))
+                    assert certify.bagging_baseline_r(bq) == bagging_scan_r(bq)
+        # both paths ran on a few hundred comparisons
+        assert min(decided.values()) > 20 and sum(decided.values()) > 400, decided
 
 
 def _random_query(rng) -> certify.CertQuery:
@@ -115,7 +216,7 @@ def _random_query(rng) -> certify.CertQuery:
                           lower=np.array(lower, dtype=object if exact else float),
                           upper=np.array(upper, dtype=object if exact else float),
                           alpha_u=0.01, m=m)
-    ctx = bounds.make_context(n, e, s, exact_mode=exact)
+    ctx = bounds.make_context(n, e, s)
     return certify.CertQuery(bounds=b, ctx=ctx, N=N,
                              n_prime=int(rng.integers(1, 4)))
 
@@ -160,8 +261,7 @@ class TestSweep:
         train, vc, targets = self._setup()
         e_list = [0, 1, 2, 4, 8]
         sweep = certify.sweep(train, vc, targets, alpha=0.2,
-                              e_list=e_list, N=3, n_prime=1, s=5,
-                              mode="approx")[0]
+                              e_list=e_list, N=3, n_prime=1, s=5)[0]
         assert not sweep.skipped
         assert sweep.users.tolist() == list(range(14))
         assert sweep.r.shape == (14, len(e_list))
@@ -172,27 +272,15 @@ class TestSweep:
     def test_alpha_budget_division(self):
         train, vc, targets = self._setup()
         sweep = certify.sweep(train, vc, targets, alpha=0.28,
-                              e_list=[0], N=3, n_prime=1, s=5,
-                              mode="approx")[0]
+                              e_list=[0], N=3, n_prime=1, s=5)[0]
         assert sweep.alpha_u == pytest.approx(0.28 / 14)
-
-    def test_exact_agrees_with_approx_away_from_grid(self):
-        train, vc, targets = self._setup()
-        kw = dict(alpha=0.2, e_list=[0, 1, 2], N=3, n_prime=1, s=5)
-        approx = certify.sweep(train, vc, targets, mode="approx", **kw)[0]
-        exact = certify.sweep(train, vc, targets, mode="exact", **kw)[0]
-        # exact-mode floor/ceil can only weaken the approx certificate by at
-        # most the grid step; on this instance they should coincide
-        assert approx.users.tolist() == exact.users.tolist()
-        assert approx.r.tolist() == exact.r.tolist()
 
     def test_empty_target_users_skipped(self):
         train, vc, _ = self._setup()
         targets = [[] for _ in range(14)]
         targets[3] = ensemble.ensemble_recommend(vc, train, 3, 3)
         sweep = certify.sweep(train, vc, targets, alpha=0.2,
-                              e_list=[0], N=3, n_prime=1, s=5,
-                              mode="approx")[0]
+                              e_list=[0], N=3, n_prime=1, s=5)[0]
         assert len(sweep.users) == 1
         assert set(sweep.skipped) == set(range(14)) - {3}
 
@@ -200,10 +288,10 @@ class TestSweep:
         train, vc, targets = self._setup()
         with pytest.raises(ValueError):
             certify.sweep(train, vc, targets, alpha=0.2, e_list=[0],
-                          N=3, n_prime=2, s=5, mode="approx")
+                          N=3, n_prime=2, s=5)
         with pytest.raises(ValueError):
             certify.sweep(train, vc, targets, alpha=0.2, e_list=[0],
-                          N=3, n_prime=1, s=6, mode="approx")
+                          N=3, n_prime=1, s=6)
 
     @pytest.mark.parametrize("N", [0, -1])
     def test_nonpositive_N_refused(self, N):
@@ -257,9 +345,11 @@ def _random_sweep_instance(rng):
 class TestRadiusSweep:
     """The radius sweep against a per-(user, e) search."""
 
-    @pytest.mark.parametrize("mode", ["approx", "exact"])
-    def test_equals_per_e_search(self, mode):
-        rng = np.random.default_rng(2023 if mode == "approx" else 2024)
+    @pytest.mark.parametrize("rational", [False, True], ids=["approx", "exact"])
+    def test_equals_per_e_search(self, rational):
+        # the reference search reads the sweep's float bounds, or (exact)
+        # their rational copies: the answers depend on the values alone
+        rng = np.random.default_rng(2024 if rational else 2023)
         seen = dict.fromkeys(("r0_at_min_e", "short_target", "no_outside",
                               "r_drops_in_e", "skipped"), 0)
         for _ in range(60):
@@ -267,7 +357,7 @@ class TestRadiusSweep:
             rules = ("joint", "bagging") if vc.n_prime == 1 else ("joint",)
             alpha = 0.3
             results = certify.sweep(train, vc, targets, alpha, e_list, N,
-                                    vc.n_prime, vc.s, mode, rules)
+                                    vc.n_prime, vc.s, rules)
             n = train.n_users
             seen["skipped"] += len(results[0].skipped)
             for rule, res in zip(rules, results):
@@ -281,13 +371,15 @@ class TestRadiusSweep:
                         assert u in res.skipped
                         continue
                     b = bounds.estimate_bounds(vc, u, targets[u], alpha / n)
-                    if mode == "exact":
-                        b = certify._exactify(b)
+                    if rational:
+                        b = dataclasses.replace(
+                            b, lower=certify._fractions(b.lower),
+                            upper=certify._fractions(b.upper))
                     rs = []
                     for e in sorted(set(e_list)):
                         q = certify.CertQuery(
                             bounds=b, N=N, n_prime=vc.n_prime,
-                            ctx=bounds.make_context(n, e, vc.s, mode == "exact"))
+                            ctx=bounds.make_context(n, e, vc.s))
                         if rule == "joint":
                             want = certify.binary_search_r(q)
                         else:
@@ -308,8 +400,7 @@ class TestRadiusSweep:
                                         T=300, s=5, n_prime=1, master_seed=11)
         targets = [ensemble.ensemble_recommend(vc, train, u, 3)
                    for u in range(14)]
-        kw = dict(alpha=0.2, N=3, n_prime=1, s=5, mode="approx",
-                  rules=("joint", "bagging"))
+        kw = dict(alpha=0.2, N=3, n_prime=1, s=5, rules=("joint", "bagging"))
         messy = certify.sweep(train, vc, targets, e_list=[10, 0, 5, 5], **kw)
         for res in messy:
             assert res.e_list == (0, 5, 10)
@@ -330,10 +421,12 @@ class TestRadiusSweep:
 
     @pytest.mark.parametrize("n,s", [(943, 200), (943, 50), (14, 5), (8, 4)])
     def test_approx_sigma_never_decreases_in_e(self, n, s):
-        # the radius form equals a per-e search only under this property
-        sigmas = [bounds.make_context(n, e, s).sigma
-                  for e in range(10 * n + 1)]
-        assert all(a <= b for a, b in zip(sigmas, sigmas[1:]))
+        # the radius form equals a per-e search only under this property,
+        # which the float pass keeps by reading sigma_hi
+        for name in ("sigma", "sigma_hi"):
+            sigmas = [getattr(bounds.make_context(n, e, s), name)
+                      for e in range(10 * n + 1)]
+            assert all(a <= b for a, b in zip(sigmas, sigmas[1:])), name
 
 
 class TestBagging:
@@ -341,7 +434,7 @@ class TestBagging:
         # same instance as the certification hand example: Z counts how many
         # fake users item i survives against the single largest competitor
         q = _hand_query(0)
-        z = certify._bagging_z_values(q.bounds, n=5, s=2, exact=True)
+        z = certify._bagging_z_values(q.bounds, n=5, s=2)
         assert z == [1, 0]  # item 0: sigma < 2/10 holds up to e'=1; item 1: e'=0
 
     def test_hand_worked_r_curve(self):
@@ -376,7 +469,7 @@ class TestBagging:
     def test_no_outside_items_certifies_all(self):
         probs = {0: Fraction(1, 2), 1: Fraction(1, 4)}
         b = certify.exact_bounds_from_probs(0, (0, 1), probs, m=2)
-        ctx = bounds.make_context(6, 2, 3, exact_mode=True)
+        ctx = bounds.make_context(6, 2, 3)
         q = certify.CertQuery(bounds=b, ctx=ctx, N=3, n_prime=1)
         assert certify.bagging_baseline_r(q) == 2
 
@@ -388,6 +481,6 @@ class TestBagging:
                    for u in range(14)]
         sweep = certify.sweep(train, vc, targets, alpha=0.2,
                               e_list=[0, 1, 3], N=3, n_prime=1, s=5,
-                              mode="approx", rules=("bagging",))[0]
+                              rules=("bagging",))[0]
         for rs in sweep.r.tolist():
             assert all(a >= b for a, b in zip(rs, rs[1:]))

@@ -256,7 +256,7 @@ class TestCertify:
                          "--alpha", "0.2", "--e", "0,1,2", "--out", out]) == 0
         with open(os.path.join(out, "per_user.csv")) as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["user", "e", "r", "mode", "alpha"]
+        assert rows[0] == ["user", "e", "r", "alpha"]
         assert {r[1] for r in rows[1:]} == {"0", "1", "2"}
         with open(os.path.join(out, "aggregate.csv")) as fh:
             agg = list(csv.reader(fh))
@@ -317,14 +317,16 @@ class TestCertify:
              for r in alone]
 
     def test_exact_flag(self, dataset, split, votes):
+        # every comparison is exact already; the old switches are refused
         root, _ = dataset
         out = str(root / "cert_exact")
-        assert cli.main(["certify", "--votes", votes, "--split", split,
-                         "--alpha", "0.2", "--e", "0", "--exact",
-                         "--out", out]) == 0
-        with open(os.path.join(out, "per_user.csv")) as fh:
-            rows = list(csv.reader(fh))
-        assert all(r[3] == "exact" for r in rows[1:])
+        for command in ("certify", "baseline"):
+            for flags in (["--exact"], ["--mode", "exact"]):
+                with pytest.raises(SystemExit) as exit_:
+                    cli.main([command, "--votes", votes, "--split", split,
+                              "--e", "0", "--out", out, *flags])
+                assert exit_.value.code == 2
+        assert not os.path.exists(out)
 
     def test_clean_topn_target(self, dataset, split, votes):
         root, _ = dataset
@@ -337,22 +339,20 @@ class TestCertify:
 
     # on this dataset every certificate is 0, so these pin the file format;
     # TestCleanTopnFloors pins certificates well above 0
-    PINNED = {
-        "approx": {"per_user.csv": "a731b5f9e243c94c0ef0ac3477ef055c",
-                   "aggregate.csv": "cadde80ba06262397a6f5db1272fec5d",
-                   "aggregate.json": "d40dc13754754acb1c4e3bb6ed5c4ce2",
-                   "baseline.csv": "08ec6738b89839dd2d633eaedc57b32e"},
-        "exact": {"per_user.csv": "81c6b5b7c152edcf7114c2e3f8a569d2",
-                  "aggregate.csv": "cadde80ba06262397a6f5db1272fec5d",
-                  "aggregate.json": "d40dc13754754acb1c4e3bb6ed5c4ce2",
-                  "baseline.csv": "08ec6738b89839dd2d633eaedc57b32e"},
-    }
+    PINNED = {"per_user.csv": "880afc1f5cfebfbf1e46b1c6fc3693a5",
+              "aggregate.csv": "cadde80ba06262397a6f5db1272fec5d",
+              "aggregate.json": "d40dc13754754acb1c4e3bb6ed5c4ce2",
+              "baseline.csv": "08ec6738b89839dd2d633eaedc57b32e"}
+    # per_user.csv of the former approx and exact modes
+    FORMER = {"approx": "a731b5f9e243c94c0ef0ac3477ef055c",
+              "exact": "81c6b5b7c152edcf7114c2e3f8a569d2"}
 
     @pytest.mark.parametrize("mode", ["approx", "exact"])
     def test_output_bytes_pinned(self, split, votes, tmp_path, mode):
         assert _output_digests(tmp_path, [
             "--votes", votes, "--split", split, "--alpha", "0.2", "--e",
-            "0:3", "--mode", mode]) == self.PINNED[mode]
+            "0:3"]) == self.PINNED
+        assert _former_digest(tmp_path, mode) == self.FORMER[mode]
 
     def test_empty_e_rejected(self, dataset, split, votes):
         root, _ = dataset
@@ -399,6 +399,17 @@ def _output_digests(root, args):
     return digests
 
 
+def _former_digest(root, mode):
+    """Digest of the per_user.csv left by _output_digests with the column
+    the former --mode flag wrote (between r and alpha) put back: both former
+    modes certified the sizes the one exact predicate certifies."""
+    with open(os.path.join(root, "cert", "per_user.csv"), newline="") as fh:
+        rows = [row[:3] + [mode if k else "mode"] + row[3:]
+                for k, row in enumerate(csv.reader(fh))]
+    text = "".join(",".join(row) + "\r\n" for row in rows)
+    return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
+
+
 def _write_tab(path, rated):
     """MovieLens tab file from {user: [(item, stars), ...]} (1-based ids)."""
     path.write_text("".join(f"{u}\t{i}\t{r}\t881250949\n"
@@ -425,16 +436,14 @@ def topn_instance(tmp_path_factory):
 
 
 class TestCleanTopnFloors:
-    @pytest.mark.parametrize("mode", ["approx", "exact"])
-    def test_floors_against_clean_topn(self, topn_instance, mode):
+    def test_floors_against_clean_topn(self, topn_instance):
         # r is counted over the clean top-N, so its floors divide by |I_u|;
         # dividing by |E_u| refused r > |E_u| and the command exited 2
         root, split, votes = topn_instance
-        out = str(root / f"cert_{mode}")
+        out = str(root / "cert_floors")
         assert cli.main(["certify", "--votes", votes, "--split", split,
                          "--target", "clean-topn", "--N", "5", "--alpha",
-                         "0.2", "--e", "0:2", "--mode", mode,
-                         "--out", out]) == 0
+                         "0.2", "--e", "0:2", "--out", out]) == 0
         train, tests, _ = ratings.load_split(split)
         vc = ensemble.load_votes(votes)
         size = {u: len(ensemble.ensemble_recommend(vc, train, u, 5))
@@ -456,24 +465,20 @@ class TestCleanTopnFloors:
 
 
     # the same digests where certificates reach r = 4
-    PINNED = {
-        "approx": {"per_user.csv": "18d2f537343666ad7f5d32c29f83dd69",
-                   "aggregate.csv": "fcea7c211eb7df6bb0e4d56d570b5b6a",
-                   "aggregate.json": "9cc92e8c79b76523bdef61b9a2a80e3d",
-                   "baseline.csv": "522ea342b51fc2fef12aea6aa4c2c64b"},
-        "exact": {"per_user.csv": "9e49bc8f8e9b88cb5fc98d32c5993e3b",
-                  "aggregate.csv": "fcea7c211eb7df6bb0e4d56d570b5b6a",
-                  "aggregate.json": "9cc92e8c79b76523bdef61b9a2a80e3d",
-                  "baseline.csv": "522ea342b51fc2fef12aea6aa4c2c64b"},
-    }
+    PINNED = {"per_user.csv": "e7477917650bdb441af83c97b936527c",
+              "aggregate.csv": "fcea7c211eb7df6bb0e4d56d570b5b6a",
+              "aggregate.json": "9cc92e8c79b76523bdef61b9a2a80e3d",
+              "baseline.csv": "522ea342b51fc2fef12aea6aa4c2c64b"}
+    FORMER = {"approx": "18d2f537343666ad7f5d32c29f83dd69",
+              "exact": "9e49bc8f8e9b88cb5fc98d32c5993e3b"}
 
     @pytest.mark.parametrize("mode", ["approx", "exact"])
     def test_output_bytes_pinned(self, topn_instance, tmp_path, mode):
         _, split, votes = topn_instance
         assert _output_digests(tmp_path, [
             "--votes", votes, "--split", split, "--target", "clean-topn",
-            "--N", "5", "--alpha", "0.2", "--e", "0:2", "--mode", mode]) == \
-            self.PINNED[mode]
+            "--N", "5", "--alpha", "0.2", "--e", "0:2"]) == self.PINNED
+        assert _former_digest(tmp_path, mode) == self.FORMER[mode]
 
 
 class TestCertifyManifest:
@@ -494,6 +499,9 @@ class TestCertifyManifest:
                          "--out", out]) == 0
         params = json.load(open(os.path.join(out, "manifest.json")))["params"]
         assert params["verify_constraint_calls"] == len(calls) > 0
+        fell = params["exact_fallbacks"]
+        assert set(fell) == {"joint", "bagging"} and min(fell.values()) >= 0
+        assert "mode" not in params
         cache = params["quantile_cache"]
         assert min(cache.values()) >= 0 and sum(cache.values()) > 0
         with open(os.path.join(out, "per_user.csv")) as fh:
@@ -564,6 +572,32 @@ class TestEvaluateAndBaseline:
                          "--config", str(conf), "--with-single-model",
                          "--out", str(root / "eval_k3")]) == 0
         assert seen == [base_rec.IRParams(k=3)]
+
+    @pytest.mark.parametrize("single", [False, True])
+    def test_short_candidate_lists(self, tmp_path, single):
+        # 8 of 12 users rate all 6 items, so each keeps 2 unrated items for
+        # N = 3; both systems recommend those 2, the held-out ones
+        data = tmp_path / "ratings.csv"
+        data.write_text("".join(f"{u},{i},{(u + i) % 5 + 1}\n"
+                                for u in range(1, 13) for i in range(1, 7)
+                                if u <= 8 or i <= 3))
+        split, votes = str(tmp_path / "split.csv"), str(tmp_path / "votes.csv")
+        assert cli.main(["ingest", "--data", str(data), "--format",
+                         "generic-csv", "--out", split]) == 0
+        assert cli.main(["train", "--split", split, "--T", "20", "--s", "4",
+                         "--out", votes]) == 0
+        out = str(tmp_path / "eval")
+        assert cli.main(["evaluate", "--votes", votes, "--split", split,
+                         "--N", "3", "--out", out]
+                        + ["--with-single-model"] * single) == 0
+        data = json.load(open(os.path.join(out, "evaluate.json")))
+        assert data["n_users_evaluated"] == 12
+        systems = ("ensemble", "single_model") if single else ("ensemble",)
+        assert ("single_model" in data) == single
+        for system in systems:
+            # the 8 full raters hit 2 of 3 slots and recall both held-out items
+            assert data[system]["precision"] >= 8 * (2 / 3) / 12
+            assert data[system]["recall"] >= 8 / 12
 
     def test_baseline(self, dataset, split, votes):
         root, _ = dataset
@@ -647,7 +681,8 @@ class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         # a key the program no longer reads is refused like any other
         conf = tmp_path / "bad.txt"
-        for line in ("bogus=1", "bounds.upper_convention=textbook"):
+        for line in ("bogus=1", "bounds.upper_convention=textbook",
+                     "mode=approx"):
             conf.write_text(line + "\n")
             with pytest.raises(ValueError, match="unknown key"):
                 cli.parse_config_file(str(conf))

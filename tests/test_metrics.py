@@ -56,6 +56,14 @@ class TestStandard:
     def test_no_hits(self):
         assert metrics.standard_metrics([5, 6], {1}, N=2) == (0.0, 0.0, 0.0)
 
+    def test_short_list_divides_by_N(self):
+        # fewer than N unrated items: the shorter list still counts against N
+        p, r, f1 = metrics.standard_metrics([2, 4], {2, 4, 9}, N=3)
+        assert (p, r) == pytest.approx((2 / 3, 2 / 3))
+        assert f1 == pytest.approx(2 * 2 / (3 + 3))
+        with pytest.raises(ValueError, match="at most N=2"):
+            metrics.standard_metrics([1, 2, 3], {2}, N=2)
+
 
 class TestAggregation:
     def test_average(self):
