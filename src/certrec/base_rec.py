@@ -74,15 +74,39 @@ def _ranked(scores: np.ndarray, candidates: np.ndarray, n: int):
     return np.nonzero(picked)[0], top[picked]
 
 
+def _top_k_keep(sim: np.ndarray, neighbour: np.ndarray, k: int) -> np.ndarray:
+    """The one top-k rule: which neighbours each row of a 2-D sim keeps.
+
+    A row with at most k neighbours keeps them all. A row with more keeps
+    those above its k-th largest value and fills the ties at that value by
+    ascending column id. Returns a mask of sim's shape.
+    """
+    m = sim.shape[1]
+    over = np.count_nonzero(neighbour, axis=1) > k
+    if not over.any():
+        return neighbour
+    sim = np.where(neighbour, sim, -np.inf)
+    kth = np.partition(sim, m - k, axis=1)[:, m - k]
+    kth[~over] = -np.inf  # such a row keeps all its neighbours
+    kth = kth[:, None]
+    # flat indices run row by row, columns ascending within a row
+    ties = np.flatnonzero((sim == kth) & neighbour)
+    keep = sim > kth
+    tie_rows = ties // m
+    rank = np.arange(ties.size) - np.searchsorted(tie_rows, tie_rows)
+    room = k - np.count_nonzero(keep, axis=1)
+    keep.ravel()[ties[rank < room[tie_rows]]] = True
+    return keep
+
+
 def _top_k_similarities(sub: csr_matrix, inv: np.ndarray, k: int) -> csr_matrix:
     """Cosine table keeping each item's k most similar other items.
 
     Built _BLOCK item rows at a time. The Gram block is a sparse product,
     which sums each entry over the submatrix users in ascending order, so
     entries are exact for integer ratings and reproducible for float ones;
-    it also drops zero sums, so gram != 0 marks the stored neighbours. A row
-    with more than k neighbours keeps those above its k-th largest value and
-    fills the ties at that value by ascending column id.
+    it also drops zero sums, so gram != 0 marks the stored neighbours, which
+    _top_k_keep prunes.
     """
     m = sub.shape[1]
     subT = sub.T.tocsr()
@@ -94,20 +118,7 @@ def _top_k_similarities(sub: csr_matrix, inv: np.ndarray, k: int) -> csr_matrix:
         neighbour[np.arange(hi - lo), np.arange(lo, hi)] = False  # self excluded
         sim = gram * inv[lo:hi, None]
         sim *= inv[None, :]
-        keep = neighbour
-        over = np.count_nonzero(neighbour, axis=1) > k
-        if over.any():
-            sim = np.where(neighbour, sim, -np.inf)
-            kth = np.partition(sim, m - k, axis=1)[:, m - k]
-            kth[~over] = -np.inf  # such a row keeps all its neighbours
-            kth = kth[:, None]
-            # flat indices run row by row, columns ascending within a row
-            ties = np.flatnonzero((sim == kth) & neighbour)
-            keep = sim > kth
-            tie_rows = ties // m
-            rank = np.arange(ties.size) - np.searchsorted(tie_rows, tie_rows)
-            room = k - np.count_nonzero(keep, axis=1)
-            keep.ravel()[ties[rank < room[tie_rows]]] = True
+        keep = _top_k_keep(sim, neighbour, k)
         kept = np.flatnonzero(keep)
         lengths.append(np.count_nonzero(keep, axis=1))
         idx_parts.append(kept % m)
@@ -237,6 +248,50 @@ def recommend_all(model: BaseModel, n_prime: int):
                sub.indices] = False
     rows, items = _ranked(predicted_scores(model), candidates, n_prime)
     return model.users[rows], items
+
+
+def ir_votes_batched(matrix: RatingMatrix, subsets: np.ndarray, k: int,
+                     n_prime: int):
+    """Votes of the ir models of many submatrices at once, as (users, items).
+
+    subsets: B x s user ids, one submatrix per row. The result holds what
+    recommend_all(train_ir(matrix, subset, IRParams(k)), n_prime) returns for
+    every subset in turn, and equals it whenever the ratings are integers and
+    s * max|rating|^2 < 2^53 (callers check): then every partial sum of the
+    dense batched Gram is an integer below 2^53, so the Gram and the norms
+    are exact in any summation order. The rest repeats the per-model steps:
+    the elementwise cosine scaling of _top_k_similarities, its pruning rule
+    (_top_k_keep), scores summed over j ascending one column at a time as in
+    scipy's CSR x dense loop (a non-neighbour adds +0.0), and _ranked.
+    """
+    if n_prime < 1:
+        raise ValueError(f"n_prime must be >= 1, got {n_prime}")
+    n, m = matrix.n_users, matrix.n_items
+    csr = matrix.csr
+    rated = np.zeros((n, m), dtype=bool)
+    rated[np.repeat(np.arange(n), np.diff(csr.indptr)), csr.indices] = True
+    x = csr.toarray()[subsets]          # B x s x m
+    rated = rated[subsets]
+    B, s, _ = x.shape
+    gram = np.matmul(x.transpose(0, 2, 1), x)  # B x m x m
+    diag = np.arange(m)
+    norms = np.sqrt(gram[:, diag, diag])
+    inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+    neighbour = gram != 0
+    neighbour[:, diag, diag] = False  # self excluded
+    sim = gram * inv[:, :, None]
+    sim *= inv[:, None, :]
+    keep = _top_k_keep(sim.reshape(B * m, m), neighbour.reshape(B * m, m), k)
+    # column j of every item's table row, contiguous: table[b, j, i] = sim(i, j)
+    table = np.where(keep.reshape(B, m, m), sim, 0.0).transpose(0, 2, 1).copy()
+    scores = np.zeros((B, s, m))
+    for j in range(m):
+        scores += x[:, :, j, None] * table[:, None, j, :]
+    # seen in the submatrix and not rated by the user
+    candidates = rated.any(axis=1, keepdims=True) & ~rated
+    rows, items = _ranked(scores.reshape(B * s, m),
+                          candidates.reshape(B * s, m), n_prime)
+    return subsets.reshape(-1)[rows], items
 
 
 def train_base(algo: str, matrix: RatingMatrix, users: np.ndarray, params) -> BaseModel:

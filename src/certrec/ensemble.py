@@ -9,6 +9,7 @@ produce identical counts.
 from __future__ import annotations
 
 import hashlib
+import io
 import itertools
 import math
 import os
@@ -197,8 +198,8 @@ def save_votes(path: str, vc: VoteCounts) -> None:
                  f"nprime={vc.n_prime} algo={vc.algo} seed={vc.master_seed}"
                  f"{digest}\n")
         rows, cols = np.nonzero(vc.counts)
-        for u, i in zip(rows, cols):
-            fh.write(f"{u},{i},{int(vc.counts[u, i])}\n")
+        fh.write("".join(f"{u},{i},{c}\n" for u, i, c in zip(
+            rows.tolist(), cols.tolist(), vc.counts[rows, cols].tolist())))
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
@@ -206,15 +207,19 @@ def save_votes(path: str, vc: VoteCounts) -> None:
 
 def load_votes(path: str) -> VoteCounts:
     """Read a votes file, refusing cells outside the matrix, counts outside
-    [0, T] and repeated cells. A header without params= (older files) gives
-    params=""."""
+    [0, T], repeated cells and users with more than T * nprime votes. A
+    header without params= (older files) gives params=""."""
     with open(path, "r", encoding="utf-8") as fh:
         header = _parse_header(fh.readline().rstrip("\n"), "#votes v1 ")
         try:
             n, m, T, n_prime, s, seed = (int(header[k]) for k in
                                          ("n", "m", "T", "nprime", "s", "seed"))
             algo = header["algo"]
-            cells = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2)
+            body = fh.read()
+            # loadtxt warns on a body without rows: no votes is read directly
+            cells = (np.loadtxt(io.StringIO(body), delimiter=",",
+                                dtype=np.int64, ndmin=2)
+                     if body.strip() else np.zeros((0, 3), dtype=np.int64))
         except (KeyError, ValueError) as exc:
             raise ParseError(f"{path}: {exc}") from None
     if cells.size == 0:
@@ -240,6 +245,12 @@ def load_votes(path: str) -> VoteCounts:
         raise ParseError(f"{path}: duplicate vote cell ({cell // m}, {cell % m})")
     counts = np.zeros((n, m), dtype=np.int32)
     counts[u, i] = c
+    # each of the T models votes at most N' items per user
+    over = np.flatnonzero(counts.sum(axis=1, dtype=np.int64) > T * n_prime)
+    if over.size:
+        raise ParseError(f"{path}: user {over[0]} has "
+                         f"{counts[over[0]].sum(dtype=np.int64)} votes, more "
+                         f"than T * nprime = {T * n_prime}")
     return VoteCounts(T=T, n_prime=n_prime, s=s, counts=counts,
                       master_seed=seed, algo=algo,
                       params=header.get("params", ""))

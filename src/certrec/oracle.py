@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.sparse import csr_matrix, vstack
 
-from .base_rec import recommend_all, train_base
+from .base_rec import IRParams, ir_votes_batched, recommend_all, train_base
 from .bounds import make_context
 from .certify import CertQuery, binary_search_r, exact_bounds_from_probs
 from .ensemble import VoteCounts, ensemble_recommend
@@ -38,21 +38,67 @@ def exact_item_probs(matrix: RatingMatrix, algo: str, params, s: int,
     The result is the vote counts of the exhaustive ensemble, T = C(n, s), so
     counts[u, i] / T is the exact probability that i is recommended to u.
     The subset enumeration is kept apart from ensemble.accumulate_votes on
-    purpose: the tests compare the two. Scoring (recommend_all) is shared;
-    the golden tests check it against conftest's reference_* paths.
+    purpose: the tests compare the two. ir models on integer ratings are
+    counted by base_rec.ir_votes_batched; the same C(n, s) models then go
+    through train_ir + recommend_all, and any vote that differs raises
+    RuntimeError. Other models use the per-model path alone.
     """
     n, m = matrix.n_users, matrix.n_items
     total = math.comb(n, s)
     if total > MAX_ENUM:
         raise ValueError(f"C({n},{s}) = {total} exceeds the enumeration guard {MAX_ENUM}")
     hits = np.zeros((n, m), dtype=np.int32)
-    _add_votes(hits, matrix, algo, params, itertools.combinations(range(n), s),
-               n_prime)
+    _add_votes(hits, matrix, algo, params, s,
+               itertools.combinations(range(n), s), n_prime)
+    if _batched_ir(matrix, algo, s):
+        # the batched kernel answered: replay the clean models through the
+        # production kernel and refuse to go on if any vote differs
+        ref = np.zeros_like(hits)
+        _add_model_votes(ref, matrix, algo, params,
+                         itertools.combinations(range(n), s), n_prime)
+        bad = np.argwhere(hits != ref)
+        if bad.size:
+            u, i = bad[0]
+            raise RuntimeError(
+                f"batched ir kernel disagrees with train_ir on {len(bad)} "
+                f"cells, first ({u}, {i}): {hits[u, i]} votes against "
+                f"{ref[u, i]}")
     return VoteCounts(T=total, n_prime=n_prime, s=s, counts=hits,
                       master_seed=0, algo=algo)  # nothing is sampled
 
 
-def _add_votes(hits, matrix, algo, params, subsets, n_prime) -> None:
+# float64 cells per array of one ir_votes_batched call: a few MB in all
+_BATCH_CELLS = 1 << 17
+
+
+def _batched_ir(matrix: RatingMatrix, algo: str, s: int) -> bool:
+    """Whether ir_votes_batched runs: ir, integer ratings stored (whatever
+    the domain says) and s * max|r|^2 < 2^53, so that it is exact, and one
+    model's arrays within _BATCH_CELLS (train_ir blocks wider catalogs)."""
+    data = matrix.csr.data
+    top = float(np.abs(data).max(initial=0.0))
+    m = matrix.n_items
+    return (algo == "ir" and m * (m + s) <= _BATCH_CELLS
+            and bool(np.all(data == np.round(data)))
+            and s * top * top < 2.0 ** 53)
+
+
+def _add_votes(hits, matrix, algo, params, s, subsets, n_prime) -> None:
+    """Add every s-subset's model votes to hits, in batches when exact."""
+    if not _batched_ir(matrix, algo, s):
+        _add_model_votes(hits, matrix, algo, params, subsets, n_prime)
+        return
+    k = (params if params is not None else IRParams()).k
+    m = matrix.n_items
+    chunk = _BATCH_CELLS // (m * (m + s))
+    while batch := list(itertools.islice(subsets, chunk)):
+        users, items = ir_votes_batched(matrix, np.array(batch), k, n_prime)
+        # repeated cells across the batch's models: count them all
+        hits += np.bincount(users * m + items,
+                            minlength=hits.size).reshape(hits.shape)
+
+
+def _add_model_votes(hits, matrix, algo, params, subsets, n_prime) -> None:
     """Train one model per subset and add each member's votes to hits."""
     for subset in subsets:
         model = train_base(algo, matrix, np.asarray(subset), params)
@@ -74,7 +120,7 @@ def _poisoned_counts(clean: VoteCounts, poisoned: RatingMatrix,
     hits = np.zeros((poisoned.n_users, poisoned.n_items), dtype=np.int32)
     hits[:n] = clean.counts
     # combinations come sorted, so the last index is the largest
-    _add_votes(hits, poisoned, clean.algo, params,
+    _add_votes(hits, poisoned, clean.algo, params, s,
                (sub for sub in itertools.combinations(range(poisoned.n_users), s)
                 if sub[-1] >= n),
                clean.n_prime)

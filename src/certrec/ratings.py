@@ -260,6 +260,10 @@ def load_split(path: str):
                     if i in test_cells[u]:
                         raise ValueError(f"repeated test cell ({u}, {i})")
                     test_cells[u].add(i)
+                elif parts[0] in ("train", "test"):
+                    width = 4 if parts[0] == "train" else 3
+                    raise ValueError(f"expected {width} fields for a "
+                                     f"{parts[0]} row, got {len(parts)}")
                 else:
                     raise ValueError(f"unrecognized row kind {parts[0]!r}")
             except (ValueError, IndexError) as exc:

@@ -1,6 +1,7 @@
 """Base recommenders: item-item cosine retrieval and pairwise-ranking SGD."""
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 
 from certrec import base_rec, ensemble, ratings
 
-from conftest import random_tiny_matrix, reference_ir, signed_float_matrix
+from conftest import (random_tiny_matrix, reference_ir, reference_model_votes,
+                      signed_float_matrix)
 
 
 def _recs(model, user, n):
@@ -243,3 +245,98 @@ class TestKernelGolden:
     def test_k_below_one_refused(self):
         with pytest.raises(ValueError, match="ir.k"):
             base_rec.IRParams(k=0)
+
+
+def _integer_matrix(n: int, m: int, seed: int, values) -> ratings.RatingMatrix:
+    """Random pattern at density 0.5 with ratings drawn from values; every
+    user rates at least one item. Declared non-integral, as generic-csv
+    files are: the batched kernel reads the stored values, not the domain."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n, m)) < 0.5
+    mask[np.arange(n), rng.integers(0, m, size=n)] = True
+    users, items = np.nonzero(mask)
+    scores = rng.choice(values, size=users.size).astype(float)
+    dom = ratings.RatingDomain(lo=float(min(values)), hi=float(max(values)),
+                               integral=False)
+    return ratings._build_matrix(users.tolist(), items.tolist(), scores.tolist(),
+                                 dom, user_ids=np.arange(n),
+                                 item_ids=np.arange(m))
+
+
+def _reference_subset_votes(matrix, subsets, k, n_prime):
+    """conftest's per-item loop and per-user ranking, one subset at a time."""
+    counts = np.zeros((matrix.n_users, matrix.n_items), dtype=np.int32)
+    for subset in subsets:
+        users, sub, seen, table = reference_ir(matrix, subset, k)
+        scores = [table @ row for row in sub.toarray()]
+        reference_model_votes(counts, users, sub, seen, scores, n_prime)
+    return counts
+
+
+def _batched_subset_votes(matrix, subsets, k, n_prime):
+    counts = np.zeros((matrix.n_users, matrix.n_items), dtype=np.int32)
+    users, items = base_rec.ir_votes_batched(matrix, np.array(subsets), k,
+                                             n_prime)
+    np.add.at(counts, (users, items), 1)
+    return counts
+
+
+_KERNEL_INSTANCES = {
+    # ratings 1-5; some subsets leave an item unrated (zero norm)
+    "random": lambda: random_tiny_matrix(8, 7, seed=21, density=0.4),
+    # every rating equal: cosines depend on co-rating counts only, so many
+    # rows tie at their k-th value
+    "all-equal": lambda: _integer_matrix(8, 7, seed=22, values=[4]),
+    # signed integers: Gram sums cancel to 0 and cosines go negative
+    "signed": lambda: _integer_matrix(8, 7, seed=23, values=[-3, -1, 1, 2, 3]),
+}
+
+
+class TestBatchedKernel:
+    """ir_votes_batched casts the votes of the per-item reference loop."""
+
+    @pytest.mark.parametrize("n_prime", [1, 3])
+    @pytest.mark.parametrize("k", [1, 2, "m-2", 50])
+    @pytest.mark.parametrize("instance", sorted(_KERNEL_INSTANCES))
+    def test_matches_reference(self, instance, k, n_prime):
+        matrix = _KERNEL_INSTANCES[instance]()
+        k = matrix.n_items - 2 if k == "m-2" else k
+        subsets = list(itertools.combinations(range(matrix.n_users), 3))
+        assert np.array_equal(_batched_subset_votes(matrix, subsets, k, n_prime),
+                              _reference_subset_votes(matrix, subsets, k,
+                                                      n_prime))
+
+    def test_instances_cover_the_edge_cases(self):
+        subsets = [list(c) for c in itertools.combinations(range(8), 3)]
+        random = _KERNEL_INSTANCES["random"]()
+        # an item nobody in the subset rated: zero norm, never a candidate
+        assert any((random.csr[c].getnnz(axis=0) == 0).any() for c in subsets)
+        # a row with more than k neighbours cut inside a run of equal cosines
+        equal = _KERNEL_INSTANCES["all-equal"]()
+        assert set(equal.csr.data) == {4.0}
+        cut = 0
+        for c in subsets:
+            *_, full = reference_ir(equal, c, 10 ** 6)
+            for i in range(equal.n_items):
+                row = np.sort(full.data[full.indptr[i]:full.indptr[i + 1]])[::-1]
+                cut += any(row.size > k and row[k - 1] == row[k] for k in (1, 2))
+        assert cut
+        signed = _KERNEL_INSTANCES["signed"]()
+        gram = [(signed.csr[c].T @ signed.csr[c]).toarray() for c in subsets]
+        shared = [((signed.csr[c] != 0).T @ (signed.csr[c] != 0)).toarray()
+                  for c in subsets]
+        assert any(((g == 0) & (p > 0)).any() for g, p in zip(gram, shared))
+
+    def test_unsorted_subsets_and_one_user(self):
+        matrix = random_tiny_matrix(6, 5, seed=2)
+        subsets = [(4, 1, 2), (0, 5, 3)]
+        assert np.array_equal(_batched_subset_votes(matrix, subsets, 2, 2),
+                              _reference_subset_votes(matrix, subsets, 2, 2))
+        single = [(u,) for u in range(6)]
+        assert np.array_equal(_batched_subset_votes(matrix, single, 2, 1),
+                              _reference_subset_votes(matrix, single, 2, 1))
+
+    def test_n_prime_below_one_refused(self):
+        matrix = random_tiny_matrix(4, 4, seed=0)
+        with pytest.raises(ValueError, match="n_prime"):
+            base_rec.ir_votes_batched(matrix, np.array([[0, 1]]), 2, 0)

@@ -5,8 +5,10 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -266,6 +268,32 @@ class TestCertify:
         # nonincreasing certified precision across the three budgets
         precs = [float(r[1]) for r in agg[1:]]
         assert precs[0] >= precs[1] >= precs[2]
+
+    @pytest.mark.parametrize("damage", ["cut", "header-only", "over-T-nprime"])
+    def test_damaged_votes_refused(self, dataset, split, votes, damage,
+                                   capsys):
+        root, _ = dataset
+        lines = open(votes).read().splitlines(keepends=True)
+        if damage == "cut":
+            text = "".join(lines[:-1]) + lines[-1][:3]
+        elif damage == "header-only":
+            text = lines[0]
+        else:
+            # one vote more for user 0 than T=200 models of N'=1 can cast
+            text = lines[0] + "0,0,150\n0,1,51\n"
+        bad = root / f"votes-{damage}.txt"
+        bad.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warned on an empty body
+            code = cli.main(["certify", "--votes", str(bad), "--split", split,
+                             "--e", "0", "--out", str(root / f"cert-{damage}")])
+        err = capsys.readouterr().err
+        if damage == "header-only":
+            assert code == 0 and not err
+        else:
+            assert code == 2 and err.startswith(f"error: {bad}")
+        if damage == "over-T-nprime":
+            assert "user 0 has 201 votes, more than T * nprime = 200" in err
 
     def test_bagging_columns(self, dataset, split, votes):
         root, _ = dataset
@@ -650,19 +678,39 @@ class TestOracleCommand:
         assert out[-1] == "skipped users (empty target set): [0, 1, 2, 3, 4]"
 
     def test_two_level_exhaustive(self, capsys, monkeypatch):
-        trained = []
-        real = oracle.train_base
+        trained, batched = [], []
+        real, real_batched = oracle.train_base, oracle.ir_votes_batched
         monkeypatch.setattr(oracle, "train_base",
                             lambda *args: trained.append(1) or real(*args))
+        monkeypatch.setattr(oracle, "ir_votes_batched",
+                            lambda matrix, subsets, *args:
+                            batched.append(len(subsets))
+                            or real_batched(matrix, subsets, *args))
         code = cli.main(["oracle", "--n", "5", "--m", "4", "--density", "0.8",
                          "--seed", "1", "--s", "2", "--e", "1", "--N", "2",
                          "--attack", "two-level-exhaustive"])
         assert code == 0
         out = capsys.readouterr().out
         assert "trials: 16" in out and "skipped users" not in out
-        # the clean C(5,2) models once, shared by the certificates and the
-        # attack check, then the C(6,2) - C(5,2) holding the fake row per trial
-        assert len(trained) == 10 + 16 * 5
+        # the clean C(5,2) models once in a batch, shared by the certificates
+        # and the attack check, and once more one by one as the cross-check;
+        # then the C(6,2) - C(5,2) holding the fake row per trial, batched
+        assert len(trained) == 10
+        assert sum(batched) == 10 + 16 * 5
+
+    def test_two_level_gate_10x10(self, capsys):
+        # the widened soundness gate: 1,024 fake-user patterns, each poisoned
+        # ensemble re-enumerated over C(11,5) subsets (210 new models each)
+        code = cli.main(["oracle", "--n", "10", "--m", "10", "--s", "5",
+                         "--N", "3", "--e", "1", "--attack",
+                         "two-level-exhaustive"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "enumerated 252 subsets (n=10, m=10, s=5)" in out
+        assert "attack trials: 1024, violations: 0" in out
+        cert = re.search(r"certified r per user: (\{.*\})", out).group(1)
+        r = [int(v) for v in re.findall(r"\d+: (\d+)", cert)]
+        assert len(r) == 10 and max(r) > 0, "vacuous certificates"
 
 
 class TestConfig:

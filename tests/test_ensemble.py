@@ -1,6 +1,7 @@
 """Vote aggregation: seeding, determinism, chunking, parallelism, persistence."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -279,6 +280,36 @@ class TestPersistence:
         ensemble.save_votes(p1, vc)
         ensemble.save_votes(p2, vc)
         assert open(p1).read() == open(p2).read()
+
+    @pytest.mark.parametrize("cut", ["1,2", "1,", "1,2,"])
+    def test_file_cut_mid_row_rejected(self, tmp_path, cut):
+        path = tmp_path / "v.txt"
+        path.write_text("#votes v1 n=3 m=4 T=10 s=1 nprime=1 algo=ir seed=0\n"
+                        f"0,0,1\n{cut}")
+        with pytest.raises(ParseError, match=str(path)):
+            ensemble.load_votes(str(path))
+
+    @pytest.mark.parametrize("body", ["", "\n", "\n  \n"],
+                             ids=["empty", "newline", "blank-lines"])
+    def test_header_only_file_reads_silently(self, tmp_path, body):
+        path = tmp_path / "v.txt"
+        path.write_text("#votes v1 n=3 m=4 T=10 s=1 nprime=1 algo=ir seed=0\n"
+                        + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vc = ensemble.load_votes(str(path))
+        assert vc.counts.shape == (3, 4) and not vc.counts.any()
+
+    def test_user_with_more_than_T_nprime_votes_rejected(self, tmp_path):
+        # T=3 models of N'=2 cast at most 6 votes per user
+        path = tmp_path / "v.txt"
+        header = "#votes v1 n=2 m=4 T=3 s=1 nprime=2 algo=ir seed=0\n"
+        path.write_text(header + "0,0,3\n0,1,3\n1,0,3\n1,2,3\n1,3,1\n")
+        with pytest.raises(ParseError,
+                           match=r"user 1 has 7 votes, more than T \* nprime = 6"):
+            ensemble.load_votes(str(path))
+        path.write_text(header + "0,0,3\n0,1,3\n1,0,3\n1,2,3\n")
+        assert ensemble.load_votes(str(path)).counts.sum() == 12
 
     @pytest.mark.parametrize("row, problem", [
         ("-1,0,3", "outside the 3 x 4 matrix"),   # numpy would wrap to row 2

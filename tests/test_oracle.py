@@ -1,6 +1,9 @@
 """Exhaustive enumeration oracle and attack machinery."""
 
+import inspect
+import itertools
 import math
+import textwrap
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 
 from certrec import base_rec, ensemble, oracle
 
-from conftest import prob_row, random_tiny_matrix
+from conftest import prob_row, random_tiny_matrix, signed_float_matrix
 
 
 class TestExactProbs:
@@ -212,29 +215,36 @@ class TestIncrementalPoisoning:
                                 _full_counts(clean, poisoned, params))
 
     def test_models_trained(self, monkeypatch):
-        # C(5,2) clean models once, then C(6,2) - C(5,2) per fake row; no
+        # C(5,2) clean models once in a batch (and once more one by one, the
+        # cross-check), then C(6,2) - C(5,2) per fake row, batched; no
         # poisoned model at all when e=0
         matrix = random_tiny_matrix(5, 4, seed=6)
-        trained = []
-        real = oracle.train_base
+        trained, batched = [], []
+        real, real_batched = oracle.train_base, oracle.ir_votes_batched
 
         def counted(*args):
             trained.append(1)
             return real(*args)
 
+        def counted_batch(matrix, subsets, *args):
+            batched.append(len(subsets))
+            return real_batched(matrix, subsets, *args)
+
         monkeypatch.setattr(oracle, "train_base", counted)
+        monkeypatch.setattr(oracle, "ir_votes_batched", counted_batch)
         clean = oracle.exact_item_probs(matrix, "ir", base_rec.IRParams(), 2, 1)
-        assert len(trained) == 10
+        assert (len(trained), sum(batched)) == (10, 10)
         oracle.exhaustive_two_level_check(
             matrix, clean, base_rec.IRParams(), N=2, cert_r={},
             targets={})
-        assert len(trained) == 10 + 2 ** 4 * 5
+        assert (len(trained), sum(batched)) == (10, 10 + 2 ** 4 * 5)
         trained.clear()
+        batched.clear()
         oracle.attack_soundness_check(
             matrix, clean, base_rec.IRParams(), N=2, e=0,
             attack="random-ratings", trials=3, seed=0, cert_r={},
             targets={})
-        assert not trained
+        assert not trained and not batched
 
     @pytest.mark.parametrize("check", ["two-level", "random-ratings-e0",
                                        "random-ratings-e2",
@@ -267,3 +277,96 @@ class TestIncrementalPoisoning:
             (full.trials, full.violations, full.min_intersection)
         if check != "random-ratings-e0":
             assert fast.violations
+
+
+# mutations of base_rec.ir_votes_batched: (source line, its replacement)
+_KERNEL_MUTATIONS = {
+    "keep-self": ("    neighbour[:, diag, diag] = False  # self excluded\n", ""),
+    "no-seen-mask": ("candidates = rated.any(axis=1, keepdims=True) & ~rated",
+                     "candidates = ~rated"),
+}
+
+
+def _mutated_kernel(old: str, new: str):
+    source = textwrap.dedent(inspect.getsource(base_rec.ir_votes_batched))
+    assert old in source, "the mutation no longer applies to the kernel"
+    namespace = dict(vars(base_rec))
+    exec(source.replace(old, new), namespace)
+    return namespace["ir_votes_batched"]
+
+
+def _refuse_batched(*args):
+    raise AssertionError("the batched kernel must not run here")
+
+
+def _model_votes(matrix, algo, params, s, n_prime):
+    """Per-subset train_base + recommend_all over every s-subset."""
+    counts = np.zeros((matrix.n_users, matrix.n_items), dtype=np.int32)
+    for subset in itertools.combinations(range(matrix.n_users), s):
+        model = base_rec.train_base(algo, matrix, np.asarray(subset), params)
+        counts[base_rec.recommend_all(model, n_prime)] += 1
+    return counts
+
+
+class TestBatchedOracle:
+    """The oracle counts ir votes on integer ratings in batches; every run
+    checks the clean models against train_ir + recommend_all."""
+
+    @pytest.mark.parametrize("mutation", sorted(_KERNEL_MUTATIONS))
+    def test_cross_check_refuses_mutated_kernel(self, monkeypatch, mutation):
+        matrix = random_tiny_matrix(7, 6, seed=4, density=0.4)
+        params = base_rec.IRParams(k=2)
+        oracle.exact_item_probs(matrix, "ir", params, 3, 3)  # the real kernel
+        monkeypatch.setattr(oracle, "ir_votes_batched",
+                            _mutated_kernel(*_KERNEL_MUTATIONS[mutation]))
+        with pytest.raises(RuntimeError, match="disagrees with train_ir"):
+            oracle.exact_item_probs(matrix, "ir", params, 3, 3)
+
+    @pytest.mark.parametrize("cells", [54, 200])
+    def test_chunks_do_not_change_counts(self, monkeypatch, cells):
+        # one model per batch (m * (m + s) = 54 cells), and batches of 3
+        # models with a partial last one
+        matrix = random_tiny_matrix(7, 6, seed=9)
+        params = base_rec.IRParams(k=3)
+        whole = oracle.exact_item_probs(matrix, "ir", params, 3, 2)
+        monkeypatch.setattr(oracle, "_BATCH_CELLS", cells)
+        _assert_same_counts(oracle.exact_item_probs(matrix, "ir", params, 3, 2),
+                            whole)
+
+    def test_float_ratings_take_the_model_path(self, monkeypatch, tmp_path):
+        matrix = signed_float_matrix(tmp_path)
+        params = base_rec.IRParams(k=3)
+        assert not oracle._batched_ir(matrix, "ir", 2)
+        monkeypatch.setattr(oracle, "ir_votes_batched", _refuse_batched)
+        probs = oracle.exact_item_probs(matrix, "ir", params, 2, 2)
+        assert np.array_equal(probs.counts,
+                              _model_votes(matrix, "ir", params, 2, 2))
+        rows = oracle.make_fake_rows(matrix, 1, "random-ratings",
+                                     np.random.default_rng(0))
+        poisoned = oracle.append_fake_users(matrix, rows)
+        _assert_same_counts(oracle._poisoned_counts(probs, poisoned, params),
+                            _full_counts(probs, poisoned, params))
+
+    def test_bpr_takes_the_model_path(self, monkeypatch):
+        matrix = random_tiny_matrix(5, 5, seed=2)
+        params = base_rec.BPRParams(d=4, epochs=3)
+        monkeypatch.setattr(oracle, "ir_votes_batched", _refuse_batched)
+        probs = oracle.exact_item_probs(matrix, "bpr", params, 2, 2)
+        assert np.array_equal(probs.counts,
+                              _model_votes(matrix, "bpr", params, 2, 2))
+        report = oracle.exhaustive_two_level_check(
+            matrix, probs, params, N=2, cert_r={}, targets={})
+        assert report.trials == 2 ** 5
+
+    def test_exactness_condition(self, tmp_path):
+        assert oracle._batched_ir(random_tiny_matrix(5, 4, seed=0), "ir", 3)
+        assert not oracle._batched_ir(random_tiny_matrix(5, 4, seed=0), "bpr", 3)
+        assert not oracle._batched_ir(signed_float_matrix(tmp_path), "ir", 3)
+        # integer ratings whose Gram could pass 2^53: s * r^2 = 2^53
+        big = random_tiny_matrix(5, 4, seed=0)
+        big.csr.data[:] = 2.0 ** 26
+        assert oracle._batched_ir(big, "ir", 1)
+        assert not oracle._batched_ir(big, "ir", 2)
+        # one model's dense arrays would outgrow a batch: train_ir's blocks
+        wide = random_tiny_matrix(3, 400, seed=0, density=0.1)
+        assert not oracle._batched_ir(wide, "ir", 2)

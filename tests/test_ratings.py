@@ -156,6 +156,20 @@ class TestSplitRoundTrip:
             ratings.load_split(str(p))
         assert str(p) in str(err.value)
 
+    @pytest.mark.parametrize("row, match", [
+        ("test,7", "line 4: expected 3 fields for a test row, got 2"),
+        ("train,0,3", "line 4: expected 4 fields for a train row, got 3"),
+        ("train,0,1,5.0,2", "line 4: expected 4 fields for a train row, got 5"),
+        ("tset,0,1", "line 4: unrecognized row kind 'tset'")],
+        ids=["test-2-fields", "train-3-fields", "train-5-fields",
+             "unknown-kind"])
+    def test_truncated_row_names_its_field_count(self, tmp_path, row, match):
+        p = tmp_path / "split.txt"
+        p.write_text("#split v1 n=2 m=2 seed=0 fraction=0.75\n"
+                     f"train,0,0,5.0\ntrain,1,1,3.0\n{row}\n")
+        with pytest.raises(ParseError, match=match):
+            ratings.load_split(str(p))
+
     def test_header_mismatch_rejected(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("#votes v1 n=2 m=2 T=1 s=1 nprime=1 algo=ir seed=0\n")
