@@ -52,9 +52,10 @@ class BaseModel:
     item_factors: np.ndarray | None = None  # bpr: m x d
 
 
-# items per row block of the similarity table: bounds the dense slab a
-# worker holds while pruning to O(_BLOCK * m) instead of O(m * m)
-_BLOCK = 256
+# items per row block of the similarity table: the dense slab a worker holds
+# is O(_BLOCK * m) instead of O(m * m), and at m = 1682 a 64-row float64 slab
+# (0.9 MB) stays in a core's L2 cache through the Gram, scaling and pruning
+_BLOCK = 64
 
 
 def _ranked(scores: np.ndarray, candidates: np.ndarray, n: int):
@@ -77,15 +78,15 @@ def _ranked(scores: np.ndarray, candidates: np.ndarray, n: int):
 def _top_k_keep(sim: np.ndarray, neighbour: np.ndarray, k: int) -> np.ndarray:
     """The one top-k rule: which neighbours each row of a 2-D sim keeps.
 
-    A row with at most k neighbours keeps them all. A row with more keeps
-    those above its k-th largest value and fills the ties at that value by
-    ascending column id. Returns a mask of sim's shape.
+    sim must already hold -inf at every non-neighbour. A row with at most k
+    neighbours keeps them all. A row with more keeps those above its k-th
+    largest value and fills the ties at that value by ascending column id.
+    Returns a mask of sim's shape.
     """
     m = sim.shape[1]
     over = np.count_nonzero(neighbour, axis=1) > k
     if not over.any():
         return neighbour
-    sim = np.where(neighbour, sim, -np.inf)
     kth = np.partition(sim, m - k, axis=1)[:, m - k]
     kth[~over] = -np.inf  # such a row keeps all its neighbours
     kth = kth[:, None]
@@ -102,22 +103,27 @@ def _top_k_keep(sim: np.ndarray, neighbour: np.ndarray, k: int) -> np.ndarray:
 def _top_k_similarities(sub: csr_matrix, inv: np.ndarray, k: int) -> csr_matrix:
     """Cosine table keeping each item's k most similar other items.
 
-    Built _BLOCK item rows at a time. The Gram block is a sparse product,
-    which sums each entry over the submatrix users in ascending order, so
-    entries are exact for integer ratings and reproducible for float ones;
-    it also drops zero sums, so gram != 0 marks the stored neighbours, which
-    _top_k_keep prunes.
+    Built _BLOCK item rows at a time. Each Gram block is a CSR x dense
+    product in scipy's sparse loop (no BLAS call): the same products as a
+    sparse Gram, summed over the users in ascending order, plus zero
+    products that add +0.0. It is exact for integer ratings, the same
+    floats for others, and 0 where no user co-rates or the sum cancels, so
+    gram != 0 marks the neighbours. Scaled in place, with -inf on the
+    non-neighbours, it goes to _top_k_keep.
     """
     m = sub.shape[1]
     subT = sub.T.tocsr()
+    x = sub.toarray()
     lengths, idx_parts, val_parts = [], [], []
     for lo in range(0, m, _BLOCK):
         hi = min(lo + _BLOCK, m)
-        gram = (subT[lo:hi] @ sub).toarray()
-        neighbour = gram != 0
+        sim = subT[lo:hi] @ x  # the Gram block, scaled in place below
+        neighbour = sim != 0
         neighbour[np.arange(hi - lo), np.arange(lo, hi)] = False  # self excluded
-        sim = gram * inv[lo:hi, None]
+        sim *= inv[lo:hi, None]
         sim *= inv[None, :]
+        # by flat index: a boolean-mask write is slower on a half-true mask
+        sim.ravel()[np.flatnonzero(~neighbour)] = -np.inf
         keep = _top_k_keep(sim, neighbour, k)
         kept = np.flatnonzero(keep)
         lengths.append(np.count_nonzero(keep, axis=1))
@@ -260,9 +266,10 @@ def ir_votes_batched(matrix: RatingMatrix, subsets: np.ndarray, k: int,
     s * max|rating|^2 < 2^53 (callers check): then every partial sum of the
     dense batched Gram is an integer below 2^53, so the Gram and the norms
     are exact in any summation order. The rest repeats the per-model steps:
-    the elementwise cosine scaling of _top_k_similarities, its pruning rule
-    (_top_k_keep), scores summed over j ascending one column at a time as in
-    scipy's CSR x dense loop (a non-neighbour adds +0.0), and _ranked.
+    the elementwise cosine scaling of _top_k_similarities, -inf on the
+    non-neighbours, its pruning rule (_top_k_keep), scores summed over j
+    ascending one column at a time as in scipy's CSR x dense loop (a
+    non-neighbour adds +0.0), and _ranked.
     """
     if n_prime < 1:
         raise ValueError(f"n_prime must be >= 1, got {n_prime}")
@@ -281,6 +288,7 @@ def ir_votes_batched(matrix: RatingMatrix, subsets: np.ndarray, k: int,
     neighbour[:, diag, diag] = False  # self excluded
     sim = gram * inv[:, :, None]
     sim *= inv[:, None, :]
+    sim.ravel()[np.flatnonzero(~neighbour)] = -np.inf
     keep = _top_k_keep(sim.reshape(B * m, m), neighbour.reshape(B * m, m), k)
     # column j of every item's table row, contiguous: table[b, j, i] = sim(i, j)
     table = np.where(keep.reshape(B, m, m), sim, 0.0).transpose(0, 2, 1).copy()

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
-from scipy.sparse import csr_matrix, vstack
+from scipy.sparse import csr_matrix
 
 from .base_rec import IRParams, ir_votes_batched, recommend_all, train_base
 from .bounds import make_context
@@ -128,13 +128,23 @@ def _poisoned_counts(clean: VoteCounts, poisoned: RatingMatrix,
 
 
 def append_fake_users(matrix: RatingMatrix, fake_rows: np.ndarray) -> RatingMatrix:
-    """New matrix with the fake rating rows appended after the genuine users."""
-    fake = csr_matrix(np.asarray(fake_rows, dtype=np.float64))
-    if fake.shape[1] != matrix.n_items:
+    """New matrix with the fake rating rows appended after the genuine users.
+
+    The CSR arrays are concatenated directly: the genuine rows are already in
+    canonical form and np.nonzero lists the fake cells row by row, columns
+    ascending, so the result equals vstack's without its set-up.
+    """
+    fake = np.atleast_2d(np.asarray(fake_rows, dtype=np.float64))
+    if fake.ndim != 2 or fake.shape[1] != matrix.n_items:
         raise ValueError("fake rows must cover exactly the m existing items")
-    stacked = vstack([matrix.csr, fake]).tocsr()
-    stacked.sort_indices()
-    n_new = stacked.shape[0]
+    csr = matrix.csr
+    rows, cols = np.nonzero(fake)
+    ends = csr.nnz + np.cumsum(np.count_nonzero(fake, axis=1))
+    n_new = matrix.n_users + fake.shape[0]
+    stacked = csr_matrix((np.concatenate((csr.data, fake[rows, cols])),
+                          np.concatenate((csr.indices, cols)),
+                          np.concatenate((csr.indptr, ends))),
+                         shape=(n_new, matrix.n_items))
     # fake users have no external identity; -1 marks them in the id table
     ext = np.concatenate([matrix.user_ids, np.full(n_new - matrix.n_users, -1)])
     return RatingMatrix(n_users=n_new, n_items=matrix.n_items, csr=stacked,

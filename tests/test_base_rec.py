@@ -103,6 +103,25 @@ class TestItemRetrieval:
         per_row = np.diff(model.sim.indptr)
         assert per_row.max() <= 4
 
+    @pytest.mark.parametrize("instance, pinned", [
+        ("integer", "23ce63683649a57a"), ("signed-float", "8a4d97cdf7df68f0")])
+    def test_vote_digest_pinned(self, tmp_path, instance, pinned):
+        # pinned from the kernel whose Gram blocks were 256-row sparse
+        # products: any later Gram, block size or pruning must cast exactly
+        # the same votes; k=4 prunes nearly every row
+        if instance == "integer":
+            train = random_tiny_matrix(30, 300, seed=13, density=0.3)
+        else:
+            train = signed_float_matrix(tmp_path, n=30, m=300, seed=14)
+            assert not train.domain.integral and train.domain.lo < 0
+        assert train.n_items > 2 * base_rec._BLOCK  # several row blocks
+        counts = ensemble.accumulate_votes(
+            train, "ir", base_rec.IRParams(k=4), 10, 2, 5, 0, 30)
+        digest = hashlib.sha256(
+            np.ascontiguousarray(counts, dtype="<i4").tobytes()).hexdigest()
+        assert counts.sum() == 30 * 10 * 2
+        assert digest[:16] == pinned
+
 
 class TestBPR:
     def test_loss_positive_and_decreasing_in_diff(self):
@@ -221,6 +240,16 @@ class TestKernelGolden:
         monkeypatch.setattr(base_rec, "_BLOCK", 7)
         matrix = random_tiny_matrix(20, 45, seed=9, density=0.5)
         _assert_same_table(matrix, np.arange(0, 20, 2), 4)
+
+    @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 3)])
+    def test_signed_floats_at_the_real_block_size(self, tmp_path, blocks, extra):
+        # _BLOCK as shipped: the last block one row short of full, full, one
+        # row long, and a third block of three rows; ratings 0.7 and 1.3 are
+        # not dyadic, so Gram sums round and their order matters
+        m = blocks * base_rec._BLOCK + extra
+        matrix = signed_float_matrix(tmp_path, n=12, m=m, seed=m)
+        assert matrix.n_items == m and matrix.domain.lo < 0
+        _assert_same_table(matrix, np.arange(matrix.n_users), 5)
 
     def test_float_ratings_with_cancelling_sums(self, tmp_path):
         matrix = signed_float_matrix(tmp_path)

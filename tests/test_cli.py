@@ -698,19 +698,33 @@ class TestOracleCommand:
         assert len(trained) == 10
         assert sum(batched) == 10 + 16 * 5
 
-    def test_two_level_gate_10x10(self, capsys):
-        # the widened soundness gate: 1,024 fake-user patterns, each poisoned
-        # ensemble re-enumerated over C(11,5) subsets (210 new models each)
-        code = cli.main(["oracle", "--n", "10", "--m", "10", "--s", "5",
-                         "--N", "3", "--e", "1", "--attack",
-                         "two-level-exhaustive"])
-        out = capsys.readouterr().out
+    _GATE_10X10 = ["oracle", "--n", "10", "--m", "10", "--s", "5", "--N", "3",
+                   "--e", "1", "--attack", "two-level-exhaustive"]
+
+    @staticmethod
+    def _assert_gate_passed(code, out):
         assert code == 0
         assert "enumerated 252 subsets (n=10, m=10, s=5)" in out
         assert "attack trials: 1024, violations: 0" in out
         cert = re.search(r"certified r per user: (\{.*\})", out).group(1)
         r = [int(v) for v in re.findall(r"\d+: (\d+)", cert)]
         assert len(r) == 10 and max(r) > 0, "vacuous certificates"
+
+    def test_two_level_gate_10x10(self, capsys):
+        # the widened soundness gate: 1,024 fake-user patterns, each poisoned
+        # ensemble re-enumerated over C(11,5) subsets (210 new models each)
+        code = cli.main(self._GATE_10X10)
+        self._assert_gate_passed(code, capsys.readouterr().out)
+
+    def test_two_level_gate_10x10_pruned(self, capsys, tmp_path):
+        # the same gate at ir.k=3 < m, so the tables are pruned: a fault in
+        # the pruning path (a self-similarity left in a row, say) makes the
+        # batched kernel disagree with train_ir, which the oracle refuses;
+        # at the default k=50 > m no row is pruned and such a fault hides
+        conf = tmp_path / "k3.txt"
+        conf.write_text("ir.k=3\n")
+        code = cli.main(self._GATE_10X10 + ["--config", str(conf)])
+        self._assert_gate_passed(code, capsys.readouterr().out)
 
 
 class TestConfig:

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix, vstack
 
 from certrec import base_rec, ensemble, oracle
 
@@ -69,6 +70,26 @@ class TestFakeUsers:
         assert out.scores_of(5).tolist() == [5.0, 5.0]
         # original rows untouched
         assert (out.csr[:5] != m.csr).nnz == 0
+
+    @pytest.mark.parametrize("fake", [
+        [[0.0, 2.5, 0.0, -0.0, 1.0, 0.0, 0.0],   # a signed zero is not stored
+         [0.0] * 7,                               # the empty row
+         [3.0, 0.0, 0.0, 0.0, 4.0, 5.0, 1.0]],
+        [5.0, 0.0, 5.0, 0.0, 0.0, 0.0, 5.0]])     # one row given flat
+    def test_append_equals_vstack(self, fake):
+        m = random_tiny_matrix(9, 7, seed=4)
+        out = oracle.append_fake_users(m, np.array(fake)).csr
+        want = vstack([m.csr, csr_matrix(np.atleast_2d(fake))]).tocsr()
+        want.sort_indices()
+        assert out.shape == want.shape
+        for part in ("data", "indices", "indptr"):
+            got, ref = getattr(out, part), getattr(want, part)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), part
+
+    def test_append_refuses_wrong_width(self):
+        m = random_tiny_matrix(5, 4, seed=1)
+        with pytest.raises(ValueError, match="m existing items"):
+            oracle.append_fake_users(m, np.ones((1, 5)))
 
     def test_attack_generators_respect_domain(self):
         m = random_tiny_matrix(6, 5, seed=2)
