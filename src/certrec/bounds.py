@@ -10,10 +10,14 @@ bounds and the attack slack
 
 kept exact (big integers, even where C(n,s) has hundreds of digits) together
 with the doubles that bound them from above for certification's float pass.
+
+`estimate_table` bounds every user at once for certification, reading one
+quantile per distinct count; `estimate_bounds` is one user's full reference.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,8 +28,8 @@ import scipy.special
 
 __all__ = [
     "beta_quantile", "cp_lower", "cp_upper", "estimate_bounds",
-    "make_context", "round_lower_star", "round_upper_star",
-    "CombinatoricContext", "ProbBounds",
+    "estimate_table", "make_context", "round_lower_star", "round_upper_star",
+    "BoundTable", "CombinatoricContext", "ProbBounds",
 ]
 
 # every bound is computed at level beta * (1 - _LEVEL_MARGIN): scipy's
@@ -118,6 +122,40 @@ class ProbBounds:
     def n_outside(self) -> int:
         return len(self.upper)
 
+    def table(self, width: int) -> BoundTable:
+        """These bounds as the one row of a BoundTable keeping `width`
+        outside upper bounds, in the dtype of the bounds."""
+        top = self.out_upper_desc[:width]
+        return BoundTable(
+            users=np.array([self.user]),
+            lower=np.array(self.mu_desc, dtype=self.lower.dtype),
+            starts=np.zeros(1, dtype=np.int64),
+            sum_lower=np.array([self.sum_lower], dtype=self.lower.dtype),
+            top=np.array([top + [0] * (width - len(top))], dtype=self.upper.dtype),
+            n_in=np.array([len(self.lower)]), n_out=np.array([self.n_outside]))
+
+
+@dataclass(frozen=True)
+class BoundTable:
+    """Bounds of many users, in the orderings certification reads.
+
+    Row k holds users[k]: lower[starts[k]:starts[k] + n_in[k]] are its lower
+    bounds on I_u, descending (mu_1 >= mu_2 >= ...), rows one after another;
+    sum_lower[k] is their sum in ascending item order, as
+    ProbBounds.sum_lower; top[k, :min(width, n_out[k])] are its largest
+    upper bounds outside I_u, descending, and the cells past those hold 0
+    and are never read. Estimated tables hold float64, a table of exact
+    bounds Fraction objects.
+    """
+
+    users: np.ndarray      # int64 user ids, one per row
+    lower: np.ndarray      # sum of |I_u| over the rows
+    starts: np.ndarray     # where each row's lower bounds start
+    sum_lower: np.ndarray  # rows
+    top: np.ndarray        # rows x width
+    n_in: np.ndarray       # |I_u| per row
+    n_out: np.ndarray      # m - |I_u| per row
+
 
 def _target_mask(items_in, m: int) -> tuple:
     """(I_u as ascending ids, boolean membership mask over the m items).
@@ -136,10 +174,13 @@ def _target_mask(items_in, m: int) -> tuple:
     return items_in, inside
 
 
-def _per_count(bound, counts) -> np.ndarray:
-    """bound(c) for every entry of counts, evaluated once per distinct value."""
+def _cp_by_count(counts: np.ndarray, t: int, beta: float, upper: bool) -> np.ndarray:
+    """cp_upper (or cp_lower) of every entry of a 1-D count array, one
+    quantile per distinct count."""
     values, inverse = np.unique(counts, return_inverse=True)
-    return np.array([bound(int(c)) for c in values], dtype=np.float64)[inverse]
+    bound = cp_upper if upper else cp_lower
+    return np.array([bound(c, t, beta) for c in values.tolist()],
+                    dtype=np.float64)[inverse]
 
 
 def estimate_bounds(counts, user: int, items_in, alpha_u: float) -> ProbBounds:
@@ -150,15 +191,63 @@ def estimate_bounds(counts, user: int, items_in, alpha_u: float) -> ProbBounds:
     """
     if not 0.0 < alpha_u < 1.0:
         raise ValueError(f"alpha_u must be in (0, 1), got {alpha_u}")
-    t = counts.T
-    m = counts.m
-    items_in, inside = _target_mask(items_in, m)
-    row = counts.counts[user]
-    budget = alpha_u / m
-    lower = _per_count(lambda c: cp_lower(c, t, budget), row[inside])
-    upper = _per_count(lambda c: cp_upper(c, t, budget), row[~inside])
-    return ProbBounds(user=user, items_in=items_in, lower=lower, upper=upper,
-                      alpha_u=alpha_u, m=m)
+    items_in, inside = _target_mask(items_in, counts.m)
+    row, budget = counts.counts[user], alpha_u / counts.m
+    return ProbBounds(user=user, items_in=items_in, alpha_u=alpha_u, m=counts.m,
+                      lower=_cp_by_count(row[inside], counts.T, budget, False),
+                      upper=_cp_by_count(row[~inside], counts.T, budget, True))
+
+
+# users per block when picking the largest outside counts: a few hundred kB
+# of int temporaries, where one n x m table would be tens of MB
+_ROW_BLOCK = 64
+
+
+def estimate_table(counts, users, items_in, alpha_u: float, width: int) -> BoundTable:
+    """estimate_bounds for every user of users at once, as a BoundTable.
+
+    items_in[k] is I_u of users[k]. Each quantile is computed once per
+    distinct count it is read at: the lower bound for counts inside some
+    I_u, the upper bound only for each user's `width` largest outside
+    counts. The upper bound never falls as the count rises, so those give
+    the largest outside upper bounds, the only ones certification reads.
+    """
+    if not 0.0 < alpha_u < 1.0:
+        raise ValueError(f"alpha_u must be in (0, 1), got {alpha_u}")
+    m, t, budget = counts.m, counts.T, alpha_u / counts.m
+    users = np.asarray(users, dtype=np.int64)
+    n_in = np.array([len(x) for x in items_in], dtype=np.int64)
+    rows = np.repeat(np.arange(len(users)), n_in)
+    items = np.fromiter(itertools.chain.from_iterable(items_in), dtype=np.int64,
+                        count=int(n_in.sum()))
+    order = np.lexsort((items, rows))  # ascending item ids within each row
+    items = items[order]
+    if n_in.size and n_in.min() == 0:
+        raise ValueError("items_in must be nonempty")
+    if ((items[1:] == items[:-1]) & (rows[1:] == rows[:-1])).any():
+        raise ValueError("items_in contains duplicate item ids")
+    if items.size and (items.min() < 0 or items.max() >= m):
+        raise ValueError(f"items_in ids must lie in [0, {m})")
+    starts = np.cumsum(n_in) - n_in
+    low = _cp_by_count(counts.counts[users[rows], items], t, budget, False)
+    # Python's sum in ascending item order, as ProbBounds.sum_lower
+    sum_lower = np.array([sum(low[a:a + k].tolist()) for a, k in
+                          zip(starts.tolist(), n_in.tolist())], dtype=np.float64)
+    top_counts = np.full((len(users), width), -1, dtype=np.int64)
+    keep = min(width, m)
+    for lo in range(0, len(users), _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, len(users))
+        block = counts.counts[users[lo:hi]]  # a copy
+        cells = slice(starts[lo], starts[hi - 1] + n_in[hi - 1])
+        block[rows[cells] - lo, items[cells]] = -1  # I_u is not a competitor
+        block = np.partition(block, m - keep, axis=1)[:, m - keep:]
+        top_counts[lo:hi, :keep] = np.sort(block, axis=1)[:, ::-1]
+    top = np.zeros(top_counts.shape)
+    outside = top_counts >= 0
+    top[outside] = _cp_by_count(top_counts[outside], t, budget, True)
+    return BoundTable(users=users, lower=low[np.lexsort((-low, rows))],
+                      starts=starts, sum_lower=sum_lower, top=top,
+                      n_in=n_in, n_out=m - n_in)
 
 
 @dataclass(frozen=True)

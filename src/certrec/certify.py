@@ -19,22 +19,24 @@ are redone in rational arithmetic on the same bounds.
 The left side falls and the right side rises in r', and sigma grows with e,
 so each user's certificate is fixed by attack radii E*(r'), the largest e at
 which r' holds: r(e) = #{r' : E*(r') >= e}, the same shape as the baseline's
-min(#{i : Z_i >= e}, N). `sweep` counts radii into one r matrix per rule
-(users x e); `binary_search_r` answers one query at one e, the per-e reference.
+min(#{i : Z_i >= e}, N). `sweep` bounds every user once (one BoundTable),
+searches all users' radii in lockstep, one array evaluation of the float
+pass per round, and counts them into one r matrix per rule (users x e);
+`binary_search_r` answers one query at one e through the same kernel on one
+row, the per-e reference.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .bounds import (CombinatoricContext, ProbBounds, _target_mask,
-                     estimate_bounds, make_context, round_lower_star,
+from .bounds import (BoundTable, CombinatoricContext, ProbBounds, _target_mask,
+                     estimate_table, make_context, round_lower_star,
                      round_upper_star)
 
 log = logging.getLogger(__name__)
@@ -62,62 +64,100 @@ class CertQuery:
             raise ValueError("need N >= 1, N' >= 1")
 
 
-def _decide(lhs: float, rhs: float, err: float, exact) -> bool:
-    """Exactly whether lhs > rhs, for floats within err of the exact sides:
-    decided in floats when lhs - rhs clears err, else by exact(). rhs is
-    +inf only when sigma lies past the double range, and then it fails."""
-    global _exact_fallbacks
-    gap = lhs - rhs
-    if gap > err:
-        return True
-    if -gap > err or rhs == math.inf:
-        return False
-    _exact_fallbacks += 1
-    return exact()
+def _float_pass(rule: str, table: BoundTable, i, rp, sigma_hi, grid, N: int,
+                n_prime: int):
+    """Float sides of the comparison at triples (row i, rank rp, context):
+    returns the margin lhs - rhs, a rigorous bound on its error, and rhs.
+
+    The joint rule compares floor*(mu_rp) with the minimum of ceil*(v1) +
+    sigma and the N'-scaled capped prefix sums of the competitors; the
+    baseline compares it with ceil*(the largest outside upper bound) +
+    sigma. Floats here leave the roundings out and read sigma_hi; the error
+    bound covers both.
+    """
+    lhs = table.lower[table.starts[i] + rp - 1].astype(float)
+    if rule == "bagging":
+        rhs = table.top[i, 0].astype(float) + sigma_hi
+        # both sides are within four roundings of nonnegative terms, and
+        # floor*/ceil* move each by less than 1/C(n,s); both bounds doubled
+        return lhs - rhs, 8 * _EPS * (lhs + rhs) + 4 * grid, rhs
+    # competitors: the `avail` largest outside upper bounds, ascending (v1
+    # first), so comp[:, c - 1] = top[avail - c] and HC_c sums the first c
+    avail = np.minimum(N - rp + 1, table.n_out[i])
+    c = np.arange(1, table.top.shape[1] + 1)
+    src = avail[:, None] - c
+    used = src >= 0
+    comp = np.where(used, table.top[i[:, None], np.maximum(src, 0)], 0).astype(float)
+    sum_lower = table.sum_lower[i].astype(float)
+    cap = np.maximum(n_prime - sum_lower, 0.0)
+    terms = n_prime * (np.minimum(np.cumsum(comp, axis=1), cap[:, None]) / n_prime
+                       + sigma_hi[:, None]) / c
+    rhs = np.minimum(comp[:, 0] + sigma_hi, np.where(used, terms, np.inf).min(axis=1))
+    # each float above is at most |I_u| + avail + 4 roundings of nonnegative
+    # terms (and the cap's one subtraction) from its exact value; floor*
+    # moves mu by < 1/C(n,s), ceil* a term by < N'/C(n,s); both doubled
+    rho = 4 * (table.n_in[i] + avail + 4) * _EPS
+    err = rho * (lhs + rhs + n_prime + sum_lower) + 2 * (n_prime + 1) * grid
+    # no items outside I_u at all: nothing can displace the target set
+    none = avail == 0
+    return np.where(none, np.inf, lhs - rhs), np.where(none, 0.0, err), rhs
 
 
-def _sides(mu, comp, cap, n_prime: int, sigma, lower_star, upper_star):
-    """(lhs, rhs) of the constraint in the arithmetic of its arguments; comp
-    holds the competitors ascending (v1 first, HC_c sums the first c)."""
-    rhs = upper_star(comp[0]) + sigma
+def _exact_holds(rule: str, table: BoundTable, i: int, rp: int,
+                 ctx: CombinatoricContext, N: int, n_prime: int) -> bool:
+    """The comparison of _float_pass at one triple, in rational arithmetic on
+    the same bounds, with the roundings and the exact sigma."""
+    lo = int(table.starts[i])
+    mu = round_lower_star(table.lower[lo + rp - 1], ctx)
+    if rule == "bagging":
+        return mu > round_upper_star(table.top[i, 0], ctx) + ctx.sigma
+    avail = min(N - rp + 1, int(table.n_out[i]))
+    comp = [Fraction(x) for x in table.top[i, avail - 1::-1].tolist()]
+    lower = table.lower[lo:lo + table.n_in[i]].tolist()
+    cap = max(n_prime - sum(Fraction(x) for x in lower), Fraction(0))
+    rhs = round_upper_star(comp[0], ctx) + ctx.sigma
     for c, hc in enumerate(itertools.accumulate(comp), 1):
-        rhs = min(rhs, n_prime * (upper_star(min(hc, cap) / n_prime) + sigma) / c)
-    return lower_star(mu), rhs
+        rhs = min(rhs, n_prime * (round_upper_star(min(hc, cap) / n_prime, ctx)
+                                  + ctx.sigma) / c)
+    return mu > rhs
+
+
+def _holds(rule: str, table: BoundTable, i, rp, ctxs, which, N: int,
+           n_prime: int) -> np.ndarray:
+    """Exactly whether the comparison holds at each triple (row i[t], rank
+    rp[t], context ctxs[which[t]]): decided in floats where the margin clears
+    its error bound, else by _exact_holds. rhs is +inf only when sigma lies
+    past the double range, and then it fails."""
+    global _exact_fallbacks
+    i, rp = np.asarray(i), np.asarray(rp)
+    sigma_hi = np.array([c.sigma_hi for c in ctxs])[which]
+    grid = np.array([c.grid for c in ctxs])[which]
+    gap, err, rhs = _float_pass(rule, table, i, rp, sigma_hi, grid, N, n_prime)
+    holds = gap > err
+    unsure = np.flatnonzero(~holds & (-gap <= err) & (rhs != np.inf))
+    for t in unsure.tolist():
+        holds[t] = _exact_holds(rule, table, int(i[t]), int(rp[t]),
+                                ctxs[which[t]], N, n_prime)
+    _exact_fallbacks += len(unsure)
+    return holds
+
+
+def _warn_inconsistent(table: BoundTable, n_prime: int) -> None:
+    for k in np.flatnonzero(table.sum_lower.astype(float) > n_prime).tolist():
+        log.warning("user %d: vote-share cap below zero (%s); bounds are "
+                    "inconsistent, clamping", table.users[k],
+                    n_prime - float(table.sum_lower[k]))
 
 
 def verify_constraint(r_prime: int, q: CertQuery) -> bool:
     """Evaluate the certification constraint at candidate intersection size r_prime."""
-    b, ctx, n_prime = q.bounds, q.ctx, q.n_prime
-    k = min(len(b.items_in), q.N)
+    k = min(len(q.bounds.items_in), q.N)
     if not 1 <= r_prime <= k:
         raise ValueError(f"r_prime must be in [1, {k}], got {r_prime}")
-    avail = min(q.N - r_prime + 1, b.n_outside)
-    if avail == 0:
-        # no items outside I_u at all: nothing can displace the target set
-        return True
-    # competitors: the `avail` largest outside upper bounds, ascending
-    comp, mu = b.out_upper_desc[avail - 1::-1], b.mu_desc[r_prime - 1]
-    sum_lower = float(b.sum_lower)
-    if sum_lower > n_prime:
-        log.warning("user %d: vote-share cap below zero (%s); bounds are "
-                    "inconsistent, clamping", b.user, n_prime - sum_lower)
-    lhs, rhs = _sides(float(mu), [float(x) for x in comp],
-                      max(n_prime - sum_lower, 0.0), n_prime, ctx.sigma_hi,
-                      float, float)
-    # each float above is at most len(lower) + avail + 4 roundings of
-    # nonnegative terms (and the cap's one subtraction) from its exact value;
-    # floor* moves mu by < 1/C(n,s), ceil* a term by < N'/C(n,s); both doubled
-    rho = 4 * (len(b.lower) + avail + 4) * _EPS
-    err = rho * (lhs + rhs + n_prime + sum_lower) + 2 * (n_prime + 1) * ctx.grid
-
-    def exact() -> bool:  # reads only the bounds it needs, as Fractions
-        cap = max(n_prime - sum(Fraction(x) for x in b.lower.tolist()), Fraction(0))
-        low, high = _sides(mu, [Fraction(x) for x in comp], cap, n_prime, ctx.sigma,
-                           lambda p: round_lower_star(p, ctx),
-                           lambda p: round_upper_star(p, ctx))
-        return low > high
-
-    return _decide(lhs, rhs, err, exact)
+    table = q.bounds.table(q.N)
+    _warn_inconsistent(table, q.n_prime)
+    return bool(_holds("joint", table, [0], [r_prime], [q.ctx], [0], q.N,
+                       q.n_prime)[0])
 
 
 def binary_search_r(q: CertQuery) -> int:
@@ -160,7 +200,7 @@ class SweepResult:
     r: np.ndarray         # int64, len(users) x len(e_list)
     alpha_u: float        # per-user error budget the bounds were estimated at
     skipped: tuple        # users with empty I_u
-    verify_calls: int     # verify_constraint evaluations (0 for the baseline)
+    verify_calls: int     # joint constraint evaluations (0 for the baseline)
     exact_fallbacks: int  # comparisons the float pass left to exact arithmetic
 
 
@@ -173,9 +213,10 @@ def sweep(train, counts, target_sets, alpha: float, e_list, N: int,
 
     target_sets maps user -> I_u (anything iterable of item ids). "joint" is
     the joint certificate, "bagging" the per-item baseline for N' = 1 votes.
-    Bounds are estimated once per user at budget alpha / n; each rule turns
-    them into radii, counted at every e. That equals a per-e search because
-    sigma never decreases in e.
+    The bounds of all users are estimated once, at budget alpha / n; each
+    rule turns them into radii with one lockstep search over all users,
+    counted at every e. That equals a per-e search because sigma never
+    decreases in e.
     Returns one SweepResult per rule, in the order of `rules`.
     """
     if N < 1:
@@ -197,96 +238,112 @@ def sweep(train, counts, target_sets, alpha: float, e_list, N: int,
     if not e_list:
         raise ValueError("e_list must be nonempty")
     contexts = [make_context(n, e, s) for e in e_list]
-    per_rule = [[] for _ in rules]  # one r row per certified user
-    fallbacks = [0 for _ in rules]
-    calls, users, skipped = 0, [], []
-    for u in range(n):
-        items = tuple(int(i) for i in target_sets[u])
-        if not items:
-            skipped.append(u)
-            continue
-        users.append(u)
-        b = estimate_bounds(counts, u, items, alpha_u)
-
-        def holds(r_prime: int, pos: int) -> bool:
-            nonlocal calls
-            calls += 1
-            return verify_constraint(r_prime, CertQuery(
-                bounds=b, ctx=contexts[pos], N=N, n_prime=n_prime))
-
-        for j, (rule, rows) in enumerate(zip(rules, per_rule)):
-            before = _exact_fallbacks
-            if rule == "joint":  # radii over positions in e_list
-                radii = [e_list[p] for p in _radii(
-                    holds, min(len(items), N), len(e_list) - 1)]
-            else:
-                radii = _bagging_z_values(b, n, s)
-            rows.append(_certified_sizes(radii, e_list, N))
-            fallbacks[j] += _exact_fallbacks - before
+    items = [tuple(int(i) for i in target_sets[u]) for u in range(n)]
+    users = [u for u in range(n) if items[u]]
+    skipped = [u for u in range(n) if not items[u]]
     if skipped:
         log.info("skipped %d users with empty target sets: %s",
                  len(skipped), skipped[:20])
-    users = np.array(users, dtype=np.int64)
-    return tuple(SweepResult(
-        users=users, e_list=tuple(e_list), alpha_u=alpha_u, skipped=tuple(skipped),
-        r=np.array(rows, dtype=np.int64).reshape(len(users), len(e_list)),
-        verify_calls=calls if rule == "joint" else 0, exact_fallbacks=fell)
-        for rule, rows, fell in zip(rules, per_rule, fallbacks))
+    table = estimate_table(counts, users, [items[u] for u in users], alpha_u, N)
+    _warn_inconsistent(table, n_prime)
+    calls = 0
+
+    def holds(i, r_prime, pos):
+        nonlocal calls
+        calls += len(i)
+        return _holds("joint", table, i, r_prime, contexts, pos, N, n_prime)
+
+    results = []
+    for rule in rules:
+        before = _exact_fallbacks
+        if rule == "joint":  # radii over positions in e_list
+            k = np.minimum(table.n_in, N)
+            r = _certified_sizes(_radii(holds, k, len(e_list) - 1), k,
+                                 range(len(e_list)), N)
+        else:
+            r = _certified_sizes(_bagging_radii(table, n, s), table.n_in,
+                                 e_list, N)
+        results.append(SweepResult(
+            users=table.users, e_list=tuple(e_list), r=r, alpha_u=alpha_u,
+            skipped=tuple(skipped), verify_calls=calls if rule == "joint" else 0,
+            exact_fallbacks=_exact_fallbacks - before))
+    return tuple(results)
 
 
-def _certified_sizes(radii, e_list, N: int) -> np.ndarray:
-    """r(e) = min(#{radii >= e}, N) at every e of e_list."""
-    z = np.sort(np.asarray(radii, dtype=np.int64))
-    return np.minimum(len(z) - np.searchsorted(z, e_list), N)
+def _certified_sizes(radii: np.ndarray, k: np.ndarray, e_values, N: int) -> np.ndarray:
+    """r[row, j] = min(#{R in the row's radii : R >= e_values[j]}, N); radii
+    holds k[row] entries per row, one row after another."""
+    row = np.repeat(np.arange(len(k)), k)
+    return np.minimum(np.stack([np.bincount(row, weights=radii >= e, minlength=len(k))
+                                for e in e_values], axis=1), N).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
 # radius search, and the single-competitor baseline (votes built with N' = 1)
 
-def _radii(holds, k: int, cap: int) -> list[int]:
-    """[R(1), R(2), ...]: R(j) is the largest x in [0, cap] with holds(j, x).
+def _radii(holds, k: np.ndarray, cap: int, search=None) -> np.ndarray:
+    """Every row's radii R(1), ..., R(k[row]), one row after another: R(j) is
+    the largest x in [0, cap] with holds at (row, j, x), and -1 from the
+    first j that fails at x = 0 on. Rows outside the `search` mask stay -1.
 
-    holds must be monotone in both arguments (true at (j, x) implies true at
-    every smaller j and x), so each R(j) is bisected below R(j - 1); the list
-    stops at the first j that fails at x = 0.
+    holds(rows, j, x) answers arrays of triples and must be monotone in j
+    and x (true at (j, x) implies true at every smaller j and x). Each row
+    searches j = 1..k[row] in turn and bisects R(j) below R(j - 1); every
+    round asks each unfinished row one question, the one the row's own
+    sequential search would ask next.
     """
-    radii = []
-    for j in range(1, k + 1):
-        if not holds(j, 0):
-            break
-        lo, hi = 0, cap + 1  # holds at lo; fails at hi, or hi is past cap
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if holds(j, mid):
-                lo = mid
-            else:
-                hi = mid
-        radii.append(lo)
-        cap = lo
+    rows = len(k)
+    at = np.cumsum(k) - k  # where each row's radii start
+    radii = np.full(int(k.sum()), -1, dtype=np.int64)
+    j = np.ones(rows, dtype=np.int64)
+    lo = np.zeros(rows, dtype=np.int64)   # holds at (j, lo) once j is opened
+    hi = np.full(rows, cap + 1, dtype=np.int64)  # fails at hi, or hi is past the cap
+    opening = np.ones(rows, dtype=bool)   # next question is (j, 0)
+    live = (k >= 1) if search is None else (k >= 1) & search
+    while live.any():
+        act = np.flatnonzero(live)
+        x = np.where(opening[act], 0, (lo[act] + hi[act]) // 2)
+        ok = holds(act, j[act], x)
+        live[act[opening[act] & ~ok]] = False  # the list stops here
+        lo[act[ok]] = x[ok]
+        hi[act[~ok]] = x[~ok]
+        opening[act] = False
+        done = act[live[act] & (hi[act] - lo[act] <= 1)]
+        radii[at[done] + j[done] - 1] = lo[done]
+        hi[done] = lo[done] + 1  # the next R is capped by this one
+        lo[done] = 0
+        j[done] += 1
+        opening[done] = True
+        live[done] = j[done] <= k[done]
     return radii
 
 
-def _bagging_z_values(b: ProbBounds, n: int, s: int) -> list[int]:
-    """Z_i per target item, largest first, leaving out items that lose at e' = 0.
+def _bagging_radii(table: BoundTable, n: int, s: int) -> np.ndarray:
+    """Z per row and target item, largest first, n_in[row] entries per row
+    one row after another, -1 for the items that lose at e' = 0.
 
     Item i beats the single strongest outside competitor while
-    floor*(lower_i) > ceil*(upper_max) + sigma(e'); Z_i is the largest such e'.
+    floor*(lower_i) > ceil*(upper_max) + sigma(e'); Z_i is the largest such
+    e', up to 10 n. With no outside item there is no competitor to lose to.
     """
-    if b.n_outside == 0:
-        return [_Z_CAP_FACTOR * n] * len(b.items_in)  # no competitor to lose to
-    pbar = b.out_upper_desc[0]
+    cap = _Z_CAP_FACTOR * n
 
-    def survives(rank: int, e_prime: int) -> bool:
-        ctx = make_context(n, e_prime, s)
-        mu = b.mu_desc[rank - 1]
-        lhs, rhs = float(mu), float(pbar) + ctx.sigma_hi
-        # both sides are within four roundings of nonnegative terms, and
-        # floor*/ceil* move each by less than 1/C(n,s); both bounds doubled
-        err = 8 * _EPS * (lhs + rhs) + 4 * ctx.grid
-        return _decide(lhs, rhs, err, lambda: (
-            round_lower_star(mu, ctx) > round_upper_star(pbar, ctx) + ctx.sigma))
+    def survives(i, rank, e_prime):
+        values, which = np.unique(e_prime, return_inverse=True)
+        return _holds("bagging", table, i, rank,
+                      [make_context(n, e, s) for e in values.tolist()], which, 1, 1)
 
-    return _radii(survives, len(b.mu_desc), _Z_CAP_FACTOR * n)
+    alone = table.n_out == 0
+    z = _radii(survives, table.n_in, cap, ~alone)
+    z[np.repeat(alone, table.n_in)] = cap
+    return z
+
+
+def _bagging_z_values(b: ProbBounds, n: int, s: int) -> list[int]:
+    """One user's Z_i per target item, largest first, leaving out items that
+    lose at e' = 0."""
+    z = _bagging_radii(b.table(1), n, s)
+    return z[z >= 0].tolist()
 
 
 def bagging_baseline_r(q: CertQuery) -> int:
@@ -294,4 +351,4 @@ def bagging_baseline_r(q: CertQuery) -> int:
     if q.n_prime != 1:
         raise ValueError("the baseline is defined for N' = 1 vote counts")
     zs = _bagging_z_values(q.bounds, q.ctx.n, q.ctx.s)
-    return int(_certified_sizes(zs, [q.ctx.e], q.N)[0])
+    return min(sum(z >= q.ctx.e for z in zs), q.N)

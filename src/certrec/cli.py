@@ -272,18 +272,18 @@ def cmd_recommend(args) -> int:
 def _target_sets(target: str, vc, train, tests, N: int):
     if target == "test-items":
         return tests
-    return [ensemble.ensemble_recommend(vc, train, u, N)
-            for u in range(train.n_users)]
+    return ensemble.ensemble_recommend_all(vc, train, N)
 
 
 def _metric_rows(sweep, targets, N, eligible):
     # floors against the certified set I_u: the held-out items for
     # test-items, the clean top-N itself for clean-topn
     keep = [k for k, u in enumerate(sweep.users.tolist()) if u in eligible]
-    sizes = [len(targets[u]) for u in sweep.users[keep].tolist()]
-    return [metrics.average_over_users(
-        e, [metrics.certified_metrics(r, N, size) for r, size in zip(rs, sizes)])
-        for e, rs in zip(sweep.e_list, sweep.r[keep].T.tolist())]
+    sizes = np.array([len(targets[u]) for u in sweep.users[keep].tolist()])
+    floors = [f.T.tolist() for f in metrics.certified_metrics(
+        sweep.r[keep], N, sizes[:, None])]  # three e x users lists
+    return [metrics.average_over_users(e, zip(*by_e))
+            for e, *by_e in zip(sweep.e_list, *floors)]
 
 
 def _sweep_rows(args, rules):
@@ -320,13 +320,14 @@ def cmd_certify(args) -> int:
     sweep = sweeps[0]
     e_list = sweep.e_list
     os.makedirs(args.out, exist_ok=True)
+    # the bytes csv.writer wrote: no field needs quoting, \r\n line ends
+    users, alpha = sweep.users.tolist(), repr(sweep.alpha_u)
     with open(os.path.join(args.out, "per_user.csv"), "w", encoding="utf-8",
               newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["user", "e", "r", "alpha"])
-        for e, rs in zip(e_list, sweep.r.T.tolist()):
-            w.writerows([u, e, r, repr(sweep.alpha_u)]
-                        for u, r in zip(sweep.users.tolist(), rs))
+        fh.write("user,e,r,alpha\r\n")
+        fh.write("".join(f"{u},{e},{r},{alpha}\r\n"
+                         for e, rs in zip(e_list, sweep.r.T.tolist())
+                         for u, r in zip(users, rs)))
     agg, extra = rows[0], ()
     if args.baseline is not None:
         extra = ("bag_precision", "bag_recall", "bag_f1")

@@ -179,10 +179,36 @@ def ensemble_recommend(counts: VoteCounts, train: RatingMatrix, user: int,
     """
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
-    candidates = np.ones(counts.m, dtype=bool)
-    candidates[train.rated_items(user)] = False
-    _, items = _ranked(counts.counts[user][None], candidates[None], N)
-    return items.tolist()
+    return _top_n(counts, train, user, user + 1, N)[0]
+
+
+# users ranked together: a few hundred kB of float temporaries per block,
+# where all n users at once would take an n x m table
+_ROW_BLOCK = 64
+
+
+def ensemble_recommend_all(counts: VoteCounts, train: RatingMatrix,
+                           N: int) -> list[list[int]]:
+    """ensemble_recommend for every user of train, ranked a block of users at
+    a time. Count rows past train's users (fake users) are not ranked."""
+    if N < 1:
+        raise ValueError(f"N must be positive, got {N}")
+    n = train.n_users
+    return [items for lo in range(0, n, _ROW_BLOCK)
+            for items in _top_n(counts, train, lo, min(lo + _ROW_BLOCK, n), N)]
+
+
+def _top_n(counts: VoteCounts, train: RatingMatrix, lo: int, hi: int,
+           N: int) -> list[list[int]]:
+    """The top-N lists of users lo..hi-1, from one _ranked call."""
+    ptr = train.csr.indptr[lo:hi + 1]
+    candidates = np.ones((hi - lo, counts.m), dtype=bool)
+    candidates[np.repeat(np.arange(hi - lo), np.diff(ptr)),
+               train.csr.indices[ptr[0]:ptr[-1]]] = False
+    rows, items = _ranked(counts.counts[lo:hi], candidates, N)
+    # rows come ascending: cut before each user's first pick
+    cuts = np.searchsorted(rows, range(1, hi - lo))
+    return [x.tolist() for x in np.split(items, cuts)]
 
 
 def save_votes(path: str, vc: VoteCounts) -> None:

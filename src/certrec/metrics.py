@@ -14,6 +14,8 @@ import csv
 import json
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class MetricRow:
@@ -29,12 +31,22 @@ class MetricRow:
     n_users: int = 0
 
 
-def certified_metrics(r: int, N: int, test_size: int):
-    """Per-user certified (precision, recall, f1) floors from r."""
-    if test_size <= 0:
+def certified_metrics(r, N: int, test_size):
+    """Per-user certified (precision, recall, f1) floors from r.
+
+    r and test_size may also be integer arrays, one entry per user and
+    broadcast together; each floor is then an array of the same doubles.
+    """
+    if np.ndim(r) or np.ndim(test_size):
+        bad = (r < 0) | (r > np.minimum(N, test_size))
+        off = np.broadcast_to(r, bad.shape)[bad][:1].tolist()
+        small = np.min(test_size, initial=1)
+    else:
+        small, off = test_size, [] if 0 <= r <= min(N, test_size) else [r]
+    if small <= 0:
         raise ValueError("test_size must be positive; exclude the user instead")
-    if not 0 <= r <= min(N, test_size):
-        raise ValueError(f"need 0 <= r <= min(N, |E_u|), got r={r}")
+    if off:
+        raise ValueError(f"need 0 <= r <= min(N, |E_u|), got r={off[0]}")
     return r / N, r / test_size, 2.0 * r / (test_size + N)
 
 

@@ -23,7 +23,7 @@ from scipy.sparse import csr_matrix
 from .base_rec import IRParams, ir_votes_batched, recommend_all, train_base
 from .bounds import make_context
 from .certify import CertQuery, binary_search_r, exact_bounds_from_probs
-from .ensemble import VoteCounts, ensemble_recommend
+from .ensemble import VoteCounts, ensemble_recommend, ensemble_recommend_all
 from .ratings import RatingMatrix
 
 MAX_ENUM = 10 ** 6  # refuse instances with more than this many subsets
@@ -201,9 +201,9 @@ class ViolationReport:
 def _check_one_poisoning(matrix, clean, poisoned, params, N, targets, cert_r,
                          trial, violations, min_inter):
     probs = _poisoned_counts(clean, poisoned, params)
+    topn = ensemble_recommend_all(probs, matrix, N)  # the genuine users'
     for u, r_u in cert_r.items():
-        topn = ensemble_recommend(probs, matrix, u, N)
-        inter = len(set(targets[u]) & set(topn))
+        inter = len(set(targets[u]) & set(topn[u]))
         if u not in min_inter or inter < min_inter[u]:
             min_inter[u] = inter
         if inter < r_u:

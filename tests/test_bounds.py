@@ -327,3 +327,34 @@ class TestProbBounds:
             assert b.sum_lower == sum(low)
             assert b.out_upper_desc == desc
             assert b.mu_desc == sorted(low, reverse=True)
+
+
+class TestBoundTable:
+    def test_rows_equal_estimate_bounds(self):
+        # 150 users span three row blocks; small T gives tied counts, some
+        # users have fewer outside items than the width, one has none
+        rng = np.random.default_rng(3)
+        n, m, t, width = 150, 9, 40, 4
+        counts = rng.integers(0, t + 1, size=(n, m)).astype(np.int32)
+        vc = VoteCounts(T=t, n_prime=1, s=3, master_seed=0, algo="ir",
+                        counts=counts)
+        users = [u for u in range(n) if u % 7]
+        items = [tuple(rng.choice(m, size=int(rng.integers(1, m + 1)),
+                                  replace=False).tolist()) for _ in users]
+        table = bounds.estimate_table(vc, users, items, 0.05, width)
+        assert table.users.tolist() == users
+        assert (table.n_out == 0).any() and (table.n_out < width).any()
+        for k, (u, its) in enumerate(zip(users, items)):
+            b = bounds.estimate_bounds(vc, u, its, 0.05)
+            lo, kept = table.starts[k], min(width, b.n_outside)
+            assert table.lower[lo:lo + table.n_in[k]].tolist() == b.mu_desc
+            assert table.sum_lower[k] == b.sum_lower
+            assert table.top[k, :kept].tolist() == b.out_upper_desc[:kept]
+            assert (table.n_in[k], table.n_out[k]) == (len(its), b.n_outside)
+
+    def test_items_in_must_be_valid(self):
+        vc = VoteCounts(T=10, n_prime=1, s=2, master_seed=0, algo="ir",
+                        counts=np.zeros((3, 5), dtype=np.int32))
+        for bad in [[(0, 1), ()], [(0, 1), (2, 2)], [(0, 1), (5,)], [(-1,), (0,)]]:
+            with pytest.raises(ValueError, match="items_in"):
+                bounds.estimate_table(vc, [0, 1], bad, 0.05, 2)

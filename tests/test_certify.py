@@ -429,6 +429,39 @@ class TestRadiusSweep:
             assert all(a <= b for a, b in zip(sigmas, sigmas[1:])), name
 
 
+class TestSweepNearTies:
+    def test_float_pass_defers_to_exact_predicate(self):
+        # C(7, 2) = 21: floor* and ceil* move each side by up to 1/21, so many
+        # float margins lie inside the error bound; the sweep must decide
+        # those exactly and agree with the constraint read off its definition
+        rng = np.random.default_rng(8)
+        n, m, s, T = 7, 8, 2, 4000
+        counts = np.array([rng.multinomial(rng.binomial(T, s / n),
+                                           rng.dirichlet(np.full(m, 0.5)))
+                           for _ in range(n)], dtype=np.int32)
+        vc = ensemble.VoteCounts(T=T, n_prime=1, s=s, counts=counts,
+                                 master_seed=0, algo="ir")
+        targets = [np.argsort(-row, kind="stable")[:3].tolist() for row in counts]
+        train = random_tiny_matrix(n, m, seed=3)
+        e_list = [0, 1, 2, 3]
+        rules = ("joint", "bagging")
+        results = certify.sweep(train, vc, targets, 0.3, e_list, 3, 1, s, rules)
+        for rule, res in zip(rules, results):
+            assert res.exact_fallbacks > 0, rule
+            for u, row in zip(res.users.tolist(), res.r.tolist()):
+                b = bounds.estimate_bounds(vc, u, targets[u], 0.3 / n)
+                b = dataclasses.replace(b, lower=certify._fractions(b.lower),
+                                        upper=certify._fractions(b.upper))
+                for e, got in zip(e_list, row):
+                    q = certify.CertQuery(bounds=b, N=3, n_prime=1,
+                                          ctx=bounds.make_context(n, e, s))
+                    want = (max([rp for rp in range(1, 4)
+                                 if exact_constraint(rp, q)], default=0)
+                            if rule == "joint" else bagging_scan_r(q))
+                    assert got == want, (rule, u, e)
+        assert results[0].r.any() and not results[0].r.all()
+
+
 class TestBagging:
     def test_hand_worked_z_values(self):
         # same instance as the certification hand example: Z counts how many

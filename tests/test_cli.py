@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import certrec
-from certrec import base_rec, certify, cli, ensemble, oracle, ratings
+from certrec import base_rec, bounds, certify, cli, ensemble, oracle, ratings
 
 
 @pytest.fixture(scope="module")
@@ -309,22 +309,23 @@ class TestCertify:
 
     def test_bagging_estimates_bounds_once_per_user(self, dataset, split,
                                                     votes, monkeypatch):
+        # both rules read one table of bounds, one row per certified user
         root, _ = dataset
         out = str(root / "cert_bag_once")
-        real, calls = certify.estimate_bounds, []
+        real, calls = certify.estimate_table, []
 
         def counted(*args, **kwargs):
-            calls.append(args[1])
+            calls.append([int(u) for u in args[1]])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(certify, "estimate_bounds", counted)
+        monkeypatch.setattr(certify, "estimate_table", counted)
         assert cli.main(["certify", "--votes", votes, "--split", split,
                          "--alpha", "0.2", "--e", "0:2", "--baseline",
                          "bagging", "--out", out]) == 0
         with open(os.path.join(out, "per_user.csv")) as fh:
             certified = [int(r["user"]) for r in csv.DictReader(fh)
                          if r["e"] == "0"]
-        assert calls == certified
+        assert calls == [certified] and certified
 
     def test_bagging_columns_match_baseline_command(self, dataset, split,
                                                      votes):
@@ -509,24 +510,99 @@ class TestCleanTopnFloors:
         assert _former_digest(tmp_path, mode) == self.FORMER[mode]
 
 
+@pytest.fixture(scope="module")
+def wide_instance(tmp_path_factory):
+    """150 users x 120 items, more users than one row block of the sweep,
+    with T=10,000 N'=1 vote counts drawn directly: each user sits in about
+    s/n of the models and spreads those votes over its unrated items with
+    power-law weights, so counts span a wide range of distinct values."""
+    root = tmp_path_factory.mktemp("wide")
+    rng = np.random.default_rng(31)
+    n, m, T, s = 150, 120, 10_000, 20
+    data = _write_tab(root / "ratings.tsv", {
+        u: [(int(i), int(rng.integers(1, 6)))
+            for i in sorted(rng.choice(m, size=int(rng.integers(12, 30)),
+                                       replace=False) + 1)]
+        for u in range(1, n + 1)})
+    split, votes = str(root / "split.txt"), str(root / "votes.txt")
+    assert cli.main(["ingest", "--data", data, "--out", split]) == 0
+    train, _, _ = ratings.load_split(split)
+    counts = np.zeros((n, m), dtype=np.int32)
+    for u in range(n):
+        free = np.setdiff1d(np.arange(m), train.rated_items(u))
+        weights = (rng.permutation(len(free)) + 1.0) ** -1.2
+        counts[u, free] = rng.multinomial(rng.binomial(T, s / n),
+                                          weights / weights.sum())
+    ensemble.save_votes(votes, ensemble.VoteCounts(
+        T=T, n_prime=1, s=s, counts=counts, master_seed=0, algo="ir"))
+    return root, split, votes
+
+
+class TestWideInstancePinned:
+    # recorded before certification moved to whole-matrix arrays
+    PINNED = {
+        "clean-topn": {"per_user.csv": "0520e375b239c12b6fa6e1c5dc97a08e",
+                       "aggregate.csv": "a489d7e66607a13743c44da35d3499c8",
+                       "aggregate.json": "8e2e80594dd69d50271ae2be33ab7330",
+                       "baseline.csv": "0b41fb7d73394d515eb5e31d9b3531f2"},
+        "test-items": {"per_user.csv": "825f7d463b9bbec038a56506cbe6481e",
+                       "aggregate.csv": "cf677f3a033b748fe02434e89c357ad6",
+                       "aggregate.json": "fb4d7b21c5c5fb19600826bc27e5ea82",
+                       "baseline.csv": "be6a5d760df1fc580f8fde5b73a43de8"},
+    }
+
+    @pytest.mark.parametrize("target", ["clean-topn", "test-items"])
+    def test_output_bytes_pinned(self, wide_instance, tmp_path, target):
+        _, split, votes = wide_instance
+        assert _output_digests(tmp_path, [
+            "--votes", votes, "--split", split, "--target", target,
+            "--N", "10", "--e", "0:12"]) == self.PINNED[target]
+
+
+def _reference_verify_calls(split, votes, N, alpha, e_list) -> int:
+    """verify_constraint calls a scalar radius search makes, user by user,
+    on the bounds estimate_bounds gives each clean top-N: r' = 1, 2, ...
+    is opened at the smallest e and its radius bisected below the last."""
+    train, _, _ = ratings.load_split(split)
+    vc = ensemble.load_votes(votes)
+    n = train.n_users
+    contexts = [bounds.make_context(n, e, vc.s) for e in sorted(set(e_list))]
+    calls = 0
+    for u in range(n):
+        items = ensemble.ensemble_recommend(vc, train, u, N)
+        if not items:
+            continue
+        b = bounds.estimate_bounds(vc, u, items, alpha / n)
+
+        def holds(r_prime, pos):
+            nonlocal calls
+            calls += 1
+            return certify.verify_constraint(r_prime, certify.CertQuery(
+                bounds=b, ctx=contexts[pos], N=N, n_prime=vc.n_prime))
+
+        cap = len(contexts) - 1
+        for r_prime in range(1, min(len(items), N) + 1):
+            if not holds(r_prime, 0):
+                break
+            lo, hi = 0, cap + 1
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if holds(r_prime, mid) else (lo, mid)
+            cap = lo
+    return calls
+
+
 class TestCertifyManifest:
-    def test_manifest_reports_radii_and_counters(self, topn_instance,
-                                                 monkeypatch):
+    def test_manifest_reports_radii_and_counters(self, topn_instance):
         root, split, votes = topn_instance
         out = str(root / "cert_manifest")
-        real, calls = certify.verify_constraint, []
-
-        def counted(*args):
-            calls.append(args[0])
-            return real(*args)
-
-        monkeypatch.setattr(certify, "verify_constraint", counted)
         assert cli.main(["certify", "--votes", votes, "--split", split,
                          "--target", "clean-topn", "--N", "5", "--alpha",
                          "0.2", "--e", "2,0,1", "--baseline", "bagging",
                          "--out", out]) == 0
         params = json.load(open(os.path.join(out, "manifest.json")))["params"]
-        assert params["verify_constraint_calls"] == len(calls) > 0
+        assert params["verify_constraint_calls"] == _reference_verify_calls(
+            split, votes, 5, 0.2, [2, 0, 1]) > 0
         fell = params["exact_fallbacks"]
         assert set(fell) == {"joint", "bagging"} and min(fell.values()) >= 0
         assert "mode" not in params

@@ -230,6 +230,20 @@ class TestEnsembleRecommend:
             unrated = 4 - train.rating_count(u)
             assert len(ensemble.ensemble_recommend(vc, train, u, 10)) == unrated
 
+    def test_all_users_match_one_at_a_time(self):
+        # 150 users span three row blocks; high density leaves some users
+        # fewer than N unrated items, and tied counts test the tie rule
+        train = random_tiny_matrix(150, 12, seed=9, density=0.7)
+        rng = np.random.default_rng(9)
+        vc = ensemble.VoteCounts(T=20, n_prime=1, s=4, master_seed=0,
+                                 algo="ir", counts=rng.integers(
+                                     0, 4, size=(150, 12)).astype(np.int32))
+        for N in (1, 5):
+            assert ensemble.ensemble_recommend_all(vc, train, N) == [
+                ensemble.ensemble_recommend(vc, train, u, N) for u in range(150)]
+        with pytest.raises(ValueError):
+            ensemble.ensemble_recommend_all(vc, train, 0)
+
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):

@@ -3,6 +3,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +30,21 @@ class TestCertified:
             metrics.certified_metrics(3, 10, 0)
         with pytest.raises(ValueError):
             metrics.certified_metrics(11, 10, 5)  # r cannot exceed N
+
+    def test_arrays_match_scalars(self):
+        # users x e certificates against one size per user: the same doubles
+        # as the per-user calls, and the same refusals
+        r = np.array([[3, 2, 0], [5, 5, 1], [0, 0, 0]])
+        sizes = np.array([[4], [7], [1]])
+        floors = metrics.certified_metrics(r, 5, sizes)
+        for u in range(3):
+            for j in range(3):
+                assert tuple(f[u, j] for f in floors) == \
+                    metrics.certified_metrics(int(r[u, j]), 5, int(sizes[u, 0]))
+        with pytest.raises(ValueError, match="got r=3"):
+            metrics.certified_metrics(r, 5, np.array([[2], [7], [1]]))
+        with pytest.raises(ValueError, match="test_size must be positive"):
+            metrics.certified_metrics(r, 5, np.array([[4], [0], [1]]))
 
     @given(st.integers(0, 10), st.integers(1, 30))
     @settings(max_examples=50, deadline=None)
