@@ -63,14 +63,19 @@ def _ranked(scores: np.ndarray, candidates: np.ndarray, n: int):
 
     For each row of the 2-D scores, the n best candidate columns (all of them
     when there are fewer): descending score, ascending column id on ties.
-    Returns (rows, cols) of the picks, row by row and best first.
+    Returns (rows, cols) of the picks, row by row and best first. Rounds of
+    row-wise argmax (first maximum = lowest id), -inf over each pick: a
+    stable sort's order when the scores hold no NaN, as votes, ir and bpr
+    scores never do.
     """
     masked = np.where(candidates, scores, -np.inf)
-    if n == 1:
-        top = masked.argmax(axis=1)[:, None]  # first maximum = lowest id
-    else:
-        top = np.argsort(-masked, axis=1, kind="stable")[:, :n]
     width = np.minimum(candidates.sum(axis=1), n)
+    top, rows = [], np.arange(len(masked))
+    for _ in range(int(width.max(initial=0))):
+        if top:  # not after the last round
+            masked[rows, top[-1]] = -np.inf
+        top.append(masked.argmax(axis=1))
+    top = np.array(top, dtype=np.intp).reshape(-1, len(rows)).T
     picked = np.arange(top.shape[1]) < width[:, None]
     return np.nonzero(picked)[0], top[picked]
 

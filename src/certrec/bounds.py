@@ -37,56 +37,88 @@ __all__ = [
 _LEVEL_MARGIN = 1e-12
 
 
-def beta_quantile(beta: float, a: float, b: float, upper: bool = False) -> float:
+def beta_quantile(beta: float, a, b, upper: bool = False):
     """x with I_x(a, b) = beta, or with 1 - I_x(a, b) = beta when upper is set.
 
     Bisects scipy's betainc (betaincc when upper, so a small upper-tail mass
     keeps its relative precision) down to a one-ULP bracket, and returns its
     safe end for a confidence bound: lo for a lower bound, hi for an upper.
+    Arrays a, b bisect together, each element by its own scalar steps.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must be in (0, 1), got {beta}")
-    if a <= 0 or b <= 0:
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if (a <= 0).any() or (b <= 0).any():
         raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
     tail = scipy.special.betaincc if upper else scipy.special.betainc
-    lo, hi = 0.0, 1.0
+    lo, hi = np.zeros(a.shape), np.ones(a.shape)
+    live = np.arange(a.size)  # flat ids of the brackets still open
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # interval is one ULP wide
-        mass = tail(a, b, mid)  # betainc rises with x, betaincc falls
-        if (mass > beta) if upper else (mass < beta):
-            lo = mid
-        else:
-            hi = mid
-    return hi if upper else lo
+        mid = 0.5 * (lo.flat[live] + hi.flat[live])
+        wide = (mid > lo.flat[live]) & (mid < hi.flat[live])  # else one ULP
+        live, mid = live[wide], mid[wide]
+        if not live.size:
+            break
+        mass = tail(a.flat[live], b.flat[live], mid)  # betainc rises with x, betaincc falls
+        up = (mass > beta) if upper else (mass < beta)
+        lo.flat[live[up]], hi.flat[live[~up]] = mid[up], mid[~up]
+    out = hi if upper else lo
+    return out if out.ndim else float(out)
 
 
-@lru_cache(maxsize=65536)
-def _quantile_cached(beta: float, a: float, b: float, upper: bool) -> float:
-    # vote-count spectra repeat heavily across users; cache pays for itself
-    return beta_quantile(beta, a, b, upper)
+class _QuantileCache:
+    """Quantiles bisected since the last cache_clear(), keyed (beta, a, b,
+    upper), as an lru_cache would keep them: vote-count spectra repeat
+    across users and calls. Held on the class, so that cache_clear() can
+    be called on it as on an lru_cache."""
+
+    values: dict = {}
+    hits = misses = 0
+
+    @classmethod
+    def cache_clear(cls) -> None:
+        cls.values, cls.hits, cls.misses = {}, 0, 0
+
+    @classmethod
+    def lookup(cls, beta: float, a: np.ndarray, b: np.ndarray, upper: bool) -> np.ndarray:
+        """beta_quantile of every (a, b), new pairs bisected in one call."""
+        keys = [(beta, x, y, upper) for x, y in zip(a.tolist(), b.tolist())]
+        new = [k for k in dict.fromkeys(keys) if k not in cls.values]
+        if new:
+            _, x, y, _ = zip(*new)
+            cls.values.update(zip(new, beta_quantile(beta, x, y, upper).tolist()))
+        cls.hits, cls.misses = cls.hits + len(keys) - len(new), cls.misses + len(new)
+        out = np.array([cls.values[k] for k in keys], dtype=np.float64)
+        if len(cls.values) > 65536:  # a bound on a long-lived process's cache
+            cls.values = {}
+        return out
+
+
+def _cp_by_count(counts, t: int, beta: float, upper: bool) -> np.ndarray:
+    """cp_upper (or cp_lower) of every entry of a count array, one quantile
+    per distinct count, all bisected together."""
+    values, inverse = np.unique(counts, return_inverse=True)
+    if values.size and (values[0] < 0 or values[-1] > t):
+        bad = values[0] if values[0] < 0 else values[-1]
+        raise ValueError(f"need 0 <= count <= t, got count={bad}, t={t}")
+    # 0 successes bound p below by 0, t successes above by 1
+    edge = values == (t if upper else 0)
+    out = np.full(values.shape, 1.0 if upper else 0.0)
+    c = values[~edge].astype(np.float64)
+    # P_U(X <= c) is the upper tail of Beta(c + 1, t - c) at U
+    a, b = (c + 1, t - c) if upper else (c, t - c + 1)
+    out[~edge] = _QuantileCache.lookup(beta * (1.0 - _LEVEL_MARGIN), a, b, upper)
+    return out[inverse]
 
 
 def cp_lower(t_i: int, t: int, beta: float) -> float:
     """Lower bound L on p from t_i successes in t trials: P_L(X >= t_i) <= beta."""
-    if not 0 <= t_i <= t:
-        raise ValueError(f"need 0 <= t_i <= t, got t_i={t_i}, t={t}")
-    if t_i == 0:
-        return 0.0
-    return _quantile_cached(beta * (1.0 - _LEVEL_MARGIN), float(t_i),
-                            float(t - t_i + 1), False)
+    return float(_cp_by_count([t_i], t, beta, False)[0])
 
 
 def cp_upper(t_j: int, t: int, beta: float) -> float:
     """Upper bound U on p from t_j successes in t trials: P_U(X <= t_j) <= beta."""
-    if not 0 <= t_j <= t:
-        raise ValueError(f"need 0 <= t_j <= t, got t_j={t_j}, t={t}")
-    if t_j == t:
-        return 1.0
-    # P_U(X <= t_j) is the upper tail of Beta(t_j + 1, t - t_j) at U
-    return _quantile_cached(beta * (1.0 - _LEVEL_MARGIN), float(t_j + 1),
-                            float(t - t_j), True)
+    return float(_cp_by_count([t_j], t, beta, True)[0])
 
 
 @dataclass(frozen=True)
@@ -172,15 +204,6 @@ def _target_mask(items_in, m: int) -> tuple:
     inside = np.zeros(m, dtype=bool)
     inside[list(items_in)] = True
     return items_in, inside
-
-
-def _cp_by_count(counts: np.ndarray, t: int, beta: float, upper: bool) -> np.ndarray:
-    """cp_upper (or cp_lower) of every entry of a 1-D count array, one
-    quantile per distinct count."""
-    values, inverse = np.unique(counts, return_inverse=True)
-    bound = cp_upper if upper else cp_lower
-    return np.array([bound(c, t, beta) for c in values.tolist()],
-                    dtype=np.float64)[inverse]
 
 
 def estimate_bounds(counts, user: int, items_in, alpha_u: float) -> ProbBounds:

@@ -260,6 +260,8 @@ def cmd_recommend(args) -> int:
     vc, train, _ = _load_votes_and_split(args)
     if args.user is not None and not 0 <= args.user < train.n_users:
         raise ValueError(f"--user must lie in [0, {train.n_users}), got {args.user}")
+    if args.N < 1:  # before the header, so a refusal prints nothing
+        raise ValueError(f"N must be positive, got {args.N}")
     users = [int(args.user)] if args.user is not None else range(train.n_users)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["user", "rank", "item", "votes"])
@@ -314,9 +316,9 @@ def _radius_histogram(sweep) -> dict:
 def cmd_certify(args) -> int:
     started = time.time()
     rules = ("joint",) if args.baseline is None else ("joint", args.baseline)
-    cache_before = bounds._quantile_cached.cache_info()
+    cache = bounds._QuantileCache
+    hits, misses = cache.hits, cache.misses
     cfg, sweeps, rows = _sweep_rows(args, rules)
-    cache = bounds._quantile_cached.cache_info()
     sweep = sweeps[0]
     e_list = sweep.e_list
     os.makedirs(args.out, exist_ok=True)
@@ -348,8 +350,8 @@ def cmd_certify(args) -> int:
                      "exact_fallbacks": {rule: sw.exact_fallbacks
                                          for rule, sw in zip(rules, sweeps)},
                      "quantile_cache": {
-                         "hits": cache.hits - cache_before.hits,
-                         "misses": cache.misses - cache_before.misses}},
+                         "hits": cache.hits - hits,
+                         "misses": cache.misses - misses}},
                     started)
     print(f"certified {len(sweep.users)} users at {len(e_list)} "
           f"attack budgets -> {args.out}")

@@ -7,6 +7,8 @@ scores are always nonzero. Loaders remap arbitrary external ids to contiguous
 
 from __future__ import annotations
 
+import io
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -205,16 +207,17 @@ def _format_score(x: float) -> str:
 
 def save_split(path: str, train: RatingMatrix, tests: TestSets, seed: int, fraction: float) -> None:
     """Persist a split: header, then train,u,i,score and test,u,i rows."""
+    csr = train.csr
+    users = np.repeat(np.arange(train.n_users), np.diff(csr.indptr))
+    held = np.concatenate([np.zeros(0, np.int64), *tests.sets])
+    held_users = np.repeat(np.arange(len(tests)), [len(t) for t in tests.sets])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"#split v1 n={train.n_users} m={train.n_items} seed={seed} fraction={_format_score(fraction)}\n")
-        for u in range(train.n_users):
-            items = train.rated_items(u)
-            scores = train.scores_of(u)
-            for i, sc in zip(items, scores):
-                fh.write(f"train,{u},{int(i)},{_format_score(sc)}\n")
-        for u in range(len(tests)):
-            for i in tests[u]:
-                fh.write(f"test,{u},{int(i)}\n")
+        # the repr of a Python float is _format_score
+        fh.write("".join(itertools.chain(
+            (f"train,{u},{i},{sc!r}\n" for u, i, sc in zip(
+                users.tolist(), csr.indices.tolist(), csr.data.tolist())),
+            (f"test,{u},{i}\n" for u, i in zip(held_users.tolist(), held.tolist())))))
 
 
 def _parse_header(line: str, magic: str) -> dict:
@@ -227,8 +230,94 @@ def _parse_header(line: str, magic: str) -> dict:
     return fields
 
 
+# what the array parse of a split takes once the row kinds are cut off: on
+# these characters loadtxt's numbers are exactly Python's int() and float()
+_NUMERIC = b"0123456789,.+-eE\n"
+_TRAIN_ROW = np.dtype([("u", np.int64), ("i", np.int64), ("score", np.float64)])
+
+
+def _array_rows(body: str, n: int, m: int):
+    """The rows of a split body as arrays: train rows as one _TRAIN_ROW
+    array, test rows as a k x 2 int64 array, or None.
+
+    Takes only the layout save_split writes: every train row before every
+    test row, one row per line, no blank line and no space. Gives None for
+    any other layout, any field loadtxt refuses and any row the line loop
+    refuses; the line loop then rescans the body.
+    """
+    text = "\n" + body.removesuffix("\n") if body else ""
+    cut = text.find("\ntest,")
+    cut = len(text) if cut < 0 else cut
+    rows = []
+    for part, kind, empty in ((text[:cut], "train", np.zeros(0, _TRAIN_ROW)),
+                              (text[cut:], "test", np.zeros((0, 2), np.int64))):
+        fields = part.replace(f"\n{kind},", "\n")[1:]
+        if (part.count("\n") != part.count(f"\n{kind},") or not part.isascii()
+                or fields.encode().translate(None, _NUMERIC)
+                or part and "\n\n" in f"\n{fields}\n"):  # loadtxt skips empty rows
+            return None
+        try:
+            rows.append(np.loadtxt(io.StringIO(fields), delimiter=",",
+                                   dtype=empty.dtype, comments=None,
+                                   ndmin=empty.ndim) if part else empty)
+        except (ValueError, OverflowError):
+            return None
+    tr, te = rows
+    score = tr["score"]
+    if te.shape[1] != 2 or not ((score != 0) & np.isfinite(score)).all():
+        return None
+    for u, i in ((tr["u"], tr["i"]), (te[:, 0], te[:, 1])):
+        key = np.sort(u * m + i)
+        if not (((u >= 0) & (u < n) & (i >= 0) & (i < m)).all()
+                and (key[1:] != key[:-1]).all()):
+            return None
+    return tr, te
+
+
+def _line_rows(path: str, body: str, n: int, m: int):
+    """The rows of a split body, line by line, as _array_rows returns them:
+    the parse of any layout, and the one that names the line of the first
+    row it refuses."""
+    width = {"train": 4, "test": 3}
+    seen = {"train": {}, "test": {}}  # cell -> train score, in file order
+    for lineno, raw in enumerate(body.split("\n"), start=2):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        kind = parts[0]
+        try:
+            if kind not in width:
+                raise ValueError(f"unrecognized row kind {kind!r}")
+            if len(parts) != width[kind]:
+                raise ValueError(f"expected {width[kind]} fields for a {kind} "
+                                 f"row, got {len(parts)}")
+            if kind == "train":
+                score = float(parts[3])
+                if score == 0 or not math.isfinite(score):
+                    raise ValueError(f"train score must be nonzero and "
+                                     f"finite, got {parts[3]}")
+            u, i = int(parts[1]), int(parts[2])
+            if not (0 <= u < n and 0 <= i < m):
+                raise ValueError(f"{kind} cell ({u}, {i}) outside the "
+                                 f"{n} x {m} matrix")
+            if (u, i) in seen[kind]:
+                raise ValueError(f"repeated {kind} cell ({u}, {i})")
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from None
+        seen[kind][u, i] = score if kind == "train" else None
+    return (np.array([(*c, sc) for c, sc in seen["train"].items()], dtype=_TRAIN_ROW),
+            np.array(list(seen["test"]), dtype=np.int64).reshape(-1, 2))
+
+
 def load_split(path: str):
-    """Load a persisted split; returns (train, tests, header dict)."""
+    """Load a persisted split; returns (train, tests, header dict).
+
+    The body is parsed as arrays when it is laid out as save_split writes
+    it and every row is valid; otherwise line by line, which takes any
+    order of rows, blank lines and spaces around the fields, and names the
+    line of the first row it refuses. Both give the same split.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = _parse_header(fh.readline().rstrip("\n"), "#split v1 ")
         try:
@@ -238,46 +327,22 @@ def load_split(path: str):
             header["fraction"] = float(header["fraction"])
         except (KeyError, ValueError) as exc:
             raise ParseError(f"{path}: malformed split header: {exc}") from None
-        users, items, scores = [], [], []
-        test_cells = [set() for _ in range(n)]
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            try:
-                if parts[0] == "train" and len(parts) == 4:
-                    score = float(parts[3])
-                    if score == 0 or not math.isfinite(score):
-                        raise ValueError(f"train score must be nonzero and "
-                                         f"finite, got {parts[3]}")
-                    users.append(int(parts[1])); items.append(int(parts[2])); scores.append(score)
-                elif parts[0] == "test" and len(parts) == 3:
-                    u, i = int(parts[1]), int(parts[2])
-                    if not (0 <= u < n and 0 <= i < m):
-                        raise ValueError(f"test cell ({u}, {i}) outside the "
-                                         f"{n} x {m} matrix")
-                    if i in test_cells[u]:
-                        raise ValueError(f"repeated test cell ({u}, {i})")
-                    test_cells[u].add(i)
-                elif parts[0] in ("train", "test"):
-                    width = 4 if parts[0] == "train" else 3
-                    raise ValueError(f"expected {width} fields for a "
-                                     f"{parts[0]} row, got {len(parts)}")
-                else:
-                    raise ValueError(f"unrecognized row kind {parts[0]!r}")
-            except (ValueError, IndexError) as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from None
-    lo = min(scores) if scores else 1.0
-    hi = max(scores) if scores else 5.0
-    integral = all(float(s).is_integer() for s in scores)
-    domain = RatingDomain(lo=float(lo), hi=float(hi), integral=integral)
-    train = _build_matrix(users, items, scores, domain,
+        body = fh.read()
+    rows = _array_rows(body, n, m)
+    tr, te = _line_rows(path, body, n, m) if rows is None else rows
+    scores = tr["score"]
+    if scores.size:
+        domain = RatingDomain(lo=float(scores.min()), hi=float(scores.max()),
+                              integral=bool((scores == np.trunc(scores)).all()))
+    else:
+        domain = RatingDomain(lo=1.0, hi=5.0, integral=True)
+    train = _build_matrix(tr["u"], tr["i"], scores, domain,
                           user_ids=np.arange(n), item_ids=np.arange(m))
-    tests = TestSets(sets=tuple(np.array(sorted(t), dtype=np.int64) for t in test_cells))
     # every cell as the key u * m + i; both key arrays come out ascending
-    held = np.concatenate([np.zeros(0, np.int64)]
-                          + [u * m + t for u, t in enumerate(tests.sets)])
+    held = np.sort(te[:, 0] * m + te[:, 1])
+    cuts = np.searchsorted(held, np.arange(n + 1) * m).tolist()
+    tests = TestSets(sets=tuple(held[a:b] - u * m for u, (a, b) in
+                                enumerate(zip(cuts[:-1], cuts[1:]))))
     rated = np.repeat(np.arange(n), np.diff(train.csr.indptr)) * m + train.csr.indices
     both = held[np.searchsorted(rated, held, side="right") > np.searchsorted(rated, held)]
     if both.size:

@@ -1,10 +1,12 @@
 """Shared fixtures: acceptance reporting, dataset discovery, synthetic instances."""
 
+import math
 import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.sparse import csr_matrix
 
 from certrec import base_rec, ensemble, ratings
@@ -173,6 +175,117 @@ def reference_votes(train, algo: str, params, s: int, n_prime: int,
             scores = [model.item_factors @ p for p in model.user_factors]
         reference_model_votes(counts, users, sub, seen, scores, n_prime)
     return counts
+
+
+# --- reference split I/O, quantile and top-n rule: the line-by-line loader and
+# writer, the scalar bisection and the stable sort that ratings.load_split /
+# save_split, bounds.beta_quantile and base_rec._ranked replaced
+
+
+def reference_load_split(path: str):
+    """(train, tests, header) of a split file, read line by line. It also
+    refuses, with the line, a train cell outside the matrix and a repeated
+    train cell."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = ratings._parse_header(fh.readline().rstrip("\n"), "#split v1 ")
+        try:
+            n = header["n"] = int(header["n"])
+            m = header["m"] = int(header["m"])
+            header["seed"] = int(header["seed"])
+            header["fraction"] = float(header["fraction"])
+        except (KeyError, ValueError) as exc:
+            raise ratings.ParseError(f"{path}: malformed split header: {exc}") from None
+        users, items, scores = [], [], []
+        train_cells = set()
+        test_cells = [set() for _ in range(n)]
+        for lineno, raw in enumerate(fh, start=2):
+            line = raw.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            try:
+                if parts[0] == "train" and len(parts) == 4:
+                    score = float(parts[3])
+                    if score == 0 or not math.isfinite(score):
+                        raise ValueError(f"train score must be nonzero and "
+                                         f"finite, got {parts[3]}")
+                    u, i = int(parts[1]), int(parts[2])
+                    if not (0 <= u < n and 0 <= i < m):
+                        raise ValueError(f"train cell ({u}, {i}) outside the "
+                                         f"{n} x {m} matrix")
+                    if (u, i) in train_cells:
+                        raise ValueError(f"repeated train cell ({u}, {i})")
+                    train_cells.add((u, i))
+                    users.append(u); items.append(i); scores.append(score)
+                elif parts[0] == "test" and len(parts) == 3:
+                    u, i = int(parts[1]), int(parts[2])
+                    if not (0 <= u < n and 0 <= i < m):
+                        raise ValueError(f"test cell ({u}, {i}) outside the "
+                                         f"{n} x {m} matrix")
+                    if i in test_cells[u]:
+                        raise ValueError(f"repeated test cell ({u}, {i})")
+                    test_cells[u].add(i)
+                elif parts[0] in ("train", "test"):
+                    width = 4 if parts[0] == "train" else 3
+                    raise ValueError(f"expected {width} fields for a "
+                                     f"{parts[0]} row, got {len(parts)}")
+                else:
+                    raise ValueError(f"unrecognized row kind {parts[0]!r}")
+            except (ValueError, IndexError) as exc:
+                raise ratings.ParseError(f"{path}: line {lineno}: {exc}") from None
+    lo = min(scores) if scores else 1.0
+    hi = max(scores) if scores else 5.0
+    integral = all(float(s).is_integer() for s in scores)
+    domain = ratings.RatingDomain(lo=float(lo), hi=float(hi), integral=integral)
+    train = ratings._build_matrix(users, items, scores, domain,
+                                  user_ids=np.arange(n), item_ids=np.arange(m))
+    tests = ratings.TestSets(sets=tuple(np.array(sorted(t), dtype=np.int64)
+                                        for t in test_cells))
+    for u, held in enumerate(tests.sets):
+        both = sorted(set(held.tolist()) & set(train.rated_items(u).tolist()))
+        if both:
+            raise ratings.ParseError(f"{path}: test cell ({u}, {both[0]}) is "
+                                     f"also a train rating")
+    return train, tests, header
+
+
+def reference_save_split(path: str, train, tests, seed: int, fraction: float) -> None:
+    """save_split's bytes, written one row at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"#split v1 n={train.n_users} m={train.n_items} seed={seed} "
+                 f"fraction={float(fraction)!r}\n")
+        for u in range(train.n_users):
+            for i, sc in zip(train.rated_items(u), train.scores_of(u)):
+                fh.write(f"train,{u},{int(i)},{float(sc)!r}\n")
+        for u in range(len(tests)):
+            for i in tests[u]:
+                fh.write(f"test,{u},{int(i)}\n")
+
+
+def reference_beta_quantile(beta: float, a: float, b: float, upper: bool = False) -> float:
+    """One scalar one-ULP bisection of betainc (betaincc when upper)."""
+    tail = scipy.special.betaincc if upper else scipy.special.betainc
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        mass = tail(a, b, mid)
+        if (mass > beta) if upper else (mass < beta):
+            lo = mid
+        else:
+            hi = mid
+    return hi if upper else lo
+
+
+def reference_ranked(scores: np.ndarray, candidates: np.ndarray, n: int):
+    """(rows, cols) of each row's n best candidates by a stable argsort:
+    descending score, ascending column id on ties."""
+    masked = np.where(candidates, scores, -np.inf)
+    top = np.argsort(-masked, axis=1, kind="stable")[:, :n]
+    width = np.minimum(candidates.sum(axis=1), n)
+    picked = np.arange(top.shape[1]) < width[:, None]
+    return np.nonzero(picked)[0], top[picked]
 
 
 def prob_row(vc, u: int) -> list:

@@ -10,7 +10,7 @@ import pytest
 from certrec import base_rec, ensemble, ratings
 
 from conftest import (random_tiny_matrix, reference_ir, reference_model_votes,
-                      signed_float_matrix)
+                      reference_ranked, signed_float_matrix)
 
 
 def _recs(model, user, n):
@@ -37,6 +37,34 @@ def _matrix_from_dense(dense):
     dom = ratings.RatingDomain(1.0, 5.0, True)
     return ratings._build_matrix(users, items, scores, dom,
                                  user_ids=np.arange(n), item_ids=np.arange(m))
+
+
+class TestRanked:
+    """The argmax rounds against a stable argsort of the same rows."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_stable_argsort(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, m = int(rng.integers(1, 40)), int(rng.integers(1, 12))
+        for values in (3, 1000):  # heavy ties, then few
+            scores = rng.integers(-values, values, size=(rows, m)).astype(float)
+            scores[rng.random((rows, m)) < 0.1] = 0.0
+            scores[rng.random((rows, m)) < 0.1] *= -0.0
+            # some rows with fewer candidates than n, some with none
+            candidates = rng.random((rows, m)) < rng.random((rows, 1))
+            for n in sorted({1, 2, max(m - 1, 1), m, m + 3}):
+                got = base_rec._ranked(scores, candidates, n)
+                want = reference_ranked(scores, candidates, n)
+                assert [x.tolist() for x in got] == [x.tolist() for x in want]
+
+    def test_integer_votes(self):
+        votes = np.array([[5, 0, 5, 2, 5], [0, 0, 0, 0, 0], [1, 2, 3, 4, 5]],
+                         dtype=np.int32)
+        candidates = np.array([[1, 1, 0, 1, 1], [1, 0, 1, 0, 0], [0, 0, 0, 0, 0]],
+                              dtype=bool)
+        rows, cols = base_rec._ranked(votes, candidates, 3)
+        assert rows.tolist() == [0, 0, 0, 1, 1]
+        assert cols.tolist() == [0, 4, 3, 0, 2]
 
 
 class TestItemRetrieval:

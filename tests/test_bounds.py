@@ -11,8 +11,11 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import certrec
 from certrec import bounds
 from certrec.ensemble import VoteCounts
+
+from conftest import reference_beta_quantile
 
 
 class TestBetaQuantile:
@@ -79,6 +82,60 @@ FROZEN_LOWER = [
     (100, 100, 1e-5 / 1682, 0.8274499614922599),
     (3, 10, 0.05, 0.08726443391415033),
 ]
+
+
+class TestArrayBisection:
+    """The array bisection against the scalar one it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
+    @pytest.mark.parametrize("t", [1, 2, 200, 10**4, 10**5])
+    def test_equals_scalar_bisection(self, t, upper):
+        rng = np.random.default_rng(t)
+        ks = sorted({0, 1, t - 1, t} | set(rng.integers(0, t + 1, 6).tolist()))
+        for beta in (0.5, 1e-2, 1e-4, 1e-6, 1e-9, 1e-12):
+            # the shapes of cp_upper (k < t) and cp_lower (k > 0)
+            pairs = ([(k + 1.0, t - k) for k in ks if k < t] if upper
+                     else [(float(k), t - k + 1.0) for k in ks if k > 0])
+            a, b = (np.array(x) for x in zip(*pairs))
+            got = bounds.beta_quantile(beta, a, b, upper)
+            want = [reference_beta_quantile(beta, x, y, upper) for x, y in pairs]
+            assert got.tolist() == want
+            assert [bounds.beta_quantile(beta, x, y, upper) for x, y in pairs] == want
+            level = beta * (1.0 - bounds._LEVEL_MARGIN)
+            edge = t if upper else 0
+            cp = [1.0 if upper else 0.0] * (edge in ks) + [
+                reference_beta_quantile(level, x, y, upper) for x, y in pairs]
+            if upper:
+                cp = cp[1:] + cp[:1]  # k = t comes last
+            assert bounds._cp_by_count(np.array(ks), t, beta, upper).tolist() == cp
+            one = bounds.cp_upper if upper else bounds.cp_lower
+            assert [one(k, t, beta) for k in ks] == cp
+
+    def test_counts_outside_zero_to_t_refused(self):
+        for bad in ([-1, 3], [3, 11]):
+            with pytest.raises(ValueError, match="need 0 <= count <= t"):
+                bounds._cp_by_count(np.array(bad), 10, 0.01, False)
+
+    def test_cache_counts_lookups_and_clears(self):
+        cache = bounds._QuantileCache
+        cache.cache_clear()
+        bounds._cp_by_count(np.array([0, 3, 3, 7]), 10, 0.01, False)
+        assert (cache.hits, cache.misses) == (0, 2)  # 0 is no quantile
+        bounds.cp_lower(3, 10, 0.01)
+        bounds.cp_upper(3, 10, 0.01)  # another tail, another quantile
+        assert (cache.hits, cache.misses) == (1, 3)
+        cache.cache_clear()
+        assert (cache.hits, cache.misses, cache.values) == (0, 0, {})
+
+    def test_every_cache_clears_without_arguments(self):
+        # a cold start empties every cache_clear it finds on module objects
+        for mod in (getattr(certrec, name) for name in dir(certrec)):
+            if type(mod) is type(certrec):
+                for obj in list(vars(mod).values()):
+                    clear = getattr(obj, "cache_clear", None)
+                    if callable(clear):
+                        clear()
+        assert bounds._QuantileCache.values == {}
 
 
 class TestClopperPearson:

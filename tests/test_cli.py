@@ -231,6 +231,14 @@ class TestRecommend:
         assert "error:" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("N", ["0", "-2"])
+    def test_nonpositive_N_prints_nothing(self, split, votes, N, capsys):
+        assert cli.main(["recommend", "--votes", votes, "--split", split,
+                         "--N", N]) == 2
+        captured = capsys.readouterr()
+        assert "error: N must be positive" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command", ["recommend", "evaluate"])
     @pytest.mark.parametrize("votes_are", ["smaller", "larger"])
     def test_votes_of_another_shape_refused(self, split, votes, topn_instance,
@@ -465,6 +473,26 @@ def topn_instance(tmp_path_factory):
 
 
 class TestCleanTopnFloors:
+    @pytest.mark.parametrize("target", ["clean-topn", "test-items"])
+    def test_split_layout_leaves_outputs_unchanged(self, topn_instance, target):
+        # test rows first and CRLF line ends go through the line-by-line parse
+        root, split, votes = topn_instance
+        lines = open(split).read().splitlines()
+        moved = str(root / f"moved-{target}.txt")
+        with open(moved, "w", newline="") as fh:
+            fh.write("".join(line + "\r\n" for line in [lines[0]] + sorted(
+                lines[1:], key=lambda line: not line.startswith("test"))))
+        outs = []
+        for path in (split, moved):
+            outs.append(str(root / f"cert-{target}-{len(outs)}"))
+            assert cli.main(["certify", "--votes", votes, "--split", path,
+                             "--target", target, "--N", "5", "--alpha", "0.2",
+                             "--e", "0:2", "--baseline", "bagging",
+                             "--out", outs[-1]]) == 0
+        for name in ("per_user.csv", "aggregate.csv", "aggregate.json"):
+            a, b = (open(os.path.join(o, name), "rb").read() for o in outs)
+            assert a == b, name
+
     def test_floors_against_clean_topn(self, topn_instance):
         # r is counted over the clean top-N, so its floors divide by |I_u|;
         # dividing by |E_u| refused r > |E_u| and the command exited 2
