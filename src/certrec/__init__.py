@@ -10,12 +10,10 @@ Precision/Recall/F1 floors.
 """
 
 from .base_rec import BPRParams, IRParams, recommend_all, train_base
-from .bounds import (cp_lower, cp_upper, estimate_bounds, estimate_table,
-                     make_context)
-from .certify import CertQuery, binary_search_r, sweep, verify_constraint
+from .bounds import cp_lower, cp_upper, estimate_table, exact_table, make_context
+from .certify import certify_table, sweep
 from .ensemble import (VoteCounts, build_vote_counts, derive_seed,
-                       ensemble_recommend, ensemble_recommend_all, load_votes,
-                       save_votes)
+                       ensemble_recommend_all, load_votes, save_votes)
 from .metrics import certified_metrics, standard_metrics
 from .ratings import (RatingMatrix, TestSets, load_ratings, load_split,
                       save_split, split_train_test)
@@ -24,10 +22,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BPRParams", "IRParams", "recommend_all", "train_base",
-    "cp_lower", "cp_upper", "estimate_bounds", "estimate_table", "make_context",
-    "CertQuery", "binary_search_r", "sweep", "verify_constraint",
-    "VoteCounts", "build_vote_counts", "derive_seed", "ensemble_recommend",
-    "ensemble_recommend_all", "load_votes", "save_votes",
+    "cp_lower", "cp_upper", "estimate_table", "exact_table", "make_context",
+    "certify_table", "sweep",
+    "VoteCounts", "build_vote_counts", "derive_seed", "ensemble_recommend_all",
+    "load_votes", "save_votes",
     "certified_metrics", "standard_metrics",
     "RatingMatrix", "TestSets", "load_ratings", "load_split", "save_split",
     "split_train_test",

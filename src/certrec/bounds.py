@@ -12,14 +12,15 @@ kept exact (big integers, even where C(n,s) has hundreds of digits) together
 with the doubles that bound them from above for certification's float pass.
 
 `estimate_table` bounds every user at once for certification, reading one
-quantile per distinct count; `estimate_bounds` is one user's full reference.
+quantile per distinct count; `exact_table` lays exact probabilities out the
+same way, for the oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -27,9 +28,9 @@ import numpy as np
 import scipy.special
 
 __all__ = [
-    "beta_quantile", "cp_lower", "cp_upper", "estimate_bounds",
-    "estimate_table", "make_context", "round_lower_star", "round_upper_star",
-    "BoundTable", "CombinatoricContext", "ProbBounds",
+    "beta_quantile", "cp_lower", "cp_upper", "estimate_table", "exact_table",
+    "make_context", "round_lower_star", "round_upper_star", "BoundTable",
+    "CombinatoricContext",
 ]
 
 # every bound is computed at level beta * (1 - _LEVEL_MARGIN): scipy's
@@ -122,62 +123,15 @@ def cp_upper(t_j: int, t: int, beta: float) -> float:
 
 
 @dataclass(frozen=True)
-class ProbBounds:
-    """Per-user probability bounds: lower on I_u members, upper elsewhere.
-
-    Estimated bounds are float64 arrays, exact bounds object arrays of
-    Fraction. Derived orderings used by certification are computed once at
-    construction, as Python numbers: mu_desc (lower bounds, descending),
-    sum_lower (summed in ascending item order), and the outside upper bounds
-    sorted descending (ties at equal bounds ordered by ascending item id so
-    competitor selection is deterministic).
-    """
-
-    user: int
-    items_in: tuple          # I_u, ascending item ids
-    lower: np.ndarray        # lower bounds, aligned with items_in
-    upper: np.ndarray        # upper bounds, aligned with the ascending complement of I_u
-    alpha_u: float           # simultaneous per-user error budget
-    m: int
-    mu_desc: list = field(init=False)
-    sum_lower: object = field(init=False)
-    out_upper_desc: list = field(init=False)
-
-    def __post_init__(self):
-        desc = self.upper[np.argsort(-self.upper, kind="stable")]
-        # Python's sum, not np.sum: the latter adds pairwise and rounds differently
-        object.__setattr__(self, "mu_desc", sorted(self.lower.tolist(), reverse=True))
-        object.__setattr__(self, "sum_lower", sum(self.lower.tolist()))
-        object.__setattr__(self, "out_upper_desc", desc.tolist())
-
-    @property
-    def n_outside(self) -> int:
-        return len(self.upper)
-
-    def table(self, width: int) -> BoundTable:
-        """These bounds as the one row of a BoundTable keeping `width`
-        outside upper bounds, in the dtype of the bounds."""
-        top = self.out_upper_desc[:width]
-        return BoundTable(
-            users=np.array([self.user]),
-            lower=np.array(self.mu_desc, dtype=self.lower.dtype),
-            starts=np.zeros(1, dtype=np.int64),
-            sum_lower=np.array([self.sum_lower], dtype=self.lower.dtype),
-            top=np.array([top + [0] * (width - len(top))], dtype=self.upper.dtype),
-            n_in=np.array([len(self.lower)]), n_out=np.array([self.n_outside]))
-
-
-@dataclass(frozen=True)
 class BoundTable:
     """Bounds of many users, in the orderings certification reads.
 
     Row k holds users[k]: lower[starts[k]:starts[k] + n_in[k]] are its lower
     bounds on I_u, descending (mu_1 >= mu_2 >= ...), rows one after another;
-    sum_lower[k] is their sum in ascending item order, as
-    ProbBounds.sum_lower; top[k, :min(width, n_out[k])] are its largest
-    upper bounds outside I_u, descending, and the cells past those hold 0
-    and are never read. Estimated tables hold float64, a table of exact
-    bounds Fraction objects.
+    sum_lower[k] is their sum in ascending item order; top[k, :min(width,
+    n_out[k])] are its largest upper bounds outside I_u, descending, and the
+    cells past those hold 0 and are never read. estimate_table's tables hold
+    float64, exact_table's Fraction objects.
     """
 
     users: np.ndarray      # int64 user ids, one per row
@@ -189,36 +143,27 @@ class BoundTable:
     n_out: np.ndarray      # m - |I_u| per row
 
 
-def _target_mask(items_in, m: int) -> tuple:
-    """(I_u as ascending ids, boolean membership mask over the m items).
+def estimate_table(counts, users, items_in, alpha_u: float, width: int) -> BoundTable:
+    """Clopper-Pearson bounds of every user of users, as a BoundTable.
 
-    Refuses an empty set, repeated ids and ids outside [0, m).
-    """
-    items_in = tuple(sorted(int(i) for i in items_in))
-    if not items_in:
-        raise ValueError("items_in must be nonempty")
-    if len(set(items_in)) != len(items_in):
-        raise ValueError("items_in contains duplicate item ids")
-    if items_in[0] < 0 or items_in[-1] >= m:
-        raise ValueError(f"items_in ids must lie in [0, {m})")
-    inside = np.zeros(m, dtype=bool)
-    inside[list(items_in)] = True
-    return items_in, inside
-
-
-def estimate_bounds(counts, user: int, items_in, alpha_u: float) -> ProbBounds:
-    """Simultaneous bounds for one user from vote counts.
-
-    Bonferroni: each of the m per-item bounds gets budget alpha_u / m, so all
-    hold together with probability >= 1 - alpha_u.
+    items_in[k] is I_u of users[k]. Bonferroni: each of the m per-item
+    bounds gets budget alpha_u / m, so all of a user's bounds hold together
+    with probability >= 1 - alpha_u. Each quantile is computed once per
+    distinct count it is read at.
     """
     if not 0.0 < alpha_u < 1.0:
         raise ValueError(f"alpha_u must be in (0, 1), got {alpha_u}")
-    items_in, inside = _target_mask(items_in, counts.m)
-    row, budget = counts.counts[user], alpha_u / counts.m
-    return ProbBounds(user=user, items_in=items_in, alpha_u=alpha_u, m=counts.m,
-                      lower=_cp_by_count(row[inside], counts.T, budget, False),
-                      upper=_cp_by_count(row[~inside], counts.T, budget, True))
+    budget = alpha_u / counts.m
+    return _table(counts, users, items_in, width,
+                  lambda c, upper: _cp_by_count(c, counts.T, budget, upper))
+
+
+def exact_table(counts, users, items_in, width: int) -> BoundTable:
+    """estimate_table's BoundTable with Fraction(count, T) as both the lower
+    and the upper bounds: the exact item probabilities, when the counts come
+    from every one of the T = C(n, s) submatrices (oracle.exact_item_probs)."""
+    return _table(counts, users, items_in, width, lambda c, upper: np.array(
+        [Fraction(x, counts.T) for x in c.tolist()], dtype=object))
 
 
 # users per block when picking the largest outside counts: a few hundred kB
@@ -226,18 +171,14 @@ def estimate_bounds(counts, user: int, items_in, alpha_u: float) -> ProbBounds:
 _ROW_BLOCK = 64
 
 
-def estimate_table(counts, users, items_in, alpha_u: float, width: int) -> BoundTable:
-    """estimate_bounds for every user of users at once, as a BoundTable.
-
-    items_in[k] is I_u of users[k]. Each quantile is computed once per
-    distinct count it is read at: the lower bound for counts inside some
-    I_u, the upper bound only for each user's `width` largest outside
-    counts. The upper bound never falls as the count rises, so those give
-    the largest outside upper bounds, the only ones certification reads.
+def _table(counts, users, items_in, width: int, bound) -> BoundTable:
+    """The BoundTable of users, with bound(count array, upper) as the bounds:
+    lower bounds for the counts on each I_u, upper bounds only for each
+    user's `width` largest outside counts. bound must not fall as the count
+    rises, so that those give the largest outside upper bounds, the only
+    ones certification reads.
     """
-    if not 0.0 < alpha_u < 1.0:
-        raise ValueError(f"alpha_u must be in (0, 1), got {alpha_u}")
-    m, t, budget = counts.m, counts.T, alpha_u / counts.m
+    m = counts.m
     users = np.asarray(users, dtype=np.int64)
     n_in = np.array([len(x) for x in items_in], dtype=np.int64)
     rows = np.repeat(np.arange(len(users)), n_in)
@@ -252,10 +193,11 @@ def estimate_table(counts, users, items_in, alpha_u: float, width: int) -> Bound
     if items.size and (items.min() < 0 or items.max() >= m):
         raise ValueError(f"items_in ids must lie in [0, {m})")
     starts = np.cumsum(n_in) - n_in
-    low = _cp_by_count(counts.counts[users[rows], items], t, budget, False)
-    # Python's sum in ascending item order, as ProbBounds.sum_lower
+    low = bound(counts.counts[users[rows], items], False)
+    # Python's sum in ascending item order: np.sum adds pairwise and rounds
+    # differently
     sum_lower = np.array([sum(low[a:a + k].tolist()) for a, k in
-                          zip(starts.tolist(), n_in.tolist())], dtype=np.float64)
+                          zip(starts.tolist(), n_in.tolist())], dtype=low.dtype)
     top_counts = np.full((len(users), width), -1, dtype=np.int64)
     keep = min(width, m)
     for lo in range(0, len(users), _ROW_BLOCK):
@@ -265,9 +207,9 @@ def estimate_table(counts, users, items_in, alpha_u: float, width: int) -> Bound
         block[rows[cells] - lo, items[cells]] = -1  # I_u is not a competitor
         block = np.partition(block, m - keep, axis=1)[:, m - keep:]
         top_counts[lo:hi, :keep] = np.sort(block, axis=1)[:, ::-1]
-    top = np.zeros(top_counts.shape)
+    top = np.zeros(top_counts.shape, dtype=low.dtype)
     outside = top_counts >= 0
-    top[outside] = _cp_by_count(top_counts[outside], t, budget, True)
+    top[outside] = bound(top_counts[outside], True)
     return BoundTable(users=users, lower=low[np.lexsort((-low, rows))],
                       starts=starts, sum_lower=sum_lower, top=top,
                       n_in=n_in, n_out=m - n_in)

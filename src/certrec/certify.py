@@ -19,49 +19,30 @@ are redone in rational arithmetic on the same bounds.
 The left side falls and the right side rises in r', and sigma grows with e,
 so each user's certificate is fixed by attack radii E*(r'), the largest e at
 which r' holds: r(e) = #{r' : E*(r') >= e}, the same shape as the baseline's
-min(#{i : Z_i >= e}, N). `sweep` bounds every user once (one BoundTable),
-searches all users' radii in lockstep, one array evaluation of the float
-pass per round, and counts them into one r matrix per rule (users x e);
-`binary_search_r` answers one query at one e through the same kernel on one
-row, the per-e reference.
+min(#{i : Z_i >= e}, N). `sweep` bounds every user once (one BoundTable
+from estimate_table) and hands it to `certify_table`, which searches all
+users' radii in lockstep, one array evaluation of the float pass per round,
+and counts them into one r matrix per rule (users x e). The oracle certifies
+exact probabilities (bounds.exact_table) through the same `certify_table`.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .bounds import (BoundTable, CombinatoricContext, ProbBounds, _target_mask,
-                     estimate_table, make_context, round_lower_star,
-                     round_upper_star)
+from .bounds import (BoundTable, CombinatoricContext, estimate_table,
+                     make_context, round_lower_star, round_upper_star)
 
 log = logging.getLogger(__name__)
 
 _Z_CAP_FACTOR = 10  # bagging Z search stops at 10*n fake users; sigma has
                     # grown past any probability gap long before that
 _EPS = 2.0 ** -53   # unit roundoff of a double
-_exact_fallbacks = 0  # comparisons the float pass left to exact arithmetic
-
-
-@dataclass(frozen=True)
-class CertQuery:
-    """One certification question: a user's bounds under one attack context.
-
-    The user and I_u come from bounds; e and s come from ctx.
-    """
-
-    bounds: ProbBounds
-    ctx: CombinatoricContext
-    N: int
-    n_prime: int
-
-    def __post_init__(self):
-        if self.N < 1 or self.n_prime < 1:
-            raise ValueError("need N >= 1, N' >= 1")
 
 
 def _float_pass(rule: str, table: BoundTable, i, rp, sigma_hi, grid, N: int,
@@ -123,12 +104,12 @@ def _exact_holds(rule: str, table: BoundTable, i: int, rp: int,
 
 
 def _holds(rule: str, table: BoundTable, i, rp, ctxs, which, N: int,
-           n_prime: int) -> np.ndarray:
+           n_prime: int) -> tuple:
     """Exactly whether the comparison holds at each triple (row i[t], rank
     rp[t], context ctxs[which[t]]): decided in floats where the margin clears
     its error bound, else by _exact_holds. rhs is +inf only when sigma lies
-    past the double range, and then it fails."""
-    global _exact_fallbacks
+    past the double range, and then it fails. Returns the answers and how
+    many of them _exact_holds gave."""
     i, rp = np.asarray(i), np.asarray(rp)
     sigma_hi = np.array([c.sigma_hi for c in ctxs])[which]
     grid = np.array([c.grid for c in ctxs])[which]
@@ -138,8 +119,7 @@ def _holds(rule: str, table: BoundTable, i, rp, ctxs, which, N: int,
     for t in unsure.tolist():
         holds[t] = _exact_holds(rule, table, int(i[t]), int(rp[t]),
                                 ctxs[which[t]], N, n_prime)
-    _exact_fallbacks += len(unsure)
-    return holds
+    return holds, len(unsure)
 
 
 def _warn_inconsistent(table: BoundTable, n_prime: int) -> None:
@@ -147,47 +127,6 @@ def _warn_inconsistent(table: BoundTable, n_prime: int) -> None:
         log.warning("user %d: vote-share cap below zero (%s); bounds are "
                     "inconsistent, clamping", table.users[k],
                     n_prime - float(table.sum_lower[k]))
-
-
-def verify_constraint(r_prime: int, q: CertQuery) -> bool:
-    """Evaluate the certification constraint at candidate intersection size r_prime."""
-    k = min(len(q.bounds.items_in), q.N)
-    if not 1 <= r_prime <= k:
-        raise ValueError(f"r_prime must be in [1, {k}], got {r_prime}")
-    table = q.bounds.table(q.N)
-    _warn_inconsistent(table, q.n_prime)
-    return bool(_holds("joint", table, [0], [r_prime], [q.ctx], [0], q.N,
-                       q.n_prime)[0])
-
-
-def binary_search_r(q: CertQuery) -> int:
-    """Largest r' with the constraint satisfied, or 0 if none is."""
-    lo, hi = 1, min(len(q.bounds.items_in), q.N)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if verify_constraint(mid, q):
-            lo = mid
-        else:
-            hi = mid - 1
-    # the loop converges to the only remaining candidate; it still needs one
-    # check because nothing so far proves the constraint holds anywhere
-    return lo if verify_constraint(lo, q) else 0
-
-
-def exact_bounds_from_probs(user: int, items_in, probs, m: int) -> ProbBounds:
-    """ProbBounds built from exact item probabilities (both sides tight).
-
-    probs maps item id -> exact probability (Fraction). alpha_u is recorded
-    as 0: there is no estimation error to budget for.
-    """
-    items_in, inside = _target_mask(items_in, m)
-    probs = _fractions(probs[j] for j in range(m))
-    return ProbBounds(user=user, items_in=items_in, lower=probs[inside],
-                      upper=probs[~inside], alpha_u=0.0, m=m)
-
-
-def _fractions(values) -> np.ndarray:
-    return np.array([Fraction(v) for v in values], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -207,20 +146,26 @@ class SweepResult:
 RULES = ("joint", "bagging")
 
 
+def _check_rules(rules, N: int, n_prime: int) -> None:
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    if not set(rules) <= set(RULES):
+        raise ValueError(f"rules must be drawn from {RULES}, got {rules!r}")
+    if "bagging" in rules and n_prime != 1:
+        raise ValueError("the baseline is defined for N' = 1 vote counts")
+
+
 def sweep(train, counts, target_sets, alpha: float, e_list, N: int,
           n_prime: int, s: int, rules=("joint",)) -> tuple:
     """Certify every user under each rule at every e in e_list.
 
     target_sets maps user -> I_u (anything iterable of item ids). "joint" is
     the joint certificate, "bagging" the per-item baseline for N' = 1 votes.
-    The bounds of all users are estimated once, at budget alpha / n; each
-    rule turns them into radii with one lockstep search over all users,
-    counted at every e. That equals a per-e search because sigma never
-    decreases in e.
-    Returns one SweepResult per rule, in the order of `rules`.
+    The bounds of all users are estimated once, at budget alpha / n, and
+    certified by certify_table. Returns one SweepResult per rule, in the
+    order of `rules`.
     """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+    _check_rules(rules, N, n_prime)
     if counts.s != s or counts.n_prime != n_prime:
         raise ValueError(f"vote counts have s={counts.s}, N'={counts.n_prime}; "
                          f"certification asked for s={s}, N'={n_prime}")
@@ -228,16 +173,11 @@ def sweep(train, counts, target_sets, alpha: float, e_list, N: int,
         raise ValueError("vote counts shape does not match the training matrix")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if not set(rules) <= set(RULES):
-        raise ValueError(f"rules must be drawn from {RULES}, got {rules!r}")
-    if "bagging" in rules and n_prime != 1:
-        raise ValueError("the baseline is defined for N' = 1 vote counts")
     n = train.n_users
     alpha_u = alpha / n
     e_list = sorted(set(int(e) for e in e_list))
     if not e_list:
         raise ValueError("e_list must be nonempty")
-    contexts = [make_context(n, e, s) for e in e_list]
     items = [tuple(int(i) for i in target_sets[u]) for u in range(n)]
     users = [u for u in range(n) if items[u]]
     skipped = [u for u in range(n) if not items[u]]
@@ -245,28 +185,50 @@ def sweep(train, counts, target_sets, alpha: float, e_list, N: int,
         log.info("skipped %d users with empty target sets: %s",
                  len(skipped), skipped[:20])
     table = estimate_table(counts, users, [items[u] for u in users], alpha_u, N)
+    return tuple(replace(res, alpha_u=alpha_u, skipped=tuple(skipped)) for res in
+                 certify_table(table, [make_context(n, e, s) for e in e_list],
+                               N, n_prime, rules))
+
+
+def certify_table(table: BoundTable, contexts, N: int, n_prime: int,
+                  rules=("joint",)) -> tuple:
+    """Certify every row of table under each rule at every context.
+
+    contexts share n and s and hold distinct e, ascending. Each rule turns
+    the bounds into radii with one lockstep search over all rows, counted at
+    every e. That equals a per-e search because sigma never decreases in e.
+    Returns one SweepResult per rule, in the order of `rules`, with alpha_u
+    0 and no skipped users: sweep fills those in.
+    """
+    _check_rules(rules, N, n_prime)
+    e_list = [c.e for c in contexts]
+    if (not e_list or e_list != sorted(set(e_list))
+            or len({(c.n, c.s) for c in contexts}) != 1):
+        raise ValueError("contexts must share n and s and hold distinct "
+                         "attack budgets, ascending")
     _warn_inconsistent(table, n_prime)
-    calls = 0
-
-    def holds(i, r_prime, pos):
-        nonlocal calls
-        calls += len(i)
-        return _holds("joint", table, i, r_prime, contexts, pos, N, n_prime)
-
     results = []
     for rule in rules:
-        before = _exact_fallbacks
+        tally = [0, 0]  # constraint evaluations, exact fallbacks
+
+        def holds(i, r_prime, which, ctxs=contexts):
+            ok, fallbacks = _holds(rule, table, i, r_prime, ctxs, which, N,
+                                   n_prime)
+            tally[0] += len(i)
+            tally[1] += fallbacks
+            return ok
+
         if rule == "joint":  # radii over positions in e_list
             k = np.minimum(table.n_in, N)
             r = _certified_sizes(_radii(holds, k, len(e_list) - 1), k,
                                  range(len(e_list)), N)
         else:
-            r = _certified_sizes(_bagging_radii(table, n, s), table.n_in,
-                                 e_list, N)
+            r = _certified_sizes(_bagging_radii(table, contexts[0], holds),
+                                 table.n_in, e_list, N)
         results.append(SweepResult(
-            users=table.users, e_list=tuple(e_list), r=r, alpha_u=alpha_u,
-            skipped=tuple(skipped), verify_calls=calls if rule == "joint" else 0,
-            exact_fallbacks=_exact_fallbacks - before))
+            users=table.users, e_list=tuple(e_list), r=r, alpha_u=0.0,
+            skipped=(), verify_calls=tally[0] if rule == "joint" else 0,
+            exact_fallbacks=tally[1]))
     return tuple(results)
 
 
@@ -318,37 +280,23 @@ def _radii(holds, k: np.ndarray, cap: int, search=None) -> np.ndarray:
     return radii
 
 
-def _bagging_radii(table: BoundTable, n: int, s: int) -> np.ndarray:
+def _bagging_radii(table: BoundTable, ctx: CombinatoricContext, holds) -> np.ndarray:
     """Z per row and target item, largest first, n_in[row] entries per row
     one row after another, -1 for the items that lose at e' = 0.
 
     Item i beats the single strongest outside competitor while
     floor*(lower_i) > ceil*(upper_max) + sigma(e'); Z_i is the largest such
     e', up to 10 n. With no outside item there is no competitor to lose to.
+    holds(rows, ranks, which, contexts) decides the comparison.
     """
+    n, s = ctx.n, ctx.s
     cap = _Z_CAP_FACTOR * n
 
     def survives(i, rank, e_prime):
         values, which = np.unique(e_prime, return_inverse=True)
-        return _holds("bagging", table, i, rank,
-                      [make_context(n, e, s) for e in values.tolist()], which, 1, 1)
+        return holds(i, rank, which, [make_context(n, e, s) for e in values.tolist()])
 
     alone = table.n_out == 0
     z = _radii(survives, table.n_in, cap, ~alone)
     z[np.repeat(alone, table.n_in)] = cap
     return z
-
-
-def _bagging_z_values(b: ProbBounds, n: int, s: int) -> list[int]:
-    """One user's Z_i per target item, largest first, leaving out items that
-    lose at e' = 0."""
-    z = _bagging_radii(b.table(1), n, s)
-    return z[z >= 0].tolist()
-
-
-def bagging_baseline_r(q: CertQuery) -> int:
-    """Baseline certified size r = min(#{i in I_u : Z_i >= e}, N), for N' = 1 votes."""
-    if q.n_prime != 1:
-        raise ValueError("the baseline is defined for N' = 1 vote counts")
-    zs = _bagging_z_values(q.bounds, q.ctx.n, q.ctx.s)
-    return min(sum(z >= q.ctx.e for z in zs), q.N)

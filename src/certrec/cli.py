@@ -263,10 +263,11 @@ def cmd_recommend(args) -> int:
     if args.N < 1:  # before the header, so a refusal prints nothing
         raise ValueError(f"N must be positive, got {args.N}")
     users = [int(args.user)] if args.user is not None else range(train.n_users)
+    ranked = ensemble.ensemble_recommend_all(vc, train, args.N)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["user", "rank", "item", "votes"])
     for u in users:
-        for rank, item in enumerate(ensemble.ensemble_recommend(vc, train, u, args.N), 1):
+        for rank, item in enumerate(ranked[u], 1):
             writer.writerow([u, rank, item, int(vc.counts[u, item])])
     return 0
 
@@ -371,11 +372,11 @@ def cmd_evaluate(args) -> int:
         users, items = base_rec.recommend_all(model, N)
         # users come ascending: cut before each user's first row
         single_recs = np.split(items, np.searchsorted(users, range(1, train.n_users)))
+    ranked = ensemble.ensemble_recommend_all(vc, train, N)
     for u in range(train.n_users):
         if tests.size(u) == 0:
             continue
-        recs = ensemble.ensemble_recommend(vc, train, u, N)
-        ens_triples.append(metrics.standard_metrics(recs, tests[u], N))
+        ens_triples.append(metrics.standard_metrics(ranked[u], tests[u], N))
         if single_recs is not None:
             single_triples.append(metrics.standard_metrics(single_recs[u], tests[u], N))
     summary = {
@@ -438,6 +439,11 @@ def _synthetic_matrix(n: int, m: int, density: float, seed: int) -> ratings.Rati
 
 def cmd_oracle(args) -> int:
     cfg = _resolve(args, ("algo", "s", "nprime", "N", "alpha"))
+    if (args.check == "soundness" and args.attack == "two-level-exhaustive"
+            and args.e != 1):
+        # its adversary appends one fake row, so it tests e = 1 certificates
+        raise ValueError(f"--attack two-level-exhaustive tries one fake user "
+                         f"and checks --e 1 only, got --e {args.e}")
     if args.data:
         matrix = ratings.load_ratings(args.data, args.format or cfg["format"])
     else:

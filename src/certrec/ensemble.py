@@ -168,20 +168,6 @@ def build_vote_counts(train: RatingMatrix, algo: str, params, T: int, s: int,
                       params=params_digest(algo, params))
 
 
-def ensemble_recommend(counts: VoteCounts, train: RatingMatrix, user: int,
-                       N: int) -> list[int]:
-    """The N items with the most votes for this user, excluding train-rated ones.
-
-    Ties break by ascending item id; zero-vote items fill the tail under the
-    same tie-break so the result has exactly N items whenever N unrated items
-    exist (the metrics divide by a fixed N). A catalog with fewer than N
-    unrated items yields all of them.
-    """
-    if N < 1:
-        raise ValueError(f"N must be positive, got {N}")
-    return _top_n(counts, train, user, user + 1, N)[0]
-
-
 # users ranked together: a few hundred kB of float temporaries per block,
 # where all n users at once would take an n x m table
 _ROW_BLOCK = 64
@@ -189,8 +175,15 @@ _ROW_BLOCK = 64
 
 def ensemble_recommend_all(counts: VoteCounts, train: RatingMatrix,
                            N: int) -> list[list[int]]:
-    """ensemble_recommend for every user of train, ranked a block of users at
-    a time. Count rows past train's users (fake users) are not ranked."""
+    """Every user's N items with the most votes, excluding train-rated ones,
+    ranked a block of users at a time.
+
+    Ties break by ascending item id; zero-vote items fill the tail under the
+    same tie-break so a list has exactly N items whenever N unrated items
+    exist (the metrics divide by a fixed N). A user with fewer than N unrated
+    items gets all of them. Count rows past train's users (fake users) are
+    not ranked.
+    """
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
     n = train.n_users

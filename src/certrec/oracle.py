@@ -15,15 +15,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
 from .base_rec import IRParams, ir_votes_batched, recommend_all, train_base
-from .bounds import make_context
-from .certify import CertQuery, binary_search_r, exact_bounds_from_probs
-from .ensemble import VoteCounts, ensemble_recommend, ensemble_recommend_all
+from .bounds import exact_table, make_context
+from .certify import certify_table
+from .ensemble import VoteCounts, ensemble_recommend_all
 from .ratings import RatingMatrix
 
 MAX_ENUM = 10 ** 6  # refuse instances with more than this many subsets
@@ -220,19 +219,18 @@ def exact_certificates(matrix: RatingMatrix, clean: VoteCounts, N: int,
                        e: int) -> tuple[dict, dict]:
     """Every user's clean top-N I_u, and user -> r certified against e fake users.
 
-    clean: exact_item_probs of matrix (its s and N' carry over). Each r is
-    binary_search_r on exact bounds; users with an empty I_u get none.
+    clean: exact_item_probs of matrix (its s and N' carry over). The exact
+    probabilities Fraction(count, T) of every user with a nonempty I_u go
+    into one exact_table, certified in one certify_table call, the search
+    that certify runs; users with an empty I_u get none.
     """
-    n, m = matrix.n_users, matrix.n_items
-    targets = {u: tuple(ensemble_recommend(clean, matrix, u, N)) for u in range(n)}
-    ctx = make_context(n, e, clean.s)
-    cert_r = {}
-    for u, items in targets.items():
-        if items:
-            probs = [Fraction(int(h), clean.T) for h in clean.counts[u]]
-            b = exact_bounds_from_probs(u, items, probs, m)
-            cert_r[u] = binary_search_r(CertQuery(b, ctx, N, clean.n_prime))
-    return targets, cert_r
+    n = matrix.n_users
+    targets = {u: tuple(items) for u, items in
+               enumerate(ensemble_recommend_all(clean, matrix, N))}
+    users = [u for u in range(n) if targets[u]]
+    table = exact_table(clean, users, [targets[u] for u in users], N)
+    (res,) = certify_table(table, [make_context(n, e, clean.s)], N, clean.n_prime)
+    return targets, dict(zip(users, res.r[:, 0].tolist()))
 
 
 def attack_soundness_check(matrix: RatingMatrix, clean: VoteCounts, params,

@@ -9,7 +9,7 @@ import pytest
 import scipy.special
 from scipy.sparse import csr_matrix
 
-from certrec import base_rec, ensemble, ratings
+from certrec import base_rec, bounds, ensemble, ratings
 
 # one line per acceptance criterion, printed after the run so a reviewer can
 # check the gate without scrolling through the full test log
@@ -286,6 +286,73 @@ def reference_ranked(scores: np.ndarray, candidates: np.ndarray, n: int):
     width = np.minimum(candidates.sum(axis=1), n)
     picked = np.arange(top.shape[1]) < width[:, None]
     return np.nonzero(picked)[0], top[picked]
+
+
+# --- reference certification: per-item bounds from cp_lower / cp_upper, and
+# the constraint and both certified sizes read off their definitions in
+# rational arithmetic, sharing no code with certify._holds; one_row_table
+# lays arbitrary bounds out as the BoundTable row that certify reads
+
+
+def reference_bounds(vc, u: int, items_in, alpha_u: float):
+    """(lower bounds on I_u, upper bounds outside it) of user u, each in
+    ascending item order, one cp_lower / cp_upper call per item at the
+    Bonferroni budget alpha_u / m."""
+    budget = alpha_u / vc.m
+    inside = {int(i) for i in items_in}
+    row = vc.counts[u].tolist()
+    return ([bounds.cp_lower(row[i], vc.T, budget) for i in sorted(inside)],
+            [bounds.cp_upper(row[j], vc.T, budget) for j in range(vc.m)
+             if j not in inside])
+
+
+def reference_holds(r_prime: int, lower, upper, ctx, N: int, n_prime: int) -> bool:
+    """The joint constraint at r_prime, read off its definition."""
+    lower = sorted((Fraction(x) for x in lower), reverse=True)
+    comp = sorted((Fraction(x) for x in upper), reverse=True)[:N - r_prime + 1][::-1]
+    if not comp:
+        return True
+    cap = max(n_prime - sum(lower), 0)
+    rhs = min([bounds.round_upper_star(comp[0], ctx) + ctx.sigma] + [
+        n_prime * (bounds.round_upper_star(Fraction(min(sum(comp[:c]), cap),
+                                                    n_prime), ctx)
+                   + ctx.sigma) / c
+        for c in range(1, len(comp) + 1)])
+    return bounds.round_lower_star(lower[r_prime - 1], ctx) > rhs
+
+
+def reference_r(lower, upper, ctx, N: int, n_prime: int) -> int:
+    """The largest r' in [1, min(|I_u|, N)] whose constraint holds, or 0,
+    by a linear scan over every r'."""
+    return max((rp for rp in range(1, min(len(lower), N) + 1)
+                if reference_holds(rp, lower, upper, ctx, N, n_prime)), default=0)
+
+
+def reference_bagging_r(lower, upper, ctx, N: int) -> int:
+    """Baseline r at one e: the I_u items whose lower bound still beats the
+    strongest outside upper bound plus sigma(e), at most N."""
+    if not len(upper):
+        return min(len(lower), N)
+    pbar = bounds.round_upper_star(max(upper), ctx)
+    wins = sum(1 for low in lower
+               if bounds.round_lower_star(low, ctx) > pbar + ctx.sigma)
+    return min(wins, N)
+
+
+def one_row_table(lower, upper, width: int):
+    """A one-row bounds.BoundTable of arbitrary bounds, lower on I_u and
+    upper outside it, each in item order: floats, or Fractions for an
+    exact row."""
+    lower, upper = list(lower), list(upper)
+    dtype = object if any(isinstance(x, Fraction) for x in lower + upper) else float
+    top = sorted(upper, reverse=True)[:width]
+    return bounds.BoundTable(
+        users=np.zeros(1, dtype=np.int64),
+        lower=np.array(sorted(lower, reverse=True), dtype=dtype),
+        starts=np.zeros(1, dtype=np.int64),
+        sum_lower=np.array([sum(lower)], dtype=dtype),
+        top=np.array([top + [0] * (width - len(top))], dtype=dtype),
+        n_in=np.array([len(lower)]), n_out=np.array([len(upper)]))
 
 
 def prob_row(vc, u: int) -> list:

@@ -16,9 +16,9 @@ import scipy.special
 
 from certrec import base_rec, bounds, certify, ensemble, metrics, oracle, ratings
 
-from conftest import (ML100K_HINT, prob_row, random_tiny_matrix,
-                      structured_instance)
-from test_certify import _random_query, linear_scan_r
+from conftest import (ML100K_HINT, one_row_table, prob_row, random_tiny_matrix,
+                      reference_bounds, reference_r, structured_instance)
+from test_certify import _random_bounds
 
 N_AT = 10
 SWEEP_E = list(range(31))
@@ -99,10 +99,10 @@ def test_criterion_1_table_reproduction(acceptance, ml100k_run):
     train, tests, snaps = ml100k_run
     vc = snaps[2000]
     triples = []
-    for u in range(train.n_users):
+    ranked = ensemble.ensemble_recommend_all(vc, train, N_AT)
+    for u, recs in enumerate(ranked):
         if tests.size(u) == 0:
             continue
-        recs = ensemble.ensemble_recommend(vc, train, u, N_AT)
         triples.append(metrics.standard_metrics(recs, set(tests[u].tolist()),
                                                 N_AT))
     p, r, f1 = _avg(triples)
@@ -138,8 +138,8 @@ def test_criterion_2_single_model(acceptance, ml100k_run):
 
 
 def test_criterion_3_oracle_equivalence(acceptance):
-    """Exhaustive vote fractions equal enumerated probabilities; binary search
-    equals a linear scan on randomized bound sets."""
+    """Exhaustive vote fractions equal enumerated probabilities; the radius
+    search equals a linear scan of the definition on randomized bound sets."""
     rng = np.random.default_rng(303)
     mismatches = []
     for trial in range(20):
@@ -162,12 +162,15 @@ def test_criterion_3_oracle_equivalence(acceptance):
     search_bad = 0
     qrng = np.random.default_rng(304)
     for _ in range(200):
-        q = _random_query(qrng)
-        if certify.binary_search_r(q) != linear_scan_r(q):
-            search_bad += 1
+        lower, upper, contexts, N, n_prime = _random_bounds(qrng)
+        (res,) = certify.certify_table(one_row_table(lower, upper, N),
+                                       contexts, N, n_prime)
+        search_bad += res.r[0].tolist() != [
+            reference_r(lower, upper, ctx, N, n_prime) for ctx in contexts]
     ok = not mismatches and search_bad == 0
     detail = (f"20 instances enumerated exactly, {len(mismatches)} prob "
-              f"mismatches; 200 bound sets, {search_bad} search mismatches")
+              f"mismatches; 200 bound sets at e=0..4, {search_bad} where the "
+              f"radius search differs from a linear scan of the definition")
     acceptance(3, "PASS" if ok else "FAIL", detail)
     assert ok, detail
 
@@ -285,8 +288,8 @@ def test_criterion_7_calibration(acceptance):
         hits[base_rec.recommend_all(model, 1)] = 1
         patterns.append(hits)
     patterns = np.array(patterns)
-    targets = {u: tuple(ensemble.ensemble_recommend(probs, matrix, u, n_rec))
-               for u in range(n)}
+    targets = dict(enumerate(map(tuple, ensemble.ensemble_recommend_all(
+        probs, matrix, n_rec))))
     exact_rows = {u: prob_row(probs, u) for u in range(n)}
     rng = np.random.default_rng(77)
     alpha_u = alpha / n
@@ -300,12 +303,12 @@ def test_criterion_7_calibration(acceptance):
         for u in range(n):
             if not targets[u]:
                 continue
-            b = bounds.estimate_bounds(vc, u, targets[u], alpha_u)
+            inside = sorted(targets[u])
+            lower, upper = reference_bounds(vc, u, inside, alpha_u)
             row = exact_rows[u]
-            outside = [j for j in range(m) if j not in b.items_in]
-            if any(Fraction(lo) > row[i]
-                   for i, lo in zip(b.items_in, b.lower)) or \
-               any(Fraction(up) < row[j] for j, up in zip(outside, b.upper)):
+            outside = [j for j in range(m) if j not in inside]
+            if any(Fraction(lo) > row[i] for i, lo in zip(inside, lower)) or \
+               any(Fraction(up) < row[j] for j, up in zip(outside, upper)):
                 violated = True
                 break
         bad_runs += violated

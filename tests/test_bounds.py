@@ -15,7 +15,7 @@ import certrec
 from certrec import bounds
 from certrec.ensemble import VoteCounts
 
-from conftest import reference_beta_quantile
+from conftest import prob_row, reference_beta_quantile, reference_bounds
 
 
 class TestBetaQuantile:
@@ -318,6 +318,9 @@ class TestContext:
 
 
 class TestProbBounds:
+    """One user's probability bounds, as the BoundTable row that
+    certification reads."""
+
     def _counts(self):
         c = np.zeros((2, 5), dtype=np.int32)
         c[0] = [70, 55, 30, 10, 0]
@@ -326,68 +329,53 @@ class TestProbBounds:
 
     def test_estimate_orderings(self):
         vc = self._counts()
-        b = bounds.estimate_bounds(vc, 0, (0, 1), alpha_u=0.05)
-        assert b.items_in == (0, 1)
-        assert list(b.mu_desc) == sorted(b.mu_desc, reverse=True)
-        assert b.mu_desc[0] == b.lower[0]  # item 0 has the most votes
-        assert b.n_outside == 3
-        assert list(b.out_upper_desc) == sorted(b.out_upper_desc, reverse=True)
+        t = bounds.estimate_table(vc, [0], [(1, 0)], 0.05, 5)
+        lower, upper = reference_bounds(vc, 0, (0, 1), 0.05)
+        assert t.lower.tolist() == lower  # item 0 has the most votes
+        assert t.n_in.tolist() == [2] and t.n_out.tolist() == [3]
+        assert t.top[0, :3].tolist() == sorted(upper, reverse=True)
 
     def test_bonferroni_budget(self):
         vc = self._counts()
-        b = bounds.estimate_bounds(vc, 0, (0,), alpha_u=0.10)
+        t = bounds.estimate_table(vc, [0], [(0,)], 0.10, 1)
         # per-item budget alpha_u / m
-        direct = bounds.cp_lower(70, 100, 0.10 / 5)
-        assert b.lower[0] == pytest.approx(direct, rel=1e-12)
+        assert t.lower[0] == bounds.cp_lower(70, 100, 0.10 / 5)
 
     def test_items_in_must_be_valid(self):
         vc = self._counts()
-        with pytest.raises(ValueError):
-            bounds.estimate_bounds(vc, 0, (0, 0), alpha_u=0.05)
-        with pytest.raises(ValueError):
-            bounds.estimate_bounds(vc, 0, (99,), alpha_u=0.05)
-        with pytest.raises(ValueError):
-            bounds.estimate_bounds(vc, 0, (), alpha_u=0.05)
+        for bad in [(0, 0), (99,), ()]:
+            with pytest.raises(ValueError, match="items_in"):
+                bounds.exact_table(vc, [0], [bad], 2)
 
     def test_sum_lower(self):
         vc = self._counts()
-        b = bounds.estimate_bounds(vc, 0, (0, 1, 2), alpha_u=0.05)
-        assert b.sum_lower == pytest.approx(sum(b.lower))
+        t = bounds.estimate_table(vc, [0], [(0, 1, 2)], 0.05, 2)
+        assert t.sum_lower[0] == pytest.approx(sum(t.lower))
 
     def test_derived_sums_exact(self):
         # np.sum adds pairwise past 8 terms and rounds differently; sum_lower
-        # must equal the left-to-right sum in ascending item order
+        # must equal the left-to-right sum in ascending item order, and the
+        # outside bounds must come largest first, in either kind of table
         rng = np.random.default_rng(1)  # a row where the two sums differ
         m, t = 120, 1000
         c = rng.integers(0, t + 1, size=(1, m)).astype(np.int32)
         vc = VoteCounts(T=t, n_prime=1, s=3, counts=c, master_seed=0,
                         algo="ir")
         items = sorted(int(i) for i in rng.choice(m, 25, replace=False))
-        outside = [j for j in range(m) if j not in items]
-        budget = 0.05 / m
-        est = bounds.estimate_bounds(vc, 0, items, alpha_u=0.05)
-        lower = [bounds.cp_lower(int(c[0, i]), t, budget) for i in items]
-        upper = [bounds.cp_upper(int(c[0, j]), t, budget) for j in outside]
-        assert np.sum(lower) != sum(lower)  # the case this test guards
-        fracs = [Fraction(int(x), 997) for x in rng.integers(0, 998, size=m)]
-        exact = bounds.ProbBounds(
-            user=0, items_in=tuple(items),
-            lower=np.array([fracs[i] for i in items], dtype=object),
-            upper=np.array([fracs[j] for j in outside], dtype=object),
-            alpha_u=0.0, m=m)
-        for b, low, up in ((est, lower, upper),
-                           (exact, [fracs[i] for i in items],
-                            [fracs[j] for j in outside])):
-            desc = [v for v, _ in sorted(zip(up, outside),
-                                         key=lambda p: (-p[0], p[1]))]
-            assert b.lower.tolist() == low and b.upper.tolist() == up
-            assert b.sum_lower == sum(low)
-            assert b.out_upper_desc == desc
-            assert b.mu_desc == sorted(low, reverse=True)
+        est = reference_bounds(vc, 0, items, 0.05)
+        assert np.sum(est[0]) != sum(est[0])  # the case this test guards
+        exact = ([Fraction(int(c[0, i]), t) for i in items],
+                 [Fraction(int(c[0, j]), t) for j in range(m) if j not in items])
+        for table, (low, up) in (
+                (bounds.estimate_table(vc, [0], [items[::-1]], 0.05, m), est),
+                (bounds.exact_table(vc, [0], [items[::-1]], m), exact)):
+            assert table.sum_lower.tolist() == [sum(low)]
+            assert table.lower.tolist() == sorted(low, reverse=True)
+            assert table.top[0, :len(up)].tolist() == sorted(up, reverse=True)
 
 
 class TestBoundTable:
-    def test_rows_equal_estimate_bounds(self):
+    def test_rows_equal_reference_bounds(self):
         # 150 users span three row blocks; small T gives tied counts, some
         # users have fewer outside items than the width, one has none
         rng = np.random.default_rng(3)
@@ -398,16 +386,24 @@ class TestBoundTable:
         users = [u for u in range(n) if u % 7]
         items = [tuple(rng.choice(m, size=int(rng.integers(1, m + 1)),
                                   replace=False).tolist()) for _ in users]
-        table = bounds.estimate_table(vc, users, items, 0.05, width)
-        assert table.users.tolist() == users
-        assert (table.n_out == 0).any() and (table.n_out < width).any()
-        for k, (u, its) in enumerate(zip(users, items)):
-            b = bounds.estimate_bounds(vc, u, its, 0.05)
-            lo, kept = table.starts[k], min(width, b.n_outside)
-            assert table.lower[lo:lo + table.n_in[k]].tolist() == b.mu_desc
-            assert table.sum_lower[k] == b.sum_lower
-            assert table.top[k, :kept].tolist() == b.out_upper_desc[:kept]
-            assert (table.n_in[k], table.n_out[k]) == (len(its), b.n_outside)
+        for exact in (False, True):
+            table = (bounds.exact_table(vc, users, items, width) if exact else
+                     bounds.estimate_table(vc, users, items, 0.05, width))
+            assert table.users.tolist() == users
+            assert (table.n_out == 0).any() and (table.n_out < width).any()
+            for k, (u, its) in enumerate(zip(users, items)):
+                if exact:
+                    p = prob_row(vc, u)
+                    low = [p[i] for i in sorted(its)]
+                    up = [p[j] for j in range(m) if j not in its]
+                else:
+                    low, up = reference_bounds(vc, u, its, 0.05)
+                lo, kept = table.starts[k], min(width, len(up))
+                assert table.lower[lo:lo + table.n_in[k]].tolist() == \
+                    sorted(low, reverse=True)
+                assert table.sum_lower[k] == sum(low)
+                assert table.top[k, :kept].tolist() == sorted(up, reverse=True)[:kept]
+                assert (table.n_in[k], table.n_out[k]) == (len(its), len(up))
 
     def test_items_in_must_be_valid(self):
         vc = VoteCounts(T=10, n_prime=1, s=2, master_seed=0, algo="ir",

@@ -1,6 +1,6 @@
-"""Certification: constraint evaluation, search, sweeps, bagging baseline."""
+"""Certification: the constraint kernel, the radius search, sweeps and the
+bagging baseline, each against references read off the definitions."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -9,24 +9,46 @@ import pytest
 
 from certrec import base_rec, bounds, certify, ensemble
 
-from conftest import random_tiny_matrix
+from conftest import (one_row_table, prob_row, random_tiny_matrix,
+                      reference_bagging_r, reference_bounds, reference_holds,
+                      reference_r)
 
 
-def _hand_query(e: int, exact: bool = True) -> certify.CertQuery:
-    """n=5, s=2 instance with exact probabilities worked out by hand, as
-    rational bounds or (exact=False) as the nearest doubles.
+def _certify_row(lower, upper, contexts, N: int, n_prime: int,
+                 rule: str = "joint") -> list:
+    """certify_table's r for one row of bounds at each of contexts."""
+    (res,) = certify.certify_table(one_row_table(lower, upper, N), contexts,
+                                   N, n_prime, (rule,))
+    return res.r[0].tolist()
 
-    Inside I_u = (0, 1): p = 4/10, 3/10. Outside: 2/10, 1/10, 0, 0.
-    """
-    probs = {0: Fraction(4, 10), 1: Fraction(3, 10), 2: Fraction(2, 10),
-             3: Fraction(1, 10), 4: Fraction(0), 5: Fraction(0)}
-    b = certify.exact_bounds_from_probs(0, (0, 1), probs, m=6)
-    if not exact:
-        b = bounds.ProbBounds(user=0, items_in=b.items_in,
-                              lower=b.lower.astype(float),
-                              upper=b.upper.astype(float), alpha_u=0.0, m=6)
-    ctx = bounds.make_context(5, e, 2)
-    return certify.CertQuery(bounds=b, ctx=ctx, N=3, n_prime=1)
+
+def _holds_once(r_prime, lower, upper, ctx, N: int, n_prime: int) -> tuple:
+    """(whether the joint comparison holds at r_prime, exact fallbacks) from
+    certify._holds on one row of bounds."""
+    ok, fell = certify._holds("joint", one_row_table(lower, upper, N), [0],
+                              [r_prime], [ctx], [0], N, n_prime)
+    return bool(ok[0]), fell
+
+
+def _contexts(n: int, s: int, e_values) -> list:
+    return [bounds.make_context(n, e, s) for e in e_values]
+
+
+# n=5, s=2 instance with exact probabilities worked out by hand: inside
+# I_u = (0, 1), p = 4/10, 3/10; outside 2/10, 1/10, 0, 0. T = C(5, 2) = 10
+# vote counts give exactly these probabilities.
+_HAND_COUNTS = ensemble.VoteCounts(T=10, n_prime=1, s=2, master_seed=0,
+                                   algo="ir", counts=np.array(
+                                       [[4, 3, 2, 1, 0, 0]], dtype=np.int32))
+
+
+def _hand_table():
+    return bounds.exact_table(_HAND_COUNTS, [0], [(0, 1)], 3)
+
+
+def _hand_certify(e_values, rules=("joint",)) -> list:
+    return [res.r[0].tolist() for res in certify.certify_table(
+        _hand_table(), _contexts(5, 2, e_values), 3, 1, rules)]
 
 
 class TestHandWorkedInstance:
@@ -37,86 +59,61 @@ class TestHandWorkedInstance:
 
     @pytest.mark.parametrize("e,want", sorted(EXPECTED.items()))
     def test_exact_r_sequence(self, e, want):
-        assert certify.binary_search_r(_hand_query(e)) == want
+        assert _hand_certify([e]) == [[want]]
+
+    def test_one_call_certifies_every_e(self):
+        (row,) = _hand_certify(range(11))
+        assert row == [self.EXPECTED[e] for e in range(11)]
 
     def test_approx_matches_exact_here(self):
         # float bounds certify what their rational copies certify; the double
         # nearest 3/10 lies just below that grid point, so floor* drops it a
         # whole step and r falls below the hand value at e = 1 and e = 2
-        got = []
-        for e in range(0, 11):
-            q = _hand_query(e, exact=False)
-            b = dataclasses.replace(q.bounds, lower=certify._fractions(q.bounds.lower),
-                                    upper=certify._fractions(q.bounds.upper))
-            got.append(certify.binary_search_r(q))
-            assert got[-1] == certify.binary_search_r(
-                dataclasses.replace(q, bounds=b))
+        lower, upper = [0.4, 0.3], [0.2, 0.1, 0.0, 0.0]
+        contexts = _contexts(5, 2, range(11))
+        got = _certify_row(lower, upper, contexts, 3, 1)
+        assert got == _certify_row([Fraction(x) for x in lower],
+                                   [Fraction(x) for x in upper], contexts, 3, 1)
         assert got == [2, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0]
 
     def test_constraint_details_at_e1(self):
-        q = _hand_query(1)
-        assert certify.verify_constraint(1, q)
-        assert certify.verify_constraint(2, q)
-        q3 = _hand_query(3)
-        assert certify.verify_constraint(1, q3)
-        assert not certify.verify_constraint(2, q3)
+        table = _hand_table()
 
-    def test_r_prime_out_of_range(self):
-        q = _hand_query(0)
-        with pytest.raises(ValueError):
-            certify.verify_constraint(0, q)
-        with pytest.raises(ValueError):
-            certify.verify_constraint(3, q)  # min(|I_u|, N) = 2
+        def holds(r_prime, e):
+            ok, _ = certify._holds("joint", table, [0], [r_prime],
+                                   _contexts(5, 2, [e]), [0], 3, 1)
+            return bool(ok[0])
+
+        assert holds(1, 1) and holds(2, 1)
+        assert holds(1, 3) and not holds(2, 3)
 
 
 class TestConstraintEdges:
     def test_overflowed_sigma_refuses(self):
-        probs = {i: Fraction(1, 10) for i in range(4)}
-        b = certify.exact_bounds_from_probs(0, (0,), probs, m=4)
         ctx = bounds.make_context(3000, 2500, 1500)  # sigma overflows to inf
-        q = certify.CertQuery(bounds=b, ctx=ctx, N=2, n_prime=1)
-        assert not certify.verify_constraint(1, q)
-        assert certify.binary_search_r(q) == 0
+        lower, upper = [Fraction(1, 10)], [Fraction(1, 10)] * 3
+        assert _holds_once(1, lower, upper, ctx, 2, 1) == (False, 0)
+        assert _certify_row(lower, upper, [ctx], 2, 1) == [0]
 
     def test_no_outside_items_always_certifies(self):
-        probs = {0: Fraction(1, 2), 1: Fraction(1, 2)}
-        b = certify.exact_bounds_from_probs(0, (0, 1), probs, m=2)
-        ctx = bounds.make_context(5, 3, 2)
-        q = certify.CertQuery(bounds=b, ctx=ctx, N=4, n_prime=1)
-        assert certify.binary_search_r(q) == 2
+        lower = [Fraction(1, 2), Fraction(1, 2)]
+        assert _certify_row(lower, [], _contexts(5, 2, [3]), 4, 1) == [2]
 
     def test_negative_cap_clamps_with_warning(self, caplog):
         # deliberately inconsistent bounds: lowers sum past N'
-        b = bounds.ProbBounds(user=0, items_in=(0, 1),
-                              lower=np.array([0.9, 0.8]),
-                              upper=np.array([0.05, 0.0]), alpha_u=0.1, m=4)
-        ctx = bounds.make_context(20, 0, 5)
-        q = certify.CertQuery(bounds=b, ctx=ctx, N=3, n_prime=1)
         with caplog.at_level("WARNING"):
-            certify.verify_constraint(1, q)
+            _certify_row([0.9, 0.8], [0.05, 0.0], _contexts(20, 5, [0]), 3, 1)
         assert any("cap" in rec.message for rec in caplog.records)
 
     def test_empty_target_rejected(self):
-        probs = {0: Fraction(1, 2)}
-        with pytest.raises(ValueError):
-            certify.exact_bounds_from_probs(0, (), probs, m=1)
+        with pytest.raises(ValueError, match="nonempty"):
+            bounds.exact_table(_HAND_COUNTS, [0], [()], 3)
 
-
-def exact_constraint(r_prime: int, q: certify.CertQuery) -> bool:
-    """The constraint read off its definition in rational arithmetic."""
-    ctx, n_prime = q.ctx, q.n_prime
-    lower = sorted((Fraction(x) for x in q.bounds.lower.tolist()), reverse=True)
-    comp = sorted((Fraction(x) for x in q.bounds.upper.tolist()),
-                  reverse=True)[:q.N - r_prime + 1][::-1]
-    if not comp:
-        return True
-    cap = max(n_prime - sum(lower), 0)
-    rhs = min([bounds.round_upper_star(comp[0], ctx) + ctx.sigma] + [
-        n_prime * (bounds.round_upper_star(Fraction(min(sum(comp[:c]), cap),
-                                                    n_prime), ctx)
-                   + ctx.sigma) / c
-        for c in range(1, len(comp) + 1)])
-    return bounds.round_lower_star(lower[r_prime - 1], ctx) > rhs
+    def test_contexts_must_be_one_instance_ascending(self):
+        for contexts in (_contexts(5, 2, [2, 1]), _contexts(5, 2, [1, 1]), [],
+                         _contexts(5, 2, [0]) + _contexts(6, 2, [1])):
+            with pytest.raises(ValueError, match="contexts"):
+                certify.certify_table(_hand_table(), contexts, 3, 1)
 
 
 def _near_tie(x: float, rng) -> float:
@@ -135,14 +132,10 @@ class TestExactPredicate:
         cap = 1.0 - ((mu + b) + c)
         assert mu == math.nextafter(cap, math.inf)
         assert 2 * Fraction(mu) + Fraction(b) + Fraction(c) <= 1
-        pb = bounds.ProbBounds(user=0, items_in=(0, 1, 2),
-                               lower=np.array([mu, b, c]),
-                               upper=np.array([0.5]), alpha_u=0.01, m=4)
-        q = certify.CertQuery(bounds=pb, ctx=bounds.make_context(943, 0, 200),
-                              N=1, n_prime=1)
-        assert not exact_constraint(1, q)
-        assert not certify.verify_constraint(1, q)
-        assert certify.binary_search_r(q) == 0
+        ctx = bounds.make_context(943, 0, 200)
+        assert not reference_holds(1, [mu, b, c], [0.5], ctx, 1, 1)
+        assert _holds_once(1, [mu, b, c], [0.5], ctx, 1, 1) == (False, 1)
+        assert _certify_row([mu, b, c], [0.5], [ctx], 1, 1) == [0]
 
     @pytest.mark.parametrize("n,s", [(943, 200), (40, 6), (9, 3)])
     def test_random_bounds_and_near_ties_match_exact(self, n, s):
@@ -151,11 +144,10 @@ class TestExactPredicate:
         rng = np.random.default_rng(n)
         decided = dict.fromkeys(("float", "exact"), 0)
 
-        def check(r_prime, q):
-            before = certify._exact_fallbacks
-            assert certify.verify_constraint(r_prime, q) == \
-                exact_constraint(r_prime, q)
-            decided["exact" if certify._exact_fallbacks > before else "float"] += 1
+        def check(r_prime, lower, upper, ctx, N, n_prime):
+            ok, fell = _holds_once(r_prime, lower, upper, ctx, N, n_prime)
+            assert ok == reference_holds(r_prime, lower, upper, ctx, N, n_prime)
+            decided["exact" if fell else "float"] += 1
 
         for _ in range(300):
             m = int(rng.integers(2, 10))
@@ -163,89 +155,70 @@ class TestExactPredicate:
             N = int(rng.integers(1, m + 1))
             lower = rng.uniform(0, 1.5 / n_in, n_in)
             upper = rng.uniform(0, 1, m - n_in)
-            q = certify.CertQuery(
-                bounds=bounds.ProbBounds(user=0, items_in=tuple(range(n_in)),
-                                         lower=lower.copy(), upper=upper,
-                                         alpha_u=0.01, m=m),
-                ctx=bounds.make_context(n, int(rng.integers(0, 4)), s), N=N,
-                n_prime=int(rng.integers(1, 4)))
+            ctx = bounds.make_context(n, int(rng.integers(0, 4)), s)
+            n_prime = int(rng.integers(1, 4))
             r_prime = int(rng.integers(1, min(n_in, N) + 1))
-            check(r_prime, q)
+            check(r_prime, lower, upper, ctx, N, n_prime)
             for _ in range(3):  # settle mu against the cap it feeds
                 comp = sorted(upper, reverse=True)[:N - r_prime + 1][::-1]
-                cap = max(q.n_prime - sum(lower.tolist()), 0.0)
-                rhs = min([comp[0] + q.ctx.sigma_hi] + [
-                    q.n_prime * (min(sum(comp[:c]), cap) / q.n_prime
-                                 + q.ctx.sigma_hi) / c
+                cap = max(n_prime - sum(lower.tolist()), 0.0)
+                rhs = min([comp[0] + ctx.sigma_hi] + [
+                    n_prime * (min(sum(comp[:c]), cap) / n_prime
+                               + ctx.sigma_hi) / c
                     for c in range(1, len(comp) + 1)])
                 lower[np.argsort(-lower, kind="stable")[r_prime - 1]] = \
                     _near_tie(rhs, rng)
             if lower.max() <= 1:
-                check(r_prime, dataclasses.replace(q, bounds=dataclasses.replace(
-                    q.bounds, lower=lower.copy())))
-            if q.n_prime == 1:
-                lower[0] = _near_tie(max(upper) + q.ctx.sigma_hi, rng)
+                check(r_prime, lower, upper, ctx, N, n_prime)
+            if n_prime == 1:
+                lower[0] = _near_tie(max(upper) + ctx.sigma_hi, rng)
                 if lower[0] <= 1:
-                    bq = dataclasses.replace(q, bounds=dataclasses.replace(
-                        q.bounds, lower=lower))
-                    assert certify.bagging_baseline_r(bq) == bagging_scan_r(bq)
+                    assert _certify_row(lower, upper, [ctx], N, 1, "bagging") == \
+                        [reference_bagging_r(lower, upper, ctx, N)]
         # both paths ran on a few hundred comparisons
         assert min(decided.values()) > 20 and sum(decided.values()) > 400, decided
 
 
-def _random_query(rng) -> certify.CertQuery:
+def _random_bounds(rng) -> tuple:
+    """(lower, upper, contexts, N, n_prime): random bounds, as Fractions on
+    the C(n, s) grid or as floats, and contexts at e = 0..4."""
     n = int(rng.integers(5, 11))
     s = int(rng.integers(1, min(4, n) + 1))
-    e = int(rng.integers(0, 5))
     m = int(rng.integers(4, 13))
     n_in = int(rng.integers(1, min(6, m)))
     N = int(rng.integers(1, m + 1))
-    exact = bool(rng.integers(0, 2))
-    items_in = tuple(sorted(int(x) for x in rng.choice(m, n_in, replace=False)))
-    in_set = set(items_in)
     denom = math.comb(n, s)
-    if exact:
-        lower = [Fraction(int(rng.integers(0, denom + 1)), denom)
-                 for i in items_in]
-        upper = [Fraction(int(rng.integers(0, denom + 1)), denom)
-                 for j in range(m) if j not in in_set]
+    if rng.integers(0, 2):
+        lower, upper = ([Fraction(int(x), denom) for x in
+                         rng.integers(0, denom + 1, size=k)] for k in (n_in, m - n_in))
     else:
-        lower = [float(rng.uniform(0, 1)) for i in items_in]
-        upper = [float(rng.uniform(0, 1)) for j in range(m) if j not in in_set]
-    b = bounds.ProbBounds(user=0, items_in=items_in,
-                          lower=np.array(lower, dtype=object if exact else float),
-                          upper=np.array(upper, dtype=object if exact else float),
-                          alpha_u=0.01, m=m)
-    ctx = bounds.make_context(n, e, s)
-    return certify.CertQuery(bounds=b, ctx=ctx, N=N,
-                             n_prime=int(rng.integers(1, 4)))
-
-
-def linear_scan_r(q: certify.CertQuery) -> int:
-    best = 0
-    for rp in range(1, min(len(q.bounds.items_in), q.N) + 1):
-        if certify.verify_constraint(rp, q):
-            best = rp
-    return best
+        lower, upper = (rng.uniform(0, 1, size=k).tolist() for k in (n_in, m - n_in))
+    return lower, upper, _contexts(n, s, range(5)), N, int(rng.integers(1, 4))
 
 
 class TestSearchEquivalence:
-    def test_binary_equals_linear_on_random_bounds(self):
+    def test_radius_search_equals_linear_scan(self):
         rng = np.random.default_rng(42)
         for _ in range(250):
-            q = _random_query(rng)
-            assert certify.binary_search_r(q) == linear_scan_r(q)
+            lower, upper, contexts, N, n_prime = _random_bounds(rng)
+            assert _certify_row(lower, upper, contexts, N, n_prime) == [
+                reference_r(lower, upper, ctx, N, n_prime) for ctx in contexts]
 
     def test_feasibility_downward_closed(self):
-        # if the constraint holds at r', it holds at every smaller r'
+        # if the constraint holds at (r', e), it holds at every smaller r'
+        # and e: the radius search relies on both
         rng = np.random.default_rng(7)
         for _ in range(100):
-            q = _random_query(rng)
-            flags = [certify.verify_constraint(rp, q)
-                     for rp in range(1, min(len(q.bounds.items_in), q.N) + 1)]
-            first_false = flags.index(False) if False in flags else len(flags)
-            assert all(flags[:first_false])
-            assert not any(flags[first_false:])
+            lower, upper, contexts, N, n_prime = _random_bounds(rng)
+            k = min(len(lower), N)
+            rp, which = (g.ravel() for g in np.meshgrid(
+                np.arange(1, k + 1), np.arange(len(contexts)), indexing="ij"))
+            ok, _ = certify._holds("joint", one_row_table(lower, upper, N),
+                                   np.zeros_like(rp), rp, contexts, which, N,
+                                   n_prime)
+            grid = ok.reshape(k, len(contexts))
+            assert (grid[1:] <= grid[:-1]).all() and \
+                (grid[:, 1:] <= grid[:, :-1]).all()
 
 
 class TestSweep:
@@ -253,8 +226,7 @@ class TestSweep:
         train = random_tiny_matrix(14, 10, seed=4)
         vc = ensemble.build_vote_counts(train, "ir", base_rec.IRParams(),
                                         T=300, s=5, n_prime=1, master_seed=11)
-        targets = [ensemble.ensemble_recommend(vc, train, u, 3)
-                   for u in range(14)]
+        targets = ensemble.ensemble_recommend_all(vc, train, 3)
         return train, vc, targets
 
     def test_monotone_in_e_and_complete(self):
@@ -278,7 +250,7 @@ class TestSweep:
     def test_empty_target_users_skipped(self):
         train, vc, _ = self._setup()
         targets = [[] for _ in range(14)]
-        targets[3] = ensemble.ensemble_recommend(vc, train, 3, 3)
+        targets[3] = ensemble.ensemble_recommend_all(vc, train, 3)[3]
         sweep = certify.sweep(train, vc, targets, alpha=0.2,
                               e_list=[0], N=3, n_prime=1, s=5)[0]
         assert len(sweep.users) == 1
@@ -300,18 +272,6 @@ class TestSweep:
         with pytest.raises(ValueError, match="N must be >= 1"):
             certify.sweep(train, vc, targets, alpha=0.2, e_list=[0], N=N,
                           n_prime=1, s=5, rules=("joint", "bagging"))
-
-
-def bagging_scan_r(q: certify.CertQuery) -> int:
-    """Baseline r read off its definition at one e: the I_u items whose lower
-    bound still beats the strongest outside upper bound plus sigma(e)."""
-    b, ctx = q.bounds, q.ctx
-    if b.n_outside == 0:
-        return min(len(b.items_in), q.N)
-    pbar = bounds.round_upper_star(b.out_upper_desc[0], ctx)
-    wins = sum(1 for low in b.lower.tolist()
-               if bounds.round_lower_star(low, ctx) > pbar + ctx.sigma)
-    return min(wins, q.N)
 
 
 def _random_sweep_instance(rng):
@@ -345,61 +305,58 @@ def _random_sweep_instance(rng):
 class TestRadiusSweep:
     """The radius sweep against a per-(user, e) search."""
 
-    @pytest.mark.parametrize("rational", [False, True], ids=["approx", "exact"])
-    def test_equals_per_e_search(self, rational):
-        # the reference search reads the sweep's float bounds, or (exact)
-        # their rational copies: the answers depend on the values alone
-        rng = np.random.default_rng(2024 if rational else 2023)
+    @pytest.mark.parametrize("exact", [False, True], ids=["approx", "exact"])
+    def test_equals_per_e_search(self, exact):
+        # approx: sweep on the estimated bounds; exact: certify_table on the
+        # exact_table of the same counts, Fraction(count, T). Each (user, e)
+        # must equal the linear scan of the definition on the same values
+        rng = np.random.default_rng(2024 if exact else 2023)
         seen = dict.fromkeys(("r0_at_min_e", "short_target", "no_outside",
                               "r_drops_in_e", "skipped"), 0)
         for _ in range(60):
             train, vc, targets, e_list, N = _random_sweep_instance(rng)
             rules = ("joint", "bagging") if vc.n_prime == 1 else ("joint",)
-            alpha = 0.3
-            results = certify.sweep(train, vc, targets, alpha, e_list, N,
-                                    vc.n_prime, vc.s, rules)
-            n = train.n_users
-            seen["skipped"] += len(results[0].skipped)
+            alpha, n = 0.3, train.n_users
+            e_sorted = sorted(set(e_list))
+            users = [u for u in range(n) if targets[u]]
+            if exact:
+                results = certify.certify_table(
+                    bounds.exact_table(vc, users, [targets[u] for u in users], N),
+                    _contexts(n, vc.s, e_sorted), N, vc.n_prime, rules)
+            else:
+                results = certify.sweep(train, vc, targets, alpha, e_list, N,
+                                        vc.n_prime, vc.s, rules)
+                for res in results:
+                    assert res.alpha_u == alpha / n
+                    assert set(res.skipped) == set(range(n)) - set(users)
+            seen["skipped"] += n - len(users)
             for rule, res in zip(rules, results):
-                assert list(res.e_list) == sorted(set(e_list))
-                assert res.alpha_u == alpha / n
-                got = {(u, e): r for u, row in zip(res.users.tolist(),
-                                                   res.r.tolist())
-                       for e, r in zip(res.e_list, row)}
-                for u in range(n):
-                    if not targets[u]:
-                        assert u in res.skipped
-                        continue
-                    b = bounds.estimate_bounds(vc, u, targets[u], alpha / n)
-                    if rational:
-                        b = dataclasses.replace(
-                            b, lower=certify._fractions(b.lower),
-                            upper=certify._fractions(b.upper))
-                    rs = []
-                    for e in sorted(set(e_list)):
-                        q = certify.CertQuery(
-                            bounds=b, N=N, n_prime=vc.n_prime,
-                            ctx=bounds.make_context(n, e, vc.s))
-                        if rule == "joint":
-                            want = certify.binary_search_r(q)
-                        else:
-                            want = certify.bagging_baseline_r(q)
-                            assert want == bagging_scan_r(q)
-                        assert got[(u, e)] == want, (rule, u, e)
-                        rs.append(want)
+                assert list(res.e_list) == e_sorted
+                assert res.users.tolist() == users
+                for u, row in zip(users, res.r.tolist()):
+                    if exact:
+                        p = prob_row(vc, u)
+                        lower = [p[i] for i in sorted(targets[u])]
+                        upper = [p[j] for j in range(vc.m) if j not in targets[u]]
+                    else:
+                        lower, upper = reference_bounds(vc, u, targets[u], alpha / n)
+                    want = [reference_r(lower, upper, ctx, N, vc.n_prime)
+                            if rule == "joint" else
+                            reference_bagging_r(lower, upper, ctx, N)
+                            for ctx in _contexts(n, vc.s, e_sorted)]
+                    assert row == want, (rule, u)
                     if rule == "joint":
-                        seen["r0_at_min_e"] += rs[0] == 0
+                        seen["r0_at_min_e"] += want[0] == 0
                         seen["short_target"] += len(targets[u]) < N
                         seen["no_outside"] += len(targets[u]) == train.n_items
-                        seen["r_drops_in_e"] += rs[0] > rs[-1]
+                        seen["r_drops_in_e"] += want[0] > want[-1]
         assert all(seen.values()), seen
 
     def test_unsorted_duplicated_sparse_e_list(self):
         train = random_tiny_matrix(14, 10, seed=4)
         vc = ensemble.build_vote_counts(train, "ir", base_rec.IRParams(),
                                         T=300, s=5, n_prime=1, master_seed=11)
-        targets = [ensemble.ensemble_recommend(vc, train, u, 3)
-                   for u in range(14)]
+        targets = ensemble.ensemble_recommend_all(vc, train, 3)
         kw = dict(alpha=0.2, N=3, n_prime=1, s=5, rules=("joint", "bagging"))
         messy = certify.sweep(train, vc, targets, e_list=[10, 0, 5, 5], **kw)
         for res in messy:
@@ -449,15 +406,11 @@ class TestSweepNearTies:
         for rule, res in zip(rules, results):
             assert res.exact_fallbacks > 0, rule
             for u, row in zip(res.users.tolist(), res.r.tolist()):
-                b = bounds.estimate_bounds(vc, u, targets[u], 0.3 / n)
-                b = dataclasses.replace(b, lower=certify._fractions(b.lower),
-                                        upper=certify._fractions(b.upper))
+                lower, upper = reference_bounds(vc, u, targets[u], 0.3 / n)
                 for e, got in zip(e_list, row):
-                    q = certify.CertQuery(bounds=b, N=3, n_prime=1,
-                                          ctx=bounds.make_context(n, e, s))
-                    want = (max([rp for rp in range(1, 4)
-                                 if exact_constraint(rp, q)], default=0)
-                            if rule == "joint" else bagging_scan_r(q))
+                    ctx = bounds.make_context(n, e, s)
+                    want = (reference_r(lower, upper, ctx, 3, 1) if rule == "joint"
+                            else reference_bagging_r(lower, upper, ctx, 3))
                     assert got == want, (rule, u, e)
         assert results[0].r.any() and not results[0].r.all()
 
@@ -466,18 +419,18 @@ class TestBagging:
     def test_hand_worked_z_values(self):
         # same instance as the certification hand example: Z counts how many
         # fake users item i survives against the single largest competitor
-        q = _hand_query(0)
-        z = certify._bagging_z_values(q.bounds, n=5, s=2)
-        assert z == [1, 0]  # item 0: sigma < 2/10 holds up to e'=1; item 1: e'=0
+        table = _hand_table()
+        z = certify._bagging_radii(
+            table, bounds.make_context(5, 0, 2),
+            lambda i, rank, which, ctxs: certify._holds(
+                "bagging", table, i, rank, ctxs, which, 3, 1)[0])
+        assert z.tolist() == [1, 0]  # item 0: sigma < 2/10 holds up to e'=1; item 1: e'=0
 
     def test_hand_worked_r_curve(self):
-        for e, want in [(0, 2), (1, 1), (2, 0), (5, 0)]:
-            q = _hand_query(e)
-            assert certify.bagging_baseline_r(q) == want, e
+        assert _hand_certify([0, 1, 2, 5], ("bagging",)) == [[2, 1, 0, 0]]
 
     def test_pore_dominates_bagging_everywhere_here(self):
-        pore = [certify.binary_search_r(_hand_query(e)) for e in range(8)]
-        bag = [certify.bagging_baseline_r(_hand_query(e)) for e in range(8)]
+        pore, bag = _hand_certify(range(8), ("joint", "bagging"))
         assert all(p >= b for p, b in zip(pore, bag))
         assert any(p > b for p, b in zip(pore, bag))
 
@@ -485,33 +438,29 @@ class TestBagging:
         rng = np.random.default_rng(99)
         checked = 0
         for _ in range(200):
-            q = _random_query(rng)
-            if q.n_prime != 1:
+            lower, upper, contexts, N, n_prime = _random_bounds(rng)
+            if n_prime != 1:
                 continue
             checked += 1
-            assert certify.binary_search_r(q) >= \
-                certify.bagging_baseline_r(q)
+            pore, bag = certify.certify_table(one_row_table(lower, upper, N),
+                                              contexts, N, 1, ("joint", "bagging"))
+            assert (pore.r >= bag.r).all()
         assert checked > 40
 
     def test_requires_single_recommendation(self):
-        q = _hand_query(0)
-        q2 = certify.CertQuery(bounds=q.bounds, ctx=q.ctx, N=3, n_prime=2)
-        with pytest.raises(ValueError):
-            certify.bagging_baseline_r(q2)
+        with pytest.raises(ValueError, match="N' = 1"):
+            certify.certify_table(_hand_table(), _contexts(5, 2, [0]), 3, 2,
+                                  ("bagging",))
 
     def test_no_outside_items_certifies_all(self):
-        probs = {0: Fraction(1, 2), 1: Fraction(1, 4)}
-        b = certify.exact_bounds_from_probs(0, (0, 1), probs, m=2)
-        ctx = bounds.make_context(6, 2, 3)
-        q = certify.CertQuery(bounds=b, ctx=ctx, N=3, n_prime=1)
-        assert certify.bagging_baseline_r(q) == 2
+        lower = [Fraction(1, 2), Fraction(1, 4)]
+        assert _certify_row(lower, [], _contexts(6, 3, [2]), 3, 1, "bagging") == [2]
 
     def test_bagging_sweep_monotone(self):
         train = random_tiny_matrix(14, 10, seed=4)
         vc = ensemble.build_vote_counts(train, "ir", base_rec.IRParams(),
                                         T=300, s=5, n_prime=1, master_seed=11)
-        targets = [ensemble.ensemble_recommend(vc, train, u, 3)
-                   for u in range(14)]
+        targets = ensemble.ensemble_recommend_all(vc, train, 3)
         sweep = certify.sweep(train, vc, targets, alpha=0.2,
                               e_list=[0, 1, 3], N=3, n_prime=1, s=5,
                               rules=("bagging",))[0]

@@ -16,6 +16,8 @@ import pytest
 import certrec
 from certrec import base_rec, bounds, certify, cli, ensemble, oracle, ratings
 
+from conftest import reference_bounds, reference_holds
+
 
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
@@ -503,8 +505,8 @@ class TestCleanTopnFloors:
                          "0.2", "--e", "0:2", "--out", out]) == 0
         train, tests, _ = ratings.load_split(split)
         vc = ensemble.load_votes(votes)
-        size = {u: len(ensemble.ensemble_recommend(vc, train, u, 5))
-                for u in range(train.n_users)}
+        size = {u: len(items) for u, items in
+                enumerate(ensemble.ensemble_recommend_all(vc, train, 5))}
         with open(os.path.join(out, "per_user.csv")) as fh:
             r = {(int(row["user"]), int(row["e"])): int(row["r"])
                  for row in csv.DictReader(fh)}
@@ -588,25 +590,24 @@ class TestWideInstancePinned:
 
 
 def _reference_verify_calls(split, votes, N, alpha, e_list) -> int:
-    """verify_constraint calls a scalar radius search makes, user by user,
-    on the bounds estimate_bounds gives each clean top-N: r' = 1, 2, ...
-    is opened at the smallest e and its radius bisected below the last."""
+    """Constraint evaluations a scalar radius search makes, user by user, on
+    the reference bounds of each clean top-N: r' = 1, 2, ... is opened at
+    the smallest e and its radius bisected below the last."""
     train, _, _ = ratings.load_split(split)
     vc = ensemble.load_votes(votes)
     n = train.n_users
     contexts = [bounds.make_context(n, e, vc.s) for e in sorted(set(e_list))]
     calls = 0
-    for u in range(n):
-        items = ensemble.ensemble_recommend(vc, train, u, N)
+    for u, items in enumerate(ensemble.ensemble_recommend_all(vc, train, N)):
         if not items:
             continue
-        b = bounds.estimate_bounds(vc, u, items, alpha / n)
+        lower, upper = reference_bounds(vc, u, items, alpha / n)
 
         def holds(r_prime, pos):
             nonlocal calls
             calls += 1
-            return certify.verify_constraint(r_prime, certify.CertQuery(
-                bounds=b, ctx=contexts[pos], N=N, n_prime=vc.n_prime))
+            return reference_holds(r_prime, lower, upper, contexts[pos], N,
+                                   vc.n_prime)
 
         cap = len(contexts) - 1
         for r_prime in range(1, min(len(items), N) + 1):
@@ -801,6 +802,19 @@ class TestOracleCommand:
         # then the C(6,2) - C(5,2) holding the fake row per trial, batched
         assert len(trained) == 10
         assert sum(batched) == 10 + 16 * 5
+
+    @pytest.mark.parametrize("e", ["0", "2"])
+    def test_two_level_exhaustive_refuses_other_e(self, e, capsys):
+        # its adversary appends one fake row, so certificates at any other e
+        # would be compared against attacks of the wrong size
+        argv = ["oracle", "--n", "6", "--m", "6", "--s", "3", "--N", "3",
+                "--e", e, "--attack", "two-level-exhaustive"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "checks --e 1 only" in captured.err
+        # without the soundness check nothing is attacked
+        assert cli.main(argv + ["--check", "probs"]) == 0
 
     _GATE_10X10 = ["oracle", "--n", "10", "--m", "10", "--s", "5", "--N", "3",
                    "--e", "1", "--attack", "two-level-exhaustive"]

@@ -10,7 +10,7 @@ from certrec import base_rec, ensemble, ratings
 from certrec.ratings import ParseError
 
 from conftest import (ml100k_shaped_matrix, random_tiny_matrix, reference_ir,
-                      reference_model_votes, reference_votes,
+                      reference_model_votes, reference_ranked, reference_votes,
                       signed_float_matrix)
 
 
@@ -201,8 +201,7 @@ class TestEnsembleRecommend:
         train = random_tiny_matrix(8, 12, seed=6, density=0.3)
         vc = ensemble.build_vote_counts(train, "ir", base_rec.IRParams(),
                                         T=20, s=3, n_prime=1, master_seed=0)
-        for u in range(8):
-            recs = ensemble.ensemble_recommend(vc, train, u, 5)
+        for u, recs in enumerate(ensemble.ensemble_recommend_all(vc, train, 5)):
             assert len(recs) == 5
             assert len(set(recs)) == 5
             assert not set(recs) & set(train.rated_items(u).tolist())
@@ -218,7 +217,7 @@ class TestEnsembleRecommend:
         counts[0, free[1]] = 4
         vc = ensemble.VoteCounts(T=10, n_prime=1, s=2, counts=counts,
                                  master_seed=0, algo="ir")
-        recs = ensemble.ensemble_recommend(vc, train, 0, 3)
+        recs = ensemble.ensemble_recommend_all(vc, train, 3)[0]
         assert recs[0] == free[-1]
         assert recs[1] == free[0] and recs[2] == free[1]
 
@@ -226,21 +225,25 @@ class TestEnsembleRecommend:
         train = random_tiny_matrix(3, 4, seed=2, density=0.9)
         vc = ensemble.build_vote_counts(train, "ir", base_rec.IRParams(),
                                         T=5, s=2, n_prime=1, master_seed=0)
-        for u in range(3):
-            unrated = 4 - train.rating_count(u)
-            assert len(ensemble.ensemble_recommend(vc, train, u, 10)) == unrated
+        for u, recs in enumerate(ensemble.ensemble_recommend_all(vc, train, 10)):
+            assert len(recs) == 4 - train.rating_count(u)
 
     def test_all_users_match_one_at_a_time(self):
-        # 150 users span three row blocks; high density leaves some users
+        # each user's list against a stable argsort of that user's row;
+        # 150 users span three row blocks, high density leaves some users
         # fewer than N unrated items, and tied counts test the tie rule
         train = random_tiny_matrix(150, 12, seed=9, density=0.7)
         rng = np.random.default_rng(9)
         vc = ensemble.VoteCounts(T=20, n_prime=1, s=4, master_seed=0,
                                  algo="ir", counts=rng.integers(
                                      0, 4, size=(150, 12)).astype(np.int32))
+        candidates = np.ones((150, 12), dtype=bool)
+        for u in range(150):
+            candidates[u, train.rated_items(u)] = False
         for N in (1, 5):
+            rows, cols = reference_ranked(vc.counts, candidates, N)
             assert ensemble.ensemble_recommend_all(vc, train, N) == [
-                ensemble.ensemble_recommend(vc, train, u, N) for u in range(150)]
+                cols[rows == u].tolist() for u in range(150)]
         with pytest.raises(ValueError):
             ensemble.ensemble_recommend_all(vc, train, 0)
 

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix, vstack
 
-from certrec import base_rec, ensemble, oracle
+from certrec import base_rec, bounds, ensemble, oracle
 
-from conftest import prob_row, random_tiny_matrix, signed_float_matrix
+from conftest import (prob_row, random_tiny_matrix, reference_r,
+                      signed_float_matrix)
 
 
 class TestExactProbs:
@@ -53,10 +54,45 @@ class TestExactProbs:
         m = random_tiny_matrix(6, 6, seed=8)
         probs = oracle.exact_item_probs(m, "ir", base_rec.IRParams(), s=3,
                                         n_prime=1)
-        for u in range(6):
-            top = ensemble.ensemble_recommend(probs, m, u, 3)
+        for u, top in enumerate(ensemble.ensemble_recommend_all(probs, m, 3)):
             assert len(top) <= 3
             assert not set(top) & set(m.rated_items(u).tolist())
+
+
+class TestExactCertificates:
+    def test_equal_reference_scan(self):
+        # each user's certificate against the linear scan of the definition
+        # on the exact probabilities; an appended row rates every item, so
+        # that user has no target set and gets no certificate
+        rng = np.random.default_rng(16)
+        seen = dict.fromkeys(("n_prime_2", "empty", "short", "r0", "r_pos"), 0)
+        for _ in range(12):
+            n, m = int(rng.integers(4, 8)), int(rng.integers(3, 7))
+            matrix = oracle.append_fake_users(
+                random_tiny_matrix(n, m, seed=int(rng.integers(10 ** 6))),
+                np.full((1, m), 3.0))
+            s, n_prime = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+            N, e = int(rng.integers(1, m + 1)), int(rng.integers(0, 4))
+            probs = oracle.exact_item_probs(matrix, "ir", base_rec.IRParams(),
+                                            s, n_prime)
+            targets, cert_r = oracle.exact_certificates(matrix, probs, N, e)
+            ctx = bounds.make_context(n + 1, e, s)
+            assert sorted(targets) == list(range(n + 1))
+            assert sorted(cert_r) == [u for u in range(n + 1) if targets[u]]
+            for u, items in targets.items():
+                if not items:
+                    seen["empty"] += 1
+                    continue
+                p = prob_row(probs, u)
+                want = reference_r([p[i] for i in sorted(items)],
+                                   [p[j] for j in range(m) if j not in items],
+                                   ctx, N, n_prime)
+                assert cert_r[u] == want, u
+                seen["short"] += len(items) < N
+                seen["r0"] += want == 0
+                seen["r_pos"] += want > 0
+            seen["n_prime_2"] += n_prime == 2
+        assert all(seen.values()), seen
 
 
 class TestFakeUsers:
@@ -274,8 +310,8 @@ class TestIncrementalPoisoning:
         matrix = random_tiny_matrix(5, 4, seed=5)
         params = base_rec.IRParams()
         probs = oracle.exact_item_probs(matrix, "ir", params, 2, 1)
-        targets = {u: tuple(ensemble.ensemble_recommend(probs, matrix, u, 2))
-                   for u in range(5)}
+        targets = dict(enumerate(map(tuple, ensemble.ensemble_recommend_all(
+            probs, matrix, 2))))
         # claiming each whole target set makes some trials violate, so the
         # comparison covers nonempty violation lists
         claimed = {u: len(targets[u]) for u in range(5) if targets[u]}
