@@ -283,10 +283,10 @@ def _metric_rows(sweep, targets, N, eligible):
     # test-items, the clean top-N itself for clean-topn
     keep = [k for k, u in enumerate(sweep.users.tolist()) if u in eligible]
     sizes = np.array([len(targets[u]) for u in sweep.users[keep].tolist()])
-    floors = [f.T.tolist() for f in metrics.certified_metrics(
-        sweep.r[keep], N, sizes[:, None])]  # three e x users lists
-    return [metrics.average_over_users(e, zip(*by_e))
-            for e, *by_e in zip(sweep.e_list, *floors)]
+    floors = metrics.certified_metrics(sweep.r[keep], N, sizes[:, None])
+    means = metrics.mean_over_users(np.stack(floors, axis=-1))  # e x 3
+    return [metrics.MetricRow(e, p, r, f, n_users=len(keep))
+            for e, (p, r, f) in zip(sweep.e_list, means.tolist())]
 
 
 def _sweep_rows(args, rules):
@@ -323,14 +323,16 @@ def cmd_certify(args) -> int:
     sweep = sweeps[0]
     e_list = sweep.e_list
     os.makedirs(args.out, exist_ok=True)
-    # the bytes csv.writer wrote: no field needs quoting, \r\n line ends
-    users, alpha = sweep.users.tolist(), repr(sweep.alpha_u)
+    # the bytes csv.writer wrote: no field needs quoting, \r\n line ends;
+    # each e's rows joined from "u," heads and "r,alpha" tails
+    heads = np.array([f"{u}," for u in sweep.users.tolist()], dtype=object)
+    tails = np.array([f"{r},{sweep.alpha_u!r}\r\n"
+                      for r in range(int(sweep.r.max(initial=0)) + 1)], dtype=object)
     with open(os.path.join(args.out, "per_user.csv"), "w", encoding="utf-8",
               newline="") as fh:
         fh.write("user,e,r,alpha\r\n")
-        fh.write("".join(f"{u},{e},{r},{alpha}\r\n"
-                         for e, rs in zip(e_list, sweep.r.T.tolist())
-                         for u, r in zip(users, rs)))
+        for e, rs in zip(e_list, sweep.r.T):
+            fh.write("".join((heads + f"{e}," + tails[rs]).tolist()))
     agg, extra = rows[0], ()
     if args.baseline is not None:
         extra = ("bag_precision", "bag_recall", "bag_f1")
@@ -439,11 +441,8 @@ def _synthetic_matrix(n: int, m: int, density: float, seed: int) -> ratings.Rati
 
 def cmd_oracle(args) -> int:
     cfg = _resolve(args, ("algo", "s", "nprime", "N", "alpha"))
-    if (args.check == "soundness" and args.attack == "two-level-exhaustive"
-            and args.e != 1):
-        # its adversary appends one fake row, so it tests e = 1 certificates
-        raise ValueError(f"--attack two-level-exhaustive tries one fake user "
-                         f"and checks --e 1 only, got --e {args.e}")
+    if args.check == "soundness" and args.attack == "two-level-exhaustive":
+        oracle.check_two_level_e(args.e)  # before anything is enumerated
     if args.data:
         matrix = ratings.load_ratings(args.data, args.format or cfg["format"])
     else:
@@ -463,7 +462,7 @@ def cmd_oracle(args) -> int:
         return 0
     if args.attack == "two-level-exhaustive":
         report = oracle.exhaustive_two_level_check(
-            matrix, probs, params, N, cert_r, targets)
+            matrix, probs, params, N, args.e, cert_r, targets)
     else:
         report = oracle.attack_soundness_check(
             matrix, probs, params, N, args.e, args.attack, args.trials,

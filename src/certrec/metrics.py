@@ -65,30 +65,19 @@ def standard_metrics(recommended, test_set, N: int):
     return hit / N, hit / len(test), 2.0 * hit / (len(test) + N)
 
 
-def mean_metrics(triples) -> dict:
-    """Unweighted arithmetic mean of per-user (precision, recall, f1) triples."""
-    triples = list(triples)
-    if not triples:
+def mean_over_users(values) -> np.ndarray:
+    """Mean along axis 0 (users), added strictly left to right in user order:
+    np.sum adds pairwise and the builtin sum compensates from Python 3.12 on,
+    so either would tie a mean's bytes to the array layout or the version."""
+    values = np.asarray(values, dtype=np.float64)
+    if not len(values):
         raise ValueError("no eligible users to average over")
-    k = len(triples)
-    return {name: sum(t[j] for t in triples) / k
-            for j, name in enumerate(("precision", "recall", "f1"))}
+    return np.cumsum(values, axis=0)[-1] / len(values)
 
 
-def average_over_users(e: int, cert_triples, std_triples=None) -> MetricRow:
-    """Mean certified (and, when given, standard) metrics at one budget e.
-
-    cert_triples (and std_triples) hold one (p, r, f1) per user with a
-    nonempty test set; users with empty sets never reach this point.
-    """
-    cert = list(cert_triples)
-    row = {f"cert_{k}": v for k, v in mean_metrics(cert).items()}
-    if std_triples is not None:
-        std = list(std_triples)
-        if len(std) != len(cert):
-            raise ValueError("standard metrics cover a different user set")
-        row.update({f"std_{k}": v for k, v in mean_metrics(std).items()})
-    return MetricRow(e=int(e), n_users=len(cert), **row)
+def mean_metrics(triples) -> dict:
+    """mean_over_users of per-user (precision, recall, f1) triples, by name."""
+    return dict(zip(("precision", "recall", "f1"), mean_over_users(triples).tolist()))
 
 
 _CSV_COLUMNS = ("e", "cert_precision", "cert_recall", "cert_f1", "n_users")

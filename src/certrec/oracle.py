@@ -265,15 +265,23 @@ def attack_soundness_check(matrix: RatingMatrix, clean: VoteCounts, params,
                            min_intersection=min_inter)
 
 
+def check_two_level_e(e: int) -> None:
+    """Refuse any e but 1: the two-level adversary appends one fake row."""
+    if e != 1:
+        raise ValueError(f"--attack two-level-exhaustive tries one fake user "
+                         f"and checks --e 1 only, got --e {e}")
+
+
 def exhaustive_two_level_check(matrix: RatingMatrix, clean: VoteCounts, params,
-                               N: int, cert_r, targets) -> ViolationReport:
+                               N: int, e: int, cert_r, targets) -> ViolationReport:
     """Every possible single fake user over a two-level rating alphabet.
 
     The adversary's row takes values in {0, top score} per item; all 2^m
     patterns (including the empty row) are tried. Exhaustive over this
     discretized domain, so a surviving certificate was genuinely never beaten
-    by any such attacker. Arguments are as in attack_soundness_check.
+    by any such attacker. Arguments are as in attack_soundness_check, e = 1.
     """
+    check_two_level_e(e)
     _check_clean(matrix, clean)
     m = matrix.n_items
     if math.comb(matrix.n_users + 1, clean.s) > MAX_ENUM or m > 20:

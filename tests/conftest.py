@@ -1,5 +1,6 @@
 """Shared fixtures: acceptance reporting, dataset discovery, synthetic instances."""
 
+import builtins
 import math
 import os
 from fractions import Fraction
@@ -177,9 +178,11 @@ def reference_votes(train, algo: str, params, s: int, n_prime: int,
     return counts
 
 
-# --- reference split I/O, quantile and top-n rule: the line-by-line loader and
-# writer, the scalar bisection and the stable sort that ratings.load_split /
-# save_split, bounds.beta_quantile and base_rec._ranked replaced
+# --- reference split I/O, quantile, top-n rule and table sums: the
+# line-by-line loader and writer, the scalar bisection, the stable sort, the
+# partition of each user's outside counts and the Python addition loop that
+# ratings.load_split / save_split, bounds.beta_quantile, base_rec._ranked and
+# bounds._table replaced; and the builtin sum of Python 3.12 and later
 
 
 def reference_load_split(path: str):
@@ -288,6 +291,45 @@ def reference_ranked(scores: np.ndarray, candidates: np.ndarray, n: int):
     return np.nonzero(picked)[0], top[picked]
 
 
+
+def reference_top_counts(counts: np.ndarray, users, items_in, width: int):
+    """Each user's `width` largest counts outside I_u, descending, by a
+    partition and a sort of the outside counts; -1 past a user's last
+    outside item."""
+    out = np.full((len(users), width), -1, dtype=np.int64)
+    for k, (u, inside) in enumerate(zip(users, items_in)):
+        outside = np.delete(counts[u], list(inside))
+        keep = min(width, len(outside))
+        if keep:
+            cut = len(outside) - keep
+            out[k, :keep] = np.sort(np.partition(outside, cut)[cut:])[::-1]
+    return out
+
+
+def reference_left_to_right_sum(values):
+    """x_1 + x_2 + ... + x_k added one at a time in the order given, as the
+    builtin sum added floats before Python 3.12."""
+    acc = 0
+    for x in values:
+        acc += x
+    return acc
+
+
+def neumaier_sum(iterable, /, start=0):
+    """The builtin sum as Python 3.12 computes it: a sum of ints and floats
+    with at least one float is compensated (Neumaier 1974); any other sum,
+    of Fractions say, adds left to right."""
+    items = list(iterable)
+    kinds = {type(x) for x in [start, *items]}
+    if float not in kinds or not kinds <= {int, float}:
+        return builtins.sum(items, start)
+    total, comp = float(start), 0.0
+    for x in map(float, items):
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
 # --- reference certification: per-item bounds from cp_lower / cp_upper, and
 # the constraint and both certified sizes read off their definitions in
 # rational arithmetic, sharing no code with certify._holds; one_row_table
@@ -350,7 +392,7 @@ def one_row_table(lower, upper, width: int):
         users=np.zeros(1, dtype=np.int64),
         lower=np.array(sorted(lower, reverse=True), dtype=dtype),
         starts=np.zeros(1, dtype=np.int64),
-        sum_lower=np.array([sum(lower)], dtype=dtype),
+        sum_lower=np.array([reference_left_to_right_sum(lower)], dtype=dtype),
         top=np.array([top + [0] * (width - len(top))], dtype=dtype),
         n_in=np.array([len(lower)]), n_out=np.array([len(upper)]))
 

@@ -30,8 +30,7 @@ def _threads() -> int:
 
 
 def _avg(triples):
-    k = len(triples)
-    return tuple(sum(t[j] for t in triples) / k for j in range(3))
+    return tuple(metrics.mean_over_users(triples).tolist())
 
 
 def _agg_curve(sweep, tests, e_list):
@@ -186,7 +185,7 @@ def test_criterion_4_soundness(acceptance):
     probs, targets, cert_r = certified(small, s=2, N=2, e=1)
     assert any(r > 0 for r in cert_r.values()), "vacuous certificates"
     exhaustive = oracle.exhaustive_two_level_check(
-        small, probs, base_rec.IRParams(), N=2, cert_r=cert_r,
+        small, probs, base_rec.IRParams(), N=2, e=1, cert_r=cert_r,
         targets=targets)
     # 100 randomized attacks on n=6, s=3, e=1 across all attack families
     mid = random_tiny_matrix(6, 6, seed=3)

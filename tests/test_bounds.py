@@ -15,7 +15,8 @@ import certrec
 from certrec import bounds
 from certrec.ensemble import VoteCounts
 
-from conftest import prob_row, reference_beta_quantile, reference_bounds
+from conftest import (prob_row, reference_beta_quantile, reference_bounds,
+                      reference_left_to_right_sum, reference_top_counts)
 
 
 class TestBetaQuantile:
@@ -363,13 +364,14 @@ class TestProbBounds:
                         algo="ir")
         items = sorted(int(i) for i in rng.choice(m, 25, replace=False))
         est = reference_bounds(vc, 0, items, 0.05)
-        assert np.sum(est[0]) != sum(est[0])  # the case this test guards
+        # the case this test guards
+        assert np.sum(est[0]) != reference_left_to_right_sum(est[0])
         exact = ([Fraction(int(c[0, i]), t) for i in items],
                  [Fraction(int(c[0, j]), t) for j in range(m) if j not in items])
         for table, (low, up) in (
                 (bounds.estimate_table(vc, [0], [items[::-1]], 0.05, m), est),
                 (bounds.exact_table(vc, [0], [items[::-1]], m), exact)):
-            assert table.sum_lower.tolist() == [sum(low)]
+            assert table.sum_lower.tolist() == [reference_left_to_right_sum(low)]
             assert table.lower.tolist() == sorted(low, reverse=True)
             assert table.top[0, :len(up)].tolist() == sorted(up, reverse=True)
 
@@ -401,9 +403,45 @@ class TestBoundTable:
                 lo, kept = table.starts[k], min(width, len(up))
                 assert table.lower[lo:lo + table.n_in[k]].tolist() == \
                     sorted(low, reverse=True)
-                assert table.sum_lower[k] == sum(low)
+                assert table.sum_lower[k] == reference_left_to_right_sum(low)
                 assert table.top[k, :kept].tolist() == sorted(up, reverse=True)[:kept]
                 assert (table.n_in[k], table.n_out[k]) == (len(its), len(up))
+
+    @pytest.mark.parametrize("seed,n,m,t,width", [
+        (0, 150, 9, 3, 4),      # heavy ties, three row blocks
+        (1, 70, 12, 1, 5),      # counts 0 or 1 only
+        (2, 40, 6, 50, 9),      # width > m
+        (3, 130, 30, 10_000, 10),
+    ])
+    def test_table_matches_definitions(self, seed, n, m, t, width):
+        # top: a partition and a sort of each user's outside counts, -1 past
+        # the last (whose cells hold 0); sum_lower: a Python loop adding the
+        # lower bounds in ascending item order. Some rows are all zero, some
+        # users keep fewer than width items outside I_u
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, t + 1, size=(n, m)).astype(np.int32)
+        counts[rng.random(n) < 0.2] = 0
+        vc = VoteCounts(T=t, n_prime=1, s=3, master_seed=0, algo="ir",
+                        counts=counts)
+        users = [u for u in range(n) if u % 5]
+        items = [tuple(rng.choice(m, size=int(rng.integers(1, m + 1)),
+                                  replace=False).tolist()) for _ in users]
+        want = reference_top_counts(counts, users, items, width)
+        assert (want == -1).any() and (want[:, 0] == 0).any()
+        alpha_u = 0.05
+        for exact in (False, True):
+            if exact:
+                table = bounds.exact_table(vc, users, items, width)
+                low_of, up_of = (lambda c: Fraction(int(c), t),) * 2
+            else:
+                table = bounds.estimate_table(vc, users, items, alpha_u, width)
+                low_of = lambda c: bounds.cp_lower(int(c), t, alpha_u / m)
+                up_of = lambda c: bounds.cp_upper(int(c), t, alpha_u / m)
+            top = [[up_of(c) if c >= 0 else 0 for c in row] for row in want]
+            assert table.top.tolist() == top
+            assert table.sum_lower.tolist() == [
+                reference_left_to_right_sum(low_of(counts[u, i]) for i in sorted(its))
+                for u, its in zip(users, items)]
 
     def test_items_in_must_be_valid(self):
         vc = VoteCounts(T=10, n_prime=1, s=2, master_seed=0, algo="ir",

@@ -3,8 +3,10 @@
 import csv
 import dataclasses
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -16,7 +18,7 @@ import pytest
 import certrec
 from certrec import base_rec, bounds, certify, cli, ensemble, oracle, ratings
 
-from conftest import reference_bounds, reference_holds
+from conftest import neumaier_sum, reference_bounds, reference_holds
 
 
 @pytest.fixture(scope="module")
@@ -429,13 +431,14 @@ def _output_digests(root, args):
     assert cli.main(["certify", *args, "--baseline", "bagging",
                      "--out", cert]) == 0
     assert cli.main(["baseline", *args, "--out", bag]) == 0
-    digests = {}
-    for name in ("per_user.csv", "aggregate.csv", "aggregate.json",
-                 "baseline.csv"):
-        path = os.path.join(bag if name == "baseline.csv" else cert, name)
-        with open(path, "rb") as fh:
-            digests[name] = hashlib.blake2b(fh.read(), digest_size=16).hexdigest()
-    return digests
+    return {name: _file_digest(os.path.join(
+        bag if name == "baseline.csv" else cert, name)) for name in (
+        "per_user.csv", "aggregate.csv", "aggregate.json", "baseline.csv")}
+
+
+def _file_digest(path):
+    with open(path, "rb") as fh:
+        return hashlib.blake2b(fh.read(), digest_size=16).hexdigest()
 
 
 def _former_digest(root, mode):
@@ -587,6 +590,51 @@ class TestWideInstancePinned:
         assert _output_digests(tmp_path, [
             "--votes", votes, "--split", split, "--target", target,
             "--N", "10", "--e", "0:12"]) == self.PINNED[target]
+
+
+class TestEvaluatePinned:
+    # recorded while the means were still the builtin sum of Python 3.11
+    PINNED = {"evaluate.json": "1b35fbe7190923207b59431c3ad89403",
+              "evaluate.csv": "5ead8e2c938dd7624cd87c60a632915d"}
+
+    def test_output_bytes_pinned(self, wide_instance, tmp_path):
+        _, split, votes = wide_instance
+        out = str(tmp_path / "eval")
+        assert cli.main(["evaluate", "--votes", votes, "--split", split,
+                         "--N", "10", "--with-single-model", "--out", out]) == 0
+        assert {name: _file_digest(os.path.join(out, name))
+                for name in self.PINNED} == self.PINNED
+
+
+@pytest.fixture
+def compensated_sum(monkeypatch):
+    """Every certrec module's builtin sum replaced by Python 3.12's
+    compensated one, as a module global that shadows the builtin."""
+    assert neumaier_sum([0.1] * 10) == 1.0  # 0.9999999999999999 left to right
+    names = [m.name for m in pkgutil.iter_modules(certrec.__path__)]
+    for module in [certrec] + [importlib.import_module(f"certrec.{name}")
+                               for name in names]:
+        monkeypatch.setattr(module, "sum", neumaier_sum, raising=False)
+
+
+class TestVersionIndependentBytes:
+    """The pinned output bytes hold under either builtin sum, so they are the
+    same on Python 3.10-3.13: every mean and sum_lower adds left to right
+    on arrays, whatever the builtin does."""
+
+    @pytest.mark.parametrize("mode", ["approx", "exact"])
+    def test_clean_topn(self, compensated_sum, topn_instance, tmp_path, mode):
+        TestCleanTopnFloors().test_output_bytes_pinned(topn_instance, tmp_path,
+                                                       mode)
+
+    @pytest.mark.parametrize("target", ["clean-topn", "test-items"])
+    def test_wide_instance(self, compensated_sum, wide_instance, tmp_path,
+                           target):
+        TestWideInstancePinned().test_output_bytes_pinned(wide_instance,
+                                                          tmp_path, target)
+
+    def test_evaluate(self, compensated_sum, wide_instance, tmp_path):
+        TestEvaluatePinned().test_output_bytes_pinned(wide_instance, tmp_path)
 
 
 def _reference_verify_calls(split, votes, N, alpha, e_list) -> int:

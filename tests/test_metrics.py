@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from certrec import metrics
 
+from conftest import neumaier_sum
+
 
 class TestCertified:
     def test_formulas(self):
@@ -83,34 +85,40 @@ class TestStandard:
 
 class TestAggregation:
     def test_average(self):
-        rows = metrics.average_over_users(3, [(0.2, 0.4, 0.25), (0.4, 0.2, 0.25)])
-        assert rows.e == 3
-        assert rows.cert_precision == pytest.approx(0.3)
-        assert rows.cert_recall == pytest.approx(0.3)
-        assert rows.cert_f1 == pytest.approx(0.25)
-        assert rows.n_users == 2
-        assert rows.std_precision is None
-
-    def test_with_standard_columns(self):
-        row = metrics.average_over_users(0, [(0.1, 0.1, 0.1)],
-                                         std_triples=[(0.5, 0.6, 0.7)])
-        assert row.std_precision == pytest.approx(0.5)
-        assert row.std_f1 == pytest.approx(0.7)
+        means = metrics.mean_over_users([(0.2, 0.4, 0.25), (0.4, 0.2, 0.25)])
+        assert means.tolist() == pytest.approx([0.3, 0.3, 0.25])
+        assert metrics.mean_metrics([(0.2, 0.4, 0.25), (0.4, 0.2, 0.25)]) == \
+            dict(zip(("precision", "recall", "f1"), means.tolist()))
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            metrics.average_over_users(0, [])
+        with pytest.raises(ValueError, match="no eligible users"):
+            metrics.mean_over_users([])
+        with pytest.raises(ValueError, match="no eligible users"):
+            metrics.mean_metrics([])
 
-    def test_mismatched_std_rejected(self):
-        with pytest.raises(ValueError):
-            metrics.average_over_users(0, [(0.1, 0.1, 0.1)],
-                                       std_triples=[(0.1, 0.1, 0.1)] * 2)
+    def test_adds_left_to_right(self):
+        # Python 3.12's sum compensates and gives 0.1 here, where adding in
+        # user order gives 0.09999999999999999
+        assert metrics.mean_over_users([0.1] * 10) == 0.09999999999999999
+        assert neumaier_sum([0.1] * 10) / 10 == 0.1
+
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_python_loop(self, xs):
+        # each column on its own, in user order; == also equates -0.0 and
+        # 0.0, the one place where the loop's 0 start can differ
+        acc = 0.0
+        for x in xs:
+            acc += x
+        cols = metrics.mean_over_users(np.array([xs, xs[::-1]]).T)
+        assert cols[0] == acc / len(xs)
+        assert cols[1] == metrics.mean_over_users(xs[::-1])
 
 
 class TestSerialization:
     def _rows(self):
-        return [metrics.average_over_users(e, [(e / 10, e / 20, e / 15)])
-                for e in (0, 1)]
+        return [metrics.MetricRow(e=e, cert_precision=e / 10, cert_recall=e / 20,
+                                  cert_f1=e / 15, n_users=1) for e in (0, 1)]
 
     def test_csv_columns(self, tmp_path):
         path = str(tmp_path / "agg.csv")

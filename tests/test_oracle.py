@@ -201,17 +201,30 @@ class TestSoundness:
         probs = oracle.exact_item_probs(matrix, "ir", base_rec.IRParams(), 2, 1)
         targets, cert_r = oracle.exact_certificates(matrix, probs, 2, e=1)
         report = oracle.exhaustive_two_level_check(
-            matrix, probs, base_rec.IRParams(), N=2, cert_r=cert_r,
+            matrix, probs, base_rec.IRParams(), N=2, e=1, cert_r=cert_r,
             targets=targets)
         assert report.trials == 2 ** 4
         assert report.ok
+
+    @pytest.mark.parametrize("e", [0, 2])
+    def test_exhaustive_two_level_refuses_other_e(self, e, monkeypatch):
+        # one fake row is an attack of the wrong size for e = 2 certificates,
+        # and of no use against e = 0 ones: refused before any enumeration
+        matrix = random_tiny_matrix(5, 4, seed=6)
+        probs = oracle.exact_item_probs(matrix, "ir", base_rec.IRParams(), 2, 1)
+        targets, cert_r = oracle.exact_certificates(matrix, probs, 2, e=e)
+        monkeypatch.setattr(oracle, "append_fake_users", None)
+        with pytest.raises(ValueError, match="checks --e 1 only, got --e " + str(e)):
+            oracle.exhaustive_two_level_check(
+                matrix, probs, base_rec.IRParams(), N=2, e=e, cert_r=cert_r,
+                targets=targets)
 
     def test_enumeration_guard(self):
         matrix = random_tiny_matrix(5, 22, seed=0, density=0.4)
         clean = oracle.exact_item_probs(matrix, "ir", base_rec.IRParams(), 2, 1)
         with pytest.raises(ValueError, match="desk-scale"):
             oracle.exhaustive_two_level_check(
-                matrix, clean, base_rec.IRParams(), N=2, cert_r={},
+                matrix, clean, base_rec.IRParams(), N=2, e=1, cert_r={},
                 targets={u: () for u in range(5)})
 
     def test_clean_counts_of_another_matrix_refused(self):
@@ -219,7 +232,7 @@ class TestSoundness:
         other = random_tiny_matrix(5, 5, seed=3)
         with pytest.raises(ValueError, match="clean counts"):
             oracle.exhaustive_two_level_check(
-                other, probs, base_rec.IRParams(), N=3, cert_r=cert_r,
+                other, probs, base_rec.IRParams(), N=3, e=1, cert_r=cert_r,
                 targets=targets)
         with pytest.raises(ValueError, match="clean counts"):
             oracle.attack_soundness_check(
@@ -292,7 +305,7 @@ class TestIncrementalPoisoning:
         clean = oracle.exact_item_probs(matrix, "ir", base_rec.IRParams(), 2, 1)
         assert (len(trained), sum(batched)) == (10, 10)
         oracle.exhaustive_two_level_check(
-            matrix, clean, base_rec.IRParams(), N=2, cert_r={},
+            matrix, clean, base_rec.IRParams(), N=2, e=1, cert_r={},
             targets={})
         assert (len(trained), sum(batched)) == (10, 10 + 2 ** 4 * 5)
         trained.clear()
@@ -319,7 +332,7 @@ class TestIncrementalPoisoning:
         def run():
             if check == "two-level":
                 return oracle.exhaustive_two_level_check(
-                    matrix, probs, params, N=2, cert_r=claimed,
+                    matrix, probs, params, N=2, e=1, cert_r=claimed,
                     targets=targets)
             attack, _, e = check.rpartition("-e")
             return oracle.attack_soundness_check(
@@ -412,7 +425,7 @@ class TestBatchedOracle:
         assert np.array_equal(probs.counts,
                               _model_votes(matrix, "bpr", params, 2, 2))
         report = oracle.exhaustive_two_level_check(
-            matrix, probs, params, N=2, cert_r={}, targets={})
+            matrix, probs, params, N=2, e=1, cert_r={}, targets={})
         assert report.trials == 2 ** 5
 
     def test_exactness_condition(self, tmp_path):
