@@ -27,8 +27,6 @@ from functools import lru_cache
 import numpy as np
 import scipy.special
 
-from .base_rec import _ranked
-
 __all__ = [
     "beta_quantile", "cp_lower", "cp_upper", "estimate_table", "exact_table",
     "make_context", "round_lower_star", "round_upper_star", "BoundTable",
@@ -168,8 +166,8 @@ def exact_table(counts, users, items_in, width: int) -> BoundTable:
         [Fraction(x, counts.T) for x in c.tolist()], dtype=object))
 
 
-# users per block when ranking the outside counts: about a MB of temporaries
-# at m = 1682, where one n x m table would be tens of MB
+# users per block when sorting the outside counts: a few hundred kB of int
+# temporaries at m = 1682, where one n x m table would be tens of MB
 _ROW_BLOCK = 64
 
 
@@ -196,20 +194,23 @@ def _table(counts, users, items_in, width: int, bound) -> BoundTable:
         raise ValueError(f"items_in ids must lie in [0, {m})")
     starts = np.cumsum(n_in) - n_in
     low = bound(counts.counts[users[rows], items], False)
-    # left to right in item order (np.sum adds pairwise, the builtin sum
-    # compensates from 3.12 on); bounds are >= 0, so padding's + 0 is exact
-    padded = np.zeros((len(users), int(n_in.max(initial=1))), dtype=low.dtype)
-    padded[rows, np.arange(len(items)) - starts[rows]] = low
-    sum_lower = np.cumsum(padded, axis=1)[:, -1]
+    # left to right in item order, one item rank at a time over the rows that
+    # have one (np.sum adds pairwise, the builtin sum compensates from 3.12 on)
+    sum_lower = np.zeros(len(users), dtype=low.dtype)
+    for j in range(int(n_in.max(initial=0))):
+        live = np.flatnonzero(n_in > j)
+        sum_lower[live] += low[starts[live] + j]
     top_counts = np.full((len(users), width), -1, dtype=np.int64)
+    keep = min(width, m)
     for lo in range(0, len(users), _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, len(users))
         block = counts.counts[users[lo:hi]]  # a copy
         cells = slice(starts[lo], starts[hi - 1] + n_in[hi - 1])
         block[rows[cells] - lo, items[cells]] = -1  # I_u is not a competitor
-        # only the ranked counts are read, not which of tied items they are
-        kept = np.arange(width) < np.minimum(m - n_in[lo:hi], width)[:, None]
-        top_counts[lo:hi][kept] = block[_ranked(block, block >= 0, width)]
+        # a full sort of each row: cheaper here than np.partition, and its
+        # cost does not grow with width as rounds of argmax do; only counts
+        # are read, and past a user's last outside item they are I_u's -1
+        top_counts[lo:hi, :keep] = np.sort(block, axis=1)[:, ::-1][:, :keep]
     top = np.zeros(top_counts.shape, dtype=low.dtype)
     outside = top_counts >= 0
     top[outside] = bound(top_counts[outside], True)

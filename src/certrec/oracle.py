@@ -268,8 +268,8 @@ def attack_soundness_check(matrix: RatingMatrix, clean: VoteCounts, params,
 def check_two_level_e(e: int) -> None:
     """Refuse any e but 1: the two-level adversary appends one fake row."""
     if e != 1:
-        raise ValueError(f"--attack two-level-exhaustive tries one fake user "
-                         f"and checks --e 1 only, got --e {e}")
+        raise ValueError(f"the two-level exhaustive attack tries one fake "
+                         f"user, so it checks e = 1 only, got e = {e}")
 
 
 def exhaustive_two_level_check(matrix: RatingMatrix, clean: VoteCounts, params,

@@ -214,7 +214,7 @@ class TestSoundness:
         probs = oracle.exact_item_probs(matrix, "ir", base_rec.IRParams(), 2, 1)
         targets, cert_r = oracle.exact_certificates(matrix, probs, 2, e=e)
         monkeypatch.setattr(oracle, "append_fake_users", None)
-        with pytest.raises(ValueError, match="checks --e 1 only, got --e " + str(e)):
+        with pytest.raises(ValueError, match=f"checks e = 1 only, got e = {e}$"):
             oracle.exhaustive_two_level_check(
                 matrix, probs, base_rec.IRParams(), N=2, e=e, cert_r=cert_r,
                 targets=targets)
