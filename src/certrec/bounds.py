@@ -22,7 +22,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 import scipy.special
@@ -247,7 +246,6 @@ def _double_at_least(q: Fraction) -> float:
     return x if Fraction(x) >= q else math.nextafter(x, math.inf)
 
 
-@lru_cache(maxsize=4096)
 def make_context(n: int, e: int, s: int) -> CombinatoricContext:
     """Build the coefficient context for n genuine users, e fake users, s rows."""
     if not 1 <= s <= n:

@@ -12,18 +12,24 @@ competitors are the N-r'+1 largest upper bounds outside I_u (v1 the smallest
 of those, HC_c the sum of the c smallest of those, capped by N' minus the sum
 of all lower bounds), sigma is the attack slack from the combinatoric context,
 and floor*/ceil* are the C(n,s)-grid roundings; r = 0 when even r' = 1 fails.
+The per-item bagging baseline (N' = 1 votes) compares floor*(mu_r') with
+ceil*(the largest outside upper bound) + sigma instead, so its r is the
+number of I_u items that still beat that one competitor, at most N. With no
+item outside I_u, nothing can displace the target set under either rule.
 Every comparison is decided exactly: a float pass evaluates both sides with a
 rigorous bound on its error, and only the comparisons it cannot tell apart
 are redone in rational arithmetic on the same bounds.
 
-The left side falls and the right side rises in r', and sigma grows with e,
-so each user's certificate is fixed by attack radii E*(r'), the largest e at
-which r' holds: r(e) = #{r' : E*(r') >= e}, the same shape as the baseline's
-min(#{i : Z_i >= e}, N). `sweep` bounds every user once (one BoundTable
-from estimate_table) and hands it to `certify_table`, which searches all
-users' radii in lockstep, one array evaluation of the float pass per round,
-and counts them into one r matrix per rule (users x e). The oracle certifies
-exact probabilities (bounds.exact_table) through the same `certify_table`.
+Under both rules the left side falls in r', the right side does not fall in
+r', and sigma grows with e, so each user's certificate is fixed by attack
+radii E*(r'), the last of the requested budgets at which r' holds:
+r(e) = #{r' : E*(r') >= e}, and min(|I_u|, N) ranks are enough, since r is
+at most N. `sweep` bounds every user once (one BoundTable from
+estimate_table) and hands it to `certify_table`, which searches all users'
+radii over the positions of the requested budgets in lockstep, one array
+evaluation of the float pass per round, and counts them into one r matrix
+per rule (users x e). The oracle certifies exact probabilities
+(bounds.exact_table) through the same `certify_table`.
 """
 
 from __future__ import annotations
@@ -40,8 +46,6 @@ from .bounds import (BoundTable, CombinatoricContext, estimate_table,
 
 log = logging.getLogger(__name__)
 
-_Z_CAP_FACTOR = 10  # bagging Z search stops at 10*n fake users; sigma has
-                    # grown past any probability gap long before that
 _EPS = 2.0 ** -53   # unit roundoff of a double
 
 
@@ -54,33 +58,36 @@ def _float_pass(rule: str, table: BoundTable, i, rp, sigma_hi, grid, N: int,
     sigma and the N'-scaled capped prefix sums of the competitors; the
     baseline compares it with ceil*(the largest outside upper bound) +
     sigma. Floats here leave the roundings out and read sigma_hi; the error
-    bound covers both.
+    bound covers both. A row with no item outside I_u gets an infinite
+    margin with no error under either rule.
     """
     lhs = table.lower[table.starts[i] + rp - 1].astype(float)
+    none = table.n_out[i] == 0
     if rule == "bagging":
         rhs = table.top[i, 0].astype(float) + sigma_hi
         # both sides are within four roundings of nonnegative terms, and
         # floor*/ceil* move each by less than 1/C(n,s); both bounds doubled
-        return lhs - rhs, 8 * _EPS * (lhs + rhs) + 4 * grid, rhs
-    # competitors: the `avail` largest outside upper bounds, ascending (v1
-    # first), so comp[:, c - 1] = top[avail - c] and HC_c sums the first c
-    avail = np.minimum(N - rp + 1, table.n_out[i])
-    c = np.arange(1, table.top.shape[1] + 1)
-    src = avail[:, None] - c
-    used = src >= 0
-    comp = np.where(used, table.top[i[:, None], np.maximum(src, 0)], 0).astype(float)
-    sum_lower = table.sum_lower[i].astype(float)
-    cap = np.maximum(n_prime - sum_lower, 0.0)
-    terms = n_prime * (np.minimum(np.cumsum(comp, axis=1), cap[:, None]) / n_prime
-                       + sigma_hi[:, None]) / c
-    rhs = np.minimum(comp[:, 0] + sigma_hi, np.where(used, terms, np.inf).min(axis=1))
-    # each float above is at most |I_u| + avail + 4 roundings of nonnegative
-    # terms (and the cap's one subtraction) from its exact value; floor*
-    # moves mu by < 1/C(n,s), ceil* a term by < N'/C(n,s); both doubled
-    rho = 4 * (table.n_in[i] + avail + 4) * _EPS
-    err = rho * (lhs + rhs + n_prime + sum_lower) + 2 * (n_prime + 1) * grid
-    # no items outside I_u at all: nothing can displace the target set
-    none = avail == 0
+        err = 8 * _EPS * (lhs + rhs) + 4 * grid
+    else:
+        # competitors: the `avail` largest outside upper bounds, ascending
+        # (v1 first), so comp[:, c - 1] = top[avail - c] and HC_c sums the
+        # first c; avail is 0 only on rows with no outside item
+        avail = np.minimum(N - rp + 1, table.n_out[i])
+        c = np.arange(1, table.top.shape[1] + 1)
+        src = avail[:, None] - c
+        used = src >= 0
+        comp = np.where(used, table.top[i[:, None], np.maximum(src, 0)], 0).astype(float)
+        sum_lower = table.sum_lower[i].astype(float)
+        cap = np.maximum(n_prime - sum_lower, 0.0)
+        terms = n_prime * (np.minimum(np.cumsum(comp, axis=1), cap[:, None]) / n_prime
+                           + sigma_hi[:, None]) / c
+        rhs = np.minimum(comp[:, 0] + sigma_hi, np.where(used, terms, np.inf).min(axis=1))
+        # each float above is at most |I_u| + avail + 4 roundings of
+        # nonnegative terms (and the cap's one subtraction) from its exact
+        # value; floor* moves mu by < 1/C(n,s), ceil* a term by < N'/C(n,s);
+        # both doubled
+        rho = 4 * (table.n_in[i] + avail + 4) * _EPS
+        err = rho * (lhs + rhs + n_prime + sum_lower) + 2 * (n_prime + 1) * grid
     return np.where(none, np.inf, lhs - rhs), np.where(none, 0.0, err), rhs
 
 
@@ -139,7 +146,7 @@ class SweepResult:
     r: np.ndarray         # int64, len(users) x len(e_list)
     alpha_u: float        # per-user error budget the bounds were estimated at
     skipped: tuple        # users with empty I_u
-    verify_calls: int     # joint constraint evaluations (0 for the baseline)
+    verify_calls: int     # evaluations of the rule's comparison
     exact_fallbacks: int  # comparisons the float pass left to exact arithmetic
 
 
@@ -195,10 +202,11 @@ def certify_table(table: BoundTable, contexts, N: int, n_prime: int,
     """Certify every row of table under each rule at every context.
 
     contexts share n and s and hold distinct e, ascending. Each rule turns
-    the bounds into radii with one lockstep search over all rows, counted at
-    every e. That equals a per-e search because sigma never decreases in e.
-    Returns one SweepResult per rule, in the order of `rules`, with alpha_u
-    0 and no skipped users: sweep fills those in.
+    the bounds into radii over the positions of the contexts with one
+    lockstep search over all rows, counted at every e. That equals a per-e
+    search because sigma never decreases in e. Returns one SweepResult per
+    rule, in the order of `rules`, with alpha_u 0 and no skipped users:
+    sweep fills those in.
     """
     _check_rules(rules, N, n_prime)
     e_list = [c.e for c in contexts]
@@ -207,46 +215,40 @@ def certify_table(table: BoundTable, contexts, N: int, n_prime: int,
         raise ValueError("contexts must share n and s and hold distinct "
                          "attack budgets, ascending")
     _warn_inconsistent(table, n_prime)
+    k = np.minimum(table.n_in, N)  # r is at most N, and mu falls with rank
     results = []
     for rule in rules:
-        tally = [0, 0]  # constraint evaluations, exact fallbacks
+        tally = [0, 0]  # comparisons evaluated, exact fallbacks
 
-        def holds(i, r_prime, which, ctxs=contexts):
-            ok, fallbacks = _holds(rule, table, i, r_prime, ctxs, which, N,
+        def holds(i, r_prime, which):
+            ok, fallbacks = _holds(rule, table, i, r_prime, contexts, which, N,
                                    n_prime)
             tally[0] += len(i)
             tally[1] += fallbacks
             return ok
 
-        if rule == "joint":  # radii over positions in e_list
-            k = np.minimum(table.n_in, N)
-            r = _certified_sizes(_radii(holds, k, len(e_list) - 1), k,
-                                 range(len(e_list)), N)
-        else:
-            r = _certified_sizes(_bagging_radii(table, contexts[0], holds),
-                                 table.n_in, e_list, N)
+        r = _certified_sizes(_radii(holds, k, len(e_list) - 1), k, len(e_list))
         results.append(SweepResult(
             users=table.users, e_list=tuple(e_list), r=r, alpha_u=0.0,
-            skipped=(), verify_calls=tally[0] if rule == "joint" else 0,
-            exact_fallbacks=tally[1]))
+            skipped=(), verify_calls=tally[0], exact_fallbacks=tally[1]))
     return tuple(results)
 
 
-def _certified_sizes(radii: np.ndarray, k: np.ndarray, e_values, N: int) -> np.ndarray:
-    """r[row, j] = min(#{R in the row's radii : R >= e_values[j]}, N); radii
+def _certified_sizes(radii: np.ndarray, k: np.ndarray, width: int) -> np.ndarray:
+    """r[row, j] = #{R in the row's radii : R >= j} for j < width; radii
     holds k[row] entries per row, one row after another."""
     row = np.repeat(np.arange(len(k)), k)
-    return np.minimum(np.stack([np.bincount(row, weights=radii >= e, minlength=len(k))
-                                for e in e_values], axis=1), N).astype(np.int64)
+    return np.stack([np.bincount(row, weights=radii >= j, minlength=len(k))
+                     for j in range(width)], axis=1).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
-# radius search, and the single-competitor baseline (votes built with N' = 1)
+# radius search
 
-def _radii(holds, k: np.ndarray, cap: int, search=None) -> np.ndarray:
+def _radii(holds, k: np.ndarray, cap: int) -> np.ndarray:
     """Every row's radii R(1), ..., R(k[row]), one row after another: R(j) is
     the largest x in [0, cap] with holds at (row, j, x), and -1 from the
-    first j that fails at x = 0 on. Rows outside the `search` mask stay -1.
+    first j that fails at x = 0 on.
 
     holds(rows, j, x) answers arrays of triples and must be monotone in j
     and x (true at (j, x) implies true at every smaller j and x). Each row
@@ -261,7 +263,7 @@ def _radii(holds, k: np.ndarray, cap: int, search=None) -> np.ndarray:
     lo = np.zeros(rows, dtype=np.int64)   # holds at (j, lo) once j is opened
     hi = np.full(rows, cap + 1, dtype=np.int64)  # fails at hi, or hi is past the cap
     opening = np.ones(rows, dtype=bool)   # next question is (j, 0)
-    live = (k >= 1) if search is None else (k >= 1) & search
+    live = k >= 1
     while live.any():
         act = np.flatnonzero(live)
         x = np.where(opening[act], 0, (lo[act] + hi[act]) // 2)
@@ -278,25 +280,3 @@ def _radii(holds, k: np.ndarray, cap: int, search=None) -> np.ndarray:
         opening[done] = True
         live[done] = j[done] <= k[done]
     return radii
-
-
-def _bagging_radii(table: BoundTable, ctx: CombinatoricContext, holds) -> np.ndarray:
-    """Z per row and target item, largest first, n_in[row] entries per row
-    one row after another, -1 for the items that lose at e' = 0.
-
-    Item i beats the single strongest outside competitor while
-    floor*(lower_i) > ceil*(upper_max) + sigma(e'); Z_i is the largest such
-    e', up to 10 n. With no outside item there is no competitor to lose to.
-    holds(rows, ranks, which, contexts) decides the comparison.
-    """
-    n, s = ctx.n, ctx.s
-    cap = _Z_CAP_FACTOR * n
-
-    def survives(i, rank, e_prime):
-        values, which = np.unique(e_prime, return_inverse=True)
-        return holds(i, rank, which, [make_context(n, e, s) for e in values.tolist()])
-
-    alone = table.n_out == 0
-    z = _radii(survives, table.n_in, cap, ~alone)
-    z[np.repeat(alone, table.n_in)] = cap
-    return z

@@ -45,11 +45,6 @@ DEFAULTS = {
     "bpr.neg_samples": 1,
 }
 
-_INT_KEYS = {"seed", "s", "T", "nprime", "N", "threads", "chunk_size",
-             "ir.k", "bpr.d", "bpr.epochs", "bpr.neg_samples"}
-_FLOAT_KEYS = {"fraction", "alpha", "bpr.learn_rate", "bpr.reg"}
-
-
 @dataclass
 class RunConfig:
     """Resolved settings for one command invocation."""
@@ -75,7 +70,8 @@ class RunConfig:
 
 
 def parse_config_file(path: str) -> dict:
-    """key=value lines; blank lines and # comments ignored; typed per key."""
+    """key=value lines; blank lines and # comments ignored; each value takes
+    the type of its key's default."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -89,16 +85,8 @@ def parse_config_file(path: str) -> dict:
             val = val.strip()
             if key not in DEFAULTS:
                 raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
-            out[key] = _coerce(key, val)
+            out[key] = type(DEFAULTS[key])(val)
     return out
-
-
-def _coerce(key: str, val: str):
-    if key in _INT_KEYS:
-        return int(val)
-    if key in _FLOAT_KEYS:
-        return float(val)
-    return val
 
 
 def parse_e_list(text: str) -> list[int]:

@@ -30,12 +30,6 @@ def derive_seed(*parts) -> int:
 
 
 @dataclass(frozen=True)
-class SubmatrixSample:
-    users: tuple  # sorted s distinct user ids
-    seed: int     # derivation seed
-
-
-@dataclass(frozen=True)
 class VoteCounts:
     """counts[u][i] = number of the T base models whose top-N' for u includes i."""
 
@@ -56,20 +50,21 @@ class VoteCounts:
         return int(self.counts.shape[1])
 
 
-def sample_submatrix(n: int, s: int, seed: int) -> SubmatrixSample:
-    """Uniform s-subset of the n users, without replacement, fixed by seed."""
+def sample_submatrix(n: int, s: int, seed: int) -> tuple:
+    """Uniform s-subset of the n users, without replacement, fixed by seed:
+    the sorted user ids."""
     if not 1 <= s <= n:
         raise ValueError(f"need 1 <= s <= n, got s={s}, n={n}")
     rng = np.random.default_rng(seed)
     users = np.sort(rng.choice(n, size=s, replace=False))
-    return SubmatrixSample(users=tuple(int(u) for u in users), seed=seed)
+    return tuple(int(u) for u in users)
 
 
 def _member_users(train_n: int, s: int, master_seed: int, t: int,
                   exhaustive_iter=None) -> tuple:
     if exhaustive_iter is not None:
         return next(exhaustive_iter)
-    return sample_submatrix(train_n, s, derive_seed(master_seed, t)).users
+    return sample_submatrix(train_n, s, derive_seed(master_seed, t))
 
 
 def params_digest(algo: str, params) -> str:

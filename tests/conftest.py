@@ -164,7 +164,7 @@ def reference_votes(train, algo: str, params, s: int, n_prime: int,
     counts = np.zeros((train.n_users, train.n_items), dtype=np.int32)
     for t in range(t_start, t_stop):
         members = ensemble.sample_submatrix(
-            train.n_users, s, ensemble.derive_seed(master_seed, t)).users
+            train.n_users, s, ensemble.derive_seed(master_seed, t))
         if algo == "ir":
             users, sub, seen, table = reference_ir(train, members, params.k)
             scores = [table @ row for row in sub.toarray()]

@@ -181,7 +181,7 @@ class TestExactPredicate:
 
 def _random_bounds(rng) -> tuple:
     """(lower, upper, contexts, N, n_prime): random bounds, as Fractions on
-    the C(n, s) grid or as floats, and contexts at e = 0..4."""
+    the C(n, s) grid or as floats, and contexts at e = 0..4 and 10 n + 1."""
     n = int(rng.integers(5, 11))
     s = int(rng.integers(1, min(4, n) + 1))
     m = int(rng.integers(4, 13))
@@ -193,16 +193,20 @@ def _random_bounds(rng) -> tuple:
                          rng.integers(0, denom + 1, size=k)] for k in (n_in, m - n_in))
     else:
         lower, upper = (rng.uniform(0, 1, size=k).tolist() for k in (n_in, m - n_in))
-    return lower, upper, _contexts(n, s, range(5)), N, int(rng.integers(1, 4))
+    return (lower, upper, _contexts(n, s, [0, 1, 2, 3, 4, 10 * n + 1]), N,
+            int(rng.integers(1, 4)))
 
 
 class TestSearchEquivalence:
     def test_radius_search_equals_linear_scan(self):
+        # both rules, the baseline on the same bounds drawn as N' = 1 votes
         rng = np.random.default_rng(42)
         for _ in range(250):
             lower, upper, contexts, N, n_prime = _random_bounds(rng)
             assert _certify_row(lower, upper, contexts, N, n_prime) == [
                 reference_r(lower, upper, ctx, N, n_prime) for ctx in contexts]
+            assert _certify_row(lower, upper, contexts, N, 1, "bagging") == [
+                reference_bagging_r(lower, upper, ctx, N) for ctx in contexts]
 
     def test_feasibility_downward_closed(self):
         # if the constraint holds at (r', e), it holds at every smaller r'
@@ -404,7 +408,8 @@ class TestSweepNearTies:
         rules = ("joint", "bagging")
         results = certify.sweep(train, vc, targets, 0.3, e_list, 3, 1, s, rules)
         for rule, res in zip(rules, results):
-            assert res.exact_fallbacks > 0, rule
+            # each rule counts its own comparisons, the fallbacks among them
+            assert res.verify_calls >= res.exact_fallbacks > 0, rule
             for u, row in zip(res.users.tolist(), res.r.tolist()):
                 lower, upper = reference_bounds(vc, u, targets[u], 0.3 / n)
                 for e, got in zip(e_list, row):
@@ -417,14 +422,16 @@ class TestSweepNearTies:
 
 class TestBagging:
     def test_hand_worked_z_values(self):
-        # same instance as the certification hand example: Z counts how many
-        # fake users item i survives against the single largest competitor
+        # same instance as the certification hand example: at budgets e = 0,
+        # 1, 2 the radius is the last e at which item i still beats the
+        # single largest competitor
         table = _hand_table()
-        z = certify._bagging_radii(
-            table, bounds.make_context(5, 0, 2),
-            lambda i, rank, which, ctxs: certify._holds(
-                "bagging", table, i, rank, ctxs, which, 3, 1)[0])
-        assert z.tolist() == [1, 0]  # item 0: sigma < 2/10 holds up to e'=1; item 1: e'=0
+        contexts = _contexts(5, 2, [0, 1, 2])
+        radii = certify._radii(
+            lambda i, rank, which: certify._holds(
+                "bagging", table, i, rank, contexts, which, 3, 1)[0],
+            np.minimum(table.n_in, 3), len(contexts) - 1)
+        assert radii.tolist() == [1, 0]  # item 0: sigma < 2/10 holds up to e=1; item 1: e=0
 
     def test_hand_worked_r_curve(self):
         assert _hand_certify([0, 1, 2, 5], ("bagging",)) == [[2, 1, 0, 0]]
@@ -453,8 +460,20 @@ class TestBagging:
                                   ("bagging",))
 
     def test_no_outside_items_certifies_all(self):
+        # at every budget, also past e = 10 n
         lower = [Fraction(1, 2), Fraction(1, 4)]
-        assert _certify_row(lower, [], _contexts(6, 3, [2]), 3, 1, "bagging") == [2]
+        assert _certify_row(lower, [], _contexts(6, 3, [2, 61]), 3, 1,
+                            "bagging") == [2, 2]
+
+    def test_s1_certificate_holds_past_ten_n(self):
+        # at s = 1, sigma = 0 at every e, so no budget moves either rule's r
+        lower, upper = [Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 8)] * 3
+        contexts = _contexts(6, 1, [0, 61])
+        assert [ctx.sigma for ctx in contexts] == [0, 0]
+        pore, bag = (_certify_row(lower, upper, contexts, 3, 1, rule)
+                     for rule in ("joint", "bagging"))
+        assert bag == [reference_bagging_r(lower, upper, contexts[0], 3)] * 2 == [2, 2]
+        assert pore == [pore[0]] * 2 and pore[0] > 0
 
     def test_bagging_sweep_monotone(self):
         train = random_tiny_matrix(14, 10, seed=4)

@@ -35,12 +35,12 @@ class TestSeeding:
     def test_submatrix_deterministic_sorted(self):
         a = ensemble.sample_submatrix(50, 12, seed=ensemble.derive_seed(3, 0))
         b = ensemble.sample_submatrix(50, 12, seed=ensemble.derive_seed(3, 0))
-        assert a.users == b.users
-        assert list(a.users) == sorted(a.users)
-        assert len(set(a.users)) == 12
+        assert a == b
+        assert list(a) == sorted(a)
+        assert len(set(a)) == 12
 
     def test_submatrices_differ_across_t(self):
-        subs = {ensemble.sample_submatrix(50, 12, ensemble.derive_seed(9, t)).users
+        subs = {ensemble.sample_submatrix(50, 12, ensemble.derive_seed(9, t))
                 for t in range(20)}
         assert len(subs) > 15
 
@@ -168,7 +168,7 @@ class TestKernelGoldenVotes:
         want = {1: np.zeros_like(got[1]), 3: np.zeros_like(got[3])}
         for t in range(20):
             members = ensemble.sample_submatrix(943, 200,
-                                                ensemble.derive_seed(0, t)).users
+                                                ensemble.derive_seed(0, t))
             model = base_rec.train_ir(train, np.asarray(members))
             users, sub, seen, table = reference_ir(train, members, 50)
             for part in ("indices", "indptr", "data"):
