@@ -66,34 +66,6 @@ def beta_quantile(beta: float, a, b, upper: bool = False):
     return out if out.ndim else float(out)
 
 
-class _QuantileCache:
-    """Quantiles bisected since the last cache_clear(), keyed (beta, a, b,
-    upper), as an lru_cache would keep them: vote-count spectra repeat
-    across users and calls. Held on the class, so that cache_clear() can
-    be called on it as on an lru_cache."""
-
-    values: dict = {}
-    hits = misses = 0
-
-    @classmethod
-    def cache_clear(cls) -> None:
-        cls.values, cls.hits, cls.misses = {}, 0, 0
-
-    @classmethod
-    def lookup(cls, beta: float, a: np.ndarray, b: np.ndarray, upper: bool) -> np.ndarray:
-        """beta_quantile of every (a, b), new pairs bisected in one call."""
-        keys = [(beta, x, y, upper) for x, y in zip(a.tolist(), b.tolist())]
-        new = [k for k in dict.fromkeys(keys) if k not in cls.values]
-        if new:
-            _, x, y, _ = zip(*new)
-            cls.values.update(zip(new, beta_quantile(beta, x, y, upper).tolist()))
-        cls.hits, cls.misses = cls.hits + len(keys) - len(new), cls.misses + len(new)
-        out = np.array([cls.values[k] for k in keys], dtype=np.float64)
-        if len(cls.values) > 65536:  # a bound on a long-lived process's cache
-            cls.values = {}
-        return out
-
-
 def _cp_by_count(counts, t: int, beta: float, upper: bool) -> np.ndarray:
     """cp_upper (or cp_lower) of every entry of a count array, one quantile
     per distinct count, all bisected together."""
@@ -107,7 +79,7 @@ def _cp_by_count(counts, t: int, beta: float, upper: bool) -> np.ndarray:
     c = values[~edge].astype(np.float64)
     # P_U(X <= c) is the upper tail of Beta(c + 1, t - c) at U
     a, b = (c + 1, t - c) if upper else (c, t - c + 1)
-    out[~edge] = _QuantileCache.lookup(beta * (1.0 - _LEVEL_MARGIN), a, b, upper)
+    out[~edge] = beta_quantile(beta * (1.0 - _LEVEL_MARGIN), a, b, upper)
     return out[inverse]
 
 

@@ -163,19 +163,17 @@ def _check_rules(rules, N: int, n_prime: int) -> None:
 
 
 def sweep(train, counts, target_sets, alpha: float, e_list, N: int,
-          n_prime: int, s: int, rules=("joint",)) -> tuple:
+          rules=("joint",)) -> tuple:
     """Certify every user under each rule at every e in e_list.
 
     target_sets maps user -> I_u (anything iterable of item ids). "joint" is
     the joint certificate, "bagging" the per-item baseline for N' = 1 votes.
-    The bounds of all users are estimated once, at budget alpha / n, and
-    certified by certify_table. Returns one SweepResult per rule, in the
-    order of `rules`.
+    s and N' are the counts' own. The bounds of all users are estimated
+    once, at budget alpha / n, and certified by certify_table. Returns one
+    SweepResult per rule, in the order of `rules`.
     """
-    _check_rules(rules, N, n_prime)
-    if counts.s != s or counts.n_prime != n_prime:
-        raise ValueError(f"vote counts have s={counts.s}, N'={counts.n_prime}; "
-                         f"certification asked for s={s}, N'={n_prime}")
+    # certify_table checks too, but after estimate_table, which a negative N breaks
+    _check_rules(rules, N, counts.n_prime)
     if counts.n != train.n_users or counts.m != train.n_items:
         raise ValueError("vote counts shape does not match the training matrix")
     if not 0.0 < alpha < 1.0:
@@ -193,8 +191,8 @@ def sweep(train, counts, target_sets, alpha: float, e_list, N: int,
                  len(skipped), skipped[:20])
     table = estimate_table(counts, users, [items[u] for u in users], alpha_u, N)
     return tuple(replace(res, alpha_u=alpha_u, skipped=tuple(skipped)) for res in
-                 certify_table(table, [make_context(n, e, s) for e in e_list],
-                               N, n_prime, rules))
+                 certify_table(table, [make_context(n, e, counts.s) for e in e_list],
+                               N, counts.n_prime, rules))
 
 
 def certify_table(table: BoundTable, contexts, N: int, n_prime: int,

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import base_rec, bounds, certify, ensemble, metrics, oracle, ratings
+from . import base_rec, certify, ensemble, metrics, oracle, ratings
 
 # defaults mirror the reference evaluation setup; T is shipped smaller than
 # the reference 100000 because certified values only grow with T (the shipped
@@ -289,7 +289,7 @@ def _sweep_rows(args, rules):
     N = int(cfg["N"])
     targets = _target_sets(args.target, vc, train, tests, N)
     sweeps = certify.sweep(train, vc, targets, float(cfg["alpha"]),
-                           parse_e_list(cfg["e"]), N, vc.n_prime, vc.s, rules)
+                           parse_e_list(cfg["e"]), N, rules)
     eligible = {u for u in range(train.n_users)
                 if tests.size(u) > 0 and len(targets[u]) > 0}
     rows = [_metric_rows(sw, targets, N, eligible) for sw in sweeps]
@@ -305,8 +305,6 @@ def _radius_histogram(sweep) -> dict:
 def cmd_certify(args) -> int:
     started = time.time()
     rules = ("joint",) if args.baseline is None else ("joint", args.baseline)
-    cache = bounds._QuantileCache
-    hits, misses = cache.hits, cache.misses
     cfg, sweeps, rows = _sweep_rows(args, rules)
     sweep = sweeps[0]
     e_list = sweep.e_list
@@ -339,10 +337,7 @@ def cmd_certify(args) -> int:
                                           for rule, sw in zip(rules, sweeps)},
                      "verify_constraint_calls": sweep.verify_calls,
                      "exact_fallbacks": {rule: sw.exact_fallbacks
-                                         for rule, sw in zip(rules, sweeps)},
-                     "quantile_cache": {
-                         "hits": cache.hits - hits,
-                         "misses": cache.misses - misses}},
+                                         for rule, sw in zip(rules, sweeps)}},
                     started)
     print(f"certified {len(sweep.users)} users at {len(e_list)} "
           f"attack budgets -> {args.out}")

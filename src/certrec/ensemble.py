@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import io
-import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -19,8 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .base_rec import BPRParams, IRParams, _ranked, recommend_all, train_base
-from .ratings import RatingMatrix, ParseError
-from .ratings import _parse_header  # shared "#... v1 k=v" header grammar
+# the "#... v1 k=v" header grammar is shared with the split files
+from .ratings import ParseError, RatingMatrix, _parse_header, _refuse_below
 
 
 def derive_seed(*parts) -> int:
@@ -60,13 +59,6 @@ def sample_submatrix(n: int, s: int, seed: int) -> tuple:
     return tuple(int(u) for u in users)
 
 
-def _member_users(train_n: int, s: int, master_seed: int, t: int,
-                  exhaustive_iter=None) -> tuple:
-    if exhaustive_iter is not None:
-        return next(exhaustive_iter)
-    return sample_submatrix(train_n, s, derive_seed(master_seed, t))
-
-
 def params_digest(algo: str, params) -> str:
     """Whitespace-free digest of the base-model parameters (None means the
     defaults), so votes from differently configured models are never mixed."""
@@ -84,17 +76,12 @@ def _member_params(algo: str, params, master_seed: int, t: int):
 
 
 def accumulate_votes(train: RatingMatrix, algo: str, params, s: int, n_prime: int,
-                     master_seed: int, t_start: int, t_stop: int,
-                     exhaustive: bool = False) -> np.ndarray:
+                     master_seed: int, t_start: int, t_stop: int) -> np.ndarray:
     """Vote contributions of members t_start..t_stop-1 as an n x m count array."""
     n, m = train.n_users, train.n_items
     counts = np.zeros((n, m), dtype=np.int32)
-    subset_iter = None
-    if exhaustive:
-        subset_iter = itertools.islice(
-            itertools.combinations(range(n), s), t_start, t_stop)
     for t in range(t_start, t_stop):
-        users = _member_users(n, s, master_seed, t, subset_iter)
+        users = sample_submatrix(n, s, derive_seed(master_seed, t))
         model = train_base(algo, train, np.asarray(users),
                            _member_params(algo, params, master_seed, t))
         # a model recommends each item at most once per user: no repeated cell
@@ -106,14 +93,12 @@ def accumulate_votes(train: RatingMatrix, algo: str, params, s: int, n_prime: in
 _POOL_CTX = {}
 
 
-def _pool_init(train, algo, params, s, n_prime, master_seed, exhaustive):
-    _POOL_CTX["args"] = (train, algo, params, s, n_prime, master_seed, exhaustive)
+def _pool_init(*args):
+    _POOL_CTX["args"] = args
 
 
 def _pool_range(span):
-    train, algo, params, s, n_prime, master_seed, exhaustive = _POOL_CTX["args"]
-    return accumulate_votes(train, algo, params, s, n_prime, master_seed,
-                            span[0], span[1], exhaustive)
+    return accumulate_votes(*_POOL_CTX["args"], span[0], span[1])
 
 
 def _ranges(t_start: int, t_stop: int, pieces: int):
@@ -124,8 +109,7 @@ def _ranges(t_start: int, t_stop: int, pieces: int):
 
 
 def accumulate_votes_parallel(train, algo, params, s, n_prime, master_seed,
-                              t_start, t_stop, threads: int,
-                              exhaustive: bool = False) -> np.ndarray:
+                              t_start, t_stop, threads: int) -> np.ndarray:
     """Same result as accumulate_votes; members are split across processes.
 
     Count addition is associative and commutative and member seeds do not
@@ -133,31 +117,25 @@ def accumulate_votes_parallel(train, algo, params, s, n_prime, master_seed,
     """
     if threads <= 1 or t_stop - t_start <= 1:
         return accumulate_votes(train, algo, params, s, n_prime, master_seed,
-                                t_start, t_stop, exhaustive)
+                                t_start, t_stop)
     total = np.zeros((train.n_users, train.n_items), dtype=np.int32)
     spans = _ranges(t_start, t_stop, threads * 4)
     with ProcessPoolExecutor(
             max_workers=threads, initializer=_pool_init,
-            initargs=(train, algo, params, s, n_prime, master_seed, exhaustive)) as pool:
+            initargs=(train, algo, params, s, n_prime, master_seed)) as pool:
         for part in pool.map(_pool_range, spans):
             total += part
     return total
 
 
 def build_vote_counts(train: RatingMatrix, algo: str, params, T: int, s: int,
-                      n_prime: int, master_seed: int, threads: int = 1,
-                      exhaustive: bool = False) -> VoteCounts:
-    """Train T base models on sampled s-user submatrices and count their votes.
-
-    exhaustive=True enumerates every C(n,s) subset exactly once in
-    lexicographic order instead of sampling; T is then forced to C(n,s).
-    """
-    if exhaustive:
-        T = math.comb(train.n_users, s)
+                      n_prime: int, master_seed: int, threads: int = 1) -> VoteCounts:
+    """Train T base models on sampled s-user submatrices and count their votes
+    (oracle.exact_item_probs counts those of all C(n, s) submatrices)."""
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     counts = accumulate_votes_parallel(train, algo, params, s, n_prime,
-                                       master_seed, 0, T, threads, exhaustive)
+                                       master_seed, 0, T, threads)
     return VoteCounts(T=T, n_prime=n_prime, s=s, counts=counts,
                       master_seed=master_seed, algo=algo,
                       params=params_digest(algo, params))
@@ -236,6 +214,7 @@ def load_votes(path: str) -> VoteCounts:
                      if body.strip() else np.zeros((0, 3), dtype=np.int64))
         except (KeyError, ValueError) as exc:
             raise ParseError(f"{path}: {exc}") from None
+    _refuse_below(path, n=(n, 0), m=(m, 0), T=(T, 0), nprime=(n_prime, 1), s=(s, 1))
     if cells.size == 0:
         cells = cells.reshape(0, 3)
     if cells.shape[1] != 3:

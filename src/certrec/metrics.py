@@ -25,9 +25,6 @@ class MetricRow:
     cert_precision: float
     cert_recall: float
     cert_f1: float
-    std_precision: float | None = None  # e=0 counterparts, when computed
-    std_recall: float | None = None
-    std_f1: float | None = None
     n_users: int = 0
 
 

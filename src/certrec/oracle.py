@@ -36,11 +36,11 @@ def exact_item_probs(matrix: RatingMatrix, algo: str, params, s: int,
 
     The result is the vote counts of the exhaustive ensemble, T = C(n, s), so
     counts[u, i] / T is the exact probability that i is recommended to u.
-    The subset enumeration is kept apart from ensemble.accumulate_votes on
-    purpose: the tests compare the two. ir models on integer ratings are
-    counted by base_rec.ir_votes_batched; the same C(n, s) models then go
-    through train_ir + recommend_all, and any vote that differs raises
-    RuntimeError. Other models use the per-model path alone.
+    This is the only enumeration of submatrices; ensemble.accumulate_votes
+    samples them. ir models on integer ratings are counted by
+    base_rec.ir_votes_batched; the same C(n, s) models then go through
+    train_ir + recommend_all, and any vote that differs raises RuntimeError.
+    Other models use the per-model path alone.
     """
     n, m = matrix.n_users, matrix.n_items
     total = math.comb(n, s)

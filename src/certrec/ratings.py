@@ -230,6 +230,13 @@ def _parse_header(line: str, magic: str) -> dict:
     return fields
 
 
+def _refuse_below(path: str, **fields) -> None:
+    """Refuse the first header field, given as name=(value, least), below its least."""
+    for key, (value, least) in fields.items():
+        if value < least:
+            raise ParseError(f"{path}: header field {key}={value} is below {least}")
+
+
 # what the array parse of a split takes once the row kinds are cut off: on
 # these characters loadtxt's numbers are exactly Python's int() and float()
 _NUMERIC = b"0123456789,.+-eE\n"
@@ -327,6 +334,7 @@ def load_split(path: str):
             header["fraction"] = float(header["fraction"])
         except (KeyError, ValueError) as exc:
             raise ParseError(f"{path}: malformed split header: {exc}") from None
+        _refuse_below(path, n=(n, 0), m=(m, 0))
         body = fh.read()
     rows = _array_rows(body, n, m)
     tr, te = _line_rows(path, body, n, m) if rows is None else rows

@@ -1,6 +1,7 @@
 """Shared fixtures: acceptance reporting, dataset discovery, synthetic instances."""
 
 import builtins
+import itertools
 import math
 import os
 from fractions import Fraction
@@ -178,6 +179,17 @@ def reference_votes(train, algo: str, params, s: int, n_prime: int,
     return counts
 
 
+def reference_exhaustive_votes(matrix, algo: str, params, s: int,
+                               n_prime: int) -> np.ndarray:
+    """Vote counts of the exhaustive ensemble: train_base + recommend_all on
+    every s-subset of the users, one model at a time."""
+    counts = np.zeros((matrix.n_users, matrix.n_items), dtype=np.int32)
+    for subset in itertools.combinations(range(matrix.n_users), s):
+        model = base_rec.train_base(algo, matrix, np.asarray(subset), params)
+        counts[base_rec.recommend_all(model, n_prime)] += 1
+    return counts
+
+
 # --- reference split I/O, quantile, top-n rule and table sums: the
 # line-by-line loader and writer, the scalar bisection, the stable sort, the
 # partition of each user's outside counts and the Python addition loop that
@@ -338,14 +350,15 @@ def neumaier_sum(iterable, /, start=0):
 
 def reference_bounds(vc, u: int, items_in, alpha_u: float):
     """(lower bounds on I_u, upper bounds outside it) of user u, each in
-    ascending item order, one cp_lower / cp_upper call per item at the
-    Bonferroni budget alpha_u / m."""
+    ascending item order, cp_lower / cp_upper of each item's count at the
+    Bonferroni budget alpha_u / m (through _cp_by_count, as those two are,
+    one call per side)."""
     budget = alpha_u / vc.m
-    inside = {int(i) for i in items_in}
-    row = vc.counts[u].tolist()
-    return ([bounds.cp_lower(row[i], vc.T, budget) for i in sorted(inside)],
-            [bounds.cp_upper(row[j], vc.T, budget) for j in range(vc.m)
-             if j not in inside])
+    inside = sorted({int(i) for i in items_in})
+    outside = [j for j in range(vc.m) if j not in inside]
+    row = vc.counts[u]
+    return (bounds._cp_by_count(row[inside], vc.T, budget, False).tolist(),
+            bounds._cp_by_count(row[outside], vc.T, budget, True).tolist())
 
 
 def reference_holds(r_prime: int, lower, upper, ctx, N: int, n_prime: int) -> bool:

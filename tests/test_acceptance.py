@@ -17,7 +17,8 @@ import scipy.special
 from certrec import base_rec, bounds, certify, ensemble, metrics, oracle, ratings
 
 from conftest import (ML100K_HINT, one_row_table, prob_row, random_tiny_matrix,
-                      reference_bounds, reference_r, structured_instance)
+                      reference_exhaustive_votes, reference_r,
+                      structured_instance)
 from test_certify import _random_bounds
 
 N_AT = 10
@@ -59,11 +60,10 @@ def synthetic_sweeps():
                                             master_seed=0, algo="ir")
     targets = [tests[u].tolist() for u in range(train.n_users)]
     pore = {T: certify.sweep(train, snaps[T], targets, alpha=0.2,
-                             e_list=SWEEP_E, N=N_AT, n_prime=1, s=12)[0]
+                             e_list=SWEEP_E, N=N_AT)[0]
             for T in T_GRID}
     bag = certify.sweep(train, snaps[T_GRID[-1]], targets, alpha=0.2,
-                        e_list=SWEEP_E, N=N_AT, n_prime=1, s=12,
-                        rules=("bagging",))[0]
+                        e_list=SWEEP_E, N=N_AT, rules=("bagging",))[0]
     return train, tests, snaps, pore, bag
 
 
@@ -149,14 +149,13 @@ def test_criterion_3_oracle_equivalence(acceptance):
         mat = random_tiny_matrix(n, m, seed=int(rng.integers(0, 10 ** 6)))
         probs = oracle.exact_item_probs(mat, "ir", base_rec.IRParams(), s,
                                         n_prime)
-        vc = ensemble.build_vote_counts(mat, "ir", base_rec.IRParams(), T=0,
-                                        s=s, n_prime=n_prime, master_seed=0,
-                                        exhaustive=True)
-        assert vc.T == probs.T == math.comb(n, s)
+        votes = reference_exhaustive_votes(mat, "ir", base_rec.IRParams(), s,
+                                           n_prime)
+        assert probs.T == math.comb(n, s)
         for u in range(n):
             row = prob_row(probs, u)
             for i in range(m):
-                if Fraction(int(vc.counts[u, i]), vc.T) != row[i]:
+                if Fraction(int(votes[u, i]), probs.T) != row[i]:
                     mismatches.append((trial, u, i))
     search_bad = 0
     qrng = np.random.default_rng(304)
@@ -233,8 +232,7 @@ def test_criterion_5_monotonicity(acceptance, synthetic_sweeps, ml100k_run):
     m_train, m_tests, m_snaps = ml100k_run
     targets = [m_tests[u].tolist() for u in range(m_train.n_users)]
     m_pore = {T: certify.sweep(m_train, m_snaps[T], targets,
-                               alpha=0.001, e_list=SWEEP_E, N=N_AT,
-                               n_prime=1, s=300)[0]
+                               alpha=0.001, e_list=SWEEP_E, N=N_AT)[0]
               for T in T_GRID}
     e_bad, t_bad, top = check(m_tests, m_pore)
     ok = not e_bad and not t_bad
@@ -292,20 +290,23 @@ def test_criterion_7_calibration(acceptance):
     exact_rows = {u: prob_row(probs, u) for u in range(n)}
     rng = np.random.default_rng(77)
     alpha_u = alpha / n
+    # every count's bounds once, at the Bonferroni budget alpha_u / m
+    each = np.arange(t_draws + 1)
+    lower_of = bounds._cp_by_count(each, t_draws, alpha_u / m, False)
+    upper_of = bounds._cp_by_count(each, t_draws, alpha_u / m, True)
     bad_runs = 0
     for _ in range(runs):
         idx = rng.integers(0, probs.T, size=t_draws)
-        counts = patterns[idx].sum(axis=0).astype(np.int32)
-        vc = ensemble.VoteCounts(T=t_draws, n_prime=1, s=3, counts=counts,
-                                 master_seed=0, algo="ir")
+        counts = patterns[idx].sum(axis=0)
         violated = False
         for u in range(n):
             if not targets[u]:
                 continue
             inside = sorted(targets[u])
-            lower, upper = reference_bounds(vc, u, inside, alpha_u)
-            row = exact_rows[u]
             outside = [j for j in range(m) if j not in inside]
+            lower = lower_of[counts[u, inside]].tolist()
+            upper = upper_of[counts[u, outside]].tolist()
+            row = exact_rows[u]
             if any(Fraction(lo) > row[i] for i, lo in zip(inside, lower)) or \
                any(Fraction(up) < row[j] for j, up in zip(outside, upper)):
                 violated = True

@@ -11,7 +11,6 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import certrec
 from certrec import bounds
 from certrec.ensemble import VoteCounts
 
@@ -117,27 +116,6 @@ class TestArrayBisection:
             with pytest.raises(ValueError, match="need 0 <= count <= t"):
                 bounds._cp_by_count(np.array(bad), 10, 0.01, False)
 
-    def test_cache_counts_lookups_and_clears(self):
-        cache = bounds._QuantileCache
-        cache.cache_clear()
-        bounds._cp_by_count(np.array([0, 3, 3, 7]), 10, 0.01, False)
-        assert (cache.hits, cache.misses) == (0, 2)  # 0 is no quantile
-        bounds.cp_lower(3, 10, 0.01)
-        bounds.cp_upper(3, 10, 0.01)  # another tail, another quantile
-        assert (cache.hits, cache.misses) == (1, 3)
-        cache.cache_clear()
-        assert (cache.hits, cache.misses, cache.values) == (0, 0, {})
-
-    def test_every_cache_clears_without_arguments(self):
-        # a cold start empties every cache_clear it finds on module objects
-        for mod in (getattr(certrec, name) for name in dir(certrec)):
-            if type(mod) is type(certrec):
-                for obj in list(vars(mod).values()):
-                    clear = getattr(obj, "cache_clear", None)
-                    if callable(clear):
-                        clear()
-        assert bounds._QuantileCache.values == {}
-
 
 class TestClopperPearson:
     @pytest.mark.parametrize("t_i,t,beta,want", FROZEN_LOWER)
@@ -163,15 +141,14 @@ class TestClopperPearson:
     def test_textbook_coverage_brackets_truth(self):
         # textbook CP: exact binomial coverage at level 1 - beta per side
         t, p, beta = 60, 0.3, 0.05
+        # every count's bounds once, as cp_lower and cp_upper give them
+        lower = bounds._cp_by_count(np.arange(t + 1), t, beta, False)
+        upper = bounds._cp_by_count(np.arange(t + 1), t, beta, True)
         rng = np.random.default_rng(7)
-        misses_lo = misses_hi = 0
         runs = 2000
-        for _ in range(runs):
-            k = int(rng.binomial(t, p))
-            if bounds.cp_lower(k, t, beta) > p:
-                misses_lo += 1
-            if bounds.cp_upper(k, t, beta) < p:
-                misses_hi += 1
+        ks = [int(rng.binomial(t, p)) for _ in range(runs)]
+        misses_lo = int((lower[ks] > p).sum())
+        misses_hi = int((upper[ks] < p).sum())
         slack = 3 * math.sqrt(beta * (1 - beta) / runs)
         assert misses_lo / runs <= beta + slack
         assert misses_hi / runs <= beta + slack
@@ -435,8 +412,12 @@ class TestBoundTable:
                 low_of, up_of = (lambda c: Fraction(int(c), t),) * 2
             else:
                 table = bounds.estimate_table(vc, users, items, alpha_u, width)
-                low_of = lambda c: bounds.cp_lower(int(c), t, alpha_u / m)
-                up_of = lambda c: bounds.cp_upper(int(c), t, alpha_u / m)
+                # cp_lower and cp_upper of each distinct count, once
+                each = np.unique(counts).tolist()
+                low = bounds._cp_by_count(each, t, alpha_u / m, False).tolist()
+                up = bounds._cp_by_count(each, t, alpha_u / m, True).tolist()
+                low_of = dict(zip(each, low)).__getitem__
+                up_of = dict(zip(each, up)).__getitem__
             top = [[up_of(c) if c >= 0 else 0 for c in row] for row in want]
             assert table.top.tolist() == top
             assert table.sum_lower.tolist() == [

@@ -237,7 +237,7 @@ class TestSweep:
         train, vc, targets = self._setup()
         e_list = [0, 1, 2, 4, 8]
         sweep = certify.sweep(train, vc, targets, alpha=0.2,
-                              e_list=e_list, N=3, n_prime=1, s=5)[0]
+                              e_list=e_list, N=3)[0]
         assert not sweep.skipped
         assert sweep.users.tolist() == list(range(14))
         assert sweep.r.shape == (14, len(e_list))
@@ -248,7 +248,7 @@ class TestSweep:
     def test_alpha_budget_division(self):
         train, vc, targets = self._setup()
         sweep = certify.sweep(train, vc, targets, alpha=0.28,
-                              e_list=[0], N=3, n_prime=1, s=5)[0]
+                              e_list=[0], N=3)[0]
         assert sweep.alpha_u == pytest.approx(0.28 / 14)
 
     def test_empty_target_users_skipped(self):
@@ -256,18 +256,9 @@ class TestSweep:
         targets = [[] for _ in range(14)]
         targets[3] = ensemble.ensemble_recommend_all(vc, train, 3)[3]
         sweep = certify.sweep(train, vc, targets, alpha=0.2,
-                              e_list=[0], N=3, n_prime=1, s=5)[0]
+                              e_list=[0], N=3)[0]
         assert len(sweep.users) == 1
         assert set(sweep.skipped) == set(range(14)) - {3}
-
-    def test_mismatched_counts_rejected(self):
-        train, vc, targets = self._setup()
-        with pytest.raises(ValueError):
-            certify.sweep(train, vc, targets, alpha=0.2, e_list=[0],
-                          N=3, n_prime=2, s=5)
-        with pytest.raises(ValueError):
-            certify.sweep(train, vc, targets, alpha=0.2, e_list=[0],
-                          N=3, n_prime=1, s=6)
 
     @pytest.mark.parametrize("N", [0, -1])
     def test_nonpositive_N_refused(self, N):
@@ -275,7 +266,7 @@ class TestSweep:
         train, vc, targets = self._setup()
         with pytest.raises(ValueError, match="N must be >= 1"):
             certify.sweep(train, vc, targets, alpha=0.2, e_list=[0], N=N,
-                          n_prime=1, s=5, rules=("joint", "bagging"))
+                          rules=("joint", "bagging"))
 
 
 def _random_sweep_instance(rng):
@@ -329,10 +320,14 @@ class TestRadiusSweep:
                     _contexts(n, vc.s, e_sorted), N, vc.n_prime, rules)
             else:
                 results = certify.sweep(train, vc, targets, alpha, e_list, N,
-                                        vc.n_prime, vc.s, rules)
+                                        rules)
                 for res in results:
                     assert res.alpha_u == alpha / n
                     assert set(res.skipped) == set(range(n)) - set(users)
+                # reference_bounds of every user, one call per side
+                budget = alpha / n / vc.m
+                low = bounds._cp_by_count(vc.counts, vc.T, budget, False)
+                up = bounds._cp_by_count(vc.counts, vc.T, budget, True)
             seen["skipped"] += n - len(users)
             for rule, res in zip(rules, results):
                 assert list(res.e_list) == e_sorted
@@ -343,7 +338,9 @@ class TestRadiusSweep:
                         lower = [p[i] for i in sorted(targets[u])]
                         upper = [p[j] for j in range(vc.m) if j not in targets[u]]
                     else:
-                        lower, upper = reference_bounds(vc, u, targets[u], alpha / n)
+                        outside = [j for j in range(vc.m) if j not in targets[u]]
+                        lower = low[u, sorted(targets[u])].tolist()
+                        upper = up[u, outside].tolist()
                     want = [reference_r(lower, upper, ctx, N, vc.n_prime)
                             if rule == "joint" else
                             reference_bagging_r(lower, upper, ctx, N)
@@ -361,7 +358,7 @@ class TestRadiusSweep:
         vc = ensemble.build_vote_counts(train, "ir", base_rec.IRParams(),
                                         T=300, s=5, n_prime=1, master_seed=11)
         targets = ensemble.ensemble_recommend_all(vc, train, 3)
-        kw = dict(alpha=0.2, N=3, n_prime=1, s=5, rules=("joint", "bagging"))
+        kw = dict(alpha=0.2, N=3, rules=("joint", "bagging"))
         messy = certify.sweep(train, vc, targets, e_list=[10, 0, 5, 5], **kw)
         for res in messy:
             assert res.e_list == (0, 5, 10)
@@ -377,8 +374,7 @@ class TestRadiusSweep:
                                  algo="ir",
                                  counts=np.zeros((8, 6), dtype=np.int32))
         with pytest.raises(ValueError):
-            certify.sweep(train, vc, [[0]] * 8, alpha=0.2, e_list=[], N=2,
-                          n_prime=1, s=2)
+            certify.sweep(train, vc, [[0]] * 8, alpha=0.2, e_list=[], N=2)
 
     @pytest.mark.parametrize("n,s", [(943, 200), (943, 50), (14, 5), (8, 4)])
     def test_approx_sigma_never_decreases_in_e(self, n, s):
@@ -406,7 +402,7 @@ class TestSweepNearTies:
         train = random_tiny_matrix(n, m, seed=3)
         e_list = [0, 1, 2, 3]
         rules = ("joint", "bagging")
-        results = certify.sweep(train, vc, targets, 0.3, e_list, 3, 1, s, rules)
+        results = certify.sweep(train, vc, targets, 0.3, e_list, 3, rules)
         for rule, res in zip(rules, results):
             # each rule counts its own comparisons, the fallbacks among them
             assert res.verify_calls >= res.exact_fallbacks > 0, rule
@@ -481,7 +477,6 @@ class TestBagging:
                                         T=300, s=5, n_prime=1, master_seed=11)
         targets = ensemble.ensemble_recommend_all(vc, train, 3)
         sweep = certify.sweep(train, vc, targets, alpha=0.2,
-                              e_list=[0, 1, 3], N=3, n_prime=1, s=5,
-                              rules=("bagging",))[0]
+                              e_list=[0, 1, 3], N=3, rules=("bagging",))[0]
         for rs in sweep.r.tolist():
             assert all(a >= b for a, b in zip(rs, rs[1:]))

@@ -1,6 +1,5 @@
 """Vote aggregation: seeding, determinism, chunking, parallelism, persistence."""
 
-import math
 import warnings
 
 import numpy as np
@@ -104,13 +103,6 @@ class TestAccumulation:
         # ir params pass through untouched
         ir = base_rec.IRParams()
         assert ensemble._member_params("ir", ir, 5, 0) is ir
-
-    def test_exhaustive_enumerates_all_subsets(self):
-        train = random_tiny_matrix(6, 6, seed=1)
-        vc = ensemble.build_vote_counts(train, "ir", base_rec.IRParams(),
-                                        T=0, s=3, n_prime=1, master_seed=0,
-                                        exhaustive=True)
-        assert vc.T == math.comb(6, 3) == 20
 
 
 class TestKernelGoldenVotes:
@@ -344,3 +336,22 @@ class TestPersistence:
                         f"0,0,1\n{row}\n")
         with pytest.raises(ParseError, match=problem):
             ensemble.load_votes(str(path))
+
+    @pytest.mark.parametrize("fields, refused", [
+        ("n=-2", "n=-2 is below 0"),       # numpy refused the shape, no path
+        ("m=-1", "m=-1 is below 0"),
+        ("T=-4 s=0 nprime=0", "T=-4 is below 0"),
+        ("s=0", "s=0 is below 1"),
+        ("nprime=0", "nprime=0 is below 1"),
+        ("s=-3", "s=-3 is below 1")],
+        ids=["n", "m", "T-s-nprime", "s", "nprime", "s-negative"])
+    def test_impossible_header_refused(self, tmp_path, fields, refused):
+        path = tmp_path / "v.txt"
+        header = dict(tok.split("=") for tok in
+                      "n=3 m=4 T=10 s=1 nprime=1 algo=ir seed=0".split())
+        header.update(tok.split("=") for tok in fields.split())
+        path.write_text("#votes v1 " + " ".join(f"{k}={v}" for k, v in
+                                                header.items()) + "\n")
+        with pytest.raises(ParseError, match=f"header field {refused}") as err:
+            ensemble.load_votes(str(path))
+        assert str(path) in str(err.value)

@@ -1,7 +1,6 @@
 """Exhaustive enumeration oracle and attack machinery."""
 
 import inspect
-import itertools
 import math
 import textwrap
 from fractions import Fraction
@@ -12,7 +11,8 @@ from scipy.sparse import csr_matrix, vstack
 
 from certrec import base_rec, bounds, ensemble, oracle
 
-from conftest import (prob_row, random_tiny_matrix, reference_r,
+from conftest import (prob_row, random_tiny_matrix,
+                      reference_exhaustive_votes, reference_r,
                       signed_float_matrix)
 
 
@@ -35,20 +35,6 @@ class TestExactProbs:
         with pytest.raises(ValueError, match="enumeration guard"):
             oracle.exact_item_probs(m, "ir", base_rec.IRParams(), s=20,
                                     n_prime=1)
-
-    def test_matches_exhaustive_vote_counts(self):
-        # two independent code paths over the same C(n,s) enumeration
-        m = random_tiny_matrix(7, 6, seed=5)
-        probs = oracle.exact_item_probs(m, "ir", base_rec.IRParams(), s=3,
-                                        n_prime=2)
-        vc = ensemble.build_vote_counts(m, "ir", base_rec.IRParams(), T=0,
-                                        s=3, n_prime=2, master_seed=0,
-                                        exhaustive=True)
-        assert vc.T == probs.T
-        for u in range(7):
-            for i in range(6):
-                assert Fraction(int(vc.counts[u, i]), vc.T) == \
-                    Fraction(int(probs.counts[u, i]), probs.T)
 
     def test_top_n_uses_clean_ratings_for_exclusion(self):
         m = random_tiny_matrix(6, 6, seed=8)
@@ -369,15 +355,6 @@ def _refuse_batched(*args):
     raise AssertionError("the batched kernel must not run here")
 
 
-def _model_votes(matrix, algo, params, s, n_prime):
-    """Per-subset train_base + recommend_all over every s-subset."""
-    counts = np.zeros((matrix.n_users, matrix.n_items), dtype=np.int32)
-    for subset in itertools.combinations(range(matrix.n_users), s):
-        model = base_rec.train_base(algo, matrix, np.asarray(subset), params)
-        counts[base_rec.recommend_all(model, n_prime)] += 1
-    return counts
-
-
 class TestBatchedOracle:
     """The oracle counts ir votes on integer ratings in batches; every run
     checks the clean models against train_ir + recommend_all."""
@@ -403,6 +380,15 @@ class TestBatchedOracle:
         _assert_same_counts(oracle.exact_item_probs(matrix, "ir", params, 3, 2),
                             whole)
 
+    def test_integer_ratings_take_the_batched_path(self):
+        matrix = random_tiny_matrix(7, 6, seed=5)
+        params = base_rec.IRParams()
+        assert oracle._batched_ir(matrix, "ir", 3)
+        probs = oracle.exact_item_probs(matrix, "ir", params, 3, 2)
+        assert probs.T == math.comb(7, 3)
+        assert np.array_equal(probs.counts,
+                              reference_exhaustive_votes(matrix, "ir", params, 3, 2))
+
     def test_float_ratings_take_the_model_path(self, monkeypatch, tmp_path):
         matrix = signed_float_matrix(tmp_path)
         params = base_rec.IRParams(k=3)
@@ -410,7 +396,7 @@ class TestBatchedOracle:
         monkeypatch.setattr(oracle, "ir_votes_batched", _refuse_batched)
         probs = oracle.exact_item_probs(matrix, "ir", params, 2, 2)
         assert np.array_equal(probs.counts,
-                              _model_votes(matrix, "ir", params, 2, 2))
+                              reference_exhaustive_votes(matrix, "ir", params, 2, 2))
         rows = oracle.make_fake_rows(matrix, 1, "random-ratings",
                                      np.random.default_rng(0))
         poisoned = oracle.append_fake_users(matrix, rows)
@@ -423,7 +409,7 @@ class TestBatchedOracle:
         monkeypatch.setattr(oracle, "ir_votes_batched", _refuse_batched)
         probs = oracle.exact_item_probs(matrix, "bpr", params, 2, 2)
         assert np.array_equal(probs.counts,
-                              _model_votes(matrix, "bpr", params, 2, 2))
+                              reference_exhaustive_votes(matrix, "bpr", params, 2, 2))
         report = oracle.exhaustive_two_level_check(
             matrix, probs, params, N=2, e=1, cert_r={}, targets={})
         assert report.trials == 2 ** 5

@@ -209,6 +209,17 @@ class TestSplitRoundTrip:
         with pytest.raises(ParseError):
             ratings.load_split(str(p))
 
+    @pytest.mark.parametrize("n, m, refused", [
+        (-1, 2, "n=-1 is below 0"),   # loaded as a split of no users
+        (2, -1, "m=-1 is below 0"),
+        (-3, -3, "n=-3 is below 0")], ids=["n", "m", "n-m"])
+    def test_negative_shape_refused(self, tmp_path, n, m, refused):
+        p = tmp_path / "split.txt"
+        p.write_text(f"#split v1 n={n} m={m} seed=0 fraction=0.75\n")
+        with pytest.raises(ParseError, match=f"header field {refused}") as err:
+            ratings.load_split(str(p))
+        assert str(p) in str(err.value)
+
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 12), st.integers(2, 10), st.integers(0, 99))
