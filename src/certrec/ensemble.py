@@ -11,15 +11,17 @@ from __future__ import annotations
 import hashlib
 import io
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .base_rec import BPRParams, IRParams, _ranked, recommend_all, train_base
-# the "#... v1 k=v" header grammar is shared with the split files
-from .ratings import ParseError, RatingMatrix, _parse_header, _refuse_below
+# the header grammar, the v2 body helpers and the crash-safe write are
+# shared with the split files
+from .ratings import (ParseError, RatingMatrix, _fixed_rows, _read_file,
+                      _refuse_below, _refuse_cells, _refuse_wide,
+                      _replace_file)
 
 
 def derive_seed(*parts) -> int:
@@ -177,65 +179,63 @@ def _top_n(counts: VoteCounts, train: RatingMatrix, lo: int, hi: int,
     return [x.tolist() for x in np.split(items, cuts)]
 
 
-def save_votes(path: str, vc: VoteCounts) -> None:
-    """Persist counts: header then u,i,count rows, zero counts omitted.
+# a v2 votes row; the writer emits one per nonzero cell, row-major
+_VOTE_V2 = np.dtype([("u", "<i4"), ("i", "<i4"), ("count", "<i4")])
 
-    The file is written under a temporary name, synced, then renamed over
-    path, so a crash leaves either the previous file or the complete new one.
-    """
-    tmp = path + ".tmp"
+
+def save_votes(path: str, vc: VoteCounts) -> None:
+    """Persist counts as v2: the header, then one _VOTE_V2 row per nonzero
+    cell in row-major order, written crash-safe by _replace_file."""
+    _refuse_wide(n=vc.n, m=vc.m, T=vc.T)
+    rows, cols = np.nonzero(vc.counts)
+    body = np.empty(len(rows), _VOTE_V2)
+    body["u"], body["i"], body["count"] = rows, cols, vc.counts[rows, cols]
     digest = f" params={vc.params}" if vc.params else ""
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(f"#votes v1 n={vc.n} m={vc.m} T={vc.T} s={vc.s} "
-                 f"nprime={vc.n_prime} algo={vc.algo} seed={vc.master_seed}"
-                 f"{digest}\n")
-        rows, cols = np.nonzero(vc.counts)
-        fh.write("".join(f"{u},{i},{c}\n" for u, i, c in zip(
-            rows.tolist(), cols.tolist(), vc.counts[rows, cols].tolist())))
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    header = (f"#votes v2 n={vc.n} m={vc.m} T={vc.T} s={vc.s} "
+              f"nprime={vc.n_prime} algo={vc.algo} seed={vc.master_seed}"
+              f"{digest} rows={len(body)}\n")
+    _replace_file(path, header.encode(), body)
 
 
 def load_votes(path: str) -> VoteCounts:
-    """Read a votes file, refusing cells outside the matrix, counts outside
-    [0, T], repeated cells and users with more than T * nprime votes. A
-    header without params= (older files) gives params=""."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = _parse_header(fh.readline().rstrip("\n"), "#votes v1 ")
-        try:
-            n, m, T, n_prime, s, seed = (int(header[k]) for k in
-                                         ("n", "m", "T", "nprime", "s", "seed"))
-            algo = header["algo"]
-            body = fh.read()
-            # loadtxt warns on a body without rows: no votes is read directly
-            cells = (np.loadtxt(io.StringIO(body), delimiter=",",
-                                dtype=np.int64, ndmin=2)
-                     if body.strip() else np.zeros((0, 3), dtype=np.int64))
-        except (KeyError, ValueError) as exc:
-            raise ParseError(f"{path}: {exc}") from None
+    """Read a votes file of either version, refusing s > n, cells outside
+    the matrix, counts outside [0, T], repeated cells and users with more
+    than T * nprime votes; every error names the file. A header without
+    params= (older files) gives params=""."""
+    version, header, body = _read_file(path, "votes")
+    try:
+        n, m, T, n_prime, s, seed = (int(header[k]) for k in
+                                     ("n", "m", "T", "nprime", "s", "seed"))
+        algo = header["algo"]
+        if version == 2:
+            rows = int(header["rows"])
+        elif body.strip():
+            cells = np.loadtxt(io.StringIO(body), delimiter=",",
+                               dtype=np.int64, ndmin=2)
+        else:  # loadtxt warns on a body without rows: no votes is read directly
+            cells = np.zeros((0, 3), dtype=np.int64)
+    except (KeyError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
     _refuse_below(path, n=(n, 0), m=(m, 0), T=(T, 0), nprime=(n_prime, 1), s=(s, 1))
-    if cells.size == 0:
-        cells = cells.reshape(0, 3)
-    if cells.shape[1] != 3:
-        raise ParseError(f"{path}: expected 3 columns (u,i,count), got "
-                         f"{cells.shape[1]}")
-    u, i, c = cells.T
-    bad = np.flatnonzero((u < 0) | (u >= n) | (i < 0) | (i >= m))
-    if bad.size:
-        k = bad[0]
-        raise ParseError(f"{path}: vote cell ({u[k]}, {i[k]}) outside the "
-                         f"{n} x {m} matrix")
+    if s > n:
+        raise ParseError(f"{path}: header field s={s} is above n={n}")
+    if version == 2:
+        _refuse_below(path, rows=(rows, 0))
+        (cells,) = _fixed_rows(path, body, (_VOTE_V2, rows))
+        u, i, c = cells["u"], cells["i"], cells["count"]
+    else:
+        if cells.size == 0:
+            cells = cells.reshape(0, 3)
+        if cells.shape[1] != 3:
+            raise ParseError(f"{path}: expected 3 columns (u,i,count), got "
+                             f"{cells.shape[1]}")
+        u, i, c = cells.T
+    _refuse_cells(path, "vote", u, i, n, m)
     bad = np.flatnonzero((c < 0) | (c > T))
     if bad.size:
         k = bad[0]
         raise ParseError(f"{path}: count {c[k]} at ({u[k]}, {i[k]}) outside "
                          f"[0, T={T}]")
-    flat = np.sort(u * m + i)
-    dup = np.flatnonzero(flat[1:] == flat[:-1])
-    if dup.size:
-        cell = flat[dup[0]]
-        raise ParseError(f"{path}: duplicate vote cell ({cell // m}, {cell % m})")
     counts = np.zeros((n, m), dtype=np.int32)
     counts[u, i] = c
     # each of the T models votes at most N' items per user

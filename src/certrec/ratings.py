@@ -8,8 +8,8 @@ scores are always nonzero. Loaders remap arbitrary external ids to contiguous
 from __future__ import annotations
 
 import io
-import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,24 +200,51 @@ def split_train_test(matrix: RatingMatrix, train_fraction: float, seed: int):
     return train, TestSets(sets=tuple(test_sets))
 
 
-def _format_score(x: float) -> str:
-    # canonical text form so identical splits serialize byte-identically
-    return repr(float(x))
+# v2 bodies: little-endian fixed-width rows, read with np.frombuffer
+_TRAIN_V2 = np.dtype([("u", "<i4"), ("i", "<i4"), ("score", "<f8")])
+_TEST_V2 = np.dtype([("u", "<i4"), ("i", "<i4")])
+
+
+def _refuse_wide(**fields) -> None:
+    """Refuse the first field, given as name=value, that int32 cannot hold."""
+    for key, value in fields.items():
+        if value > np.iinfo(np.int32).max:
+            raise ValueError(f"{key}={value} does not fit in int32")
+
+
+def _replace_file(path: str, *parts) -> None:
+    """Write the bytes-like parts in order under a temporary name, sync
+    them, then rename the file over path, so a crash leaves either the
+    previous file or the complete new one."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            for part in parts:
+                fh.write(part)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def save_split(path: str, train: RatingMatrix, tests: TestSets, seed: int, fraction: float) -> None:
-    """Persist a split: header, then train,u,i,score and test,u,i rows."""
+    """Persist a split as v2: the header, then the train rows as _TRAIN_V2
+    in CSR order, then the test rows as _TEST_V2, user by user."""
+    _refuse_wide(n=train.n_users, m=train.n_items)
     csr = train.csr
-    users = np.repeat(np.arange(train.n_users), np.diff(csr.indptr))
-    held = np.concatenate([np.zeros(0, np.int64), *tests.sets])
-    held_users = np.repeat(np.arange(len(tests)), [len(t) for t in tests.sets])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"#split v1 n={train.n_users} m={train.n_items} seed={seed} fraction={_format_score(fraction)}\n")
-        # the repr of a Python float is _format_score
-        fh.write("".join(itertools.chain(
-            (f"train,{u},{i},{sc!r}\n" for u, i, sc in zip(
-                users.tolist(), csr.indices.tolist(), csr.data.tolist())),
-            (f"test,{u},{i}\n" for u, i in zip(held_users.tolist(), held.tolist())))))
+    tr = np.empty(csr.nnz, _TRAIN_V2)
+    tr["u"] = np.repeat(np.arange(train.n_users), np.diff(csr.indptr))
+    tr["i"], tr["score"] = csr.indices, csr.data
+    sizes = [len(t) for t in tests.sets]
+    te = np.empty(sum(sizes), _TEST_V2)
+    te["u"] = np.repeat(np.arange(len(tests)), sizes)
+    te["i"] = np.concatenate([np.zeros(0, np.int64), *tests.sets])
+    header = (f"#split v2 n={train.n_users} m={train.n_items} seed={seed} "
+              f"fraction={float(fraction)!r} train={len(tr)} test={len(te)}\n")
+    _replace_file(path, header.encode(), tr, te)
 
 
 def _parse_header(line: str, magic: str) -> dict:
@@ -237,6 +264,74 @@ def _refuse_below(path: str, **fields) -> None:
             raise ParseError(f"{path}: header field {key}={value} is below {least}")
 
 
+def _read_file(path: str, kind: str):
+    """(version, header fields, body) of a split or votes file: a v2 body as
+    bytes, a v1 body as text read with universal newlines."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    v1, v2 = f"#{kind} v1 ", f"#{kind} v2 "
+    line, _, body = raw.partition(b"\n")
+    try:
+        if raw.startswith(v2.encode()):
+            return 2, _parse_header(line.decode("utf-8"), v2), body
+        if raw.startswith(v1.encode()):
+            text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+            return 1, _parse_header(text.readline().rstrip("\n"), v1), text.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    raise ParseError(f"{path}: bad header, expected {v1!r} or {v2!r}: "
+                     f"{line[:60]!r}")
+
+
+def _fixed_rows(path: str, body: bytes, *tables):
+    """A v2 body as one array per (dtype, rows) table, in order; refuses a
+    body whose length is not exactly the tables' total."""
+    size = sum(dtype.itemsize * rows for dtype, rows in tables)
+    if len(body) != size:
+        raise ParseError(f"{path}: body holds {len(body)} bytes, but the "
+                         f"header's row counts call for {size}")
+    arrays, offset = [], 0
+    for dtype, rows in tables:
+        arrays.append(np.frombuffer(body, dtype, count=rows, offset=offset))
+        offset += dtype.itemsize * rows
+    return arrays
+
+
+def _refuse_cells(path: str, kind: str, u: np.ndarray, i: np.ndarray,
+                  n: int, m: int) -> None:
+    """Refuse, naming path, a kind cell outside the n x m matrix or repeated."""
+    bad = np.flatnonzero((u < 0) | (u >= n) | (i < 0) | (i >= m))
+    if bad.size:
+        k = bad[0]
+        raise ParseError(f"{path}: {kind} cell ({u[k]}, {i[k]}) outside the "
+                         f"{n} x {m} matrix")
+    key = u.astype(np.int64) * m + i
+    if (key[1:] > key[:-1]).all():  # the writers' row-major order: no sort
+        return
+    key.sort()
+    dup = np.flatnonzero(key[1:] == key[:-1])
+    if dup.size:
+        cell = int(key[dup[0]])
+        raise ParseError(f"{path}: duplicate {kind} cell ({cell // m}, {cell % m})")
+
+
+def _binary_rows(path: str, body: bytes, n: int, m: int, n_train: int,
+                 n_test: int):
+    """The rows of a v2 split body, with the fields and shapes _array_rows
+    gives, refusing what the line loop refuses; the error names the file
+    and the row or the cell."""
+    _refuse_below(path, train=(n_train, 0), test=(n_test, 0))
+    tr, te = _fixed_rows(path, body, (_TRAIN_V2, n_train), (_TEST_V2, n_test))
+    score = tr["score"]
+    bad = np.flatnonzero((score == 0) | ~np.isfinite(score))
+    if bad.size:
+        raise ParseError(f"{path}: train row {bad[0] + 1}: train score must "
+                         f"be nonzero and finite, got {float(score[bad[0]])!r}")
+    for kind, rows in (("train", tr), ("test", te)):
+        _refuse_cells(path, kind, rows["u"], rows["i"], n, m)
+    return tr, np.column_stack([te["u"], te["i"]]).astype(np.int64)
+
+
 # what the array parse of a split takes once the row kinds are cut off: on
 # these characters loadtxt's numbers are exactly Python's int() and float()
 _NUMERIC = b"0123456789,.+-eE\n"
@@ -247,10 +342,10 @@ def _array_rows(body: str, n: int, m: int):
     """The rows of a split body as arrays: train rows as one _TRAIN_ROW
     array, test rows as a k x 2 int64 array, or None.
 
-    Takes only the layout save_split writes: every train row before every
-    test row, one row per line, no blank line and no space. Gives None for
-    any other layout, any field loadtxt refuses and any row the line loop
-    refuses; the line loop then rescans the body.
+    Takes only the layout v1 files were written in: every train row before
+    every test row, one row per line, no blank line and no space. Gives
+    None for any other layout, any field loadtxt refuses and any row the
+    line loop refuses; the line loop then rescans the body.
     """
     text = "\n" + body.removesuffix("\n") if body else ""
     cut = text.find("\ntest,")
@@ -320,24 +415,28 @@ def _line_rows(path: str, body: str, n: int, m: int):
 def load_split(path: str):
     """Load a persisted split; returns (train, tests, header dict).
 
-    The body is parsed as arrays when it is laid out as save_split writes
-    it and every row is valid; otherwise line by line, which takes any
-    order of rows, blank lines and spaces around the fields, and names the
-    line of the first row it refuses. Both give the same split.
+    A v2 body is read with np.frombuffer. A v1 text body is parsed as
+    arrays when it is laid out as v1 files were written and every row is
+    valid; otherwise line by line, which takes any order of rows, blank
+    lines and spaces around the fields, and names the line of the first
+    row it refuses. All give the same split; the header dict holds n, m,
+    seed and fraction, whichever the version.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = _parse_header(fh.readline().rstrip("\n"), "#split v1 ")
-        try:
-            n = header["n"] = int(header["n"])
-            m = header["m"] = int(header["m"])
-            header["seed"] = int(header["seed"])
-            header["fraction"] = float(header["fraction"])
-        except (KeyError, ValueError) as exc:
-            raise ParseError(f"{path}: malformed split header: {exc}") from None
-        _refuse_below(path, n=(n, 0), m=(m, 0))
-        body = fh.read()
-    rows = _array_rows(body, n, m)
-    tr, te = _line_rows(path, body, n, m) if rows is None else rows
+    version, header, body = _read_file(path, "split")
+    try:
+        n = header["n"] = int(header["n"])
+        m = header["m"] = int(header["m"])
+        header["seed"] = int(header["seed"])
+        header["fraction"] = float(header["fraction"])
+        sizes = [int(header.pop(k)) for k in ("train", "test")] if version == 2 else []
+    except (KeyError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed split header: {exc}") from None
+    _refuse_below(path, n=(n, 0), m=(m, 0))
+    if version == 2:
+        tr, te = _binary_rows(path, body, n, m, *sizes)
+    else:
+        rows = _array_rows(body, n, m)
+        tr, te = _line_rows(path, body, n, m) if rows is None else rows
     scores = tr["score"]
     if scores.size:
         domain = RatingDomain(lo=float(scores.min()), hi=float(scores.max()),
@@ -348,11 +447,10 @@ def load_split(path: str):
                           user_ids=np.arange(n), item_ids=np.arange(m))
     # every cell as the key u * m + i; both key arrays come out ascending
     held = np.sort(te[:, 0] * m + te[:, 1])
-    cuts = np.searchsorted(held, np.arange(n + 1) * m).tolist()
-    tests = TestSets(sets=tuple(held[a:b] - u * m for u, (a, b) in
-                                enumerate(zip(cuts[:-1], cuts[1:]))))
+    cuts = np.searchsorted(held, np.arange(1, n) * m)
+    tests = TestSets(sets=tuple(np.split(held % m, cuts)) if n else ())
     rated = np.repeat(np.arange(n), np.diff(train.csr.indptr)) * m + train.csr.indices
-    both = held[np.searchsorted(rated, held, side="right") > np.searchsorted(rated, held)]
+    both = np.intersect1d(held, rated, assume_unique=True)
     if both.size:
         u, i = divmod(int(both[0]), m)
         raise ParseError(f"{path}: test cell ({u}, {i}) is also a train rating")

@@ -4,6 +4,7 @@ import builtins
 import itertools
 import math
 import os
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -190,10 +191,11 @@ def reference_exhaustive_votes(matrix, algo: str, params, s: int,
     return counts
 
 
-# --- reference split I/O, quantile, top-n rule and table sums: the
-# line-by-line loader and writer, the scalar bisection, the stable sort, the
-# partition of each user's outside counts and the Python addition loop that
-# ratings.load_split / save_split, bounds.beta_quantile, base_rec._ranked and
+# --- reference split and votes I/O, quantile, top-n rule and table sums:
+# the line-by-line loader and the row-by-row writers (v1 text and v2), the
+# scalar bisection, the stable sort, the partition of each user's outside
+# counts and the Python addition loop that ratings.load_split / save_split,
+# ensemble.save_votes, bounds.beta_quantile, base_rec._ranked and
 # bounds._table replaced; and the builtin sum of Python 3.12 and later
 
 
@@ -264,17 +266,66 @@ def reference_load_split(path: str):
     return train, tests, header
 
 
-def reference_save_split(path: str, train, tests, seed: int, fraction: float) -> None:
-    """save_split's bytes, written one row at a time."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"#split v1 n={train.n_users} m={train.n_items} seed={seed} "
-                 f"fraction={float(fraction)!r}\n")
-        for u in range(train.n_users):
-            for i, sc in zip(train.rated_items(u), train.scores_of(u)):
-                fh.write(f"train,{u},{int(i)},{float(sc)!r}\n")
-        for u in range(len(tests)):
-            for i in tests[u]:
-                fh.write(f"test,{u},{int(i)}\n")
+def reference_split_file(path: str, n: int, m: int, train_rows, test_rows,
+                         version: int, seed: int = 0, fraction: float = 0.75) -> None:
+    """A split file of (u, i, score) train rows and (u, i) test rows, in the
+    order given, written one row at a time: v1 text, or v2 rows packed with
+    struct."""
+    head = f"n={n} m={m} seed={seed} fraction={float(fraction)!r}"
+    if version == 1:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"#split v1 {head}\n")
+            for u, i, sc in train_rows:
+                fh.write(f"train,{u},{i},{float(sc)!r}\n")
+            for u, i in test_rows:
+                fh.write(f"test,{u},{i}\n")
+        return
+    with open(path, "wb") as fh:
+        fh.write(f"#split v2 {head} train={len(train_rows)} "
+                 f"test={len(test_rows)}\n".encode())
+        for row in train_rows:
+            fh.write(struct.pack("<iid", *row))
+        for row in test_rows:
+            fh.write(struct.pack("<ii", *row))
+
+
+def reference_save_split(path: str, train, tests, seed: int, fraction: float,
+                         version: int = 1) -> None:
+    """save_split's layout, row by row: train rows in CSR order, then test
+    rows user by user; version 1 is the text the v1 writer wrote."""
+    reference_split_file(
+        path, train.n_users, train.n_items,
+        [(u, int(i), float(sc)) for u in range(train.n_users)
+         for i, sc in zip(train.rated_items(u), train.scores_of(u))],
+        [(u, int(i)) for u in range(len(tests)) for i in tests[u]],
+        version, seed, fraction)
+
+
+def reference_votes_file(path: str, head: str, rows, version: int) -> None:
+    """A votes file of (u, i, count) rows after the header fields head,
+    written one row at a time: v1 text, or v2 rows packed with struct."""
+    if version == 1:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"#votes v1 {head}\n")
+            for row in rows:
+                fh.write("{},{},{}\n".format(*row))
+        return
+    with open(path, "wb") as fh:
+        fh.write(f"#votes v2 {head} rows={len(rows)}\n".encode())
+        for row in rows:
+            fh.write(struct.pack("<iii", *row))
+
+
+def reference_save_votes(path: str, vc, version: int = 1) -> None:
+    """save_votes' layout, row by row: one row per nonzero cell, row-major;
+    version 1 is the text the v1 writer wrote."""
+    head = (f"n={vc.n} m={vc.m} T={vc.T} s={vc.s} nprime={vc.n_prime} "
+            f"algo={vc.algo} seed={vc.master_seed}"
+            + (f" params={vc.params}" if vc.params else ""))
+    users, items = np.nonzero(vc.counts)
+    reference_votes_file(path, head, [
+        (u, i, int(vc.counts[u, i])) for u, i in zip(users.tolist(), items.tolist())],
+        version)
 
 
 def reference_beta_quantile(beta: float, a: float, b: float, upper: bool = False) -> float:

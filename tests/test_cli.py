@@ -18,7 +18,9 @@ import pytest
 import certrec
 from certrec import base_rec, bounds, certify, cli, ensemble, oracle, ratings
 
-from conftest import neumaier_sum, reference_bounds, reference_holds
+from conftest import (neumaier_sum, reference_bounds, reference_holds,
+                      reference_save_split, reference_save_votes,
+                      reference_votes_file)
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +96,7 @@ class TestTrain:
                          "200", "--s", "8", "--seed", "5", "--out", out,
                          "--chunk-size", "70", "--resume"])
         assert code == 0
-        assert open(out).read() == open(votes).read()
+        assert open(out, "rb").read() == open(votes, "rb").read()
         assert not os.path.exists(out + ".partial")
 
     def test_crash_after_partial_write_resumes_exactly(self, dataset, split,
@@ -118,7 +120,7 @@ class TestTrain:
             cli.main(argv)
         monkeypatch.setattr(ensemble, "save_votes", real_save)
         assert cli.main(argv + ["--resume"]) == 0
-        assert open(out).read() == open(votes).read()
+        assert open(out, "rb").read() == open(votes, "rb").read()
 
     def test_partial_is_a_prefix_of_a_larger_run(self, dataset, split, votes):
         root, _ = dataset
@@ -127,7 +129,7 @@ class TestTrain:
                 "--seed", "5", "--out", out, "--chunk-size", "70"]
         assert cli.main(argv + ["--T", "100", "--max-chunks", "1"]) == 3
         assert cli.main(argv + ["--T", "200", "--resume"]) == 0
-        assert open(out).read() == open(votes).read()
+        assert open(out, "rb").read() == open(votes, "rb").read()
 
     def test_resume_with_changed_params_rejected(self, dataset, split):
         root, _ = dataset
@@ -184,7 +186,7 @@ class TestTrain:
         assert lines[-1].endswith("eta_s=0.0")
         manifest = json.load(open(out + ".manifest.json"))
         assert manifest["params"]["models_per_s"] > 0
-        assert open(out).read() == open(votes).read()
+        assert open(out, "rb").read() == open(votes, "rb").read()
 
     def test_resume_refuses_partial_beyond_T(self, dataset, split):
         root, _ = dataset
@@ -285,27 +287,36 @@ class TestCertify:
     def test_damaged_votes_refused(self, dataset, split, votes, damage,
                                    capsys):
         root, _ = dataset
-        lines = open(votes).read().splitlines(keepends=True)
-        if damage == "cut":
-            text = "".join(lines[:-1]) + lines[-1][:3]
-        elif damage == "header-only":
-            text = lines[0]
-        else:
-            # one vote more for user 0 than T=200 models of N'=1 can cast
-            text = lines[0] + "0,0,150\n0,1,51\n"
-        bad = root / f"votes-{damage}.txt"
-        bad.write_text(text)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # loadtxt warned on an empty body
-            code = cli.main(["certify", "--votes", str(bad), "--split", split,
-                             "--e", "0", "--out", str(root / f"cert-{damage}")])
-        err = capsys.readouterr().err
-        if damage == "header-only":
-            assert code == 0 and not err
-        else:
-            assert code == 2 and err.startswith(f"error: {bad}")
-        if damage == "over-T-nprime":
-            assert "user 0 has 201 votes, more than T * nprime = 200" in err
+        v1 = str(root / "votes-v1.txt")
+        reference_save_votes(v1, ensemble.load_votes(votes))
+        lines = open(v1).read().splitlines(keepends=True)
+        head = lines[0][len("#votes v1 "):-1]
+        raw = open(votes, "rb").read()
+        for version in (1, 2):
+            bad = root / f"votes-{damage}-v{version}.txt"
+            if damage == "cut":
+                if version == 1:
+                    bad.write_text("".join(lines[:-1]) + lines[-1][:3])
+                else:  # mid-row
+                    bad.write_bytes(raw[:-5])
+            elif damage == "header-only":
+                reference_votes_file(str(bad), head, [], version)
+            else:
+                # one vote more for user 0 than T=200 models of N'=1 can cast
+                reference_votes_file(str(bad), head, [(0, 0, 150), (0, 1, 51)],
+                                     version)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # loadtxt warned on an empty body
+                code = cli.main(["certify", "--votes", str(bad), "--split", split,
+                                 "--e", "0", "--out",
+                                 str(root / f"cert-{damage}-v{version}")])
+            err = capsys.readouterr().err
+            if damage == "header-only":
+                assert code == 0 and not err
+            else:
+                assert code == 2 and err.startswith(f"error: {bad}")
+            if damage == "over-T-nprime":
+                assert "user 0 has 201 votes, more than T * nprime = 200" in err
 
     def test_bagging_columns(self, dataset, split, votes):
         root, _ = dataset
@@ -494,23 +505,53 @@ def topn_instance(tmp_path_factory):
 class TestCleanTopnFloors:
     @pytest.mark.parametrize("target", ["clean-topn", "test-items"])
     def test_split_layout_leaves_outputs_unchanged(self, topn_instance, target):
-        # test rows first and CRLF line ends go through the line-by-line parse
+        # the v2 split, its v1 text, and that text with test rows first and
+        # CRLF line ends, which go through the line-by-line parse
         root, split, votes = topn_instance
-        lines = open(split).read().splitlines()
+        train, tests, header = ratings.load_split(split)
+        text = str(root / f"text-{target}.txt")
+        reference_save_split(text, train, tests, header["seed"], header["fraction"])
+        lines = open(text).read().splitlines()
         moved = str(root / f"moved-{target}.txt")
         with open(moved, "w", newline="") as fh:
             fh.write("".join(line + "\r\n" for line in [lines[0]] + sorted(
                 lines[1:], key=lambda line: not line.startswith("test"))))
         outs = []
-        for path in (split, moved):
+        for path in (split, text, moved):
             outs.append(str(root / f"cert-{target}-{len(outs)}"))
             assert cli.main(["certify", "--votes", votes, "--split", path,
                              "--target", target, "--N", "5", "--alpha", "0.2",
                              "--e", "0:2", "--baseline", "bagging",
                              "--out", outs[-1]]) == 0
         for name in ("per_user.csv", "aggregate.csv", "aggregate.json"):
-            a, b = (open(os.path.join(o, name), "rb").read() for o in outs)
-            assert a == b, name
+            first, *rest = (open(os.path.join(o, name), "rb").read() for o in outs)
+            assert rest == [first, first], name
+
+    def test_v1_and_v2_inputs_give_identical_outputs(self, topn_instance):
+        root, split, votes = topn_instance
+        train, tests, header = ratings.load_split(split)
+        pairs = {2: (split, votes), 1: (str(root / "split-v1.txt"),
+                                        str(root / "votes-v1.txt"))}
+        reference_save_split(pairs[1][0], train, tests, header["seed"],
+                             header["fraction"])
+        reference_save_votes(pairs[1][1], ensemble.load_votes(votes))
+        runs = (("certify", ["--alpha", "0.2", "--target", "clean-topn",
+                             "--e", "0:2", "--baseline", "bagging"],
+                 ("per_user.csv", "aggregate.csv", "aggregate.json")),
+                ("evaluate", ["--with-single-model"],
+                 ("evaluate.json", "evaluate.csv")),
+                ("baseline", ["--alpha", "0.2", "--e", "0:2"],
+                 ("baseline.csv", "baseline.json")))
+        for command, extra, names in runs:
+            outs = {}
+            for version, (split_path, votes_path) in pairs.items():
+                out = str(root / f"{command}-v{version}")
+                assert cli.main([command, "--votes", votes_path, "--split",
+                                 split_path, "--N", "5", *extra,
+                                 "--out", out]) == 0
+                outs[version] = [open(os.path.join(out, name), "rb").read()
+                                 for name in names]
+            assert outs[1] == outs[2], command
 
     def test_floors_against_clean_topn(self, topn_instance):
         # r is counted over the clean top-N, so its floors divide by |I_u|;

@@ -1,5 +1,8 @@
 """Vote aggregation: seeding, determinism, chunking, parallelism, persistence."""
 
+import hashlib
+import os
+import struct
 import warnings
 
 import numpy as np
@@ -9,8 +12,9 @@ from certrec import base_rec, ensemble, ratings
 from certrec.ratings import ParseError
 
 from conftest import (ml100k_shaped_matrix, random_tiny_matrix, reference_ir,
-                      reference_model_votes, reference_ranked, reference_votes,
-                      signed_float_matrix)
+                      reference_model_votes, reference_ranked,
+                      reference_save_votes, reference_votes,
+                      reference_votes_file, signed_float_matrix)
 
 
 class TestSeeding:
@@ -268,7 +272,7 @@ class TestPersistence:
         vc = ensemble.load_votes(str(path))
         assert vc.params == "" and vc.counts[0, 1] == 2
         ensemble.save_votes(str(path), vc)
-        assert "params" not in path.read_text()
+        assert b"params" not in path.read_bytes()
 
     def test_zero_rows_omitted(self, tmp_path):
         counts = np.zeros((3, 3), dtype=np.int32)
@@ -277,9 +281,15 @@ class TestPersistence:
                                  master_seed=0, algo="ir")
         path = str(tmp_path / "v.txt")
         ensemble.save_votes(path, vc)
-        lines = open(path).read().strip().split("\n")
-        assert len(lines) == 2  # header + single nonzero entry
-        assert lines[1] == "1,2,7"
+        header, _, body = open(path, "rb").read().partition(b"\n")
+        assert header.endswith(b" rows=1")  # a single nonzero entry
+        assert body == struct.pack("<iii", 1, 2, 7)
+        # the v1 text of the same counts holds the one row too
+        reference_save_votes(path + ".v1", vc)
+        lines = open(path + ".v1").read().strip().split("\n")
+        assert len(lines) == 2 and lines[1] == "1,2,7"
+        for name in (path, path + ".v1"):
+            assert np.array_equal(ensemble.load_votes(name).counts, counts)
 
     def test_byte_stable(self, tmp_path):
         train = random_tiny_matrix(6, 6, seed=5)
@@ -288,7 +298,59 @@ class TestPersistence:
         p1, p2 = str(tmp_path / "a"), str(tmp_path / "b")
         ensemble.save_votes(p1, vc)
         ensemble.save_votes(p2, vc)
-        assert open(p1).read() == open(p2).read()
+        assert open(p1, "rb").read() == open(p2, "rb").read()
+        # and they are the row-by-row v2 writer's bytes
+        reference_save_votes(p2, vc, version=2)
+        assert open(p1, "rb").read() == open(p2, "rb").read()
+
+    def test_v2_bytes_pinned(self, tmp_path):
+        # a change to the v2 layout (header keys, dtypes, byte or row order)
+        # changes these bytes
+        counts = np.arange(12, dtype=np.int32).reshape(3, 4) % 5
+        vc = ensemble.VoteCounts(T=9, n_prime=2, s=2, counts=counts,
+                                 master_seed=4, algo="ir", params="0123456789abcdef")
+        path = tmp_path / "votes.bin"
+        ensemble.save_votes(str(path), vc)
+        data = path.read_bytes()
+        assert data.startswith(b"#votes v2 n=3 m=4 T=9 s=2 nprime=2 algo=ir "
+                               b"seed=4 params=0123456789abcdef rows=9\n")
+        assert hashlib.blake2b(data, digest_size=8).hexdigest() == "8e7bc03d0f258492"
+
+    @pytest.mark.parametrize("field, shape", [("T", (2, 2)), ("m", (1, 2**31))])
+    def test_wide_header_refused(self, tmp_path, field, shape):
+        # a zero-stride view: the writer refuses before it reads the counts
+        vc = ensemble.VoteCounts(T=2**31 if field == "T" else 5, n_prime=1, s=1,
+                                 counts=np.broadcast_to(np.int32(0), shape),
+                                 master_seed=0, algo="ir")
+        with pytest.raises(ValueError, match=f"{field}=2147483648 does not fit"):
+            ensemble.save_votes(str(tmp_path / "v"), vc)
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("size", [12, 24, 30, 35, 48], ids=[
+        "cut-two-rows", "cut-one-row", "cut-mid-row", "cut-one-byte",
+        "extra-row"])
+    def test_v2_body_of_wrong_length_refused(self, tmp_path, size):
+        path = tmp_path / "v.bin"
+        reference_votes_file(str(path), "n=3 m=4 T=10 s=1 nprime=1 algo=ir seed=0",
+                             [(0, 0, 1), (1, 2, 4), (2, 3, 9)], 2)
+        header, _, body = path.read_bytes().partition(b"\n")
+        path.write_bytes(header + b"\n" + (body + body)[:size])
+        with pytest.raises(ParseError, match=f"body holds {size} bytes, but "
+                           "the header's row counts call for 36") as err:
+            ensemble.load_votes(str(path))
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_s_above_n_refused(self, tmp_path, version):
+        path = tmp_path / "v.bin"
+        reference_votes_file(str(path), "n=3 m=4 T=10 s=4 nprime=1 algo=ir seed=0",
+                             [(0, 0, 1)], version)
+        with pytest.raises(ParseError, match="header field s=4 is above n=3") as err:
+            ensemble.load_votes(str(path))
+        assert str(err.value).startswith(f"{path}: ")
+        reference_votes_file(str(path), "n=3 m=4 T=10 s=3 nprime=1 algo=ir seed=0",
+                             [(0, 0, 1)], version)
+        assert ensemble.load_votes(str(path)).s == 3
 
     @pytest.mark.parametrize("cut", ["1,2", "1,", "1,2,"])
     def test_file_cut_mid_row_rejected(self, tmp_path, cut):
@@ -319,6 +381,13 @@ class TestPersistence:
             ensemble.load_votes(str(path))
         path.write_text(header + "0,0,3\n0,1,3\n1,0,3\n1,2,3\n")
         assert ensemble.load_votes(str(path)).counts.sum() == 12
+        rows = [(0, 0, 3), (0, 1, 3), (1, 0, 3), (1, 2, 3), (1, 3, 1)]
+        reference_votes_file(str(path), header[10:-1], rows, 2)
+        with pytest.raises(ParseError,
+                           match=r"user 1 has 7 votes, more than T \* nprime = 6"):
+            ensemble.load_votes(str(path))
+        reference_votes_file(str(path), header[10:-1], rows[:-1], 2)
+        assert ensemble.load_votes(str(path)).counts.sum() == 12
 
     @pytest.mark.parametrize("row, problem", [
         ("-1,0,3", "outside the 3 x 4 matrix"),   # numpy would wrap to row 2
@@ -331,6 +400,14 @@ class TestPersistence:
         ("1,2", "columns"),
     ])
     def test_corrupt_cells_rejected(self, tmp_path, row, problem):
+        if all(r.count(",") == 2 for r in row.split("\n")):  # the rows as v2
+            cells = [(0, 0, 1)] + [tuple(map(int, r.split(","))) for r in row.split("\n")]
+            path = tmp_path / "v.bin"
+            reference_votes_file(str(path), "n=3 m=4 T=10 s=1 nprime=1 "
+                                 "algo=ir seed=0", cells, 2)
+            with pytest.raises(ParseError, match=problem) as err:
+                ensemble.load_votes(str(path))
+            assert str(err.value).startswith(f"{path}: ")
         path = tmp_path / "v.txt"
         path.write_text("#votes v1 n=3 m=4 T=10 s=1 nprime=1 algo=ir seed=0\n"
                         f"0,0,1\n{row}\n")
@@ -350,8 +427,20 @@ class TestPersistence:
         header = dict(tok.split("=") for tok in
                       "n=3 m=4 T=10 s=1 nprime=1 algo=ir seed=0".split())
         header.update(tok.split("=") for tok in fields.split())
-        path.write_text("#votes v1 " + " ".join(f"{k}={v}" for k, v in
-                                                header.items()) + "\n")
-        with pytest.raises(ParseError, match=f"header field {refused}") as err:
+        for version in (1, 2):
+            reference_votes_file(str(path), " ".join(f"{k}={v}" for k, v in
+                                                     header.items()), [], version)
+            with pytest.raises(ParseError, match=f"header field {refused}") as err:
+                ensemble.load_votes(str(path))
+            assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("rows, refused", [
+        ("rows=-1", "header field rows=-1 is below 0"), ("", "'rows'"),
+        ("rows=x", "invalid literal")], ids=["negative", "missing", "not-int"])
+    def test_v2_row_count_refused(self, tmp_path, rows, refused):
+        path = tmp_path / "v.bin"
+        path.write_bytes(f"#votes v2 n=3 m=4 T=10 s=1 nprime=1 algo=ir seed=0 "
+                         f"{rows}\n".encode())
+        with pytest.raises(ParseError, match=refused) as err:
             ensemble.load_votes(str(path))
-        assert str(path) in str(err.value)
+        assert str(err.value).startswith(f"{path}: ")

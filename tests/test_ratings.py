@@ -1,15 +1,21 @@
 """Parsing, domain validation, splitting, and round-trip serialization."""
 
+import dataclasses
+import hashlib
+import os
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certrec import ratings
+from certrec import ensemble, ratings
 from certrec.ratings import ParseError
 
 from conftest import (ml100k_shaped_matrix, random_tiny_matrix,
-                      reference_load_split, reference_save_split)
+                      reference_load_split, reference_save_split,
+                      reference_save_votes, reference_split_file)
 
 
 def _write(tmp_path, text, name="r.dat"):
@@ -137,7 +143,44 @@ class TestSplitRoundTrip:
         p1, p2 = str(tmp_path / "a"), str(tmp_path / "b")
         ratings.save_split(p1, train, tests, 0, 0.75)
         ratings.save_split(p2, train, tests, 0, 0.75)
-        assert open(p1).read() == open(p2).read()
+        assert open(p1, "rb").read() == open(p2, "rb").read()
+
+    def test_v2_bytes_pinned(self, tmp_path):
+        # a change to the v2 layout (header keys, dtypes, byte or row order)
+        # changes these bytes
+        train, tests = ratings.split_train_test(random_tiny_matrix(6, 5, seed=3),
+                                                0.6, seed=1)
+        path = tmp_path / "split.bin"
+        ratings.save_split(str(path), train, tests, 1, 0.6)
+        data = path.read_bytes()
+        assert data.startswith(b"#split v2 n=6 m=5 seed=1 fraction=0.6 train=")
+        assert hashlib.blake2b(data, digest_size=8).hexdigest() == "6a826ebcb78066e1"
+
+    def test_failed_write_leaves_previous_split(self, tmp_path, monkeypatch):
+        matrix = random_tiny_matrix(8, 6, seed=4)
+        path = str(tmp_path / "split.bin")
+        ratings.save_split(path, *ratings.split_train_test(matrix, 0.75, seed=0),
+                           0, 0.75)
+        before = open(path, "rb").read()
+
+        def fail(fd):
+            raise OSError("device lost")
+        monkeypatch.setattr(os, "fsync", fail)  # the new bytes are written
+        with pytest.raises(OSError, match="device lost"):
+            ratings.save_split(path, *ratings.split_train_test(matrix, 0.5, seed=1),
+                               1, 0.5)
+        assert open(path, "rb").read() == before
+        assert os.listdir(tmp_path) == ["split.bin"]
+
+    def test_wide_shape_refused(self, tmp_path):
+        train, tests = ratings.split_train_test(random_tiny_matrix(4, 4, seed=0),
+                                                0.75, seed=0)
+        # the writer refuses before it reads the matrix
+        wide = ratings.RatingMatrix(2**31, 4, train.csr, train.domain,
+                                    train.user_ids, train.item_ids)
+        with pytest.raises(ValueError, match="n=2147483648 does not fit in int32"):
+            ratings.save_split(str(tmp_path / "s"), wide, tests, 0, 0.75)
+        assert not os.listdir(tmp_path)
 
     @pytest.mark.parametrize("row, match", [
         pytest.param(row, "line 4: test cell", id=row)
@@ -178,30 +221,113 @@ class TestSplitRoundTrip:
             ratings.load_split(str(p))
 
     def test_save_matches_row_by_row_writer(self, tmp_path):
+        # the v2 bytes are the row-by-row v2 writer's, and they load to the
+        # split that the same split's v1 text loads to
         for matrix in (random_tiny_matrix(9, 7, seed=5), ml100k_shaped_matrix(0)):
             train, tests = ratings.split_train_test(matrix, 0.75, seed=2)
-            p1, p2 = str(tmp_path / "a"), str(tmp_path / "b")
+            p1, p2, p3 = (str(tmp_path / name) for name in "abc")
             ratings.save_split(p1, train, tests, 2, 0.75)
-            reference_save_split(p2, train, tests, 2, 0.75)
+            reference_save_split(p2, train, tests, 2, 0.75, version=2)
             assert open(p1, "rb").read() == open(p2, "rb").read()
+            reference_save_split(p3, train, tests, 2, 0.75, version=1)
+            assert _outcome(ratings.load_split, p1) == _outcome(ratings.load_split, p3)
 
     def test_array_parse_takes_the_written_layout(self, tmp_path, monkeypatch):
         train, tests = ratings.split_train_test(random_tiny_matrix(9, 7, seed=1),
                                                 0.7, seed=0)
         path = str(tmp_path / "split.txt")
-        ratings.save_split(path, train, tests, 0, 0.7)
+        reference_save_split(path, train, tests, 0, 0.7)
         lines = open(path).read().splitlines()
         moved = str(tmp_path / "moved.txt")
         with open(moved, "w") as fh:  # one test row before the train rows
             fh.write("\n".join([lines[0], lines[-1]] + lines[1:-1]) + "\n")
-        rescans = []
-        real = ratings._line_rows
+        binary = str(tmp_path / "split.bin")
+        ratings.save_split(binary, train, tests, 0, 0.7)
+        parses, rescans = [], []
+        real_array, real_line = ratings._array_rows, ratings._line_rows
+        monkeypatch.setattr(ratings, "_array_rows",
+                            lambda *a: parses.append(a) or real_array(*a))
         monkeypatch.setattr(ratings, "_line_rows",
-                            lambda *a: rescans.append(a) or real(*a))
+                            lambda *a: rescans.append(a) or real_line(*a))
         ratings.load_split(path)
-        assert rescans == []
+        assert (len(parses), len(rescans)) == (1, 0)
         ratings.load_split(moved)
-        assert len(rescans) == 1
+        assert (len(parses), len(rescans)) == (2, 1)
+        ratings.load_split(binary)  # v2 takes neither text parse
+        assert (len(parses), len(rescans)) == (2, 1)
+
+    @pytest.mark.parametrize("train_rows, test_rows, match", [
+        pytest.param([], [row], "test cell", id=f"test-{row}")
+        for row in ((-1, 0), (2, 0), (0, 2))] + [
+        pytest.param([(0, 1, score)], [], f"train row 3: train score must be "
+                     f"nonzero and finite, got {score!r}", id=str(score))
+        for score in (float("nan"), float("inf"), 0.0)] + [
+        pytest.param([], [(0, 1), (0, 1)], r"duplicate test cell \(0, 1\)",
+                     id="repeated"),
+        pytest.param([], [(1, 1)], r"test cell \(1, 1\) is also a train rating",
+                     id="train-and-test")] + [
+        pytest.param([row], [], rf"train cell \({row[0]}, {row[1]}\) outside "
+                     "the 2 x 2 matrix", id=f"train-{row[:2]}")
+        for row in ((5, 1, 2.0), (-1, 0, 2.0), (0, 2, 1.0))] + [
+        pytest.param([(1, 1, 4.0)], [], r"duplicate train cell \(1, 1\)",
+                     id="train-repeated")])
+    def test_v2_refuses_what_v1_refuses(self, tmp_path, train_rows, test_rows,
+                                        match):
+        # the rows of test_test_cell_outside_matrix_rejected, as v2 rows
+        rows = [(0, 0, 5.0), (1, 1, 3.0)] + train_rows
+        for version in (1, 2):
+            p = tmp_path / f"split-v{version}"
+            reference_split_file(str(p), 2, 2, rows, test_rows, version)
+            with pytest.raises(ParseError) as err:
+                ratings.load_split(str(p))
+            assert str(err.value).startswith(f"{p}: ")
+        assert re.search(match, str(err.value))
+
+    @pytest.mark.parametrize("size", [32, 16, 37, 39, 48], ids=[
+        "cut-test-row", "cut-train-row", "cut-mid-row", "cut-one-byte",
+        "extra-row"])
+    def test_v2_body_of_wrong_length_refused(self, tmp_path, size):
+        # two train rows of 16 bytes, then one test row of 8
+        path = tmp_path / "split.bin"
+        reference_split_file(str(path), 2, 2, [(0, 0, 5.0), (1, 1, 3.0)],
+                             [(1, 0)], 2)
+        header, _, body = path.read_bytes().partition(b"\n")
+        path.write_bytes(header + b"\n" + (body + body)[:size])
+        with pytest.raises(ParseError, match=f"body holds {size} bytes, but "
+                           "the header's row counts call for 40") as err:
+            ratings.load_split(str(path))
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("fields, refused", [
+        ("train=-1 test=0", "train=-1 is below 0"),
+        ("train=0 test=-2", "test=-2 is below 0")], ids=["train", "test"])
+    def test_v2_negative_row_count_refused(self, tmp_path, fields, refused):
+        path = tmp_path / "split.bin"
+        path.write_bytes(f"#split v2 n=2 m=2 seed=0 fraction=0.75 {fields}\n"
+                         .encode())
+        with pytest.raises(ParseError, match=f"header field {refused}") as err:
+            ratings.load_split(str(path))
+        assert str(path) in str(err.value)
+
+    def test_v2_without_row_counts_refused(self, tmp_path):
+        path = tmp_path / "split.bin"
+        path.write_bytes(b"#split v2 n=2 m=2 seed=0 fraction=0.75 train=0\n")
+        with pytest.raises(ParseError, match="malformed split header: 'test'"):
+            ratings.load_split(str(path))
+
+    def test_other_kind_or_version_refused(self, tmp_path):
+        # a binary split read as votes is refused by its header, not its body
+        split = tmp_path / "split.bin"
+        ratings.save_split(str(split), *ratings.split_train_test(
+            random_tiny_matrix(5, 5, seed=0), 0.6, seed=0), 0, 0.6)
+        v3 = tmp_path / "v3.bin"
+        v3.write_bytes(b"#split v3 n=1 m=1 seed=0 fraction=0.5\n")
+        for load, path, kind in ((ensemble.load_votes, split, "votes"),
+                                 (ratings.load_split, v3, "split")):
+            with pytest.raises(ParseError, match=f"bad header, expected '#{kind} "
+                               f"v1 ' or '#{kind} v2 '") as err:
+                load(str(path))
+            assert str(err.value).startswith(f"{path}: ")
 
     def test_header_mismatch_rejected(self, tmp_path):
         p = tmp_path / "bad.txt"
@@ -219,6 +345,39 @@ class TestSplitRoundTrip:
         with pytest.raises(ParseError, match=f"header field {refused}") as err:
             ratings.load_split(str(p))
         assert str(p) in str(err.value)
+        p.write_bytes(f"#split v2 n={n} m={m} seed=0 fraction=0.75 train=0 "
+                      f"test=0\n".encode())
+        with pytest.raises(ParseError, match=f"header field {refused}") as err:
+            ratings.load_split(str(p))
+        assert str(p) in str(err.value)
+
+
+def test_v1_and_v2_load_identically(tmp_path):
+    # an ML-100k-shaped split and paper-scale votes on its unrated cells
+    train, tests = ratings.split_train_test(ml100k_shaped_matrix(0), 0.75, seed=0)
+    rng = np.random.default_rng(0)
+    counts = rng.integers(0, 40, size=(train.n_users, train.n_items))
+    counts[train.csr.toarray() != 0] = 0
+    counts[rng.random(counts.shape) < 0.9] = 0
+    vc = ensemble.VoteCounts(T=10000, n_prime=1, s=200, master_seed=0, algo="ir",
+                             counts=counts.astype(np.int32), params="4ddb2261daf499ee")
+    loaded = {}
+    for version in (1, 2):
+        split, votes = str(tmp_path / f"split-v{version}"), str(tmp_path / f"votes-v{version}")
+        if version == 1:
+            reference_save_split(split, train, tests, 0, 0.75)
+            reference_save_votes(votes, vc)
+        else:
+            ratings.save_split(split, train, tests, 0, 0.75)
+            ensemble.save_votes(votes, vc)
+        back = ensemble.load_votes(votes)
+        loaded[version] = (_outcome(ratings.load_split, split),
+                           dataclasses.replace(back, counts=None),
+                           back.counts.dtype, back.counts.tobytes())
+    assert loaded[1] == loaded[2]
+    assert loaded[2][0][-2] == {"n": 943, "m": 1682, "seed": 0, "fraction": 0.75}
+    assert loaded[2][1] == dataclasses.replace(vc, counts=None)
+    assert loaded[2][3] == vc.counts.tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -303,8 +462,9 @@ def _outcome(load, path):
 @given(_split_files())
 def test_load_split_matches_line_loop(tmp_path_factory, case):
     n, m, train, tests, layout, odd, rng = case
-    path = tmp_path_factory.mktemp("parity") / "split.txt"
-    ratings.save_split(str(path), train, tests, 3, 0.75)
+    root = tmp_path_factory.mktemp("parity")
+    path = root / "split.txt"
+    reference_save_split(str(path), train, tests, 3, 0.75)
     text = _layout(path.read_text(), layout, rng)
     if odd is not None:
         lines = text.split("\n")
@@ -321,3 +481,44 @@ def test_load_split_matches_line_loop(tmp_path_factory, case):
         assert (got[1], got[2], got[3]) == (train.csr.data.tobytes(),
                                             train.csr.indices.tobytes(),
                                             train.csr.indptr.tobytes())
+        # v2 bytes of the same split load to the same outcome
+        ratings.save_split(str(root / "split.bin"), train, tests, 3, 0.75)
+        assert _outcome(ratings.load_split, str(root / "split.bin")) == got
+
+
+# rows a v2 body can hold that the loaders refuse: (kind, row)
+_ODD_V2_ROWS = [("train", ("n", 0, 1.0)), ("train", (0, "m", 2.0)),
+                ("train", (-1, 0, 1.0)), ("test", ("n", 0)), ("test", (0, -1)),
+                ("train", (0, 0, 0.0)), ("train", (0, 0, float("nan"))),
+                ("train", (0, 0, -float("inf"))), ("train", (0, 0, -0.0))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_split_files())
+def test_v2_load_matches_line_loop(tmp_path_factory, case):
+    # the same rows, as v2 and as v1 text, load to the same split or are
+    # both refused, the v2 error naming the file
+    n, m, train, tests, _, odd, rng = case
+    rows = {"train": [(u, int(i), float(sc)) for u in range(n) for i, sc in
+                      zip(train.rated_items(u), train.scores_of(u))],
+            "test": [(u, int(i)) for u in range(n) for i in tests[u]]}
+    if odd is not None:
+        kinds = [kind for kind in rows if rows[kind]]
+        if odd == "copy" and kinds:
+            kind = rng.choice(kinds)
+            row = rng.choice(rows[kind])
+        else:
+            kind, row = rng.choice(_ODD_V2_ROWS)
+            row = tuple({"n": n, "m": m}.get(x, x) for x in row)
+        rows[kind].insert(rng.randint(0, len(rows[kind])), row)
+    root = tmp_path_factory.mktemp("v2parity")
+    got = []
+    for version in (1, 2):
+        path = str(root / f"split-v{version}")
+        reference_split_file(path, n, m, rows["train"], rows["test"], version, 3)
+        got.append(_outcome(ratings.load_split, path))
+    assert got[0][0] == got[1][0]
+    if got[1][0] == "loaded":
+        assert got[0] == got[1]
+    else:
+        assert got[1][1].startswith(f"{root / 'split-v2'}: ")
