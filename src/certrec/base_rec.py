@@ -261,30 +261,26 @@ def recommend_all(model: BaseModel, n_prime: int):
     return model.users[rows], items
 
 
-def ir_votes_batched(matrix: RatingMatrix, subsets: np.ndarray, k: int,
-                     n_prime: int):
+def ir_votes_batched(x: np.ndarray, users: np.ndarray, k: int, n_prime: int):
     """Votes of the ir models of many submatrices at once, as (users, items).
 
-    subsets: B x s user ids, one submatrix per row. The result holds what
+    x: B x s x m, each model's rating rows as a dense stack, 0 where a user
+    did not rate (stored ratings are never 0); users: the B x s ids the votes
+    are cast for, one row per model. The result holds what
     recommend_all(train_ir(matrix, subset, IRParams(k)), n_prime) returns for
-    every subset in turn, and equals it whenever the ratings are integers and
-    s * max|rating|^2 < 2^53 (callers check): then every partial sum of the
-    dense batched Gram is an integer below 2^53, so the Gram and the norms
-    are exact in any summation order. The rest repeats the per-model steps:
-    the elementwise cosine scaling of _top_k_similarities, -inf on the
-    non-neighbours, its pruning rule (_top_k_keep), scores summed over j
-    ascending one column at a time as in scipy's CSR x dense loop (a
-    non-neighbour adds +0.0), and _ranked.
+    every model in turn, ids mapped through users, and equals it whenever
+    the ratings are integers and s * max|rating|^2 < 2^53 (callers check):
+    then every partial sum of the dense batched Gram is an integer below
+    2^53, so the Gram and the norms are exact in any summation order. The
+    rest repeats the per-model steps: the elementwise cosine scaling of
+    _top_k_similarities, -inf on the non-neighbours, its pruning rule
+    (_top_k_keep), scores summed over j ascending one column at a time as in
+    scipy's CSR x dense loop (a non-neighbour adds +0.0), and _ranked.
     """
     if n_prime < 1:
         raise ValueError(f"n_prime must be >= 1, got {n_prime}")
-    n, m = matrix.n_users, matrix.n_items
-    csr = matrix.csr
-    rated = np.zeros((n, m), dtype=bool)
-    rated[np.repeat(np.arange(n), np.diff(csr.indptr)), csr.indices] = True
-    x = csr.toarray()[subsets]          # B x s x m
-    rated = rated[subsets]
-    B, s, _ = x.shape
+    B, s, m = x.shape
+    rated = x != 0
     gram = np.matmul(x.transpose(0, 2, 1), x)  # B x m x m
     diag = np.arange(m)
     norms = np.sqrt(gram[:, diag, diag])
@@ -304,7 +300,7 @@ def ir_votes_batched(matrix: RatingMatrix, subsets: np.ndarray, k: int,
     candidates = rated.any(axis=1, keepdims=True) & ~rated
     rows, items = _ranked(scores.reshape(B * s, m),
                           candidates.reshape(B * s, m), n_prime)
-    return subsets.reshape(-1)[rows], items
+    return users.reshape(-1)[rows], items
 
 
 def train_base(algo: str, matrix: RatingMatrix, users: np.ndarray, params) -> BaseModel:

@@ -155,23 +155,25 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _train_chunked(train, cfg, algo, T, s, nprime, seed, out, threads,
+def _train_chunked(train, split, cfg, algo, T, s, nprime, seed, out, threads,
                    chunk_size, resume, max_chunks):
     """Accumulate votes chunk by chunk with a resumable partial on disk.
 
-    The partial is an ordinary votes file whose header T counts the members
+    split: (path, body_digest) of the split train was loaded from. The
+    partial is an ordinary votes file whose header T counts the members
     already in it. It is replaced atomically after each chunk, so it is the
     only checkpoint: member seeds depend on (seed, t) alone, which makes a
-    partial with T <= --T and the same parameter digest a valid prefix of
-    this run. Returns the votes so far (header T = members done) and the
-    models per second built by this invocation (None if it built none).
+    partial with T <= --T, the same parameter digest and the same split
+    digest a valid prefix of this run. Returns the votes so far (header T =
+    members done) and the models per second built by this invocation (None
+    if it built none).
     """
     partial_path = out + ".partial"
     params = cfg.algo_params(algo)
     vc = ensemble.VoteCounts(
         T=0, n_prime=nprime, s=s, master_seed=seed, algo=algo,
         counts=np.zeros((train.n_users, train.n_items), dtype=np.int32),
-        params=ensemble.params_digest(algo, params))
+        params=ensemble.params_digest(algo, params), split=split[1])
     if resume and os.path.exists(partial_path):
         part = ensemble.load_votes(partial_path)
         if ((part.algo, part.s, part.n_prime, part.master_seed, part.params,
@@ -181,6 +183,11 @@ def _train_chunked(train, cfg, algo, T, s, nprime, seed, out, threads,
             raise ValueError("existing partial run used different parameters "
                              "(or predates the params= digest); remove it or "
                              "change --out")
+        if part.split != vc.split:
+            raise ValueError(f"{partial_path} was not built on {split[0]} "
+                             f"(its split= digest is "
+                             f"{part.split or 'missing'}, the split's is "
+                             f"{vc.split}); remove it or change --out")
         vc = replace(vc, T=part.T, counts=part.counts.astype(np.int32))
     first, started, rate = vc.T, time.perf_counter(), None
     chunks_run = 0
@@ -206,13 +213,14 @@ def cmd_train(args) -> int:
     if T < 1 or chunk_size < 1 or threads < 1:
         raise ValueError(f"need T, chunk size and threads >= 1, got T={T}, "
                          f"chunk size={chunk_size}, threads={threads}")
-    train, _, _ = ratings.load_split(args.split)
+    train, _, header = ratings.load_split(args.split, digest=True)
     algo = cfg["algo"]
     s, nprime, seed = int(cfg["s"]), int(cfg["nprime"]), int(cfg["seed"])
     if s > train.n_users:
         raise ValueError(f"s={s} exceeds the {train.n_users} users in the split")
     vc, rate = _train_chunked(
-        train, cfg, algo, T, s, nprime, seed, args.out, threads,
+        train, (args.split, header["digest"]), cfg, algo, T, s, nprime, seed,
+        args.out, threads,
         chunk_size, args.resume, args.max_chunks)
     if vc.T < T:
         print(f"stopped after --max-chunks at t={vc.T}/{T}; "

@@ -41,6 +41,7 @@ class VoteCounts:
     master_seed: int
     algo: str
     params: str = ""    # params_digest of the base models; "" when unknown
+    split: str = ""     # body_digest of the split trained on; "" when unknown
 
     @property
     def n(self) -> int:
@@ -190,10 +191,11 @@ def save_votes(path: str, vc: VoteCounts) -> None:
     rows, cols = np.nonzero(vc.counts)
     body = np.empty(len(rows), _VOTE_V2)
     body["u"], body["i"], body["count"] = rows, cols, vc.counts[rows, cols]
-    digest = f" params={vc.params}" if vc.params else ""
+    digests = "".join(f" {key}={value}" for key, value in
+                      (("params", vc.params), ("split", vc.split)) if value)
     header = (f"#votes v2 n={vc.n} m={vc.m} T={vc.T} s={vc.s} "
               f"nprime={vc.n_prime} algo={vc.algo} seed={vc.master_seed}"
-              f"{digest} rows={len(body)}\n")
+              f"{digests} rows={len(body)}\n")
     _replace_file(path, header.encode(), body)
 
 
@@ -201,7 +203,7 @@ def load_votes(path: str) -> VoteCounts:
     """Read a votes file of either version, refusing s > n, cells outside
     the matrix, counts outside [0, T], repeated cells and users with more
     than T * nprime votes; every error names the file. A header without
-    params= (older files) gives params=""."""
+    params= or split= (older files) gives "" for it."""
     version, header, body = _read_file(path, "votes")
     try:
         n, m, T, n_prime, s, seed = (int(header[k]) for k in
@@ -246,4 +248,5 @@ def load_votes(path: str) -> VoteCounts:
                          f"than T * nprime = {T * n_prime}")
     return VoteCounts(T=T, n_prime=n_prime, s=s, counts=counts,
                       master_seed=seed, algo=algo,
-                      params=header.get("params", ""))
+                      params=header.get("params", ""),
+                      split=header.get("split", ""))

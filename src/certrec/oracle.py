@@ -5,21 +5,29 @@ Enumerating all C(n,s) submatrices gives exact item probabilities, the
 reference against which sampled vote counts are validated. Appending real
 fake-user rows and recomputing the exact poisoned ensemble can then only
 falsify a certificate, never prove one: any observed intersection below the
-certified r is a build-failing bug. The attack checks take the clean
-matrix's exact counts from their caller and, per poisoning, train only the
-subsets that hold a fake user.
+certified r is a build-failing bug.
+
+Both attack checks run one poisoning path. The clean matrix's exact counts
+come from the caller, and only the subsets that hold a fake user are
+trained. Poisonings go through it a chunk at a time: for ir on integer
+ratings, each chunk's models are one ir_votes_batched call, their votes one
+bincount on top of the clean counts, every genuine user of every poisoning
+one _ranked call and the intersections one membership lookup. _BATCH_CELLS
+bounds every array of a step, so memory does not grow with the number of
+poisonings.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .base_rec import IRParams, ir_votes_batched, recommend_all, train_base
+from .base_rec import (IRParams, _ranked, ir_votes_batched, recommend_all,
+                       train_base)
 from .bounds import exact_table, make_context
 from .certify import certify_table
 from .ensemble import VoteCounts, ensemble_recommend_all
@@ -66,15 +74,17 @@ def exact_item_probs(matrix: RatingMatrix, algo: str, params, s: int,
                       master_seed=0, algo=algo)  # nothing is sampled
 
 
-# float64 cells per array of one ir_votes_batched call: a few MB in all
-_BATCH_CELLS = 1 << 17
+# float64 cells per array of one batched step: a kernel call, and a chunk of
+# poisonings' counts and ranking; under 1 MB each
+_BATCH_CELLS = 1 << 15
 
 
-def _batched_ir(matrix: RatingMatrix, algo: str, s: int) -> bool:
-    """Whether ir_votes_batched runs: ir, integer ratings stored (whatever
-    the domain says) and s * max|r|^2 < 2^53, so that it is exact, and one
-    model's arrays within _BATCH_CELLS (train_ir blocks wider catalogs)."""
-    data = matrix.csr.data
+def _batched_ir(matrix: RatingMatrix, algo: str, s: int, fake=()) -> bool:
+    """Whether ir_votes_batched runs: ir, integer ratings stored in matrix
+    and in the fake rows (whatever the domain says) and
+    s * max|r|^2 < 2^53, so that it is exact, and one model's arrays within
+    _BATCH_CELLS (train_ir blocks wider catalogs)."""
+    data = np.concatenate((matrix.csr.data, np.ravel(fake)))
     top = float(np.abs(data).max(initial=0.0))
     m = matrix.n_items
     return (algo == "ir" and m * (m + s) <= _BATCH_CELLS
@@ -82,19 +92,32 @@ def _batched_ir(matrix: RatingMatrix, algo: str, s: int) -> bool:
             and s * top * top < 2.0 ** 53)
 
 
+def _models_per_call(m: int, s: int) -> int:
+    """Models in one ir_votes_batched call: its arrays take m * (m + s)
+    cells per model."""
+    return max(1, _BATCH_CELLS // (m * (m + s)))
+
+
+def _add_kernel_votes(hits, x, users, params, n_prime) -> None:
+    """Add the votes of the ir models with rows x (B x s x m) to hits, cast
+    for the B x s ids users: rows of hits viewed as (ids, m)."""
+    k = (params if params is not None else IRParams()).k
+    users, items = ir_votes_batched(x, users, k, n_prime)
+    # repeated cells across the batch's models: count them all
+    hits += np.bincount(users * hits.shape[-1] + items,
+                        minlength=hits.size).reshape(hits.shape)
+
+
 def _add_votes(hits, matrix, algo, params, s, subsets, n_prime) -> None:
     """Add every s-subset's model votes to hits, in batches when exact."""
     if not _batched_ir(matrix, algo, s):
         _add_model_votes(hits, matrix, algo, params, subsets, n_prime)
         return
-    k = (params if params is not None else IRParams()).k
-    m = matrix.n_items
-    chunk = _BATCH_CELLS // (m * (m + s))
+    dense = matrix.csr.toarray()
+    chunk = _models_per_call(matrix.n_items, s)
     while batch := list(itertools.islice(subsets, chunk)):
-        users, items = ir_votes_batched(matrix, np.array(batch), k, n_prime)
-        # repeated cells across the batch's models: count them all
-        hits += np.bincount(users * m + items,
-                            minlength=hits.size).reshape(hits.shape)
+        batch = np.array(batch)
+        _add_kernel_votes(hits, dense[batch], batch, params, n_prime)
 
 
 def _add_model_votes(hits, matrix, algo, params, subsets, n_prime) -> None:
@@ -103,27 +126,6 @@ def _add_model_votes(hits, matrix, algo, params, subsets, n_prime) -> None:
         model = train_base(algo, matrix, np.asarray(subset), params)
         # a model recommends each item at most once per user: no repeated cell
         hits[recommend_all(model, n_prime)] += 1
-
-
-def _poisoned_counts(clean: VoteCounts, poisoned: RatingMatrix,
-                     params) -> VoteCounts:
-    """exact_item_probs(poisoned, ...) from the clean matrix's exact counts.
-
-    The poisoned matrix is the clean one with fake rows appended. A subset
-    of genuine users trains on the same rows and the same params as in the
-    clean enumeration, so it casts the same votes: the clean counts stand in
-    for all of them, and only the subsets holding a fake user (an index >= n)
-    are trained. T is still C(n + e, s) over every subset.
-    """
-    n, s = clean.n, clean.s
-    hits = np.zeros((poisoned.n_users, poisoned.n_items), dtype=np.int32)
-    hits[:n] = clean.counts
-    # combinations come sorted, so the last index is the largest
-    _add_votes(hits, poisoned, clean.algo, params, s,
-               (sub for sub in itertools.combinations(range(poisoned.n_users), s)
-                if sub[-1] >= n),
-               clean.n_prime)
-    return replace(clean, T=math.comb(poisoned.n_users, s), counts=hits)
 
 
 def append_fake_users(matrix: RatingMatrix, fake_rows: np.ndarray) -> RatingMatrix:
@@ -197,18 +199,6 @@ class ViolationReport:
         return not self.violations
 
 
-def _check_one_poisoning(matrix, clean, poisoned, params, N, targets, cert_r,
-                         trial, violations, min_inter):
-    probs = _poisoned_counts(clean, poisoned, params)
-    topn = ensemble_recommend_all(probs, matrix, N)  # the genuine users'
-    for u, r_u in cert_r.items():
-        inter = len(set(targets[u]) & set(topn[u]))
-        if u not in min_inter or inter < min_inter[u]:
-            min_inter[u] = inter
-        if inter < r_u:
-            violations.append((trial, u, inter, r_u))
-
-
 def _check_clean(matrix: RatingMatrix, clean: VoteCounts) -> None:
     n, m = matrix.n_users, matrix.n_items
     if (clean.T, *clean.counts.shape) != (math.comb(n, clean.s), n, m):
@@ -233,6 +223,93 @@ def exact_certificates(matrix: RatingMatrix, clean: VoteCounts, N: int,
     return targets, dict(zip(users, res.r[:, 0].tolist()))
 
 
+def _poisoning(matrix: RatingMatrix, clean: VoteCounts, params, N: int,
+               e: int, targets):
+    """The one poisoning path of both attack checks, set up once per run.
+
+    Returns intersections(fake): for a P x e x m stack of fake rows, the
+    P x n array of |I_u ∩ poisoned top-N| of every genuine user u under each
+    poisoning (its e rows appended after the n genuine ones). A subset of
+    genuine users trains on the same rows and the same params as in the
+    clean enumeration, so it casts the same votes: the clean counts stand in
+    for all of them, and only the subsets holding a fake user (an index
+    >= n) are trained, the same for every poisoning. For ir on integer
+    ratings (the clean ones and every fake row) their models go through
+    ir_votes_batched, many poisonings in one call; otherwise each poisoning
+    is appended and its models trained one by one. The votes go on top of
+    the clean counts, and one _ranked call ranks the unrated items of every
+    genuine user of every poisoning, as ensemble_recommend_all does.
+    """
+    n, m, s = clean.n, clean.m, clean.s
+    # combinations come sorted, so the last index is the largest
+    subsets = np.array([sub for sub in itertools.combinations(range(n + e), s)
+                        if sub[-1] >= n], dtype=np.intp).reshape(-1, s)
+    dense = matrix.csr.toarray()
+    unrated = np.ones((n, m), dtype=bool)
+    unrated[np.repeat(np.arange(n), np.diff(matrix.csr.indptr)),
+            matrix.csr.indices] = False
+    member = np.zeros((n, m), dtype=bool)
+    for u, items in targets.items():
+        member[u, list(items)] = True
+
+    def intersections(fake: np.ndarray) -> np.ndarray:
+        P = len(fake)
+        hits = np.zeros((P, n + e, m), dtype=np.int64)
+        if _batched_ir(matrix, clean.algo, s, fake):
+            stack = np.concatenate(
+                (np.broadcast_to(dense, (P, n, m)), fake), axis=1)
+            total, step = P * len(subsets), _models_per_call(m, s)
+            for lo in range(0, total, step):
+                q, f = np.divmod(np.arange(lo, min(lo + step, total)),
+                                 len(subsets))
+                users = subsets[f]
+                # ids into hits viewed as ((n + e) P rows, m)
+                _add_kernel_votes(hits.reshape(-1, m), stack[q[:, None], users],
+                                  q[:, None] * (n + e) + users, params,
+                                  clean.n_prime)
+        else:
+            for p in range(P):
+                _add_model_votes(hits[p], append_fake_users(matrix, fake[p]),
+                                 clean.algo, params, subsets, clean.n_prime)
+        counts = hits[:, :n] + clean.counts
+        rows, items = _ranked(counts.reshape(P * n, m),
+                              np.broadcast_to(unrated, (P, n, m)).reshape(P * n, m),
+                              N)
+        hit = member[rows % n, items]
+        return np.bincount(rows[hit], minlength=P * n).reshape(P, n)
+
+    return intersections
+
+
+def _attack_report(matrix: RatingMatrix, clean: VoteCounts, params, N: int,
+                   e: int, cert_r, targets, trials: int, draw) -> ViolationReport:
+    """Run trials poisonings, a chunk at a time, against the certified sizes.
+
+    draw(lo, count): the fake rows of trials lo..lo+count-1, count x e x m,
+    asked for in trial order. A chunk's kernel calls, counts and ranking
+    stay within _BATCH_CELLS; only the running minimum per user and the
+    violations, in (trial, cert_r) order, outlive a chunk.
+    """
+    n, m, s = clean.n, clean.m, clean.s
+    intersections = _poisoning(matrix, clean, params, N, e, targets)
+    fake_models = math.comb(n + e, s) - math.comb(n, s)
+    chunk = max(1, min(_models_per_call(m, s) // max(fake_models, 1),
+                       _BATCH_CELLS // ((n + e) * m)))
+    users = np.array(list(cert_r), dtype=np.intp)
+    claimed = np.array(list(cert_r.values()), dtype=np.int64)
+    low = np.full(len(users), N, dtype=np.int64)  # no intersection exceeds N
+    violations = []
+    for lo in range(0, trials, chunk):
+        inter = intersections(draw(lo, min(chunk, trials - lo)))[:, users]
+        low = np.minimum(low, inter.min(axis=0))
+        for t, k in np.argwhere(inter < claimed).tolist():
+            violations.append((lo + t, int(users[k]), int(inter[t, k]),
+                               int(claimed[k])))
+    return ViolationReport(trials=trials, violations=tuple(violations),
+                           min_intersection=dict(zip(users.tolist(),
+                                                     low.tolist())))
+
+
 def attack_soundness_check(matrix: RatingMatrix, clean: VoteCounts, params,
                            N: int, e: int, attack: str, trials: int, seed: int,
                            cert_r, targets) -> ViolationReport:
@@ -240,29 +317,25 @@ def attack_soundness_check(matrix: RatingMatrix, clean: VoteCounts, params,
 
     clean: exact_item_probs of matrix (its algo, s and N' carry over);
     cert_r: user -> certified r; targets: user -> I_u the certificates were
-    computed for. Each trial appends e fake rows, recomputes the exact
-    poisoned ensemble over all C(n+e, s) subsets, and records any user whose
-    observed intersection drops below the certified r.
+    computed for. Each trial appends e fake rows, drawn from the seeded rng
+    in trial order, recomputes the exact poisoned ensemble over all
+    C(n+e, s) subsets, and records any user whose observed intersection
+    drops below the certified r. At e = 0 the clean matrix is checked once.
     """
     _check_clean(matrix, clean)
     if trials < 1:
         raise ValueError(f"need at least one attack trial, got {trials}")
     if math.comb(matrix.n_users + e, clean.s) > MAX_ENUM:
         raise ValueError("poisoned instance exceeds the enumeration guard")
-    rng = np.random.default_rng(seed)
-    violations, min_inter = [], {}
+    m = matrix.n_items
     if e == 0:
-        _check_one_poisoning(matrix, clean, matrix, params, N, targets,
-                             cert_r, 0, violations, min_inter)
-        return ViolationReport(trials=1, violations=tuple(violations),
-                               min_intersection=min_inter)
-    for trial in range(trials):
-        rows = make_fake_rows(matrix, e, attack, rng)
-        poisoned = append_fake_users(matrix, rows)
-        _check_one_poisoning(matrix, clean, poisoned, params, N, targets,
-                             cert_r, trial, violations, min_inter)
-    return ViolationReport(trials=trials, violations=tuple(violations),
-                           min_intersection=min_inter)
+        return _attack_report(matrix, clean, params, N, 0, cert_r, targets, 1,
+                              lambda lo, count: np.zeros((count, 0, m)))
+    rng = np.random.default_rng(seed)
+    return _attack_report(
+        matrix, clean, params, N, e, cert_r, targets, trials,
+        lambda lo, count: np.stack([make_fake_rows(matrix, e, attack, rng)
+                                    for _ in range(count)]))
 
 
 def check_two_level_e(e: int) -> None:
@@ -277,24 +350,21 @@ def exhaustive_two_level_check(matrix: RatingMatrix, clean: VoteCounts, params,
     """Every possible single fake user over a two-level rating alphabet.
 
     The adversary's row takes values in {0, top score} per item; all 2^m
-    patterns (including the empty row) are tried. Exhaustive over this
-    discretized domain, so a surviving certificate was genuinely never beaten
-    by any such attacker. Arguments are as in attack_soundness_check, e = 1.
+    patterns (including the empty row) are tried, trial p rating item i
+    when bit i of p is set. Exhaustive over this discretized domain, so a
+    surviving certificate was genuinely never beaten by any such attacker.
+    Arguments are as in attack_soundness_check, e = 1.
     """
     check_two_level_e(e)
     _check_clean(matrix, clean)
     m = matrix.n_items
     if math.comb(matrix.n_users + 1, clean.s) > MAX_ENUM or m > 20:
         raise ValueError("exhaustive adversary is desk-scale only")
-    violations, min_inter = [], {}
     hi = matrix.domain.hi
-    for pattern in range(2 ** m):
-        row = np.zeros((1, m))
-        for i in range(m):
-            if pattern >> i & 1:
-                row[0, i] = hi
-        poisoned = append_fake_users(matrix, row)
-        _check_one_poisoning(matrix, clean, poisoned, params, N, targets,
-                             cert_r, pattern, violations, min_inter)
-    return ViolationReport(trials=2 ** m, violations=tuple(violations),
-                           min_intersection=min_inter)
+
+    def patterns(lo, count):
+        bits = (np.arange(lo, lo + count)[:, None] >> np.arange(m)) & 1
+        return (bits * hi).reshape(count, 1, m)
+
+    return _attack_report(matrix, clean, params, N, 1, cert_r, targets,
+                          2 ** m, patterns)

@@ -7,6 +7,7 @@ scores are always nonzero. Loaders remap arbitrary external ids to contiguous
 
 from __future__ import annotations
 
+import hashlib
 import io
 import math
 import os
@@ -113,9 +114,13 @@ def _build_matrix(users, items, scores, domain, user_ids=None, item_ids=None) ->
     if item_ids is None:
         item_ids, items = np.unique(items, return_inverse=True)
     n, m = len(user_ids), len(item_ids)
-    key = np.sort(users * m + items)
-    if (key[1:] == key[:-1]).any():
-        raise ParseError("duplicate (user, item) rating")
+    key = users * m + items
+    # strictly ascending, as splits and their files hold them, has no
+    # duplicate; a rating file's order is sorted first
+    if not (key[1:] > key[:-1]).all():
+        key.sort()
+        if (key[1:] == key[:-1]).any():
+            raise ParseError("duplicate (user, item) rating")
     mat = csr_matrix((scores, (users, items)), shape=(n, m))
     mat.sort_indices()
     return RatingMatrix(n_users=n, n_items=m, csr=mat, domain=domain,
@@ -412,7 +417,14 @@ def _line_rows(path: str, body: str, n: int, m: int):
             np.array(list(seen["test"]), dtype=np.int64).reshape(-1, 2))
 
 
-def load_split(path: str):
+def body_digest(body) -> str:
+    """blake2b-64 hex digest of a file body: the bytes of a v2 body, the
+    UTF-8 of a v1 body read with universal newlines."""
+    data = body.encode("utf-8") if isinstance(body, str) else body
+    return hashlib.blake2b(data, digest_size=8).hexdigest()
+
+
+def load_split(path: str, digest: bool = False):
     """Load a persisted split; returns (train, tests, header dict).
 
     A v2 body is read with np.frombuffer. A v1 text body is parsed as
@@ -420,9 +432,12 @@ def load_split(path: str):
     valid; otherwise line by line, which takes any order of rows, blank
     lines and spaces around the fields, and names the line of the first
     row it refuses. All give the same split; the header dict holds n, m,
-    seed and fraction, whichever the version.
+    seed and fraction, whichever the version, and with digest also the
+    body_digest of the body, which votes record as split=.
     """
     version, header, body = _read_file(path, "split")
+    if digest:
+        header["digest"] = body_digest(body)
     try:
         n = header["n"] = int(header["n"])
         m = header["m"] = int(header["m"])

@@ -12,7 +12,7 @@ import pytest
 import scipy.special
 from scipy.sparse import csr_matrix
 
-from certrec import base_rec, bounds, ensemble, ratings
+from certrec import base_rec, bounds, ensemble, oracle, ratings
 
 # one line per acceptance criterion, printed after the run so a reviewer can
 # check the gate without scrolling through the full test log
@@ -189,6 +189,50 @@ def reference_exhaustive_votes(matrix, algo: str, params, s: int,
         model = base_rec.train_base(algo, matrix, np.asarray(subset), params)
         counts[base_rec.recommend_all(model, n_prime)] += 1
     return counts
+
+
+def reference_two_level_rows(matrix) -> list:
+    """The fake row of every two-level trial p, bit by bit: item i gets the
+    top score when bit i of p is set."""
+    m = matrix.n_items
+    return [np.array([[matrix.domain.hi if p >> i & 1 else 0.0
+                       for i in range(m)]]) for p in range(2 ** m)]
+
+
+def reference_random_rows(matrix, e: int, attack: str, trials: int,
+                          seed: int) -> list:
+    """The fake rows of every randomized trial, drawn from one seeded rng in
+    trial order; at e = 0, one trial without fake rows."""
+    if e == 0:
+        return [np.zeros((0, matrix.n_items))]
+    rng = np.random.default_rng(seed)
+    return [oracle.make_fake_rows(matrix, e, attack, rng) for _ in range(trials)]
+
+
+def reference_attack_report(matrix, clean, params, N: int, poisonings,
+                            cert_r, targets):
+    """(trials, violations, min_intersection) of an attack check, one
+    poisoning at a time: its fake rows appended by append_fake_users, the
+    counts of all C(n + e, s) subsets re-enumerated model by model, the
+    genuine users ranked by ensemble_recommend_all and each top-N
+    intersected with I_u as sets."""
+    violations, min_inter = [], {}
+    for trial, rows in enumerate(poisonings):
+        poisoned = oracle.append_fake_users(matrix, rows)
+        counts = reference_exhaustive_votes(poisoned, clean.algo, params,
+                                            clean.s, clean.n_prime)
+        probs = ensemble.VoteCounts(T=math.comb(poisoned.n_users, clean.s),
+                                    n_prime=clean.n_prime, s=clean.s,
+                                    counts=counts, master_seed=0,
+                                    algo=clean.algo)
+        topn = ensemble.ensemble_recommend_all(probs, matrix, N)
+        for u, r_u in cert_r.items():
+            inter = len(set(targets[u]) & set(topn[u]))
+            if u not in min_inter or inter < min_inter[u]:
+                min_inter[u] = inter
+            if inter < r_u:
+                violations.append((trial, u, inter, r_u))
+    return len(poisonings), tuple(violations), min_inter
 
 
 # --- reference split and votes I/O, quantile, top-n rule and table sums:

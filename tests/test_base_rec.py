@@ -332,8 +332,9 @@ def _reference_subset_votes(matrix, subsets, k, n_prime):
 
 def _batched_subset_votes(matrix, subsets, k, n_prime):
     counts = np.zeros((matrix.n_users, matrix.n_items), dtype=np.int32)
-    users, items = base_rec.ir_votes_batched(matrix, np.array(subsets), k,
-                                             n_prime)
+    subsets = np.array(subsets)
+    users, items = base_rec.ir_votes_batched(matrix.csr.toarray()[subsets],
+                                             subsets, k, n_prime)
     np.add.at(counts, (users, items), 1)
     return counts
 
@@ -396,4 +397,5 @@ class TestBatchedKernel:
     def test_n_prime_below_one_refused(self):
         matrix = random_tiny_matrix(4, 4, seed=0)
         with pytest.raises(ValueError, match="n_prime"):
-            base_rec.ir_votes_batched(matrix, np.array([[0, 1]]), 2, 0)
+            base_rec.ir_votes_batched(matrix.csr.toarray()[[[0, 1]]],
+                                      np.array([[0, 1]]), 2, 0)

@@ -167,6 +167,38 @@ class TestTrain:
         ensemble.save_votes(out + ".partial", dataclasses.replace(part, params=""))
         assert cli.main(argv + ["--resume"]) == 2
 
+    def test_resume_refuses_partial_of_another_split(self, dataset, split,
+                                                     capsys):
+        # the same ratings split with another seed: same shape, other rows
+        root, data = dataset
+        other = str(root / "split_seed4.txt")
+        assert cli.main(["ingest", "--data", data, "--out", other,
+                         "--seed", "4"]) == 0
+        out = str(root / "votes_other_split.txt")
+        argv = ["train", "--algo", "ir", "--T", "100", "--s", "8", "--seed",
+                "5", "--out", out, "--chunk-size", "40"]
+        assert cli.main(argv + ["--split", split, "--max-chunks", "1"]) == 3
+        capsys.readouterr()
+        assert cli.main(argv + ["--split", other, "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert out + ".partial" in err and other in err
+        # its own split still resumes, and the votes record that split
+        assert cli.main(argv + ["--split", split, "--resume"]) == 0
+        _, _, header = ratings.load_split(split, digest=True)
+        assert ensemble.load_votes(out).split == header["digest"]
+        assert ratings.load_split(other, digest=True)[2]["digest"] != \
+            header["digest"]
+
+    def test_resume_refuses_partial_without_split_digest(self, dataset, split):
+        root, _ = dataset
+        out = str(root / "votes_nosplit.txt")
+        argv = ["train", "--split", split, "--algo", "ir", "--T", "100",
+                "--s", "8", "--seed", "5", "--out", out, "--chunk-size", "40"]
+        assert cli.main(argv + ["--max-chunks", "1"]) == 3
+        part = ensemble.load_votes(out + ".partial")
+        ensemble.save_votes(out + ".partial", dataclasses.replace(part, split=""))
+        assert cli.main(argv + ["--resume"]) == 2
+
     def test_progress_on_stderr(self, dataset, split, votes, capsys):
         root, _ = dataset
         out = str(root / "votes_progress.txt")
@@ -879,9 +911,9 @@ class TestOracleCommand:
         monkeypatch.setattr(oracle, "train_base",
                             lambda *args: trained.append(1) or real(*args))
         monkeypatch.setattr(oracle, "ir_votes_batched",
-                            lambda matrix, subsets, *args:
-                            batched.append(len(subsets))
-                            or real_batched(matrix, subsets, *args))
+                            lambda x, users, *args:
+                            batched.append(len(users))
+                            or real_batched(x, users, *args))
         code = cli.main(["oracle", "--n", "5", "--m", "4", "--density", "0.8",
                          "--seed", "1", "--s", "2", "--e", "1", "--N", "2",
                          "--attack", "two-level-exhaustive"])

@@ -274,6 +274,20 @@ class TestPersistence:
         ensemble.save_votes(str(path), vc)
         assert b"params" not in path.read_bytes()
 
+    def test_split_digest_round_trip(self, tmp_path):
+        counts = np.arange(6, dtype=np.int32).reshape(2, 3) % 4
+        vc = ensemble.VoteCounts(T=9, n_prime=1, s=1, counts=counts,
+                                 master_seed=4, algo="ir",
+                                 params="0123456789abcdef",
+                                 split="fedcba9876543210")
+        path = str(tmp_path / "votes.bin")
+        ensemble.save_votes(path, vc)
+        assert open(path, "rb").readline().endswith(
+            b" params=0123456789abcdef split=fedcba9876543210 rows=4\n")
+        back = ensemble.load_votes(path)
+        assert (back.params, back.split) == (vc.params, vc.split)
+        assert np.array_equal(back.counts, counts)
+
     def test_zero_rows_omitted(self, tmp_path):
         counts = np.zeros((3, 3), dtype=np.int32)
         counts[1, 2] = 7

@@ -3,6 +3,7 @@
 import inspect
 import math
 import textwrap
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +12,9 @@ from scipy.sparse import csr_matrix, vstack
 
 from certrec import base_rec, bounds, ensemble, oracle
 
-from conftest import (prob_row, random_tiny_matrix,
+from conftest import (prob_row, random_tiny_matrix, reference_attack_report,
                       reference_exhaustive_votes, reference_r,
+                      reference_random_rows, reference_two_level_rows,
                       signed_float_matrix)
 
 
@@ -227,48 +229,69 @@ class TestSoundness:
                 cert_r=cert_r, targets=targets)
 
 
-def _full_counts(clean, poisoned, params):
-    """Reference for oracle._poisoned_counts: re-enumerate every subset."""
-    return oracle.exact_item_probs(poisoned, clean.algo, params, clean.s,
-                                   clean.n_prime)
-
-
 def _assert_same_counts(got, want):
     assert (got.T, got.n_prime, got.s, got.algo) == \
         (want.T, want.n_prime, want.s, want.algo)
     assert np.array_equal(got.counts, want.counts)
 
 
+def _inflated_claims(matrix, clean, N):
+    """Targets, and a claim of each whole nonempty target set: some trials
+    violate it, so a comparison covers nonempty violation lists."""
+    targets = dict(enumerate(map(tuple, ensemble.ensemble_recommend_all(
+        clean, matrix, N))))
+    return targets, {u: len(items) for u, items in targets.items() if items}
+
+
+def _assert_matches_reference(matrix, clean, params, N, cert_r, targets,
+                              check):
+    """Run check ("two-level", or (attack, e, trials, seed)) and require
+    its report to equal the per-poisoning reference's; returns the report."""
+    if check == "two-level":
+        report = oracle.exhaustive_two_level_check(
+            matrix, clean, params, N=N, e=1, cert_r=cert_r, targets=targets)
+        rows = reference_two_level_rows(matrix)
+    else:
+        attack, e, trials, seed = check
+        report = oracle.attack_soundness_check(
+            matrix, clean, params, N=N, e=e, attack=attack, trials=trials,
+            seed=seed, cert_r=cert_r, targets=targets)
+        rows = reference_random_rows(matrix, e, attack, trials, seed)
+    assert (report.trials, report.violations, report.min_intersection) == \
+        reference_attack_report(matrix, clean, params, N, rows, cert_r, targets)
+    return report
+
+
 class TestIncrementalPoisoning:
-    """The attack checks reuse the clean counts and train only the subsets
-    that hold a fake user; full re-enumeration must agree exactly."""
+    """The attack checks reuse the clean counts, train only the subsets
+    that hold a fake user and batch the poisonings; the per-poisoning
+    reference (append, re-enumerate, rank, intersect sets) must agree on
+    every report."""
 
     @pytest.mark.parametrize("algo,params", [
         ("ir", base_rec.IRParams(k=2)),
         ("bpr", base_rec.BPRParams(d=4, epochs=3))])
     @pytest.mark.parametrize("n_prime", [1, 2])
-    @pytest.mark.parametrize("e", [1, 2, 3])
+    @pytest.mark.parametrize("e", [0, 1, 2, 3])
     def test_random_poisonings(self, algo, params, n_prime, e):
         # s=2: at e >= 2 some subsets hold fake users only
         matrix = random_tiny_matrix(5, 6, seed=10 + e)
         clean = oracle.exact_item_probs(matrix, algo, params, 2, n_prime)
-        rng = np.random.default_rng(e)
+        targets, claimed = _inflated_claims(matrix, clean, 3)
         for attack in oracle.ATTACKS:
-            poisoned = oracle.append_fake_users(
-                matrix, oracle.make_fake_rows(matrix, e, attack, rng))
-            got = oracle._poisoned_counts(clean, poisoned, params)
-            assert got.T == math.comb(5 + e, 2)
-            _assert_same_counts(got, _full_counts(clean, poisoned, params))
+            _assert_matches_reference(matrix, clean, params, 3, claimed,
+                                      targets, (attack, e, 2, e))
 
     def test_every_two_level_pattern(self):
-        matrix = random_tiny_matrix(5, 4, seed=6)
-        params = base_rec.IRParams()
-        clean = oracle.exact_item_probs(matrix, "ir", params, 2, 1)
-        for pattern in range(2 ** 4):
-            row = [[matrix.domain.hi * (pattern >> i & 1) for i in range(4)]]
-            poisoned = oracle.append_fake_users(matrix, np.array(row))
-            _assert_same_counts(oracle._poisoned_counts(clean, poisoned, params),
-                                _full_counts(clean, poisoned, params))
+        # k=2 prunes the 4-item tables, k=50 keeps every neighbour
+        matrix = random_tiny_matrix(5, 4, seed=5)
+        for k in (2, 50):
+            params = base_rec.IRParams(k=k)
+            clean = oracle.exact_item_probs(matrix, "ir", params, 2, 1)
+            targets, claimed = _inflated_claims(matrix, clean, 2)
+            report = _assert_matches_reference(matrix, clean, params, 2,
+                                               claimed, targets, "two-level")
+            assert report.trials == 2 ** 4 and report.violations
 
     def test_models_trained(self, monkeypatch):
         # C(5,2) clean models once in a batch (and once more one by one, the
@@ -282,9 +305,9 @@ class TestIncrementalPoisoning:
             trained.append(1)
             return real(*args)
 
-        def counted_batch(matrix, subsets, *args):
-            batched.append(len(subsets))
-            return real_batched(matrix, subsets, *args)
+        def counted_batch(x, users, *args):
+            batched.append(len(users))
+            return real_batched(x, users, *args)
 
         monkeypatch.setattr(oracle, "train_base", counted)
         monkeypatch.setattr(oracle, "ir_votes_batched", counted_batch)
@@ -305,34 +328,39 @@ class TestIncrementalPoisoning:
     @pytest.mark.parametrize("check", ["two-level", "random-ratings-e0",
                                        "random-ratings-e2",
                                        "copy-popular-e3"])
-    def test_reports_match_full_enumeration(self, monkeypatch, check):
+    def test_reports_match_full_enumeration(self, check):
         matrix = random_tiny_matrix(5, 4, seed=5)
         params = base_rec.IRParams()
         probs = oracle.exact_item_probs(matrix, "ir", params, 2, 1)
-        targets = dict(enumerate(map(tuple, ensemble.ensemble_recommend_all(
-            probs, matrix, 2))))
-        # claiming each whole target set makes some trials violate, so the
-        # comparison covers nonempty violation lists
-        claimed = {u: len(targets[u]) for u in range(5) if targets[u]}
-
-        def run():
-            if check == "two-level":
-                return oracle.exhaustive_two_level_check(
-                    matrix, probs, params, N=2, e=1, cert_r=claimed,
-                    targets=targets)
+        targets, claimed = _inflated_claims(matrix, probs, 2)
+        if check != "two-level":
             attack, _, e = check.rpartition("-e")
-            return oracle.attack_soundness_check(
-                matrix, probs, params, N=2, e=int(e), attack=attack,
-                trials=6, seed=3, cert_r=claimed, targets=targets)
+            check = (attack, int(e), 6, 3)
+        report = _assert_matches_reference(matrix, probs, params, 2, claimed,
+                                           targets, check)
+        if check != ("random-ratings", 0, 6, 3):
+            assert report.violations
 
-        fast = run()
-        with monkeypatch.context() as mp:
-            mp.setattr(oracle, "_poisoned_counts", _full_counts)
-            full = run()
-        assert (fast.trials, fast.violations, fast.min_intersection) == \
-            (full.trials, full.violations, full.min_intersection)
-        if check != "random-ratings-e0":
-            assert fast.violations
+    @pytest.mark.parametrize("cells", [24, 72, 360])
+    @pytest.mark.parametrize("seed,check", [
+        (9, "two-level"), (6, ("all-max-on-random-items", 2, 7, 1))],
+        ids=["two-level", "all-max-e2"])
+    def test_chunks_do_not_change_reports(self, monkeypatch, cells, seed,
+                                          check):
+        # m * (m + s) = 24 cells: one model per kernel call; 72: three, so
+        # a poisoning's 5 (e = 1) or 11 (e = 2) models end in a partial
+        # call; 360: fifteen, so three one-row poisonings per chunk and a
+        # partial last chunk. On both instances some user's smallest
+        # intersection is not in the last trial, so the minimum must carry
+        # across chunks
+        matrix = random_tiny_matrix(5, 4, seed=seed)
+        params = base_rec.IRParams(k=2)
+        probs = oracle.exact_item_probs(matrix, "ir", params, 2, 2)
+        targets, claimed = _inflated_claims(matrix, probs, 2)
+        monkeypatch.setattr(oracle, "_BATCH_CELLS", cells)
+        report = _assert_matches_reference(matrix, probs, params, 2, claimed,
+                                           targets, check)
+        assert report.violations
 
 
 # mutations of base_rec.ir_votes_batched: (source line, its replacement)
@@ -397,11 +425,25 @@ class TestBatchedOracle:
         probs = oracle.exact_item_probs(matrix, "ir", params, 2, 2)
         assert np.array_equal(probs.counts,
                               reference_exhaustive_votes(matrix, "ir", params, 2, 2))
-        rows = oracle.make_fake_rows(matrix, 1, "random-ratings",
-                                     np.random.default_rng(0))
-        poisoned = oracle.append_fake_users(matrix, rows)
-        _assert_same_counts(oracle._poisoned_counts(probs, poisoned, params),
-                            _full_counts(probs, poisoned, params))
+        targets, claimed = _inflated_claims(matrix, probs, 3)
+        _assert_matches_reference(matrix, probs, params, 3, claimed, targets,
+                                  ("random-ratings", 1, 2, 0))
+
+    def test_float_fake_rows_take_the_model_path(self, monkeypatch):
+        # integer ratings in a domain declared non-integral: the clean
+        # models are batched, but random-ratings draws float scores, so the
+        # poisonings train model by model
+        matrix = random_tiny_matrix(6, 5, seed=7)
+        matrix = replace(matrix, domain=replace(matrix.domain, integral=False))
+        params = base_rec.IRParams(k=2)
+        probs = oracle.exact_item_probs(matrix, "ir", params, 2, 1)
+        rows = reference_random_rows(matrix, 2, "random-ratings", 3, 5)
+        assert oracle._batched_ir(matrix, "ir", 2)
+        assert not oracle._batched_ir(matrix, "ir", 2, np.stack(rows))
+        monkeypatch.setattr(oracle, "ir_votes_batched", _refuse_batched)
+        targets, claimed = _inflated_claims(matrix, probs, 2)
+        _assert_matches_reference(matrix, probs, params, 2, claimed, targets,
+                                  ("random-ratings", 2, 3, 5))
 
     def test_bpr_takes_the_model_path(self, monkeypatch):
         matrix = random_tiny_matrix(5, 5, seed=2)
@@ -410,8 +452,9 @@ class TestBatchedOracle:
         probs = oracle.exact_item_probs(matrix, "bpr", params, 2, 2)
         assert np.array_equal(probs.counts,
                               reference_exhaustive_votes(matrix, "bpr", params, 2, 2))
-        report = oracle.exhaustive_two_level_check(
-            matrix, probs, params, N=2, e=1, cert_r={}, targets={})
+        targets, claimed = _inflated_claims(matrix, probs, 2)
+        report = _assert_matches_reference(matrix, probs, params, 2, claimed,
+                                           targets, "two-level")
         assert report.trials == 2 ** 5
 
     def test_exactness_condition(self, tmp_path):

@@ -108,6 +108,29 @@ class TestSplit:
         assert train.rating_count(0) == 1
         assert tests.size(0) == 0
 
+    def test_cell_order_does_not_change_the_csr(self):
+        # ascending cells skip the sort; any other order is sorted first
+        m = random_tiny_matrix(9, 7, seed=6)
+        csr = m.csr
+        users = np.repeat(np.arange(9), np.diff(csr.indptr))
+        order = np.random.default_rng(0).permutation(csr.nnz)
+        for pick in (np.arange(csr.nnz), order):
+            got = ratings._build_matrix(users[pick], csr.indices[pick],
+                                        csr.data[pick], m.domain,
+                                        user_ids=m.user_ids,
+                                        item_ids=m.item_ids).csr
+            for part in ("data", "indices", "indptr"):
+                a, b = getattr(got, part), getattr(csr, part)
+                assert a.dtype == b.dtype and np.array_equal(a, b), part
+
+    @pytest.mark.parametrize("users,items", [([0, 1, 1], [2, 0, 0]),
+                                             ([1, 0, 1], [0, 2, 0])])
+    def test_duplicate_cell_refused_in_any_order(self, users, items):
+        dom = ratings.RatingDomain(1.0, 5.0, True)
+        with pytest.raises(ParseError, match="duplicate"):
+            ratings._build_matrix(users, items, [1.0, 2.0, 3.0], dom,
+                                  user_ids=np.arange(2), item_ids=np.arange(3))
+
     def test_deterministic_per_seed(self):
         m = random_tiny_matrix(10, 8, seed=5)
         a = ratings.split_train_test(m, 0.75, seed=9)
@@ -155,6 +178,18 @@ class TestSplitRoundTrip:
         data = path.read_bytes()
         assert data.startswith(b"#split v2 n=6 m=5 seed=1 fraction=0.6 train=")
         assert hashlib.blake2b(data, digest_size=8).hexdigest() == "6a826ebcb78066e1"
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_digest_is_of_the_body(self, tmp_path, version):
+        train, tests = ratings.split_train_test(random_tiny_matrix(6, 5, seed=3),
+                                                0.6, seed=1)
+        path = str(tmp_path / "split")
+        reference_save_split(path, train, tests, 1, 0.6, version)
+        assert "digest" not in ratings.load_split(path)[2]
+        _, _, header = ratings.load_split(path, digest=True)
+        body = open(path, "rb").read().partition(b"\n")[2]
+        assert header["digest"] == hashlib.blake2b(
+            body, digest_size=8).hexdigest()
 
     def test_failed_write_leaves_previous_split(self, tmp_path, monkeypatch):
         matrix = random_tiny_matrix(8, 6, seed=4)
