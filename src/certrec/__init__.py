@@ -15,7 +15,7 @@ from .certify import certify_table, sweep
 from .ensemble import (VoteCounts, build_vote_counts, derive_seed,
                        ensemble_recommend_all, load_votes, save_votes)
 from .metrics import certified_metrics, standard_metrics
-from .ratings import (RatingMatrix, TestSets, load_ratings, load_split,
+from .ratings import (ItemSets, RatingMatrix, load_ratings, load_split,
                       save_split, split_train_test)
 
 __version__ = "0.1.0"
@@ -27,7 +27,7 @@ __all__ = [
     "VoteCounts", "build_vote_counts", "derive_seed", "ensemble_recommend_all",
     "load_votes", "save_votes",
     "certified_metrics", "standard_metrics",
-    "RatingMatrix", "TestSets", "load_ratings", "load_split", "save_split",
+    "ItemSets", "RatingMatrix", "load_ratings", "load_split", "save_split",
     "split_train_test",
     "__version__",
 ]

@@ -64,16 +64,20 @@ def _ranked(scores: np.ndarray, candidates: np.ndarray, n: int):
     For each row of the 2-D scores, the n best candidate columns (all of them
     when there are fewer): descending score, ascending column id on ties.
     Returns (rows, cols) of the picks, row by row and best first. Rounds of
-    row-wise argmax (first maximum = lowest id), -inf over each pick: a
-    stable sort's order when the scores hold no NaN, as votes, ir and bpr
-    scores never do.
+    row-wise argmax (first maximum = lowest id), the floor over each pick: a
+    stable sort's order when the scores hold no NaN and every candidate
+    scores above the floor, as votes, ir and bpr scores do. The floor is
+    -inf for float scores and the dtype's least value for integer ones, so
+    int32 votes are masked without widening them.
     """
-    masked = np.where(candidates, scores, -np.inf)
+    floor = (np.iinfo(scores.dtype).min if np.issubdtype(scores.dtype, np.integer)
+             else -np.inf)
+    masked = np.where(candidates, scores, np.array(floor, dtype=scores.dtype))
     width = np.minimum(candidates.sum(axis=1), n)
     top, rows = [], np.arange(len(masked))
     for _ in range(int(width.max(initial=0))):
         if top:  # not after the last round
-            masked[rows, top[-1]] = -np.inf
+            masked[rows, top[-1]] = floor
         top.append(masked.argmax(axis=1))
     top = np.array(top, dtype=np.intp).reshape(-1, len(rows)).T
     picked = np.arange(top.shape[1]) < width[:, None]

@@ -18,7 +18,6 @@ same way, for the oracle.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,6 +35,11 @@ __all__ = [
 # incomplete beta errs by far less than that, so the bound still meets beta
 _LEVEL_MARGIN = 1e-12
 
+# bisection steps per quantile, counted from [0, 1]; a seeded bracket is
+# about 2^-_SEED_BITS of its seed wide
+_STEPS = 200
+_SEED_BITS = 36
+
 
 def beta_quantile(beta: float, a, b, upper: bool = False):
     """x with I_x(a, b) = beta, or with 1 - I_x(a, b) = beta when upper is set.
@@ -43,26 +47,41 @@ def beta_quantile(beta: float, a, b, upper: bool = False):
     Bisects scipy's betainc (betaincc when upper, so a small upper-tail mass
     keeps its relative precision) down to a one-ULP bracket, and returns its
     safe end for a confidence bound: lo for a lower bound, hi for an upper.
-    Arrays a, b bisect together, each element by its own scalar steps.
+    Arrays a, b bisect together, each element by its own scalar steps. Each
+    starts from the dyadic bracket [j / 2^d, (j + 1) / 2^d] around scipy's
+    inverse (betaincinv, betainccinv when upper) if both its ends pass the
+    loop's own test, and from [0, 1] if not: the bisection from [0, 1]
+    passes through such a bracket, so the same steps follow to the same float.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must be in (0, 1), got {beta}")
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     if (a <= 0).any() or (b <= 0).any():
         raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
+    shape, a, b = a.shape, a.ravel(), b.ravel()
     tail = scipy.special.betaincc if upper else scipy.special.betainc
-    lo, hi = np.zeros(a.shape), np.ones(a.shape)
-    live = np.arange(a.size)  # flat ids of the brackets still open
-    for _ in range(200):
-        mid = 0.5 * (lo.flat[live] + hi.flat[live])
-        wide = (mid > lo.flat[live]) & (mid < hi.flat[live])  # else one ULP
-        live, mid = live[wide], mid[wide]
-        if not live.size:
-            break
-        mass = tail(a.flat[live], b.flat[live], mid)  # betainc rises with x, betaincc falls
-        up = (mass > beta) if upper else (mass < beta)
-        lo.flat[live[up]], hi.flat[live[~up]] = mid[up], mid[~up]
-    out = hi if upper else lo
+    inverse = scipy.special.betainccinv if upper else scipy.special.betaincinv
+
+    def below(k, x):  # the loop's test: the quantile of element k lies above x
+        mass = tail(a[k], b[k], x)  # betainc rises with x, betaincc falls
+        return (mass > beta) if upper else (mass < beta)
+
+    x0 = inverse(a, b, beta)
+    x0 = np.where((x0 > 0) & (x0 < 1), x0, 0.5)  # nan, 0 or 1: test one at 1/2
+    depth = _SEED_BITS - np.frexp(x0)[1]
+    lo = np.ldexp(np.floor(np.ldexp(x0, depth)), -depth)
+    hi = lo + np.ldexp(1.0, -depth)
+    live = np.arange(a.size)  # ids of the brackets still open
+    seeded = below(live, lo) & ~below(live, hi) & (depth <= _STEPS)
+    lo[~seeded], hi[~seeded], depth[~seeded] = 0.0, 1.0, 0
+    while live.size:
+        mid = 0.5 * (lo[live] + hi[live])
+        wide = (mid > lo[live]) & (mid < hi[live]) & (depth[live] < _STEPS)
+        live, mid = live[wide], mid[wide]  # else one ULP, or out of steps
+        up = below(live, mid)
+        lo[live[up]], hi[live[~up]] = mid[up], mid[~up]
+        depth[live] += 1
+    out = (hi if upper else lo).reshape(shape)
     return out if out.ndim else float(out)
 
 
@@ -117,7 +136,7 @@ class BoundTable:
 def estimate_table(counts, users, items_in, alpha_u: float, width: int) -> BoundTable:
     """Clopper-Pearson bounds of every user of users, as a BoundTable.
 
-    items_in[k] is I_u of users[k]. Bonferroni: each of the m per-item
+    items_in: ItemSets, its row k is I_u of users[k]. Bonferroni: each of the m per-item
     bounds gets budget alpha_u / m, so all of a user's bounds hold together
     with probability >= 1 - alpha_u. Each quantile is computed once per
     distinct count it is read at.
@@ -151,18 +170,17 @@ def _table(counts, users, items_in, width: int, bound) -> BoundTable:
     """
     m = counts.m
     users = np.asarray(users, dtype=np.int64)
-    n_in = np.array([len(x) for x in items_in], dtype=np.int64)
-    rows = np.repeat(np.arange(len(users)), n_in)
-    items = np.fromiter(itertools.chain.from_iterable(items_in), dtype=np.int64,
-                        count=int(n_in.sum()))
-    order = np.lexsort((items, rows))  # ascending item ids within each row
-    items = items[order]
-    if n_in.size and n_in.min() == 0:
-        raise ValueError("items_in must be nonempty")
-    if ((items[1:] == items[:-1]) & (rows[1:] == rows[:-1])).any():
-        raise ValueError("items_in contains duplicate item ids")
+    n_in = items_in.sizes
+    if len(n_in) != len(users) or n_in.min(initial=1) == 0:
+        raise ValueError("items_in must hold one nonempty row per user")
+    items = items_in.items
     if items.size and (items.min() < 0 or items.max() >= m):
         raise ValueError(f"items_in ids must lie in [0, {m})")
+    rows = np.repeat(np.arange(len(users)), n_in)
+    key = np.sort(rows * m + items)  # ascending item ids within each row
+    if (key[1:] == key[:-1]).any():
+        raise ValueError("items_in contains duplicate item ids")
+    items = key - rows * m
     starts = np.cumsum(n_in) - n_in
     low = bound(counts.counts[users[rows], items], False)
     # left to right in item order, one item rank at a time over the rows that

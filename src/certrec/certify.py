@@ -166,16 +166,18 @@ def sweep(train, counts, target_sets, alpha: float, e_list, N: int,
           rules=("joint",)) -> tuple:
     """Certify every user under each rule at every e in e_list.
 
-    target_sets maps user -> I_u (anything iterable of item ids). "joint" is
-    the joint certificate, "bagging" the per-item baseline for N' = 1 votes.
-    s and N' are the counts' own. The bounds of all users are estimated
-    once, at budget alpha / n, and certified by certify_table. Returns one
+    target_sets: ItemSets, one row I_u per user. "joint" is the joint
+    certificate, "bagging" the per-item baseline for N' = 1 votes. s and N'
+    are the counts' own. The bounds of all users are estimated once, at
+    budget alpha / n, and certified by certify_table. Returns one
     SweepResult per rule, in the order of `rules`.
     """
     # certify_table checks too, but after estimate_table, which a negative N breaks
     _check_rules(rules, N, counts.n_prime)
     if counts.n != train.n_users or counts.m != train.n_items:
         raise ValueError("vote counts shape does not match the training matrix")
+    if len(target_sets) != train.n_users:
+        raise ValueError("target sets must hold one row per user")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     n = train.n_users
@@ -183,13 +185,12 @@ def sweep(train, counts, target_sets, alpha: float, e_list, N: int,
     e_list = sorted(set(int(e) for e in e_list))
     if not e_list:
         raise ValueError("e_list must be nonempty")
-    items = [tuple(int(i) for i in target_sets[u]) for u in range(n)]
-    users = [u for u in range(n) if items[u]]
-    skipped = [u for u in range(n) if not items[u]]
+    users, items = target_sets.nonempty()
+    skipped = np.flatnonzero(target_sets.sizes == 0).tolist()
     if skipped:
         log.info("skipped %d users with empty target sets: %s",
                  len(skipped), skipped[:20])
-    table = estimate_table(counts, users, [items[u] for u in users], alpha_u, N)
+    table = estimate_table(counts, users, items, alpha_u, N)
     return tuple(replace(res, alpha_u=alpha_u, skipped=tuple(skipped)) for res in
                  certify_table(table, [make_context(n, e, counts.s) for e in e_list],
                                N, counts.n_prime, rules))
@@ -234,10 +235,12 @@ def certify_table(table: BoundTable, contexts, N: int, n_prime: int,
 
 def _certified_sizes(radii: np.ndarray, k: np.ndarray, width: int) -> np.ndarray:
     """r[row, j] = #{R in the row's radii : R >= j} for j < width; radii
-    holds k[row] entries per row, one row after another."""
+    holds k[row] entries in [-1, width - 1] per row, one row after another."""
     row = np.repeat(np.arange(len(k)), k)
-    return np.stack([np.bincount(row, weights=radii >= j, minlength=len(k))
-                     for j in range(width)], axis=1).astype(np.int64)
+    # each row's count of every radius -1..width-1, summed from the top down
+    counts = np.bincount(row * (width + 1) + radii + 1,
+                         minlength=len(k) * (width + 1)).reshape(len(k), width + 1)
+    return np.cumsum(counts[:, :0:-1], axis=1)[:, ::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -45,28 +45,14 @@ DEFAULTS = {
     "bpr.neg_samples": 1,
 }
 
-@dataclass
-class RunConfig:
-    """Resolved settings for one command invocation."""
-
-    values: dict = field(default_factory=lambda: dict(DEFAULTS))
-
-    def __getitem__(self, key):
-        return self.values[key]
-
-    def update(self, other: dict) -> None:
-        for key, val in other.items():
-            if val is not None:
-                self.values[key] = val
-
-    def algo_params(self, algo: str):
-        v = self.values
-        if algo == "ir":
-            return base_rec.IRParams(k=int(v["ir.k"]))
-        return base_rec.BPRParams(d=int(v["bpr.d"]), epochs=int(v["bpr.epochs"]),
-                                  learn_rate=float(v["bpr.learn_rate"]),
-                                  reg=float(v["bpr.reg"]),
-                                  neg_samples=int(v["bpr.neg_samples"]))
+def _algo_params(cfg: dict, algo: str):
+    """The base-model parameters of algo under the resolved config cfg."""
+    if algo == "ir":
+        return base_rec.IRParams(k=int(cfg["ir.k"]))
+    return base_rec.BPRParams(d=int(cfg["bpr.d"]), epochs=int(cfg["bpr.epochs"]),
+                              learn_rate=float(cfg["bpr.learn_rate"]),
+                              reg=float(cfg["bpr.reg"]),
+                              neg_samples=int(cfg["bpr.neg_samples"]))
 
 
 def parse_config_file(path: str) -> dict:
@@ -101,8 +87,6 @@ def parse_e_list(text: str) -> list[int]:
             out.extend(range(int(lo), int(hi) + 1))
         else:
             out.append(int(part))
-    if not out:
-        return []
     return sorted(set(out))
 
 
@@ -118,11 +102,13 @@ def _write_manifest(path: str, command: str, params: dict, started: float) -> No
         fh.write("\n")
 
 
-def _resolve(args, keys) -> RunConfig:
-    cfg = RunConfig()
+def _resolve(args, keys) -> dict:
+    """DEFAULTS, then the --config file, then the flags of keys that were given."""
+    cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
         cfg.update(parse_config_file(args.config))
-    cfg.update({k: getattr(args, k.replace(".", "_"), None) for k in keys})
+    flags = {k: getattr(args, k.replace(".", "_"), None) for k in keys}
+    cfg.update({k: v for k, v in flags.items() if v is not None})
     return cfg
 
 
@@ -140,10 +126,8 @@ def cmd_ingest(args) -> int:
     with open(args.out + ".ids.csv", "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["kind", "internal", "external"])
-        for pos, ext in enumerate(matrix.user_ids):
-            w.writerow(["user", pos, int(ext)])
-        for pos, ext in enumerate(matrix.item_ids):
-            w.writerow(["item", pos, int(ext)])
+        for kind, ids in (("user", matrix.user_ids), ("item", matrix.item_ids)):
+            w.writerows([kind, pos, ext] for pos, ext in enumerate(ids.tolist()))
     mean_train = train.n_ratings / train.n_users
     _write_manifest(args.out + ".manifest.json", "ingest",
                     {"data": args.data, "format": cfg["format"],
@@ -151,7 +135,7 @@ def cmd_ingest(args) -> int:
                      "n": train.n_users, "m": train.n_items}, started)
     print(f"ingested {matrix.n_users} users x {matrix.n_items} items, "
           f"{matrix.n_ratings} ratings; train keeps {train.n_ratings} "
-          f"({mean_train:.1f}/user), held out {sum(tests.size(u) for u in range(len(tests)))}")
+          f"({mean_train:.1f}/user), held out {len(tests.items)}")
     return 0
 
 
@@ -169,7 +153,7 @@ def _train_chunked(train, split, cfg, algo, T, s, nprime, seed, out, threads,
     if it built none).
     """
     partial_path = out + ".partial"
-    params = cfg.algo_params(algo)
+    params = _algo_params(cfg, algo)
     vc = ensemble.VoteCounts(
         T=0, n_prime=nprime, s=s, master_seed=seed, algo=algo,
         counts=np.zeros((train.n_users, train.n_items), dtype=np.int32),
@@ -232,7 +216,7 @@ def cmd_train(args) -> int:
     _write_manifest(args.out + ".manifest.json", "train",
                     {"split": args.split, "algo": algo, "T": T, "s": s,
                      "nprime": nprime, "seed": seed, "threads": threads,
-                     "params": str(cfg.algo_params(algo)),
+                     "params": str(_algo_params(cfg, algo)),
                      "params_digest": vc.params,
                      "models_per_s": None if rate is None else round(rate, 3)},
                     started)
@@ -258,30 +242,26 @@ def cmd_recommend(args) -> int:
         raise ValueError(f"--user must lie in [0, {train.n_users}), got {args.user}")
     if args.N < 1:  # before the header, so a refusal prints nothing
         raise ValueError(f"N must be positive, got {args.N}")
-    users = [int(args.user)] if args.user is not None else range(train.n_users)
     ranked = ensemble.ensemble_recommend_all(vc, train, args.N)
+    users = np.repeat(np.arange(train.n_users), ranked.sizes)
+    ranks = np.arange(len(users)) - ranked.indptr[users] + 1
+    picks = (slice(None) if args.user is None else
+             slice(*ranked.indptr[args.user:args.user + 2]))
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["user", "rank", "item", "votes"])
-    for u in users:
-        for rank, item in enumerate(ranked[u], 1):
-            writer.writerow([u, rank, item, int(vc.counts[u, item])])
+    writer.writerows(zip(*(x[picks].tolist() for x in (
+        users, ranks, ranked.items, vc.counts[users, ranked.items]))))
     return 0
 
 
-def _target_sets(target: str, vc, train, tests, N: int):
-    if target == "test-items":
-        return tests
-    return ensemble.ensemble_recommend_all(vc, train, N)
-
-
-def _metric_rows(sweep, targets, N, eligible):
-    # floors against the certified set I_u: the held-out items for
-    # test-items, the clean top-N itself for clean-topn
-    keep = [k for k, u in enumerate(sweep.users.tolist()) if u in eligible]
-    sizes = np.array([len(targets[u]) for u in sweep.users[keep].tolist()])
-    floors = metrics.certified_metrics(sweep.r[keep], N, sizes[:, None])
+def _metric_rows(sweep, sizes, N):
+    # floors against the certified set I_u of sizes[u] items (0: left out),
+    # the held-out items for test-items, the clean top-N for clean-topn
+    keep = sizes[sweep.users] > 0
+    floors = metrics.certified_metrics(sweep.r[keep], N,
+                                       sizes[sweep.users[keep], None])
     means = metrics.mean_over_users(np.stack(floors, axis=-1))  # e x 3
-    return [metrics.MetricRow(e, p, r, f, n_users=len(keep))
+    return [metrics.MetricRow(e, p, r, f, n_users=int(keep.sum()))
             for e, (p, r, f) in zip(sweep.e_list, means.tolist())]
 
 
@@ -295,12 +275,12 @@ def _sweep_rows(args, rules):
     cfg = _resolve(args, ("alpha", "N", "e"))
     vc, train, tests = _load_votes_and_split(args)
     N = int(cfg["N"])
-    targets = _target_sets(args.target, vc, train, tests, N)
+    targets = (tests if args.target == "test-items" else
+               ensemble.ensemble_recommend_all(vc, train, N))
     sweeps = certify.sweep(train, vc, targets, float(cfg["alpha"]),
                            parse_e_list(cfg["e"]), N, rules)
-    eligible = {u for u in range(train.n_users)
-                if tests.size(u) > 0 and len(targets[u]) > 0}
-    rows = [_metric_rows(sw, targets, N, eligible) for sw in sweeps]
+    sizes = np.where(tests.sizes > 0, targets.sizes, 0)
+    rows = [_metric_rows(sw, sizes, N) for sw in sweeps]
     return cfg, sweeps, rows
 
 
@@ -357,31 +337,18 @@ def cmd_evaluate(args) -> int:
     started = time.time()
     vc, train, tests = _load_votes_and_split(args)
     N = int(cfg["N"])
-    ens_triples, single_triples = [], []
-    single_recs = None  # user -> the full-data model's items, best first
+    observed = metrics.standard_metrics(
+        ensemble.ensemble_recommend_all(vc, train, N), tests, N)
+    summary = {"N": N, "algo": vc.algo, "T": vc.T, "s": vc.s,
+               "n_users_evaluated": len(observed),
+               "ensemble": metrics.mean_metrics(observed)}
     if args.with_single_model:
         model = base_rec.train_base(vc.algo, train, np.arange(train.n_users),
-                                    cfg.algo_params(vc.algo))
-        users, items = base_rec.recommend_all(model, N)
-        # users come ascending: cut before each user's first row
-        single_recs = np.split(items, np.searchsorted(users, range(1, train.n_users)))
-    ranked = ensemble.ensemble_recommend_all(vc, train, N)
-    for u in range(train.n_users):
-        if tests.size(u) == 0:
-            continue
-        ens_triples.append(metrics.standard_metrics(ranked[u], tests[u], N))
-        if single_recs is not None:
-            single_triples.append(metrics.standard_metrics(single_recs[u], tests[u], N))
-    summary = {
-        "N": N,
-        "algo": vc.algo,
-        "T": vc.T,
-        "s": vc.s,
-        "n_users_evaluated": len(ens_triples),
-        "ensemble": metrics.mean_metrics(ens_triples),
-    }
-    if single_triples:
-        summary["single_model"] = metrics.mean_metrics(single_triples)
+                                    _algo_params(cfg, vc.algo))
+        single = ratings.ItemSets.from_pairs(*base_rec.recommend_all(model, N),
+                                             train.n_users)
+        summary["single_model"] = metrics.mean_metrics(
+            metrics.standard_metrics(single, tests, N))
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "evaluate.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -418,13 +385,12 @@ def _synthetic_matrix(n: int, m: int, density: float, seed: int) -> ratings.Rati
     """Random integer-rated matrix for oracle demonstrations."""
     rng = np.random.default_rng(seed)
     users, items, scores = [], [], []
+    count = max(1, int(round(density * m)))
     for u in range(n):
-        count = max(1, int(round(density * m)))
-        rated = rng.choice(m, size=count, replace=False)
-        for i in sorted(int(x) for x in rated):
-            users.append(u)
-            items.append(i)
-            scores.append(float(rng.integers(1, 6)))
+        rated = sorted(rng.choice(m, size=count, replace=False).tolist())
+        users += [u] * count
+        items += rated
+        scores += [float(rng.integers(1, 6)) for _ in rated]
     dom = ratings.RatingDomain(lo=1.0, hi=5.0, integral=True)
     return ratings._build_matrix(users, items, scores, dom,
                                  user_ids=np.arange(n), item_ids=np.arange(m))
@@ -439,7 +405,7 @@ def cmd_oracle(args) -> int:
     else:
         matrix = _synthetic_matrix(args.n, args.m, args.density, args.seed)
     algo = cfg["algo"]
-    params = cfg.algo_params(algo)
+    params = _algo_params(cfg, algo)
     s, nprime, N = int(cfg["s"]), int(cfg["nprime"]), int(cfg["N"])
     probs = oracle.exact_item_probs(matrix, algo, params, s, nprime)
     print(f"enumerated {probs.T} subsets "
@@ -472,11 +438,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Provably robust ensemble recommenders with certified top-N metrics")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, *inputs):
         sp.add_argument("--config", help="key=value config file; flags override it")
         sp.add_argument("--log-level", dest="log_level", default="WARNING",
                         choices=("DEBUG", "INFO", "WARNING", "ERROR"),
                         help="threshold for log messages on stderr")
+        for flag in inputs:  # the files the command reads
+            sp.add_argument(flag, required=True)
 
     sp = sub.add_parser("ingest", help="parse ratings and write a train/test split")
     common(sp)
@@ -488,8 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_ingest)
 
     sp = sub.add_parser("train", help="build T base models and persist vote counts")
-    common(sp)
-    sp.add_argument("--split", required=True)
+    common(sp, "--split")
     sp.add_argument("--algo", choices=("ir", "bpr"))
     sp.add_argument("--T", type=int)
     sp.add_argument("--s", type=int)
@@ -505,17 +472,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_train)
 
     sp = sub.add_parser("recommend", help="print ensemble top-N from vote counts")
-    common(sp)
-    sp.add_argument("--votes", required=True)
-    sp.add_argument("--split", required=True)
+    common(sp, "--votes", "--split")
     sp.add_argument("--user", type=int, help="one user; omit for all users")
     sp.add_argument("--N", type=int, default=10)
     sp.set_defaults(func=cmd_recommend)
 
     def certification(sp):
-        common(sp)
-        sp.add_argument("--votes", required=True)
-        sp.add_argument("--split", required=True)
+        common(sp, "--votes", "--split")
         sp.add_argument("--target", choices=("test-items", "clean-topn"),
                         default="test-items")
         sp.add_argument("--alpha", type=float)
@@ -530,9 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_certify)
 
     sp = sub.add_parser("evaluate", help="standard Precision/Recall/F1 at e=0")
-    common(sp)
-    sp.add_argument("--votes", required=True)
-    sp.add_argument("--split", required=True)
+    common(sp, "--votes", "--split")
     sp.add_argument("--N", type=int)
     sp.add_argument("--with-single-model", action="store_true",
                     help="also evaluate one model trained on the full matrix")

@@ -19,8 +19,8 @@ import numpy as np
 from .base_rec import BPRParams, IRParams, _ranked, recommend_all, train_base
 # the header grammar, the v2 body helpers and the crash-safe write are
 # shared with the split files
-from .ratings import (ParseError, RatingMatrix, _fixed_rows, _read_file,
-                      _refuse_below, _refuse_cells, _refuse_wide,
+from .ratings import (ItemSets, ParseError, RatingMatrix, _fixed_rows,
+                      _read_file, _refuse_below, _refuse_cells, _refuse_wide,
                       _replace_file)
 
 
@@ -144,15 +144,15 @@ def build_vote_counts(train: RatingMatrix, algo: str, params, T: int, s: int,
                       params=params_digest(algo, params))
 
 
-# users ranked together: a few hundred kB of float temporaries per block,
+# users ranked together: a few hundred kB of int32 temporaries per block,
 # where all n users at once would take an n x m table
 _ROW_BLOCK = 64
 
 
 def ensemble_recommend_all(counts: VoteCounts, train: RatingMatrix,
-                           N: int) -> list[list[int]]:
+                           N: int) -> ItemSets:
     """Every user's N items with the most votes, excluding train-rated ones,
-    ranked a block of users at a time.
+    as ItemSets in rank order, ranked a block of users at a time.
 
     Ties break by ascending item id; zero-vote items fill the tail under the
     same tie-break so a list has exactly N items whenever N unrated items
@@ -162,22 +162,17 @@ def ensemble_recommend_all(counts: VoteCounts, train: RatingMatrix,
     """
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
-    n = train.n_users
-    return [items for lo in range(0, n, _ROW_BLOCK)
-            for items in _top_n(counts, train, lo, min(lo + _ROW_BLOCK, n), N)]
-
-
-def _top_n(counts: VoteCounts, train: RatingMatrix, lo: int, hi: int,
-           N: int) -> list[list[int]]:
-    """The top-N lists of users lo..hi-1, from one _ranked call."""
-    ptr = train.csr.indptr[lo:hi + 1]
-    candidates = np.ones((hi - lo, counts.m), dtype=bool)
-    candidates[np.repeat(np.arange(hi - lo), np.diff(ptr)),
-               train.csr.indices[ptr[0]:ptr[-1]]] = False
-    rows, items = _ranked(counts.counts[lo:hi], candidates, N)
-    # rows come ascending: cut before each user's first pick
-    cuts = np.searchsorted(rows, range(1, hi - lo))
-    return [x.tolist() for x in np.split(items, cuts)]
+    n, csr = train.n_users, train.csr
+    picks = [(np.zeros(0, dtype=np.intp),) * 2]  # (rows, items) per block
+    for lo in range(0, n, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, n)
+        ptr = csr.indptr[lo:hi + 1]
+        candidates = np.ones((hi - lo, counts.m), dtype=bool)
+        candidates[np.repeat(np.arange(hi - lo), np.diff(ptr)),
+                   csr.indices[ptr[0]:ptr[-1]]] = False
+        rows, items = _ranked(counts.counts[lo:hi], candidates, N)
+        picks.append((rows + lo, items))
+    return ItemSets.from_pairs(*map(np.concatenate, zip(*picks)), n)
 
 
 # a v2 votes row; the writer emits one per nonzero cell, row-major
@@ -240,8 +235,8 @@ def load_votes(path: str) -> VoteCounts:
                          f"[0, T={T}]")
     counts = np.zeros((n, m), dtype=np.int32)
     counts[u, i] = c
-    # each of the T models votes at most N' items per user
-    over = np.flatnonzero(counts.sum(axis=1, dtype=np.int64) > T * n_prime)
+    # each of the T models votes at most N' items per user (sums below 2^53)
+    over = np.flatnonzero(np.bincount(u, weights=c, minlength=n) > T * n_prime)
     if over.size:
         raise ParseError(f"{path}: user {over[0]} has "
                          f"{counts[over[0]].sum(dtype=np.int64)} votes, more "

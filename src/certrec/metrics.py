@@ -47,19 +47,28 @@ def certified_metrics(r, N: int, test_size):
     return r / N, r / test_size, 2.0 * r / (test_size + N)
 
 
-def standard_metrics(recommended, test_set, N: int):
-    """Per-user observed (precision, recall, f1) of a recommendation list.
+def standard_metrics(recommended, tests, N: int):
+    """Observed (precision, recall, f1) of every user with a held-out item,
+    as one row per user, users ascending.
 
-    The list may come up short of N (a user with fewer than N unrated items);
-    precision still divides by N.
+    recommended and tests are ItemSets over the same users: the lists, and
+    the held-out sets E_u; users with an empty E_u are left out. A list may
+    come up short of N (a user with fewer than N unrated items); precision
+    still divides by N.
     """
-    if len(recommended) > N:
-        raise ValueError(f"expected at most N={N} recommendations, got {len(recommended)}")
-    test = set(int(i) for i in test_set)
-    if not test:
-        raise ValueError("empty test set; exclude the user instead")
-    hit = sum(1 for i in recommended if int(i) in test)
-    return hit / N, hit / len(test), 2.0 * hit / (len(test) + N)
+    if len(recommended) != len(tests) or recommended.sizes.max(initial=0) > N:
+        raise ValueError(f"expected one list of at most N={N} recommendations "
+                         f"per test set")
+    # one key per (user, item) cell, user-major, and a sentinel past them all
+    width = 1 + max(recommended.items.max(initial=-1), tests.items.max(initial=-1))
+    rec, held = (np.repeat(np.arange(len(x)), x.sizes) * width + x.items
+                 for x in (recommended, tests))
+    held = np.append(np.sort(held), len(tests) * width)
+    hit = np.bincount(rec[held[np.searchsorted(held, rec)] == rec] // width,
+                      minlength=len(tests))
+    size = tests.sizes
+    hit, size = hit[size > 0], size[size > 0]
+    return np.stack((hit / N, hit / size, 2.0 * hit / (size + N)), axis=-1)
 
 
 def mean_over_users(values) -> np.ndarray:

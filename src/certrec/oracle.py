@@ -214,13 +214,13 @@ def exact_certificates(matrix: RatingMatrix, clean: VoteCounts, N: int,
     into one exact_table, certified in one certify_table call, the search
     that certify runs; users with an empty I_u get none.
     """
-    n = matrix.n_users
-    targets = {u: tuple(items) for u, items in
-               enumerate(ensemble_recommend_all(clean, matrix, N))}
-    users = [u for u in range(n) if targets[u]]
-    table = exact_table(clean, users, [targets[u] for u in users], N)
-    (res,) = certify_table(table, [make_context(n, e, clean.s)], N, clean.n_prime)
-    return targets, dict(zip(users, res.r[:, 0].tolist()))
+    ranked = ensemble_recommend_all(clean, matrix, N)
+    users, items = ranked.nonempty()
+    table = exact_table(clean, users, items, N)
+    (res,) = certify_table(table, [make_context(matrix.n_users, e, clean.s)],
+                           N, clean.n_prime)
+    targets = {u: tuple(ranked[u].tolist()) for u in range(len(ranked))}
+    return targets, dict(zip(users.tolist(), res.r[:, 0].tolist()))
 
 
 def _poisoning(matrix: RatingMatrix, clean: VoteCounts, params, N: int,

@@ -77,27 +77,42 @@ class RatingMatrix:
     def n_ratings(self) -> int:
         return int(self.csr.nnz)
 
-    def to_internal_user(self, ext: int) -> int:
-        pos = int(np.searchsorted(self.user_ids, ext))
-        if pos >= len(self.user_ids) or self.user_ids[pos] != ext:
-            raise KeyError(f"unknown external user id {ext}")
-        return pos
-
 
 @dataclass(frozen=True)
-class TestSets:
-    """Per-user held-out item sets E_u, disjoint from the train ratings."""
+class ItemSets:
+    """One item set per user in CSR layout: user u's set is
+    items[indptr[u]:indptr[u + 1]]. Rows keep the order they were built in:
+    ascending ids for held-out sets E_u, best first for top-N lists."""
 
-    sets: tuple  # tuple of sorted int ndarrays, one per user
+    indptr: np.ndarray  # int64, one entry more than there are users
+    items: np.ndarray   # int64 item ids, row after row
+
+    @classmethod
+    def from_pairs(cls, rows, items, n: int) -> ItemSets:
+        """The sets of n users from parallel (row, item) arrays, rows ascending."""
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return cls(indptr=indptr, items=np.asarray(items, dtype=np.int64))
 
     def __getitem__(self, u: int) -> np.ndarray:
-        return self.sets[u]
+        return self.items[self.indptr[u]:self.indptr[u + 1]]
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return len(self.indptr) - 1
 
     def size(self, u: int) -> int:
-        return int(len(self.sets[u]))
+        return int(self.indptr[u + 1] - self.indptr[u])
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.indptr)
+
+    def nonempty(self) -> tuple:
+        """(users, sets): the users with a nonempty set, ascending, and
+        their sets in that order (the same items, as empty rows hold none)."""
+        users = np.flatnonzero(self.sizes)
+        indptr = np.append(self.indptr[users], self.indptr[-1])
+        return users, ItemSets(indptr=indptr, items=self.items)
 
 
 def _build_matrix(users, items, scores, domain, user_ids=None, item_ids=None) -> RatingMatrix:
@@ -115,13 +130,16 @@ def _build_matrix(users, items, scores, domain, user_ids=None, item_ids=None) ->
         item_ids, items = np.unique(items, return_inverse=True)
     n, m = len(user_ids), len(item_ids)
     key = users * m + items
-    # strictly ascending, as splits and their files hold them, has no
-    # duplicate; a rating file's order is sorted first
-    if not (key[1:] > key[:-1]).all():
+    # strictly ascending, as splits and their files hold them, is CSR order
+    # with no duplicate; a rating file's order is sorted first
+    if (key[1:] > key[:-1]).all():
+        mat = csr_matrix((scores, items, np.searchsorted(users, np.arange(n + 1))),
+                         shape=(n, m))
+    else:
         key.sort()
         if (key[1:] == key[:-1]).any():
             raise ParseError("duplicate (user, item) rating")
-    mat = csr_matrix((scores, (users, items)), shape=(n, m))
+        mat = csr_matrix((scores, (users, items)), shape=(n, m))
     mat.sort_indices()
     return RatingMatrix(n_users=n, n_items=m, csr=mat, domain=domain,
                         user_ids=np.asarray(user_ids), item_ids=np.asarray(item_ids))
@@ -172,7 +190,7 @@ def load_ratings(path: str, format: str) -> RatingMatrix:
 
 
 def split_train_test(matrix: RatingMatrix, train_fraction: float, seed: int):
-    """Per-user uniform random split into a train matrix and held-out TestSets.
+    """Per-user uniform random split into a train matrix and held-out ItemSets.
 
     Each user keeps floor(train_fraction * count) ratings for training, at
     least 1 so every user has a profile; the remainder becomes E_u. The split
@@ -180,29 +198,21 @@ def split_train_test(matrix: RatingMatrix, train_fraction: float, seed: int):
     """
     if not 0 < train_fraction <= 1:
         raise ValueError(f"train_fraction must be in (0, 1], got {train_fraction}")
-    tr_users, tr_items, tr_scores = [], [], []
-    test_sets = []
-    for u in range(matrix.n_users):
-        rated = matrix.rated_items(u)
-        scores = matrix.scores_of(u)
-        count = len(rated)
+    csr, n = matrix.csr, matrix.n_users
+    train_cell = np.zeros(csr.nnz, dtype=bool)  # in CSR order
+    for u in range(n):
+        count = int(csr.indptr[u + 1] - csr.indptr[u])
         if count == 0:
             raise ValueError(f"user {u} has no ratings; split requires >=1 per user")
-        k = int(math.floor(train_fraction * count))
-        if k == 0:
-            k = 1  # never leave a user without a train profile
+        k = max(1, int(math.floor(train_fraction * count)))  # keep a train profile
         rng = np.random.default_rng([seed, u])
-        picked = np.sort(rng.choice(count, size=k, replace=False))
-        mask = np.zeros(count, dtype=bool)
-        mask[picked] = True
-        tr_users.append(np.full(k, u))
-        tr_items.append(rated[mask])
-        tr_scores.append(scores[mask])
-        test_sets.append(np.array(sorted(rated[~mask]), dtype=np.int64))
+        train_cell[csr.indptr[u] + rng.choice(count, size=k, replace=False)] = True
+    users = np.repeat(np.arange(n), np.diff(csr.indptr))
     train = _build_matrix(
-        np.concatenate(tr_users), np.concatenate(tr_items), np.concatenate(tr_scores),
+        users[train_cell], csr.indices[train_cell], csr.data[train_cell],
         matrix.domain, user_ids=matrix.user_ids, item_ids=matrix.item_ids)
-    return train, TestSets(sets=tuple(test_sets))
+    # held-out items come ascending, as each user's CSR row holds them
+    return train, ItemSets.from_pairs(users[~train_cell], csr.indices[~train_cell], n)
 
 
 # v2 bodies: little-endian fixed-width rows, read with np.frombuffer
@@ -235,7 +245,7 @@ def _replace_file(path: str, *parts) -> None:
         raise
 
 
-def save_split(path: str, train: RatingMatrix, tests: TestSets, seed: int, fraction: float) -> None:
+def save_split(path: str, train: RatingMatrix, tests: ItemSets, seed: int, fraction: float) -> None:
     """Persist a split as v2: the header, then the train rows as _TRAIN_V2
     in CSR order, then the test rows as _TEST_V2, user by user."""
     _refuse_wide(n=train.n_users, m=train.n_items)
@@ -243,10 +253,9 @@ def save_split(path: str, train: RatingMatrix, tests: TestSets, seed: int, fract
     tr = np.empty(csr.nnz, _TRAIN_V2)
     tr["u"] = np.repeat(np.arange(train.n_users), np.diff(csr.indptr))
     tr["i"], tr["score"] = csr.indices, csr.data
-    sizes = [len(t) for t in tests.sets]
-    te = np.empty(sum(sizes), _TEST_V2)
-    te["u"] = np.repeat(np.arange(len(tests)), sizes)
-    te["i"] = np.concatenate([np.zeros(0, np.int64), *tests.sets])
+    te = np.empty(len(tests.items), _TEST_V2)
+    te["u"] = np.repeat(np.arange(len(tests)), tests.sizes)
+    te["i"] = tests.items
     header = (f"#split v2 n={train.n_users} m={train.n_items} seed={seed} "
               f"fraction={float(fraction)!r} train={len(tr)} test={len(te)}\n")
     _replace_file(path, header.encode(), tr, te)
@@ -462,8 +471,8 @@ def load_split(path: str, digest: bool = False):
                           user_ids=np.arange(n), item_ids=np.arange(m))
     # every cell as the key u * m + i; both key arrays come out ascending
     held = np.sort(te[:, 0] * m + te[:, 1])
-    cuts = np.searchsorted(held, np.arange(1, n) * m)
-    tests = TestSets(sets=tuple(np.split(held % m, cuts)) if n else ())
+    tests = ItemSets(indptr=np.searchsorted(held, np.arange(n + 1) * m),
+                     items=held % m)
     rated = np.repeat(np.arange(n), np.diff(train.csr.indptr)) * m + train.csr.indices
     both = np.intersect1d(held, rated, assume_unique=True)
     if both.size:

@@ -29,6 +29,14 @@ def acceptance():
     return record
 
 
+def item_sets(rows) -> ratings.ItemSets:
+    """ItemSets of one iterable of item ids per user, each in the order given."""
+    rows = [np.asarray(list(r), dtype=np.int64) for r in rows]
+    return ratings.ItemSets.from_pairs(
+        np.repeat(np.arange(len(rows)), [len(r) for r in rows]),
+        np.concatenate([np.zeros(0, np.int64), *rows]), len(rows))
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not _ACCEPTANCE:
         return
@@ -300,9 +308,9 @@ def reference_load_split(path: str):
     domain = ratings.RatingDomain(lo=float(lo), hi=float(hi), integral=integral)
     train = ratings._build_matrix(users, items, scores, domain,
                                   user_ids=np.arange(n), item_ids=np.arange(m))
-    tests = ratings.TestSets(sets=tuple(np.array(sorted(t), dtype=np.int64)
-                                        for t in test_cells))
-    for u, held in enumerate(tests.sets):
+    tests = item_sets(sorted(t) for t in test_cells)
+    for u in range(n):
+        held = tests[u]
         both = sorted(set(held.tolist()) & set(train.rated_items(u).tolist()))
         if both:
             raise ratings.ParseError(f"{path}: test cell ({u}, {both[0]}) is "
@@ -536,7 +544,7 @@ def structured_instance(groups: int = 3, per_group: int = 20, block: int = 8,
     matrix = ratings._build_matrix(users, items, scores, dom,
                                    user_ids=np.arange(n),
                                    item_ids=np.arange(m))
-    return matrix, ratings.TestSets(sets=tuple(tests))
+    return matrix, item_sets(tests)
 
 
 @pytest.fixture(scope="session")

@@ -58,11 +58,10 @@ def synthetic_sweeps():
         snaps[t_stop] = ensemble.VoteCounts(T=t_stop, n_prime=1, s=12,
                                             counts=counts.copy(),
                                             master_seed=0, algo="ir")
-    targets = [tests[u].tolist() for u in range(train.n_users)]
-    pore = {T: certify.sweep(train, snaps[T], targets, alpha=0.2,
+    pore = {T: certify.sweep(train, snaps[T], tests, alpha=0.2,
                              e_list=SWEEP_E, N=N_AT)[0]
             for T in T_GRID}
-    bag = certify.sweep(train, snaps[T_GRID[-1]], targets, alpha=0.2,
+    bag = certify.sweep(train, snaps[T_GRID[-1]], tests, alpha=0.2,
                         e_list=SWEEP_E, N=N_AT, rules=("bagging",))[0]
     return train, tests, snaps, pore, bag
 
@@ -97,14 +96,8 @@ def test_criterion_1_table_reproduction(acceptance, ml100k_run):
         pytest.skip(ML100K_HINT)
     train, tests, snaps = ml100k_run
     vc = snaps[2000]
-    triples = []
     ranked = ensemble.ensemble_recommend_all(vc, train, N_AT)
-    for u, recs in enumerate(ranked):
-        if tests.size(u) == 0:
-            continue
-        triples.append(metrics.standard_metrics(recs, set(tests[u].tolist()),
-                                                N_AT))
-    p, r, f1 = _avg(triples)
+    p, r, f1 = _avg(metrics.standard_metrics(ranked, tests, N_AT))
     want = (0.332556, 0.178293, 0.195624)
     ok = all(abs(got - ref) <= 0.02 for got, ref in zip((p, r, f1), want))
     detail = (f"P={p:.6f} R={r:.6f} F1={f1:.6f} vs {want} +-0.02, "
@@ -121,15 +114,9 @@ def test_criterion_2_single_model(acceptance, ml100k_run):
     train, tests, _ = ml100k_run
     model = base_rec.train_base("ir", train, np.arange(train.n_users),
                                 base_rec.IRParams())
-    users, items = base_rec.recommend_all(model, N_AT)
-    triples = []
-    for u in range(train.n_users):
-        if tests.size(u) == 0:
-            continue
-        recs = items[users == u].tolist()
-        triples.append(metrics.standard_metrics(recs, set(tests[u].tolist()),
-                                                N_AT))
-    p = _avg(triples)[0]
+    recs = ratings.ItemSets.from_pairs(*base_rec.recommend_all(model, N_AT),
+                                       train.n_users)
+    p = _avg(metrics.standard_metrics(recs, tests, N_AT))[0]
     ok = abs(p - 0.330753) <= 0.02
     detail = f"P={p:.6f} vs 0.330753 +-0.02"
     acceptance(2, "PASS" if ok else "FAIL", detail)
@@ -230,8 +217,7 @@ def test_criterion_5_monotonicity(acceptance, synthetic_sweeps, ml100k_run):
         pytest.skip("monotonicity verified on the synthetic instance; "
                     + ML100K_HINT)
     m_train, m_tests, m_snaps = ml100k_run
-    targets = [m_tests[u].tolist() for u in range(m_train.n_users)]
-    m_pore = {T: certify.sweep(m_train, m_snaps[T], targets,
+    m_pore = {T: certify.sweep(m_train, m_snaps[T], m_tests,
                                alpha=0.001, e_list=SWEEP_E, N=N_AT)[0]
               for T in T_GRID}
     e_bad, t_bad, top = check(m_tests, m_pore)

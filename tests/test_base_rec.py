@@ -57,6 +57,25 @@ class TestRanked:
                 want = reference_ranked(scores, candidates, n)
                 assert [x.tolist() for x in got] == [x.tolist() for x in want]
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_int32_counts_equal_float64(self, seed):
+        # integer scores are masked with the dtype's least value, not
+        # widened to float64 and -inf: the same picks on tie-heavy counts,
+        # with the int32 extremes above the mask among them
+        rng = np.random.default_rng(seed)
+        rows, m = int(rng.integers(1, 70)), int(rng.integers(1, 15))
+        counts = rng.integers(0, 3, size=(rows, m)).astype(np.int32)
+        extreme = rng.random((rows, m)) < 0.05
+        counts[extreme] = rng.choice([np.iinfo(np.int32).max,
+                                      np.iinfo(np.int32).min + 1], extreme.sum())
+        candidates = rng.random((rows, m)) < rng.random((rows, 1))
+        for n in sorted({1, 2, max(m - 1, 1), m, m + 3}):
+            got = base_rec._ranked(counts, candidates, n)
+            want = base_rec._ranked(counts.astype(np.float64), candidates, n)
+            assert [x.tolist() for x in got] == [x.tolist() for x in want]
+            assert [x.tolist() for x in got] == [
+                x.tolist() for x in reference_ranked(counts, candidates, n)]
+
     def test_integer_votes(self):
         votes = np.array([[5, 0, 5, 2, 5], [0, 0, 0, 0, 0], [1, 2, 3, 4, 5]],
                          dtype=np.int32)

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from certrec import bounds
 from certrec.ensemble import VoteCounts
 
-from conftest import (prob_row, reference_beta_quantile, reference_bounds,
-                      reference_left_to_right_sum, reference_top_counts)
+from conftest import (item_sets, prob_row, reference_beta_quantile,
+                      reference_bounds, reference_left_to_right_sum,
+                      reference_top_counts)
 
 
 class TestBetaQuantile:
@@ -110,6 +111,48 @@ class TestArrayBisection:
             assert bounds._cp_by_count(np.array(ks), t, beta, upper).tolist() == cp
             one = bounds.cp_upper if upper else bounds.cp_lower
             assert [one(k, t, beta) for k in ks] == cp
+
+    @pytest.mark.parametrize("t", [1, 2, 7, 1000])
+    def test_seeded_equals_bisection_at_every_count(self, t):
+        # the bracket seeded from scipy's inverse gives the float the
+        # bisection from [0, 1] gives, for every count of both bounds at
+        # the certify budgets of ML-100k (alpha 1e-3 over 943 users and
+        # 1682 items, and over the users alone) and a wide level
+        ks = np.arange(t + 1)
+        for beta in (1e-3 / 943 / 1682, 1e-3 / 943, 0.3):
+            for upper in (False, True):
+                pairs = ([(k + 1.0, t - k) for k in ks[:-1]] if upper
+                         else [(float(k), t - k + 1.0) for k in ks[1:]])
+                a, b = (np.array(x) for x in zip(*pairs))
+                want = [reference_beta_quantile(beta, x, y, upper)
+                        for x, y in pairs]
+                assert bounds.beta_quantile(beta, a, b, upper).tolist() == want
+                level = beta * (1.0 - bounds._LEVEL_MARGIN)
+                cp = [reference_beta_quantile(level, x, y, upper) for x, y in pairs]
+                cp = cp + [1.0] if upper else [0.0] + cp  # the edge count
+                assert bounds._cp_by_count(ks, t, beta, upper).tolist() == cp
+
+    @pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
+    def test_seed_off_its_bracket_falls_back(self, monkeypatch, upper):
+        # every seed 1e-6 off: no seeded bracket holds the quantile, both
+        # ends are checked, and every element bisects from [0, 1] instead
+        t = 300
+        c = np.arange(t, dtype=float)
+        a, b = c + 1, t - c  # cp_upper's shapes, valid for either tail
+        want = [reference_beta_quantile(1e-4, x, y, upper) for x, y in zip(a, b)]
+        name = "betaincc" if upper else "betainc"
+        tail, calls = getattr(scipy.special, name), []
+        monkeypatch.setattr(scipy.special, name,
+                            lambda *args: calls.append(1) or tail(*args))
+        assert bounds.beta_quantile(1e-4, a, b, upper).tolist() == want
+        seeded = len(calls)
+        for inverse in ("betaincinv", "betainccinv"):
+            real = getattr(scipy.special, inverse)
+            monkeypatch.setattr(scipy.special, inverse,
+                                lambda x, y, q, real=real: real(x, y, q) * (1 + 1e-6))
+        calls.clear()
+        assert bounds.beta_quantile(1e-4, a, b, upper).tolist() == want
+        assert len(calls) > seeded + 30  # the steps from [0, 1]
 
     def test_counts_outside_zero_to_t_refused(self):
         for bad in ([-1, 3], [3, 11]):
@@ -307,7 +350,7 @@ class TestProbBounds:
 
     def test_estimate_orderings(self):
         vc = self._counts()
-        t = bounds.estimate_table(vc, [0], [(1, 0)], 0.05, 5)
+        t = bounds.estimate_table(vc, [0], item_sets([(1, 0)]), 0.05, 5)
         lower, upper = reference_bounds(vc, 0, (0, 1), 0.05)
         assert t.lower.tolist() == lower  # item 0 has the most votes
         assert t.n_in.tolist() == [2] and t.n_out.tolist() == [3]
@@ -315,7 +358,7 @@ class TestProbBounds:
 
     def test_bonferroni_budget(self):
         vc = self._counts()
-        t = bounds.estimate_table(vc, [0], [(0,)], 0.10, 1)
+        t = bounds.estimate_table(vc, [0], item_sets([(0,)]), 0.10, 1)
         # per-item budget alpha_u / m
         assert t.lower[0] == bounds.cp_lower(70, 100, 0.10 / 5)
 
@@ -323,11 +366,11 @@ class TestProbBounds:
         vc = self._counts()
         for bad in [(0, 0), (99,), ()]:
             with pytest.raises(ValueError, match="items_in"):
-                bounds.exact_table(vc, [0], [bad], 2)
+                bounds.exact_table(vc, [0], item_sets([bad]), 2)
 
     def test_sum_lower(self):
         vc = self._counts()
-        t = bounds.estimate_table(vc, [0], [(0, 1, 2)], 0.05, 2)
+        t = bounds.estimate_table(vc, [0], item_sets([(0, 1, 2)]), 0.05, 2)
         assert t.sum_lower[0] == pytest.approx(sum(t.lower))
 
     def test_derived_sums_exact(self):
@@ -346,8 +389,8 @@ class TestProbBounds:
         exact = ([Fraction(int(c[0, i]), t) for i in items],
                  [Fraction(int(c[0, j]), t) for j in range(m) if j not in items])
         for table, (low, up) in (
-                (bounds.estimate_table(vc, [0], [items[::-1]], 0.05, m), est),
-                (bounds.exact_table(vc, [0], [items[::-1]], m), exact)):
+                (bounds.estimate_table(vc, [0], item_sets([items[::-1]]), 0.05, m), est),
+                (bounds.exact_table(vc, [0], item_sets([items[::-1]]), m), exact)):
             assert table.sum_lower.tolist() == [reference_left_to_right_sum(low)]
             assert table.lower.tolist() == sorted(low, reverse=True)
             assert table.top[0, :len(up)].tolist() == sorted(up, reverse=True)
@@ -366,8 +409,8 @@ class TestBoundTable:
         items = [tuple(rng.choice(m, size=int(rng.integers(1, m + 1)),
                                   replace=False).tolist()) for _ in users]
         for exact in (False, True):
-            table = (bounds.exact_table(vc, users, items, width) if exact else
-                     bounds.estimate_table(vc, users, items, 0.05, width))
+            table = (bounds.exact_table(vc, users, item_sets(items), width) if exact else
+                     bounds.estimate_table(vc, users, item_sets(items), 0.05, width))
             assert table.users.tolist() == users
             assert (table.n_out == 0).any() and (table.n_out < width).any()
             for k, (u, its) in enumerate(zip(users, items)):
@@ -408,10 +451,10 @@ class TestBoundTable:
         alpha_u = 0.05
         for exact in (False, True):
             if exact:
-                table = bounds.exact_table(vc, users, items, width)
+                table = bounds.exact_table(vc, users, item_sets(items), width)
                 low_of, up_of = (lambda c: Fraction(int(c), t),) * 2
             else:
-                table = bounds.estimate_table(vc, users, items, alpha_u, width)
+                table = bounds.estimate_table(vc, users, item_sets(items), alpha_u, width)
                 # cp_lower and cp_upper of each distinct count, once
                 each = np.unique(counts).tolist()
                 low = bounds._cp_by_count(each, t, alpha_u / m, False).tolist()
@@ -429,4 +472,4 @@ class TestBoundTable:
                         counts=np.zeros((3, 5), dtype=np.int32))
         for bad in [[(0, 1), ()], [(0, 1), (2, 2)], [(0, 1), (5,)], [(-1,), (0,)]]:
             with pytest.raises(ValueError, match="items_in"):
-                bounds.estimate_table(vc, [0, 1], bad, 0.05, 2)
+                bounds.estimate_table(vc, [0, 1], item_sets(bad), 0.05, 2)

@@ -9,7 +9,7 @@ import pytest
 
 from certrec import base_rec, bounds, certify, ensemble
 
-from conftest import (one_row_table, prob_row, random_tiny_matrix,
+from conftest import (item_sets, one_row_table, prob_row, random_tiny_matrix,
                       reference_bagging_r, reference_bounds, reference_holds,
                       reference_r)
 
@@ -43,7 +43,7 @@ _HAND_COUNTS = ensemble.VoteCounts(T=10, n_prime=1, s=2, master_seed=0,
 
 
 def _hand_table():
-    return bounds.exact_table(_HAND_COUNTS, [0], [(0, 1)], 3)
+    return bounds.exact_table(_HAND_COUNTS, [0], item_sets([(0, 1)]), 3)
 
 
 def _hand_certify(e_values, rules=("joint",)) -> list:
@@ -107,7 +107,7 @@ class TestConstraintEdges:
 
     def test_empty_target_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
-            bounds.exact_table(_HAND_COUNTS, [0], [()], 3)
+            bounds.exact_table(_HAND_COUNTS, [0], item_sets([()]), 3)
 
     def test_contexts_must_be_one_instance_ascending(self):
         for contexts in (_contexts(5, 2, [2, 1]), _contexts(5, 2, [1, 1]), [],
@@ -255,7 +255,7 @@ class TestSweep:
         train, vc, _ = self._setup()
         targets = [[] for _ in range(14)]
         targets[3] = ensemble.ensemble_recommend_all(vc, train, 3)[3]
-        sweep = certify.sweep(train, vc, targets, alpha=0.2,
+        sweep = certify.sweep(train, vc, item_sets(targets), alpha=0.2,
                               e_list=[0], N=3)[0]
         assert len(sweep.users) == 1
         assert set(sweep.skipped) == set(range(14)) - {3}
@@ -316,11 +316,12 @@ class TestRadiusSweep:
             users = [u for u in range(n) if targets[u]]
             if exact:
                 results = certify.certify_table(
-                    bounds.exact_table(vc, users, [targets[u] for u in users], N),
+                    bounds.exact_table(vc, users,
+                                       item_sets(targets[u] for u in users), N),
                     _contexts(n, vc.s, e_sorted), N, vc.n_prime, rules)
             else:
-                results = certify.sweep(train, vc, targets, alpha, e_list, N,
-                                        rules)
+                results = certify.sweep(train, vc, item_sets(targets), alpha,
+                                        e_list, N, rules)
                 for res in results:
                     assert res.alpha_u == alpha / n
                     assert set(res.skipped) == set(range(n)) - set(users)
@@ -374,7 +375,7 @@ class TestRadiusSweep:
                                  algo="ir",
                                  counts=np.zeros((8, 6), dtype=np.int32))
         with pytest.raises(ValueError):
-            certify.sweep(train, vc, [[0]] * 8, alpha=0.2, e_list=[], N=2)
+            certify.sweep(train, vc, item_sets([[0]] * 8), alpha=0.2, e_list=[], N=2)
 
     @pytest.mark.parametrize("n,s", [(943, 200), (943, 50), (14, 5), (8, 4)])
     def test_approx_sigma_never_decreases_in_e(self, n, s):
@@ -402,7 +403,7 @@ class TestSweepNearTies:
         train = random_tiny_matrix(n, m, seed=3)
         e_list = [0, 1, 2, 3]
         rules = ("joint", "bagging")
-        results = certify.sweep(train, vc, targets, 0.3, e_list, 3, rules)
+        results = certify.sweep(train, vc, item_sets(targets), 0.3, e_list, 3, rules)
         for rule, res in zip(rules, results):
             # each rule counts its own comparisons, the fallbacks among them
             assert res.verify_calls >= res.exact_fallbacks > 0, rule

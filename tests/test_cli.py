@@ -710,7 +710,7 @@ def _reference_verify_calls(split, votes, N, alpha, e_list) -> int:
     contexts = [bounds.make_context(n, e, vc.s) for e in sorted(set(e_list))]
     calls = 0
     for u, items in enumerate(ensemble.ensemble_recommend_all(vc, train, N)):
-        if not items:
+        if not len(items):
             continue
         lower, upper = reference_bounds(vc, u, items, alpha / n)
 

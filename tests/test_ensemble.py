@@ -238,10 +238,34 @@ class TestEnsembleRecommend:
             candidates[u, train.rated_items(u)] = False
         for N in (1, 5):
             rows, cols = reference_ranked(vc.counts, candidates, N)
-            assert ensemble.ensemble_recommend_all(vc, train, N) == [
+            got = ensemble.ensemble_recommend_all(vc, train, N)
+            assert [got[u].tolist() for u in range(len(got))] == [
                 cols[rows == u].tolist() for u in range(150)]
         with pytest.raises(ValueError):
             ensemble.ensemble_recommend_all(vc, train, 0)
+
+    def test_rank_order_equals_ranked(self):
+        # one ItemSets, rows in rank order: its flat items are the picks of
+        # a single _ranked call over every user at once, and its row
+        # pointers count them; 200 users span four row blocks, some rate
+        # every item, and counts of 0-2 tie often
+        rng = np.random.default_rng(4)
+        rated = rng.random((200, 9)) < 0.6
+        rated[190:] = True
+        users, items = np.nonzero(rated)
+        train = ratings._build_matrix(
+            users, items, np.ones(len(users)), ratings.RatingDomain(1.0, 5.0, True),
+            user_ids=np.arange(200), item_ids=np.arange(9))
+        vc = ensemble.VoteCounts(T=5, n_prime=1, s=3, master_seed=0, algo="ir",
+                                 counts=rng.integers(0, 3, size=(200, 9))
+                                 .astype(np.int32))
+        for N in (1, 4, 9):
+            rows, cols = base_rec._ranked(vc.counts, ~rated, N)
+            got = ensemble.ensemble_recommend_all(vc, train, N)
+            assert got.items.tolist() == cols.tolist()
+            assert got.indptr.tolist() == [0, *np.cumsum(
+                np.bincount(rows, minlength=200)).tolist()]
+            assert (got.sizes[190:] == 0).all()
 
 
 class TestPersistence:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from certrec import metrics
 
-from conftest import neumaier_sum
+from conftest import item_sets, neumaier_sum
 
 
 class TestCertified:
@@ -62,25 +62,47 @@ class TestCertified:
 
 class TestStandard:
     def test_hits(self):
-        p, r, f1 = metrics.standard_metrics([1, 2, 3, 4], {2, 4, 9}, N=4)
-        assert p == pytest.approx(2 / 4)
-        assert r == pytest.approx(2 / 3)
+        p, r, f1 = metrics.standard_metrics(item_sets([[1, 2, 3, 4]]),
+                                            item_sets([[2, 4, 9]]), N=4).T
+        assert p.tolist() == [2 / 4] and r.tolist() == [2 / 3]
         assert f1 == pytest.approx(2 * (2 / 4) * (2 / 3) / ((2 / 4) + (2 / 3)))
 
     def test_empty_test_set(self):
-        with pytest.raises(ValueError):
-            metrics.standard_metrics([1, 2], set(), N=2)
+        # a user with no held-out item is left out of all three arrays
+        got = metrics.standard_metrics(item_sets([[1, 2], [3, 4]]),
+                                       item_sets([[], [4, 9]]), N=2)
+        assert got.tolist() == [[1 / 2, 1 / 2, 2 / 4]]
+        with pytest.raises(ValueError, match="one list of at most N=2"):
+            metrics.standard_metrics(item_sets([[1], [2]]), item_sets([[1]]), N=2)
 
     def test_no_hits(self):
-        assert metrics.standard_metrics([5, 6], {1}, N=2) == (0.0, 0.0, 0.0)
+        got = metrics.standard_metrics(item_sets([[5, 6]]), item_sets([[1]]), N=2)
+        assert got.tolist() == [[0.0] * 3]
 
     def test_short_list_divides_by_N(self):
         # fewer than N unrated items: the shorter list still counts against N
-        p, r, f1 = metrics.standard_metrics([2, 4], {2, 4, 9}, N=3)
-        assert (p, r) == pytest.approx((2 / 3, 2 / 3))
-        assert f1 == pytest.approx(2 * 2 / (3 + 3))
+        p, r, f1 = metrics.standard_metrics(item_sets([[2, 4]]),
+                                            item_sets([[2, 4, 9]]), N=3).T
+        assert (p.tolist(), r.tolist()) == ([2 / 3], [2 / 3])
+        assert f1.tolist() == [2 * 2 / (3 + 3)]
         with pytest.raises(ValueError, match="at most N=2"):
-            metrics.standard_metrics([1, 2, 3], {2}, N=2)
+            metrics.standard_metrics(item_sets([[1, 2, 3]]), item_sets([[2]]), N=2)
+
+    def test_equals_per_user_sets(self):
+        # hits counted on the flat arrays against Python sets, user by user:
+        # ranked lists in any order, ids shared across users, short lists,
+        # users without held-out items; the same doubles come out
+        rng = np.random.default_rng(5)
+        n, m, N = 60, 12, 4
+        recs = [rng.permutation(m)[:rng.integers(0, N + 1)].tolist()
+                for _ in range(n)]
+        tests = [sorted(rng.choice(m, size=rng.integers(0, 5), replace=False).tolist())
+                 for _ in range(n)]
+        want = [(hit / N, hit / len(t), 2.0 * hit / (len(t) + N))
+                for rec, t in zip(recs, tests) if t
+                for hit in [len(set(rec) & set(t))]]
+        got = metrics.standard_metrics(item_sets(recs), item_sets(tests), N)
+        assert got.tolist() == [list(x) for x in want]
 
 
 class TestAggregation:

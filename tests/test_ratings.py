@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from certrec import ensemble, ratings
 from certrec.ratings import ParseError
 
-from conftest import (ml100k_shaped_matrix, random_tiny_matrix,
+from conftest import (item_sets, ml100k_shaped_matrix, random_tiny_matrix,
                       reference_load_split, reference_save_split,
                       reference_save_votes, reference_split_file)
 
@@ -34,7 +34,7 @@ class TestLoadRatings:
         # external ids kept sorted; internal indices are their positions
         assert list(m.user_ids) == [186, 196]
         assert list(m.item_ids) == [242, 302]
-        u196 = m.to_internal_user(196)
+        u196 = int(np.searchsorted(m.user_ids, 196))
         assert m.scores_of(u196).tolist() == [3.0, 4.0]
 
     def test_double_colon(self, tmp_path):
@@ -46,7 +46,7 @@ class TestLoadRatings:
         path = _write(tmp_path, "1,2,3.5\n2,2,4\n")
         m = ratings.load_ratings(path, "generic-csv")
         assert m.n_users == 2
-        assert m.csr[0, m.to_internal_user(1)] or True  # parses floats
+        assert m.csr[0, np.searchsorted(m.user_ids, 1)] or True  # parses floats
         assert float(m.csr.max()) == 4.0
 
     def test_unknown_format(self, tmp_path):
@@ -387,6 +387,21 @@ class TestSplitRoundTrip:
         assert str(p) in str(err.value)
 
 
+def test_item_sets_rows():
+    # rows in build order, empty rows anywhere; nonempty() keeps the items
+    sets = ratings.ItemSets.from_pairs(np.array([1, 1, 1, 3]),
+                                       np.array([7, 2, 5, 0]), 5)
+    assert (len(sets), sets.indptr.tolist()) == (5, [0, 0, 3, 3, 4, 4])
+    assert [sets[u].tolist() for u in range(5)] == [[], [7, 2, 5], [], [0], []]
+    assert [sets.size(u) for u in range(5)] == sets.sizes.tolist() == [0, 3, 0, 1, 0]
+    users, rows = sets.nonempty()
+    assert users.tolist() == [1, 3]
+    assert (rows.indptr.tolist(), rows.items.tolist()) == ([0, 3, 4], [7, 2, 5, 0])
+    none = ratings.ItemSets.from_pairs(np.zeros(0, np.int64), [], 2)
+    users, rows = none.nonempty()
+    assert (users.tolist(), rows.indptr.tolist(), len(rows)) == ([], [0], 0)
+
+
 def test_v1_and_v2_load_identically(tmp_path):
     # an ML-100k-shaped split and paper-scale votes on its unrated cells
     train, tests = ratings.split_train_test(ml100k_shaped_matrix(0), 0.75, seed=0)
@@ -410,6 +425,8 @@ def test_v1_and_v2_load_identically(tmp_path):
                            dataclasses.replace(back, counts=None),
                            back.counts.dtype, back.counts.tobytes())
     assert loaded[1] == loaded[2]
+    # both load to the held-out sets' own row pointers and items
+    assert loaded[2][0][-1] == _sets_outcome(tests)
     assert loaded[2][0][-2] == {"n": 943, "m": 1682, "seed": 0, "fraction": 0.75}
     assert loaded[2][1] == dataclasses.replace(vc, counts=None)
     assert loaded[2][3] == vc.counts.tobytes()
@@ -455,9 +472,8 @@ def _split_files(draw):
         [c[0] for c in train_cells], [c[1] for c in train_cells],
         [c[2] for c in train_cells], ratings.RatingDomain(-1.0, 1.0, False),
         user_ids=np.arange(n), item_ids=np.arange(m))
-    tests = ratings.TestSets(sets=tuple(
-        np.array(sorted(i for v, i, sc in cells if v == u and sc is None),
-                 dtype=np.int64) for u in range(n)))
+    tests = item_sets(sorted(i for v, i, sc in cells if v == u and sc is None)
+                      for u in range(n))
     layout = draw(st.sampled_from(["written", "test-first", "interleaved",
                                    "crlf", "blank-lines", "spaces"]))
     # "copy": a copy of one of the file's rows
@@ -490,7 +506,12 @@ def _outcome(load, path):
     csr = train.csr
     return ("loaded", csr.data.tobytes(), csr.indices.tobytes(), csr.indptr.tobytes(),
             csr.data.dtype, csr.indices.dtype, csr.indptr.dtype, csr.shape,
-            train.domain, header, [(t.dtype, t.tolist()) for t in tests.sets])
+            train.domain, header, _sets_outcome(tests))
+
+
+def _sets_outcome(sets):
+    return (sets.indptr.dtype, sets.indptr.tolist(), sets.items.dtype,
+            sets.items.tolist())
 
 
 @settings(max_examples=300, deadline=None)
@@ -512,7 +533,8 @@ def test_load_split_matches_line_loop(tmp_path_factory, case):
     assert got == _outcome(reference_load_split, str(path))
     if odd is None:
         assert got[0] == "loaded"
-        assert got[-1] == [(np.dtype(np.int64), t.tolist()) for t in tests.sets]
+        assert got[-1] == _sets_outcome(tests)
+        assert got[-1][::2] == (np.dtype(np.int64),) * 2
         assert (got[1], got[2], got[3]) == (train.csr.data.tobytes(),
                                             train.csr.indices.tobytes(),
                                             train.csr.indptr.tobytes())
