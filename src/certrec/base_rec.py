@@ -84,28 +84,47 @@ def _ranked(scores: np.ndarray, candidates: np.ndarray, n: int):
     return np.nonzero(picked)[0], top[picked]
 
 
-def _top_k_keep(sim: np.ndarray, neighbour: np.ndarray, k: int) -> np.ndarray:
-    """The one top-k rule: which neighbours each row of a 2-D sim keeps.
+def _k_smallest(neg: np.ndarray, k: int):
+    """Each row's k smallest values, as a mask, and the k-th smallest.
 
-    sim must already hold -inf at every non-neighbour. A row with at most k
-    neighbours keeps them all. A row with more keeps those above its k-th
-    largest value and fills the ties at that value by ascending column id.
-    Returns a mask of sim's shape.
+    A row keeps the values below its k-th smallest, then the ties at it by
+    ascending column id until it holds k. Only the rows whose ties straddle
+    the k-th value are scanned again.
     """
-    m = sim.shape[1]
-    over = np.count_nonzero(neighbour, axis=1) > k
-    if not over.any():
-        return neighbour
-    kth = np.partition(sim, m - k, axis=1)[:, m - k]
-    kth[~over] = -np.inf  # such a row keeps all its neighbours
-    kth = kth[:, None]
-    # flat indices run row by row, columns ascending within a row
-    ties = np.flatnonzero((sim == kth) & neighbour)
-    keep = sim > kth
-    tie_rows = ties // m
-    rank = np.arange(ties.size) - np.searchsorted(tie_rows, tie_rows)
-    room = k - np.count_nonzero(keep, axis=1)
-    keep.ravel()[ties[rank < room[tie_rows]]] = True
+    kth = np.partition(neg, k - 1, axis=1)[:, k - 1, None]
+    keep = neg <= kth
+    over = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
+    if over.size:
+        below = neg[over] < kth[over]
+        ties = keep[over] & ~below
+        room = k - np.count_nonzero(below, axis=1)
+        keep[over] = below | (ties & (np.cumsum(ties, axis=1) <= room[:, None]))
+    return keep, kth[:, 0]
+
+
+def _top_k_keep(neg: np.ndarray, gram: np.ndarray, k: int) -> np.ndarray:
+    """The one top-k rule: which neighbours each row of a 2-D table keeps.
+
+    neg holds the negated cosines, +inf at each row's own item; gram the
+    Gram rows they were scaled from, 0 at the own item, so gram != 0 marks
+    the neighbours. A row with at most k neighbours keeps them all; a row
+    with more keeps those above its k-th largest cosine and fills the ties
+    at that value by ascending column id. Returns a mask of neg's shape.
+
+    When k >= m - 1 no row has more than k neighbours. Otherwise one
+    partition finds each row's k-th smallest negated cosine. Below 0, the
+    row has at least k positive cosines, all neighbours (a non-neighbour's
+    cosine is 0), so its k smallest values are its answer. Only the rows
+    whose k-th value is >= 0 (unseen and rarely rated items, signed
+    ratings) put +inf on their non-neighbours and are partitioned again.
+    """
+    if k >= neg.shape[1] - 1:
+        return gram != 0
+    keep, kth = _k_smallest(neg, k)
+    rest = np.flatnonzero(kth >= 0)  # fewer than k positive cosines
+    if rest.size:
+        masked = np.where(gram[rest] != 0, neg[rest], np.inf)
+        keep[rest] = _k_smallest(masked, k)[0] & (masked != np.inf)
     return keep
 
 
@@ -117,30 +136,29 @@ def _top_k_similarities(sub: csr_matrix, inv: np.ndarray, k: int) -> csr_matrix:
     sparse Gram, summed over the users in ascending order, plus zero
     products that add +0.0. It is exact for integer ratings, the same
     floats for others, and 0 where no user co-rates or the sum cancels, so
-    gram != 0 marks the neighbours. Scaled in place, with -inf on the
-    non-neighbours, it goes to _top_k_keep.
+    gram != 0 marks the neighbours. It is scaled straight into negated
+    cosines for _top_k_keep: IEEE rounding is symmetric, so gram * -inv_i
+    * inv_j is exactly -(gram * inv_i * inv_j), and the kept values,
+    negated back, are bit for bit the cosines of the per-item loop.
     """
     m = sub.shape[1]
     subT = sub.T.tocsr()
     x = sub.toarray()
-    lengths, idx_parts, val_parts = [], [], []
+    flat_parts, val_parts = [], []
     for lo in range(0, m, _BLOCK):
         hi = min(lo + _BLOCK, m)
-        sim = subT[lo:hi] @ x  # the Gram block, scaled in place below
-        neighbour = sim != 0
-        neighbour[np.arange(hi - lo), np.arange(lo, hi)] = False  # self excluded
-        sim *= inv[lo:hi, None]
-        sim *= inv[None, :]
-        # by flat index: a boolean-mask write is slower on a half-true mask
-        sim.ravel()[np.flatnonzero(~neighbour)] = -np.inf
-        keep = _top_k_keep(sim, neighbour, k)
-        kept = np.flatnonzero(keep)
-        lengths.append(np.count_nonzero(keep, axis=1))
-        idx_parts.append(kept % m)
-        val_parts.append(sim.ravel()[kept])
-    indptr = np.concatenate(([0], np.cumsum(np.concatenate(lengths))))
-    return csr_matrix((np.concatenate(val_parts), np.concatenate(idx_parts),
-                       indptr), shape=(m, m))
+        gram = subT[lo:hi] @ x
+        neg = gram * -inv[lo:hi, None]
+        neg *= inv[None, :]
+        own = np.arange(hi - lo), np.arange(lo, hi)  # self excluded
+        neg[own], gram[own] = np.inf, 0
+        kept = np.flatnonzero(_top_k_keep(neg, gram, k))
+        flat_parts.append(kept + lo * m)  # flat index into the m x m table
+        val_parts.append(-neg.ravel()[kept])
+    flat = np.concatenate(flat_parts)
+    indptr = np.searchsorted(flat, np.arange(0, m * m + 1, m))
+    return csr_matrix((np.concatenate(val_parts), flat % m, indptr),
+                      shape=(m, m))
 
 
 def _submatrix(matrix: RatingMatrix, users):
@@ -276,10 +294,10 @@ def ir_votes_batched(x: np.ndarray, users: np.ndarray, k: int, n_prime: int):
     the ratings are integers and s * max|rating|^2 < 2^53 (callers check):
     then every partial sum of the dense batched Gram is an integer below
     2^53, so the Gram and the norms are exact in any summation order. The
-    rest repeats the per-model steps: the elementwise cosine scaling of
-    _top_k_similarities, -inf on the non-neighbours, its pruning rule
-    (_top_k_keep), scores summed over j ascending one column at a time as in
-    scipy's CSR x dense loop (a non-neighbour adds +0.0), and _ranked.
+    rest repeats the per-model steps: the negated cosines of
+    _top_k_similarities, its pruning rule (_top_k_keep), scores summed over
+    j ascending one column at a time as in scipy's CSR x dense loop (a
+    non-neighbour adds +0.0), and _ranked.
     """
     if n_prime < 1:
         raise ValueError(f"n_prime must be >= 1, got {n_prime}")
@@ -289,14 +307,12 @@ def ir_votes_batched(x: np.ndarray, users: np.ndarray, k: int, n_prime: int):
     diag = np.arange(m)
     norms = np.sqrt(gram[:, diag, diag])
     inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
-    neighbour = gram != 0
-    neighbour[:, diag, diag] = False  # self excluded
-    sim = gram * inv[:, :, None]
-    sim *= inv[:, None, :]
-    sim.ravel()[np.flatnonzero(~neighbour)] = -np.inf
-    keep = _top_k_keep(sim.reshape(B * m, m), neighbour.reshape(B * m, m), k)
+    neg = gram * -inv[:, :, None]
+    neg *= inv[:, None, :]
+    neg[:, diag, diag], gram[:, diag, diag] = np.inf, 0  # self excluded
+    keep = _top_k_keep(neg.reshape(B * m, m), gram.reshape(B * m, m), k)
     # column j of every item's table row, contiguous: table[b, j, i] = sim(i, j)
-    table = np.where(keep.reshape(B, m, m), sim, 0.0).transpose(0, 2, 1).copy()
+    table = np.where(keep.reshape(B, m, m), -neg, 0.0).transpose(0, 2, 1).copy()
     scores = np.zeros((B, s, m))
     for j in range(m):
         scores += x[:, :, j, None] * table[:, None, j, :]

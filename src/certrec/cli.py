@@ -15,7 +15,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -143,7 +143,7 @@ def _train_chunked(train, split, cfg, algo, T, s, nprime, seed, out, threads,
                    chunk_size, resume, max_chunks):
     """Accumulate votes chunk by chunk with a resumable partial on disk.
 
-    split: (path, body_digest) of the split train was loaded from. The
+    split: (path, split_digest) of the split train was loaded from. The
     partial is an ordinary votes file whose header T counts the members
     already in it. It is replaced atomically after each chunk, so it is the
     only checkpoint: member seeds depend on (seed, t) alone, which makes a
@@ -197,15 +197,15 @@ def cmd_train(args) -> int:
     if T < 1 or chunk_size < 1 or threads < 1:
         raise ValueError(f"need T, chunk size and threads >= 1, got T={T}, "
                          f"chunk size={chunk_size}, threads={threads}")
-    train, _, header = ratings.load_split(args.split, digest=True)
+    train, tests, _ = ratings.load_split(args.split)
     algo = cfg["algo"]
     s, nprime, seed = int(cfg["s"]), int(cfg["nprime"]), int(cfg["seed"])
     if s > train.n_users:
         raise ValueError(f"s={s} exceeds the {train.n_users} users in the split")
     vc, rate = _train_chunked(
-        train, (args.split, header["digest"]), cfg, algo, T, s, nprime, seed,
-        args.out, threads,
-        chunk_size, args.resume, args.max_chunks)
+        train, (args.split, ratings.split_digest(train, tests)), cfg, algo, T,
+        s, nprime, seed, args.out, threads, chunk_size, args.resume,
+        args.max_chunks)
     if vc.T < T:
         print(f"stopped after --max-chunks at t={vc.T}/{T}; "
               f"rerun with --resume to continue")
@@ -226,13 +226,19 @@ def cmd_train(args) -> int:
 
 def _load_votes_and_split(args):
     """The votes and the split a command reads together, refused as a pair
-    when their shapes differ; returns (votes, train, tests)."""
+    when their shapes differ or when the votes' split= digest is not the
+    split's; returns (votes, train, tests). The split is hashed only for
+    votes that carry split=."""
     train, tests, _ = ratings.load_split(args.split)
     vc = ensemble.load_votes(args.votes)
     if vc.counts.shape != (train.n_users, train.n_items):
         raise ValueError(f"{args.votes} holds {vc.n} x {vc.m} vote counts but "
                          f"{args.split} is a {train.n_users} x {train.n_items} "
                          f"split")
+    if vc.split and vc.split != (digest := ratings.split_digest(train, tests)):
+        raise ValueError(f"{args.votes} was not built on {args.split} (its "
+                         f"split= digest is {vc.split}, the split's is "
+                         f"{digest})")
     return vc, train, tests
 
 
@@ -310,7 +316,7 @@ def cmd_certify(args) -> int:
     agg, extra = rows[0], ()
     if args.baseline is not None:
         extra = ("bag_precision", "bag_recall", "bag_f1")
-        agg = [{**asdict(row), "bag_precision": bag.cert_precision,
+        agg = [{**vars(row), "bag_precision": bag.cert_precision,
                 "bag_recall": bag.cert_recall, "bag_f1": bag.cert_f1}
                for row, bag in zip(rows[0], rows[1])]
     metrics.write_metric_csv(os.path.join(args.out, "aggregate.csv"), agg, extra)

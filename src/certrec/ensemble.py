@@ -41,7 +41,7 @@ class VoteCounts:
     master_seed: int
     algo: str
     params: str = ""    # params_digest of the base models; "" when unknown
-    split: str = ""     # body_digest of the split trained on; "" when unknown
+    split: str = ""     # split_digest of the split trained on; "" when unknown
 
     @property
     def n(self) -> int:
@@ -78,17 +78,25 @@ def _member_params(algo: str, params, master_seed: int, t: int):
     return params if params is not None else IRParams()
 
 
-def accumulate_votes(train: RatingMatrix, algo: str, params, s: int, n_prime: int,
-                     master_seed: int, t_start: int, t_stop: int) -> np.ndarray:
-    """Vote contributions of members t_start..t_stop-1 as an n x m count array."""
-    n, m = train.n_users, train.n_items
-    counts = np.zeros((n, m), dtype=np.int32)
+def _member_votes(train: RatingMatrix, algo: str, params, s: int, n_prime: int,
+                  master_seed: int, t_start: int, t_stop: int):
+    """Each member t_start..t_stop-1's votes in turn, as (users, items)."""
+    n = train.n_users
     for t in range(t_start, t_stop):
         users = sample_submatrix(n, s, derive_seed(master_seed, t))
         model = train_base(algo, train, np.asarray(users),
                            _member_params(algo, params, master_seed, t))
+        yield recommend_all(model, n_prime)
+
+
+def accumulate_votes(train: RatingMatrix, algo: str, params, s: int, n_prime: int,
+                     master_seed: int, t_start: int, t_stop: int) -> np.ndarray:
+    """Vote contributions of members t_start..t_stop-1 as an n x m count array."""
+    counts = np.zeros((train.n_users, train.n_items), dtype=np.int32)
+    for votes in _member_votes(train, algo, params, s, n_prime, master_seed,
+                               t_start, t_stop):
         # a model recommends each item at most once per user: no repeated cell
-        counts[recommend_all(model, n_prime)] += 1
+        counts[votes] += 1
     return counts
 
 
@@ -101,7 +109,10 @@ def _pool_init(*args):
 
 
 def _pool_range(span):
-    return accumulate_votes(*_POOL_CTX["args"], span[0], span[1])
+    """The (users, items) of every vote the span's members cast: a few kB
+    to pickle back, where its count table would be n x m."""
+    votes = list(_member_votes(*_POOL_CTX["args"], span[0], span[1]))
+    return tuple(np.concatenate(part) for part in zip(*votes))
 
 
 def _ranges(t_start: int, t_stop: int, pieces: int):
@@ -126,8 +137,9 @@ def accumulate_votes_parallel(train, algo, params, s, n_prime, master_seed,
     with ProcessPoolExecutor(
             max_workers=threads, initializer=_pool_init,
             initargs=(train, algo, params, s, n_prime, master_seed)) as pool:
-        for part in pool.map(_pool_range, spans):
-            total += part
+        for users, items in pool.map(_pool_range, spans):
+            # members repeat cells, so add.at rather than a fancy +=
+            np.add.at(total, (users, items), 1)
     return total
 
 

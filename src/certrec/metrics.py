@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,13 +96,13 @@ def write_metric_csv(path: str, rows, extra_columns=()) -> None:
         w = csv.writer(fh)
         w.writerow(cols)
         for row in rows:
-            d = row if isinstance(row, dict) else asdict(row)
+            d = row if isinstance(row, dict) else vars(row)
             w.writerow([d[c] for c in cols])
 
 
 def write_metric_json(path: str, rows) -> None:
     """JSON mirror of the aggregate CSV for plotting tools."""
-    payload = [row if isinstance(row, dict) else asdict(row) for row in rows]
+    payload = [row if isinstance(row, dict) else vars(row) for row in rows]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -245,10 +245,9 @@ def _replace_file(path: str, *parts) -> None:
         raise
 
 
-def save_split(path: str, train: RatingMatrix, tests: ItemSets, seed: int, fraction: float) -> None:
-    """Persist a split as v2: the header, then the train rows as _TRAIN_V2
-    in CSR order, then the test rows as _TEST_V2, user by user."""
-    _refuse_wide(n=train.n_users, m=train.n_items)
+def _split_body(train: RatingMatrix, tests: ItemSets):
+    """A split's v2 body: the train rows as _TRAIN_V2 in CSR order, then the
+    test rows as _TEST_V2, user by user."""
     csr = train.csr
     tr = np.empty(csr.nnz, _TRAIN_V2)
     tr["u"] = np.repeat(np.arange(train.n_users), np.diff(csr.indptr))
@@ -256,6 +255,13 @@ def save_split(path: str, train: RatingMatrix, tests: ItemSets, seed: int, fract
     te = np.empty(len(tests.items), _TEST_V2)
     te["u"] = np.repeat(np.arange(len(tests)), tests.sizes)
     te["i"] = tests.items
+    return tr, te
+
+
+def save_split(path: str, train: RatingMatrix, tests: ItemSets, seed: int, fraction: float) -> None:
+    """Persist a split as v2: the header, then _split_body."""
+    _refuse_wide(n=train.n_users, m=train.n_items)
+    tr, te = _split_body(train, tests)
     header = (f"#split v2 n={train.n_users} m={train.n_items} seed={seed} "
               f"fraction={float(fraction)!r} train={len(tr)} test={len(te)}\n")
     _replace_file(path, header.encode(), tr, te)
@@ -426,14 +432,18 @@ def _line_rows(path: str, body: str, n: int, m: int):
             np.array(list(seen["test"]), dtype=np.int64).reshape(-1, 2))
 
 
-def body_digest(body) -> str:
-    """blake2b-64 hex digest of a file body: the bytes of a v2 body, the
-    UTF-8 of a v1 body read with universal newlines."""
-    data = body.encode("utf-8") if isinstance(body, str) else body
-    return hashlib.blake2b(data, digest_size=8).hexdigest()
+def split_digest(train: RatingMatrix, tests: ItemSets) -> str:
+    """blake2b-64 hex digest of the v2 body save_split writes for a split,
+    which votes record as split=. It names the split, not a file layout:
+    the split's v1 text, or its rows in another order, give the same
+    digest, and for a file save_split wrote it is that of the file's body."""
+    digest = hashlib.blake2b(digest_size=8)
+    for part in _split_body(train, tests):
+        digest.update(part)
+    return digest.hexdigest()
 
 
-def load_split(path: str, digest: bool = False):
+def load_split(path: str):
     """Load a persisted split; returns (train, tests, header dict).
 
     A v2 body is read with np.frombuffer. A v1 text body is parsed as
@@ -441,12 +451,9 @@ def load_split(path: str, digest: bool = False):
     valid; otherwise line by line, which takes any order of rows, blank
     lines and spaces around the fields, and names the line of the first
     row it refuses. All give the same split; the header dict holds n, m,
-    seed and fraction, whichever the version, and with digest also the
-    body_digest of the body, which votes record as split=.
+    seed and fraction, whichever the version.
     """
     version, header, body = _read_file(path, "split")
-    if digest:
-        header["digest"] = body_digest(body)
     try:
         n = header["n"] = int(header["n"])
         m = header["m"] = int(header["m"])

@@ -265,6 +265,13 @@ def _assert_same_table(matrix, users, k):
     return want
 
 
+def _cosine_rows(matrix, users):
+    """Each item's cosines with its neighbours, unpruned, descending."""
+    *_, full = reference_ir(matrix, users, 10 ** 6)
+    return [np.sort(full.data[full.indptr[i]:full.indptr[i + 1]])[::-1]
+            for i in range(matrix.n_items)]
+
+
 class TestKernelGolden:
     """train_ir's row-blocked table equals the per-item loop entry for entry."""
 
@@ -321,6 +328,64 @@ class TestKernelGolden:
     def test_k_below_one_refused(self):
         with pytest.raises(ValueError, match="ir.k"):
             base_rec.IRParams(k=0)
+
+    # the pruning cases, in row blocks of 5 so a block holds rows of each
+    # kind and the last block is partial
+
+    def test_binary_ratings_tie_across_the_kth(self, monkeypatch):
+        monkeypatch.setattr(base_rec, "_BLOCK", 5)
+        matrix = _integer_matrix(6, 42, seed=32, values=[1])
+        users = np.arange(6)
+        rows = _cosine_rows(matrix, users)
+        for k in (3, 6):
+            straddle = [r.size > k and r[k - 1] == r[k] for r in rows]
+            assert sum(straddle) > len(rows) / 2
+            _assert_same_table(matrix, users, k)
+
+    def test_rows_with_fewer_than_k_positive_cosines(self, monkeypatch):
+        monkeypatch.setattr(base_rec, "_BLOCK", 5)
+        matrix = _integer_matrix(8, 23, seed=31, values=[-3, -1, 1, 2, 3])
+        users = np.arange(4)
+        k = 8
+        rows = _cosine_rows(matrix, users)
+        positive = np.array([np.count_nonzero(r > 0) for r in rows])
+        sizes = np.array([r.size for r in rows])
+        # with more than k neighbours (partitioned again), and with at most k
+        assert ((positive < k) & (sizes > k)).any()
+        assert ((positive < k) & (sizes <= k)).any()
+        assert (positive >= k).any()
+        _assert_same_table(matrix, users, k)
+
+    def test_item_no_submatrix_user_rated(self, monkeypatch):
+        monkeypatch.setattr(base_rec, "_BLOCK", 5)
+        matrix = random_tiny_matrix(14, 17, seed=33, density=0.4)
+        item = 11
+        users = np.setdiff1d(np.arange(14), matrix.csr[:, item].nonzero()[0])
+        sub = matrix.csr[users]
+        assert users.size >= 4 and (sub.T @ sub)[item].nnz == 0
+        for k in (1, 3, 50):
+            table = _assert_same_table(matrix, users, k)
+            assert table.indptr[item] == table.indptr[item + 1]
+
+    def test_signed_floats_with_kth_cosine_at_most_zero(self, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.setattr(base_rec, "_BLOCK", 5)
+        matrix = signed_float_matrix(tmp_path, n=14, m=13, seed=34)
+        users = np.arange(matrix.n_users)
+        k = 5
+        rows = _cosine_rows(matrix, users)
+        assert any(r.size > k and r[k - 1] <= 0 for r in rows)
+        assert any(r.size > k and r[k - 1] > 0 for r in rows)
+        _assert_same_table(matrix, users, k)
+
+    @pytest.mark.parametrize("extra_k", [-1, 0, 5])
+    def test_k_at_least_m_minus_one(self, monkeypatch, extra_k):
+        monkeypatch.setattr(base_rec, "_BLOCK", 5)
+        matrix = random_tiny_matrix(10, 12, seed=35, density=0.7)
+        users = np.arange(0, 10, 2)
+        table = _assert_same_table(matrix, users, matrix.n_items + extra_k)
+        *_, full = reference_ir(matrix, users, 10 ** 6)
+        assert np.array_equal(table.indptr, full.indptr)
 
 
 def _integer_matrix(n: int, m: int, seed: int, values) -> ratings.RatingMatrix:

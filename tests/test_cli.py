@@ -184,10 +184,9 @@ class TestTrain:
         assert out + ".partial" in err and other in err
         # its own split still resumes, and the votes record that split
         assert cli.main(argv + ["--split", split, "--resume"]) == 0
-        _, _, header = ratings.load_split(split, digest=True)
-        assert ensemble.load_votes(out).split == header["digest"]
-        assert ratings.load_split(other, digest=True)[2]["digest"] != \
-            header["digest"]
+        digest = ratings.split_digest(*ratings.load_split(split)[:2])
+        assert ensemble.load_votes(out).split == digest
+        assert ratings.split_digest(*ratings.load_split(other)[:2]) != digest
 
     def test_resume_refuses_partial_without_split_digest(self, dataset, split):
         root, _ = dataset
@@ -294,6 +293,51 @@ class TestRecommend:
         assert "error:" in captured.err and "vote counts" in captured.err
         assert captured.out == ""
         assert not os.path.exists(out)
+
+
+@pytest.fixture(scope="module")
+def other_split(dataset):
+    """The module's ratings split with another seed: the same shape as the
+    votes' split, other rows, another digest."""
+    root, data = dataset
+    out = str(root / "split_seed6.txt")
+    assert cli.main(["ingest", "--data", data, "--out", out, "--seed", "6"]) == 0
+    return out
+
+
+class TestVotesOfAnotherSplit:
+    """Votes that record split= pair only with the split of that digest."""
+
+    @pytest.mark.parametrize("command", ["recommend", "evaluate", "certify",
+                                         "baseline"])
+    def test_refused_naming_both_files(self, split, other_split, votes,
+                                       command, tmp_path, capsys):
+        assert ensemble.load_votes(votes).split == \
+            ratings.split_digest(*ratings.load_split(split)[:2])
+        out = str(tmp_path / command)
+        extra = [] if command == "recommend" else ["--out", out]
+        argv = [command, "--votes", votes, *extra]
+        assert cli.main(argv + ["--split", other_split]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {votes} was not built on "
+                                       f"{other_split}")
+        assert captured.out == ""
+        assert not os.path.exists(out)
+        assert cli.main(argv + ["--split", split]) == 0
+
+    def test_votes_without_split_digest_are_not_hashed(
+            self, split, other_split, votes, tmp_path, monkeypatch, capsys):
+        bare = str(tmp_path / "votes-bare.txt")
+        ensemble.save_votes(bare, dataclasses.replace(ensemble.load_votes(votes),
+                                                      split=""))
+
+        def refuse(train, tests):
+            raise AssertionError("a split was hashed for votes without split=")
+
+        monkeypatch.setattr(ratings, "split_digest", refuse)
+        assert cli.main(["recommend", "--votes", bare, "--split",
+                         other_split]) == 0
+        assert capsys.readouterr().out.startswith("user,rank,item,votes")
 
 
 class TestCertify:

@@ -365,7 +365,8 @@ class TestIncrementalPoisoning:
 
 # mutations of base_rec.ir_votes_batched: (source line, its replacement)
 _KERNEL_MUTATIONS = {
-    "keep-self": ("    neighbour[:, diag, diag] = False  # self excluded\n", ""),
+    "keep-self": ("    neg[:, diag, diag], gram[:, diag, diag] = np.inf, 0  "
+                  "# self excluded\n", ""),
     "no-seen-mask": ("candidates = rated.any(axis=1, keepdims=True) & ~rated",
                      "candidates = ~rated"),
 }

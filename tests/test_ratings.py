@@ -180,16 +180,27 @@ class TestSplitRoundTrip:
         assert hashlib.blake2b(data, digest_size=8).hexdigest() == "6a826ebcb78066e1"
 
     @pytest.mark.parametrize("version", [1, 2])
-    def test_digest_is_of_the_body(self, tmp_path, version):
+    def test_digest_is_of_the_v2_body(self, tmp_path, version):
+        # whichever the file's version and row order, the digest is that of
+        # the body save_split writes: v2 rows in CSR order, tests by user
         train, tests = ratings.split_train_test(random_tiny_matrix(6, 5, seed=3),
                                                 0.6, seed=1)
+        v2 = str(tmp_path / "split-v2")
+        reference_save_split(v2, train, tests, 1, 0.6, 2)
+        body = open(v2, "rb").read().partition(b"\n")[2]
+        want = hashlib.blake2b(body, digest_size=8).hexdigest()
         path = str(tmp_path / "split")
         reference_save_split(path, train, tests, 1, 0.6, version)
-        assert "digest" not in ratings.load_split(path)[2]
-        _, _, header = ratings.load_split(path, digest=True)
-        body = open(path, "rb").read().partition(b"\n")[2]
-        assert header["digest"] == hashlib.blake2b(
-            body, digest_size=8).hexdigest()
+        assert ratings.split_digest(*ratings.load_split(path)[:2]) == want
+        # the same rows, test rows first and train rows backwards
+        rows = [(u, int(i), float(sc)) for u in range(train.n_users)
+                for i, sc in zip(train.rated_items(u), train.scores_of(u))]
+        held = [(u, int(i)) for u in range(len(tests)) for i in tests[u]]
+        moved = str(tmp_path / "moved")
+        reference_split_file(moved, 6, 5, rows[::-1], held[::-1], version, 1, 0.6)
+        assert open(moved, "rb").read() != open(path, "rb").read()
+        assert ratings.split_digest(*ratings.load_split(moved)[:2]) == want
+        assert ratings.split_digest(train, tests) == want
 
     def test_failed_write_leaves_previous_split(self, tmp_path, monkeypatch):
         matrix = random_tiny_matrix(8, 6, seed=4)
