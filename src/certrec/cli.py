@@ -13,11 +13,13 @@ import csv
 import json
 import logging
 import os
+import platform
 import sys
 import time
 from dataclasses import replace
 
 import numpy as np
+import scipy
 
 from . import base_rec, certify, ensemble, metrics, oracle, ratings
 
@@ -90,10 +92,18 @@ def parse_e_list(text: str) -> list[int]:
     return sorted(set(out))
 
 
-def _write_manifest(path: str, command: str, params: dict, started: float) -> None:
+def _write_manifest(path: str, command: str, params: dict, started: float,
+                    votes=None) -> None:
+    """The run's manifest. With the VoteCounts it read as votes, params also
+    records that file's header params= and split= (None when absent)."""
+    if votes is not None:
+        params = {**params, "votes_params": votes.params or None,
+                  "votes_split": votes.split or None}
     payload = {
         "command": command,
         "params": {k: params[k] for k in sorted(params)},
+        "versions": {"python": platform.python_version(),
+                     "numpy": np.__version__, "scipy": scipy.__version__},
         "wall_time_s": round(time.time() - started, 3),
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
@@ -274,9 +284,9 @@ def _metric_rows(sweep, sizes, N):
 def _sweep_rows(args, rules):
     """Shared certify/baseline path: load, target sets, one sweep, metric rows.
 
-    Returns the resolved config, one SweepResult per rule and its aggregate
-    rows. Aggregates cover only users with held-out items and a nonempty
-    target set.
+    Returns the resolved config, the votes, one SweepResult per rule and its
+    aggregate rows. Aggregates cover only users with held-out items and a
+    nonempty target set.
     """
     cfg = _resolve(args, ("alpha", "N", "e"))
     vc, train, tests = _load_votes_and_split(args)
@@ -287,7 +297,7 @@ def _sweep_rows(args, rules):
                            parse_e_list(cfg["e"]), N, rules)
     sizes = np.where(tests.sizes > 0, targets.sizes, 0)
     rows = [_metric_rows(sw, sizes, N) for sw in sweeps]
-    return cfg, sweeps, rows
+    return cfg, vc, sweeps, rows
 
 
 def _radius_histogram(sweep) -> dict:
@@ -299,7 +309,7 @@ def _radius_histogram(sweep) -> dict:
 def cmd_certify(args) -> int:
     started = time.time()
     rules = ("joint",) if args.baseline is None else ("joint", args.baseline)
-    cfg, sweeps, rows = _sweep_rows(args, rules)
+    cfg, vc, sweeps, rows = _sweep_rows(args, rules)
     sweep = sweeps[0]
     e_list = sweep.e_list
     os.makedirs(args.out, exist_ok=True)
@@ -332,7 +342,7 @@ def cmd_certify(args) -> int:
                      "verify_constraint_calls": sweep.verify_calls,
                      "exact_fallbacks": {rule: sw.exact_fallbacks
                                          for rule, sw in zip(rules, sweeps)}},
-                    started)
+                    started, votes=vc)
     print(f"certified {len(sweep.users)} users at {len(e_list)} "
           f"attack budgets -> {args.out}")
     return 0
@@ -367,14 +377,15 @@ def cmd_evaluate(args) -> int:
                     for system in ("ensemble", "single_model") if system in summary)
     _write_manifest(os.path.join(args.out, "manifest.json"), "evaluate",
                     {"votes": args.votes, "split": args.split, "N": N,
-                     "with_single_model": bool(args.with_single_model)}, started)
+                     "with_single_model": bool(args.with_single_model)},
+                    started, votes=vc)
     print(json.dumps(summary["ensemble"]))
     return 0
 
 
 def cmd_baseline(args) -> int:
     started = time.time()
-    cfg, (sweep,), (rows,) = _sweep_rows(args, ("bagging",))
+    cfg, vc, (sweep,), (rows,) = _sweep_rows(args, ("bagging",))
     os.makedirs(args.out, exist_ok=True)
     metrics.write_metric_csv(os.path.join(args.out, "baseline.csv"), rows)
     metrics.write_metric_json(os.path.join(args.out, "baseline.json"), rows)
@@ -382,7 +393,8 @@ def cmd_baseline(args) -> int:
                     {"votes": args.votes, "split": args.split,
                      "target": args.target, "alpha": cfg["alpha"],
                      "N": int(cfg["N"]), "e_list": sweep.e_list,
-                     "exact_fallbacks": sweep.exact_fallbacks}, started)
+                     "exact_fallbacks": sweep.exact_fallbacks},
+                    started, votes=vc)
     print(f"baseline certified curves for {len(sweep.e_list)} budgets -> {args.out}")
     return 0
 

@@ -9,7 +9,6 @@ produce identical counts.
 from __future__ import annotations
 
 import hashlib
-import io
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -207,38 +206,26 @@ def save_votes(path: str, vc: VoteCounts) -> None:
 
 
 def load_votes(path: str) -> VoteCounts:
-    """Read a votes file of either version, refusing s > n, cells outside
-    the matrix, counts outside [0, T], repeated cells and users with more
-    than T * nprime votes; every error names the file. A header without
-    params= or split= (older files) gives "" for it."""
+    """Read a v2 votes file, refusing v1 text (retrain to rewrite it), s > n,
+    cells outside the matrix, counts outside [0, T], repeated cells and
+    users with more than T * nprime votes; every error names the file. A
+    header without params= or split= (older files) gives "" for it."""
     version, header, body = _read_file(path, "votes")
+    if version == 1:
+        raise ParseError(f"{path}: v1 votes are no longer read; retrain with "
+                         f"certrec train, which writes v2")
     try:
-        n, m, T, n_prime, s, seed = (int(header[k]) for k in
-                                     ("n", "m", "T", "nprime", "s", "seed"))
+        n, m, T, n_prime, s, seed, rows = (int(header[k]) for k in (
+            "n", "m", "T", "nprime", "s", "seed", "rows"))
         algo = header["algo"]
-        if version == 2:
-            rows = int(header["rows"])
-        elif body.strip():
-            cells = np.loadtxt(io.StringIO(body), delimiter=",",
-                               dtype=np.int64, ndmin=2)
-        else:  # loadtxt warns on a body without rows: no votes is read directly
-            cells = np.zeros((0, 3), dtype=np.int64)
     except (KeyError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from None
-    _refuse_below(path, n=(n, 0), m=(m, 0), T=(T, 0), nprime=(n_prime, 1), s=(s, 1))
+    _refuse_below(path, n=(n, 0), m=(m, 0), T=(T, 0), nprime=(n_prime, 1),
+                  s=(s, 1), rows=(rows, 0))
     if s > n:
         raise ParseError(f"{path}: header field s={s} is above n={n}")
-    if version == 2:
-        _refuse_below(path, rows=(rows, 0))
-        (cells,) = _fixed_rows(path, body, (_VOTE_V2, rows))
-        u, i, c = cells["u"], cells["i"], cells["count"]
-    else:
-        if cells.size == 0:
-            cells = cells.reshape(0, 3)
-        if cells.shape[1] != 3:
-            raise ParseError(f"{path}: expected 3 columns (u,i,count), got "
-                             f"{cells.shape[1]}")
-        u, i, c = cells.T
+    (cells,) = _fixed_rows(path, body, (_VOTE_V2, rows))
+    u, i, c = cells["u"], cells["i"], cells["count"]
     _refuse_cells(path, "vote", u, i, n, m)
     bad = np.flatnonzero((c < 0) | (c > T))
     if bad.size:

@@ -31,19 +31,15 @@ class MetricRow:
 def certified_metrics(r, N: int, test_size):
     """Per-user certified (precision, recall, f1) floors from r.
 
-    r and test_size may also be integer arrays, one entry per user and
+    r and test_size are integers, or integer arrays with one entry per user
     broadcast together; each floor is then an array of the same doubles.
     """
-    if np.ndim(r) or np.ndim(test_size):
-        bad = (r < 0) | (r > np.minimum(N, test_size))
-        off = np.broadcast_to(r, bad.shape)[bad][:1].tolist()
-        small = np.min(test_size, initial=1)
-    else:
-        small, off = test_size, [] if 0 <= r <= min(N, test_size) else [r]
-    if small <= 0:
+    if np.min(test_size, initial=1) <= 0:
         raise ValueError("test_size must be positive; exclude the user instead")
-    if off:
-        raise ValueError(f"need 0 <= r <= min(N, |E_u|), got r={off[0]}")
+    bad = (r < 0) | (r > np.minimum(N, test_size))
+    if bad.any():
+        raise ValueError(f"need 0 <= r <= min(N, |E_u|), got "
+                         f"r={np.broadcast_to(r, bad.shape)[bad][0]}")
     return r / N, r / test_size, 2.0 * r / (test_size + N)
 
 

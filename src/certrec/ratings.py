@@ -337,9 +337,9 @@ def _refuse_cells(path: str, kind: str, u: np.ndarray, i: np.ndarray,
 
 def _binary_rows(path: str, body: bytes, n: int, m: int, n_train: int,
                  n_test: int):
-    """The rows of a v2 split body, with the fields and shapes _array_rows
-    gives, refusing what the line loop refuses; the error names the file
-    and the row or the cell."""
+    """The rows of a v2 split body, with the fields and shapes _line_rows
+    gives, refusing what it refuses; the error names the file and the row
+    or the cell."""
     _refuse_below(path, train=(n_train, 0), test=(n_test, 0))
     tr, te = _fixed_rows(path, body, (_TRAIN_V2, n_train), (_TEST_V2, n_test))
     score = tr["score"]
@@ -352,54 +352,11 @@ def _binary_rows(path: str, body: bytes, n: int, m: int, n_train: int,
     return tr, np.column_stack([te["u"], te["i"]]).astype(np.int64)
 
 
-# what the array parse of a split takes once the row kinds are cut off: on
-# these characters loadtxt's numbers are exactly Python's int() and float()
-_NUMERIC = b"0123456789,.+-eE\n"
-_TRAIN_ROW = np.dtype([("u", np.int64), ("i", np.int64), ("score", np.float64)])
-
-
-def _array_rows(body: str, n: int, m: int):
-    """The rows of a split body as arrays: train rows as one _TRAIN_ROW
-    array, test rows as a k x 2 int64 array, or None.
-
-    Takes only the layout v1 files were written in: every train row before
-    every test row, one row per line, no blank line and no space. Gives
-    None for any other layout, any field loadtxt refuses and any row the
-    line loop refuses; the line loop then rescans the body.
-    """
-    text = "\n" + body.removesuffix("\n") if body else ""
-    cut = text.find("\ntest,")
-    cut = len(text) if cut < 0 else cut
-    rows = []
-    for part, kind, empty in ((text[:cut], "train", np.zeros(0, _TRAIN_ROW)),
-                              (text[cut:], "test", np.zeros((0, 2), np.int64))):
-        fields = part.replace(f"\n{kind},", "\n")[1:]
-        if (part.count("\n") != part.count(f"\n{kind},") or not part.isascii()
-                or fields.encode().translate(None, _NUMERIC)
-                or part and "\n\n" in f"\n{fields}\n"):  # loadtxt skips empty rows
-            return None
-        try:
-            rows.append(np.loadtxt(io.StringIO(fields), delimiter=",",
-                                   dtype=empty.dtype, comments=None,
-                                   ndmin=empty.ndim) if part else empty)
-        except (ValueError, OverflowError):
-            return None
-    tr, te = rows
-    score = tr["score"]
-    if te.shape[1] != 2 or not ((score != 0) & np.isfinite(score)).all():
-        return None
-    for u, i in ((tr["u"], tr["i"]), (te[:, 0], te[:, 1])):
-        key = np.sort(u * m + i)
-        if not (((u >= 0) & (u < n) & (i >= 0) & (i < m)).all()
-                and (key[1:] != key[:-1]).all()):
-            return None
-    return tr, te
-
-
 def _line_rows(path: str, body: str, n: int, m: int):
-    """The rows of a split body, line by line, as _array_rows returns them:
-    the parse of any layout, and the one that names the line of the first
-    row it refuses."""
+    """The rows of a v1 split body, line by line: train rows as one (u, i,
+    score) record array and test rows as a k x 2 int64 array. Takes rows in
+    any order, blank lines and spaces around the fields, and names the line
+    of the first row it refuses."""
     width = {"train": 4, "test": 3}
     seen = {"train": {}, "test": {}}  # cell -> train score, in file order
     for lineno, raw in enumerate(body.split("\n"), start=2):
@@ -428,7 +385,8 @@ def _line_rows(path: str, body: str, n: int, m: int):
         except ValueError as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from None
         seen[kind][u, i] = score if kind == "train" else None
-    return (np.array([(*c, sc) for c, sc in seen["train"].items()], dtype=_TRAIN_ROW),
+    return (np.array([(*c, sc) for c, sc in seen["train"].items()],
+                     dtype=[("u", np.int64), ("i", np.int64), ("score", np.float64)]),
             np.array(list(seen["test"]), dtype=np.int64).reshape(-1, 2))
 
 
@@ -446,12 +404,9 @@ def split_digest(train: RatingMatrix, tests: ItemSets) -> str:
 def load_split(path: str):
     """Load a persisted split; returns (train, tests, header dict).
 
-    A v2 body is read with np.frombuffer. A v1 text body is parsed as
-    arrays when it is laid out as v1 files were written and every row is
-    valid; otherwise line by line, which takes any order of rows, blank
-    lines and spaces around the fields, and names the line of the first
-    row it refuses. All give the same split; the header dict holds n, m,
-    seed and fraction, whichever the version.
+    A v2 body is read with np.frombuffer, a v1 text body line by line by
+    _line_rows. Both give the same split; the header dict holds n, m, seed
+    and fraction, whichever the version.
     """
     version, header, body = _read_file(path, "split")
     try:
@@ -463,11 +418,8 @@ def load_split(path: str):
     except (KeyError, ValueError) as exc:
         raise ParseError(f"{path}: malformed split header: {exc}") from None
     _refuse_below(path, n=(n, 0), m=(m, 0))
-    if version == 2:
-        tr, te = _binary_rows(path, body, n, m, *sizes)
-    else:
-        rows = _array_rows(body, n, m)
-        tr, te = _line_rows(path, body, n, m) if rows is None else rows
+    tr, te = (_binary_rows(path, body, n, m, *sizes) if version == 2
+              else _line_rows(path, body, n, m))
     scores = tr["score"]
     if scores.size:
         domain = RatingDomain(lo=float(scores.min()), hi=float(scores.max()),

@@ -353,31 +353,24 @@ def reference_save_split(path: str, train, tests, seed: int, fraction: float,
         version, seed, fraction)
 
 
-def reference_votes_file(path: str, head: str, rows, version: int) -> None:
-    """A votes file of (u, i, count) rows after the header fields head,
-    written one row at a time: v1 text, or v2 rows packed with struct."""
-    if version == 1:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"#votes v1 {head}\n")
-            for row in rows:
-                fh.write("{},{},{}\n".format(*row))
-        return
+def reference_votes_file(path: str, head: str, rows) -> None:
+    """A v2 votes file of (u, i, count) rows after the header fields head,
+    the rows packed one at a time with struct."""
     with open(path, "wb") as fh:
         fh.write(f"#votes v2 {head} rows={len(rows)}\n".encode())
         for row in rows:
             fh.write(struct.pack("<iii", *row))
 
 
-def reference_save_votes(path: str, vc, version: int = 1) -> None:
-    """save_votes' layout, row by row: one row per nonzero cell, row-major;
-    version 1 is the text the v1 writer wrote."""
+def reference_save_votes(path: str, vc) -> None:
+    """save_votes' layout, row by row: one row per nonzero cell, row-major."""
     head = (f"n={vc.n} m={vc.m} T={vc.T} s={vc.s} nprime={vc.n_prime} "
             f"algo={vc.algo} seed={vc.master_seed}"
-            + (f" params={vc.params}" if vc.params else ""))
+            + "".join(f" {key}={value}" for key, value in
+                      (("params", vc.params), ("split", vc.split)) if value))
     users, items = np.nonzero(vc.counts)
     reference_votes_file(path, head, [
-        (u, i, int(vc.counts[u, i])) for u, i in zip(users.tolist(), items.tolist())],
-        version)
+        (u, i, int(vc.counts[u, i])) for u, i in zip(users.tolist(), items.tolist())])
 
 
 def reference_beta_quantile(beta: float, a: float, b: float, upper: bool = False) -> float:

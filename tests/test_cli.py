@@ -7,6 +7,7 @@ import importlib
 import json
 import os
 import pkgutil
+import platform
 import re
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy
 
 import certrec
 from certrec import base_rec, bounds, certify, cli, ensemble, oracle, ratings
@@ -363,36 +365,47 @@ class TestCertify:
     def test_damaged_votes_refused(self, dataset, split, votes, damage,
                                    capsys):
         root, _ = dataset
-        v1 = str(root / "votes-v1.txt")
-        reference_save_votes(v1, ensemble.load_votes(votes))
-        lines = open(v1).read().splitlines(keepends=True)
-        head = lines[0][len("#votes v1 "):-1]
         raw = open(votes, "rb").read()
-        for version in (1, 2):
-            bad = root / f"votes-{damage}-v{version}.txt"
-            if damage == "cut":
-                if version == 1:
-                    bad.write_text("".join(lines[:-1]) + lines[-1][:3])
-                else:  # mid-row
-                    bad.write_bytes(raw[:-5])
-            elif damage == "header-only":
-                reference_votes_file(str(bad), head, [], version)
-            else:
-                # one vote more for user 0 than T=200 models of N'=1 can cast
-                reference_votes_file(str(bad), head, [(0, 0, 150), (0, 1, 51)],
-                                     version)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # loadtxt warned on an empty body
-                code = cli.main(["certify", "--votes", str(bad), "--split", split,
-                                 "--e", "0", "--out",
-                                 str(root / f"cert-{damage}-v{version}")])
-            err = capsys.readouterr().err
-            if damage == "header-only":
-                assert code == 0 and not err
-            else:
-                assert code == 2 and err.startswith(f"error: {bad}")
-            if damage == "over-T-nprime":
-                assert "user 0 has 201 votes, more than T * nprime = 200" in err
+        # the header's fields but rows=, which reference_votes_file writes
+        head = raw.partition(b"\n")[0].decode()[len("#votes v2 "):]
+        head = head.rpartition(" rows=")[0]
+        bad = root / f"votes-{damage}.bin"
+        if damage == "cut":  # mid-row
+            bad.write_bytes(raw[:-5])
+        elif damage == "header-only":
+            reference_votes_file(str(bad), head, [])
+        else:
+            # one vote more for user 0 than T=200 models of N'=1 can cast
+            reference_votes_file(str(bad), head, [(0, 0, 150), (0, 1, 51)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty body reads silently
+            code = cli.main(["certify", "--votes", str(bad), "--split", split,
+                             "--e", "0", "--out", str(root / f"cert-{damage}")])
+        err = capsys.readouterr().err
+        if damage == "header-only":
+            assert code == 0 and not err
+        else:
+            assert code == 2 and err.startswith(f"error: {bad}")
+        if damage == "over-T-nprime":
+            assert "user 0 has 201 votes, more than T * nprime = 200" in err
+
+    @pytest.mark.parametrize("command", ["certify", "recommend", "evaluate",
+                                         "baseline"])
+    def test_v1_votes_refused(self, dataset, split, votes, command, capsys):
+        # the v1 text of the votes: every reader refuses it, naming the file
+        root, _ = dataset
+        vc = ensemble.load_votes(votes)
+        v1 = root / "votes-v1.txt"
+        rows = "".join(f"{u},{i},{vc.counts[u, i]}\n"
+                       for u, i in zip(*np.nonzero(vc.counts)))
+        v1.write_text(f"#votes v1 n={vc.n} m={vc.m} T={vc.T} s={vc.s} "
+                      f"nprime={vc.n_prime} algo={vc.algo} seed={vc.master_seed} "
+                      f"params={vc.params} split={vc.split}\n{rows}")
+        out = [] if command == "recommend" else ["--out", str(root / f"v1-{command}")]
+        assert cli.main([command, "--votes", str(v1), "--split", split, *out]) == 2
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err.startswith(f"error: {v1}: ") and "retrain" in got.err
 
     def test_bagging_columns(self, dataset, split, votes):
         root, _ = dataset
@@ -606,8 +619,9 @@ class TestCleanTopnFloors:
     def test_v1_and_v2_inputs_give_identical_outputs(self, topn_instance):
         root, split, votes = topn_instance
         train, tests, header = ratings.load_split(split)
+        # the v1 split's text, and the votes as the row-by-row v2 writer's
         pairs = {2: (split, votes), 1: (str(root / "split-v1.txt"),
-                                        str(root / "votes-v1.txt"))}
+                                        str(root / "votes-rows.bin"))}
         reference_save_split(pairs[1][0], train, tests, header["seed"],
                              header["fraction"])
         reference_save_votes(pairs[1][1], ensemble.load_votes(votes))
@@ -812,6 +826,28 @@ class TestCertifyManifest:
             params.append(json.load(open(os.path.join(out, "manifest.json")))
                           ["params"])
         assert params[0] == params[1]
+
+    def test_manifests_name_versions_and_votes_header(self, topn_instance,
+                                                      tmp_path):
+        # the votes' params= and split= as read (None when the header has
+        # none), and the library versions, outside params
+        root, split, votes = topn_instance
+        vc = ensemble.load_votes(votes)
+        assert len(vc.params) == len(vc.split) == 16
+        bare = str(tmp_path / "bare.bin")
+        reference_save_votes(bare, dataclasses.replace(vc, params="", split=""))
+        versions = {"python": platform.python_version(),
+                    "numpy": np.__version__, "scipy": scipy.__version__}
+        for path, want in ((votes, (vc.params, vc.split)), (bare, (None, None))):
+            for command in ("certify", "evaluate", "baseline"):
+                out = str(tmp_path / f"{command}-{want[0]}")
+                extra = [] if command == "evaluate" else ["--e", "0:1"]
+                assert cli.main([command, "--votes", path, "--split", split,
+                                 "--N", "5", *extra, "--out", out]) == 0
+                manifest = json.load(open(os.path.join(out, "manifest.json")))
+                assert manifest["versions"] == versions
+                got = manifest["params"]
+                assert (got["votes_params"], got["votes_split"]) == want, command
 
 
 class TestLogLevel:

@@ -3,7 +3,6 @@
 import hashlib
 import os
 import struct
-import warnings
 
 import numpy as np
 import pytest
@@ -290,9 +289,9 @@ class TestPersistence:
         assert ir.isalnum()  # one header token
 
     def test_file_without_params_key_loads(self, tmp_path):
-        path = tmp_path / "old.txt"
-        path.write_text("#votes v1 n=2 m=2 T=3 s=1 nprime=1 algo=ir seed=0\n"
-                        "0,1,2\n")
+        path = tmp_path / "old.bin"
+        reference_votes_file(str(path), "n=2 m=2 T=3 s=1 nprime=1 algo=ir seed=0",
+                             [(0, 1, 2)])
         vc = ensemble.load_votes(str(path))
         assert vc.params == "" and vc.counts[0, 1] == 2
         ensemble.save_votes(str(path), vc)
@@ -322,12 +321,7 @@ class TestPersistence:
         header, _, body = open(path, "rb").read().partition(b"\n")
         assert header.endswith(b" rows=1")  # a single nonzero entry
         assert body == struct.pack("<iii", 1, 2, 7)
-        # the v1 text of the same counts holds the one row too
-        reference_save_votes(path + ".v1", vc)
-        lines = open(path + ".v1").read().strip().split("\n")
-        assert len(lines) == 2 and lines[1] == "1,2,7"
-        for name in (path, path + ".v1"):
-            assert np.array_equal(ensemble.load_votes(name).counts, counts)
+        assert np.array_equal(ensemble.load_votes(path).counts, counts)
 
     def test_byte_stable(self, tmp_path):
         train = random_tiny_matrix(6, 6, seed=5)
@@ -338,7 +332,7 @@ class TestPersistence:
         ensemble.save_votes(p2, vc)
         assert open(p1, "rb").read() == open(p2, "rb").read()
         # and they are the row-by-row v2 writer's bytes
-        reference_save_votes(p2, vc, version=2)
+        reference_save_votes(p2, vc)
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
     def test_v2_bytes_pinned(self, tmp_path):
@@ -370,7 +364,7 @@ class TestPersistence:
     def test_v2_body_of_wrong_length_refused(self, tmp_path, size):
         path = tmp_path / "v.bin"
         reference_votes_file(str(path), "n=3 m=4 T=10 s=1 nprime=1 algo=ir seed=0",
-                             [(0, 0, 1), (1, 2, 4), (2, 3, 9)], 2)
+                             [(0, 0, 1), (1, 2, 4), (2, 3, 9)])
         header, _, body = path.read_bytes().partition(b"\n")
         path.write_bytes(header + b"\n" + (body + body)[:size])
         with pytest.raises(ParseError, match=f"body holds {size} bytes, but "
@@ -378,53 +372,37 @@ class TestPersistence:
             ensemble.load_votes(str(path))
         assert str(path) in str(err.value)
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_s_above_n_refused(self, tmp_path, version):
+    def test_s_above_n_refused(self, tmp_path):
         path = tmp_path / "v.bin"
         reference_votes_file(str(path), "n=3 m=4 T=10 s=4 nprime=1 algo=ir seed=0",
-                             [(0, 0, 1)], version)
+                             [(0, 0, 1)])
         with pytest.raises(ParseError, match="header field s=4 is above n=3") as err:
             ensemble.load_votes(str(path))
         assert str(err.value).startswith(f"{path}: ")
         reference_votes_file(str(path), "n=3 m=4 T=10 s=3 nprime=1 algo=ir seed=0",
-                             [(0, 0, 1)], version)
+                             [(0, 0, 1)])
         assert ensemble.load_votes(str(path)).s == 3
 
-    @pytest.mark.parametrize("cut", ["1,2", "1,", "1,2,"])
-    def test_file_cut_mid_row_rejected(self, tmp_path, cut):
+    @pytest.mark.parametrize("body", ["0,1,2\n", ""], ids=["rows", "empty"])
+    def test_v1_refused(self, tmp_path, body):
+        # v1 text is not read: its votes must be retrained, which writes v2
         path = tmp_path / "v.txt"
-        path.write_text("#votes v1 n=3 m=4 T=10 s=1 nprime=1 algo=ir seed=0\n"
-                        f"0,0,1\n{cut}")
-        with pytest.raises(ParseError, match=str(path)):
-            ensemble.load_votes(str(path))
-
-    @pytest.mark.parametrize("body", ["", "\n", "\n  \n"],
-                             ids=["empty", "newline", "blank-lines"])
-    def test_header_only_file_reads_silently(self, tmp_path, body):
-        path = tmp_path / "v.txt"
-        path.write_text("#votes v1 n=3 m=4 T=10 s=1 nprime=1 algo=ir seed=0\n"
+        path.write_text("#votes v1 n=2 m=2 T=3 s=1 nprime=1 algo=ir seed=0\n"
                         + body)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            vc = ensemble.load_votes(str(path))
-        assert vc.counts.shape == (3, 4) and not vc.counts.any()
+        with pytest.raises(ParseError, match="retrain with certrec train") as err:
+            ensemble.load_votes(str(path))
+        assert str(err.value).startswith(f"{path}: ")
 
     def test_user_with_more_than_T_nprime_votes_rejected(self, tmp_path):
         # T=3 models of N'=2 cast at most 6 votes per user
-        path = tmp_path / "v.txt"
-        header = "#votes v1 n=2 m=4 T=3 s=1 nprime=2 algo=ir seed=0\n"
-        path.write_text(header + "0,0,3\n0,1,3\n1,0,3\n1,2,3\n1,3,1\n")
-        with pytest.raises(ParseError,
-                           match=r"user 1 has 7 votes, more than T \* nprime = 6"):
-            ensemble.load_votes(str(path))
-        path.write_text(header + "0,0,3\n0,1,3\n1,0,3\n1,2,3\n")
-        assert ensemble.load_votes(str(path)).counts.sum() == 12
+        path = tmp_path / "v.bin"
+        header = "n=2 m=4 T=3 s=1 nprime=2 algo=ir seed=0"
         rows = [(0, 0, 3), (0, 1, 3), (1, 0, 3), (1, 2, 3), (1, 3, 1)]
-        reference_votes_file(str(path), header[10:-1], rows, 2)
+        reference_votes_file(str(path), header, rows)
         with pytest.raises(ParseError,
                            match=r"user 1 has 7 votes, more than T \* nprime = 6"):
             ensemble.load_votes(str(path))
-        reference_votes_file(str(path), header[10:-1], rows[:-1], 2)
+        reference_votes_file(str(path), header, rows[:-1])
         assert ensemble.load_votes(str(path)).counts.sum() == 12
 
     @pytest.mark.parametrize("row, problem", [
@@ -435,22 +413,15 @@ class TestPersistence:
         ("0,1,11", r"outside \[0, T=10\]"),
         ("0,1,-2", r"outside \[0, T=10\]"),
         ("1,2,4\n1,2,5", r"duplicate vote cell \(1, 2\)"),
-        ("1,2", "columns"),
     ])
     def test_corrupt_cells_rejected(self, tmp_path, row, problem):
-        if all(r.count(",") == 2 for r in row.split("\n")):  # the rows as v2
-            cells = [(0, 0, 1)] + [tuple(map(int, r.split(","))) for r in row.split("\n")]
-            path = tmp_path / "v.bin"
-            reference_votes_file(str(path), "n=3 m=4 T=10 s=1 nprime=1 "
-                                 "algo=ir seed=0", cells, 2)
-            with pytest.raises(ParseError, match=problem) as err:
-                ensemble.load_votes(str(path))
-            assert str(err.value).startswith(f"{path}: ")
-        path = tmp_path / "v.txt"
-        path.write_text("#votes v1 n=3 m=4 T=10 s=1 nprime=1 algo=ir seed=0\n"
-                        f"0,0,1\n{row}\n")
-        with pytest.raises(ParseError, match=problem):
+        cells = [(0, 0, 1)] + [tuple(map(int, r.split(","))) for r in row.split("\n")]
+        path = tmp_path / "v.bin"
+        reference_votes_file(str(path), "n=3 m=4 T=10 s=1 nprime=1 algo=ir seed=0",
+                             cells)
+        with pytest.raises(ParseError, match=problem) as err:
             ensemble.load_votes(str(path))
+        assert str(err.value).startswith(f"{path}: ")
 
     @pytest.mark.parametrize("fields, refused", [
         ("n=-2", "n=-2 is below 0"),       # numpy refused the shape, no path
@@ -465,12 +436,11 @@ class TestPersistence:
         header = dict(tok.split("=") for tok in
                       "n=3 m=4 T=10 s=1 nprime=1 algo=ir seed=0".split())
         header.update(tok.split("=") for tok in fields.split())
-        for version in (1, 2):
-            reference_votes_file(str(path), " ".join(f"{k}={v}" for k, v in
-                                                     header.items()), [], version)
-            with pytest.raises(ParseError, match=f"header field {refused}") as err:
-                ensemble.load_votes(str(path))
-            assert str(path) in str(err.value)
+        reference_votes_file(str(path), " ".join(f"{k}={v}" for k, v in
+                                                 header.items()), [])
+        with pytest.raises(ParseError, match=f"header field {refused}") as err:
+            ensemble.load_votes(str(path))
+        assert str(path) in str(err.value)
 
     @pytest.mark.parametrize("rows, refused", [
         ("rows=-1", "header field rows=-1 is below 0"), ("", "'rows'"),

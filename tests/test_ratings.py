@@ -278,30 +278,6 @@ class TestSplitRoundTrip:
             reference_save_split(p3, train, tests, 2, 0.75, version=1)
             assert _outcome(ratings.load_split, p1) == _outcome(ratings.load_split, p3)
 
-    def test_array_parse_takes_the_written_layout(self, tmp_path, monkeypatch):
-        train, tests = ratings.split_train_test(random_tiny_matrix(9, 7, seed=1),
-                                                0.7, seed=0)
-        path = str(tmp_path / "split.txt")
-        reference_save_split(path, train, tests, 0, 0.7)
-        lines = open(path).read().splitlines()
-        moved = str(tmp_path / "moved.txt")
-        with open(moved, "w") as fh:  # one test row before the train rows
-            fh.write("\n".join([lines[0], lines[-1]] + lines[1:-1]) + "\n")
-        binary = str(tmp_path / "split.bin")
-        ratings.save_split(binary, train, tests, 0, 0.7)
-        parses, rescans = [], []
-        real_array, real_line = ratings._array_rows, ratings._line_rows
-        monkeypatch.setattr(ratings, "_array_rows",
-                            lambda *a: parses.append(a) or real_array(*a))
-        monkeypatch.setattr(ratings, "_line_rows",
-                            lambda *a: rescans.append(a) or real_line(*a))
-        ratings.load_split(path)
-        assert (len(parses), len(rescans)) == (1, 0)
-        ratings.load_split(moved)
-        assert (len(parses), len(rescans)) == (2, 1)
-        ratings.load_split(binary)  # v2 takes neither text parse
-        assert (len(parses), len(rescans)) == (2, 1)
-
     @pytest.mark.parametrize("train_rows, test_rows, match", [
         pytest.param([], [row], "test cell", id=f"test-{row}")
         for row in ((-1, 0), (2, 0), (0, 2))] + [
@@ -425,7 +401,7 @@ def test_v1_and_v2_load_identically(tmp_path):
     loaded = {}
     for version in (1, 2):
         split, votes = str(tmp_path / f"split-v{version}"), str(tmp_path / f"votes-v{version}")
-        if version == 1:
+        if version == 1:  # the v1 split's text, the row-by-row v2 votes
             reference_save_split(split, train, tests, 0, 0.75)
             reference_save_votes(votes, vc)
         else:
