@@ -99,17 +99,14 @@ def _write_manifest(path: str, command: str, params: dict, started: float,
     if votes is not None:
         params = {**params, "votes_params": votes.params or None,
                   "votes_split": votes.split or None}
-    payload = {
+    metrics.write_json(path, {
         "command": command,
         "params": {k: params[k] for k in sorted(params)},
         "versions": {"python": platform.python_version(),
                      "numpy": np.__version__, "scipy": scipy.__version__},
         "wall_time_s": round(time.time() - started, 3),
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def _resolve(args, keys) -> dict:
@@ -133,11 +130,10 @@ def cmd_ingest(args) -> int:
                                             int(cfg["seed"]))
     ratings.save_split(args.out, train, tests, int(cfg["seed"]),
                        float(cfg["fraction"]))
-    with open(args.out + ".ids.csv", "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["kind", "internal", "external"])
-        for kind, ids in (("user", matrix.user_ids), ("item", matrix.item_ids)):
-            w.writerows([kind, pos, ext] for pos, ext in enumerate(ids.tolist()))
+    metrics.write_csv(args.out + ".ids.csv", [["kind", "internal", "external"]] + [
+        [kind, pos, ext] for kind, ids in (("user", matrix.user_ids),
+                                           ("item", matrix.item_ids))
+        for pos, ext in enumerate(ids.tolist())])
     mean_train = train.n_ratings / train.n_users
     _write_manifest(args.out + ".manifest.json", "ingest",
                     {"data": args.data, "format": cfg["format"],
@@ -318,11 +314,9 @@ def cmd_certify(args) -> int:
     heads = np.array([f"{u}," for u in sweep.users.tolist()], dtype=object)
     tails = np.array([f"{r},{sweep.alpha_u!r}\r\n"
                       for r in range(int(sweep.r.max(initial=0)) + 1)], dtype=object)
-    with open(os.path.join(args.out, "per_user.csv"), "w", encoding="utf-8",
-              newline="") as fh:
-        fh.write("user,e,r,alpha\r\n")
-        for e, rs in zip(e_list, sweep.r.T):
-            fh.write("".join((heads + f"{e}," + tails[rs]).tolist()))
+    ratings._replace_file(os.path.join(args.out, "per_user.csv"), b"user,e,r,alpha\r\n",
+                          *("".join((heads + f"{e}," + tails[rs]).tolist()).encode()
+                            for e, rs in zip(e_list, sweep.r.T)))
     agg, extra = rows[0], ()
     if args.baseline is not None:
         extra = ("bag_precision", "bag_recall", "bag_f1")
@@ -366,15 +360,11 @@ def cmd_evaluate(args) -> int:
         summary["single_model"] = metrics.mean_metrics(
             metrics.standard_metrics(single, tests, N))
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "evaluate.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(args.out, "evaluate.csv"), "w", encoding="utf-8",
-              newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["system", "precision", "recall", "f1"])
-        w.writerows([system] + [summary[system][k] for k in ("precision", "recall", "f1")]
-                    for system in ("ensemble", "single_model") if system in summary)
+    metrics.write_json(os.path.join(args.out, "evaluate.json"), summary)
+    metrics.write_csv(os.path.join(args.out, "evaluate.csv"), [
+        ["system", "precision", "recall", "f1"]] + [
+        [system] + [summary[system][k] for k in ("precision", "recall", "f1")]
+        for system in ("ensemble", "single_model") if system in summary])
     _write_manifest(os.path.join(args.out, "manifest.json"), "evaluate",
                     {"votes": args.votes, "split": args.split, "N": N,
                      "with_single_model": bool(args.with_single_model)},
@@ -399,21 +389,6 @@ def cmd_baseline(args) -> int:
     return 0
 
 
-def _synthetic_matrix(n: int, m: int, density: float, seed: int) -> ratings.RatingMatrix:
-    """Random integer-rated matrix for oracle demonstrations."""
-    rng = np.random.default_rng(seed)
-    users, items, scores = [], [], []
-    count = max(1, int(round(density * m)))
-    for u in range(n):
-        rated = sorted(rng.choice(m, size=count, replace=False).tolist())
-        users += [u] * count
-        items += rated
-        scores += [float(rng.integers(1, 6)) for _ in rated]
-    dom = ratings.RatingDomain(lo=1.0, hi=5.0, integral=True)
-    return ratings._build_matrix(users, items, scores, dom,
-                                 user_ids=np.arange(n), item_ids=np.arange(m))
-
-
 def cmd_oracle(args) -> int:
     cfg = _resolve(args, ("algo", "s", "nprime", "N", "alpha"))
     if args.check == "soundness" and args.attack == "two-level-exhaustive":
@@ -421,7 +396,7 @@ def cmd_oracle(args) -> int:
     if args.data:
         matrix = ratings.load_ratings(args.data, args.format or cfg["format"])
     else:
-        matrix = _synthetic_matrix(args.n, args.m, args.density, args.seed)
+        matrix = ratings.random_matrix(args.n, args.m, args.seed, args.density)
     algo = cfg["algo"]
     params = _algo_params(cfg, algo)
     s, nprime, N = int(cfg["s"]), int(cfg["nprime"]), int(cfg["N"])

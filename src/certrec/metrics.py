@@ -11,10 +11,13 @@ precision and recall floors).
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 
 import numpy as np
+
+from .ratings import _replace_file
 
 
 @dataclass(frozen=True)
@@ -82,23 +85,28 @@ def mean_metrics(triples) -> dict:
     return dict(zip(("precision", "recall", "f1"), mean_over_users(triples).tolist()))
 
 
+def write_csv(path: str, rows) -> None:
+    """rows as csv.writer writes them (CRLF line ends), through _replace_file."""
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    _replace_file(path, text.getvalue().encode())
+
+
+def write_json(path: str, payload) -> None:
+    """payload as indented, key-sorted JSON and a newline, through _replace_file."""
+    _replace_file(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
+
+
 _CSV_COLUMNS = ("e", "cert_precision", "cert_recall", "cert_f1", "n_users")
 
 
 def write_metric_csv(path: str, rows, extra_columns=()) -> None:
     """Aggregate CSV, one row per e; column order is part of the contract."""
     cols = _CSV_COLUMNS + tuple(extra_columns)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for row in rows:
-            d = row if isinstance(row, dict) else vars(row)
-            w.writerow([d[c] for c in cols])
+    dicts = (row if isinstance(row, dict) else vars(row) for row in rows)
+    write_csv(path, [cols] + [[d[c] for c in cols] for d in dicts])
 
 
 def write_metric_json(path: str, rows) -> None:
     """JSON mirror of the aggregate CSV for plotting tools."""
-    payload = [row if isinstance(row, dict) else vars(row) for row in rows]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, [row if isinstance(row, dict) else vars(row) for row in rows])

@@ -8,9 +8,9 @@ scores are always nonzero. Loaders remap arbitrary external ids to contiguous
 from __future__ import annotations
 
 import hashlib
-import io
 import math
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,6 +143,21 @@ def _build_matrix(users, items, scores, domain, user_ids=None, item_ids=None) ->
     mat.sort_indices()
     return RatingMatrix(n_users=n, n_items=m, csr=mat, domain=domain,
                         user_ids=np.asarray(user_ids), item_ids=np.asarray(item_ids))
+
+
+def random_matrix(n: int, m: int, seed: int, density: float = 0.6) -> RatingMatrix:
+    """Seeded n x m matrix of 1-5 stars: each user rates Binomial(m, density)
+    items, at least one, drawn uniformly without replacement."""
+    rng = np.random.default_rng(seed)
+    users, items, scores = [], [], []
+    for u in range(n):
+        count = max(1, int(rng.binomial(m, density)))
+        for i in sorted(int(x) for x in rng.choice(m, size=count, replace=False)):
+            users.append(u)
+            items.append(i)
+            scores.append(float(rng.integers(1, 6)))
+    return _build_matrix(users, items, scores, _ML_DOMAIN,
+                         user_ids=np.arange(n), item_ids=np.arange(m))
 
 
 def load_ratings(path: str, format: str) -> RatingMatrix:
@@ -285,22 +300,20 @@ def _refuse_below(path: str, **fields) -> None:
 
 
 def _read_file(path: str, kind: str):
-    """(version, header fields, body) of a split or votes file: a v2 body as
-    bytes, a v1 body as text read with universal newlines."""
+    """(version, header fields, body bytes) of a split or votes file; only
+    the header line, ended as universal newlines end it, is decoded."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    v1, v2 = f"#{kind} v1 ", f"#{kind} v2 "
-    line, _, body = raw.partition(b"\n")
+    line, body = re.match(rb"([^\r\n]*)(?:\r\n?|\n)?(.*)", raw, re.S).groups()
     try:
-        if raw.startswith(v2.encode()):
-            return 2, _parse_header(line.decode("utf-8"), v2), body
-        if raw.startswith(v1.encode()):
-            text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
-            return 1, _parse_header(text.readline().rstrip("\n"), v1), text.read()
+        for version in (2, 1):
+            magic = f"#{kind} v{version} "
+            if line.startswith(magic.encode()):
+                return version, _parse_header(line.decode("utf-8"), magic), body
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    raise ParseError(f"{path}: bad header, expected {v1!r} or {v2!r}: "
-                     f"{line[:60]!r}")
+    raise ParseError(f"{path}: bad header, expected '#{kind} v1 ' or "
+                     f"'#{kind} v2 ': {line[:60]!r}")
 
 
 def _fixed_rows(path: str, body: bytes, *tables):
@@ -352,14 +365,18 @@ def _binary_rows(path: str, body: bytes, n: int, m: int, n_train: int,
     return tr, np.column_stack([te["u"], te["i"]]).astype(np.int64)
 
 
-def _line_rows(path: str, body: str, n: int, m: int):
-    """The rows of a v1 split body, line by line: train rows as one (u, i,
-    score) record array and test rows as a k x 2 int64 array. Takes rows in
-    any order, blank lines and spaces around the fields, and names the line
-    of the first row it refuses."""
+def _line_rows(path: str, body: bytes, n: int, m: int):
+    """The rows of a v1 split body, decoded as UTF-8 with universal newlines:
+    train rows as one (u, i, score) record array and test rows as a k x 2
+    int64 array. Takes rows in any order, blank lines and spaces around the
+    fields, and names the line of the first row it refuses."""
+    try:
+        lines = re.split(r"\r\n?|\n", body.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     width = {"train": 4, "test": 3}
     seen = {"train": {}, "test": {}}  # cell -> train score, in file order
-    for lineno, raw in enumerate(body.split("\n"), start=2):
+    for lineno, raw in enumerate(lines, start=2):
         line = raw.strip()
         if not line:
             continue

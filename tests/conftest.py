@@ -1,6 +1,7 @@
 """Shared fixtures: acceptance reporting, dataset discovery, synthetic instances."""
 
 import builtins
+import importlib.util
 import itertools
 import math
 import os
@@ -65,40 +66,13 @@ def ml100k_path():
     return None
 
 
-def random_tiny_matrix(n: int, m: int, seed: int,
-                       density: float = 0.6) -> ratings.RatingMatrix:
-    """Random integer-rated matrix; every user rates at least one item."""
-    rng = np.random.default_rng(seed)
-    users, items, scores = [], [], []
-    for u in range(n):
-        count = max(1, int(rng.binomial(m, density)))
-        for i in sorted(int(x) for x in rng.choice(m, size=count, replace=False)):
-            users.append(u)
-            items.append(i)
-            scores.append(float(rng.integers(1, 6)))
-    dom = ratings.RatingDomain(lo=1.0, hi=5.0, integral=True)
-    return ratings._build_matrix(users, items, scores, dom,
-                                 user_ids=np.arange(n), item_ids=np.arange(m))
-
-
-def ml100k_shaped_matrix(seed: int = 0, n: int = 943,
-                         m: int = 1682) -> ratings.RatingMatrix:
-    """Sparse 1-5 star matrix with MovieLens-100k's shape: at least 20
-    ratings per user, lognormal activity, power-law item popularity."""
-    rng = np.random.default_rng(seed)
-    per_user = np.minimum(20 + (45 * rng.lognormal(0.0, 1.0, n)).astype(int),
-                          m // 2)
-    weights = np.arange(1, m + 1) ** -0.75
-    weights = weights[rng.permutation(m)] / weights.sum()
-    users, items, scores = [], [], []
-    for u in range(n):
-        rated = np.sort(rng.choice(m, size=per_user[u], replace=False, p=weights))
-        users.extend([u] * len(rated))
-        items.extend(int(i) for i in rated)
-        scores.extend(float(x) for x in rng.integers(1, 6, size=len(rated)))
-    dom = ratings.RatingDomain(lo=1.0, hi=5.0, integral=True)
-    return ratings._build_matrix(users, items, scores, dom,
-                                 user_ids=np.arange(n), item_ids=np.arange(m))
+# perfbench/gen.py, the benchmark's input generators, loaded by path: a
+# sys.path entry would expose perfbench's generic module names (gen, checks,
+# workloads) to every import
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_gen", os.path.join(_repo_root(), "perfbench", "gen.py"))
+bench_gen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_gen)
 
 
 def signed_float_matrix(tmp_path, n: int = 12, m: int = 9,

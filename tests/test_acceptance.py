@@ -16,9 +16,8 @@ import scipy.special
 
 from certrec import base_rec, bounds, certify, ensemble, metrics, oracle, ratings
 
-from conftest import (ML100K_HINT, one_row_table, prob_row, random_tiny_matrix,
-                      reference_exhaustive_votes, reference_r,
-                      structured_instance)
+from conftest import (ML100K_HINT, one_row_table, prob_row,
+                      reference_exhaustive_votes, reference_r, structured_instance)
 from test_certify import _random_bounds
 
 N_AT = 10
@@ -133,7 +132,7 @@ def test_criterion_3_oracle_equivalence(acceptance):
         m = int(rng.integers(4, 9))
         s = int(rng.integers(1, min(4, n) + 1))
         n_prime = int(rng.integers(1, 3))
-        mat = random_tiny_matrix(n, m, seed=int(rng.integers(0, 10 ** 6)))
+        mat = ratings.random_matrix(n, m, seed=int(rng.integers(0, 10 ** 6)))
         probs = oracle.exact_item_probs(mat, "ir", base_rec.IRParams(), s,
                                         n_prime)
         votes = reference_exhaustive_votes(mat, "ir", base_rec.IRParams(), s,
@@ -167,14 +166,14 @@ def test_criterion_4_soundness(acceptance):
         return (probs, *oracle.exact_certificates(matrix, probs, N, e))
 
     # exhaustive two-level adversary on n=5, m=4, s=2, e=1
-    small = random_tiny_matrix(5, 4, seed=6)
+    small = ratings.random_matrix(5, 4, seed=6)
     probs, targets, cert_r = certified(small, s=2, N=2, e=1)
     assert any(r > 0 for r in cert_r.values()), "vacuous certificates"
     exhaustive = oracle.exhaustive_two_level_check(
         small, probs, base_rec.IRParams(), N=2, e=1, cert_r=cert_r,
         targets=targets)
     # 100 randomized attacks on n=6, s=3, e=1 across all attack families
-    mid = random_tiny_matrix(6, 6, seed=3)
+    mid = ratings.random_matrix(6, 6, seed=3)
     probs6, targets6, cert_r6 = certified(mid, s=3, N=3, e=1)
     assert any(r > 0 for r in cert_r6.values()), "vacuous certificates"
     reports = []
@@ -257,7 +256,7 @@ def test_criterion_6_bagging_dominance(acceptance, synthetic_sweeps):
 def test_criterion_7_calibration(acceptance):
     """Estimated bounds cover the exact probabilities at the promised rate."""
     alpha, t_draws, runs, n_rec = 0.2, 200, 500, 3
-    matrix = random_tiny_matrix(6, 6, seed=13)
+    matrix = ratings.random_matrix(6, 6, seed=13)
     n, m = matrix.n_users, matrix.n_items
     probs = oracle.exact_item_probs(matrix, "ir", base_rec.IRParams(), s=3,
                                     n_prime=1)

@@ -9,8 +9,8 @@ import pytest
 
 from certrec import base_rec, ensemble, ratings
 
-from conftest import (random_tiny_matrix, reference_ir, reference_model_votes,
-                      reference_ranked, signed_float_matrix)
+from conftest import (reference_ir, reference_model_votes, reference_ranked,
+                      signed_float_matrix)
 
 
 def _recs(model, user, n):
@@ -125,7 +125,7 @@ class TestItemRetrieval:
         assert 2 not in recs
 
     def test_rated_items_never_recommended(self):
-        m = random_tiny_matrix(10, 8, seed=0)
+        m = ratings.random_matrix(10, 8, seed=0)
         model = base_rec.train_ir(m, np.arange(10))
         for u in range(10):
             rated = set(m.rated_items(u).tolist())
@@ -145,7 +145,7 @@ class TestItemRetrieval:
         assert scores[0] > 0
 
     def test_top_k_pruning(self):
-        m = random_tiny_matrix(12, 30, seed=3, density=0.8)
+        m = ratings.random_matrix(12, 30, seed=3, density=0.8)
         model = base_rec.train_ir(m, np.arange(12), base_rec.IRParams(k=4))
         per_row = np.diff(model.sim.indptr)
         assert per_row.max() <= 4
@@ -157,7 +157,7 @@ class TestItemRetrieval:
         # products: any later Gram, block size or pruning must cast exactly
         # the same votes; k=4 prunes nearly every row
         if instance == "integer":
-            train = random_tiny_matrix(30, 300, seed=13, density=0.3)
+            train = ratings.random_matrix(30, 300, seed=13, density=0.3)
         else:
             train = signed_float_matrix(tmp_path, n=30, m=300, seed=14)
             assert not train.domain.integral and train.domain.lo < 0
@@ -203,7 +203,7 @@ class TestBPR:
         assert worst < 1e-5
 
     def test_training_reduces_ranking_loss(self):
-        m = random_tiny_matrix(12, 10, seed=8, density=0.5)
+        m = ratings.random_matrix(12, 10, seed=8, density=0.5)
         users = np.arange(12)
         params = base_rec.BPRParams(d=8, epochs=40, seed=3)
         model = base_rec.train_bpr(m, users, params)
@@ -222,7 +222,7 @@ class TestBPR:
         assert wins / trials > 0.8
 
     def test_deterministic_per_seed(self):
-        m = random_tiny_matrix(8, 8, seed=1)
+        m = ratings.random_matrix(8, 8, seed=1)
         p = base_rec.BPRParams(d=4, epochs=5, seed=7)
         a = base_rec.train_bpr(m, np.arange(8), p)
         b = base_rec.train_bpr(m, np.arange(8), p)
@@ -232,7 +232,7 @@ class TestBPR:
     def test_vote_digest_pinned(self):
         # pinned from the trainer before it stepped with bpr_pair_grads: the
         # gradient form of the update must cast exactly the same votes
-        train = random_tiny_matrix(20, 16, seed=9, density=0.4)
+        train = ratings.random_matrix(20, 16, seed=9, density=0.4)
         counts = ensemble.accumulate_votes(
             train, "bpr", base_rec.BPRParams(d=6, epochs=4), 8, 2, 11, 0, 30)
         digest = hashlib.sha256(
@@ -241,14 +241,14 @@ class TestBPR:
         assert digest[:16] == "90eb88b02032db67"
 
     def test_unknown_user_gets_no_recommendations(self):
-        m = random_tiny_matrix(6, 6, seed=2)
+        m = ratings.random_matrix(6, 6, seed=2)
         model = base_rec.train_bpr(m, np.array([0, 1, 2]),
                                    base_rec.BPRParams(d=4, epochs=2, seed=0))
         users, _ = base_rec.recommend_all(model, 3)
         assert 5 not in users
 
     def test_dispatch(self):
-        m = random_tiny_matrix(6, 6, seed=2)
+        m = ratings.random_matrix(6, 6, seed=2)
         ir = base_rec.train_base("ir", m, np.arange(6), base_rec.IRParams())
         bpr = base_rec.train_base("bpr", m, np.arange(6),
                                   base_rec.BPRParams(d=4, epochs=2, seed=0))
@@ -283,8 +283,8 @@ class TestKernelGolden:
     @pytest.mark.parametrize("seed", range(6))
     def test_random_tiny(self, seed):
         rng = np.random.default_rng(seed)
-        matrix = random_tiny_matrix(15, 40, seed=seed,
-                                    density=(0.2, 0.5, 0.9)[seed % 3])
+        matrix = ratings.random_matrix(15, 40, seed=seed,
+                                       density=(0.2, 0.5, 0.9)[seed % 3])
         users = rng.choice(15, size=8, replace=False)
         for k in (1, 2, 5, 50):
             _assert_same_table(matrix, users, k)
@@ -292,7 +292,7 @@ class TestKernelGolden:
     def test_rows_spanning_blocks(self, monkeypatch):
         # several row blocks, the last one partial
         monkeypatch.setattr(base_rec, "_BLOCK", 7)
-        matrix = random_tiny_matrix(20, 45, seed=9, density=0.5)
+        matrix = ratings.random_matrix(20, 45, seed=9, density=0.5)
         _assert_same_table(matrix, np.arange(0, 20, 2), 4)
 
     @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 3)])
@@ -317,7 +317,7 @@ class TestKernelGolden:
         _assert_same_table(matrix, users, 50)
 
     def test_items_with_at_most_k_neighbours(self):
-        matrix = random_tiny_matrix(10, 30, seed=4, density=0.15)
+        matrix = ratings.random_matrix(10, 30, seed=4, density=0.15)
         users = np.arange(10)
         *_, full = reference_ir(matrix, users, 10 ** 6)
         per_row = np.diff(full.indptr)
@@ -358,7 +358,7 @@ class TestKernelGolden:
 
     def test_item_no_submatrix_user_rated(self, monkeypatch):
         monkeypatch.setattr(base_rec, "_BLOCK", 5)
-        matrix = random_tiny_matrix(14, 17, seed=33, density=0.4)
+        matrix = ratings.random_matrix(14, 17, seed=33, density=0.4)
         item = 11
         users = np.setdiff1d(np.arange(14), matrix.csr[:, item].nonzero()[0])
         sub = matrix.csr[users]
@@ -381,7 +381,7 @@ class TestKernelGolden:
     @pytest.mark.parametrize("extra_k", [-1, 0, 5])
     def test_k_at_least_m_minus_one(self, monkeypatch, extra_k):
         monkeypatch.setattr(base_rec, "_BLOCK", 5)
-        matrix = random_tiny_matrix(10, 12, seed=35, density=0.7)
+        matrix = ratings.random_matrix(10, 12, seed=35, density=0.7)
         users = np.arange(0, 10, 2)
         table = _assert_same_table(matrix, users, matrix.n_items + extra_k)
         *_, full = reference_ir(matrix, users, 10 ** 6)
@@ -425,7 +425,7 @@ def _batched_subset_votes(matrix, subsets, k, n_prime):
 
 _KERNEL_INSTANCES = {
     # ratings 1-5; some subsets leave an item unrated (zero norm)
-    "random": lambda: random_tiny_matrix(8, 7, seed=21, density=0.4),
+    "random": lambda: ratings.random_matrix(8, 7, seed=21, density=0.4),
     # every rating equal: cosines depend on co-rating counts only, so many
     # rows tie at their k-th value
     "all-equal": lambda: _integer_matrix(8, 7, seed=22, values=[4]),
@@ -470,7 +470,7 @@ class TestBatchedKernel:
         assert any(((g == 0) & (p > 0)).any() for g, p in zip(gram, shared))
 
     def test_unsorted_subsets_and_one_user(self):
-        matrix = random_tiny_matrix(6, 5, seed=2)
+        matrix = ratings.random_matrix(6, 5, seed=2)
         subsets = [(4, 1, 2), (0, 5, 3)]
         assert np.array_equal(_batched_subset_votes(matrix, subsets, 2, 2),
                               _reference_subset_votes(matrix, subsets, 2, 2))
@@ -479,7 +479,7 @@ class TestBatchedKernel:
                               _reference_subset_votes(matrix, single, 2, 1))
 
     def test_n_prime_below_one_refused(self):
-        matrix = random_tiny_matrix(4, 4, seed=0)
+        matrix = ratings.random_matrix(4, 4, seed=0)
         with pytest.raises(ValueError, match="n_prime"):
             base_rec.ir_votes_batched(matrix.csr.toarray()[[[0, 1]]],
                                       np.array([[0, 1]]), 2, 0)

@@ -7,11 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from certrec import base_rec, bounds, certify, ensemble
+from certrec import base_rec, bounds, certify, ensemble, ratings
 
-from conftest import (item_sets, one_row_table, prob_row, random_tiny_matrix,
-                      reference_bagging_r, reference_bounds, reference_holds,
-                      reference_r)
+from conftest import (item_sets, one_row_table, prob_row, reference_bagging_r,
+                      reference_bounds, reference_holds, reference_r)
 
 
 def _certify_row(lower, upper, contexts, N: int, n_prime: int,
@@ -227,7 +226,7 @@ class TestSearchEquivalence:
 
 class TestSweep:
     def _setup(self):
-        train = random_tiny_matrix(14, 10, seed=4)
+        train = ratings.random_matrix(14, 10, seed=4)
         vc = ensemble.build_vote_counts(train, "ir", base_rec.IRParams(),
                                         T=300, s=5, n_prime=1, master_seed=11)
         targets = ensemble.ensemble_recommend_all(vc, train, 3)
@@ -293,7 +292,7 @@ def _random_sweep_instance(rng):
                               rng.choice(m, size=min(size, m), replace=False)))
     e_list = [int(e) for e in rng.choice(13, size=int(rng.integers(1, 6)))]
     N = int(rng.integers(1, m + 2))
-    return random_tiny_matrix(n, m, seed=int(rng.integers(1000))), vc, \
+    return ratings.random_matrix(n, m, seed=int(rng.integers(1000))), vc, \
         targets, e_list, N
 
 
@@ -355,7 +354,7 @@ class TestRadiusSweep:
         assert all(seen.values()), seen
 
     def test_unsorted_duplicated_sparse_e_list(self):
-        train = random_tiny_matrix(14, 10, seed=4)
+        train = ratings.random_matrix(14, 10, seed=4)
         vc = ensemble.build_vote_counts(train, "ir", base_rec.IRParams(),
                                         T=300, s=5, n_prime=1, master_seed=11)
         targets = ensemble.ensemble_recommend_all(vc, train, 3)
@@ -370,7 +369,7 @@ class TestRadiusSweep:
                 assert got.r[:, j].tolist() == want.r[:, 0].tolist()
 
     def test_empty_e_list_rejected(self):
-        train = random_tiny_matrix(8, 6, seed=1)
+        train = ratings.random_matrix(8, 6, seed=1)
         vc = ensemble.VoteCounts(T=10, n_prime=1, s=2, master_seed=0,
                                  algo="ir",
                                  counts=np.zeros((8, 6), dtype=np.int32))
@@ -400,7 +399,7 @@ class TestSweepNearTies:
         vc = ensemble.VoteCounts(T=T, n_prime=1, s=s, counts=counts,
                                  master_seed=0, algo="ir")
         targets = [np.argsort(-row, kind="stable")[:3].tolist() for row in counts]
-        train = random_tiny_matrix(n, m, seed=3)
+        train = ratings.random_matrix(n, m, seed=3)
         e_list = [0, 1, 2, 3]
         rules = ("joint", "bagging")
         results = certify.sweep(train, vc, item_sets(targets), 0.3, e_list, 3, rules)
@@ -473,7 +472,7 @@ class TestBagging:
         assert pore == [pore[0]] * 2 and pore[0] > 0
 
     def test_bagging_sweep_monotone(self):
-        train = random_tiny_matrix(14, 10, seed=4)
+        train = ratings.random_matrix(14, 10, seed=4)
         vc = ensemble.build_vote_counts(train, "ir", base_rec.IRParams(),
                                         T=300, s=5, n_prime=1, master_seed=11)
         targets = ensemble.ensemble_recommend_all(vc, train, 3)

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import importlib
 import json
+import math
 import os
 import pkgutil
 import platform
@@ -406,6 +407,43 @@ class TestCertify:
         got = capsys.readouterr()
         assert got.out == ""
         assert got.err.startswith(f"error: {v1}: ") and "retrain" in got.err
+
+    def test_v1_votes_not_utf8_refused(self, dataset, split, capsys):
+        # a v1 body is never decoded, so a byte that is not UTF-8 gets the
+        # retrain refusal, not the codec's message
+        root, _ = dataset
+        v1 = root / "votes-v1-bytes.txt"
+        v1.write_bytes(b"#votes v1 n=2 m=2 T=1 s=1 nprime=1 algo=ir seed=0\n"
+                       b"0,1,\xff\n")
+        assert cli.main(["recommend", "--votes", str(v1), "--split", split]) == 2
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err.startswith(f"error: {v1}: ") and "retrain" in got.err
+        assert "codec" not in got.err
+
+    @pytest.mark.parametrize("name", ["per_user.csv", "aggregate.csv",
+                                      "aggregate.json", "manifest.json"])
+    def test_failed_rewrite_keeps_the_previous_file(
+            self, dataset, split, votes, name, monkeypatch, capsys):
+        # a second certify into the same --out fails before it renames name
+        # into place: the first run's file stays, and no .tmp is left behind
+        root, _ = dataset
+        out = str(root / f"cert-twice-{name}")
+        argv = ["certify", "--votes", votes, "--split", split, "--out", out]
+        assert cli.main(argv + ["--e", "0:1"]) == 0
+        first = open(os.path.join(out, name), "rb").read()
+        real = os.replace
+
+        def replace(src, dst):
+            if os.path.basename(dst) == name:
+                raise OSError("No space left on device")
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        assert cli.main(argv + ["--e", "0:2"]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert open(os.path.join(out, name), "rb").read() == first
+        assert not [f for f in os.listdir(out) if f.endswith(".tmp")]
 
     def test_bagging_columns(self, dataset, split, votes):
         root, _ = dataset
@@ -970,11 +1008,22 @@ class TestOracleCommand:
         assert "error: need at least one attack trial" in captured.err
         assert "attack trials:" not in captured.out
 
-    def test_probs_only(self, capsys):
-        code = cli.main(["oracle", "--n", "5", "--m", "4", "--s", "2",
+    @pytest.mark.parametrize("n, m, seed, density", [
+        (5, 4, 1, 0.7), (6, 6, 2, 0.5), (8, 5, 3, 0.9), (7, 9, 0, 0.3)],
+        ids=["defaults", "6x6", "dense", "sparse"])
+    def test_probs_only(self, n, m, seed, density, capsys):
+        # without --data the instance is ratings.random_matrix, and the
+        # certificates are oracle.exact_certificates' on it
+        code = cli.main(["oracle", "--n", str(n), "--m", str(m), "--s", "2",
+                         "--seed", str(seed), "--density", str(density),
                          "--check", "probs"])
         assert code == 0
-        assert "enumerated 10 subsets" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert f"enumerated {math.comb(n, 2)} subsets (n={n}, m={m}, s=2)" in out
+        matrix = ratings.random_matrix(n, m, seed, density)
+        probs = oracle.exact_item_probs(matrix, "ir", base_rec.IRParams(), 2, 1)
+        _, cert_r = oracle.exact_certificates(matrix, probs, 10, 1)
+        assert f"certified r per user: {cert_r}\n" in out
 
     def test_users_without_targets_skipped(self, capsys):
         # density 1.0: every user rated every item, so no target set exists

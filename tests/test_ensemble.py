@@ -10,9 +10,8 @@ import pytest
 from certrec import base_rec, ensemble, ratings
 from certrec.ratings import ParseError
 
-from conftest import (ml100k_shaped_matrix, random_tiny_matrix, reference_ir,
-                      reference_model_votes, reference_ranked,
-                      reference_save_votes, reference_votes,
+from conftest import (bench_gen, reference_ir, reference_model_votes,
+                      reference_ranked, reference_save_votes, reference_votes,
                       reference_votes_file, signed_float_matrix)
 
 
@@ -49,7 +48,7 @@ class TestSeeding:
 
 class TestAccumulation:
     def _votes(self, **kw):
-        m = random_tiny_matrix(14, 10, seed=4)
+        m = ratings.random_matrix(14, 10, seed=4)
         defaults = dict(train=m, algo="ir", params=base_rec.IRParams(),
                         T=60, s=5, n_prime=1, master_seed=11)
         defaults.update(kw)
@@ -83,7 +82,7 @@ class TestAccumulation:
 
     def test_t_prefix_nesting(self):
         # the first T models of a longer run are exactly a shorter run
-        train = random_tiny_matrix(12, 8, seed=9)
+        train = ratings.random_matrix(12, 8, seed=9)
         params = base_rec.IRParams()
         short = ensemble.build_vote_counts(train, "ir", params, T=30, s=4,
                                            n_prime=1, master_seed=2)
@@ -128,8 +127,8 @@ class TestKernelGoldenVotes:
     @pytest.mark.parametrize("n_prime", [1, 3])
     @pytest.mark.parametrize("seed", range(4))
     def test_random_tiny(self, seed, n_prime):
-        train = random_tiny_matrix(16, 24, seed=seed,
-                                   density=(0.15, 0.4, 0.7, 0.9)[seed])
+        train = ratings.random_matrix(16, 24, seed=seed,
+                                      density=(0.15, 0.4, 0.7, 0.9)[seed])
         self._same(train, "ir", base_rec.IRParams(k=(2, 4, 8, 50)[seed]), 6,
                    n_prime, 25, seed)
 
@@ -141,7 +140,7 @@ class TestKernelGoldenVotes:
 
     @pytest.mark.parametrize("n_prime", [1, 3])
     def test_user_without_candidates(self, n_prime):
-        base = random_tiny_matrix(8, 10, seed=2, density=0.3)
+        base = ratings.random_matrix(8, 10, seed=2, density=0.3)
         full = base.csr.toarray()
         full[0] = 4.0  # user 0 rated every item: never a candidate left
         train = ratings._build_matrix(*np.nonzero(full), full[np.nonzero(full)],
@@ -152,13 +151,16 @@ class TestKernelGoldenVotes:
 
     @pytest.mark.parametrize("n_prime", [1, 3])
     def test_bpr(self, n_prime):
-        train = random_tiny_matrix(10, 12, seed=5, density=0.4)
+        train = ratings.random_matrix(10, 12, seed=5, density=0.4)
         self._same(train, "bpr", base_rec.BPRParams(d=4, epochs=3), 5,
                    n_prime, 8)
 
     def test_ml100k_shaped_instance(self):
-        # the benchmark's shape: 943 x 1682, s=200, T=20, default k
-        train = ml100k_shaped_matrix()
+        # the train half of pipeline-ml100k seed 0's split, and the first 20
+        # of the members that workload trains: s=200, default k
+        matrix = ratings._build_matrix(*bench_gen.ml100k_shaped(0),
+                                       ratings._ML_DOMAIN)
+        train, _ = ratings.split_train_test(matrix, 0.75, 0)
         got = {1: np.zeros((943, 1682), np.int32), 3: np.zeros((943, 1682), np.int32)}
         want = {1: np.zeros_like(got[1]), 3: np.zeros_like(got[3])}
         for t in range(20):
@@ -178,7 +180,7 @@ class TestKernelGoldenVotes:
             assert np.array_equal(got[n_prime], want[n_prime]), n_prime
 
     def test_serial_chunked_and_two_workers_agree(self):
-        train = random_tiny_matrix(30, 20, seed=7, density=0.5)
+        train = ratings.random_matrix(30, 20, seed=7, density=0.5)
         params = base_rec.IRParams(k=5)
         want = reference_votes(train, "ir", params, 8, 2, 4, 0, 40)
         serial = ensemble.accumulate_votes(train, "ir", params, 8, 2, 4, 0, 40)
@@ -193,7 +195,7 @@ class TestKernelGoldenVotes:
 
 class TestEnsembleRecommend:
     def test_exactly_n_items_filled(self):
-        train = random_tiny_matrix(8, 12, seed=6, density=0.3)
+        train = ratings.random_matrix(8, 12, seed=6, density=0.3)
         vc = ensemble.build_vote_counts(train, "ir", base_rec.IRParams(),
                                         T=20, s=3, n_prime=1, master_seed=0)
         for u, recs in enumerate(ensemble.ensemble_recommend_all(vc, train, 5)):
@@ -202,7 +204,7 @@ class TestEnsembleRecommend:
             assert not set(recs) & set(train.rated_items(u).tolist())
 
     def test_vote_order_and_tie_break(self):
-        train = random_tiny_matrix(4, 6, seed=0, density=0.3)
+        train = ratings.random_matrix(4, 6, seed=0, density=0.3)
         counts = np.zeros((4, 6), dtype=np.int32)
         rated = set(train.rated_items(0).tolist())
         free = [i for i in range(6) if i not in rated]
@@ -217,7 +219,7 @@ class TestEnsembleRecommend:
         assert recs[1] == free[0] and recs[2] == free[1]
 
     def test_small_catalog_returns_all_unrated(self):
-        train = random_tiny_matrix(3, 4, seed=2, density=0.9)
+        train = ratings.random_matrix(3, 4, seed=2, density=0.9)
         vc = ensemble.build_vote_counts(train, "ir", base_rec.IRParams(),
                                         T=5, s=2, n_prime=1, master_seed=0)
         for u, recs in enumerate(ensemble.ensemble_recommend_all(vc, train, 10)):
@@ -227,7 +229,7 @@ class TestEnsembleRecommend:
         # each user's list against a stable argsort of that user's row;
         # 150 users span three row blocks, high density leaves some users
         # fewer than N unrated items, and tied counts test the tie rule
-        train = random_tiny_matrix(150, 12, seed=9, density=0.7)
+        train = ratings.random_matrix(150, 12, seed=9, density=0.7)
         rng = np.random.default_rng(9)
         vc = ensemble.VoteCounts(T=20, n_prime=1, s=4, master_seed=0,
                                  algo="ir", counts=rng.integers(
@@ -269,7 +271,7 @@ class TestEnsembleRecommend:
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):
-        train = random_tiny_matrix(7, 9, seed=3)
+        train = ratings.random_matrix(7, 9, seed=3)
         vc = ensemble.build_vote_counts(train, "ir", base_rec.IRParams(),
                                         T=25, s=4, n_prime=2, master_seed=8)
         path = str(tmp_path / "votes.txt")
@@ -324,7 +326,7 @@ class TestPersistence:
         assert np.array_equal(ensemble.load_votes(path).counts, counts)
 
     def test_byte_stable(self, tmp_path):
-        train = random_tiny_matrix(6, 6, seed=5)
+        train = ratings.random_matrix(6, 6, seed=5)
         vc = ensemble.build_vote_counts(train, "ir", base_rec.IRParams(),
                                         T=15, s=3, n_prime=1, master_seed=1)
         p1, p2 = str(tmp_path / "a"), str(tmp_path / "b")
@@ -383,12 +385,14 @@ class TestPersistence:
                              [(0, 0, 1)])
         assert ensemble.load_votes(str(path)).s == 3
 
-    @pytest.mark.parametrize("body", ["0,1,2\n", ""], ids=["rows", "empty"])
+    @pytest.mark.parametrize("body", [b"0,1,2\n", b"", b"0,1,\xff\n"],
+                             ids=["rows", "empty", "not-utf8"])
     def test_v1_refused(self, tmp_path, body):
-        # v1 text is not read: its votes must be retrained, which writes v2
+        # v1 text is not read, nor decoded: its votes must be retrained,
+        # which writes v2
         path = tmp_path / "v.txt"
-        path.write_text("#votes v1 n=2 m=2 T=3 s=1 nprime=1 algo=ir seed=0\n"
-                        + body)
+        path.write_bytes(b"#votes v1 n=2 m=2 T=3 s=1 nprime=1 algo=ir seed=0\n"
+                         + body)
         with pytest.raises(ParseError, match="retrain with certrec train") as err:
             ensemble.load_votes(str(path))
         assert str(err.value).startswith(f"{path}: ")

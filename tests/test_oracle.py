@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix, vstack
 
-from certrec import base_rec, bounds, ensemble, oracle
+from certrec import base_rec, bounds, ensemble, oracle, ratings
 
-from conftest import (prob_row, random_tiny_matrix, reference_attack_report,
+from conftest import (prob_row, reference_attack_report,
                       reference_exhaustive_votes, reference_r,
                       reference_random_rows, reference_two_level_rows,
                       signed_float_matrix)
@@ -20,7 +20,7 @@ from conftest import (prob_row, random_tiny_matrix, reference_attack_report,
 
 class TestExactProbs:
     def test_probabilities_sum_per_user(self):
-        m = random_tiny_matrix(6, 5, seed=3)
+        m = ratings.random_matrix(6, 5, seed=3)
         probs = oracle.exact_item_probs(m, "ir", base_rec.IRParams(), s=3,
                                         n_prime=1)
         assert probs.T == math.comb(6, 3)
@@ -33,13 +33,13 @@ class TestExactProbs:
             assert all(isinstance(v, Fraction) for v in row)
 
     def test_refuses_huge_enumeration(self):
-        m = random_tiny_matrix(40, 5, seed=0)
+        m = ratings.random_matrix(40, 5, seed=0)
         with pytest.raises(ValueError, match="enumeration guard"):
             oracle.exact_item_probs(m, "ir", base_rec.IRParams(), s=20,
                                     n_prime=1)
 
     def test_top_n_uses_clean_ratings_for_exclusion(self):
-        m = random_tiny_matrix(6, 6, seed=8)
+        m = ratings.random_matrix(6, 6, seed=8)
         probs = oracle.exact_item_probs(m, "ir", base_rec.IRParams(), s=3,
                                         n_prime=1)
         for u, top in enumerate(ensemble.ensemble_recommend_all(probs, m, 3)):
@@ -57,7 +57,7 @@ class TestExactCertificates:
         for _ in range(12):
             n, m = int(rng.integers(4, 8)), int(rng.integers(3, 7))
             matrix = oracle.append_fake_users(
-                random_tiny_matrix(n, m, seed=int(rng.integers(10 ** 6))),
+                ratings.random_matrix(n, m, seed=int(rng.integers(10 ** 6))),
                 np.full((1, m), 3.0))
             s, n_prime = int(rng.integers(1, 4)), int(rng.integers(1, 3))
             N, e = int(rng.integers(1, m + 1)), int(rng.integers(0, 4))
@@ -85,7 +85,7 @@ class TestExactCertificates:
 
 class TestFakeUsers:
     def test_append_shapes_and_ids(self):
-        m = random_tiny_matrix(5, 4, seed=1)
+        m = ratings.random_matrix(5, 4, seed=1)
         fake = np.array([[5.0, 0.0, 5.0, 0.0], [0.0, 5.0, 0.0, 0.0]])
         out = oracle.append_fake_users(m, fake)
         assert out.n_users == 7
@@ -101,7 +101,7 @@ class TestFakeUsers:
          [3.0, 0.0, 0.0, 0.0, 4.0, 5.0, 1.0]],
         [5.0, 0.0, 5.0, 0.0, 0.0, 0.0, 5.0]])     # one row given flat
     def test_append_equals_vstack(self, fake):
-        m = random_tiny_matrix(9, 7, seed=4)
+        m = ratings.random_matrix(9, 7, seed=4)
         out = oracle.append_fake_users(m, np.array(fake)).csr
         want = vstack([m.csr, csr_matrix(np.atleast_2d(fake))]).tocsr()
         want.sort_indices()
@@ -111,12 +111,12 @@ class TestFakeUsers:
             assert got.dtype == ref.dtype and np.array_equal(got, ref), part
 
     def test_append_refuses_wrong_width(self):
-        m = random_tiny_matrix(5, 4, seed=1)
+        m = ratings.random_matrix(5, 4, seed=1)
         with pytest.raises(ValueError, match="m existing items"):
             oracle.append_fake_users(m, np.ones((1, 5)))
 
     def test_attack_generators_respect_domain(self):
-        m = random_tiny_matrix(6, 5, seed=2)
+        m = ratings.random_matrix(6, 5, seed=2)
         rng = np.random.default_rng(0)
         for attack in oracle.ATTACKS:
             rows = oracle.make_fake_rows(m, e=3, attack=attack, rng=rng)
@@ -127,7 +127,7 @@ class TestFakeUsers:
                 assert m.domain.accepts(float(v))
 
     def test_copy_popular_is_deterministic(self):
-        m = random_tiny_matrix(6, 5, seed=2)
+        m = ratings.random_matrix(6, 5, seed=2)
         a = oracle.make_fake_rows(m, 2, "copy-popular", np.random.default_rng(1))
         b = oracle.make_fake_rows(m, 2, "copy-popular", np.random.default_rng(9))
         assert np.array_equal(a, b)
@@ -135,7 +135,7 @@ class TestFakeUsers:
 
 class TestSoundness:
     def _instance(self, n=6, m=5, seed=3, s=3, N=3, e=1):
-        matrix = random_tiny_matrix(n, m, seed=seed)
+        matrix = ratings.random_matrix(n, m, seed=seed)
         probs = oracle.exact_item_probs(matrix, "ir", base_rec.IRParams(), s, 1)
         targets, cert_r = oracle.exact_certificates(matrix, probs, N, e)
         return matrix, probs, targets, cert_r
@@ -185,7 +185,7 @@ class TestSoundness:
         assert len(report.violations) > 0
 
     def test_exhaustive_two_level(self):
-        matrix = random_tiny_matrix(5, 4, seed=6)
+        matrix = ratings.random_matrix(5, 4, seed=6)
         probs = oracle.exact_item_probs(matrix, "ir", base_rec.IRParams(), 2, 1)
         targets, cert_r = oracle.exact_certificates(matrix, probs, 2, e=1)
         report = oracle.exhaustive_two_level_check(
@@ -198,7 +198,7 @@ class TestSoundness:
     def test_exhaustive_two_level_refuses_other_e(self, e, monkeypatch):
         # one fake row is an attack of the wrong size for e = 2 certificates,
         # and of no use against e = 0 ones: refused before any enumeration
-        matrix = random_tiny_matrix(5, 4, seed=6)
+        matrix = ratings.random_matrix(5, 4, seed=6)
         probs = oracle.exact_item_probs(matrix, "ir", base_rec.IRParams(), 2, 1)
         targets, cert_r = oracle.exact_certificates(matrix, probs, 2, e=e)
         monkeypatch.setattr(oracle, "append_fake_users", None)
@@ -208,7 +208,7 @@ class TestSoundness:
                 targets=targets)
 
     def test_enumeration_guard(self):
-        matrix = random_tiny_matrix(5, 22, seed=0, density=0.4)
+        matrix = ratings.random_matrix(5, 22, seed=0, density=0.4)
         clean = oracle.exact_item_probs(matrix, "ir", base_rec.IRParams(), 2, 1)
         with pytest.raises(ValueError, match="desk-scale"):
             oracle.exhaustive_two_level_check(
@@ -217,7 +217,7 @@ class TestSoundness:
 
     def test_clean_counts_of_another_matrix_refused(self):
         matrix, probs, targets, cert_r = self._instance()
-        other = random_tiny_matrix(5, 5, seed=3)
+        other = ratings.random_matrix(5, 5, seed=3)
         with pytest.raises(ValueError, match="clean counts"):
             oracle.exhaustive_two_level_check(
                 other, probs, base_rec.IRParams(), N=3, e=1, cert_r=cert_r,
@@ -275,7 +275,7 @@ class TestIncrementalPoisoning:
     @pytest.mark.parametrize("e", [0, 1, 2, 3])
     def test_random_poisonings(self, algo, params, n_prime, e):
         # s=2: at e >= 2 some subsets hold fake users only
-        matrix = random_tiny_matrix(5, 6, seed=10 + e)
+        matrix = ratings.random_matrix(5, 6, seed=10 + e)
         clean = oracle.exact_item_probs(matrix, algo, params, 2, n_prime)
         targets, claimed = _inflated_claims(matrix, clean, 3)
         for attack in oracle.ATTACKS:
@@ -284,7 +284,7 @@ class TestIncrementalPoisoning:
 
     def test_every_two_level_pattern(self):
         # k=2 prunes the 4-item tables, k=50 keeps every neighbour
-        matrix = random_tiny_matrix(5, 4, seed=5)
+        matrix = ratings.random_matrix(5, 4, seed=5)
         for k in (2, 50):
             params = base_rec.IRParams(k=k)
             clean = oracle.exact_item_probs(matrix, "ir", params, 2, 1)
@@ -297,7 +297,7 @@ class TestIncrementalPoisoning:
         # C(5,2) clean models once in a batch (and once more one by one, the
         # cross-check), then C(6,2) - C(5,2) per fake row, batched; no
         # poisoned model at all when e=0
-        matrix = random_tiny_matrix(5, 4, seed=6)
+        matrix = ratings.random_matrix(5, 4, seed=6)
         trained, batched = [], []
         real, real_batched = oracle.train_base, oracle.ir_votes_batched
 
@@ -329,7 +329,7 @@ class TestIncrementalPoisoning:
                                        "random-ratings-e2",
                                        "copy-popular-e3"])
     def test_reports_match_full_enumeration(self, check):
-        matrix = random_tiny_matrix(5, 4, seed=5)
+        matrix = ratings.random_matrix(5, 4, seed=5)
         params = base_rec.IRParams()
         probs = oracle.exact_item_probs(matrix, "ir", params, 2, 1)
         targets, claimed = _inflated_claims(matrix, probs, 2)
@@ -353,7 +353,7 @@ class TestIncrementalPoisoning:
         # partial last chunk. On both instances some user's smallest
         # intersection is not in the last trial, so the minimum must carry
         # across chunks
-        matrix = random_tiny_matrix(5, 4, seed=seed)
+        matrix = ratings.random_matrix(5, 4, seed=seed)
         params = base_rec.IRParams(k=2)
         probs = oracle.exact_item_probs(matrix, "ir", params, 2, 2)
         targets, claimed = _inflated_claims(matrix, probs, 2)
@@ -390,7 +390,7 @@ class TestBatchedOracle:
 
     @pytest.mark.parametrize("mutation", sorted(_KERNEL_MUTATIONS))
     def test_cross_check_refuses_mutated_kernel(self, monkeypatch, mutation):
-        matrix = random_tiny_matrix(7, 6, seed=4, density=0.4)
+        matrix = ratings.random_matrix(7, 6, seed=4, density=0.4)
         params = base_rec.IRParams(k=2)
         oracle.exact_item_probs(matrix, "ir", params, 3, 3)  # the real kernel
         monkeypatch.setattr(oracle, "ir_votes_batched",
@@ -402,7 +402,7 @@ class TestBatchedOracle:
     def test_chunks_do_not_change_counts(self, monkeypatch, cells):
         # one model per batch (m * (m + s) = 54 cells), and batches of 3
         # models with a partial last one
-        matrix = random_tiny_matrix(7, 6, seed=9)
+        matrix = ratings.random_matrix(7, 6, seed=9)
         params = base_rec.IRParams(k=3)
         whole = oracle.exact_item_probs(matrix, "ir", params, 3, 2)
         monkeypatch.setattr(oracle, "_BATCH_CELLS", cells)
@@ -410,7 +410,7 @@ class TestBatchedOracle:
                             whole)
 
     def test_integer_ratings_take_the_batched_path(self):
-        matrix = random_tiny_matrix(7, 6, seed=5)
+        matrix = ratings.random_matrix(7, 6, seed=5)
         params = base_rec.IRParams()
         assert oracle._batched_ir(matrix, "ir", 3)
         probs = oracle.exact_item_probs(matrix, "ir", params, 3, 2)
@@ -434,7 +434,7 @@ class TestBatchedOracle:
         # integer ratings in a domain declared non-integral: the clean
         # models are batched, but random-ratings draws float scores, so the
         # poisonings train model by model
-        matrix = random_tiny_matrix(6, 5, seed=7)
+        matrix = ratings.random_matrix(6, 5, seed=7)
         matrix = replace(matrix, domain=replace(matrix.domain, integral=False))
         params = base_rec.IRParams(k=2)
         probs = oracle.exact_item_probs(matrix, "ir", params, 2, 1)
@@ -447,7 +447,7 @@ class TestBatchedOracle:
                                   ("random-ratings", 2, 3, 5))
 
     def test_bpr_takes_the_model_path(self, monkeypatch):
-        matrix = random_tiny_matrix(5, 5, seed=2)
+        matrix = ratings.random_matrix(5, 5, seed=2)
         params = base_rec.BPRParams(d=4, epochs=3)
         monkeypatch.setattr(oracle, "ir_votes_batched", _refuse_batched)
         probs = oracle.exact_item_probs(matrix, "bpr", params, 2, 2)
@@ -459,14 +459,14 @@ class TestBatchedOracle:
         assert report.trials == 2 ** 5
 
     def test_exactness_condition(self, tmp_path):
-        assert oracle._batched_ir(random_tiny_matrix(5, 4, seed=0), "ir", 3)
-        assert not oracle._batched_ir(random_tiny_matrix(5, 4, seed=0), "bpr", 3)
+        assert oracle._batched_ir(ratings.random_matrix(5, 4, seed=0), "ir", 3)
+        assert not oracle._batched_ir(ratings.random_matrix(5, 4, seed=0), "bpr", 3)
         assert not oracle._batched_ir(signed_float_matrix(tmp_path), "ir", 3)
         # integer ratings whose Gram could pass 2^53: s * r^2 = 2^53
-        big = random_tiny_matrix(5, 4, seed=0)
+        big = ratings.random_matrix(5, 4, seed=0)
         big.csr.data[:] = 2.0 ** 26
         assert oracle._batched_ir(big, "ir", 1)
         assert not oracle._batched_ir(big, "ir", 2)
         # one model's dense arrays would outgrow a batch: train_ir's blocks
-        wide = random_tiny_matrix(3, 400, seed=0, density=0.1)
+        wide = ratings.random_matrix(3, 400, seed=0, density=0.1)
         assert not oracle._batched_ir(wide, "ir", 2)

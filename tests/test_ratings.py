@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from certrec import ensemble, ratings
 from certrec.ratings import ParseError
 
-from conftest import (item_sets, ml100k_shaped_matrix, random_tiny_matrix,
-                      reference_load_split, reference_save_split,
-                      reference_save_votes, reference_split_file)
+from conftest import (bench_gen, item_sets, reference_load_split,
+                      reference_save_split, reference_save_votes,
+                      reference_split_file)
 
 
 def _write(tmp_path, text, name="r.dat"):
@@ -87,7 +87,7 @@ class TestLoadRatings:
 
 class TestSplit:
     def test_sizes_and_disjointness(self):
-        m = random_tiny_matrix(12, 10, seed=3)
+        m = ratings.random_matrix(12, 10, seed=3)
         train, tests = ratings.split_train_test(m, 0.75, seed=0)
         assert train.n_users == m.n_users and train.n_items == m.n_items
         for u in range(m.n_users):
@@ -110,7 +110,7 @@ class TestSplit:
 
     def test_cell_order_does_not_change_the_csr(self):
         # ascending cells skip the sort; any other order is sorted first
-        m = random_tiny_matrix(9, 7, seed=6)
+        m = ratings.random_matrix(9, 7, seed=6)
         csr = m.csr
         users = np.repeat(np.arange(9), np.diff(csr.indptr))
         order = np.random.default_rng(0).permutation(csr.nnz)
@@ -132,7 +132,7 @@ class TestSplit:
                                   user_ids=np.arange(2), item_ids=np.arange(3))
 
     def test_deterministic_per_seed(self):
-        m = random_tiny_matrix(10, 8, seed=5)
+        m = ratings.random_matrix(10, 8, seed=5)
         a = ratings.split_train_test(m, 0.75, seed=9)
         b = ratings.split_train_test(m, 0.75, seed=9)
         c = ratings.split_train_test(m, 0.75, seed=10)
@@ -141,7 +141,7 @@ class TestSplit:
         assert any(a[1][u].tolist() != c[1][u].tolist() for u in range(10))
 
     def test_fraction_bounds(self):
-        m = random_tiny_matrix(4, 6, seed=0)
+        m = ratings.random_matrix(4, 6, seed=0)
         with pytest.raises(ValueError):
             ratings.split_train_test(m, 0.0, seed=0)
         with pytest.raises(ValueError):
@@ -150,7 +150,7 @@ class TestSplit:
 
 class TestSplitRoundTrip:
     def test_save_load_identical(self, tmp_path):
-        m = random_tiny_matrix(9, 7, seed=11)
+        m = ratings.random_matrix(9, 7, seed=11)
         train, tests = ratings.split_train_test(m, 0.7, seed=4)
         path = str(tmp_path / "split.txt")
         ratings.save_split(path, train, tests, seed=4, fraction=0.7)
@@ -161,7 +161,7 @@ class TestSplitRoundTrip:
             assert tests[u].tolist() == tests2[u].tolist()
 
     def test_save_is_byte_stable(self, tmp_path):
-        m = random_tiny_matrix(6, 6, seed=2)
+        m = ratings.random_matrix(6, 6, seed=2)
         train, tests = ratings.split_train_test(m, 0.75, seed=0)
         p1, p2 = str(tmp_path / "a"), str(tmp_path / "b")
         ratings.save_split(p1, train, tests, 0, 0.75)
@@ -171,7 +171,7 @@ class TestSplitRoundTrip:
     def test_v2_bytes_pinned(self, tmp_path):
         # a change to the v2 layout (header keys, dtypes, byte or row order)
         # changes these bytes
-        train, tests = ratings.split_train_test(random_tiny_matrix(6, 5, seed=3),
+        train, tests = ratings.split_train_test(ratings.random_matrix(6, 5, seed=3),
                                                 0.6, seed=1)
         path = tmp_path / "split.bin"
         ratings.save_split(str(path), train, tests, 1, 0.6)
@@ -183,7 +183,7 @@ class TestSplitRoundTrip:
     def test_digest_is_of_the_v2_body(self, tmp_path, version):
         # whichever the file's version and row order, the digest is that of
         # the body save_split writes: v2 rows in CSR order, tests by user
-        train, tests = ratings.split_train_test(random_tiny_matrix(6, 5, seed=3),
+        train, tests = ratings.split_train_test(ratings.random_matrix(6, 5, seed=3),
                                                 0.6, seed=1)
         v2 = str(tmp_path / "split-v2")
         reference_save_split(v2, train, tests, 1, 0.6, 2)
@@ -203,7 +203,7 @@ class TestSplitRoundTrip:
         assert ratings.split_digest(train, tests) == want
 
     def test_failed_write_leaves_previous_split(self, tmp_path, monkeypatch):
-        matrix = random_tiny_matrix(8, 6, seed=4)
+        matrix = ratings.random_matrix(8, 6, seed=4)
         path = str(tmp_path / "split.bin")
         ratings.save_split(path, *ratings.split_train_test(matrix, 0.75, seed=0),
                            0, 0.75)
@@ -219,7 +219,7 @@ class TestSplitRoundTrip:
         assert os.listdir(tmp_path) == ["split.bin"]
 
     def test_wide_shape_refused(self, tmp_path):
-        train, tests = ratings.split_train_test(random_tiny_matrix(4, 4, seed=0),
+        train, tests = ratings.split_train_test(ratings.random_matrix(4, 4, seed=0),
                                                 0.75, seed=0)
         # the writer refuses before it reads the matrix
         wide = ratings.RatingMatrix(2**31, 4, train.csr, train.domain,
@@ -266,10 +266,31 @@ class TestSplitRoundTrip:
         with pytest.raises(ParseError, match=match):
             ratings.load_split(str(p))
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_v1_line_ends(self, tmp_path, end):
+        # universal newlines: the header and every row end at LF, CRLF or CR
+        p = tmp_path / "split.txt"
+        p.write_bytes(end.join(["#split v1 n=2 m=2 seed=0 fraction=0.75",
+                                "train,0,0,5.0", "test,0,1", "train,1,1,3.0",
+                                ""]).encode())
+        train, tests, header = ratings.load_split(str(p))
+        assert train.csr.toarray().tolist() == [[5.0, 0.0], [0.0, 3.0]]
+        assert (tests.indptr.tolist(), tests.items.tolist()) == ([0, 1, 1], [1])
+        assert header == {"n": 2, "m": 2, "seed": 0, "fraction": 0.75}
+
+    def test_v1_body_not_utf8_refused(self, tmp_path):
+        p = tmp_path / "split.txt"
+        p.write_bytes(b"#split v1 n=2 m=2 seed=0 fraction=0.75\n"
+                      b"train,0,0,5.0\ntest,1,\xff\n")
+        with pytest.raises(ParseError, match="codec can't decode") as err:
+            ratings.load_split(str(p))
+        assert str(err.value).startswith(f"{p}: ")
+
     def test_save_matches_row_by_row_writer(self, tmp_path):
         # the v2 bytes are the row-by-row v2 writer's, and they load to the
         # split that the same split's v1 text loads to
-        for matrix in (random_tiny_matrix(9, 7, seed=5), ml100k_shaped_matrix(0)):
+        for matrix in (ratings.random_matrix(9, 7, seed=5), ratings._build_matrix(
+                *bench_gen.ml100k_shaped(0), ratings._ML_DOMAIN)):
             train, tests = ratings.split_train_test(matrix, 0.75, seed=2)
             p1, p2, p3 = (str(tmp_path / name) for name in "abc")
             ratings.save_split(p1, train, tests, 2, 0.75)
@@ -341,7 +362,7 @@ class TestSplitRoundTrip:
         # a binary split read as votes is refused by its header, not its body
         split = tmp_path / "split.bin"
         ratings.save_split(str(split), *ratings.split_train_test(
-            random_tiny_matrix(5, 5, seed=0), 0.6, seed=0), 0, 0.6)
+            ratings.random_matrix(5, 5, seed=0), 0.6, seed=0), 0, 0.6)
         v3 = tmp_path / "v3.bin"
         v3.write_bytes(b"#split v3 n=1 m=1 seed=0 fraction=0.5\n")
         for load, path, kind in ((ensemble.load_votes, split, "votes"),
@@ -390,8 +411,9 @@ def test_item_sets_rows():
 
 
 def test_v1_and_v2_load_identically(tmp_path):
-    # an ML-100k-shaped split and paper-scale votes on its unrated cells
-    train, tests = ratings.split_train_test(ml100k_shaped_matrix(0), 0.75, seed=0)
+    # pipeline-ml100k seed 0's split and paper-scale votes on its unrated cells
+    matrix = ratings._build_matrix(*bench_gen.ml100k_shaped(0), ratings._ML_DOMAIN)
+    train, tests = ratings.split_train_test(matrix, 0.75, seed=0)
     rng = np.random.default_rng(0)
     counts = rng.integers(0, 40, size=(train.n_users, train.n_items))
     counts[train.csr.toarray() != 0] = 0
@@ -422,7 +444,7 @@ def test_v1_and_v2_load_identically(tmp_path):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 12), st.integers(2, 10), st.integers(0, 99))
 def test_split_never_empties_a_user(n, m, seed):
-    mat = random_tiny_matrix(n, m, seed=seed, density=0.5)
+    mat = ratings.random_matrix(n, m, seed=seed, density=0.5)
     train, _ = ratings.split_train_test(mat, 0.75, seed=seed)
     for u in range(n):
         assert train.rating_count(u) >= 1
