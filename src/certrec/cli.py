@@ -404,8 +404,9 @@ def cmd_oracle(args) -> int:
     print(f"enumerated {probs.T} subsets "
           f"(n={matrix.n_users}, m={matrix.n_items}, s={s})")
     targets, cert_r = oracle.exact_certificates(matrix, probs, N, args.e)
-    skipped = [u for u, items in targets.items() if not items]  # rated every item
-    print("certified r per user:", cert_r)
+    users, _ = targets.nonempty()
+    print("certified r per user:", dict(zip(users.tolist(), cert_r[users].tolist())))
+    skipped = np.flatnonzero(targets.sizes == 0).tolist()  # rated every item
     if skipped:
         print("skipped users (empty target set):", skipped)
     if args.check == "probs":

@@ -66,10 +66,6 @@ class RatingMatrix:
         """Internal ids of the items user u rated, ascending."""
         return self.csr.indices[self.csr.indptr[u]:self.csr.indptr[u + 1]]
 
-    def scores_of(self, u: int) -> np.ndarray:
-        """Scores aligned with rated_items(u)."""
-        return self.csr.data[self.csr.indptr[u]:self.csr.indptr[u + 1]]
-
     def rating_count(self, u: int) -> int:
         return int(self.csr.indptr[u + 1] - self.csr.indptr[u])
 
@@ -148,6 +144,8 @@ def _build_matrix(users, items, scores, domain, user_ids=None, item_ids=None) ->
 def random_matrix(n: int, m: int, seed: int, density: float = 0.6) -> RatingMatrix:
     """Seeded n x m matrix of 1-5 stars: each user rates Binomial(m, density)
     items, at least one, drawn uniformly without replacement."""
+    if not 0 <= density <= 1:  # NaN too
+        raise ValueError(f"density must lie in [0, 1], got {density}")
     rng = np.random.default_rng(seed)
     users, items, scores = [], [], []
     for u in range(n):

@@ -197,8 +197,9 @@ def reference_attack_report(matrix, clean, params, N: int, poisonings,
     poisoning at a time: its fake rows appended by append_fake_users, the
     counts of all C(n + e, s) subsets re-enumerated model by model, the
     genuine users ranked by ensemble_recommend_all and each top-N
-    intersected with I_u as sets."""
-    violations, min_inter = [], {}
+    intersected with I_u as sets. cert_r and targets: one r and one I_u
+    (ItemSets) per user; min_intersection is a list, one entry per user."""
+    violations, min_inter = [], [N] * matrix.n_users
     for trial, rows in enumerate(poisonings):
         poisoned = oracle.append_fake_users(matrix, rows)
         counts = reference_exhaustive_votes(poisoned, clean.algo, params,
@@ -208,10 +209,9 @@ def reference_attack_report(matrix, clean, params, N: int, poisonings,
                                     counts=counts, master_seed=0,
                                     algo=clean.algo)
         topn = ensemble.ensemble_recommend_all(probs, matrix, N)
-        for u, r_u in cert_r.items():
-            inter = len(set(targets[u]) & set(topn[u]))
-            if u not in min_inter or inter < min_inter[u]:
-                min_inter[u] = inter
+        for u, r_u in enumerate(cert_r.tolist()):
+            inter = len(set(targets[u].tolist()) & set(topn[u].tolist()))
+            min_inter[u] = min(min_inter[u], inter)
             if inter < r_u:
                 violations.append((trial, u, inter, r_u))
     return len(poisonings), tuple(violations), min_inter
@@ -322,7 +322,7 @@ def reference_save_split(path: str, train, tests, seed: int, fraction: float,
     reference_split_file(
         path, train.n_users, train.n_items,
         [(u, int(i), float(sc)) for u in range(train.n_users)
-         for i, sc in zip(train.rated_items(u), train.scores_of(u))],
+         for i, sc in zip(train.rated_items(u), train.csr[u].data)],
         [(u, int(i)) for u in range(len(tests)) for i in tests[u]],
         version, seed, fraction)
 

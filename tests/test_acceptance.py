@@ -168,14 +168,14 @@ def test_criterion_4_soundness(acceptance):
     # exhaustive two-level adversary on n=5, m=4, s=2, e=1
     small = ratings.random_matrix(5, 4, seed=6)
     probs, targets, cert_r = certified(small, s=2, N=2, e=1)
-    assert any(r > 0 for r in cert_r.values()), "vacuous certificates"
+    assert cert_r.max() > 0, "vacuous certificates"
     exhaustive = oracle.exhaustive_two_level_check(
         small, probs, base_rec.IRParams(), N=2, e=1, cert_r=cert_r,
         targets=targets)
     # 100 randomized attacks on n=6, s=3, e=1 across all attack families
     mid = ratings.random_matrix(6, 6, seed=3)
     probs6, targets6, cert_r6 = certified(mid, s=3, N=3, e=1)
-    assert any(r > 0 for r in cert_r6.values()), "vacuous certificates"
+    assert cert_r6.max() > 0, "vacuous certificates"
     reports = []
     for attack, trials in zip(oracle.ATTACKS, (34, 33, 33)):
         reports.append(oracle.attack_soundness_check(

@@ -12,7 +12,7 @@ from scipy.sparse import csr_matrix, vstack
 
 from certrec import base_rec, bounds, ensemble, oracle, ratings
 
-from conftest import (prob_row, reference_attack_report,
+from conftest import (item_sets, prob_row, reference_attack_report,
                       reference_exhaustive_votes, reference_r,
                       reference_random_rows, reference_two_level_rows,
                       signed_float_matrix)
@@ -38,6 +38,13 @@ class TestExactProbs:
             oracle.exact_item_probs(m, "ir", base_rec.IRParams(), s=20,
                                     n_prime=1)
 
+    @pytest.mark.parametrize("s", [0, 7])
+    def test_refuses_subset_size_outside_users(self, s):
+        m = ratings.random_matrix(6, 5, seed=3)
+        with pytest.raises(ValueError, match=f"need 1 <= s <= n, got s={s}, n=6"):
+            oracle.exact_item_probs(m, "ir", base_rec.IRParams(), s=s,
+                                    n_prime=1)
+
     def test_top_n_uses_clean_ratings_for_exclusion(self):
         m = ratings.random_matrix(6, 6, seed=8)
         probs = oracle.exact_item_probs(m, "ir", base_rec.IRParams(), s=3,
@@ -51,7 +58,7 @@ class TestExactCertificates:
     def test_equal_reference_scan(self):
         # each user's certificate against the linear scan of the definition
         # on the exact probabilities; an appended row rates every item, so
-        # that user has no target set and gets no certificate
+        # that user has no target set and is certified r = 0
         rng = np.random.default_rng(16)
         seen = dict.fromkeys(("n_prime_2", "empty", "short", "r0", "r_pos"), 0)
         for _ in range(12):
@@ -65,10 +72,13 @@ class TestExactCertificates:
                                             s, n_prime)
             targets, cert_r = oracle.exact_certificates(matrix, probs, N, e)
             ctx = bounds.make_context(n + 1, e, s)
-            assert sorted(targets) == list(range(n + 1))
-            assert sorted(cert_r) == [u for u in range(n + 1) if targets[u]]
-            for u, items in targets.items():
+            assert isinstance(targets, ratings.ItemSets)
+            assert len(targets) == n + 1
+            assert cert_r.dtype == np.int64 and cert_r.shape == (n + 1,)
+            for u in range(n + 1):
+                items = targets[u].tolist()
                 if not items:
+                    assert cert_r[u] == 0, u
                     seen["empty"] += 1
                     continue
                 p = prob_row(probs, u)
@@ -91,7 +101,7 @@ class TestFakeUsers:
         assert out.n_users == 7
         assert out.n_items == 4
         assert list(out.user_ids[-2:]) == [-1, -1]
-        assert out.scores_of(5).tolist() == [5.0, 5.0]
+        assert out.csr[5].data.tolist() == [5.0, 5.0]
         # original rows untouched
         assert (out.csr[:5] != m.csr).nnz == 0
 
@@ -165,7 +175,7 @@ class TestSoundness:
             matrix, probs, base_rec.IRParams(), N=3, e=1,
             attack="all-max-on-random-items", trials=8, seed=4,
             cert_r=cert_r, targets=targets)
-        for u, r in cert_r.items():
+        for u, r in enumerate(cert_r.tolist()):
             if r > 0:
                 assert report.min_intersection[u] >= r
 
@@ -174,9 +184,9 @@ class TestSoundness:
         # can never be recommended (the user already rated it), so every
         # trial must count a violation
         matrix, probs, _, _ = self._instance()
-        targets = {u: (int(matrix.rated_items(u)[0]),)
-                   for u in range(matrix.n_users)}
-        bogus = {u: 1 for u in range(matrix.n_users)}
+        targets = item_sets(matrix.rated_items(u)[:1]
+                            for u in range(matrix.n_users))
+        bogus = np.ones(matrix.n_users, dtype=np.int64)
         report = oracle.attack_soundness_check(
             matrix, probs, base_rec.IRParams(), N=3, e=1,
             attack="random-ratings", trials=5, seed=1,
@@ -212,8 +222,21 @@ class TestSoundness:
         clean = oracle.exact_item_probs(matrix, "ir", base_rec.IRParams(), 2, 1)
         with pytest.raises(ValueError, match="desk-scale"):
             oracle.exhaustive_two_level_check(
-                matrix, clean, base_rec.IRParams(), N=2, e=1, cert_r={},
-                targets={u: () for u in range(5)})
+                matrix, clean, base_rec.IRParams(), N=2, e=1,
+                cert_r=np.zeros(5, dtype=np.int64), targets=item_sets([[]] * 5))
+
+    def test_claims_of_another_matrix_refused(self):
+        # one r and one I_u per user, or the comparison would broadcast
+        matrix, probs, targets, cert_r = self._instance()
+        with pytest.raises(ValueError, match="one entry per user"):
+            oracle.exhaustive_two_level_check(
+                matrix, probs, base_rec.IRParams(), N=3, e=1,
+                cert_r=cert_r[:1], targets=targets)
+        with pytest.raises(ValueError, match="one entry per user"):
+            oracle.attack_soundness_check(
+                matrix, probs, base_rec.IRParams(), N=3, e=1,
+                attack="random-ratings", trials=1, seed=0, cert_r=cert_r,
+                targets=item_sets([[0]]))
 
     def test_clean_counts_of_another_matrix_refused(self):
         matrix, probs, targets, cert_r = self._instance()
@@ -236,11 +259,11 @@ def _assert_same_counts(got, want):
 
 
 def _inflated_claims(matrix, clean, N):
-    """Targets, and a claim of each whole nonempty target set: some trials
-    violate it, so a comparison covers nonempty violation lists."""
-    targets = dict(enumerate(map(tuple, ensemble.ensemble_recommend_all(
-        clean, matrix, N))))
-    return targets, {u: len(items) for u, items in targets.items() if items}
+    """Targets, and a claim of each whole target set (none for an empty
+    one): some trials violate it, so a comparison covers nonempty violation
+    lists."""
+    targets = ensemble.ensemble_recommend_all(clean, matrix, N)
+    return targets, targets.sizes
 
 
 def _assert_matches_reference(matrix, clean, params, N, cert_r, targets,
@@ -257,8 +280,10 @@ def _assert_matches_reference(matrix, clean, params, N, cert_r, targets,
             matrix, clean, params, N=N, e=e, attack=attack, trials=trials,
             seed=seed, cert_r=cert_r, targets=targets)
         rows = reference_random_rows(matrix, e, attack, trials, seed)
-    assert (report.trials, report.violations, report.min_intersection) == \
-        reference_attack_report(matrix, clean, params, N, rows, cert_r, targets)
+    trials, violations, low = reference_attack_report(
+        matrix, clean, params, N, rows, cert_r, targets)
+    assert (report.trials, report.violations) == (trials, violations)
+    assert report.min_intersection.tolist() == low
     return report
 
 
@@ -313,16 +338,16 @@ class TestIncrementalPoisoning:
         monkeypatch.setattr(oracle, "ir_votes_batched", counted_batch)
         clean = oracle.exact_item_probs(matrix, "ir", base_rec.IRParams(), 2, 1)
         assert (len(trained), sum(batched)) == (10, 10)
+        no_claims = {"cert_r": np.zeros(5, dtype=np.int64),
+                     "targets": item_sets([[]] * 5)}
         oracle.exhaustive_two_level_check(
-            matrix, clean, base_rec.IRParams(), N=2, e=1, cert_r={},
-            targets={})
+            matrix, clean, base_rec.IRParams(), N=2, e=1, **no_claims)
         assert (len(trained), sum(batched)) == (10, 10 + 2 ** 4 * 5)
         trained.clear()
         batched.clear()
         oracle.attack_soundness_check(
             matrix, clean, base_rec.IRParams(), N=2, e=0,
-            attack="random-ratings", trials=3, seed=0, cert_r={},
-            targets={})
+            attack="random-ratings", trials=3, seed=0, **no_claims)
         assert not trained and not batched
 
     @pytest.mark.parametrize("check", ["two-level", "random-ratings-e0",

@@ -35,7 +35,7 @@ class TestLoadRatings:
         assert list(m.user_ids) == [186, 196]
         assert list(m.item_ids) == [242, 302]
         u196 = int(np.searchsorted(m.user_ids, 196))
-        assert m.scores_of(u196).tolist() == [3.0, 4.0]
+        assert m.csr[u196].data.tolist() == [3.0, 4.0]
 
     def test_double_colon(self, tmp_path):
         path = _write(tmp_path, "1::1193::5::978300760\n1::661::3::978302109\n")
@@ -194,7 +194,7 @@ class TestSplitRoundTrip:
         assert ratings.split_digest(*ratings.load_split(path)[:2]) == want
         # the same rows, test rows first and train rows backwards
         rows = [(u, int(i), float(sc)) for u in range(train.n_users)
-                for i, sc in zip(train.rated_items(u), train.scores_of(u))]
+                for i, sc in zip(train.rated_items(u), train.csr[u].data)]
         held = [(u, int(i)) for u in range(len(tests)) for i in tests[u]]
         moved = str(tmp_path / "moved")
         reference_split_file(moved, 6, 5, rows[::-1], held[::-1], version, 1, 0.6)
@@ -566,7 +566,7 @@ def test_v2_load_matches_line_loop(tmp_path_factory, case):
     # both refused, the v2 error naming the file
     n, m, train, tests, _, odd, rng = case
     rows = {"train": [(u, int(i), float(sc)) for u in range(n) for i, sc in
-                      zip(train.rated_items(u), train.scores_of(u))],
+                      zip(train.rated_items(u), train.csr[u].data)],
             "test": [(u, int(i)) for u in range(n) for i in tests[u]]}
     if odd is not None:
         kinds = [kind for kind in rows if rows[kind]]
