@@ -404,7 +404,7 @@ def cmd_oracle(args) -> int:
     print(f"enumerated {probs.T} subsets "
           f"(n={matrix.n_users}, m={matrix.n_items}, s={s})")
     targets, cert_r = oracle.exact_certificates(matrix, probs, N, args.e)
-    users, _ = targets.nonempty()
+    users = np.flatnonzero(targets.sizes)
     print("certified r per user:", dict(zip(users.tolist(), cert_r[users].tolist())))
     skipped = np.flatnonzero(targets.sizes == 0).tolist()  # rated every item
     if skipped:

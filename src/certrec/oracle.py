@@ -107,9 +107,12 @@ def _subsets(n: int, s: int, least: int) -> np.ndarray:
     """The s-subsets of range(n) that hold a row >= least, lexicographic,
     as a count x s array: every subset when least = 0, and those holding a
     fake user when the fake rows start at row least."""
-    # combinations come sorted, so the last index is the largest
-    return np.array([sub for sub in itertools.combinations(range(n), s)
-                     if sub[-1] >= least], dtype=np.intp).reshape(-1, s)
+    # combinations come sorted, so the last index is the largest; the array
+    # fills from the index stream, holding no list of tuples
+    kept = (sub for sub in itertools.combinations(range(n), s) if sub[-1] >= least)
+    count = math.comb(n, s) - math.comb(least, s)
+    return np.fromiter(itertools.chain.from_iterable(kept), np.intp,
+                       count=count * s).reshape(-1, s)
 
 
 def _subset_votes(matrix: RatingMatrix, dense: np.ndarray, fake: np.ndarray,

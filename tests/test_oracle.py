@@ -225,6 +225,20 @@ class TestSoundness:
                 matrix, clean, base_rec.IRParams(), N=2, e=1,
                 cert_r=np.zeros(5, dtype=np.int64), targets=item_sets([[]] * 5))
 
+    def test_poisoned_enumeration_guard(self, monkeypatch):
+        # the clean C(6, 3) subsets fit the guard, the poisoned C(7, 3) do not
+        matrix, probs, targets, cert_r = self._instance()
+        monkeypatch.setattr(oracle, "MAX_ENUM", math.comb(6, 3))
+        with pytest.raises(ValueError, match="enumeration guard"):
+            oracle.exhaustive_two_level_check(
+                matrix, probs, base_rec.IRParams(), N=3, e=1, cert_r=cert_r,
+                targets=targets)
+        with pytest.raises(ValueError, match="enumeration guard"):
+            oracle.attack_soundness_check(
+                matrix, probs, base_rec.IRParams(), N=3, e=1,
+                attack="random-ratings", trials=1, seed=0, cert_r=cert_r,
+                targets=targets)
+
     def test_claims_of_another_matrix_refused(self):
         # one r and one I_u per user, or the comparison would broadcast
         matrix, probs, targets, cert_r = self._instance()
