@@ -16,16 +16,21 @@ import os
 import platform
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import scipy
 
 from . import base_rec, certify, ensemble, metrics, oracle, ratings
 
-# defaults mirror the reference evaluation setup; T is shipped smaller than
-# the reference 100000 because certified values only grow with T (the shipped
-# default is conservative) and desk hardware matters
+# base-model parameter types by algo: their fields (but bpr's per-member seed)
+# are the config-only ir.* and bpr.* settings
+_BASE_PARAMS = {"ir": base_rec.IRParams, "bpr": base_rec.BPRParams}
+
+# every setting and its default; the default's type is the setting's type.
+# The defaults mirror the reference evaluation setup; T is shipped smaller
+# than the reference 100000 because certified values only grow with T (the
+# shipped default is conservative) and desk hardware matters
 DEFAULTS = {
     "format": "movielens-100k-tab",
     "fraction": 0.75,
@@ -39,41 +44,48 @@ DEFAULTS = {
     "e": "0:30",
     "threads": 1,
     "chunk_size": 200,
-    "ir.k": 50,
-    "bpr.d": 16,
-    "bpr.epochs": 30,
-    "bpr.learn_rate": 0.05,
-    "bpr.reg": 0.01,
-    "bpr.neg_samples": 1,
+    **{f"{algo}.{f.name}": f.default for algo, cls in _BASE_PARAMS.items()
+       for f in fields(cls) if f.name != "seed"},
 }
+
+# the settings whose value is one of a fixed set, in config files and flags
+_CHOICES = {"format": ratings.FORMATS, "algo": tuple(_BASE_PARAMS)}
+
 
 def _algo_params(cfg: dict, algo: str):
     """The base-model parameters of algo under the resolved config cfg."""
-    if algo == "ir":
-        return base_rec.IRParams(k=int(cfg["ir.k"]))
-    return base_rec.BPRParams(d=int(cfg["bpr.d"]), epochs=int(cfg["bpr.epochs"]),
-                              learn_rate=float(cfg["bpr.learn_rate"]),
-                              reg=float(cfg["bpr.reg"]),
-                              neg_samples=int(cfg["bpr.neg_samples"]))
+    if algo not in _BASE_PARAMS:
+        raise ValueError(f"unknown base algorithm {algo!r}")
+    prefix = algo + "."
+    return _BASE_PARAMS[algo](**{k[len(prefix):]: v for k, v in cfg.items()
+                                 if k.startswith(prefix)})
 
 
 def parse_config_file(path: str) -> dict:
     """key=value lines; blank lines and # comments ignored; each value takes
-    the type of its key's default."""
+    the type of its key's default and, for format and algo, one of its
+    choices, as the key's flag does."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
+            where = f"{path}: line {lineno}"
             if "=" not in line:
-                raise ValueError(f"{path}: line {lineno}: expected key=value")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            val = val.strip()
+                raise ValueError(f"{where}: expected key=value")
+            key, _, val = (part.strip() for part in line.partition("="))
             if key not in DEFAULTS:
-                raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
-            out[key] = type(DEFAULTS[key])(val)
+                raise ValueError(f"{where}: unknown key {key!r}")
+            kind = type(DEFAULTS[key])
+            try:
+                out[key] = kind(val)
+            except ValueError:
+                raise ValueError(f"{where}: {key} must be {kind.__name__}, "
+                                 f"got {val!r}") from None
+            if key in _CHOICES and out[key] not in _CHOICES[key]:
+                raise ValueError(f"{where}: {key}={val!r} is not one of "
+                                 f"{_CHOICES[key]}")
     return out
 
 
@@ -109,12 +121,13 @@ def _write_manifest(path: str, command: str, params: dict, started: float,
     })
 
 
-def _resolve(args, keys) -> dict:
-    """DEFAULTS, then the --config file, then the flags of keys that were given."""
+def _resolve(args) -> dict:
+    """DEFAULTS, then the --config file, then the command's setting flags
+    that were given."""
     cfg = dict(DEFAULTS)
-    if getattr(args, "config", None):
+    if args.config:
         cfg.update(parse_config_file(args.config))
-    flags = {k: getattr(args, k.replace(".", "_"), None) for k in keys}
+    flags = {k: getattr(args, k) for k in args.settings}
     cfg.update({k: v for k, v in flags.items() if v is not None})
     return cfg
 
@@ -122,14 +135,11 @@ def _resolve(args, keys) -> dict:
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_ingest(args) -> int:
-    cfg = _resolve(args, ("format", "fraction", "seed"))
+def cmd_ingest(args, cfg) -> int:
     started = time.time()
     matrix = ratings.load_ratings(args.data, cfg["format"])
-    train, tests = ratings.split_train_test(matrix, float(cfg["fraction"]),
-                                            int(cfg["seed"]))
-    ratings.save_split(args.out, train, tests, int(cfg["seed"]),
-                       float(cfg["fraction"]))
+    train, tests = ratings.split_train_test(matrix, cfg["fraction"], cfg["seed"])
+    ratings.save_split(args.out, train, tests, cfg["seed"], cfg["fraction"])
     metrics.write_csv(args.out + ".ids.csv", [["kind", "internal", "external"]] + [
         [kind, pos, ext] for kind, ids in (("user", matrix.user_ids),
                                            ("item", matrix.item_ids))
@@ -145,8 +155,7 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _train_chunked(train, split, cfg, algo, T, s, nprime, seed, out, threads,
-                   chunk_size, resume, max_chunks):
+def _train_chunked(args, cfg, train, split):
     """Accumulate votes chunk by chunk with a resumable partial on disk.
 
     split: (path, split_digest) of the split train was loaded from. The
@@ -158,13 +167,14 @@ def _train_chunked(train, split, cfg, algo, T, s, nprime, seed, out, threads,
     members done) and the models per second built by this invocation (None
     if it built none).
     """
-    partial_path = out + ".partial"
+    algo, T, s, nprime, seed = (cfg[k] for k in ("algo", "T", "s", "nprime", "seed"))
+    partial_path = args.out + ".partial"
     params = _algo_params(cfg, algo)
     vc = ensemble.VoteCounts(
         T=0, n_prime=nprime, s=s, master_seed=seed, algo=algo,
         counts=np.zeros((train.n_users, train.n_items), dtype=np.int32),
         params=ensemble.params_digest(algo, params), split=split[1])
-    if resume and os.path.exists(partial_path):
+    if args.resume and os.path.exists(partial_path):
         part = ensemble.load_votes(partial_path)
         if ((part.algo, part.s, part.n_prime, part.master_seed, part.params,
              part.counts.shape)
@@ -181,10 +191,10 @@ def _train_chunked(train, split, cfg, algo, T, s, nprime, seed, out, threads,
         vc = replace(vc, T=part.T, counts=part.counts.astype(np.int32))
     first, started, rate = vc.T, time.perf_counter(), None
     chunks_run = 0
-    while vc.T < T and (max_chunks is None or chunks_run < max_chunks):
-        stop = min(vc.T + chunk_size, T)
-        vc.counts[:] += ensemble.accumulate_votes_parallel(
-            train, algo, params, s, nprime, seed, vc.T, stop, threads)
+    while vc.T < T and (args.max_chunks is None or chunks_run < args.max_chunks):
+        stop = min(vc.T + cfg["chunk_size"], T)
+        vc.counts[:] += ensemble.accumulate_votes(
+            train, algo, params, s, nprime, seed, vc.T, stop, cfg["threads"])
         vc = replace(vc, T=stop)
         chunks_run += 1
         ensemble.save_votes(partial_path, vc)
@@ -194,24 +204,18 @@ def _train_chunked(train, split, cfg, algo, T, s, nprime, seed, out, threads,
     return vc, rate
 
 
-def cmd_train(args) -> int:
-    cfg = _resolve(args, ("algo", "T", "s", "nprime", "seed", "threads",
-                          "chunk_size", "ir.k", "bpr.d", "bpr.epochs",
-                          "bpr.learn_rate", "bpr.reg", "bpr.neg_samples"))
+def cmd_train(args, cfg) -> int:
     started = time.time()
-    T, chunk_size, threads = (int(cfg[k]) for k in ("T", "chunk_size", "threads"))
+    T, chunk_size, threads = cfg["T"], cfg["chunk_size"], cfg["threads"]
     if T < 1 or chunk_size < 1 or threads < 1:
         raise ValueError(f"need T, chunk size and threads >= 1, got T={T}, "
                          f"chunk size={chunk_size}, threads={threads}")
     train, tests, _ = ratings.load_split(args.split)
-    algo = cfg["algo"]
-    s, nprime, seed = int(cfg["s"]), int(cfg["nprime"]), int(cfg["seed"])
+    algo, s, nprime, seed = cfg["algo"], cfg["s"], cfg["nprime"], cfg["seed"]
     if s > train.n_users:
         raise ValueError(f"s={s} exceeds the {train.n_users} users in the split")
     vc, rate = _train_chunked(
-        train, (args.split, ratings.split_digest(train, tests)), cfg, algo, T,
-        s, nprime, seed, args.out, threads, chunk_size, args.resume,
-        args.max_chunks)
+        args, cfg, train, (args.split, ratings.split_digest(train, tests)))
     if vc.T < T:
         print(f"stopped after --max-chunks at t={vc.T}/{T}; "
               f"rerun with --resume to continue")
@@ -248,13 +252,13 @@ def _load_votes_and_split(args):
     return vc, train, tests
 
 
-def cmd_recommend(args) -> int:
+def cmd_recommend(args, cfg) -> int:
     vc, train, _ = _load_votes_and_split(args)
     if args.user is not None and not 0 <= args.user < train.n_users:
         raise ValueError(f"--user must lie in [0, {train.n_users}), got {args.user}")
-    if args.N < 1:  # before the header, so a refusal prints nothing
-        raise ValueError(f"N must be positive, got {args.N}")
-    ranked = ensemble.ensemble_recommend_all(vc, train, args.N)
+    if cfg["N"] < 1:  # before the header, so a refusal prints nothing
+        raise ValueError(f"N must be positive, got {cfg['N']}")
+    ranked = ensemble.ensemble_recommend_all(vc, train, cfg["N"])
     users = np.repeat(np.arange(train.n_users), ranked.sizes)
     ranks = np.arange(len(users)) - ranked.indptr[users] + 1
     picks = (slice(None) if args.user is None else
@@ -277,23 +281,22 @@ def _metric_rows(sweep, sizes, N):
             for e, (p, r, f) in zip(sweep.e_list, means.tolist())]
 
 
-def _sweep_rows(args, rules):
+def _sweep_rows(args, cfg, rules):
     """Shared certify/baseline path: load, target sets, one sweep, metric rows.
 
-    Returns the resolved config, the votes, one SweepResult per rule and its
-    aggregate rows. Aggregates cover only users with held-out items and a
-    nonempty target set.
+    Returns the votes, one SweepResult per rule and its aggregate rows.
+    Aggregates cover only users with held-out items and a nonempty target
+    set.
     """
-    cfg = _resolve(args, ("alpha", "N", "e"))
     vc, train, tests = _load_votes_and_split(args)
-    N = int(cfg["N"])
+    N = cfg["N"]
     targets = (tests if args.target == "test-items" else
                ensemble.ensemble_recommend_all(vc, train, N))
-    sweeps = certify.sweep(train, vc, targets, float(cfg["alpha"]),
+    sweeps = certify.sweep(train, vc, targets, cfg["alpha"],
                            parse_e_list(cfg["e"]), N, rules)
     sizes = np.where(tests.sizes > 0, targets.sizes, 0)
     rows = [_metric_rows(sw, sizes, N) for sw in sweeps]
-    return cfg, vc, sweeps, rows
+    return vc, sweeps, rows
 
 
 def _radius_histogram(sweep) -> dict:
@@ -302,10 +305,10 @@ def _radius_histogram(sweep) -> dict:
             for r in range(1, int(sweep.r.max(initial=0)) + 1)}
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(args, cfg) -> int:
     started = time.time()
     rules = ("joint",) if args.baseline is None else ("joint", args.baseline)
-    cfg, vc, sweeps, rows = _sweep_rows(args, rules)
+    vc, sweeps, rows = _sweep_rows(args, cfg, rules)
     sweep = sweeps[0]
     e_list = sweep.e_list
     os.makedirs(args.out, exist_ok=True)
@@ -327,8 +330,8 @@ def cmd_certify(args) -> int:
     metrics.write_metric_json(os.path.join(args.out, "aggregate.json"), agg)
     _write_manifest(os.path.join(args.out, "manifest.json"), "certify",
                     {"votes": args.votes, "split": args.split,
-                     "target": args.target, "alpha": float(cfg["alpha"]),
-                     "N": int(cfg["N"]), "e_list": e_list,
+                     "target": args.target, "alpha": cfg["alpha"],
+                     "N": cfg["N"], "e_list": e_list,
                      "baseline": args.baseline,
                      "skipped_users": list(sweep.skipped),
                      "radius_histogram": {rule: _radius_histogram(sw)
@@ -342,11 +345,10 @@ def cmd_certify(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    cfg = _resolve(args, ("N",))
+def cmd_evaluate(args, cfg) -> int:
     started = time.time()
     vc, train, tests = _load_votes_and_split(args)
-    N = int(cfg["N"])
+    N = cfg["N"]
     observed = metrics.standard_metrics(
         ensemble.ensemble_recommend_all(vc, train, N), tests, N)
     summary = {"N": N, "algo": vc.algo, "T": vc.T, "s": vc.s,
@@ -373,33 +375,32 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_baseline(args) -> int:
+def cmd_baseline(args, cfg) -> int:
     started = time.time()
-    cfg, vc, (sweep,), (rows,) = _sweep_rows(args, ("bagging",))
+    vc, (sweep,), (rows,) = _sweep_rows(args, cfg, ("bagging",))
     os.makedirs(args.out, exist_ok=True)
     metrics.write_metric_csv(os.path.join(args.out, "baseline.csv"), rows)
     metrics.write_metric_json(os.path.join(args.out, "baseline.json"), rows)
     _write_manifest(os.path.join(args.out, "manifest.json"), "baseline",
                     {"votes": args.votes, "split": args.split,
                      "target": args.target, "alpha": cfg["alpha"],
-                     "N": int(cfg["N"]), "e_list": sweep.e_list,
+                     "N": cfg["N"], "e_list": sweep.e_list,
                      "exact_fallbacks": sweep.exact_fallbacks},
                     started, votes=vc)
     print(f"baseline certified curves for {len(sweep.e_list)} budgets -> {args.out}")
     return 0
 
 
-def cmd_oracle(args) -> int:
-    cfg = _resolve(args, ("algo", "s", "nprime", "N", "alpha"))
+def cmd_oracle(args, cfg) -> int:
     if args.check == "soundness" and args.attack == "two-level-exhaustive":
         oracle.check_two_level_e(args.e)  # before anything is enumerated
     if args.data:
-        matrix = ratings.load_ratings(args.data, args.format or cfg["format"])
+        matrix = ratings.load_ratings(args.data, cfg["format"])
     else:
         matrix = ratings.random_matrix(args.n, args.m, args.seed, args.density)
     algo = cfg["algo"]
     params = _algo_params(cfg, algo)
-    s, nprime, N = int(cfg["s"]), int(cfg["nprime"]), int(cfg["N"])
+    s, nprime, N = cfg["s"], cfg["nprime"], cfg["N"]
     probs = oracle.exact_item_probs(matrix, algo, params, s, nprime)
     print(f"enumerated {probs.T} subsets "
           f"(n={matrix.n_users}, m={matrix.n_items}, s={s})")
@@ -432,53 +433,45 @@ def build_parser() -> argparse.ArgumentParser:
         description="Provably robust ensemble recommenders with certified top-N metrics")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, *inputs):
+    def common(sp, *files, settings=()):
+        """The flags every command takes, the files it reads and writes, and
+        one flag per DEFAULTS key in settings (--chunk-size for chunk_size),
+        with the key's type and choices; a flag left out takes the key's
+        value from --config, else its default."""
         sp.add_argument("--config", help="key=value config file; flags override it")
         sp.add_argument("--log-level", dest="log_level", default="WARNING",
                         choices=("DEBUG", "INFO", "WARNING", "ERROR"),
                         help="threshold for log messages on stderr")
-        for flag in inputs:  # the files the command reads
+        for flag in files:
             sp.add_argument(flag, required=True)
+        for key in settings:
+            sp.add_argument("--" + key.replace("_", "-"), dest=key,
+                            type=type(DEFAULTS[key]), choices=_CHOICES.get(key),
+                            help=f"config key {key}, default {DEFAULTS[key]}")
+        sp.set_defaults(settings=settings)
 
     sp = sub.add_parser("ingest", help="parse ratings and write a train/test split")
-    common(sp)
-    sp.add_argument("--data", required=True)
-    sp.add_argument("--format", choices=ratings.FORMATS)
-    sp.add_argument("--fraction", type=float)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--out", required=True)
+    common(sp, "--data", "--out", settings=("format", "fraction", "seed"))
     sp.set_defaults(func=cmd_ingest)
 
     sp = sub.add_parser("train", help="build T base models and persist vote counts")
-    common(sp, "--split")
-    sp.add_argument("--algo", choices=("ir", "bpr"))
-    sp.add_argument("--T", type=int)
-    sp.add_argument("--s", type=int)
-    sp.add_argument("--nprime", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--threads", type=int)
-    sp.add_argument("--chunk-size", dest="chunk_size", type=int)
+    common(sp, "--split", "--out", settings=("algo", "T", "s", "nprime", "seed",
+                                             "threads", "chunk_size"))
     sp.add_argument("--resume", action="store_true",
                     help="continue an interrupted run from its partial votes")
     sp.add_argument("--max-chunks", dest="max_chunks", type=int,
                     help="stop after this many chunks (bounded work per invocation)")
-    sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_train)
 
     sp = sub.add_parser("recommend", help="print ensemble top-N from vote counts")
-    common(sp, "--votes", "--split")
+    common(sp, "--votes", "--split", settings=("N",))
     sp.add_argument("--user", type=int, help="one user; omit for all users")
-    sp.add_argument("--N", type=int, default=10)
     sp.set_defaults(func=cmd_recommend)
 
     def certification(sp):
-        common(sp, "--votes", "--split")
+        common(sp, "--votes", "--split", "--out", settings=("alpha", "N", "e"))
         sp.add_argument("--target", choices=("test-items", "clean-topn"),
                         default="test-items")
-        sp.add_argument("--alpha", type=float)
-        sp.add_argument("--N", type=int)
-        sp.add_argument("--e", help="attack budgets, e.g. 0:30 or 0,5,10")
-        sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("certify", help="certified intersection sizes and metric floors")
     certification(sp)
@@ -487,11 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_certify)
 
     sp = sub.add_parser("evaluate", help="standard Precision/Recall/F1 at e=0")
-    common(sp, "--votes", "--split")
-    sp.add_argument("--N", type=int)
+    common(sp, "--votes", "--split", "--out", settings=("N",))
     sp.add_argument("--with-single-model", action="store_true",
                     help="also evaluate one model trained on the full matrix")
-    sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_evaluate)
 
     sp = sub.add_parser("baseline", help="single-competitor baseline certification only")
@@ -500,17 +491,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oracle", help="exact enumeration and attack falsification "
                                        "on tiny instances")
-    common(sp)
+    common(sp, settings=("format", "algo", "s", "nprime", "N"))
     sp.add_argument("--data", help="tiny rating file; omit for a synthetic matrix")
-    sp.add_argument("--format", choices=ratings.FORMATS)
     sp.add_argument("--n", type=int, default=6)
     sp.add_argument("--m", type=int, default=6)
     sp.add_argument("--density", type=float, default=0.7)
     sp.add_argument("--seed", type=int, default=1)
-    sp.add_argument("--algo", choices=("ir", "bpr"))
-    sp.add_argument("--s", type=int)
-    sp.add_argument("--nprime", type=int)
-    sp.add_argument("--N", type=int)
     sp.add_argument("--e", type=int, default=1)
     sp.add_argument("--check", choices=("probs", "soundness"), default="soundness")
     sp.add_argument("--attack", choices=oracle.ATTACKS + ("two-level-exhaustive",),
@@ -526,7 +512,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=args.log_level, stream=sys.stderr,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
-        return args.func(args)
+        return args.func(args, _resolve(args))
     except (ValueError, OSError, ratings.ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -88,17 +88,6 @@ def _member_votes(train: RatingMatrix, algo: str, params, s: int, n_prime: int,
         yield recommend_all(model, n_prime)
 
 
-def accumulate_votes(train: RatingMatrix, algo: str, params, s: int, n_prime: int,
-                     master_seed: int, t_start: int, t_stop: int) -> np.ndarray:
-    """Vote contributions of members t_start..t_stop-1 as an n x m count array."""
-    counts = np.zeros((train.n_users, train.n_items), dtype=np.int32)
-    for votes in _member_votes(train, algo, params, s, n_prime, master_seed,
-                               t_start, t_stop):
-        # a model recommends each item at most once per user: no repeated cell
-        counts[votes] += 1
-    return counts
-
-
 # process-pool plumbing: workers get the immutable inputs once via initializer
 _POOL_CTX = {}
 
@@ -121,25 +110,30 @@ def _ranges(t_start: int, t_stop: int, pieces: int):
     return [(lo, min(lo + step, t_stop)) for lo in range(t_start, t_stop, step)]
 
 
-def accumulate_votes_parallel(train, algo, params, s, n_prime, master_seed,
-                              t_start, t_stop, threads: int) -> np.ndarray:
-    """Same result as accumulate_votes; members are split across processes.
+def accumulate_votes(train: RatingMatrix, algo: str, params, s: int, n_prime: int,
+                     master_seed: int, t_start: int, t_stop: int,
+                     threads: int = 1) -> np.ndarray:
+    """Vote contributions of members t_start..t_stop-1 as an n x m count array.
 
-    Count addition is associative and commutative and member seeds do not
-    depend on the executing worker, so the partition is invisible in the output.
+    threads > 1 splits the members across that many processes. Count addition
+    is associative and commutative and member seeds do not depend on the
+    executing worker, so the partition is invisible in the output.
     """
+    counts = np.zeros((train.n_users, train.n_items), dtype=np.int32)
     if threads <= 1 or t_stop - t_start <= 1:
-        return accumulate_votes(train, algo, params, s, n_prime, master_seed,
-                                t_start, t_stop)
-    total = np.zeros((train.n_users, train.n_items), dtype=np.int32)
+        for votes in _member_votes(train, algo, params, s, n_prime, master_seed,
+                                   t_start, t_stop):
+            # a model recommends each item at most once per user: no repeated cell
+            counts[votes] += 1
+        return counts
     spans = _ranges(t_start, t_stop, threads * 4)
     with ProcessPoolExecutor(
             max_workers=threads, initializer=_pool_init,
             initargs=(train, algo, params, s, n_prime, master_seed)) as pool:
         for users, items in pool.map(_pool_range, spans):
             # members repeat cells, so add.at rather than a fancy +=
-            np.add.at(total, (users, items), 1)
-    return total
+            np.add.at(counts, (users, items), 1)
+    return counts
 
 
 def build_vote_counts(train: RatingMatrix, algo: str, params, T: int, s: int,
@@ -148,8 +142,8 @@ def build_vote_counts(train: RatingMatrix, algo: str, params, T: int, s: int,
     (oracle.exact_item_probs counts those of all C(n, s) submatrices)."""
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    counts = accumulate_votes_parallel(train, algo, params, s, n_prime,
-                                       master_seed, 0, T, threads)
+    counts = accumulate_votes(train, algo, params, s, n_prime, master_seed,
+                              0, T, threads)
     return VoteCounts(T=T, n_prime=n_prime, s=s, counts=counts,
                       master_seed=master_seed, algo=algo,
                       params=params_digest(algo, params))

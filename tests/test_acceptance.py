@@ -52,7 +52,7 @@ def synthetic_sweeps():
     counts = np.zeros((train.n_users, train.n_items), dtype=np.int32)
     spans = ((0, T_GRID[0]),) + tuple(zip(T_GRID, T_GRID[1:]))
     for t_start, t_stop in spans:
-        counts = counts + ensemble.accumulate_votes_parallel(
+        counts = counts + ensemble.accumulate_votes(
             train, "ir", params, 12, 1, 0, t_start, t_stop, _threads())
         snaps[t_stop] = ensemble.VoteCounts(T=t_stop, n_prime=1, s=12,
                                             counts=counts.copy(),
@@ -77,7 +77,7 @@ def ml100k_run(ml100k_path, tmp_path_factory):
     counts = np.zeros((train.n_users, train.n_items), dtype=np.int32)
     spans = ((0, T_GRID[0]),) + tuple(zip(T_GRID, T_GRID[1:]))
     for t_start, t_stop in spans:
-        counts = counts + ensemble.accumulate_votes_parallel(
+        counts = counts + ensemble.accumulate_votes(
             train, "ir", params, 300, 1, 0, t_start, t_stop, _threads())
         snaps[t_stop] = ensemble.VoteCounts(T=t_stop, n_prime=1, s=300,
                                             counts=counts.copy(),

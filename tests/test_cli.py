@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, run in-process through main()."""
 
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -262,6 +263,16 @@ class TestRecommend:
         assert len(out) == 5
         ranks = [int(line.split(",")[1]) for line in out[1:]]
         assert ranks == [1, 2, 3, 4]
+
+    def test_N_from_config(self, split, votes, tmp_path, capsys):
+        conf = tmp_path / "conf.txt"
+        conf.write_text("N=2\n")
+        assert cli.main(["recommend", "--votes", votes, "--split", split,
+                         "--config", str(conf)]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert rows[0] == ["user", "rank", "item", "votes"]
+        per_user = np.bincount([int(row[0]) for row in rows[1:]])
+        assert per_user.tolist() == [2] * 30  # the split has 30 users
 
     @pytest.mark.parametrize("user", ["-1", "30"])  # the split has 30 users
     def test_user_out_of_range_refused(self, split, votes, user, capsys):
@@ -1134,6 +1145,86 @@ class TestConfig:
             conf.write_text(line + "\n")
             with pytest.raises(ValueError, match="unknown key"):
                 cli.parse_config_file(str(conf))
+
+    @pytest.mark.parametrize("command,line,why", [
+        ("train", "T=1e4", "T must be int, got '1e4'"),
+        ("train", "algo=mf", "algo='mf' is not one of ('ir', 'bpr')"),
+        ("ingest", "format=x", "format='x' is not one of"),
+        ("certify", "alpha=0.1%", "alpha must be float"),
+    ])
+    def test_value_of_wrong_type_or_choice_refused(self, dataset, split, votes,
+                                                   tmp_path, capsys, command,
+                                                   line, why):
+        # refused like the flag would be, before any input is read, naming
+        # the file and the line
+        _, data = dataset
+        conf = tmp_path / "conf.txt"
+        conf.write_text(f"# first line\n{line}\n")
+        out = str(tmp_path / "out")
+        inputs = {"ingest": ["--data", data],
+                  "train": ["--split", split],
+                  "certify": ["--votes", votes, "--split", split]}[command]
+        assert cli.main([command, *inputs, "--config", str(conf),
+                         "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {conf}: line 2: {why}" in captured.err
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == ["conf.txt"]
+
+    def test_readme_block_is_the_defaults(self, tmp_path):
+        # the README's "Configuration keys" block is a valid config file
+        # that sets every key to its default
+        readme = open(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "README.md"), encoding="utf-8").read()
+        section = readme.split("## Configuration keys", 1)[1]
+        block = section.split("```\n", 2)[1]
+        conf = tmp_path / "conf.txt"
+        conf.write_text(block)
+        parsed = cli.parse_config_file(str(conf))
+        assert ([(k, type(v), v) for k, v in parsed.items()]
+                == [(k, type(v), v) for k, v in cli.DEFAULTS.items()])
+
+    def test_defaults_pinned(self):
+        # the ir.* and bpr.* entries come from the base-model dataclasses
+        assert list(cli.DEFAULTS.items()) == [
+            ("format", "movielens-100k-tab"), ("fraction", 0.75), ("seed", 0),
+            ("algo", "ir"), ("s", 200), ("T", 10000), ("nprime", 1),
+            ("N", 10), ("alpha", 0.001), ("e", "0:30"), ("threads", 1),
+            ("chunk_size", 200), ("ir.k", 50), ("bpr.d", 16),
+            ("bpr.epochs", 30), ("bpr.learn_rate", 0.05), ("bpr.reg", 0.01),
+            ("bpr.neg_samples", 1)]
+        assert [type(v) for v in cli.DEFAULTS.values()] == [
+            str, float, int, str, int, int, int, int, float, str, int, int,
+            int, int, int, float, float, int]
+        assert cli._algo_params(cli.DEFAULTS, "ir") == base_rec.IRParams()
+        assert cli._algo_params(cli.DEFAULTS, "bpr") == base_rec.BPRParams()
+
+    def test_option_strings_pinned(self):
+        # no subcommand gains or loses a flag
+        parser = cli.build_parser()
+        (subs,) = (a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        got = {name: set(sp._option_string_actions) - {"-h", "--help"}
+               for name, sp in subs.choices.items()}
+        common = {"--config", "--log-level"}
+        certification = common | {"--votes", "--split", "--out", "--target",
+                                  "--alpha", "--N", "--e"}
+        assert got == {
+            "ingest": common | {"--data", "--out", "--format", "--fraction",
+                                "--seed"},
+            "train": common | {"--split", "--out", "--algo", "--T", "--s",
+                               "--nprime", "--seed", "--threads",
+                               "--chunk-size", "--resume", "--max-chunks"},
+            "recommend": common | {"--votes", "--split", "--N", "--user"},
+            "certify": certification | {"--baseline"},
+            "evaluate": common | {"--votes", "--split", "--out", "--N",
+                                  "--with-single-model"},
+            "baseline": certification,
+            "oracle": common | {"--data", "--format", "--n", "--m",
+                                "--density", "--seed", "--algo", "--s",
+                                "--nprime", "--N", "--e", "--check",
+                                "--attack", "--trials"},
+        }
 
     def test_malformed_line_rejected(self, tmp_path):
         conf = tmp_path / "bad.txt"

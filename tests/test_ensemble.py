@@ -75,9 +75,8 @@ class TestAccumulation:
 
     def test_serial_equals_parallel(self):
         train, vc = self._votes()
-        par = ensemble.accumulate_votes_parallel(train, "ir",
-                                                 base_rec.IRParams(), 5, 1,
-                                                 11, 0, 60, threads=3)
+        par = ensemble.accumulate_votes(train, "ir", base_rec.IRParams(), 5,
+                                        1, 11, 0, 60, threads=3)
         assert np.array_equal(vc.counts, par)
 
     def test_t_prefix_nesting(self):
@@ -187,8 +186,8 @@ class TestKernelGoldenVotes:
         chunked = sum(ensemble.accumulate_votes(train, "ir", params, 8, 2, 4,
                                                 lo, min(lo + 15, 40))
                       for lo in range(0, 40, 15))
-        pool = ensemble.accumulate_votes_parallel(train, "ir", params, 8, 2, 4,
-                                                  0, 40, threads=2)
+        pool = ensemble.accumulate_votes(train, "ir", params, 8, 2, 4, 0, 40,
+                                         threads=2)
         for got in (serial, chunked, pool):
             assert np.array_equal(got, want)
 
