@@ -53,9 +53,27 @@ class BaseModel:
 
 
 # items per row block of the similarity table: the dense slab a worker holds
-# is O(_BLOCK * m) instead of O(m * m), and at m = 1682 a 64-row float64 slab
-# (0.9 MB) stays in a core's L2 cache through the Gram, scaling and pruning
+# is O(_BLOCK * m) instead of O(m * m), and at m = 1682 a 64-row slab stays
+# in a core's L2 cache through the Gram, scaling and pruning. Where
+# exact_gram holds for float32 that is a 0.43 MB float32 Gram plus 0.86 MB
+# of float64 negated cosines; on other ratings the Gram is float64, 0.86 MB
 _BLOCK = 64
+
+
+def exact_gram(data: np.ndarray, s: int, dtype) -> bool:
+    """Whether every Gram of s rows of these ratings is exact in dtype.
+
+    True when the stored ratings data (not the declared domain) are all
+    integers and s * max|r|^2 < 2^(nmant + 1) (2^24 for float32, 2^53 for
+    float64), below which dtype holds every integer. Each product
+    r_ui * r_uj, and each partial sum of at most s of them, is then an
+    integer below the bound, held exactly in any summation order and with
+    or without FMA: the Gram in dtype is exact, the same bits as in
+    float64.
+    """
+    top = float(np.abs(data).max(initial=0.0))
+    return (s * top * top < 2.0 ** (np.finfo(dtype).nmant + 1)
+            and bool((data == data.round()).all()))
 
 
 def _ranked(scores: np.ndarray, candidates: np.ndarray, n: int):
@@ -136,19 +154,27 @@ def _top_k_similarities(sub: csr_matrix, inv: np.ndarray, k: int) -> csr_matrix:
     sparse Gram, summed over the users in ascending order, plus zero
     products that add +0.0. It is exact for integer ratings, the same
     floats for others, and 0 where no user co-rates or the sum cancels, so
-    gram != 0 marks the neighbours. It is scaled straight into negated
-    cosines for _top_k_keep: IEEE rounding is symmetric, so gram * -inv_i
-    * inv_j is exactly -(gram * inv_i * inv_j), and the kept values,
-    negated back, are bit for bit the cosines of the per-item loop.
+    gram != 0 marks the neighbours. Where exact_gram holds for float32 the
+    loop runs in float32, on half the bytes, and gives the same Gram bits;
+    other ratings run it in float64. The block is widened to float64
+    (exact) and scaled in place into negated cosines for _top_k_keep: IEEE
+    rounding is symmetric, so gram * -inv_i * inv_j is exactly -(gram *
+    inv_i * inv_j), and the kept values, negated back, are bit for bit the
+    cosines of the per-item loop.
     """
     m = sub.shape[1]
+    if exact_gram(sub.data, sub.shape[0], np.float32):
+        # sharing the index arrays, not copying them as sub.astype would
+        sub = csr_matrix((sub.data.astype(np.float32), sub.indices, sub.indptr),
+                         shape=sub.shape)
     subT = sub.T.tocsr()
     x = sub.toarray()
     flat_parts, val_parts = [], []
     for lo in range(0, m, _BLOCK):
         hi = min(lo + _BLOCK, m)
         gram = subT[lo:hi] @ x
-        neg = gram * -inv[lo:hi, None]
+        neg = gram.astype(np.float64)
+        neg *= -inv[lo:hi, None]
         neg *= inv[None, :]
         own = np.arange(hi - lo), np.arange(lo, hi)  # self excluded
         neg[own], gram[own] = np.inf, 0
@@ -291,9 +317,8 @@ def ir_votes_batched(x: np.ndarray, users: np.ndarray, k: int, n_prime: int):
     are cast for, one row per model. The result holds what
     recommend_all(train_ir(matrix, subset, IRParams(k)), n_prime) returns for
     every model in turn, ids mapped through users, and equals it whenever
-    the ratings are integers and s * max|rating|^2 < 2^53 (callers check):
-    then every partial sum of the dense batched Gram is an integer below
-    2^53, so the Gram and the norms are exact in any summation order. The
+    exact_gram(x, s, np.float64) holds (callers check): then the dense
+    batched Gram and the norms are exact in any summation order. The
     rest repeats the per-model steps: the negated cosines of
     _top_k_similarities, its pruning rule (_top_k_keep), scores summed over
     j ascending one column at a time as in scipy's CSR x dense loop (a

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix, vstack
 
-from .base_rec import (IRParams, _ranked, ir_votes_batched, recommend_all,
-                       train_base)
+from .base_rec import (IRParams, _ranked, exact_gram, ir_votes_batched,
+                       recommend_all, train_base)
 from .bounds import exact_table, make_context
 from .certify import certify_table
 from .ensemble import VoteCounts, ensemble_recommend_all
@@ -85,16 +85,14 @@ _BATCH_CELLS = 1 << 15
 
 
 def _batched_ir(matrix: RatingMatrix, algo: str, s: int, fake=()) -> bool:
-    """Whether ir_votes_batched runs: ir, integer ratings stored in matrix
-    and in the fake rows (whatever the domain says) and
-    s * max|r|^2 < 2^53, so that it is exact, and one model's arrays within
-    _BATCH_CELLS (train_ir blocks wider catalogs)."""
-    data = np.concatenate((matrix.csr.data, np.ravel(fake)))
-    top = float(np.abs(data).max(initial=0.0))
+    """Whether ir_votes_batched runs: ir, a float64 Gram that exact_gram
+    finds exact on the ratings stored in matrix and in the fake rows
+    (whatever the domain says), and one model's arrays within _BATCH_CELLS
+    (train_ir blocks wider catalogs)."""
     m = matrix.n_items
     return (algo == "ir" and m * (m + s) <= _BATCH_CELLS
-            and bool(np.all(data == np.round(data)))
-            and s * top * top < 2.0 ** 53)
+            and exact_gram(np.concatenate((matrix.csr.data, np.ravel(fake))),
+                           s, np.float64))
 
 
 def _models_per_call(m: int, s: int) -> int:

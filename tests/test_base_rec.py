@@ -9,8 +9,8 @@ import pytest
 
 from certrec import base_rec, ensemble, ratings
 
-from conftest import (reference_ir, reference_model_votes, reference_ranked,
-                      signed_float_matrix)
+from conftest import (bench_gen, reference_ir, reference_model_votes,
+                      reference_ranked, signed_float_matrix)
 
 
 def _recs(model, user, n):
@@ -386,6 +386,76 @@ class TestKernelGolden:
         table = _assert_same_table(matrix, users, matrix.n_items + extra_k)
         *_, full = reference_ir(matrix, users, 10 ** 6)
         assert np.array_equal(table.indptr, full.indptr)
+
+
+class TestExactGram:
+    """exact_gram decides, for both ir kernels, whether a narrower Gram is
+    exact; train_ir runs its Gram in float32 only where it holds."""
+
+    @pytest.mark.parametrize("data, s, dtype, exact", [
+        # s * max^2 at 2^24 - 1 = 9 * 1864135 and at 2^24 = 16 * 2^20
+        ([1, 3, 2], 1864135, np.float32, True),
+        ([1, 4, 2], 2 ** 20, np.float32, False),
+        ([1], 2 ** 24 - 1, np.float32, True),
+        ([1], 2 ** 24, np.float32, False),
+        # the same pair at 2^53 = 4 * 2^51
+        ([1], 2 ** 53 - 1, np.float64, True),
+        ([1], 2 ** 53, np.float64, False),
+        ([2, 1], 2 ** 51 - 1, np.float64, True),
+        ([2, 1], 2 ** 51, np.float64, False),
+        # bounded by |r|: -4 is past the bound where max(r) = 3 is not
+        ([-3, 2], 1864135, np.float32, True),
+        ([-4, 3], 2 ** 20, np.float32, False),
+        # one non-integer among integers
+        ([1, 2.5, 4], 1, np.float32, False),
+        ([1, 2.5, 4], 1, np.float64, False),
+        # no ratings: the Gram is all zeros
+        ([], 200, np.float32, True),
+    ])
+    def test_edges(self, data, s, dtype, exact):
+        assert base_rec.exact_gram(np.array(data, dtype=float), s, dtype) is exact
+
+    def test_fast_path_on_the_bench_instance(self, monkeypatch):
+        # the train half of pipeline-ml100k seed 0's split, and the first
+        # member that workload trains, at s = 200
+        matrix = ratings._build_matrix(*bench_gen.ml100k_shaped(0),
+                                       ratings._ML_DOMAIN)
+        train, _ = ratings.split_train_test(matrix, 0.75, 0)
+        members = ensemble.sample_submatrix(943, 200, ensemble.derive_seed(0, 0))
+        _, sub = base_rec._submatrix(train, members)
+        assert base_rec.exact_gram(sub.data, 200, np.float32)
+        calls = _spy_exact_gram(monkeypatch)
+        base_rec.train_ir(train, np.asarray(members))
+        assert calls == [(np.float32, True)]
+
+    def test_float64_fallback_past_the_float32_bound(self, monkeypatch):
+        # integer ratings declared non-integral, with s * max^2 = 6 * 4095^2
+        # past 2^24: Gram sums such as 4095^2 + 4095^2 are odd multiples of 2
+        # above 2^25, where float32 steps by 4
+        matrix = _integer_matrix(6, 30, seed=36,
+                                 values=[-4095, -3000, 3000, 4095])
+        users = np.arange(6)
+        _, sub = base_rec._submatrix(matrix, users)
+        assert not base_rec.exact_gram(sub.data, 6, np.float32)
+        assert base_rec.exact_gram(sub.data, 6, np.float64)
+        calls = _spy_exact_gram(monkeypatch)
+        _assert_same_table(matrix, users, 5)
+        assert calls == [(np.float32, False)]
+        # the instance is one where a float32 Gram is wrong
+        monkeypatch.setattr(base_rec, "exact_gram", lambda *args: True)
+        with pytest.raises(AssertionError):
+            _assert_same_table(matrix, users, 5)
+
+
+def _spy_exact_gram(monkeypatch):
+    """Record each base_rec.exact_gram call as (dtype, answer)."""
+    calls, real = [], base_rec.exact_gram
+
+    def spy(data, s, dtype):
+        calls.append((dtype, real(data, s, dtype)))
+        return calls[-1][1]
+    monkeypatch.setattr(base_rec, "exact_gram", spy)
+    return calls
 
 
 def _integer_matrix(n: int, m: int, seed: int, values) -> ratings.RatingMatrix:
