@@ -54,9 +54,10 @@ class BaseModel:
 
 # items per row block of the similarity table: the dense slab a worker holds
 # is O(_BLOCK * m) instead of O(m * m), and at m = 1682 a 64-row slab stays
-# in a core's L2 cache through the Gram, scaling and pruning. Where
-# exact_gram holds for float32 that is a 0.43 MB float32 Gram plus 0.86 MB
-# of float64 negated cosines; on other ratings the Gram is float64, 0.86 MB
+# in a core's L2 cache through the Gram, scaling and pruning. The Gram takes
+# the narrowest dtype exact_gram finds exact: on 1-5 stars an int16 Gram of
+# 0.22 MB (0.43 MB in float32, 0.86 MB in float64), plus 0.86 MB of float64
+# negated cosines
 _BLOCK = 64
 
 
@@ -64,16 +65,18 @@ def exact_gram(data: np.ndarray, s: int, dtype) -> bool:
     """Whether every Gram of s rows of these ratings is exact in dtype.
 
     True when the stored ratings data (not the declared domain) are all
-    integers and s * max|r|^2 < 2^(nmant + 1) (2^24 for float32, 2^53 for
-    float64), below which dtype holds every integer. Each product
-    r_ui * r_uj, and each partial sum of at most s of them, is then an
-    integer below the bound, held exactly in any summation order and with
-    or without FMA: the Gram in dtype is exact, the same bits as in
-    float64.
+    integers and s * max|r|^2 is below the dtype's bound: 2^(bits - 1) for
+    a signed integer dtype (2^15 for int16), below which no sum overflows,
+    and 2^(nmant + 1) for a float dtype (2^24 for float32, 2^53 for
+    float64), below which it holds every integer. Each product r_ui * r_uj,
+    and each partial sum of at most s of them, is then an integer below the
+    bound, held exactly in any summation order and with or without FMA: the
+    Gram in dtype is exact, the same values as in float64.
     """
+    bits = (np.iinfo(dtype).bits - 1 if np.issubdtype(dtype, np.integer)
+            else np.finfo(dtype).nmant + 1)
     top = float(np.abs(data).max(initial=0.0))
-    return (s * top * top < 2.0 ** (np.finfo(dtype).nmant + 1)
-            and bool((data == data.round()).all()))
+    return s * top * top < 2.0 ** bits and bool((data == data.round()).all())
 
 
 def _ranked(scores: np.ndarray, candidates: np.ndarray, n: int):
@@ -107,16 +110,22 @@ def _k_smallest(neg: np.ndarray, k: int):
 
     A row keeps the values below its k-th smallest, then the ties at it by
     ascending column id until it holds k. Only the rows whose ties straddle
-    the k-th value are scanned again.
+    the k-th value are looked at again, and only at their ties' positions:
+    listed row by row in ascending column order, each row keeps its first
+    room of them, room being k less the values below the k-th.
     """
     kth = np.partition(neg, k - 1, axis=1)[:, k - 1, None]
     keep = neg <= kth
-    over = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
+    held = keep.sum(axis=1, dtype=np.int32)  # half count_nonzero's time
+    over = np.flatnonzero(held > k)
     if over.size:
-        below = neg[over] < kth[over]
-        ties = keep[over] & ~below
-        room = k - np.count_nonzero(below, axis=1)
-        keep[over] = below | (ties & (np.cumsum(ties, axis=1) <= room[:, None]))
+        rows, cols = np.divmod(np.flatnonzero(neg[over] == kth[over]),
+                               neg.shape[1])
+        ties = np.bincount(rows, minlength=over.size)
+        room = k - held[over] + ties
+        rank = np.arange(rows.size) - (np.cumsum(ties) - ties)[rows]
+        drop = rank >= room[rows]
+        keep[over[rows[drop]], cols[drop]] = False
     return keep, kth[:, 0]
 
 
@@ -132,17 +141,23 @@ def _top_k_keep(neg: np.ndarray, gram: np.ndarray, k: int) -> np.ndarray:
     When k >= m - 1 no row has more than k neighbours. Otherwise one
     partition finds each row's k-th smallest negated cosine. Below 0, the
     row has at least k positive cosines, all neighbours (a non-neighbour's
-    cosine is 0), so its k smallest values are its answer. Only the rows
-    whose k-th value is >= 0 (unseen and rarely rated items, signed
-    ratings) put +inf on their non-neighbours and are partitioned again.
+    cosine is 0), so its k smallest values are its answer. A row whose k-th
+    value is >= 0 (unseen and rarely rated items, signed ratings) keeps
+    gram != 0 when it has at most k neighbours, as every such row does on
+    nonnegative ratings; only a row with more (signed ratings) puts +inf on
+    its non-neighbours and is partitioned again.
     """
     if k >= neg.shape[1] - 1:
         return gram != 0
     keep, kth = _k_smallest(neg, k)
     rest = np.flatnonzero(kth >= 0)  # fewer than k positive cosines
     if rest.size:
-        masked = np.where(gram[rest] != 0, neg[rest], np.inf)
-        keep[rest] = _k_smallest(masked, k)[0] & (masked != np.inf)
+        near = gram[rest] != 0
+        keep[rest] = near
+        many = np.count_nonzero(near, axis=1) > k
+        if many.any():
+            masked = np.where(near[many], neg[rest[many]], np.inf)
+            keep[rest[many]] = _k_smallest(masked, k)[0] & (masked != np.inf)
     return keep
 
 
@@ -154,18 +169,20 @@ def _top_k_similarities(sub: csr_matrix, inv: np.ndarray, k: int) -> csr_matrix:
     sparse Gram, summed over the users in ascending order, plus zero
     products that add +0.0. It is exact for integer ratings, the same
     floats for others, and 0 where no user co-rates or the sum cancels, so
-    gram != 0 marks the neighbours. Where exact_gram holds for float32 the
-    loop runs in float32, on half the bytes, and gives the same Gram bits;
-    other ratings run it in float64. The block is widened to float64
-    (exact) and scaled in place into negated cosines for _top_k_keep: IEEE
-    rounding is symmetric, so gram * -inv_i * inv_j is exactly -(gram *
-    inv_i * inv_j), and the kept values, negated back, are bit for bit the
-    cosines of the per-item loop.
+    gram != 0 marks the neighbours. The loop runs in the first of int16 and
+    float32 for which exact_gram holds, on a quarter or half the bytes, and
+    gives the same Gram values; other ratings run it in float64. The block
+    is widened to float64 (exact) and scaled in place into negated cosines
+    for _top_k_keep: IEEE rounding is symmetric, so gram * -inv_i * inv_j
+    is exactly -(gram * inv_i * inv_j), and the kept values, negated back,
+    are bit for bit the cosines of the per-item loop.
     """
     m = sub.shape[1]
-    if exact_gram(sub.data, sub.shape[0], np.float32):
+    dtype = next((t for t in (np.int16, np.float32)
+                  if exact_gram(sub.data, sub.shape[0], t)), np.float64)
+    if dtype is not np.float64:
         # sharing the index arrays, not copying them as sub.astype would
-        sub = csr_matrix((sub.data.astype(np.float32), sub.indices, sub.indptr),
+        sub = csr_matrix((sub.data.astype(dtype), sub.indices, sub.indptr),
                          shape=sub.shape)
     subT = sub.T.tocsr()
     x = sub.toarray()
@@ -191,12 +208,25 @@ def _submatrix(matrix: RatingMatrix, users):
     """Sorted user ids and their rows of the rating matrix, as a CSR gather.
 
     Equal to matrix.csr[users] (same rows, same index order) without scipy's
-    fancy-indexing set-up, which dominates the cost of a tiny model.
+    fancy-indexing set-up, which dominates the cost of a tiny model. Refuses
+    an id outside [0, n), which would index another user's row, and a
+    repeated id, which would count one user twice, naming the first one
+    given.
     """
-    users = np.asarray(sorted(int(u) for u in users), dtype=np.int64)
-    if users.size == 0:
+    given = [int(u) for u in users]
+    if not given:
         raise ValueError("submatrix must contain at least one user")
     csr = matrix.csr
+    n = csr.shape[0]
+    if min(given) < 0 or max(given) >= n or len(set(given)) < len(given):
+        seen = set()
+        for u in given:
+            if not 0 <= u < n:
+                raise ValueError(f"submatrix user id {u} is not in [0, {n})")
+            if u in seen:
+                raise ValueError(f"submatrix user id {u} is repeated")
+            seen.add(u)
+    users = np.asarray(sorted(given), dtype=np.int64)
     starts = csr.indptr[users]
     lengths = csr.indptr[users + 1] - starts
     indptr = np.concatenate(([0], np.cumsum(lengths)))

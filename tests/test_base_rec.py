@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from certrec import base_rec, ensemble, ratings
 
@@ -168,6 +169,25 @@ class TestItemRetrieval:
             np.ascontiguousarray(counts, dtype="<i4").tobytes()).hexdigest()
         assert counts.sum() == 30 * 10 * 2
         assert digest[:16] == pinned
+
+
+class TestSubmatrixIds:
+    """Both algorithms refuse user ids outside [0, n) and repeated ids,
+    naming the first one given."""
+
+    @pytest.mark.parametrize("algo", ["ir", "bpr"])
+    @pytest.mark.parametrize("users, message", [
+        ([-2, 3], "user id -2 is not in \\[0, 12\\)"),
+        ([3, 12], "user id 12 is not in \\[0, 12\\)"),
+        ([5, -1, 20], "user id -1 is not in"),
+        ([1, 1, 2, 3], "user id 1 is repeated"),
+        ([4, 2, 4, -3], "user id 4 is repeated"),
+    ], ids=["negative", "n", "first-of-two", "repeated", "repeated-first"])
+    def test_refused(self, algo, users, message):
+        matrix = ratings.random_matrix(12, 9, seed=3)
+        params = base_rec.BPRParams(epochs=1) if algo == "bpr" else None
+        with pytest.raises(ValueError, match=message):
+            base_rec.train_base(algo, matrix, np.array(users), params)
 
 
 class TestBPR:
@@ -388,9 +408,65 @@ class TestKernelGolden:
         assert np.array_equal(table.indptr, full.indptr)
 
 
+def _pruning_block(seed: int, rows: int = 80, m: int = 40):
+    """(neg, gram) as _top_k_similarities hands them to _top_k_keep, with
+    integer-valued negated cosines so that ties are heavy: rows sparse to
+    dense, of positive, signed or negative Gram values, 0 and +inf at one
+    own item."""
+    rng = np.random.default_rng(seed)
+    density = rng.choice([0.02, 0.1, 0.3, 0.7, 1.0], size=(rows, 1))
+    kinds = np.array([(1, 4), (-3, 4), (-3, 0)])  # positive, signed, negative
+    low, high = kinds[rng.integers(3, size=rows)].T
+    values = rng.integers(low[:, None], high[:, None], size=(rows, m))
+    gram = np.where(rng.random((rows, m)) < density, values, 0)
+    own = np.arange(rows), rng.integers(0, m, size=rows)
+    gram[own] = 0
+    neg = -gram.astype(np.float64)
+    neg[own] = np.inf
+    return neg, gram
+
+
+def _reference_keep(neg, gram, k: int):
+    """Row by row: the neighbours (gram != 0) by ascending negated cosine,
+    then ascending column, the first k of them kept."""
+    keep = np.zeros(neg.shape, dtype=bool)
+    for r in range(len(neg)):
+        near = np.flatnonzero(gram[r] != 0)
+        keep[r, near[np.lexsort((near, neg[r, near]))][:k]] = True
+    return keep
+
+
+class TestTopKKeep:
+    """_top_k_keep against a per-row sort, on every branch of the rule."""
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_a_per_row_sort(self, seed, k):
+        neg, gram = _pruning_block(seed)
+        kth = np.sort(neg, axis=1)[:, k - 1]
+        near = np.count_nonzero(gram, axis=1)
+        # ties straddling a negative k-th value, rows with at most k
+        # neighbours, and signed rows with more than k and a k-th value >= 0
+        assert ((kth < 0) & (np.count_nonzero(neg <= kth[:, None], axis=1)
+                             > k)).any()
+        assert ((kth >= 0) & (near <= k)).any()
+        assert ((kth >= 0) & (near > k)).any()
+        assert np.array_equal(base_rec._top_k_keep(neg, gram, k),
+                              _reference_keep(neg, gram, k))
+
+    @pytest.mark.parametrize("extra", [-1, 0, 2])
+    def test_k_at_least_m_minus_one(self, extra):
+        neg, gram = _pruning_block(5)
+        k = neg.shape[1] + extra
+        keep = base_rec._top_k_keep(neg, gram, k)
+        assert np.array_equal(keep, gram != 0)
+        assert np.array_equal(keep, _reference_keep(neg, gram, k))
+
+
 class TestExactGram:
     """exact_gram decides, for both ir kernels, whether a narrower Gram is
-    exact; train_ir runs its Gram in float32 only where it holds."""
+    exact; train_ir runs its Gram in the first of int16 and float32 where it
+    holds, and in float64 otherwise."""
 
     @pytest.mark.parametrize("data, s, dtype, exact", [
         # s * max^2 at 2^24 - 1 = 9 * 1864135 and at 2^24 = 16 * 2^20
@@ -411,6 +487,19 @@ class TestExactGram:
         ([1, 2.5, 4], 1, np.float64, False),
         # no ratings: the Gram is all zeros
         ([], 200, np.float32, True),
+        # s * max^2 at 2^15 - 1 and at 2^15 = 4 * 2^13 for int16
+        ([1], 2 ** 15 - 1, np.int16, True),
+        ([1], 2 ** 15, np.int16, False),
+        ([1, 2], 2 ** 13 - 1, np.int16, True),
+        ([1, 2], 2 ** 13, np.int16, False),
+        # 1-5 stars: int16 for any s <= 1310 (25 * 1310 = 32750)
+        ([1, 5, 3], 1310, np.int16, True),
+        ([1, 5, 3], 1311, np.int16, False),
+        # bounded by |r|: -6 is past the bound where max(r) = 5 is not
+        ([-5, 4], 1310, np.int16, True),
+        ([-6, 5], 911, np.int16, False),
+        ([1, 2.5, 4], 1, np.int16, False),
+        ([], 200, np.int16, True),
     ])
     def test_edges(self, data, s, dtype, exact):
         assert base_rec.exact_gram(np.array(data, dtype=float), s, dtype) is exact
@@ -423,10 +512,35 @@ class TestExactGram:
         train, _ = ratings.split_train_test(matrix, 0.75, 0)
         members = ensemble.sample_submatrix(943, 200, ensemble.derive_seed(0, 0))
         _, sub = base_rec._submatrix(train, members)
-        assert base_rec.exact_gram(sub.data, 200, np.float32)
+        assert base_rec.exact_gram(sub.data, 200, np.int16)
         calls = _spy_exact_gram(monkeypatch)
         base_rec.train_ir(train, np.asarray(members))
-        assert calls == [(np.float32, True)]
+        assert calls == [(np.int16, True)]
+
+    def test_float32_path_past_the_int16_bound(self, monkeypatch):
+        # s * max^2 = 10 * 100^2 is past 2^15 and far below 2^24; on this
+        # instance six Gram entries, sums of four or more products of the
+        # same sign, overflow int16
+        matrix = _integer_matrix(10, 30, seed=37, values=[-100, -60, 60, 100])
+        users = np.arange(10)
+        _, sub = base_rec._submatrix(matrix, users)
+        assert not base_rec.exact_gram(sub.data, 10, np.int16)
+        assert base_rec.exact_gram(sub.data, 10, np.float32)
+        calls = _spy_exact_gram(monkeypatch)
+        _assert_same_table(matrix, users, 5)
+        assert calls == [(np.int16, False), (np.float32, True)]
+        # the instance is one where an int16 Gram is wrong
+        monkeypatch.setattr(base_rec, "exact_gram", lambda *args: True)
+        with pytest.raises(AssertionError):
+            _assert_same_table(matrix, users, 5)
+
+    def test_scipy_keeps_the_int16_product_in_int16(self):
+        # the int16 Gram is the CSR x dense loop run in int16, not a product
+        # widened by scipy
+        x = np.array([[1, 0, 5], [3, 2, 0]], dtype=np.int16)
+        gram = csr_matrix(x).T.tocsr()[0:2] @ x
+        assert gram.dtype == np.int16
+        assert np.array_equal(gram, (x.T @ x)[0:2])
 
     def test_float64_fallback_past_the_float32_bound(self, monkeypatch):
         # integer ratings declared non-integral, with s * max^2 = 6 * 4095^2
@@ -440,7 +554,7 @@ class TestExactGram:
         assert base_rec.exact_gram(sub.data, 6, np.float64)
         calls = _spy_exact_gram(monkeypatch)
         _assert_same_table(matrix, users, 5)
-        assert calls == [(np.float32, False)]
+        assert calls == [(np.int16, False), (np.float32, False)]
         # the instance is one where a float32 Gram is wrong
         monkeypatch.setattr(base_rec, "exact_gram", lambda *args: True)
         with pytest.raises(AssertionError):
