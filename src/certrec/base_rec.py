@@ -12,6 +12,7 @@ from these models are exactly reproducible.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,10 +55,9 @@ class BaseModel:
 
 # items per row block of the similarity table: the dense slab a worker holds
 # is O(_BLOCK * m) instead of O(m * m), and at m = 1682 a 64-row slab stays
-# in a core's L2 cache through the Gram, scaling and pruning. The Gram takes
-# the narrowest dtype exact_gram finds exact: on 1-5 stars an int16 Gram of
-# 0.22 MB (0.43 MB in float32, 0.86 MB in float64), plus 0.86 MB of float64
-# negated cosines
+# in a core's L2 cache through the Gram, scaling and pruning: on 1-5 stars
+# an int16 Gram of 0.22 MB (0.86 MB where exact_gram refuses int16 and it
+# runs in float64), plus 0.86 MB of float64 negated cosines
 _BLOCK = 64
 
 
@@ -169,20 +169,17 @@ def _top_k_similarities(sub: csr_matrix, inv: np.ndarray, k: int) -> csr_matrix:
     sparse Gram, summed over the users in ascending order, plus zero
     products that add +0.0. It is exact for integer ratings, the same
     floats for others, and 0 where no user co-rates or the sum cancels, so
-    gram != 0 marks the neighbours. The loop runs in the first of int16 and
-    float32 for which exact_gram holds, on a quarter or half the bytes, and
-    gives the same Gram values; other ratings run it in float64. The block
-    is widened to float64 (exact) and scaled in place into negated cosines
+    gram != 0 marks the neighbours. Where exact_gram holds for int16 the
+    loop runs in int16, on a quarter of the bytes, and gives the same Gram
+    values; other ratings run it in float64. The block is widened to float64 (exact) and scaled in place into negated cosines
     for _top_k_keep: IEEE rounding is symmetric, so gram * -inv_i * inv_j
     is exactly -(gram * inv_i * inv_j), and the kept values, negated back,
     are bit for bit the cosines of the per-item loop.
     """
     m = sub.shape[1]
-    dtype = next((t for t in (np.int16, np.float32)
-                  if exact_gram(sub.data, sub.shape[0], t)), np.float64)
-    if dtype is not np.float64:
+    if exact_gram(sub.data, sub.shape[0], np.int16):
         # sharing the index arrays, not copying them as sub.astype would
-        sub = csr_matrix((sub.data.astype(dtype), sub.indices, sub.indptr),
+        sub = csr_matrix((sub.data.astype(np.int16), sub.indices, sub.indptr),
                          shape=sub.shape)
     subT = sub.T.tocsr()
     x = sub.toarray()
@@ -211,21 +208,20 @@ def _submatrix(matrix: RatingMatrix, users):
     fancy-indexing set-up, which dominates the cost of a tiny model. Refuses
     an id outside [0, n), which would index another user's row, and a
     repeated id, which would count one user twice, naming the first one
-    given.
+    given; a non-integer id (a float) raises TypeError.
     """
-    given = [int(u) for u in users]
+    given = [operator.index(u) for u in users]
     if not given:
         raise ValueError("submatrix must contain at least one user")
     csr = matrix.csr
     n = csr.shape[0]
-    if min(given) < 0 or max(given) >= n or len(set(given)) < len(given):
-        seen = set()
-        for u in given:
-            if not 0 <= u < n:
-                raise ValueError(f"submatrix user id {u} is not in [0, {n})")
-            if u in seen:
-                raise ValueError(f"submatrix user id {u} is repeated")
-            seen.add(u)
+    seen = set()
+    for u in given:
+        if not 0 <= u < n:
+            raise ValueError(f"submatrix user id {u} is not in [0, {n})")
+        if u in seen:
+            raise ValueError(f"submatrix user id {u} is repeated")
+        seen.add(u)
     users = np.asarray(sorted(given), dtype=np.int64)
     starts = csr.indptr[users]
     lengths = csr.indptr[users + 1] - starts

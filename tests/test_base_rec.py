@@ -173,7 +173,7 @@ class TestItemRetrieval:
 
 class TestSubmatrixIds:
     """Both algorithms refuse user ids outside [0, n) and repeated ids,
-    naming the first one given."""
+    naming the first one given, and float ids."""
 
     @pytest.mark.parametrize("algo", ["ir", "bpr"])
     @pytest.mark.parametrize("users, message", [
@@ -187,6 +187,16 @@ class TestSubmatrixIds:
         matrix = ratings.random_matrix(12, 9, seed=3)
         params = base_rec.BPRParams(epochs=1) if algo == "bpr" else None
         with pytest.raises(ValueError, match=message):
+            base_rec.train_base(algo, matrix, np.array(users), params)
+
+    @pytest.mark.parametrize("algo", ["ir", "bpr"])
+    @pytest.mark.parametrize("users", [[1.5, 2.9], [3.0, 4.0]],
+                             ids=["fraction", "integral"])
+    def test_float_ids_refused(self, algo, users):
+        # int() would truncate them to another user's id
+        matrix = ratings.random_matrix(12, 9, seed=3)
+        params = base_rec.BPRParams(epochs=1) if algo == "bpr" else None
+        with pytest.raises(TypeError):
             base_rec.train_base(algo, matrix, np.array(users), params)
 
 
@@ -465,8 +475,8 @@ class TestTopKKeep:
 
 class TestExactGram:
     """exact_gram decides, for both ir kernels, whether a narrower Gram is
-    exact; train_ir runs its Gram in the first of int16 and float32 where it
-    holds, and in float64 otherwise."""
+    exact; train_ir runs its Gram in int16 where it holds, and in float64
+    otherwise."""
 
     @pytest.mark.parametrize("data, s, dtype, exact", [
         # s * max^2 at 2^24 - 1 = 9 * 1864135 and at 2^24 = 16 * 2^20
@@ -517,23 +527,6 @@ class TestExactGram:
         base_rec.train_ir(train, np.asarray(members))
         assert calls == [(np.int16, True)]
 
-    def test_float32_path_past_the_int16_bound(self, monkeypatch):
-        # s * max^2 = 10 * 100^2 is past 2^15 and far below 2^24; on this
-        # instance six Gram entries, sums of four or more products of the
-        # same sign, overflow int16
-        matrix = _integer_matrix(10, 30, seed=37, values=[-100, -60, 60, 100])
-        users = np.arange(10)
-        _, sub = base_rec._submatrix(matrix, users)
-        assert not base_rec.exact_gram(sub.data, 10, np.int16)
-        assert base_rec.exact_gram(sub.data, 10, np.float32)
-        calls = _spy_exact_gram(monkeypatch)
-        _assert_same_table(matrix, users, 5)
-        assert calls == [(np.int16, False), (np.float32, True)]
-        # the instance is one where an int16 Gram is wrong
-        monkeypatch.setattr(base_rec, "exact_gram", lambda *args: True)
-        with pytest.raises(AssertionError):
-            _assert_same_table(matrix, users, 5)
-
     def test_scipy_keeps_the_int16_product_in_int16(self):
         # the int16 Gram is the CSR x dense loop run in int16, not a product
         # widened by scipy
@@ -551,11 +544,12 @@ class TestExactGram:
         users = np.arange(6)
         _, sub = base_rec._submatrix(matrix, users)
         assert not base_rec.exact_gram(sub.data, 6, np.float32)
+        assert not base_rec.exact_gram(sub.data, 6, np.int16)
         assert base_rec.exact_gram(sub.data, 6, np.float64)
         calls = _spy_exact_gram(monkeypatch)
         _assert_same_table(matrix, users, 5)
-        assert calls == [(np.int16, False), (np.float32, False)]
-        # the instance is one where a float32 Gram is wrong
+        assert calls == [(np.int16, False)]
+        # the instance is one where an int16 Gram is wrong
         monkeypatch.setattr(base_rec, "exact_gram", lambda *args: True)
         with pytest.raises(AssertionError):
             _assert_same_table(matrix, users, 5)
