@@ -171,10 +171,11 @@ def _top_k_similarities(sub: csr_matrix, inv: np.ndarray, k: int) -> csr_matrix:
     floats for others, and 0 where no user co-rates or the sum cancels, so
     gram != 0 marks the neighbours. Where exact_gram holds for int16 the
     loop runs in int16, on a quarter of the bytes, and gives the same Gram
-    values; other ratings run it in float64. The block is widened to float64 (exact) and scaled in place into negated cosines
-    for _top_k_keep: IEEE rounding is symmetric, so gram * -inv_i * inv_j
-    is exactly -(gram * inv_i * inv_j), and the kept values, negated back,
-    are bit for bit the cosines of the per-item loop.
+    values; other ratings run it in float64. The block is widened to
+    float64 (exact) and scaled in place into negated cosines for
+    _top_k_keep: IEEE rounding is symmetric, so gram * -inv_i * inv_j is
+    exactly -(gram * inv_i * inv_j), and the kept values, negated back, are
+    bit for bit the cosines of the per-item loop.
     """
     m = sub.shape[1]
     if exact_gram(sub.data, sub.shape[0], np.int16):
