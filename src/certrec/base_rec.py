@@ -53,12 +53,16 @@ class BaseModel:
     item_factors: np.ndarray | None = None  # bpr: m x d
 
 
-# items per row block of the similarity table: the dense slab a worker holds
-# is O(_BLOCK * m) instead of O(m * m), and at m = 1682 a 64-row slab stays
-# in a core's L2 cache through the Gram, scaling and pruning: on 1-5 stars
-# an int16 Gram of 0.22 MB (0.86 MB where exact_gram refuses int16 and it
-# runs in float64), plus 0.86 MB of float64 negated cosines
+# items per row block of the similarity table, and Gram cells per scipy
+# product: a slab of the largest multiple of _BLOCK rows within _SLAB cells
+# (at least one block) is one product, then widened, scaled and pruned
+# _BLOCK rows at a time. A worker holds O(_SLAB + _BLOCK * m) instead of
+# O(m * m): a slab of at most 2 MB in int16 (8 MB where exact_gram refuses
+# int16 and it runs in float64), plus one _BLOCK x m float64 block of
+# negated cosines, 0.86 MB at m = 1682, which stays in a core's L2 cache
+# through the scaling and pruning
 _BLOCK = 64
+_SLAB = 2 ** 20
 
 
 def exact_gram(data: np.ndarray, s: int, dtype) -> bool:
@@ -105,77 +109,59 @@ def _ranked(scores: np.ndarray, candidates: np.ndarray, n: int):
     return np.nonzero(picked)[0], top[picked]
 
 
-def _k_smallest(neg: np.ndarray, k: int):
-    """Each row's k smallest values, as a mask, and the k-th smallest.
-
-    A row keeps the values below its k-th smallest, then the ties at it by
-    ascending column id until it holds k. Only the rows whose ties straddle
-    the k-th value are looked at again, and only at their ties' positions:
-    listed row by row in ascending column order, each row keeps its first
-    room of them, room being k less the values below the k-th.
-    """
-    kth = np.partition(neg, k - 1, axis=1)[:, k - 1, None]
-    keep = neg <= kth
-    held = keep.sum(axis=1, dtype=np.int32)  # half count_nonzero's time
-    over = np.flatnonzero(held > k)
-    if over.size:
-        rows, cols = np.divmod(np.flatnonzero(neg[over] == kth[over]),
-                               neg.shape[1])
-        ties = np.bincount(rows, minlength=over.size)
-        room = k - held[over] + ties
-        rank = np.arange(rows.size) - (np.cumsum(ties) - ties)[rows]
-        drop = rank >= room[rows]
-        keep[over[rows[drop]], cols[drop]] = False
-    return keep, kth[:, 0]
-
-
 def _top_k_keep(neg: np.ndarray, gram: np.ndarray, k: int) -> np.ndarray:
     """The one top-k rule: which neighbours each row of a 2-D table keeps.
 
     neg holds the negated cosines, +inf at each row's own item; gram the
     Gram rows they were scaled from, 0 at the own item, so gram != 0 marks
-    the neighbours. A row with at most k neighbours keeps them all; a row
-    with more keeps those above its k-th largest cosine and fills the ties
-    at that value by ascending column id. Returns a mask of neg's shape.
+    the neighbours. Each row keeps its k neighbours of smallest negated
+    cosine, ties by ascending column id (all of them when it has at most k).
+    Returns a mask of neg's shape.
 
-    When k >= m - 1 no row has more than k neighbours. Otherwise one
-    partition finds each row's k-th smallest negated cosine. Below 0, the
-    row has at least k positive cosines, all neighbours (a non-neighbour's
-    cosine is 0), so its k smallest values are its answer. A row whose k-th
-    value is >= 0 (unseen and rarely rated items, signed ratings) keeps
-    gram != 0 when it has at most k neighbours, as every such row does on
-    nonnegative ratings; only a row with more (signed ratings) puts +inf on
-    its non-neighbours and is partitioned again.
+    At k >= m - 1 every row keeps all its neighbours. Otherwise one
+    partition proposes each row's k-th smallest value, and the row keeps the
+    values at or below it: the answer when exactly k are kept and the k-th
+    is below 0, as all k are then positive cosines (a non-neighbour's is 0).
+    A row with ties straddling the k-th value (more than k kept), or with a
+    k-th value >= 0 (unseen and rarely rated items, signed ratings), is
+    settled: its candidates (those kept, or all its neighbours when the k-th
+    is >= 0) are sorted by value, stably from column order, and it keeps
+    the first k.
     """
     if k >= neg.shape[1] - 1:
         return gram != 0
-    keep, kth = _k_smallest(neg, k)
-    rest = np.flatnonzero(kth >= 0)  # fewer than k positive cosines
-    if rest.size:
-        near = gram[rest] != 0
-        keep[rest] = near
-        many = np.count_nonzero(near, axis=1) > k
-        if many.any():
-            masked = np.where(near[many], neg[rest[many]], np.inf)
-            keep[rest[many]] = _k_smallest(masked, k)[0] & (masked != np.inf)
+    kth = np.partition(neg, k - 1, axis=1)[:, k - 1, None]
+    keep = neg <= kth
+    held = keep.sum(axis=1, dtype=np.int32)  # half count_nonzero's time
+    settle = np.flatnonzero((held > k) | (kth[:, 0] >= 0))
+    if settle.size:
+        cand = np.where(kth[settle] >= 0, gram[settle] != 0, keep[settle])
+        rows, cols = np.divmod(np.flatnonzero(cand), neg.shape[1])
+        order = np.lexsort((neg[settle[rows], cols], rows))
+        rows, cols = rows[order], cols[order]
+        first = np.arange(rows.size) - np.searchsorted(rows, rows) < k
+        keep[settle] = False
+        keep[settle[rows[first]], cols[first]] = True
     return keep
 
 
 def _top_k_similarities(sub: csr_matrix, inv: np.ndarray, k: int) -> csr_matrix:
     """Cosine table keeping each item's k most similar other items.
 
-    Built _BLOCK item rows at a time. Each Gram block is a CSR x dense
-    product in scipy's sparse loop (no BLAS call): the same products as a
-    sparse Gram, summed over the users in ascending order, plus zero
-    products that add +0.0. It is exact for integer ratings, the same
-    floats for others, and 0 where no user co-rates or the sum cancels, so
-    gram != 0 marks the neighbours. Where exact_gram holds for int16 the
-    loop runs in int16, on a quarter of the bytes, and gives the same Gram
-    values; other ratings run it in float64. The block is widened to
-    float64 (exact) and scaled in place into negated cosines for
-    _top_k_keep: IEEE rounding is symmetric, so gram * -inv_i * inv_j is
-    exactly -(gram * inv_i * inv_j), and the kept values, negated back, are
-    bit for bit the cosines of the per-item loop.
+    The Gram is built one slab of item rows per product (_SLAB), and each
+    slab is scaled and pruned _BLOCK rows at a time. Each product is CSR x
+    dense in scipy's sparse loop (no BLAS call), row by row, so a slab's
+    rows are those of any other split: the same products as a sparse Gram,
+    summed over the users in ascending order, plus zero products that add
+    +0.0. It is exact for integer ratings, the same floats for others, and 0
+    where no user co-rates or the sum cancels, so gram != 0 marks the
+    neighbours. Where exact_gram holds for int16 the loop runs in int16, on
+    a quarter of the bytes, and gives the same Gram values; other ratings
+    run it in float64. Each block is widened to float64 (exact) and scaled
+    in place into negated cosines for _top_k_keep: IEEE rounding is
+    symmetric, so gram * -inv_i * inv_j is exactly -(gram * inv_i * inv_j),
+    and the kept values, negated back, are bit for bit the cosines of the
+    per-item loop.
     """
     m = sub.shape[1]
     if exact_gram(sub.data, sub.shape[0], np.int16):
@@ -184,18 +170,21 @@ def _top_k_similarities(sub: csr_matrix, inv: np.ndarray, k: int) -> csr_matrix:
                          shape=sub.shape)
     subT = sub.T.tocsr()
     x = sub.toarray()
+    step = max(_SLAB // (_BLOCK * m), 1) * _BLOCK  # rows per slab
     flat_parts, val_parts = [], []
-    for lo in range(0, m, _BLOCK):
-        hi = min(lo + _BLOCK, m)
-        gram = subT[lo:hi] @ x
-        neg = gram.astype(np.float64)
-        neg *= -inv[lo:hi, None]
-        neg *= inv[None, :]
-        own = np.arange(hi - lo), np.arange(lo, hi)  # self excluded
-        neg[own], gram[own] = np.inf, 0
-        kept = np.flatnonzero(_top_k_keep(neg, gram, k))
-        flat_parts.append(kept + lo * m)  # flat index into the m x m table
-        val_parts.append(-neg.ravel()[kept])
+    for top in range(0, m, step):
+        slab = subT[top:top + step] @ x
+        for lo in range(top, min(top + step, m), _BLOCK):
+            hi = min(lo + _BLOCK, m)
+            gram = slab[lo - top:hi - top]
+            neg = gram.astype(np.float64)
+            neg *= -inv[lo:hi, None]
+            neg *= inv[None, :]
+            own = np.arange(hi - lo), np.arange(lo, hi)  # self excluded
+            neg[own], gram[own] = np.inf, 0
+            kept = np.flatnonzero(_top_k_keep(neg, gram, k))
+            flat_parts.append(kept + lo * m)  # flat index into the m x m table
+            val_parts.append(-neg.ravel()[kept])
     flat = np.concatenate(flat_parts)
     indptr = np.searchsorted(flat, np.arange(0, m * m + 1, m))
     return csr_matrix((np.concatenate(val_parts), flat % m, indptr),

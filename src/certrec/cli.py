@@ -220,9 +220,8 @@ def cmd_train(args, cfg) -> int:
         print(f"stopped after --max-chunks at t={vc.T}/{T}; "
               f"rerun with --resume to continue")
         return 3
-    ensemble.save_votes(args.out, vc)
-    if os.path.exists(args.out + ".partial"):
-        os.remove(args.out + ".partial")
+    # the complete partial holds exactly these votes: promote it, not rewrite
+    os.replace(args.out + ".partial", args.out)
     _write_manifest(args.out + ".manifest.json", "train",
                     {"split": args.split, "algo": algo, "T": T, "s": s,
                      "nprime": nprime, "seed": seed, "threads": threads,

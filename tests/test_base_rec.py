@@ -325,6 +325,23 @@ class TestKernelGolden:
         matrix = ratings.random_matrix(20, 45, seed=9, density=0.5)
         _assert_same_table(matrix, np.arange(0, 20, 2), 4)
 
+    @pytest.mark.parametrize("cells", [0, 3 * 5 * 37, 3 * 5 * 37 + 5 * 37 - 1])
+    @pytest.mark.parametrize("kind", ["stars", "signed floats"])
+    def test_slabs_split_the_items(self, tmp_path, monkeypatch, cells, kind):
+        # blocks of 5 rows over 37 items: one block per slab (a slab below one
+        # block), and slabs of 3 blocks, so slabs start mid-table at 15 and
+        # 30 and the last one is short (7 rows: a full block and 2 rows)
+        monkeypatch.setattr(base_rec, "_BLOCK", 5)
+        monkeypatch.setattr(base_rec, "_SLAB", cells)
+        matrix = (ratings.random_matrix(16, 37, seed=36, density=0.5)
+                  if kind == "stars" else
+                  signed_float_matrix(tmp_path, n=12, m=37, seed=36))
+        users = np.arange(0, matrix.n_users, 2)
+        assert base_rec.exact_gram(matrix.csr[users].data, users.size,
+                                   np.int16) == (kind == "stars")
+        for k in (1, 4):
+            _assert_same_table(matrix, users, k)
+
     @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 3)])
     def test_signed_floats_at_the_real_block_size(self, tmp_path, blocks, extra):
         # _BLOCK as shipped: the last block one row short of full, full, one
@@ -380,7 +397,7 @@ class TestKernelGolden:
         rows = _cosine_rows(matrix, users)
         positive = np.array([np.count_nonzero(r > 0) for r in rows])
         sizes = np.array([r.size for r in rows])
-        # with more than k neighbours (partitioned again), and with at most k
+        # settled with more than k neighbours, and with at most k
         assert ((positive < k) & (sizes > k)).any()
         assert ((positive < k) & (sizes <= k)).any()
         assert (positive >= k).any()
@@ -447,7 +464,7 @@ def _reference_keep(neg, gram, k: int):
 
 
 class TestTopKKeep:
-    """_top_k_keep against a per-row sort, on every branch of the rule."""
+    """_top_k_keep against a per-row sort, on every case of the one rule."""
 
     @pytest.mark.parametrize("k", [1, 3, 8])
     @pytest.mark.parametrize("seed", range(5))
@@ -455,8 +472,9 @@ class TestTopKKeep:
         neg, gram = _pruning_block(seed)
         kth = np.sort(neg, axis=1)[:, k - 1]
         near = np.count_nonzero(gram, axis=1)
-        # ties straddling a negative k-th value, rows with at most k
-        # neighbours, and signed rows with more than k and a k-th value >= 0
+        # the cases: ties straddling a negative k-th value, rows with at
+        # most k neighbours, and signed rows with more than k and a k-th
+        # value >= 0, each settled by the same sort
         assert ((kth < 0) & (np.count_nonzero(neg <= kth[:, None], axis=1)
                              > k)).any()
         assert ((kth >= 0) & (near <= k)).any()

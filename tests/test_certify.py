@@ -2,6 +2,7 @@
 bagging baseline, each against references read off the definitions."""
 
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +10,9 @@ import pytest
 
 from certrec import base_rec, bounds, certify, ensemble, ratings
 
-from conftest import (item_sets, one_row_table, prob_row, reference_bagging_r,
-                      reference_bounds, reference_holds, reference_r)
+from conftest import (bench_gen, item_sets, one_row_table, prob_row,
+                      reference_bagging_r, reference_bounds, reference_holds,
+                      reference_r)
 
 
 def _certify_row(lower, upper, contexts, N: int, n_prime: int,
@@ -480,3 +482,58 @@ class TestBagging:
                               e_list=[0, 1, 3], N=3, rules=("bagging",))[0]
         for rs in sweep.r.tolist():
             assert all(a >= b for a, b in zip(rs, rs[1:]))
+
+
+# seeds of the paper-scale check, e.g. "0,1,2": tier-1 runs seed 0 alone
+_PAPER_SEEDS = [int(x) for x in
+                os.environ.get("CERTREC_PAPER_SEEDS", "0").split(",")]
+
+
+class TestFloatFilterAtPaperScale:
+    """certify-t10k's sweep, every float decision redone exactly.
+
+    The float pass decides a comparison when its margin clears the error
+    bound; at this scale (C(943, 200) grids, sigma over e = 0:30) none falls
+    back, so each decision rests on the bound alone. The smallest |margin| /
+    bound seen is about 5.9e7 at seed 0 (1.4e8 at seed 1, 3.7e7 at seed 2);
+    the fallback count and the floor below make a change that brings
+    decisions near the bound visible.
+    """
+
+    @pytest.mark.parametrize("seed", _PAPER_SEEDS)
+    def test_every_float_decision_is_exact(self, seed, monkeypatch):
+        matrix = ratings._build_matrix(*bench_gen.ml100k_shaped(seed),
+                                       ratings._ML_DOMAIN)
+        train, _ = ratings.split_train_test(matrix, 0.75, seed)
+        vc = ensemble.VoteCounts(
+            T=bench_gen.VOTE_T, n_prime=1, s=bench_gen.VOTE_S,
+            counts=bench_gen.paper_scale_votes(seed, train), master_seed=seed,
+            algo="ir")
+        N, seen = 10, {"decided": 0, "ratio": math.inf}
+        real = certify._holds
+
+        def checked(rule, table, i, rp, ctxs, which, N, n_prime):
+            i, rp = np.asarray(i), np.asarray(rp)
+            gap, err, _ = certify._float_pass(
+                rule, table, i, rp, np.array([c.sigma_hi for c in ctxs])[which],
+                np.array([c.grid for c in ctxs])[which], N, n_prime)
+            # decided in floats; an infinite margin (no outside item, or
+            # sigma past the double range) is no float decision
+            sure = np.flatnonzero(np.isfinite(gap) & (np.abs(gap) > err))
+            for t in sure.tolist():
+                exact = certify._exact_holds(rule, table, int(i[t]), int(rp[t]),
+                                             ctxs[which[t]], N, n_prime)
+                assert (gap[t] > 0) == exact, (rule, int(i[t]), int(rp[t]))
+            seen["decided"] += sure.size
+            with np.errstate(divide="ignore"):
+                ratio = np.abs(gap[sure]) / err[sure]
+            seen["ratio"] = min(seen["ratio"], float(ratio.min(initial=math.inf)))
+            return real(rule, table, i, rp, ctxs, which, N, n_prime)
+
+        monkeypatch.setattr(certify, "_holds", checked)
+        results = certify.sweep(train, vc,
+                                ensemble.ensemble_recommend_all(vc, train, N),
+                                0.001, range(31), N, ("joint", "bagging"))
+        assert seen["decided"] == sum(r.verify_calls for r in results) > 20_000
+        assert all(r.exact_fallbacks == 0 for r in results)
+        assert seen["ratio"] > 1e6, seen

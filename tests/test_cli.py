@@ -103,6 +103,41 @@ class TestTrain:
         assert open(out, "rb").read() == open(votes, "rb").read()
         assert not os.path.exists(out + ".partial")
 
+    def test_complete_partial_is_promoted(self, dataset, split, tmp_path,
+                                          monkeypatch):
+        # votes are saved once per chunk, to the partial only, which then
+        # becomes --out; a crash before that rename leaves a complete
+        # partial, which --resume promotes without training or writing
+        root, _ = dataset
+        out = str(root / "votes_promoted.txt")
+        train, tests, _ = ratings.load_split(split)
+        want = str(tmp_path / "want.txt")
+        ensemble.save_votes(want, ensemble.VoteCounts(
+            T=200, n_prime=1, s=8, master_seed=5, algo="ir",
+            counts=ensemble.accumulate_votes(train, "ir", base_rec.IRParams(),
+                                             8, 1, 5, 0, 200),
+            params=ensemble.params_digest("ir", base_rec.IRParams()),
+            split=ratings.split_digest(train, tests)))
+        real_save, saved = ensemble.save_votes, []
+
+        def spy(path, vc):
+            saved.append(path)
+            real_save(path, vc)
+
+        monkeypatch.setattr(ensemble, "save_votes", spy)
+        argv = ["train", "--split", split, "--algo", "ir", "--T", "200",
+                "--s", "8", "--seed", "5", "--out", out, "--chunk-size", "70"]
+        assert cli.main(argv) == 0
+        assert saved == [out + ".partial"] * 3
+        assert not os.path.exists(out + ".partial")
+        assert open(out, "rb").read() == open(want, "rb").read()
+        os.replace(out, out + ".partial")
+        monkeypatch.setattr(ensemble, "accumulate_votes", None)
+        assert cli.main(argv + ["--resume"]) == 0
+        assert saved == [out + ".partial"] * 3
+        assert not os.path.exists(out + ".partial")
+        assert open(out, "rb").read() == open(want, "rb").read()
+
     def test_crash_after_partial_write_resumes_exactly(self, dataset, split,
                                                        votes, monkeypatch):
         # the process dies right after the second chunk's partial is on disk;
