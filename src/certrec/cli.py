@@ -140,9 +140,9 @@ def cmd_ingest(args, cfg) -> int:
     matrix = ratings.load_ratings(args.data, cfg["format"])
     train, tests = ratings.split_train_test(matrix, cfg["fraction"], cfg["seed"])
     ratings.save_split(args.out, train, tests, cfg["seed"], cfg["fraction"])
-    metrics.write_csv(args.out + ".ids.csv", [["kind", "internal", "external"]] + [
-        [kind, pos, ext] for kind, ids in (("user", matrix.user_ids),
-                                           ("item", matrix.item_ids))
+    metrics.write_csv(args.out + ".ids.csv", [
+        {"kind": kind, "internal": pos, "external": ext}
+        for kind, ids in (("user", matrix.user_ids), ("item", matrix.item_ids))
         for pos, ext in enumerate(ids.tolist())])
     mean_train = train.n_ratings / train.n_users
     _write_manifest(args.out + ".manifest.json", "ingest",
@@ -207,9 +207,11 @@ def _train_chunked(args, cfg, train, split):
 def cmd_train(args, cfg) -> int:
     started = time.time()
     T, chunk_size, threads = cfg["T"], cfg["chunk_size"], cfg["threads"]
-    if T < 1 or chunk_size < 1 or threads < 1:
-        raise ValueError(f"need T, chunk size and threads >= 1, got T={T}, "
-                         f"chunk size={chunk_size}, threads={threads}")
+    max_chunks = 1 if args.max_chunks is None else args.max_chunks
+    if min(T, chunk_size, threads, max_chunks) < 1:
+        raise ValueError(f"need T, chunk size, threads and max chunks >= 1, "
+                         f"got T={T}, chunk size={chunk_size}, "
+                         f"threads={threads}, max chunks={args.max_chunks}")
     train, tests, _ = ratings.load_split(args.split)
     algo, s, nprime, seed = cfg["algo"], cfg["s"], cfg["nprime"], cfg["seed"]
     if s > train.n_users:
@@ -276,7 +278,8 @@ def _metric_rows(sweep, sizes, N):
     floors = metrics.certified_metrics(sweep.r[keep], N,
                                        sizes[sweep.users[keep], None])
     means = metrics.mean_over_users(np.stack(floors, axis=-1))  # e x 3
-    return [metrics.MetricRow(e, p, r, f, n_users=int(keep.sum()))
+    return [{"e": e, "cert_precision": p, "cert_recall": r, "cert_f1": f,
+             "n_users": int(keep.sum())}
             for e, (p, r, f) in zip(sweep.e_list, means.tolist())]
 
 
@@ -319,14 +322,13 @@ def cmd_certify(args, cfg) -> int:
     ratings._replace_file(os.path.join(args.out, "per_user.csv"), b"user,e,r,alpha\r\n",
                           *("".join((heads + f"{e}," + tails[rs]).tolist()).encode()
                             for e, rs in zip(e_list, sweep.r.T)))
-    agg, extra = rows[0], ()
+    agg = rows[0]
     if args.baseline is not None:
-        extra = ("bag_precision", "bag_recall", "bag_f1")
-        agg = [{**vars(row), "bag_precision": bag.cert_precision,
-                "bag_recall": bag.cert_recall, "bag_f1": bag.cert_f1}
+        agg = [{**row, "bag_precision": bag["cert_precision"],
+                "bag_recall": bag["cert_recall"], "bag_f1": bag["cert_f1"]}
                for row, bag in zip(rows[0], rows[1])]
-    metrics.write_metric_csv(os.path.join(args.out, "aggregate.csv"), agg, extra)
-    metrics.write_metric_json(os.path.join(args.out, "aggregate.json"), agg)
+    metrics.write_csv(os.path.join(args.out, "aggregate.csv"), agg)
+    metrics.write_json(os.path.join(args.out, "aggregate.json"), agg)
     _write_manifest(os.path.join(args.out, "manifest.json"), "certify",
                     {"votes": args.votes, "split": args.split,
                      "target": args.target, "alpha": cfg["alpha"],
@@ -363,8 +365,7 @@ def cmd_evaluate(args, cfg) -> int:
     os.makedirs(args.out, exist_ok=True)
     metrics.write_json(os.path.join(args.out, "evaluate.json"), summary)
     metrics.write_csv(os.path.join(args.out, "evaluate.csv"), [
-        ["system", "precision", "recall", "f1"]] + [
-        [system] + [summary[system][k] for k in ("precision", "recall", "f1")]
+        {"system": system, **summary[system]}
         for system in ("ensemble", "single_model") if system in summary])
     _write_manifest(os.path.join(args.out, "manifest.json"), "evaluate",
                     {"votes": args.votes, "split": args.split, "N": N,
@@ -378,8 +379,8 @@ def cmd_baseline(args, cfg) -> int:
     started = time.time()
     vc, (sweep,), (rows,) = _sweep_rows(args, cfg, ("bagging",))
     os.makedirs(args.out, exist_ok=True)
-    metrics.write_metric_csv(os.path.join(args.out, "baseline.csv"), rows)
-    metrics.write_metric_json(os.path.join(args.out, "baseline.json"), rows)
+    metrics.write_csv(os.path.join(args.out, "baseline.csv"), rows)
+    metrics.write_json(os.path.join(args.out, "baseline.json"), rows)
     _write_manifest(os.path.join(args.out, "manifest.json"), "baseline",
                     {"votes": args.votes, "split": args.split,
                      "target": args.target, "alpha": cfg["alpha"],
@@ -391,12 +392,12 @@ def cmd_baseline(args, cfg) -> int:
 
 
 def cmd_oracle(args, cfg) -> int:
-    if args.check == "soundness" and args.attack == "two-level-exhaustive":
-        oracle.check_two_level_e(args.e)  # before anything is enumerated
     if args.data:
         matrix = ratings.load_ratings(args.data, cfg["format"])
     else:
         matrix = ratings.random_matrix(args.n, args.m, args.seed, args.density)
+    if args.check == "soundness" and args.attack == "two-level-exhaustive":
+        oracle.check_two_level(args.e, matrix.n_items)  # before any output
     algo = cfg["algo"]
     params = _algo_params(cfg, algo)
     s, nprime, N = cfg["s"], cfg["nprime"], cfg["N"]

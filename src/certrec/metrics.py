@@ -13,22 +13,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
 from .ratings import _replace_file
-
-
-@dataclass(frozen=True)
-class MetricRow:
-    """Average metrics at one attack budget e."""
-
-    e: int
-    cert_precision: float
-    cert_recall: float
-    cert_f1: float
-    n_users: int = 0
 
 
 def certified_metrics(r, N: int, test_size):
@@ -86,27 +74,17 @@ def mean_metrics(triples) -> dict:
 
 
 def write_csv(path: str, rows) -> None:
-    """rows as csv.writer writes them (CRLF line ends), through _replace_file."""
+    """A nonempty table of dict rows: the first row's keys, in order, are the
+    header and the columns of every row, as csv.writer writes them (CRLF
+    line ends), through _replace_file."""
     text = io.StringIO()
-    csv.writer(text).writerows(rows)
+    writer = csv.writer(text)
+    writer.writerow(rows[0])
+    writer.writerows([row[key] for key in rows[0]] for row in rows)
     _replace_file(path, text.getvalue().encode())
 
 
 def write_json(path: str, payload) -> None:
-    """payload as indented, key-sorted JSON and a newline, through _replace_file."""
+    """payload, such as a table's dict rows, as indented, key-sorted JSON and
+    a newline, through _replace_file."""
     _replace_file(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
-
-
-_CSV_COLUMNS = ("e", "cert_precision", "cert_recall", "cert_f1", "n_users")
-
-
-def write_metric_csv(path: str, rows, extra_columns=()) -> None:
-    """Aggregate CSV, one row per e; column order is part of the contract."""
-    cols = _CSV_COLUMNS + tuple(extra_columns)
-    dicts = (row if isinstance(row, dict) else vars(row) for row in rows)
-    write_csv(path, [cols] + [[d[c] for c in cols] for d in dicts])
-
-
-def write_metric_json(path: str, rows) -> None:
-    """JSON mirror of the aggregate CSV for plotting tools."""
-    write_json(path, [row if isinstance(row, dict) else vars(row) for row in rows])

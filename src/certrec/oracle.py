@@ -315,11 +315,14 @@ def attack_soundness_check(matrix: RatingMatrix, clean: VoteCounts, params,
                                     for _ in range(count)]))
 
 
-def check_two_level_e(e: int) -> None:
-    """Refuse any e but 1: the two-level adversary appends one fake row."""
+def check_two_level(e: int, m: int) -> None:
+    """Refuse any e but 1, since the two-level adversary appends one fake
+    row, and any m over 20, since it tries all 2^m rows."""
     if e != 1:
         raise ValueError(f"the two-level exhaustive attack tries one fake "
                          f"user, so it checks e = 1 only, got e = {e}")
+    if m > 20:
+        raise ValueError("exhaustive adversary is desk-scale only")
 
 
 def exhaustive_two_level_check(matrix: RatingMatrix, clean: VoteCounts, params,
@@ -332,10 +335,8 @@ def exhaustive_two_level_check(matrix: RatingMatrix, clean: VoteCounts, params,
     surviving certificate was genuinely never beaten by any such attacker.
     Arguments are as in attack_soundness_check, e = 1.
     """
-    check_two_level_e(e)
     m = matrix.n_items
-    if m > 20:
-        raise ValueError("exhaustive adversary is desk-scale only")
+    check_two_level(e, m)
     hi = matrix.domain.hi
 
     def patterns(lo, count):

@@ -274,9 +274,12 @@ class TestTrain:
 
     @pytest.mark.parametrize("flags", [("--T", "0"), ("--chunk-size", "0"),
                                        ("--chunk-size", "-1"),
-                                       ("--threads", "0"), ("--threads", "-3")],
+                                       ("--threads", "0"), ("--threads", "-3"),
+                                       ("--max-chunks", "0"),
+                                       ("--max-chunks", "-3")],
                              ids=["T0", "chunk0", "chunk_negative", "threads0",
-                                  "threads_negative"])
+                                  "threads_negative", "max_chunks0",
+                                  "max_chunks_negative"])
     def test_nonpositive_T_or_chunk_size_refused(self, dataset, split, flags,
                                                  capsys):
         root, _ = dataset
@@ -284,7 +287,8 @@ class TestTrain:
         code = cli.main(["train", "--split", split, "--algo", "ir", "--T",
                          "20", "--s", "8", "--out", out, *flags])
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == ""
         assert not os.path.exists(out)
         assert not os.path.exists(out + ".partial")
 
@@ -1125,6 +1129,17 @@ class TestOracleCommand:
         assert f"checks e = 1 only, got e = {e}" in captured.err
         # without the soundness check nothing is attacked
         assert cli.main(argv + ["--check", "probs"]) == 0
+
+    def test_two_level_exhaustive_refuses_wide_matrix(self, capsys):
+        # 2^21 fake rows are past desk scale: refused before the clean
+        # enumeration prints anything
+        code = cli.main(["oracle", "--n", "4", "--m", "21", "--s", "2",
+                         "--N", "3", "--e", "1",
+                         "--attack", "two-level-exhaustive"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exhaustive adversary is desk-scale only" in captured.err
 
     _GATE_10X10 = ["oracle", "--n", "10", "--m", "10", "--s", "5", "--N", "3",
                    "--e", "1", "--attack", "two-level-exhaustive"]

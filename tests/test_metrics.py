@@ -139,12 +139,12 @@ class TestAggregation:
 
 class TestSerialization:
     def _rows(self):
-        return [metrics.MetricRow(e=e, cert_precision=e / 10, cert_recall=e / 20,
-                                  cert_f1=e / 15, n_users=1) for e in (0, 1)]
+        return [{"e": e, "cert_precision": e / 10, "cert_recall": e / 20,
+                 "cert_f1": e / 15, "n_users": 1} for e in (0, 1)]
 
     def test_csv_columns(self, tmp_path):
         path = str(tmp_path / "agg.csv")
-        metrics.write_metric_csv(path, self._rows())
+        metrics.write_csv(path, self._rows())
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["e", "cert_precision", "cert_recall", "cert_f1",
@@ -153,20 +153,30 @@ class TestSerialization:
         assert rows[1][0] == "0" and rows[2][0] == "1"
 
     def test_csv_extra_columns(self, tmp_path):
+        # the bag_* columns follow n_users, as the certify rows merge them
         path = str(tmp_path / "agg.csv")
-        rows = [dict(e=0, cert_precision=0.1, cert_recall=0.2, cert_f1=0.13,
-                     n_users=4, bag_precision=0.05, bag_recall=0.1,
-                     bag_f1=0.06)]
-        metrics.write_metric_csv(path, rows,
-                                 ("bag_precision", "bag_recall", "bag_f1"))
+        rows = [{**row, "bag_precision": 0.05, "bag_recall": 0.1,
+                 "bag_f1": 0.06} for row in self._rows()]
+        metrics.write_csv(path, rows)
         with open(path) as fh:
             out = list(csv.reader(fh))
-        assert out[0][-3:] == ["bag_precision", "bag_recall", "bag_f1"]
+        assert out[0][4:] == ["n_users", "bag_precision", "bag_recall",
+                              "bag_f1"]
         assert out[1][-3:] == ["0.05", "0.1", "0.06"]
 
     def test_json_mirror(self, tmp_path):
         path = str(tmp_path / "agg.json")
-        metrics.write_metric_json(path, self._rows())
+        metrics.write_json(path, self._rows())
         data = json.load(open(path))
         assert [d["e"] for d in data] == [0, 1]
         assert data[1]["cert_precision"] == pytest.approx(0.1)
+
+    def test_dict_rows_header_and_crlf(self, tmp_path):
+        # the header is the first row's keys in order, each row's values
+        # follow in that order whatever its own key order, and lines end
+        # in CRLF
+        path = str(tmp_path / "t.csv")
+        metrics.write_csv(path, [{"system": "ensemble", "f1": 0.5},
+                                 {"f1": 0.25, "system": "single_model"}])
+        assert open(path, "rb").read() == (
+            b"system,f1\r\nensemble,0.5\r\nsingle_model,0.25\r\n")
