@@ -155,25 +155,33 @@ def cmd_ingest(args, cfg) -> int:
     return 0
 
 
-def _train_chunked(args, cfg, train, split):
+def cmd_train(args, cfg) -> int:
     """Accumulate votes chunk by chunk with a resumable partial on disk.
 
-    split: (path, split_digest) of the split train was loaded from. The
-    partial is an ordinary votes file whose header T counts the members
+    The partial is an ordinary votes file whose header T counts the members
     already in it. It is replaced atomically after each chunk, so it is the
     only checkpoint: member seeds depend on (seed, t) alone, which makes a
     partial with T <= --T, the same parameter digest and the same split
-    digest a valid prefix of this run. Returns the votes so far (header T =
-    members done) and the models per second built by this invocation (None
-    if it built none).
+    digest a valid prefix of this run. A complete partial becomes --out.
     """
-    algo, T, s, nprime, seed = (cfg[k] for k in ("algo", "T", "s", "nprime", "seed"))
+    started = time.time()
+    algo, T, s, nprime, seed, chunk_size, threads = (cfg[k] for k in (
+        "algo", "T", "s", "nprime", "seed", "chunk_size", "threads"))
+    if (min(T, chunk_size, threads) < 1
+            or (args.max_chunks is not None and args.max_chunks < 1)):
+        raise ValueError(f"need T, chunk size, threads and max chunks >= 1, "
+                         f"got T={T}, chunk size={chunk_size}, "
+                         f"threads={threads}, max chunks={args.max_chunks}")
+    train, tests, _ = ratings.load_split(args.split)
+    if s > train.n_users:
+        raise ValueError(f"s={s} exceeds the {train.n_users} users in the split")
     partial_path = args.out + ".partial"
     params = _algo_params(cfg, algo)
     vc = ensemble.VoteCounts(
         T=0, n_prime=nprime, s=s, master_seed=seed, algo=algo,
         counts=np.zeros((train.n_users, train.n_items), dtype=np.int32),
-        params=ensemble.params_digest(algo, params), split=split[1])
+        params=ensemble.params_digest(algo, params),
+        split=ratings.split_digest(train, tests))
     if args.resume and os.path.exists(partial_path):
         part = ensemble.load_votes(partial_path)
         if ((part.algo, part.s, part.n_prime, part.master_seed, part.params,
@@ -184,51 +192,32 @@ def _train_chunked(args, cfg, train, split):
                              "(or predates the params= digest); remove it or "
                              "change --out")
         if part.split != vc.split:
-            raise ValueError(f"{partial_path} was not built on {split[0]} "
+            raise ValueError(f"{partial_path} was not built on {args.split} "
                              f"(its split= digest is "
                              f"{part.split or 'missing'}, the split's is "
                              f"{vc.split}); remove it or change --out")
         vc = replace(vc, T=part.T, counts=part.counts.astype(np.int32))
-    first, started, rate = vc.T, time.perf_counter(), None
-    chunks_run = 0
-    while vc.T < T and (args.max_chunks is None or chunks_run < args.max_chunks):
-        stop = min(vc.T + cfg["chunk_size"], T)
+    first, clock, rate = vc.T, time.perf_counter(), None
+    # a None slice (no --max-chunks) keeps every chunk
+    for start in range(vc.T, T, chunk_size)[:args.max_chunks]:
+        stop = min(start + chunk_size, T)
         vc.counts[:] += ensemble.accumulate_votes(
-            train, algo, params, s, nprime, seed, vc.T, stop, cfg["threads"])
+            train, algo, params, s, nprime, seed, start, stop, threads)
         vc = replace(vc, T=stop)
-        chunks_run += 1
         ensemble.save_votes(partial_path, vc)
-        rate = (vc.T - first) / max(time.perf_counter() - started, 1e-9)
+        rate = (vc.T - first) / max(time.perf_counter() - clock, 1e-9)
         print(f"train progress: t={vc.T}/{T} models_per_s={rate:.2f} "
               f"eta_s={(T - vc.T) / rate:.1f}", file=sys.stderr)
-    return vc, rate
-
-
-def cmd_train(args, cfg) -> int:
-    started = time.time()
-    T, chunk_size, threads = cfg["T"], cfg["chunk_size"], cfg["threads"]
-    max_chunks = 1 if args.max_chunks is None else args.max_chunks
-    if min(T, chunk_size, threads, max_chunks) < 1:
-        raise ValueError(f"need T, chunk size, threads and max chunks >= 1, "
-                         f"got T={T}, chunk size={chunk_size}, "
-                         f"threads={threads}, max chunks={args.max_chunks}")
-    train, tests, _ = ratings.load_split(args.split)
-    algo, s, nprime, seed = cfg["algo"], cfg["s"], cfg["nprime"], cfg["seed"]
-    if s > train.n_users:
-        raise ValueError(f"s={s} exceeds the {train.n_users} users in the split")
-    vc, rate = _train_chunked(
-        args, cfg, train, (args.split, ratings.split_digest(train, tests)))
     if vc.T < T:
         print(f"stopped after --max-chunks at t={vc.T}/{T}; "
               f"rerun with --resume to continue")
         return 3
     # the complete partial holds exactly these votes: promote it, not rewrite
-    os.replace(args.out + ".partial", args.out)
+    os.replace(partial_path, args.out)
     _write_manifest(args.out + ".manifest.json", "train",
                     {"split": args.split, "algo": algo, "T": T, "s": s,
                      "nprime": nprime, "seed": seed, "threads": threads,
-                     "params": str(_algo_params(cfg, algo)),
-                     "params_digest": vc.params,
+                     "params": str(params), "params_digest": vc.params,
                      "models_per_s": None if rate is None else round(rate, 3)},
                     started)
     print(f"built {T} base models (s={s}, N'={nprime}, algo={algo}) -> {args.out}")
@@ -397,28 +386,31 @@ def cmd_oracle(args, cfg) -> int:
     else:
         matrix = ratings.random_matrix(args.n, args.m, args.seed, args.density)
     if args.check == "soundness" and args.attack == "two-level-exhaustive":
-        oracle.check_two_level(args.e, matrix.n_items)  # before any output
+        oracle.check_two_level(args.e, matrix.n_items)  # before the enumeration
     algo = cfg["algo"]
     params = _algo_params(cfg, algo)
     s, nprime, N = cfg["s"], cfg["nprime"], cfg["N"]
+    # everything is computed before the first line, so a refusal prints nothing
     probs = oracle.exact_item_probs(matrix, algo, params, s, nprime)
-    print(f"enumerated {probs.T} subsets "
-          f"(n={matrix.n_users}, m={matrix.n_items}, s={s})")
     targets, cert_r = oracle.exact_certificates(matrix, probs, N, args.e)
-    users = np.flatnonzero(targets.sizes)
-    print("certified r per user:", dict(zip(users.tolist(), cert_r[users].tolist())))
-    skipped = np.flatnonzero(targets.sizes == 0).tolist()  # rated every item
-    if skipped:
-        print("skipped users (empty target set):", skipped)
     if args.check == "probs":
-        return 0
-    if args.attack == "two-level-exhaustive":
+        report = None
+    elif args.attack == "two-level-exhaustive":
         report = oracle.exhaustive_two_level_check(
             matrix, probs, params, N, args.e, cert_r, targets)
     else:
         report = oracle.attack_soundness_check(
             matrix, probs, params, N, args.e, args.attack, args.trials,
             args.seed + 1, cert_r, targets)
+    print(f"enumerated {probs.T} subsets "
+          f"(n={matrix.n_users}, m={matrix.n_items}, s={s})")
+    users = np.flatnonzero(targets.sizes)
+    print("certified r per user:", dict(zip(users.tolist(), cert_r[users].tolist())))
+    skipped = np.flatnonzero(targets.sizes == 0).tolist()  # rated every item
+    if skipped:
+        print("skipped users (empty target set):", skipped)
+    if report is None:
+        return 0
     print(f"attack trials: {report.trials}, violations: {len(report.violations)}")
     if not report.ok:
         for trial, user, got, need in report.violations[:10]:

@@ -11,7 +11,9 @@ from __future__ import annotations
 import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -77,37 +79,14 @@ def _member_params(algo: str, params, master_seed: int, t: int):
     return params if params is not None else IRParams()
 
 
-def _member_votes(train: RatingMatrix, algo: str, params, s: int, n_prime: int,
-                  master_seed: int, t_start: int, t_stop: int):
-    """Each member t_start..t_stop-1's votes in turn, as (users, items)."""
-    n = train.n_users
-    for t in range(t_start, t_stop):
-        users = sample_submatrix(n, s, derive_seed(master_seed, t))
-        model = train_base(algo, train, np.asarray(users),
-                           _member_params(algo, params, master_seed, t))
-        yield recommend_all(model, n_prime)
-
-
-# process-pool plumbing: workers get the immutable inputs once via initializer
-_POOL_CTX = {}
-
-
-def _pool_init(*args):
-    _POOL_CTX["args"] = args
-
-
-def _pool_range(span):
-    """The (users, items) of every vote the span's members cast: a few kB
-    to pickle back, where its count table would be n x m."""
-    votes = list(_member_votes(*_POOL_CTX["args"], span[0], span[1]))
-    return tuple(np.concatenate(part) for part in zip(*votes))
-
-
-def _ranges(t_start: int, t_stop: int, pieces: int):
-    total = t_stop - t_start
-    pieces = max(1, min(pieces, total))
-    step = math.ceil(total / pieces)
-    return [(lo, min(lo + step, t_stop)) for lo in range(t_start, t_stop, step)]
+def _member_votes(args, t: int):
+    """Member t's votes as (users, items); args is (train, algo, params, s,
+    n_prime, master_seed)."""
+    train, algo, params, s, n_prime, master_seed = args
+    users = sample_submatrix(train.n_users, s, derive_seed(master_seed, t))
+    model = train_base(algo, train, np.asarray(users),
+                       _member_params(algo, params, master_seed, t))
+    return recommend_all(model, n_prime)
 
 
 def accumulate_votes(train: RatingMatrix, algo: str, params, s: int, n_prime: int,
@@ -115,24 +94,22 @@ def accumulate_votes(train: RatingMatrix, algo: str, params, s: int, n_prime: in
                      threads: int = 1) -> np.ndarray:
     """Vote contributions of members t_start..t_stop-1 as an n x m count array.
 
-    threads > 1 splits the members across that many processes. Count addition
-    is associative and commutative and member seeds do not depend on the
-    executing worker, so the partition is invisible in the output.
+    threads > 1 maps the members over that many processes, a few kB of votes
+    pickled back per member. Count addition is associative and commutative
+    and member seeds do not depend on the executing worker, so the partition
+    is invisible in the output.
     """
     counts = np.zeros((train.n_users, train.n_items), dtype=np.int32)
-    if threads <= 1 or t_stop - t_start <= 1:
-        for votes in _member_votes(train, algo, params, s, n_prime, master_seed,
-                                   t_start, t_stop):
+    args = (train, algo, params, s, n_prime, master_seed)
+    members = range(t_start, t_stop)
+    pooled = threads > 1 and len(members) > 1
+    with ProcessPoolExecutor(threads) if pooled else nullcontext() as pool:
+        votes = (pool.map(_member_votes, repeat(args), members,
+                          chunksize=math.ceil(len(members) / (threads * 4)))
+                 if pooled else map(_member_votes, repeat(args), members))
+        for cells in votes:
             # a model recommends each item at most once per user: no repeated cell
-            counts[votes] += 1
-        return counts
-    spans = _ranges(t_start, t_stop, threads * 4)
-    with ProcessPoolExecutor(
-            max_workers=threads, initializer=_pool_init,
-            initargs=(train, algo, params, s, n_prime, master_seed)) as pool:
-        for users, items in pool.map(_pool_range, spans):
-            # members repeat cells, so add.at rather than a fancy +=
-            np.add.at(counts, (users, items), 1)
+            counts[cells] += 1
     return counts
 
 

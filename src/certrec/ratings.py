@@ -112,7 +112,8 @@ class ItemSets:
 
 
 def _build_matrix(users, items, scores, domain, user_ids=None, item_ids=None) -> RatingMatrix:
-    """Assemble a RatingMatrix from parallel entry arrays, remapping ids.
+    """Assemble a RatingMatrix from parallel entry arrays of distinct cells,
+    remapping ids.
 
     When user_ids/item_ids are given they fix the dimensions and the mapping
     (used by splits, which must keep the parent matrix shape).
@@ -126,15 +127,12 @@ def _build_matrix(users, items, scores, domain, user_ids=None, item_ids=None) ->
         item_ids, items = np.unique(items, return_inverse=True)
     n, m = len(user_ids), len(item_ids)
     key = users * m + items
-    # strictly ascending, as splits and their files hold them, is CSR order
-    # with no duplicate; a rating file's order is sorted first
+    # strictly ascending, as splits and their files hold them, is CSR order;
+    # any other order, such as a rating file's, is converted from COO
     if (key[1:] > key[:-1]).all():
         mat = csr_matrix((scores, items, np.searchsorted(users, np.arange(n + 1))),
                          shape=(n, m))
     else:
-        key.sort()
-        if (key[1:] == key[:-1]).any():
-            raise ParseError("duplicate (user, item) rating")
         mat = csr_matrix((scores, (users, items)), shape=(n, m))
     mat.sort_indices()
     return RatingMatrix(n_users=n, n_items=m, csr=mat, domain=domain,
@@ -169,7 +167,7 @@ def load_ratings(path: str, format: str) -> RatingMatrix:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
     sep = _SEPARATORS[format]
     ml = format != "generic-csv"
-    users, items, scores = [], [], []
+    users, items, scores, lines = [], [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -193,8 +191,22 @@ def load_ratings(path: str, format: str) -> RatingMatrix:
             users.append(u)
             items.append(i)
             scores.append(score)
+            lines.append(lineno)
     if not users:
         raise ParseError(f"{path}: empty rating file")
+    users, items = np.array(users), np.array(items)
+    du, di = np.diff(users), np.diff(items)
+    # rows in (user, item) order repeat no cell; others are sorted stably by
+    # cell, which keeps a repeated cell's rows in file order
+    if not ((du > 0) | (du == 0) & (di > 0)).all():
+        order = np.lexsort((items, users))
+        u, i = users[order], items[order]
+        again = np.flatnonzero((u[1:] == u[:-1]) & (i[1:] == i[:-1]))
+        if again.size:
+            k = again[np.argmin(order[again + 1])]  # the earliest repeating row
+            raise ParseError(f"{path}: line {lines[order[k + 1]]}: duplicate "
+                             f"rating of user {u[k]}, item {i[k]} (first on "
+                             f"line {lines[order[k]]})")
     if ml:
         domain = _ML_DOMAIN
     else:

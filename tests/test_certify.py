@@ -13,6 +13,7 @@ from certrec import base_rec, bounds, certify, ensemble, ratings
 from conftest import (bench_gen, item_sets, one_row_table, prob_row,
                       reference_bagging_r, reference_bounds, reference_holds,
                       reference_r)
+from test_bounds import _binom_tail
 
 
 def _certify_row(lower, upper, contexts, N: int, n_prime: int,
@@ -489,6 +490,18 @@ _PAPER_SEEDS = [int(x) for x in
                 os.environ.get("CERTREC_PAPER_SEEDS", "0").split(",")]
 
 
+def _paper_instance(seed: int):
+    """(train, votes) of certify-t10k at seed: the ML-100k-shaped split and
+    its T = 10,000 paper-scale vote counts."""
+    matrix = ratings._build_matrix(*bench_gen.ml100k_shaped(seed),
+                                   ratings._ML_DOMAIN)
+    train, _ = ratings.split_train_test(matrix, 0.75, seed)
+    return train, ensemble.VoteCounts(
+        T=bench_gen.VOTE_T, n_prime=1, s=bench_gen.VOTE_S,
+        counts=bench_gen.paper_scale_votes(seed, train), master_seed=seed,
+        algo="ir")
+
+
 class TestFloatFilterAtPaperScale:
     """certify-t10k's sweep, every float decision redone exactly.
 
@@ -502,13 +515,7 @@ class TestFloatFilterAtPaperScale:
 
     @pytest.mark.parametrize("seed", _PAPER_SEEDS)
     def test_every_float_decision_is_exact(self, seed, monkeypatch):
-        matrix = ratings._build_matrix(*bench_gen.ml100k_shaped(seed),
-                                       ratings._ML_DOMAIN)
-        train, _ = ratings.split_train_test(matrix, 0.75, seed)
-        vc = ensemble.VoteCounts(
-            T=bench_gen.VOTE_T, n_prime=1, s=bench_gen.VOTE_S,
-            counts=bench_gen.paper_scale_votes(seed, train), master_seed=seed,
-            algo="ir")
+        train, vc = _paper_instance(seed)
         N, seen = 10, {"decided": 0, "ratio": math.inf}
         real = certify._holds
 
@@ -537,3 +544,46 @@ class TestFloatFilterAtPaperScale:
         assert seen["decided"] == sum(r.verify_calls for r in results) > 20_000
         assert all(r.exact_fallbacks == 0 for r in results)
         assert seen["ratio"] > 1e6, seen
+
+
+class TestExactBoundsAtPaperScale:
+    """Every Clopper-Pearson bound certify-t10k reads, held to its level by
+    exact binomial sums.
+
+    At n = 943 and m = 1,682 the per-item level is 1e-3 / 943 / 1682, about
+    6.3e-10, where a bound's validity rests on scipy's incomplete beta
+    erring by less than bounds._LEVEL_MARGIN. Seed 0 bounds 448 distinct
+    (count, side) pairs, the smallest relative slack (level - tail) / level
+    among them about 9.5e-13.
+    """
+
+    @pytest.mark.parametrize("seed", _PAPER_SEEDS)
+    def test_every_bound_meets_its_level(self, seed, monkeypatch):
+        train, vc = _paper_instance(seed)
+        N, real, seen = 10, bounds._cp_by_count, {}
+
+        def recorded(counts, t, beta, upper):
+            out = real(counts, t, beta, upper)
+            seen.update(((int(c), upper), (t, beta, float(x)))
+                        for c, x in zip(np.ravel(counts), out))
+            return out
+
+        monkeypatch.setattr(bounds, "_cp_by_count", recorded)
+        # the bounds do not depend on e: one budget estimates them all
+        certify.sweep(train, vc, ensemble.ensemble_recommend_all(vc, train, N),
+                      0.001, [0], N, ("joint",))
+        assert {(t, beta) for t, beta, _ in seen.values()} == {
+            (vc.T, 0.001 / train.n_users / train.n_items)}
+        slack = {}
+        for (count, upper), (t, beta, bound) in seen.items():
+            if count == (t if upper else 0):
+                continue  # the bound is 1 (or 0): no p lies beyond it
+            # a lower bound L fails with P_L(X >= count), an upper U with
+            # P_U(X <= count)
+            tail = _binom_tail(t, bound, count, not upper)
+            slack[count, upper] = float((beta - tail) / beta)
+        worst = min(slack, key=slack.get)
+        print(f"seed {seed}: {len(slack)} bounds, smallest relative slack "
+              f"{slack[worst]:.3g} at (count, upper) = {worst}")
+        assert len(slack) > 100
+        assert slack[worst] >= 0, (worst, slack[worst])

@@ -79,6 +79,19 @@ class TestIngest:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_repeated_rating_names_its_line(self, tmp_path, capsys):
+        # the later of the two lines, counted with the blank one, and the
+        # file's own ids
+        data = tmp_path / "repeat.tsv"
+        data.write_text("7\t30\t4\t1\n\n9\t31\t2\t1\n7\t30\t5\t1\n")
+        out = str(tmp_path / "split.txt")
+        assert cli.main(["ingest", "--data", str(data), "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {data}: line 4: duplicate rating of "
+                                f"user 7, item 30 (first on line 1)\n")
+        assert not os.path.exists(out)
+
 
 class TestTrain:
     def test_votes_file(self, votes):
@@ -169,6 +182,29 @@ class TestTrain:
         assert cli.main(argv + ["--T", "100", "--max-chunks", "1"]) == 3
         assert cli.main(argv + ["--T", "200", "--resume"]) == 0
         assert open(out, "rb").read() == open(votes, "rb").read()
+
+    @pytest.mark.parametrize("max_chunks", ["3", "7"], ids=["exact", "more"])
+    def test_max_chunks_that_finish_the_run(self, dataset, split, max_chunks,
+                                            tmp_path, capsys):
+        # 3 chunks of 40 finish T = 100: the run completes as one without
+        # --max-chunks does, and the chunks past the end are never run
+        root, _ = dataset
+        argv = ["train", "--split", split, "--algo", "ir", "--T", "100",
+                "--s", "8", "--seed", "5"]
+        once = str(tmp_path / "votes_once.txt")
+        assert cli.main(argv + ["--out", once]) == 0
+        out = str(root / f"votes_max_chunks_{max_chunks}.txt")
+        capsys.readouterr()
+        assert cli.main(argv + ["--out", out, "--chunk-size", "40",
+                                "--max-chunks", max_chunks]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (f"built 100 base models (s=8, N'=1, "
+                                f"algo=ir) -> {out}\n")
+        assert [line.split()[2] for line in captured.err.splitlines()] == [
+            "t=40/100", "t=80/100", "t=100/100"]
+        assert not os.path.exists(out + ".partial")
+        assert os.path.exists(out + ".manifest.json")
+        assert open(out, "rb").read() == open(once, "rb").read()
 
     def test_resume_with_changed_params_rejected(self, dataset, split):
         root, _ = dataset
@@ -1056,7 +1092,7 @@ class TestOracleCommand:
         assert code == 2
         captured = capsys.readouterr()
         assert "error: need at least one attack trial" in captured.err
-        assert "attack trials:" not in captured.out
+        assert captured.out == ""  # not even the clean enumeration
 
     @pytest.mark.parametrize("n, m, seed, density, certified", [
         (5, 4, 1, 0.7, "{0: 1, 1: 1, 2: 1, 3: 1, 4: 1}\n"),
@@ -1076,6 +1112,18 @@ class TestOracleCommand:
         assert capsys.readouterr().out == (
             f"enumerated {math.comb(n, 2)} subsets (n={n}, m={m}, s=2)\n"
             f"certified r per user: {certified}")
+
+    @pytest.mark.parametrize("flag, value, error", [
+        ("--N", "0", "N must be positive, got 0"),
+        ("--e", "-1", "e must be >= 0, got -1")], ids=["N0", "e_negative"])
+    def test_refusal_prints_nothing(self, flag, value, error, capsys):
+        # the library refuses each after the enumeration, whose lines are
+        # printed only once the certificates and the attack report are in
+        assert cli.main(["oracle", "--n", "5", "--m", "4", "--s", "2",
+                         flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {error}\n"
 
     @pytest.mark.parametrize("density", ["1.5", "-0.1", "nan"])
     def test_density_out_of_range_refused(self, density, capsys):

@@ -79,6 +79,15 @@ class TestAccumulation:
                                         1, 11, 0, 60, threads=3)
         assert np.array_equal(vc.counts, par)
 
+    def test_more_workers_than_members(self):
+        # 3 members over 4 processes: one member per task, one worker idle
+        train, _ = self._votes()
+        params = base_rec.IRParams()
+        serial = ensemble.accumulate_votes(train, "ir", params, 5, 1, 11, 0, 3)
+        pooled = ensemble.accumulate_votes(train, "ir", params, 5, 1, 11, 0, 3,
+                                           threads=4)
+        assert serial.sum() > 0 and np.array_equal(serial, pooled)
+
     def test_t_prefix_nesting(self):
         # the first T models of a longer run are exactly a shorter run
         train = ratings.random_matrix(12, 8, seed=9)

@@ -74,6 +74,20 @@ class TestLoadRatings:
         with pytest.raises(ParseError, match="duplicate"):
             ratings.load_ratings(path, "movielens-100k-tab")
 
+    @pytest.mark.parametrize("users,items", [([0, 1, 1], [2, 0, 0]),
+                                             ([1, 0, 1], [0, 2, 0])])
+    def test_duplicate_cell_refused_in_any_order(self, tmp_path, users, items):
+        # cell (1, 0) twice, its rows adjacent or not; the error names the
+        # later line, the earlier one and the file's ids (user 11, item 100)
+        rows = [f"{u + 10},{i + 100},{score}"
+                for u, i, score in zip(users, items, (1, 2, 3))]
+        path = _write(tmp_path, "\n".join(rows) + "\n")
+        first = list(zip(users, items)).index((1, 0)) + 1
+        with pytest.raises(ParseError, match=re.escape(
+                f"{path}: line 3: duplicate rating of user 11, item 100 "
+                f"(first on line {first})")):
+            ratings.load_ratings(path, "generic-csv")
+
     def test_empty_file_rejected(self, tmp_path):
         path = _write(tmp_path, "")
         with pytest.raises(ParseError, match="empty"):
@@ -122,14 +136,6 @@ class TestSplit:
             for part in ("data", "indices", "indptr"):
                 a, b = getattr(got, part), getattr(csr, part)
                 assert a.dtype == b.dtype and np.array_equal(a, b), part
-
-    @pytest.mark.parametrize("users,items", [([0, 1, 1], [2, 0, 0]),
-                                             ([1, 0, 1], [0, 2, 0])])
-    def test_duplicate_cell_refused_in_any_order(self, users, items):
-        dom = ratings.RatingDomain(1.0, 5.0, True)
-        with pytest.raises(ParseError, match="duplicate"):
-            ratings._build_matrix(users, items, [1.0, 2.0, 3.0], dom,
-                                  user_ids=np.arange(2), item_ids=np.arange(3))
 
     def test_deterministic_per_seed(self):
         m = ratings.random_matrix(10, 8, seed=5)
